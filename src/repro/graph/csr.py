@@ -71,7 +71,8 @@ class CSRGraph:
     """
 
     __slots__ = ("_nodes", "_nodes_np", "_index_of", "_indptr", "_indices",
-                 "_labels", "_n", "_e", "label_union", "_np_arrays")
+                 "_labels", "_n", "_e", "label_union", "_np_arrays",
+                 "_self_loops")
 
     def __init__(
         self,
@@ -98,6 +99,8 @@ class CSRGraph:
         #: Cached ``(indptr, indices, labels)`` as numpy arrays, built on
         #: demand by the scipy acyclicity screen (or kept from a bulk build).
         self._np_arrays = None
+        #: Self-looping node id -> OR of its self-loop labels, built on demand.
+        self._self_loops = None
 
     @classmethod
     def _from_np(
@@ -121,6 +124,7 @@ class CSRGraph:
         graph._e = len(indices_np)
         graph.label_union = label_union
         graph._np_arrays = (indptr_np, indices_np, labels_np)
+        graph._self_loops = None
         return graph
 
     @property
@@ -462,13 +466,28 @@ class CSRGraph:
                     components.append(component)
         return components
 
-    def _has_self_loop_idx(self, node: int, mask: int) -> bool:
-        indices = self.indices
-        labels = self.labels
-        for pos in range(self.indptr[node], self.indptr[node + 1]):
-            if indices[pos] == node and labels[pos] & mask:
-                return True
-        return False
+    def _self_loop_labels(self) -> Dict[int, int]:
+        """Self-looping node id -> the OR of its self-loop labels.
+
+        Scanned once per snapshot (a C-level membership test per row; only
+        rows that hold their own id are walked), so the singleton test in
+        :meth:`cyclic_scc_idx` is a dict lookup however many Tarjan passes
+        and probes run over the snapshot.
+        """
+        loops = self._self_loops
+        if loops is None:
+            loops = {}
+            indices = self.indices
+            labels = self.labels
+            start = 0
+            for node, end in enumerate(self.indptr[1:]):
+                if node in indices[start:end]:
+                    for pos in range(start, end):
+                        if indices[pos] == node:
+                            loops[node] = loops.get(node, 0) | labels[pos]
+                start = end
+            self._self_loops = loops
+        return loops
 
     def cyclic_scc_idx(
         self,
@@ -487,13 +506,12 @@ class CSRGraph:
         """
         if roots is None and allowed is None and self._provably_acyclic(mask):
             return []
-        result = []
-        for component in self.scc_idx(mask, roots, allowed):
-            if len(component) > 1:
-                result.append(component)
-            elif self._has_self_loop_idx(component[0], mask):
-                result.append(component)
-        return result
+        loops = self._self_loop_labels()
+        return [
+            component
+            for component in self.scc_idx(mask, roots, allowed)
+            if len(component) > 1 or loops.get(component[0], 0) & mask
+        ]
 
     def _provably_acyclic(self, mask: int) -> bool:
         """True only when a C-speed screen proves no cycle exists under ``mask``."""

@@ -70,6 +70,19 @@ def _coerce_type(value: Union[str, OpType]) -> OpType:
         raise HistoryError(f"unknown op type {value!r}") from None
 
 
+def _provisional(invoke: Op) -> Transaction:
+    """The indeterminate view of an invocation with no completion yet."""
+    return Transaction(
+        id=invoke.index,
+        process=invoke.process,
+        type=OpType.INFO,
+        mops=tuple(invoke.value or ()),
+        invoke_index=invoke.index,
+        complete_index=None,
+        start_ts=invoke.ts,
+    )
+
+
 class History:
     """An observation: operations in index order plus their transaction views.
 
@@ -167,75 +180,89 @@ class History:
     def _apply(self, new_ops: Sequence[Op]) -> HistoryDelta:
         """Fold further operations into the pairing state.
 
-        Invocations create provisional indeterminate transactions at the end
-        of the (invocation-ordered) transaction list; completions replace the
-        provisional transaction in place.  Not atomic on error: a malformed
-        operation raises mid-way and leaves the history partially extended,
-        so callers that survive errors must treat the history as poisoned.
+        Each invocation reserves its slot at the end of the
+        (invocation-ordered) transaction list and in ``_by_id``; each
+        transaction is built once, in its final form for this batch.  An
+        invocation completed within the batch fills its slot directly; a
+        completion for an invocation from an *earlier* batch replaces that
+        batch's provisional indeterminate transaction (an upgrade); and
+        invocations still pending when the batch ends — or when a malformed
+        operation aborts it — get their provisional indeterminate
+        transaction then.  Not atomic on error: a malformed operation
+        raises mid-way and leaves the history partially extended, so
+        callers that survive errors must treat the history as poisoned.
         """
         new_ops = tuple(new_ops)
         transactions = self.transactions
         pending = self._pending
         by_id = self._by_id
         pos_by_id = self._pos_by_id
+        invoke_type = OpType.INVOKE
+        ok_type = OpType.OK
         last = self._max_index if self._max_index >= 0 else None
-        new_ids: Dict[int, None] = {}
+        #: Invocations of this batch in invocation order: id -> the invoke
+        #: op while it is pending, ``None`` once completed.
+        fresh: Dict[int, Op] = {}
         upgraded: List[Tuple[Transaction, Transaction]] = []
-        for op in new_ops:
-            if last is not None and op.index <= last:
-                raise HistoryError(
-                    f"op indices must be strictly increasing; {op.index} after {last}"
-                )
-            last = op.index
-            if op.is_invoke:
-                if op.process in pending:
+        try:
+            for op in new_ops:
+                index = op.index
+                if last is not None and index <= last:
                     raise HistoryError(
-                        f"process {op.process} invoked at index {op.index} while "
-                        f"index {pending[op.process].index} is still pending"
+                        "op indices must be strictly increasing; "
+                        f"{index} after {last}"
                     )
-                pending[op.process] = op
-                txn = Transaction(
-                    id=op.index,
-                    process=op.process,
-                    type=OpType.INFO,
-                    mops=tuple(op.value or ()),
-                    invoke_index=op.index,
-                    complete_index=None,
-                    start_ts=op.ts,
-                )
-                pos_by_id[txn.id] = len(transactions)
-                transactions.append(txn)
-                by_id[txn.id] = txn
-                new_ids[txn.id] = None
-            else:
-                invoke = pending.pop(op.process, None)
+                last = index
+                process = op.process
+                if op.type is invoke_type:
+                    if process in pending:
+                        raise HistoryError(
+                            f"process {process} invoked at index {index} "
+                            f"while index {pending[process].index} is still "
+                            "pending"
+                        )
+                    pending[process] = op
+                    fresh[index] = op
+                    pos_by_id[index] = len(transactions)
+                    transactions.append(None)
+                    by_id[index] = None
+                    continue
+                invoke = pending.pop(process, None)
                 if invoke is None:
                     raise HistoryError(
-                        f"completion at index {op.index} on process {op.process} "
+                        f"completion at index {index} on process {process} "
                         "has no pending invocation"
                     )
                 mops = op.value if op.value is not None else invoke.value
+                txn_id = invoke.index
                 txn = Transaction(
-                    id=invoke.index,
-                    process=op.process,
-                    type=op.type,
-                    mops=tuple(mops or ()),
-                    invoke_index=invoke.index,
-                    complete_index=op.index,
-                    start_ts=invoke.ts,
-                    commit_ts=op.ts if op.type is OpType.OK else None,
+                    txn_id,
+                    process,
+                    op.type,
+                    tuple(mops or ()),
+                    txn_id,
+                    index,
+                    invoke.ts,
+                    op.ts if op.type is ok_type else None,
                 )
-                position = pos_by_id[txn.id]
-                old = transactions[position]
+                position = pos_by_id[txn_id]
+                if txn_id in fresh:
+                    fresh[txn_id] = None  # completed in this batch
+                else:
+                    upgraded.append((transactions[position], txn))
                 transactions[position] = txn
-                by_id[txn.id] = txn
-                if txn.id not in new_ids:
-                    upgraded.append((old, txn))
+                by_id[txn_id] = txn
+        finally:
+            for invoke in fresh.values():
+                if invoke is not None:
+                    txn = _provisional(invoke)
+                    transactions[pos_by_id[txn.id]] = txn
+                    by_id[txn.id] = txn
         self.ops += new_ops
         if last is not None:
             self._max_index = last
         return HistoryDelta(
-            new=tuple(by_id[i] for i in new_ids),
+            new=tuple(by_id[i] for i in fresh),
             upgraded=tuple(upgraded),
         )
 

@@ -31,11 +31,16 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Iterator, List, Union
 
+from ..core.gcpause import paused_gc
 from ..errors import HistoryError
 from .history import History
 from .ops import MicroOp, Op, OpType
 
 PathOrFile = Union[str, Path, io.IOBase]
+
+#: The scanner :func:`json.loads` runs, configured the same way (the C
+#: implementation when the interpreter has one).
+_SCAN_ONCE = json.JSONDecoder().scan_once
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +53,15 @@ def _encode_value(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return {"set": sorted((_encode_value(v) for v in value), key=repr)}
     return value
+
+
+#: The exact types the JSON scanner produces for scalars; they decode to
+#: themselves.  Exact-type tests (not ``isinstance``) keep list and dict
+#: subclasses, and anything else unusual, on the general path.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Wire ``type`` strings to :class:`OpType`, skipping the Enum call.
+_OP_TYPES = {t.value: t for t in OpType}
 
 
 def _decode_value(value: Any) -> Any:
@@ -83,26 +97,79 @@ def encode_op(op: Op) -> dict:
     return record
 
 
+def _decode_nonscalar(value: Any) -> Any:
+    """:func:`_decode_value` for a non-scalar, sparing the flat-list case.
+
+    A list whose elements are all scalars becomes ``tuple(list)`` after
+    one C-level type scan; nested lists and tagged values take the
+    recursive :func:`_decode_value`, so results are always identical.
+    """
+    if type(value) is list and set(map(type, value)) <= _SCALARS:
+        return tuple(value)
+    return _decode_value(value)
+
+
+def _field_error(index: Any, process: Any, ts: Any) -> str:
+    """Why ``index``, ``process`` or ``ts`` has the wrong type.
+
+    ``index`` and ``process`` must be ints (a JSON ``true`` is not one);
+    ``ts`` must be an int, or ``null`` / absent.
+    """
+    if type(index) is not int:
+        field, value = "index", index
+    elif type(process) is not int:
+        field, value = "process", process
+    else:
+        field, value = "ts", ts
+    return f"{field} must be an integer, got {value!r}"
+
+
 def decode_op(record: dict, line_number: int) -> Op:
-    """Invert :func:`encode_op`; ``line_number`` contextualizes errors."""
+    """Invert :func:`encode_op`; ``line_number`` contextualizes errors.
+
+    Micro-op keys and values dispatch on their exact type: scalars pass
+    through, a list of scalars becomes a tuple in one step, and only
+    nested lists and ``{"set"}`` / ``{"tuple"}`` tags take the recursive
+    :func:`_decode_value` (see :func:`_decode_nonscalar`).  Fields are
+    read in a fixed order (``value``, ``index``, ``type``, ``process``,
+    ``ts``), so the first missing or malformed one names the error; a
+    non-integer ``index``, ``process`` or ``ts`` raises too, rather than
+    loading and failing later without a line number.
+    """
     try:
         mops = record["value"]
         if mops is not None:
+            scalars = _SCALARS
+            decode = _decode_nonscalar
             mops = tuple(
-                MicroOp(fn, _decode_value(key), _decode_value(value))
-                for fn, key, value in mops
+                [
+                    MicroOp(
+                        fn,
+                        key if type(key) in scalars else decode(key),
+                        value if type(value) in scalars else decode(value),
+                    )
+                    for fn, key, value in mops
+                ]
             )
-        return Op(
-            index=record["index"],
-            type=OpType(record["type"]),
-            process=record["process"],
-            value=mops,
-            ts=record.get("ts"),
-        )
+        index = record["index"]
+        kind = record["type"]
+        op_type = _OP_TYPES.get(kind) if type(kind) is str else None
+        if op_type is None:
+            op_type = OpType(kind)
+        process = record["process"]
+        ts = record.get("ts")
     except (KeyError, TypeError, ValueError) as exc:
         raise HistoryError(
             f"line {line_number}: malformed operation record: {exc}"
         ) from None
+    if type(index) is not int or type(process) is not int or (
+        ts is not None and type(ts) is not int
+    ):
+        raise HistoryError(
+            f"line {line_number}: malformed operation record: "
+            f"{_field_error(index, process, ts)}"
+        )
+    return Op(index, op_type, process, mops, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +198,14 @@ def iter_json_lines(
     exactly the state WAL replay and crash recovery must shrug off.  A
     malformed line with more data after it still raises: that is
     corruption, not a torn tail.
+
+    Each stripped line goes straight to the C scanner behind
+    :func:`json.loads` (skipping its per-call wrapper), which must consume
+    the whole line.  Anything it refuses — trailing data, a leading BOM,
+    a truncated record — is handed to :func:`json.loads` itself, so the
+    error text is always exactly the standard library's.
     """
+    scan = _SCAN_ONCE
     pending = None  # (line_number, text) awaiting proof it isn't the tail
     line_number = 0
     for line_number, line in enumerate(fh, start=1):
@@ -142,13 +216,20 @@ def iter_json_lines(
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if allow_torn_tail:
-                # Hold the error until we know whether more lines follow.
-                pending = (line_number, str(exc))
-                continue
-            raise HistoryError(f"line {line_number}: not JSON: {exc}") from None
+            record, end = scan(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if allow_torn_tail:
+                    # Hold the error until we know whether more lines follow.
+                    pending = (line_number, str(exc))
+                    continue
+                raise HistoryError(
+                    f"line {line_number}: not JSON: {exc}"
+                ) from None
         yield line_number, record
     # A pending decode error on the very last line is a torn tail: drop it.
 
@@ -220,10 +301,13 @@ def load_history(source: PathOrFile, allow_torn_tail: bool = False) -> History:
     raising — for reading files whose writer may have died mid-record
     (the service WAL, a crashed ``--dump-history`` run).
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return History(list(load_ops(fh, allow_torn_tail=allow_torn_tail)))
-    return History(list(load_ops(source, allow_torn_tail=allow_torn_tail)))
+    with paused_gc():
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as fh:
+                return History(
+                    list(load_ops(fh, allow_torn_tail=allow_torn_tail))
+                )
+        return History(list(load_ops(source, allow_torn_tail=allow_torn_tail)))
 
 
 def dumps_history(history: History) -> str:
@@ -235,4 +319,5 @@ def dumps_history(history: History) -> str:
 
 def loads_history(text: str) -> History:
     """Parse a history from JSON-lines text."""
-    return History(list(load_ops(io.StringIO(text))))
+    with paused_gc():
+        return History(list(load_ops(io.StringIO(text))))

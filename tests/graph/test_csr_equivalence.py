@@ -300,3 +300,86 @@ def test_freeze_matches_digraph_topology():
     assert csr.edge_label("c", "a") == 0
     assert list(csr.successors("a")) == ["b", "c"]
     assert list(csr.successors("a", 2)) == ["b"]
+
+
+# ----------------------------------------------------------------------
+# Self-loops under masks: one snapshot answers many masks and restricted
+# probes from a single self-loop table.
+
+
+@st.composite
+def self_looping_graphs(draw):
+    g = draw(labeled_graphs())
+    nodes = list(g.nodes())
+    for node in draw(st.lists(st.sampled_from(nodes), max_size=4)):
+        g.add_edge(node, node, draw(masks))
+    return g
+
+
+def _induced(graph, members):
+    sub = LabeledDiGraph()
+    for node in graph.nodes():
+        if node in members:
+            sub.add_node(node)
+    for node in sub.nodes():
+        for succ, label in graph._succ[node].items():
+            if succ in members:
+                sub.add_edge(node, succ, label)
+    return sub
+
+
+@given(self_looping_graphs(), st.lists(masks, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_self_loops_under_masks_identical(g, mask_sequence):
+    csr = g.freeze()
+    for mask in mask_sequence:
+        components = csr.cyclic_scc_idx(mask)
+        assert [
+            [csr.nodes[i] for i in component] for component in components
+        ] == ref_cyclic(g, mask)
+
+
+@given(self_looping_graphs(), masks, st.data())
+@settings(max_examples=300, deadline=None)
+def test_self_loops_restricted_probe_identical(g, mask, data):
+    csr = g.freeze()
+    members = data.draw(st.sets(st.sampled_from(list(g.nodes()))))
+    ids = sorted(csr.intern_many(members))
+    components = csr.cyclic_scc_idx(
+        mask, roots=ids, allowed=csr.allowed_table(ids)
+    )
+    assert [
+        [csr.nodes[i] for i in component] for component in components
+    ] == ref_cyclic(_induced(g, members), mask)
+
+
+def test_self_loop_label_outside_the_mask_is_no_cycle():
+    g = LabeledDiGraph()
+    g.add_edge(1, 1, 0b0100)
+    g.add_edge(1, 2, 0b0001)
+    g.add_edge(2, 2, 0b0011)
+    csr = g.freeze()
+    assert csr.cyclic_scc_idx(0b0001) == [[1]]
+    assert csr.cyclic_scc_idx(0b0100) == [[0]]
+    assert csr.cyclic_scc_idx(0b1000) == []
+    assert csr.cyclic_scc_idx(FULL_MASK) == [[1], [0]]
+    only_one = csr.allowed_table([0])
+    assert csr.cyclic_scc_idx(0b0011, roots=[0], allowed=only_one) == []
+    assert csr.cyclic_scc_idx(0b0100, roots=[0], allowed=only_one) == [[0]]
+
+
+def test_self_loops_in_a_bulk_built_snapshot():
+    from repro.graph.csr import _BULK_MIN_EDGES, CSRGraph
+
+    # A long chain (enough edges for the numpy build when it is present)
+    # with self-loops at a few nodes, each under its own label.
+    n = _BULK_MIN_EDGES + 8
+    us = list(range(n - 1)) + [5, 77, 300]
+    vs = list(range(1, n)) + [5, 77, 300]
+    labels = [1] * (n - 1) + [2, 4, 2]
+    csr = CSRGraph.from_edge_log(us, vs, labels)
+    reference = CSRGraph._from_edge_log_py(us, vs, labels)
+    for mask in (1, 2, 4, 6, FULL_MASK):
+        assert csr.cyclic_scc_idx(mask) == reference.cyclic_scc_idx(mask)
+    found = csr.cyclic_scc_idx(2)
+    assert sorted(csr.nodes[c[0]] for c in found) == [5, 300]

@@ -161,6 +161,60 @@ class TestMalformedInput:
             )
 
 
+class TestTypedFields:
+    """``index`` and ``process`` are ints and ``ts`` an int or absent;
+    anything else is a malformed record that names its line."""
+
+    GOOD = '{"index": 0, "type": "invoke", "process": 0, "value": []}\n'
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"index": "1", "process": 1', "index must be an integer, got '1'"),
+            ('"index": 1.5, "process": 1', "index must be an integer, got 1.5"),
+            ('"index": true, "process": 1', "index must be an integer, got True"),
+            ('"index": 1, "process": [1]', "process must be an integer, got [1]"),
+            ('"index": 1, "process": null', "process must be an integer, got None"),
+            ('"index": 1, "process": 1, "ts": "7"', "ts must be an integer, got '7'"),
+            ('"index": 1, "process": 1, "ts": 7.0', "ts must be an integer, got 7.0"),
+            ('"index": 1, "process": 1, "ts": true', "ts must be an integer, got True"),
+        ],
+        ids=[
+            "str-index",
+            "float-index",
+            "bool-index",
+            "list-process",
+            "null-process",
+            "str-ts",
+            "float-ts",
+            "bool-ts",
+        ],
+    )
+    def test_ill_typed_field_names_its_line(self, fields, message):
+        bad = '{"type": "invoke", "value": [], ' + fields + "}\n"
+        with pytest.raises(HistoryError) as info:
+            loads_history(self.GOOD + "\n" + bad)
+        assert str(info.value) == (f"line 3: malformed operation record: {message}")
+
+    def test_integer_and_absent_or_null_ts_load(self):
+        text = (
+            '{"index": 0, "type": "invoke", "process": 0, "value": [], "ts": 4}\n'
+            '{"index": 1, "type": "ok", "process": 0, "value": [], "ts": null}\n'
+            '{"index": 2, "type": "invoke", "process": 1, "value": []}\n'
+        )
+        history = loads_history(text)
+        assert [op.ts for op in history.ops] == [4, None, None]
+        assert history.transactions[0].start_ts == 4
+
+    def test_first_missing_field_still_names_the_error(self):
+        # Ill-typed fields are judged only once every field is present.
+        with pytest.raises(HistoryError) as info:
+            loads_history('{"index": "0", "process": 0, "value": []}\n')
+        assert str(info.value) == (
+            "line 1: malformed operation record: 'type'"
+        )
+
+
 class TestOpEncoding:
     def test_ts_preserved_only_when_present(self):
         history = builder_history()

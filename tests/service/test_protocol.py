@@ -92,6 +92,20 @@ class TestOpRecords:
         with pytest.raises(HistoryError, match=r"ops\[2\]: malformed"):
             decode_ops(records)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("index", "2"), ("index", 2.5), ("process", [1]), ("ts", "9")],
+    )
+    def test_ill_typed_field_positions(self, field, value):
+        records = encode_ops(list(history().ops))
+        records[2][field] = value
+        with pytest.raises(HistoryError) as info:
+            decode_ops(records)
+        assert str(info.value) == (
+            f"ops[2]: malformed operation record: "
+            f"{field} must be an integer, got {value!r}"
+        )
+
     def test_rejects_non_array(self):
         with pytest.raises(ProtocolError, match="array"):
             decode_ops({"index": 0})
