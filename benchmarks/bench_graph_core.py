@@ -2,9 +2,10 @@
 
 The end-to-end scaling benchmark (``bench_elle_scaling.py``) measures the
 whole checker; this one isolates the graph substrate so regressions in any
-single layer are visible: dict-graph construction, the CSR freeze, a
-full-graph Tarjan decomposition per dependency-mask width, and the BFS
-shortest-cycle sweep over the cyclic components.
+single layer are visible: edge-log construction (the builder the checker
+runs), the CSR freeze, a full-graph Tarjan decomposition per
+dependency-mask width, and the BFS shortest-cycle sweep over the cyclic
+components.
 
 The synthetic graph mimics an inferred serialization graph: mostly-forward
 edges (serializable histories are nearly topologically ordered) with a
@@ -20,7 +21,7 @@ import random
 import time
 
 from repro.core.deps import PROCESS, REALTIME, RW, WR, WW
-from repro.graph import LabeledDiGraph
+from repro.graph import EdgeLogGraph
 
 MASKS = (
     ("ww", WW),
@@ -59,7 +60,7 @@ def run(nodes, degree=6, back_fraction=0.02, seed=0):
     edges = synthetic_edges(nodes, degree, back_fraction, seed)
 
     def build():
-        g = LabeledDiGraph()
+        g = EdgeLogGraph()
         g.add_edges_from(edges)
         return g
 

@@ -21,7 +21,8 @@ The packages:
 
 * :mod:`repro.history` — observations: micro-ops, operations, transactions.
 * :mod:`repro.core` — the checker: inference, anomalies, explanations.
-* :mod:`repro.graph` — labeled digraphs, SCCs, cycle searches.
+* :mod:`repro.graph` — the dependency graph: an append-only edge log frozen
+  into a CSR snapshot that runs SCCs and cycle searches.
 * :mod:`repro.service` — the checker as a resident daemon: many concurrent
   checking sessions multiplexed over JSON-lines frames on one event loop.
 * :mod:`repro.db` — an in-memory MVCC database simulator with fault injection.

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..graph import CSRGraph, EdgeLogGraph, LabeledDiGraph
+from ..graph import CSRGraph, EdgeLogGraph
 from .anomalies import (
     G0,
     G0_PROCESS,
@@ -150,7 +150,7 @@ _BASE_NAMES = {
 
 #: Any graph the cycle search accepts: a mutable builder (frozen on
 #: entry) or an already-frozen CSR snapshot.
-GraphLike = Union[LabeledDiGraph, EdgeLogGraph, CSRGraph]
+GraphLike = Union[EdgeLogGraph, CSRGraph]
 
 
 def classify_cycle(

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import WorkloadError
@@ -506,7 +507,7 @@ class StreamingChecker:
             return self._summary(reason="nothing-settled")
 
         # -- in-closure: nothing retired is reachable from live ----------
-        # Walk the dependency graph forward from every live transaction;
+        # Walk the frozen graph's CSR rows forward from every live transaction;
         # any retirement candidate it reaches stays resident.  Survivors'
         # in-edges all come from survivors or earlier-retired transactions
         # (both fixed forever), so no future cycle can include them without
@@ -514,21 +515,24 @@ class StreamingChecker:
         # exists and is frozen below.
         new_ids = {ids[p] for p in retirable}
         if new_ids:
-            graph = self.result.analysis.graph
+            csr = self.result.analysis.graph.freeze()
+            nodes = csr.nodes
+            indptr = csr.indptr
+            indices = csr.indices
             sealed = new_ids | self._retired_ids
-            adjacency: Dict[int, List[int]] = {}
-            for u, v, _label in graph.edges():
-                adjacency.setdefault(u, []).append(v)
-            stack = [u for u in graph.nodes() if u not in sealed]
-            visited = set(stack)
+            stack = [i for i, u in enumerate(nodes) if u not in sealed]
+            visited = bytearray(len(nodes))
+            for i in stack:
+                visited[i] = 1
             while stack:
-                u = stack.pop()
-                for v in adjacency.get(u, ()):
-                    if v not in visited:
-                        visited.add(v)
-                        stack.append(v)
-            if visited & new_ids:
-                new_ids -= visited
+                i = stack.pop()
+                for j in indices[indptr[i]:indptr[i + 1]]:
+                    if not visited[j]:
+                        visited[j] = 1
+                        stack.append(j)
+            reached = set(compress(nodes, visited))
+            if reached & new_ids:
+                new_ids -= reached
                 retirable = [p for p in retirable if ids[p] in new_ids]
 
         if not retirable and not frozen:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..graph import LabeledDiGraph, cyclic_components, interval_precedence_pairs
+from ..graph import CSRGraph, interval_precedence_pairs
 from ..history import History, Transaction
 from ..history.index import (
     check_unique_writes,
@@ -625,16 +625,18 @@ class RwRegisterPlan(KeyspacePlan):
         # --------------------------------------------------------------
         # Cyclic version orders: report and discard (§7.4).  A Kahn peel
         # over the plain adjacency proves the common case (acyclic)
-        # cheaply; only a key that fails it pays for the full labeled
-        # graph and the Tarjan decomposition, whose node interning order —
-        # first emission of each version — is reproduced exactly.
+        # cheaply; only a key that fails it pays for the CSR freeze and the
+        # Tarjan decomposition, whose node interning order — first emission
+        # of each version — fixes the component and member order.
         if self._kahn_acyclic(succ, version_edges):
             components: List[List[Any]] = []
         else:
-            version_graph = LabeledDiGraph()
-            for v1, v2 in version_edges:
-                version_graph.add_edge(v1, v2, 1)
-            components = cyclic_components(version_graph)
+            us, vs = zip(*version_edges)
+            version_graph = CSRGraph.from_edges(us, vs, [1] * len(us))
+            components = [
+                version_graph.to_nodes(component)
+                for component in version_graph.cyclic_scc_idx()
+            ]
         cyclic = bool(components)
         if components:
             keyed = []

@@ -1,44 +1,24 @@
-"""Graph substrate: labeled digraphs, SCCs, cycle searches, interval orders.
+"""Graph substrate: one dependency-graph representation, interval orders.
 
 This package is Elle's graph-theoretic machine room.  It knows nothing about
-transactions or isolation levels — it deals in hashable nodes and integer
-edge bitmasks.  The :mod:`repro.core` package assigns meaning to the bits.
+transactions or isolation levels — it deals in nodes and integer edge
+bitmasks.  The :mod:`repro.core` package assigns meaning to the bits.
+
+A graph is built as an :class:`EdgeLogGraph` (appends only) and frozen into
+a :class:`CSRGraph`, whose integer-domain ``*_idx`` methods run Tarjan and
+the BFS cycle searches of §6.
 """
 
-from .cycles import (
-    Cycle,
-    cycle_edge_labels,
-    cycle_edges,
-    find_cycle,
-    find_cycle_with_first_edge,
-    find_cycles,
-    shortest_cycle_in_component,
-    shortest_path,
-)
-from .csr import CSRGraph
-from .digraph import ALL_EDGES, LabeledDiGraph
+from .csr import ALL_EDGES, CSRGraph
 from .edgelog import EdgeLogGraph
 from .dot import cycle_to_dot, graph_to_dot
-from .intervals import interval_precedence_edges, interval_precedence_pairs
-from .tarjan import cyclic_components, strongly_connected_components
+from .intervals import interval_precedence_pairs
 
 __all__ = [
     "ALL_EDGES",
     "CSRGraph",
-    "Cycle",
     "EdgeLogGraph",
-    "LabeledDiGraph",
-    "cycle_edge_labels",
-    "cycle_edges",
     "cycle_to_dot",
-    "cyclic_components",
-    "find_cycle",
-    "find_cycle_with_first_edge",
-    "find_cycles",
     "graph_to_dot",
-    "interval_precedence_edges",
     "interval_precedence_pairs",
-    "shortest_cycle_in_component",
-    "shortest_path",
-    "strongly_connected_components",
 ]

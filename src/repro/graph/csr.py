@@ -1,19 +1,17 @@
 """Dense integer-indexed CSR (compressed sparse row) graph core.
 
-:class:`~repro.graph.digraph.LabeledDiGraph` is the right structure for
-*building* dependency graphs — analyzers discover edges in arbitrary order
-and OR labels together — but a terrible one for *searching* them: every edge
-probe hashes an arbitrary node, and every traversal walks dict views.  At
-Elle's target scale (§7.5: hundreds of thousands of transactions) the cycle
-search runs many Tarjan and BFS passes over the same frozen topology, so
-the graph is snapshotted once into flat arrays:
+Analyzers *build* the dependency graph as an append-only edge log
+(:class:`~repro.graph.edgelog.EdgeLogGraph`); the cycle search *reads* it.
+At Elle's target scale (§7.5: hundreds of thousands of transactions) the
+search runs many Tarjan and BFS passes over the same topology, so the log
+is frozen once into flat arrays:
 
 * ``nodes[i]`` — the original node for integer id ``i`` (interning order is
-  the digraph's insertion order, keeping traversals deterministic and
-  byte-identical to the dict-based implementation they replaced);
+  first appearance over the interleaved ``u0, v0, u1, v1, ...`` emission
+  stream, keeping traversals deterministic);
 * ``indptr`` / ``indices`` / ``labels`` — classic CSR: the out-edges of
   node ``i`` are ``indices[indptr[i]:indptr[i + 1]]`` with bitmask labels
-  ``labels[indptr[i]:indptr[i + 1]]``, in successor insertion order.
+  ``labels[indptr[i]:indptr[i + 1]]``, in first-emission order.
 
 All algorithms here work in the integer domain and take an edge *mask*: an
 edge participates iff ``label & mask`` is non-zero.  Restricted variants
@@ -64,10 +62,10 @@ def _sparse():
 class CSRGraph:
     """An immutable CSR snapshot of a labeled digraph.
 
-    Build via :meth:`from_digraph` (or ``LabeledDiGraph.freeze()``, which
-    caches the snapshot until the next mutation).  Node-domain helpers
-    (``edge_label``, ``__contains__``) mirror ``LabeledDiGraph`` so frozen
-    graphs can stand in for dict graphs in read-only code paths.
+    Build via :meth:`from_edge_log` (or ``EdgeLogGraph.freeze()``, which
+    caches the snapshot until the next append) or :meth:`from_edges` for
+    arbitrary hashable nodes.  Node-domain helpers (``edge_label``,
+    ``__contains__``, ``successors``) serve read-only code paths.
     """
 
     __slots__ = ("_nodes", "_nodes_np", "_index_of", "_indptr", "_indices",
@@ -167,34 +165,6 @@ class CSRGraph:
         return index_of
 
     @classmethod
-    def from_digraph(cls, graph) -> "CSRGraph":
-        """Freeze a :class:`LabeledDiGraph` into CSR arrays.
-
-        Node ids follow the digraph's insertion order; each row's successor
-        order is the successor-dict insertion order.  Traversals over the
-        snapshot therefore visit nodes and edges in exactly the order the
-        dict-based algorithms did.
-        """
-        succ = graph._succ
-        nodes = list(succ)
-        index_of = {node: i for i, node in enumerate(nodes)}
-        indptr = [0] * (len(nodes) + 1)
-        indices: List[int] = []
-        labels: List[int] = []
-        extend_indices = indices.extend
-        extend_labels = labels.extend
-        intern = index_of.__getitem__
-        pos = 0
-        for i, node in enumerate(nodes):
-            targets = succ[node]
-            if targets:
-                pos += len(targets)
-                extend_indices(map(intern, targets))
-                extend_labels(targets.values())
-            indptr[i + 1] = pos
-        return cls(nodes, index_of, indptr, indices, labels)
-
-    @classmethod
     def from_edge_log(
         cls,
         us: Sequence[int],
@@ -205,20 +175,23 @@ class CSRGraph:
 
         The log lists every edge *emission* — the same ``(u, v, label)``
         triple may repeat, and labels for one ``(u, v)`` pair OR together.
-        The result is byte-identical to inserting the triples one by one
-        into a :class:`LabeledDiGraph` and freezing it: nodes intern in
-        first-appearance order over the interleaved ``u0, v0, u1, v1, ...``
-        stream, and each row's successors keep first-emission order.
+        Nodes intern in first-appearance order over the interleaved
+        ``u0, v0, u1, v1, ...`` stream, and each row's successors keep
+        first-emission order.
 
-        Large logs take a vectorized numpy path (sort/reduce over flat
-        arrays); small logs — and numpy-less installs — use a dict build.
+        Large logs of integer nodes take a vectorized numpy path
+        (sort/reduce over flat arrays); small logs — and numpy-less
+        installs — use the byte-identical dict build, :meth:`from_edges`.
         """
         if _np is not None and len(us) >= _BULK_MIN_EDGES:
             return cls._from_edge_log_np(us, vs, labels)
-        return cls._from_edge_log_py(us, vs, labels)
+        return cls.from_edges(us, vs, labels)
 
     @classmethod
-    def _from_edge_log_py(cls, us, vs, labels) -> "CSRGraph":
+    def from_edges(
+        cls, us: Iterable, vs: Iterable, labels: Iterable[int]
+    ) -> "CSRGraph":
+        """The dict build of :meth:`from_edge_log`, for any hashable nodes."""
         succ: Dict = {}
         for u, v, label in zip(us, vs, labels):
             row = succ.get(u)
@@ -311,7 +284,7 @@ class CSRGraph:
         )
 
     # ------------------------------------------------------------------
-    # Node-domain queries (LabeledDiGraph-compatible subset)
+    # Node-domain queries
 
     @property
     def n(self) -> int:
@@ -367,11 +340,6 @@ class CSRGraph:
                 return self.labels[pos]
         return 0
 
-    def intern_many(self, members: Iterable) -> List[int]:
-        """Map node-domain values to integer ids, preserving order."""
-        intern = self.index_of.__getitem__
-        return [intern(m) for m in members]
-
     def allowed_table(self, members: Iterable[int]) -> bytearray:
         """A byte table with ``table[i] = 1`` for each member index."""
         table = bytearray(self._n)
@@ -393,8 +361,9 @@ class CSRGraph:
         ``roots`` is the DFS root order (default: every node in interning
         order); ``allowed`` restricts the traversal to a node subset.  With
         defaults the visit order — hence component order *and* member order
-        — is identical to the dict-based Tarjan this replaced.  Components
-        come out in reverse topological order of the condensation.
+        — is that of the textbook recursive Tarjan over CSR rows.
+        Components come out in reverse topological order of the
+        condensation.
         """
         indptr = self.indptr
         indices = self.indices
@@ -572,10 +541,10 @@ class CSRGraph:
     ) -> Optional[List[int]]:
         """BFS shortest path ``source -> ... -> target`` under ``mask``.
 
-        Successors are scanned in CSR row order (the digraph's insertion
-        order), so ties break exactly as the dict BFS did.  When ``source ==
-        target`` the path must leave the node and return: the target test
-        happens on edge traversal, not on dequeue.
+        Successors are scanned in CSR row order (first-emission order), so
+        ties break deterministically.  When ``source == target`` the path
+        must leave the node and return: the target test happens on edge
+        traversal, not on dequeue.
         """
         indptr = self.indptr
         indices = self.indices

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from .digraph import ALL_EDGES, LabeledDiGraph, Node
+from .csr import ALL_EDGES
+from .edgelog import EdgeLogGraph
 
 
 def _label_names(label: int, names: Dict[int, str]) -> str:
@@ -26,9 +27,9 @@ def _quote(text: str) -> str:
 
 
 def graph_to_dot(
-    graph: LabeledDiGraph,
+    graph: EdgeLogGraph,
     edge_names: Dict[int, str],
-    node_label: Optional[Callable[[Node], str]] = None,
+    node_label: Optional[Callable[[int], str]] = None,
     mask: int = ALL_EDGES,
     name: str = "deps",
 ) -> str:
@@ -47,10 +48,10 @@ def graph_to_dot(
 
 
 def cycle_to_dot(
-    graph: LabeledDiGraph,
-    cycle: Sequence[Node],
+    graph: EdgeLogGraph,
+    cycle: Sequence[int],
     edge_names: Dict[int, str],
-    node_label: Optional[Callable[[Node], str]] = None,
+    node_label: Optional[Callable[[int], str]] = None,
     name: str = "cycle",
 ) -> str:
     """Render just the transactions and edges of one cycle, Figure-3 style."""

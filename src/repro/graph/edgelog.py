@@ -1,21 +1,17 @@
 """An append-only edge log that freezes into a CSR snapshot.
 
-:class:`~repro.graph.digraph.LabeledDiGraph` pays two dict probes and a
-read-modify-write per edge *at insertion time* so that queries are cheap at
-any moment.  The analysis pipeline doesn't need that: it emits hundreds of
-thousands of edges in one deterministic stream, then freezes the graph once
-and only reads it afterwards.  :class:`EdgeLogGraph` embraces that shape —
-``add_edge`` and friends are list appends, and all the dedup/interning work
-happens in one vectorized bulk pass (:meth:`CSRGraph.from_edge_log`) at
-freeze time.
+The analysis pipeline emits hundreds of thousands of dependency edges in
+one deterministic stream, then freezes the graph once and only reads it
+afterwards.  :class:`EdgeLogGraph` embraces that shape — ``add_edge`` and
+friends are list appends, with no per-edge dict probe or read-modify-write,
+and all the dedup/interning work happens in one vectorized bulk pass
+(:meth:`CSRGraph.from_edge_log`) at freeze time.
 
-The frozen result is byte-identical to inserting the same stream into a
-``LabeledDiGraph`` and freezing it: node interning order is first appearance
-over the interleaved ``u, v`` stream, successor rows keep first-emission
-order, and labels for a repeated pair OR together.  Read-side methods
-(``nodes``, ``edges``, ``edge_label``, ``has_edge``) delegate to the cached
-snapshot, so the class can stand in for the digraph everywhere the checker
-reads the inferred serialization graph.
+Freezing interns nodes in first appearance over the interleaved ``u, v``
+stream, keeps successor rows in first-emission order, and ORs the labels
+of a repeated pair together.  Read-side methods (``nodes``, ``edges``,
+``edge_label``, ``has_edge``) delegate to the cached snapshot, so the class
+serves everywhere the checker reads the inferred serialization graph.
 """
 
 from __future__ import annotations

@@ -17,14 +17,12 @@ exceeds ``p`` entries, giving the O(n · p) bound.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 try:  # Optional: closed-form vectorized reduction for large interval sets.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the fallback branch
     _np = None
-
-Interval = Tuple[Hashable, int, int]  # (id, invoke_time, complete_time)
 
 #: Below this interval count the Python sweep beats the numpy round-trip.
 _NP_SORT_MIN = 48
@@ -37,11 +35,13 @@ def interval_precedence_pairs(
 ) -> Tuple[Sequence[Hashable], Sequence[Hashable]]:
     """Transitive-reduction edges over parallel interval arrays.
 
-    The columnar entry point: takes ``ids[i]`` occupying
+    Takes ``ids[i]`` occupying
     ``[invokes[i], completes[i])`` and returns the precedence edges as two
     parallel endpoint arrays ``(sources, targets)`` — the shape the graph
-    edge log ingests without building a tuple per edge.  Emission order is
-    identical to :func:`interval_precedence_edges` on the zipped triples.
+    edge log ingests without building a tuple per edge.  An edge ``(a, b)``
+    means ``a`` completed before ``b`` invoked, with no third transaction
+    fully between them; times need only be comparable integers (history
+    indices work).
     """
     m = len(ids)
     if _np is not None and m >= _NP_SORT_MIN:
@@ -166,24 +166,3 @@ def _precedence_pairs_np(
     targets = [ids[i] for i in tgt_pos.tolist()]
     return sources, targets
 
-
-def interval_precedence_edges(
-    intervals: Iterable[Interval],
-) -> Iterator[Tuple[Hashable, Hashable]]:
-    """Transitive-reduction edges of the interval precedence order.
-
-    ``intervals`` are ``(id, invoke, complete)`` with ``invoke < complete``;
-    times need only be comparable integers (history indices work).  An edge
-    ``(a, b)`` means ``a`` completed before ``b`` invoked, with no third
-    transaction fully between them.  Hot paths use
-    :func:`interval_precedence_pairs` directly on parallel arrays.
-    """
-    ids: List[Hashable] = []
-    invokes: List[int] = []
-    completes: List[int] = []
-    for ident, invoke, complete in intervals:
-        ids.append(ident)
-        invokes.append(invoke)
-        completes.append(complete)
-    sources, targets = interval_precedence_pairs(ids, invokes, completes)
-    return zip(sources, targets)

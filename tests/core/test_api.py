@@ -134,8 +134,9 @@ class TestReprs:
         assert "History(" in repr(h)
 
     def test_graph_repr(self):
-        from repro.graph import LabeledDiGraph
+        from repro.graph import EdgeLogGraph
 
-        g = LabeledDiGraph()
+        g = EdgeLogGraph()
         g.add_edge(1, 2, 1)
-        assert "nodes=2" in repr(g)
+        assert "1 emissions" in repr(g)
+        assert "nodes=2" in repr(g.freeze())

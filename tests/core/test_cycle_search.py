@@ -2,13 +2,12 @@
 
 from repro.core import PROCESS, REALTIME, RW, WR, WW, classify_cycle
 from repro.core.cycle_search import find_cycle_anomalies
-from repro.graph import LabeledDiGraph
+from repro.graph import EdgeLogGraph
 
 
 def graph_of(*edges):
-    g = LabeledDiGraph()
-    for u, v, label in edges:
-        g.add_edge(u, v, label)
+    g = EdgeLogGraph()
+    g.add_edges_from(edges)
     return g
 
 

@@ -171,6 +171,30 @@ class TestCyclicVersions:
         )
         assert "cyclic-versions" in names(a)
 
+    def test_exact_cycle_over_string_versions_through_initial_state(self):
+        # Initial state puts nil before "a", write-follows-read puts "a"
+        # before "b", and realtime puts "b" before the late nil read: one
+        # component whose member order is the Tarjan emission order over
+        # versions interned in first-emission order.
+        b = HistoryBuilder()
+        b.invoke(0, [w("x", "a")])
+        b.ok(0, [w("x", "a")])
+        b.invoke(1, [r("x", "a"), w("x", "b")])
+        b.ok(1, [r("x", "a"), w("x", "b")])
+        b.invoke(2, [r("x", None)])
+        b.ok(2, [r("x", None)])
+        a = analyze_rw_register(
+            b.build(),
+            process_edges=False,
+            realtime_edges=False,
+            sources=("initial-state", "write-follows-read", "realtime"),
+        )
+        (anomaly,) = a.anomalies
+        assert anomaly.name == "cyclic-versions"
+        assert anomaly.txns == (0, 2, 4)
+        assert anomaly.data == {"key": "x", "values": ("b", "a", None)}
+        assert "cyclic over values ['a', 'b', None]" in anomaly.message
+
     def test_cyclic_key_keeps_wr_edges(self):
         b = HistoryBuilder()
         b.invoke(0, [w(540, 2)])

@@ -1,35 +1,86 @@
 """Property tests: the CSR core is byte-equivalent to the dict algorithms.
 
-The CSR snapshot interns nodes in insertion order and keeps each row in
-successor insertion order, so every traversal (Tarjan, BFS shortest-cycle,
-first-edge search) must visit nodes and edges in exactly the order the
-historical dict-of-dicts implementation did — same components in the same
-order with the same member order, same tie-broken witness cycles, same
-anomaly lists.  These tests pin that equivalence against a faithful
-dict-based reference implementation, over random labeled graphs and random
-masks.
+The CSR snapshot interns nodes in first-appearance order and keeps each row
+in successor insertion order, so every traversal (Tarjan, BFS
+shortest-cycle, first-edge search) must visit nodes and edges in exactly
+the order the historical dict-of-dicts implementation did — same
+components in the same order with the same member order, same tie-broken
+witness cycles, same anomaly lists.  These tests pin that equivalence
+against a faithful dict-based reference implementation, over random
+labeled graphs and random masks.
 
 The reference code below is the pre-CSR implementation, kept verbatim as
-an executable oracle.
+an executable oracle.  It runs over a plain dict-of-dicts
+(``graph[u][v] = label``, every node a key, isolated ones included); a
+test-local :func:`freeze` turns the same dict into the CSR snapshot whose
+integer-domain ``*_idx`` methods are compared against it.
 """
 
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cycle_search import find_cycle_anomalies
-from repro.graph import (
-    LabeledDiGraph,
-    cyclic_components,
-    find_cycle_with_first_edge,
-    shortest_cycle_in_component,
-    shortest_path,
-    strongly_connected_components,
-)
+from repro.graph import ALL_EDGES, CSRGraph, EdgeLogGraph
 
 # All six dependency bits the checker uses.
 FULL_MASK = 63
+
+
+# ----------------------------------------------------------------------
+# The dict-of-dicts graph and its CSR freeze.
+
+
+class DictGraph(dict):
+    """A plain ``{u: {v: label}}`` dict with the accessors the reference
+    code reads: ``nodes()``, ``_succ`` and ``edge_label``."""
+
+    @property
+    def _succ(self):
+        return self
+
+    def nodes(self):
+        return iter(self)
+
+    def edge_label(self, u, v):
+        return self.get(u, {}).get(v, 0)
+
+
+def dict_graph(nodes, edges):
+    """``nodes`` first (in order), then each edge OR-ed into its row."""
+    graph = DictGraph((node, {}) for node in nodes)
+    for u, v, label in edges:
+        graph.setdefault(u, {})
+        graph.setdefault(v, {})
+        graph[u][v] = graph[u].get(v, 0) | label
+    return graph
+
+
+def freeze(graph):
+    """The CSR snapshot of a dict graph: ids in key order, rows in row order."""
+    nodes = list(graph)
+    index_of = {node: i for i, node in enumerate(nodes)}
+    indptr, indices, labels = [0], [], []
+    for node in nodes:
+        indices.extend(index_of[v] for v in graph[node])
+        labels.extend(graph[node].values())
+        indptr.append(len(indices))
+    return CSRGraph(nodes, index_of, indptr, indices, labels)
+
+
+def as_nodes(csr, components):
+    return [csr.to_nodes(component) for component in components]
+
+
+def first_edge_cycle(csr, first_mask, rest_mask):
+    """The first component's first-edge cycle, components under the union."""
+    for component in csr.cyclic_scc_idx(first_mask | rest_mask):
+        cycle = csr.first_edge_cycle_idx(component, first_mask, rest_mask)
+        if cycle is not None:
+            return csr.to_nodes(cycle)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -203,12 +254,7 @@ def labeled_graphs(draw):
             max_size=36,
         )
     )
-    g = LabeledDiGraph()
-    for i in range(n):
-        g.add_node(i)
-    for u, v, label in edges:
-        g.add_edge(u, v, label)
-    return g
+    return dict_graph(range(n), edges)
 
 
 masks = st.integers(min_value=1, max_value=FULL_MASK)
@@ -222,37 +268,48 @@ masks = st.integers(min_value=1, max_value=FULL_MASK)
 @settings(max_examples=300, deadline=None)
 def test_scc_identical(g, mask):
     # Exact equality: same components, same order, same member order.
-    assert strongly_connected_components(g, mask) == ref_scc(g, mask)
+    csr = freeze(g)
+    assert as_nodes(csr, csr.scc_idx(mask)) == ref_scc(g, mask)
 
 
 @given(labeled_graphs(), masks)
 @settings(max_examples=300, deadline=None)
 def test_cyclic_components_identical(g, mask):
-    assert cyclic_components(g, mask) == ref_cyclic(g, mask)
+    csr = freeze(g)
+    assert as_nodes(csr, csr.cyclic_scc_idx(mask)) == ref_cyclic(g, mask)
 
 
 @given(labeled_graphs(), masks, st.integers(0, 11), st.integers(0, 11))
 @settings(max_examples=300, deadline=None)
 def test_shortest_path_identical(g, mask, source, target):
-    assert shortest_path(g, source, target, mask) == ref_shortest_path(
-        g, source, target, mask
+    expected = ref_shortest_path(g, source, target, mask)
+    if source not in g or target not in g:
+        assert expected is None
+        return
+    csr = freeze(g)
+    path = csr.shortest_path_idx(
+        csr.index_of[source], csr.index_of[target], mask
     )
+    assert (None if path is None else csr.to_nodes(path)) == expected
 
 
 @given(labeled_graphs(), masks)
 @settings(max_examples=300, deadline=None)
 def test_shortest_cycle_identical(g, mask):
+    csr = freeze(g)
     for component in ref_cyclic(g, mask):
-        assert shortest_cycle_in_component(
-            g, component, mask
-        ) == ref_shortest_cycle(g, component, mask)
+        ids = [csr.index_of[node] for node in component]
+        cycle = csr.shortest_cycle_idx(ids, mask)
+        assert (None if cycle is None else csr.to_nodes(cycle)) == (
+            ref_shortest_cycle(g, component, mask)
+        )
 
 
 @given(labeled_graphs(), masks, masks)
 @settings(max_examples=300, deadline=None)
 def test_first_edge_cycle_identical(g, first_mask, rest_mask):
-    assert find_cycle_with_first_edge(
-        g, first_mask, rest_mask
+    assert first_edge_cycle(
+        freeze(g), first_mask, rest_mask
     ) == ref_first_edge_cycle(g, first_mask, rest_mask)
 
 
@@ -262,11 +319,37 @@ def test_find_cycle_anomalies_identical(g):
     # The refined (probe-gated, cache-shared) search must reproduce the
     # seed's 16-pass output byte for byte: same anomalies, same witnesses,
     # same order.
-    assert find_cycle_anomalies(g) == ref_find_cycle_anomalies(g)
+    assert find_cycle_anomalies(freeze(g)) == ref_find_cycle_anomalies(g)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", None, 3, (1, 2)]),
+            st.sampled_from(["a", "b", "c", None, 3, (1, 2)]),
+            masks,
+        ),
+        min_size=1,
+        max_size=24,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_from_edges_matches_dict_insertion(edges):
+    # Any hashable nodes: interning in first appearance over u0, v0, u1,
+    # v1, ..., rows in first-emission order, repeated pairs OR-ed.
+    us, vs, labels = zip(*edges)
+    built = CSRGraph.from_edges(us, vs, labels)
+    reference = freeze(dict_graph((), edges))
+    assert (built.nodes, built.indptr, built.indices, built.labels) == (
+        reference.nodes,
+        reference.indptr,
+        reference.indices,
+        reference.labels,
+    )
 
 
 def test_freeze_cache_invalidated_on_mutation():
-    g = LabeledDiGraph()
+    g = EdgeLogGraph()
     g.add_edge(1, 2, 1)
     first = g.freeze()
     assert g.freeze() is first  # cached while unchanged
@@ -277,9 +360,7 @@ def test_freeze_cache_invalidated_on_mutation():
 
 
 def test_freeze_cache_invalidated_on_failed_bulk_add():
-    import pytest
-
-    g = LabeledDiGraph()
+    g = EdgeLogGraph()
     g.add_edge(1, 2, 1)
     g.freeze()
     with pytest.raises(ValueError):
@@ -288,18 +369,281 @@ def test_freeze_cache_invalidated_on_failed_bulk_add():
     assert g.freeze().edge_label(2, 3) == 1
 
 
-def test_freeze_matches_digraph_topology():
-    g = LabeledDiGraph()
-    g.add_edge("a", "b", 3)
-    g.add_edge("b", "c", 4)
-    g.add_edge("a", "c", 1)
-    csr = g.freeze()
+def test_snapshot_node_domain_queries():
+    csr = CSRGraph.from_edges(["a", "b", "a"], ["b", "c", "c"], [3, 4, 1])
     assert len(csr) == 3
     assert csr.edge_count == 3
     assert csr.edge_label("a", "b") == 3
     assert csr.edge_label("c", "a") == 0
+    assert csr.edge_label("zz", "a") == 0
+    assert "a" in csr and "zz" not in csr
     assert list(csr.successors("a")) == ["b", "c"]
     assert list(csr.successors("a", 2)) == ["b"]
+    assert list(csr.successors("zz")) == []
+    assert csr.has_edge("b", "c", 4) and not csr.has_edge("b", "c", 1)
+
+
+@given(labeled_graphs(), masks, st.integers(min_value=-1, max_value=14))
+@settings(max_examples=150, deadline=None)
+def test_node_domain_queries_match_dict_graph(g, mask, probe):
+    # ``probe`` ranges past the node domain, so absent nodes are asked too.
+    csr = freeze(g)
+    for u in list(g) + [probe]:
+        row = g.get(u, {})
+        assert list(csr.successors(u, mask)) == [
+            v for v, label in row.items() if label & mask
+        ]
+        for v in list(g) + [probe]:
+            assert csr.edge_label(u, v) == g.edge_label(u, v)
+            assert csr.has_edge(u, v, mask) == bool(g.edge_label(u, v) & mask)
+    assert (probe in csr) == (probe in g)
+
+
+# ----------------------------------------------------------------------
+# Fixed cases over the integer-domain searches.
+
+WW, WR, RW = 1, 2, 4
+
+
+def snapshot(*edges):
+    us, vs, labels = zip(*edges)
+    return CSRGraph.from_edges(us, vs, labels)
+
+
+def path(csr, source, target, mask=ALL_EDGES, members=None):
+    """``shortest_path_idx`` in the node domain, ``members`` as ``allowed``."""
+    index_of = csr.index_of
+    allowed = None
+    if members is not None:
+        allowed = csr.allowed_table([index_of[m] for m in members])
+    found = csr.shortest_path_idx(
+        index_of[source], index_of[target], mask, allowed
+    )
+    return None if found is None else csr.to_nodes(found)
+
+
+def cycles(csr, mask=ALL_EDGES):
+    """One shortest cycle per cyclic component, in the node domain."""
+    return [
+        csr.to_nodes(csr.shortest_cycle_idx(component, mask))
+        for component in csr.cyclic_scc_idx(mask)
+    ]
+
+
+def assert_cycle(csr, cycle, mask=ALL_EDGES):
+    assert cycle[0] == cycle[-1]
+    assert len(cycle) >= 2
+    for u, v in zip(cycle, cycle[1:]):
+        assert csr.has_edge(u, v, mask), f"missing edge {u}->{v}"
+    interior = cycle[:-1]
+    assert len(set(interior)) == len(interior), "cycle revisits a node"
+
+
+def rw_steps(csr, cycle):
+    return sum(1 for u, v in zip(cycle, cycle[1:]) if csr.edge_label(u, v) & RW)
+
+
+class TestSccIdx:
+    def test_empty(self):
+        assert freeze(DictGraph()).scc_idx() == []
+
+    def test_single_node_no_edge(self):
+        csr = freeze(dict_graph(["a"], []))
+        assert as_nodes(csr, csr.scc_idx()) == [["a"]]
+        assert csr.cyclic_scc_idx() == []
+
+    def test_self_loop_is_cyclic(self):
+        csr = snapshot(("a", "a", 1))
+        assert as_nodes(csr, csr.cyclic_scc_idx()) == [["a"]]
+
+    def test_two_cycle(self):
+        csr = snapshot((1, 2, 1), (2, 1, 1))
+        assert [set(c) for c in as_nodes(csr, csr.cyclic_scc_idx())] == [{1, 2}]
+
+    def test_chain_is_acyclic(self):
+        csr = snapshot((1, 2, 1), (2, 3, 1), (3, 4, 1))
+        assert csr.cyclic_scc_idx() == []
+        assert len(csr.scc_idx()) == 4
+
+    def test_two_separate_cycles(self):
+        # The bridge 2 -> 3 keeps the two cycles separate components.
+        csr = snapshot(
+            (1, 2, 1), (2, 1, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1), (2, 3, 1)
+        )
+        found = {frozenset(c) for c in as_nodes(csr, csr.cyclic_scc_idx())}
+        assert found == {frozenset({1, 2}), frozenset({3, 4, 5})}
+
+    def test_mask_restricts_components(self):
+        csr = snapshot((1, 2, WW), (2, 1, WR))
+        assert csr.cyclic_scc_idx(WW | WR) != []
+        assert csr.cyclic_scc_idx(WW) == []
+        assert csr.cyclic_scc_idx(WR) == []
+
+    def test_deep_graph_does_not_recurse(self):
+        # A 50k-node chain ending in a 2-cycle would overflow Python's
+        # stack if Tarjan recursed.
+        n = 50_000
+        csr = CSRGraph.from_edges(
+            list(range(n)) + [n], list(range(1, n + 1)) + [n - 1], [1] * (n + 1)
+        )
+        found = as_nodes(csr, csr.cyclic_scc_idx())
+        assert [set(c) for c in found] == [{n - 1, n}]
+
+    @given(
+        st.integers(min_value=0, max_value=12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, max(n - 1, 0)),
+                        st.integers(0, max(n - 1, 0)),
+                    ),
+                    max_size=40 if n else 0,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_networkx_oracle(self, data):
+        nx = pytest.importorskip("networkx")
+        n, edges = data
+        csr = freeze(dict_graph(range(n), [(u, v, 1) for u, v in edges]))
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        ours = {frozenset(c) for c in as_nodes(csr, csr.scc_idx())}
+        theirs = {frozenset(c) for c in nx.strongly_connected_components(ref)}
+        assert ours == theirs
+
+
+class TestShortestPathIdx:
+    def test_direct_edge(self):
+        assert path(snapshot((1, 2, WW)), 1, 2) == [1, 2]
+
+    def test_two_hop(self):
+        assert path(snapshot((1, 2, WW), (2, 3, WW)), 1, 3) == [1, 2, 3]
+
+    def test_prefers_shorter(self):
+        csr = snapshot((1, 2, WW), (2, 3, WW), (1, 3, WR))
+        assert path(csr, 1, 3) == [1, 3]
+
+    def test_no_path(self):
+        assert path(snapshot((1, 2, WW)), 2, 1) is None
+
+    def test_mask_blocks_path(self):
+        assert path(snapshot((1, 2, WW)), 1, 2, mask=WR) is None
+
+    def test_mask_blocks_detour(self):
+        csr = snapshot((1, 9, WR), (9, 2, WW), (2, 7, WW))
+        assert path(csr, 1, 7) == [1, 9, 2, 7]
+        assert path(csr, 1, 7, mask=WW) is None
+
+    def test_allowed_blocks_detour(self):
+        csr = snapshot((1, 9, WW), (9, 2, WW), (1, 2, WW))
+        assert path(csr, 1, 2, members={1, 2}) == [1, 2]
+        assert path(csr, 1, 2, members={1, 2, 9}) == [1, 2]
+        # With the direct edge gone, only the detour remains.
+        detour = snapshot((1, 9, WW), (9, 2, WW), (2, 3, WW))
+        assert path(detour, 1, 2, members={1, 2, 9}) == [1, 9, 2]
+        assert path(detour, 1, 2, members={1, 2}) is None
+
+    def test_cycle_back_to_source(self):
+        assert path(snapshot((1, 2, WW), (2, 1, WW)), 1, 1) == [1, 2, 1]
+
+    def test_self_loop_path(self):
+        assert path(snapshot((1, 1, WW)), 1, 1) == [1, 1]
+
+
+class TestShortestCycleIdx:
+    def test_acyclic_has_no_cycle(self):
+        assert cycles(snapshot((1, 2, WW), (2, 3, WW))) == []
+
+    def test_two_cycle(self):
+        csr = snapshot((1, 2, WW), (2, 1, WW))
+        (cycle,) = cycles(csr)
+        assert_cycle(csr, cycle)
+        assert len(cycle) == 3
+
+    def test_mask_filters(self):
+        csr = snapshot((1, 2, WW), (2, 1, WR))
+        assert cycles(csr, WW) == []
+        assert len(cycles(csr, WW | WR)) == 1
+
+    def test_finds_short_cycle_inside_large_scc(self):
+        # 1->2->3->4->1 plus chord 2->1: the shortest cycle has 2 edges.
+        csr = snapshot(
+            (1, 2, WW), (2, 3, WW), (3, 4, WW), (4, 1, WW), (2, 1, WW)
+        )
+        (cycle,) = cycles(csr)
+        assert_cycle(csr, cycle)
+        assert len(cycle) == 3
+
+    def test_self_loop_cycle(self):
+        csr = snapshot((1, 2, WW), (2, 2, WR))
+        assert cycles(csr) == [[2, 2]]
+        assert cycles(csr, WW) == []
+
+    def test_one_cycle_per_component(self):
+        csr = snapshot(
+            (1, 2, WW), (2, 1, WW), (3, 4, WW), (4, 3, WW), (2, 3, WW)
+        )
+        found = cycles(csr)
+        assert len(found) == 2
+        for cycle in found:
+            assert_cycle(csr, cycle)
+
+
+class TestFirstEdgeCycleIdx:
+    """G-single: exactly one ``first_mask`` edge, the rest ``rest_mask``."""
+
+    def test_g_single_like(self):
+        csr = snapshot((1, 2, RW), (2, 1, WR))
+        cycle = first_edge_cycle(csr, RW, WW | WR)
+        assert_cycle(csr, cycle)
+        assert rw_steps(csr, cycle) == 1
+
+    def test_rejects_two_rw_cycle(self):
+        # The only cycle needs two rw edges; the search must fail.
+        csr = snapshot((1, 2, RW), (2, 1, RW))
+        assert first_edge_cycle(csr, RW, WW | WR) is None
+
+    def test_finds_exactly_one_rw_among_mixed(self):
+        # Cycle A: 1 -rw-> 2 -rw-> 1 (two rw). Cycle B: 3 -rw-> 4 -ww-> 3.
+        csr = snapshot(
+            (1, 2, RW), (2, 1, RW), (3, 4, RW), (4, 3, WW), (2, 3, WW)
+        )
+        cycle = first_edge_cycle(csr, RW, WW | WR)
+        assert_cycle(csr, cycle)
+        assert set(cycle[:-1]) == {3, 4}
+
+    def test_longer_completion_path(self):
+        csr = snapshot((1, 2, RW), (2, 3, WW), (3, 4, WR), (4, 1, WW))
+        cycle = first_edge_cycle(csr, RW, WW | WR)
+        assert_cycle(csr, cycle)
+        assert rw_steps(csr, cycle) == 1
+        assert len(cycle) == 5
+
+    def test_self_loop_on_first_edge(self):
+        assert first_edge_cycle(snapshot((1, 1, RW)), RW, WW | WR) == [1, 1]
+
+    def test_edge_with_both_labels_counts_once(self):
+        # 1->2 carries both ww and rw; 2->1 ww.  The rw bit serves as the
+        # single anti-dependency, completed by the ww edge home.
+        csr = snapshot((1, 2, WW | RW), (2, 1, WW))
+        assert_cycle(csr, first_edge_cycle(csr, RW, WW | WR))
+
+    def test_allowed_confines_the_return_path(self):
+        # 1 -rw-> 2 returns home only through 3; excluding 3 blocks it.
+        csr = snapshot((1, 2, RW), (2, 3, WW), (3, 1, WW))
+        ids = [csr.index_of[n] for n in (1, 2)]
+        assert csr.first_edge_cycle_idx(ids, RW, WW) is None
+        all_ids = [csr.index_of[n] for n in (1, 2, 3)]
+        cycle = csr.first_edge_cycle_idx(all_ids, RW, WW)
+        assert csr.to_nodes(cycle) == [1, 2, 3, 1]
+
+    def test_no_cycle_at_all(self):
+        csr = snapshot((1, 2, RW), (2, 3, WW))
+        assert first_edge_cycle(csr, RW, WW | WR) is None
 
 
 # ----------------------------------------------------------------------
@@ -312,53 +656,42 @@ def self_looping_graphs(draw):
     g = draw(labeled_graphs())
     nodes = list(g.nodes())
     for node in draw(st.lists(st.sampled_from(nodes), max_size=4)):
-        g.add_edge(node, node, draw(masks))
+        g[node][node] = g[node].get(node, 0) | draw(masks)
     return g
 
 
 def _induced(graph, members):
-    sub = LabeledDiGraph()
-    for node in graph.nodes():
-        if node in members:
-            sub.add_node(node)
-    for node in sub.nodes():
-        for succ, label in graph._succ[node].items():
+    sub = dict_graph([node for node in graph if node in members], [])
+    for node in sub:
+        for succ, label in graph[node].items():
             if succ in members:
-                sub.add_edge(node, succ, label)
+                sub[node][succ] = label
     return sub
 
 
 @given(self_looping_graphs(), st.lists(masks, min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_self_loops_under_masks_identical(g, mask_sequence):
-    csr = g.freeze()
+    csr = freeze(g)
     for mask in mask_sequence:
         components = csr.cyclic_scc_idx(mask)
-        assert [
-            [csr.nodes[i] for i in component] for component in components
-        ] == ref_cyclic(g, mask)
+        assert as_nodes(csr, components) == ref_cyclic(g, mask)
 
 
 @given(self_looping_graphs(), masks, st.data())
 @settings(max_examples=300, deadline=None)
 def test_self_loops_restricted_probe_identical(g, mask, data):
-    csr = g.freeze()
+    csr = freeze(g)
     members = data.draw(st.sets(st.sampled_from(list(g.nodes()))))
-    ids = sorted(csr.intern_many(members))
+    ids = sorted(csr.index_of[m] for m in members)
     components = csr.cyclic_scc_idx(
         mask, roots=ids, allowed=csr.allowed_table(ids)
     )
-    assert [
-        [csr.nodes[i] for i in component] for component in components
-    ] == ref_cyclic(_induced(g, members), mask)
+    assert as_nodes(csr, components) == ref_cyclic(_induced(g, members), mask)
 
 
 def test_self_loop_label_outside_the_mask_is_no_cycle():
-    g = LabeledDiGraph()
-    g.add_edge(1, 1, 0b0100)
-    g.add_edge(1, 2, 0b0001)
-    g.add_edge(2, 2, 0b0011)
-    csr = g.freeze()
+    csr = snapshot((1, 1, 0b0100), (1, 2, 0b0001), (2, 2, 0b0011))
     assert csr.cyclic_scc_idx(0b0001) == [[1]]
     assert csr.cyclic_scc_idx(0b0100) == [[0]]
     assert csr.cyclic_scc_idx(0b1000) == []
@@ -369,7 +702,7 @@ def test_self_loop_label_outside_the_mask_is_no_cycle():
 
 
 def test_self_loops_in_a_bulk_built_snapshot():
-    from repro.graph.csr import _BULK_MIN_EDGES, CSRGraph
+    from repro.graph.csr import _BULK_MIN_EDGES
 
     # A long chain (enough edges for the numpy build when it is present)
     # with self-loops at a few nodes, each under its own label.
@@ -378,7 +711,7 @@ def test_self_loops_in_a_bulk_built_snapshot():
     vs = list(range(1, n)) + [5, 77, 300]
     labels = [1] * (n - 1) + [2, 4, 2]
     csr = CSRGraph.from_edge_log(us, vs, labels)
-    reference = CSRGraph._from_edge_log_py(us, vs, labels)
+    reference = CSRGraph.from_edges(us, vs, labels)
     for mask in (1, 2, 4, 6, FULL_MASK):
         assert csr.cyclic_scc_idx(mask) == reference.cyclic_scc_idx(mask)
     found = csr.cyclic_scc_idx(2)

@@ -1,58 +1,49 @@
 """Tests for DOT rendering."""
 
-from repro.graph import LabeledDiGraph, cycle_to_dot, graph_to_dot
+from repro.graph import EdgeLogGraph, cycle_to_dot, graph_to_dot
 
 WW, WR, RW = 1, 2, 4
 NAMES = {WW: "ww", WR: "wr", RW: "rw"}
 
 
+def graph_of(*edges):
+    g = EdgeLogGraph()
+    g.add_edges_from(edges)
+    return g
+
+
 def test_graph_to_dot_contains_nodes_and_edges():
-    g = LabeledDiGraph()
-    g.add_edge("T1", "T2", WW)
-    g.add_edge("T2", "T1", RW)
-    dot = graph_to_dot(g, NAMES)
+    dot = graph_to_dot(graph_of((1, 2, WW), (2, 1, RW)), NAMES)
     assert dot.startswith("digraph deps {")
-    assert '"T1" -> "T2" [label="ww"];' in dot
-    assert '"T2" -> "T1" [label="rw"];' in dot
+    assert '"1" -> "2" [label="ww"];' in dot
+    assert '"2" -> "1" [label="rw"];' in dot
     assert dot.rstrip().endswith("}")
 
 
 def test_combined_labels_render_sorted():
-    g = LabeledDiGraph()
-    g.add_edge(1, 2, WW | RW)
-    dot = graph_to_dot(g, NAMES)
+    dot = graph_to_dot(graph_of((1, 2, WW | RW)), NAMES)
     assert '[label="ww,rw"]' in dot
 
 
 def test_mask_filters_rendered_edges():
-    g = LabeledDiGraph()
-    g.add_edge(1, 2, WW)
-    g.add_edge(2, 1, WR)
-    dot = graph_to_dot(g, NAMES, mask=WW)
+    dot = graph_to_dot(graph_of((1, 2, WW), (2, 1, WR)), NAMES, mask=WW)
     assert '"1" -> "2"' in dot
     assert '"2" -> "1"' not in dot
 
 
 def test_unknown_label_bit_rendered_as_hex():
-    g = LabeledDiGraph()
-    g.add_edge(1, 2, 8)
-    dot = graph_to_dot(g, NAMES)
+    dot = graph_to_dot(graph_of((1, 2, 8)), NAMES)
     assert "0x8" in dot
 
 
 def test_custom_node_labels():
-    g = LabeledDiGraph()
-    g.add_edge(1, 2, WW)
-    dot = graph_to_dot(g, NAMES, node_label=lambda n: f"T{n}")
+    dot = graph_to_dot(graph_of((1, 2, WW)), NAMES, node_label=lambda n: f"T{n}")
     assert '[label="T1"]' in dot
     assert '[label="T2"]' in dot
 
 
 def test_cycle_to_dot_renders_cycle_edges_only():
-    g = LabeledDiGraph()
-    g.add_edge(1, 2, WR)
-    g.add_edge(2, 1, RW)
-    g.add_edge(1, 3, WW)  # not part of the cycle
+    g = graph_of((1, 2, WR), (2, 1, RW), (1, 3, WW))  # 1->3 is off-cycle
     dot = cycle_to_dot(g, [1, 2, 1], NAMES)
     assert '"1" -> "2" [label="wr"];' in dot
     assert '"2" -> "1" [label="rw"];' in dot
@@ -60,7 +51,11 @@ def test_cycle_to_dot_renders_cycle_edges_only():
 
 
 def test_quoting_special_characters():
-    g = LabeledDiGraph()
-    g.add_edge('a"b', "c", WW)
-    dot = graph_to_dot(g, NAMES)
-    assert '\\"' in dot
+    labels = {1: 'a"b', 2: "c\\d"}
+    g = graph_of((1, 2, WW), (2, 1, WW))
+    for dot in (
+        graph_to_dot(g, NAMES, node_label=labels.get),
+        cycle_to_dot(g, [1, 2, 1], NAMES, node_label=labels.get),
+    ):
+        assert '[label="a\\"b"]' in dot
+        assert '[label="c\\\\d"]' in dot

@@ -2,11 +2,11 @@
 
 The analysis pipeline emits its dependency graph through
 :class:`~repro.graph.edgelog.EdgeLogGraph`, whose freeze must be
-byte-identical to inserting the same emission stream into a
-:class:`~repro.graph.digraph.LabeledDiGraph` and freezing that: same node
-interning order, same successor row order, same OR-ed labels.  Both bulk
-builders (vectorized and pure-Python) are pinned against the digraph
-reference, as is the scipy acyclicity screen that lets large clean graphs
+byte-identical to the dict build :meth:`CSRGraph.from_edges` over the same
+emission stream: same node interning order, same successor row order, same
+OR-ed labels (``tests/graph/test_csr_equivalence.py`` pins that build
+against a plain dict-of-dicts).  The vectorized bulk builder is pinned
+against it, as is the scipy acyclicity screen that lets large clean graphs
 skip the Python Tarjan entirely.
 """
 
@@ -14,13 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import CSRGraph, EdgeLogGraph, LabeledDiGraph
+from repro.graph import CSRGraph, EdgeLogGraph
 from repro.graph import csr as csr_mod
 from repro.graph.csr import _FAST_SCC_MIN_EDGES
-from repro.graph.intervals import (
-    interval_precedence_edges,
-    interval_precedence_pairs,
-)
+from repro.graph.intervals import interval_precedence_pairs
 
 requires_numpy = pytest.mark.skipif(
     csr_mod._np is None, reason="exercises the numpy bulk builder directly"
@@ -41,9 +38,11 @@ edge_lists = st.lists(
 
 
 def reference_csr(edges):
-    graph = LabeledDiGraph()
-    graph.add_edges_from(edges)
-    return graph.freeze()
+    return CSRGraph.from_edges(
+        [u for u, _v, _l in edges],
+        [v for _u, v, _l in edges],
+        [label for _u, _v, label in edges],
+    )
 
 
 def csr_signature(csr):
@@ -53,7 +52,7 @@ def csr_signature(csr):
 class TestEdgeLogEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(edge_lists)
-    def test_freeze_matches_digraph_freeze(self, edges):
+    def test_freeze_matches_dict_build(self, edges):
         log = EdgeLogGraph()
         log.add_edges_from(edges)
         assert csr_signature(log.freeze()) == csr_signature(
@@ -67,7 +66,7 @@ class TestEdgeLogEquivalence:
         vs = [v for _u, v, _l in edges]
         ls = [label for _u, _v, label in edges]
         ref = csr_signature(reference_csr(edges))
-        assert csr_signature(CSRGraph._from_edge_log_py(us, vs, ls)) == ref
+        assert csr_signature(CSRGraph.from_edge_log(us, vs, ls)) == ref
         if edges and csr_mod._np is not None:
             assert csr_signature(CSRGraph._from_edge_log_np(us, vs, ls)) == ref
 
@@ -113,6 +112,54 @@ class TestEdgeLogApi:
         log.add_edges_from([(1, 2, 1), (2, 3, 2), (1, 3, 4)])
         return log
 
+    def test_empty_log(self):
+        log = EdgeLogGraph()
+        assert len(log) == 0
+        assert log.edge_count == 0
+        assert list(log.nodes()) == []
+        assert list(log.edges()) == []
+        assert 1 not in log
+
+    def test_self_loop_allowed(self):
+        log = EdgeLogGraph()
+        log.add_edge(1, 1, 4)
+        assert log.has_edge(1, 1, 4)
+        assert list(log.successors(1)) == [1]
+        assert log.freeze().cyclic_scc_idx(4) == [[0]]
+
+    def test_add_edge_creates_nodes(self):
+        log = EdgeLogGraph()
+        log.add_edge(7, 9, 1)
+        assert 7 in log and 9 in log
+        assert log.edge_label(7, 9) == 1
+        assert log.edge_label(9, 7) == 0
+
+    def test_successors_respect_mask(self):
+        log = EdgeLogGraph()
+        log.add_edges_from([(1, 2, 1), (1, 3, 2), (1, 4, 1 | 4)])
+        assert list(log.successors(1, 1)) == [2, 4]
+        assert list(log.successors(1, 2)) == [3]
+        assert list(log.successors(1, 4)) == [4]
+        assert list(log.successors(9)) == []
+
+    def test_has_edge_with_mask(self):
+        log = EdgeLogGraph()
+        log.add_edge(1, 2, 1)
+        assert log.has_edge(1, 2)
+        assert log.has_edge(1, 2, 1)
+        assert not log.has_edge(1, 2, 2)
+        assert not log.has_edge(2, 1)
+
+    def test_union_ors_labels_of_shared_pairs(self):
+        log = EdgeLogGraph()
+        log.add_edge(1, 2, 1)
+        other = EdgeLogGraph()
+        other.add_edges_from([(1, 2, 2), (2, 3, 4)])
+        log.union(other)
+        assert log.edge_label(1, 2) == 3
+        assert log.edge_label(2, 3) == 4
+        assert log.edge_count == 2
+
     def test_zero_label_rejected_everywhere(self):
         log = EdgeLogGraph()
         with pytest.raises(ValueError):
@@ -135,6 +182,71 @@ class TestEdgeLogApi:
         other.add_edge(3, 4, 1)
         assert log.union(other) is log
         assert log.has_edge(3, 4)
+
+    def test_frozen_snapshot_survives_later_appends(self):
+        log = EdgeLogGraph()
+        log.add_edge(1, 2, 1)
+        first = log.freeze()
+        log.add_edge(2, 3, 2)
+        log.add_edge(1, 2, 4)
+        assert first.edge_label(1, 2) == 1
+        assert first.edge_label(2, 3) == 0
+        assert 3 not in first
+        assert first.edge_count == 1
+        assert log.edge_label(1, 2) == 5
+
+    def test_union_leaves_the_other_log_unchanged(self):
+        log = self.build()
+        other = EdgeLogGraph()
+        other.add_edge(3, 4, 1)
+        log.union(other)
+        log.add_edge(4, 5, 2)
+        assert list(other.edges()) == [(3, 4, 1)]
+        assert other.emission_count == 1
+
+    def test_in_degree_respects_mask(self):
+        log = EdgeLogGraph()
+        log.add_edges_from([(2, 1, 1), (3, 1, 2), (4, 1, 1 | 4)])
+        assert log.in_degree(1) == 3
+        assert log.in_degree(1, mask=1) == 2
+        assert log.in_degree(1, mask=2) == 1
+        assert log.in_degree(1, mask=8) == 0
+        assert log.in_degree(2) == 0
+
+    def test_edges_keep_the_ored_label_under_either_bit(self):
+        log = EdgeLogGraph()
+        log.add_edges_from([(1, 2, 1), (1, 3, 4), (1, 2, 2)])
+        assert list(log.edges()) == [(1, 2, 3), (1, 3, 4)]
+        assert list(log.edges(mask=2)) == [(1, 2, 3)]
+        assert list(log.edges(mask=1)) == [(1, 2, 3)]
+        assert list(log.edges(mask=8)) == []
+
+    def test_add_edge_columns_from_sequences(self):
+        log = self.build()
+        log.add_edge_columns([3, 4], [4, 1], [8, 2])
+        log.add_edge_columns([], [], [])  # no-op
+        assert log.edge_label(3, 4) == 8
+        assert log.edge_label(4, 1) == 2
+        assert log.emission_count == 5
+
+    @requires_numpy
+    def test_numpy_columns_match_sequence_appends(self):
+        np = csr_mod._np
+        us, vs, ls = [5, 1, 5], [1, 7, 1], [1, 2, 4]
+        via_lists = EdgeLogGraph()
+        via_lists.add_edge_columns(us, vs, ls)
+        via_lists.add_edge_arrays([7, 7], [5, 1], 8)
+        via_numpy = EdgeLogGraph()
+        via_numpy.add_edge_columns(
+            np.array(us, dtype=np.int32),
+            np.array(vs, dtype=np.int64),
+            np.array(ls, dtype=np.int8),
+        )
+        via_numpy.add_edge_arrays(np.array([7, 7]), np.array([5, 1]), 8)
+        assert csr_signature(via_numpy.freeze()) == csr_signature(
+            via_lists.freeze()
+        )
+        assert via_numpy.edge_label(5, 1) == 5
 
     def test_add_edge_keys_accepts_dict_keys(self):
         log = EdgeLogGraph()
@@ -210,31 +322,7 @@ class TestAcyclicityScreen:
         assert csr.cyclic_scc_idx(csr.label_union) == []
 
 
-intervals_strategy = st.lists(
-    st.tuples(st.integers(0, 30), st.integers(1, 30)).map(
-        lambda pair: (pair[0], pair[0] + pair[1])
-    ),
-    max_size=30,
-).map(
-    lambda spans: [
-        (f"t{i}", invoke, complete)
-        for i, (invoke, complete) in enumerate(spans)
-    ]
-)
-
-
 class TestIntervalPairs:
-    @settings(max_examples=60, deadline=None)
-    @given(intervals_strategy)
-    def test_pairs_match_edge_generator(self, intervals):
-        ids = [i for i, _a, _b in intervals]
-        invokes = [a for _i, a, _b in intervals]
-        completes = [b for _i, _a, b in intervals]
-        sources, targets = interval_precedence_pairs(ids, invokes, completes)
-        assert list(zip(sources, targets)) == list(
-            interval_precedence_edges(intervals)
-        )
-
     def test_numpy_sort_path_matches_tuple_sort(self, monkeypatch):
         # Enough intervals to cross the numpy lexsort threshold, with
         # heavy (time, kind) ties to stress the stable tie-breaking.

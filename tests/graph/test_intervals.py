@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import interval_precedence_edges
+from repro.graph import interval_precedence_pairs
 
 
 def edges_of(intervals):
-    return set(interval_precedence_edges(intervals))
+    """The reduction's ``(a, b)`` edges over ``(id, invoke, complete)``."""
+    ids = [ident for ident, _invoke, _complete in intervals]
+    invokes = [invoke for _ident, invoke, _complete in intervals]
+    completes = [complete for _ident, _invoke, complete in intervals]
+    return set(zip(*interval_precedence_pairs(ids, invokes, completes)))
 
 
 def full_precedence(intervals):
@@ -63,7 +67,7 @@ def test_two_processes_interleaved():
 
 def test_invalid_interval_raises():
     with pytest.raises(ValueError):
-        list(interval_precedence_edges([("a", 5, 5)]))
+        edges_of([("a", 5, 5)])
 
 
 @st.composite

@@ -14,13 +14,13 @@ from repro.core.consistency import (
 )
 from repro.core.cycle_search import find_cycle_anomalies
 from repro.core.objects import is_prefix, longest_common_prefix, trace
-from repro.graph import LabeledDiGraph
+from repro.graph import EdgeLogGraph
 
 BITS = [WW, WR, RW, PROCESS, REALTIME]
 
 
 # ---------------------------------------------------------------------------
-# Digraph invariants
+# Graph invariants
 
 
 @st.composite
@@ -41,33 +41,48 @@ def graph_ops(draw):
 
 @given(graph_ops())
 @settings(max_examples=200, deadline=None)
-def test_digraph_succ_pred_symmetry(data):
+def test_graph_succ_degree_symmetry(data):
     n, edges = data
-    g = LabeledDiGraph()
-    for u, v, bit in edges:
-        g.add_edge(u, v, bit)
+    g = EdgeLogGraph()
+    g.add_edges_from(edges)
     for u, v, label in g.edges():
         assert label == g.edge_label(u, v)
-        assert u in set(g.predecessors(v))
         assert v in set(g.successors(u))
-    # Edge count from successors equals count from predecessors.
+    # Edge count from out-degrees equals count from in-degrees.
     out_total = sum(g.out_degree(x) for x in g.nodes())
     in_total = sum(g.in_degree(x) for x in g.nodes())
     assert out_total == in_total == g.edge_count
 
 
-@given(graph_ops())
+@given(graph_ops(), st.sampled_from([WW, WR | RW, PROCESS | REALTIME]))
 @settings(max_examples=100, deadline=None)
-def test_filter_edges_is_mask_intersection(data):
+def test_masked_queries_are_label_intersection(data, mask):
     n, edges = data
-    g = LabeledDiGraph()
-    for u, v, bit in edges:
-        g.add_edge(u, v, bit)
-    mask = WW | RW
-    f = g.filter_edges(mask)
-    for u, v, label in g.edges():
-        assert f.edge_label(u, v) == label & mask
-    assert set(f.nodes()) == set(g.nodes())
+    g = EdgeLogGraph()
+    g.add_edges_from(edges)
+    csr = g.freeze()
+    everything = list(g.edges())
+    assert list(g.edges(mask)) == [e for e in everything if e[2] & mask]
+    for u, v, label in everything:
+        assert g.has_edge(u, v, mask) == bool(label & mask)
+        assert csr.has_edge(u, v, mask) == bool(label & mask)
+        assert (v in set(g.successors(u, mask))) == bool(label & mask)
+    # Masking hides edges, never nodes.
+    assert list(csr.nodes) == list(g.nodes())
+
+
+@given(graph_ops(), st.sampled_from(BITS))
+@settings(max_examples=100, deadline=None)
+def test_in_degree_counts_masked_sources(data, mask):
+    n, edges = data
+    g = EdgeLogGraph()
+    g.add_edges_from(edges)
+    for v in g.nodes():
+        sources = {u for u in g.nodes() if g.edge_label(u, v) & mask}
+        assert g.in_degree(v, mask) == len(sources)
+        assert g.in_degree(v) == sum(
+            1 for u in g.nodes() if g.edge_label(u, v)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +93,8 @@ def test_filter_edges_is_mask_intersection(data):
 @settings(max_examples=200, deadline=None)
 def test_reported_cycles_are_real(data):
     n, edges = data
-    g = LabeledDiGraph()
-    for u, v, bit in edges:
-        g.add_edge(u, v, bit)
+    g = EdgeLogGraph()
+    g.add_edges_from(edges)
     for anomaly in find_cycle_anomalies(g):
         assert anomaly.txns[0] == anomaly.txns[-1]
         interior = anomaly.txns[:-1]
@@ -107,10 +121,8 @@ def test_reported_cycles_are_real(data):
 def test_acyclic_value_graph_reports_no_value_cycles(data):
     # Remove all cycles by keeping only forward edges u < v.
     n, edges = data
-    g = LabeledDiGraph()
-    for u, v, bit in edges:
-        if u < v:
-            g.add_edge(u, v, bit)
+    g = EdgeLogGraph()
+    g.add_edges_from((u, v, bit) for u, v, bit in edges if u < v)
     assert find_cycle_anomalies(g) == []
 
 
