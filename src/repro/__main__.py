@@ -7,8 +7,9 @@ Usage::
 
 Generates a workload against the MVCC simulator (optionally with a fault
 injector), checks the observation with Elle, prints the verdict plus every
-counterexample, and exits non-zero when the requested model is violated —
-suitable for CI pipelines the way Jepsen tests are.
+counterexample, and exits 1 when the requested model is violated (0 when
+it holds, 2 on a usage or input error) — suitable for CI pipelines the way
+Jepsen tests are.
 
 Real observations work too: ``--in history.jsonl`` checks a JSON-lines
 history captured from an actual system instead of generating one (``--in -``
@@ -42,6 +43,7 @@ from typing import List, Optional
 from .core import Profile, StreamingChecker, check
 from .core.consistency import ALL_MODELS, SERIALIZABLE
 from .db import INJECTORS, Isolation, Windowed
+from .errors import ReproError
 from .generator import RunConfig, WorkloadConfig, run_workload
 from .history import dump_history, iter_op_chunks, load_history
 
@@ -463,6 +465,28 @@ def _follow(args, fault_factory, profile) -> int:
     return _report(update.result, args, profile)
 
 
+def _check_batch(args, fault_factory, profile) -> int:
+    """Batch mode: load or generate the whole history, check it once."""
+    if args.in_path is not None:
+        if args.in_path == "-":
+            history = load_history(sys.stdin)
+        else:
+            history = load_history(args.in_path)
+    else:
+        history = _generate(args, fault_factory)
+    if args.dump_history is not None:
+        dump_history(history, args.dump_history)
+    result = check(
+        history,
+        workload=args.workload,
+        consistency_model=args.model,
+        timestamp_edges=args.timestamps,
+        shards=args.shards,
+        profile=profile,
+    )
+    return _report(result, args, profile)
+
+
 def _connect(args, fault_factory) -> int:
     """Client mode: ship the history to a running daemon, print its verdict."""
     from .history.io import dump_ops
@@ -632,6 +656,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _serve_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.shards < 1:
+        parser.error("--shards must be positive")
+    if args.fault_window is not None and args.fault_window < 1:
+        parser.error("--fault-window must be positive")
     if args.follow and args.shards != 1:
         parser.error("--shards is not supported with --follow "
                      "(streaming analysis runs inline)")
@@ -650,7 +678,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     fault_factory = None
     if args.fault is not None:
         injector_cls = INJECTORS[args.fault]
-        if args.fault_window:
+        if args.fault_window is not None:
             def fault_factory(rng, _cls=injector_cls):
                 return Windowed(_cls(rng), period=args.fault_window)
         else:
@@ -660,27 +688,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.connect:
         return _connect(args, fault_factory)
     profile = Profile() if args.profile else None
-    if args.follow:
-        return _follow(args, fault_factory, profile)
-
-    if args.in_path is not None:
-        if args.in_path == "-":
-            history = load_history(sys.stdin)
-        else:
-            history = load_history(args.in_path)
-    else:
-        history = _generate(args, fault_factory)
-    if args.dump_history is not None:
-        dump_history(history, args.dump_history)
-    result = check(
-        history,
-        workload=args.workload,
-        consistency_model=args.model,
-        timestamp_edges=args.timestamps,
-        shards=args.shards,
-        profile=profile,
-    )
-    return _report(result, args, profile)
+    try:
+        if args.follow:
+            return _follow(args, fault_factory, profile)
+        return _check_batch(args, fault_factory, profile)
+    except (ReproError, OSError) as exc:
+        # Exit 2 like argparse's usage errors: 1 always means INVALID.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -231,11 +231,12 @@ class KeyspacePlan:
 
         Returns ``True`` when the plan fully handled the analysis
         (including the merge into ``analysis``); ``False`` to fall back to
-        the classic per-key chunk path.  The base plan has no columnar
-        implementation — per-key :meth:`analyze_key` *is* the pure-Python
-        twin, selected exactly like the fallbacks in ``csr.py`` /
-        ``edgelog.py`` (numpy missing, or the history below
-        :data:`COLUMNAR_MIN_TXNS`).
+        the classic per-key chunk path.  Only the list-append plan
+        overrides it; every other plan, rw-register included, always runs
+        the per-key :meth:`analyze_key` path.  That path is also the
+        pure-Python twin of the override, selected exactly like the
+        fallbacks in ``csr.py`` / ``edgelog.py`` (numpy missing, or the
+        history below :data:`COLUMNAR_MIN_TXNS`).
         """
         return False
 

@@ -218,7 +218,7 @@ class ListAppendPlan(KeyspacePlan):
             return False
         np = _np
         index = self.index
-        cols = index.columns("read")
+        cols = index.columns()
 
         with stage(profile, "analyze/columnar-screen"):
             nk = len(cols.keys)

@@ -46,7 +46,7 @@ straight off the slice instead of rescanning every transaction once per key
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from ..graph import CSRGraph, interval_precedence_pairs
 from ..history import History, Transaction
@@ -80,11 +80,6 @@ from .keyspace import (
 from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
 from .profiling import Profile, stage
 from .validate import validate_workload_indexed
-
-try:  # Optional acceleration; analyze_key is the pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
 
 #: Version-order inference sources enabled by default.  ``process`` and
 #: ``realtime`` assume the database claims per-key sequential consistency /
@@ -199,10 +194,6 @@ class RwRegisterPlan(KeyspacePlan):
             intermediate=True,
             intermediate_after_aborted=False,
         )
-        #: Whole-index precomputed screens (:meth:`analyze_index`); when
-        #: ``None`` — streaming, sharded workers, no numpy — every key
-        #: derives the same records itself, the pure-Python twin.
-        self._pre: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
 
@@ -227,191 +218,6 @@ class RwRegisterPlan(KeyspacePlan):
                 if d == 0:
                     push(target)
         return remaining == 0
-
-    def analyze_index(self, analysis: Analysis, profile: Profile = None) -> bool:
-        """Precompute the per-key screens as whole-index columnar passes.
-
-        Registers admit no clean-key shortcut — every key must still build
-        its version DAG, so unlike the list-append plan this pass never
-        skips a key.  Instead it derives, in vectorized sweeps over the
-        concatenated CSR columns, the records :meth:`analyze_key` would
-        otherwise compute per key: the suspicious-read screen (with its
-        survivor arrays), each read's writer position, the committed
-        micro-op stream, the per-transaction version pins, and the
-        realtime interval filter.  Returning ``False`` hands control back
-        to the classic per-key loop, which consumes the records through
-        ``self._pre`` — so the merge order, evidence, and anomalies are
-        byte-identical by construction, and :meth:`analyze_key` remains
-        its own pure-Python twin whenever the records are absent
-        (streaming, sharded workers, no numpy).
-        """
-        if not self.columnar_eligible() or not self._keys:
-            return False
-        np = _np
-        index = self.index
-        cols = index.columns("key")
-        sources = self._sources
-        with stage(profile, "analyze/columnar-screen"):
-            nk = len(cols.keys)
-            rv = cols.r_val
-            wv = cols.w_val
-            r_indptr = cols.r_indptr
-            w_indptr = cols.w_indptr
-            r_indptr_l = r_indptr.tolist()
-            w_indptr_l = w_indptr.tolist()
-            n_reads = len(rv)
-            n_writes = len(wv)
-
-            # ----- suspicious-read screen ------------------------------
-            # Work in the write-op domain: map each read's value to the
-            # *first write op* of that value (unique writes make it the
-            # only writer), and ``w_final`` turns the intermediate-value
-            # test into a bit gather.  A transaction that re-writes one
-            # value later in the same key can flag a read the per-key
-            # screen would not (the first op is nonfinal though the value
-            # still wins the last write); flagged reads only fall through
-            # to the exact recoverability walk, which clears them, so the
-            # screen stays sound and the output identical.  ``-2`` marks
-            # unknown (None) reads, never suspicious; ``-1`` a value no
-            # write produced, always suspicious.
-            jj: List[int] = [-2] * n_reads
-            slices = index.slices
-            keys = cols.keys
-            for k in range(nk):
-                vj: Dict[Any, int] = {}
-                setdefault = vj.setdefault
-                for j in range(w_indptr_l[k], w_indptr_l[k + 1]):
-                    setdefault(wv[j], j)
-                vj_get = vj.get
-                for i in range(r_indptr_l[k], r_indptr_l[k + 1]):
-                    v = rv[i]
-                    if v is not None:
-                        jj[i] = vj_get(v, -1)
-            jj_np = np.asarray(jj, dtype=np.int64)
-            have = jj_np >= 0
-            j_safe = np.where(have, jj_np, 0)
-            wpos = np.where(have, cols.w_txn[j_safe], -1)
-            aborted = cols.aborted[np.where(wpos >= 0, wpos, 0)] != 0
-            own = wpos == cols.r_txn
-            final = cols.w_final[j_safe]
-            susp = (jj_np == -1) | (have & (aborted | (~own & ~final)))
-            survivor_reads = np.flatnonzero(susp)
-            survivor_keys = (
-                np.searchsorted(r_indptr, survivor_reads, side="right") - 1
-            )
-            pre: Dict[str, Any] = {
-                "clock": index._clock,
-                "r_indptr": r_indptr_l,
-                "susp": susp.tolist(),
-                "wpos": wpos.tolist(),
-                # (key, read position) pairs the screen flagged; these
-                # reads pay the exact per-key recoverability walk.
-                "survivors": (survivor_keys.tolist(), survivor_reads.tolist()),
-            }
-
-            # ----- committed stream + version pins ---------------------
-            if (
-                "write-follows-read" in sources
-                or "process" in sources
-                or "realtime" in sources
-            ):
-                r_key = np.repeat(
-                    np.arange(nk, dtype=np.int64), np.diff(r_indptr)
-                )
-                w_key = np.repeat(
-                    np.arange(nk, dtype=np.int64), np.diff(w_indptr)
-                )
-                ent_key = np.concatenate([r_key, w_key])
-                ent_txn = np.concatenate([cols.r_txn, cols.w_txn])
-                ent_seq = np.concatenate([cols.r_seq, cols.w_seq])
-                # Stable sort to (key, txn, seq) reproduces each slice's
-                # merged observation-order stream; then keep committed.
-                order = np.lexsort((ent_seq, ent_txn, ent_key))
-                sel = order[cols.committed[ent_txn[order]] != 0]
-                st_key = ent_key[sel]
-                st_txn = ent_txn[sel]
-                n_st = len(sel)
-                all_vals = rv + wv
-                sel_l = sel.tolist()
-                pre["st_indptr"] = np.searchsorted(
-                    st_key, np.arange(nk + 1)
-                ).tolist()
-                pre["st_txn"] = st_txn.tolist()
-                pre["st_read"] = (sel < n_reads).tolist()
-                st_val = [all_vals[s] for s in sel_l]
-                pre["st_val"] = st_val
-
-                if "process" in sources or "realtime" in sources:
-                    # Version pins, one record per (key, txn) run: the
-                    # stream is txn-major within a key, so each pinned
-                    # transaction is exactly one run and its (first,
-                    # last) values sit at the run boundaries.
-                    if n_st:
-                        run_start = np.empty(n_st, dtype=bool)
-                        run_start[0] = True
-                        run_start[1:] = (st_txn[1:] != st_txn[:-1]) | (
-                            st_key[1:] != st_key[:-1]
-                        )
-                        run_first = np.flatnonzero(run_start)
-                        run_last = np.empty_like(run_first)
-                        run_last[:-1] = run_first[1:] - 1
-                        run_last[-1] = n_st - 1
-                        pre["pin_indptr"] = np.searchsorted(
-                            st_key[run_first], np.arange(nk + 1)
-                        ).tolist()
-                        pre["pin_txn"] = st_txn[run_first].tolist()
-                        pre["pin_first"] = [
-                            st_val[r] for r in run_first.tolist()
-                        ]
-                        pre["pin_last"] = [
-                            st_val[r] for r in run_last.tolist()
-                        ]
-                    else:
-                        pre["pin_indptr"] = [0] * (nk + 1)
-                        pre["pin_txn"] = []
-                        pre["pin_first"] = []
-                        pre["pin_last"] = []
-
-            # ----- realtime interval filter ----------------------------
-            if "realtime" in sources:
-                inter_lists = [slices[keys[k]].inter_txn for k in range(nk)]
-                counts = np.asarray(
-                    [len(x) for x in inter_lists], dtype=np.int64
-                )
-                if counts.sum():
-                    inter_cat = np.concatenate(
-                        [
-                            np.asarray(x, dtype=np.int64)
-                            for x in inter_lists
-                        ]
-                    )
-                    complete_np = np.asarray(
-                        index.txn_complete, dtype=np.int64
-                    )
-                    invoke_np = np.asarray(index.txn_invoke, dtype=np.int64)
-                    keep = complete_np[inter_cat] >= 0
-                    kept = inter_cat[keep]
-                    indptr = np.zeros(nk + 1, dtype=np.int64)
-                    np.cumsum(counts, out=indptr[1:])
-                    cum_keep = np.zeros(len(inter_cat) + 1, dtype=np.int64)
-                    np.cumsum(keep, out=cum_keep[1:])
-                    pre["rt_indptr"] = cum_keep[indptr].tolist()
-                    pre["rt_pos"] = kept.tolist()
-                    pre["rt_invoke"] = invoke_np[kept].tolist()
-                    pre["rt_complete"] = complete_np[kept].tolist()
-                else:
-                    pre["rt_indptr"] = [0] * (nk + 1)
-                    pre["rt_pos"] = []
-                    pre["rt_invoke"] = []
-                    pre["rt_complete"] = []
-
-            self._pre = pre
-
-        if profile is not None:
-            profile.count("keyspace.columnar_keys", 0)
-            profile.count("keyspace.fallback_keys", nk)
-            profile.count("keyspace.survivor_reads", len(survivor_reads))
-        return False
 
     def analyze_key(self, key: Any) -> Batch:
         """One key's read checks, version DAG, and dependency edges.
@@ -438,10 +244,6 @@ class RwRegisterPlan(KeyspacePlan):
         sources = self._sources
         anomaly_blocks = []
 
-        pre = self._pre
-        if pre is not None and pre["clock"] != index._clock:
-            pre = None  # stale precompute (index grew); classic twin
-
         r_txn = slice_.r_txn
         r_seq = slice_.r_seq
         r_val = slice_.r_val
@@ -449,22 +251,13 @@ class RwRegisterPlan(KeyspacePlan):
         # Values proven committed by observation: read by a committed txn.
         observed: Set[Any] = {v for v in r_val if v is not None}
 
-        if pre is None:
-            # Final write per writer position (last write wins), for the
-            # G1b screen: a committed read of a non-final write is
-            # intermediate.  The columnar precompute answers this via the
-            # ``w_final`` bit instead.
-            final_of: Dict[int, Any] = {}
-            w_txn = slice_.w_txn
-            w_val = slice_.w_val
-            for i in range(len(w_txn)):
-                final_of[w_txn[i]] = w_val[i]
-            susp_g = wpos_g = None
-            rlo = 0
-        else:
-            susp_g = pre["susp"]
-            wpos_g = pre["wpos"]
-            rlo = pre["r_indptr"][key_pos]
+        # Final write per writer position (last write wins), for the G1b
+        # screen: a committed read of a non-final write is intermediate.
+        final_of: Dict[int, Any] = {}
+        w_txn = slice_.w_txn
+        w_val = slice_.w_val
+        for i in range(len(w_txn)):
+            final_of[w_txn[i]] = w_val[i]
 
         # --------------------------------------------------------------
         # Read checks: garbage, G1a, G1b; collect readers per version.
@@ -476,17 +269,12 @@ class RwRegisterPlan(KeyspacePlan):
             if value is None:
                 readers.setdefault(INIT, []).append(txn_ids[pos])
                 continue
-            if susp_g is None:
-                wpos = fw_get(value, -1)
-                suspicious = (
-                    wpos < 0
-                    or txn_aborted[wpos]
-                    or (wpos != pos and final_of[wpos] != value)
-                )
-            else:
-                wpos = wpos_g[rlo + i]
-                suspicious = susp_g[rlo + i]
-            if suspicious:
+            wpos = fw_get(value, -1)
+            if (
+                wpos < 0
+                or txn_aborted[wpos]
+                or (wpos != pos and final_of[wpos] != value)
+            ):
                 if obj_write_map is None:
                     obj_write_map = slice_.write_map
                 found = check_recoverable_read(
@@ -535,16 +323,8 @@ class RwRegisterPlan(KeyspacePlan):
         )
         if need_stream:
             # The committed micro-op stream, merged back into observation
-            # order from the read/write substreams — or sliced out of the
-            # whole-index lexsorted stream when precomputed.
-            if pre is not None:
-                st_indptr = pre["st_indptr"]
-                st_lo, st_hi = st_indptr[key_pos], st_indptr[key_pos + 1]
-                st_txn = pre["st_txn"][st_lo:st_hi]
-                st_read = pre["st_read"][st_lo:st_hi]
-                st_val = pre["st_val"][st_lo:st_hi]
-            else:
-                st_txn, st_read, st_val = slice_.committed_stream()
+            # order from the read/write substreams.
+            st_txn, st_read, st_val = slice_.committed_stream()
             n_ops = len(st_txn)
 
         if "write-follows-read" in sources:
@@ -567,24 +347,13 @@ class RwRegisterPlan(KeyspacePlan):
         if "process" in sources or "realtime" in sources:
             # (first, last) version each transaction pinned the key to —
             # one pass over the op stream replaces the historical
-            # per-pair re-scan of each transaction's micro-ops.  The
-            # precompute hands one record per (key, txn) run instead.
+            # per-pair re-scan of each transaction's micro-ops.
             pins: Dict[int, Tuple[Any, Any]] = {}
-            if pre is not None:
-                pin_indptr = pre["pin_indptr"]
-                pin_txn = pre["pin_txn"]
-                pin_first = pre["pin_first"]
-                pin_last = pre["pin_last"]
-                for r in range(pin_indptr[key_pos], pin_indptr[key_pos + 1]):
-                    pins[pin_txn[r]] = (pin_first[r], pin_last[r])
-            else:
-                for i in range(n_ops):
-                    pos = st_txn[i]
-                    value = st_val[i]
-                    cur = pins.get(pos)
-                    pins[pos] = (
-                        (value, value) if cur is None else (cur[0], value)
-                    )
+            for i in range(n_ops):
+                pos = st_txn[i]
+                value = st_val[i]
+                cur = pins.get(pos)
+                pins[pos] = (value, value) if cur is None else (cur[0], value)
 
             def order_source_edges(pairs, tag: str) -> None:
                 for p1, p2 in pairs:
@@ -599,24 +368,17 @@ class RwRegisterPlan(KeyspacePlan):
                 for positions in grouped.values():
                     order_source_edges(zip(positions, positions[1:]), "process")
             if "realtime" in sources:
-                if pre is not None:
-                    rt_indptr = pre["rt_indptr"]
-                    rt_lo, rt_hi = rt_indptr[key_pos], rt_indptr[key_pos + 1]
-                    iv_pos = pre["rt_pos"][rt_lo:rt_hi]
-                    iv_invoke = pre["rt_invoke"][rt_lo:rt_hi]
-                    iv_complete = pre["rt_complete"][rt_lo:rt_hi]
-                else:
-                    txn_invoke = index.txn_invoke
-                    txn_complete = index.txn_complete
-                    iv_pos = []
-                    iv_invoke = []
-                    iv_complete = []
-                    for pos in slice_.inter_txn:
-                        complete = txn_complete[pos]
-                        if complete >= 0:
-                            iv_pos.append(pos)
-                            iv_invoke.append(txn_invoke[pos])
-                            iv_complete.append(complete)
+                txn_invoke = index.txn_invoke
+                txn_complete = index.txn_complete
+                iv_pos = []
+                iv_invoke = []
+                iv_complete = []
+                for pos in slice_.inter_txn:
+                    complete = txn_complete[pos]
+                    if complete >= 0:
+                        iv_pos.append(pos)
+                        iv_invoke.append(txn_invoke[pos])
+                        iv_complete.append(complete)
                 sources_arr, targets_arr = interval_precedence_pairs(
                     iv_pos, iv_invoke, iv_complete
                 )

@@ -372,17 +372,18 @@ class IndexColumns:
     """Whole-index CSR columns: every key's streams concatenated flat.
 
     The per-key :class:`KeySlice` arrays answer "what happened on key k";
-    the whole-index analyzer wants "what happened on *every* key" as one
-    vectorizable pass.  ``IndexColumns`` concatenates the committed-read
-    and write substreams of all keys (in a chosen key order) into single
-    numpy arrays with per-key ``indptr`` offsets — the same CSR shape
+    the list-append whole-index screen wants "what happened on *every*
+    key" as one vectorizable pass.  ``IndexColumns`` concatenates the
+    committed-read and write substreams of all keys (in
+    ``read_key_order``, the list-append merge order) into single numpy
+    arrays with per-key ``indptr`` offsets — the same CSR shape
     :mod:`repro.graph.csr` uses for adjacency.  Values stay as flat Python
     lists (they are arbitrary objects); everything integral is int64.
 
     ``w_final`` marks the last write of each ``(key, txn)`` run — for
     list-append keys that is the writer's final append, the candidate
-    element of the installed version order.  Transaction status columns
-    are *copies* of the index's bytearrays (a ``frombuffer`` view would
+    element of the installed version order.  The ``aborted`` status column
+    is a *copy* of the index's bytearray (a ``frombuffer`` view would
     pin the bytearray and break streaming appends).
 
     Built lazily via :meth:`HistoryIndex.columns` and cached against the
@@ -393,23 +394,19 @@ class IndexColumns:
     __slots__ = (
         "keys",
         "r_txn",
-        "r_seq",
         "r_indptr",
         "r_val",
         "w_txn",
-        "w_seq",
         "w_indptr",
         "w_val",
         "w_final",
-        "committed",
         "aborted",
         "txn_ids",
     )
 
-    def __init__(self, index: "HistoryIndex", order: str) -> None:
+    def __init__(self, index: "HistoryIndex") -> None:
         np = _np
-        keys = index.read_key_order if order == "read" else index.key_order
-        self.keys: List[Any] = list(keys)
+        self.keys: List[Any] = list(index.read_key_order)
         slices = [index.slices[key] for key in self.keys]
         nk = len(slices)
         r_counts = np.zeros(nk + 1, dtype=np.int64)
@@ -422,9 +419,7 @@ class IndexColumns:
         n_r = int(self.r_indptr[-1])
         n_w = int(self.w_indptr[-1])
         self.r_txn = np.empty(n_r, dtype=np.int64)
-        self.r_seq = np.empty(n_r, dtype=np.int64)
         self.w_txn = np.empty(n_w, dtype=np.int64)
-        self.w_seq = np.empty(n_w, dtype=np.int64)
         r_val: List[Any] = []
         w_val: List[Any] = []
         r_starts = self.r_indptr[:-1].tolist()
@@ -432,11 +427,9 @@ class IndexColumns:
         for i, entry in enumerate(slices):
             lo = r_starts[i]
             self.r_txn[lo : lo + len(entry.r_txn)] = entry.r_txn
-            self.r_seq[lo : lo + len(entry.r_seq)] = entry.r_seq
             r_val += entry.r_val
             lo = w_starts[i]
             self.w_txn[lo : lo + len(entry.w_txn)] = entry.w_txn
-            self.w_seq[lo : lo + len(entry.w_seq)] = entry.w_seq
             w_val += entry.w_val
         self.r_val = r_val
         self.w_val = w_val
@@ -453,7 +446,6 @@ class IndexColumns:
             )
         self.w_final = w_final
         # bytes() makes a copy: no buffer export pins the live bytearrays.
-        self.committed = np.frombuffer(bytes(index.txn_committed), dtype=np.uint8)
         self.aborted = np.frombuffer(bytes(index.txn_aborted), dtype=np.uint8)
         self.txn_ids = np.asarray(index.txn_ids, dtype=np.int64)
 
@@ -515,9 +507,9 @@ class HistoryIndex:
         #: new slice's versions exceed every version the old one had.
         #: Anything cached against a (key, version) pair stays sound.
         self._clock = 0
-        #: order -> (clock, IndexColumns): the cached whole-index column
-        #: views, rebuilt when the mutation clock moves.  Not pickled.
-        self._columns: Dict[str, Tuple[int, IndexColumns]] = {}
+        #: (clock, IndexColumns): the cached whole-index column view,
+        #: rebuilt when the mutation clock moves.  Not pickled.
+        self._columns: Optional[Tuple[int, IndexColumns]] = None
         with _stage(profile, "index/scan"):
             self._register_txns(0, self.transactions)
             scan = self._scan_txn
@@ -546,7 +538,7 @@ class HistoryIndex:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self._columns = {}
+        self._columns = None
         for slot, value in state.items():
             setattr(self, slot, value)
         # Restore the slices' back-references: they pickled without their
@@ -912,22 +904,21 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     # Access
 
-    def columns(self, order: str = "read") -> Optional[IndexColumns]:
-        """The whole-index CSR column view for a key ``order``, cached.
+    def columns(self) -> Optional[IndexColumns]:
+        """The whole-index CSR column view in ``read_key_order``, cached.
 
-        ``order`` is ``"read"`` (keys in ``read_key_order``, the
-        list-append merge order) or ``"key"`` (``key_order``, first
-        appearance).  Returns ``None`` when numpy is unavailable — callers
-        fall back to the per-key object path.  The view is immutable; any
-        index mutation bumps the clock and the next call rebuilds.
+        Feeds the list-append whole-index screen.  Returns ``None`` when
+        numpy is unavailable — callers fall back to the per-key object
+        path.  The view is immutable; any index mutation bumps the clock
+        and the next call rebuilds.
         """
         if _np is None:
             return None
-        cached = self._columns.get(order)
+        cached = self._columns
         if cached is not None and cached[0] == self._clock:
             return cached[1]
-        cols = IndexColumns(self, order)
-        self._columns[order] = (self._clock, cols)
+        cols = IndexColumns(self)
+        self._columns = (self._clock, cols)
         return cols
 
     def slice(self, key: Any) -> KeySlice:

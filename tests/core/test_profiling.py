@@ -159,20 +159,17 @@ class TestColumnarProfiling:
         )
         assert counters["keyspace.survivor_reads"] >= 0
 
-    def test_rw_register_screen_feeds_the_per_key_loop(self):
+    def test_rw_register_runs_only_the_per_key_loop(self):
         history = figure4_history(600, 4, workload="rw-register")
         history._index = None
         profile = Profile()
         result = check(history, workload="rw-register", profile=profile)
         assert result.valid
-        # The register screen precomputes per-read records but every key
-        # still runs the (pre-fed) per-key loop.
-        assert "analyze/columnar-screen" in profile.stages
+        # Registers have no whole-index pass: even forced columnar, every
+        # key runs the per-key loop and no screen key accounting appears.
+        assert "analyze/columnar-screen" not in profile.stages
         assert "analyze/keys" in profile.stages
-        counters = profile.counters
-        assert counters["keyspace.columnar_keys"] == 0
-        assert counters["keyspace.fallback_keys"] == counters["keyspace.keys"]
-        assert counters["keyspace.survivor_reads"] >= 0
+        assert "keyspace.columnar_keys" not in profile.counters
 
     def test_small_histories_skip_the_screen(self, monkeypatch):
         import repro.core.keyspace as keyspace

@@ -30,7 +30,6 @@ import repro.core.internal as internal_mod
 import repro.core.keyspace as keyspace_mod
 import repro.core.list_append as list_append_mod
 import repro.core.orders as orders_mod
-import repro.core.rw_register as rw_register_mod
 import repro.graph.csr as csr_mod
 import repro.graph.edgelog as edgelog_mod
 import repro.graph.intervals as intervals_mod
@@ -46,7 +45,6 @@ ACCELERATED_MODULES = [
     keyspace_mod,
     list_append_mod,
     orders_mod,
-    rw_register_mod,
 ]
 
 FAULTS = {
@@ -77,8 +75,8 @@ def make_history(workload, fault, seed, txns=250):
 
 def check_options(workload):
     if workload == "rw-register":
-        # All four version-order sources: the register screen precomputes
-        # the committed stream, version pins, and realtime filters.
+        # All four version-order sources: the per-key register path then
+        # exercises the CSR, process-order and realtime-interval twins.
         return {
             "sources": (
                 "initial-state",

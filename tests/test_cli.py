@@ -193,6 +193,62 @@ class TestFollowMode:
             main(["--follow", "--chunk", "0"])
 
 
+class TestInputErrors:
+    """Bad input exits 2 with one ``error:`` line; 1 is kept for INVALID."""
+
+    @pytest.fixture
+    def malformed(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        assert main(["--quiet", "--txns", "5", "--dump-history", str(path)]) == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        del record["index"]
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def assert_input_error(capsys, code):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_malformed_history_batch(self, malformed, capsys):
+        capsys.readouterr()
+        code = main(["--quiet", "--in", str(malformed)])
+        self.assert_input_error(capsys, code)
+
+    def test_malformed_history_follow(self, malformed, capsys):
+        capsys.readouterr()
+        code = main(["--quiet", "--follow", "--in", str(malformed)])
+        self.assert_input_error(capsys, code)
+
+    def test_missing_input_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.jsonl")
+        self.assert_input_error(capsys, main(["--quiet", "--in", missing]))
+        self.assert_input_error(
+            capsys, main(["--quiet", "--follow", "--in", missing])
+        )
+
+    def test_negative_txns(self, capsys):
+        self.assert_input_error(capsys, main(["--quiet", "--txns", "-3"]))
+
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_rejects_nonpositive_fault_window(self, window, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--fault", "tidb-retry", "--fault-window", window])
+        assert excinfo.value.code == 2
+        assert "--fault-window must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shards", ["0", "-1"])
+    def test_rejects_nonpositive_shards(self, shards, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--shards", shards])
+        assert excinfo.value.code == 2
+        assert "--shards must be positive" in capsys.readouterr().err
+
+
 class TestFollowJson:
     """--json: per-chunk verdict deltas in the service's record shape."""
 
