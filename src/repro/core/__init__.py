@@ -36,7 +36,7 @@ from .keyspace import (
     execute_plan,
     register_plan,
 )
-from .list_append import analyze_list_append, build_append_index
+from .list_append import analyze_list_append
 from .rw_register import analyze_rw_register, build_write_index
 from .objects import (
     AppendList,
@@ -91,7 +91,6 @@ __all__ = [
     "analyze_rw_register",
     "anomalies",
     "build_add_index",
-    "build_append_index",
     "build_write_index",
     "check",
     "check_stream",

@@ -25,13 +25,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 from ..history.ops import ADD, APPEND, INCREMENT, READ, WRITE, Transaction
 from .anomalies import INTERNAL, Anomaly
-
-try:  # Optional acceleration for the candidate sweep.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
 
 # Sentinel kinds for per-key knowledge.
 _KNOWN = "known"    # exact value known (after a read)
@@ -179,17 +176,11 @@ def internal_candidate_positions(index, lo: int, hi: int) -> List[int]:
 
     The replay only ever fires for committed transactions whose candidate
     bit is set (a read-with-value follows an earlier micro-op on the same
-    key), so the sweep is a bitwise AND over the two status columns.  With
-    numpy that is one vectorized pass; the pure-Python twin walks the
-    bytearrays directly.
+    key), so the sweep is one vectorized AND over the two status columns.
     """
-    committed = index.txn_committed
-    candidates = index.internal_candidates
-    if _np is not None and hi - lo >= 1024:
-        mask = _np.frombuffer(committed[lo:hi], dtype=_np.uint8) & _np.frombuffer(
-            candidates[lo:hi], dtype=_np.uint8
-        )
-        return [p + lo for p in _np.flatnonzero(mask).tolist()]
-    return [
-        pos for pos in range(lo, hi) if committed[pos] and candidates[pos]
-    ]
+    committed = index.txn_committed[lo:hi]
+    candidates = index.internal_candidates[lo:hi]
+    mask = np.frombuffer(committed, dtype=np.uint8) & np.frombuffer(
+        candidates, dtype=np.uint8
+    )
+    return [p + lo for p in np.flatnonzero(mask).tolist()]

@@ -54,16 +54,6 @@ from .anomalies import Anomaly
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
 from .profiling import Profile, stage
 
-try:  # Optional: the whole-index columnar fast path is numpy-backed.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
-
-#: Histories below this size run the classic per-key path even when numpy
-#: is available: the columnar pass has fixed setup cost (column builds,
-#: screens) that only pays off once the per-key Python loop dominates.
-COLUMNAR_MIN_TXNS = 512
-
 #: Batch sort key: (phase, major, minor).  Phases order anomaly groups the
 #: way the historical analyzers emitted them: 0 = internal consistency
 #: (transaction-major), 1 = per-read checks (transaction-major), 2 = per-key
@@ -233,10 +223,7 @@ class KeyspacePlan:
         (including the merge into ``analysis``); ``False`` to fall back to
         the classic per-key chunk path.  Only the list-append plan
         overrides it; every other plan, rw-register included, always runs
-        the per-key :meth:`analyze_key` path.  That path is also the
-        pure-Python twin of the override, selected exactly like the
-        fallbacks in ``csr.py`` / ``edgelog.py`` (numpy missing, or the
-        history below :data:`COLUMNAR_MIN_TXNS`).
+        the per-key :meth:`analyze_key` path.
         """
         return False
 
@@ -244,19 +231,11 @@ class KeyspacePlan:
         """Internal-consistency anomalies for one committed transaction."""
         return INTERNAL_CHECKERS[self.workload](txn)
 
-    def columnar_eligible(self) -> bool:
-        """Shared gate for :meth:`analyze_index` implementations."""
-        return (
-            _np is not None
-            and len(self.index.transactions) >= COLUMNAR_MIN_TXNS
-        )
-
     def internal_anomaly_blocks(self) -> List[AnomalyBlock]:
         """The internal-consistency sweep over all transactions, as blocks.
 
         Used by ``analyze_index`` implementations; byte-identical to the
-        sweep inside :func:`_analyze_chunk` (same tags, same order), with
-        the candidate scan vectorized.
+        sweep inside :func:`_analyze_chunk` (same tags, same order).
         """
         index = self.index
         transactions = index.transactions
@@ -516,9 +495,8 @@ def execute_plan(
         profile.count("keyspace.shards", shards)
 
     if shards == 1:
-        # Whole-index columnar fast path first; a plan without one (or a
-        # history below the columnar threshold, or no numpy) declines and
-        # the classic per-key loop below is the pure-Python twin.
+        # Whole-index columnar pass first; a plan without one declines
+        # and the per-key loop below runs every key.
         if plan.analyze_index(analysis, profile):
             return
         n_txns = len(plan.index.transactions)

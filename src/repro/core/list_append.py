@@ -31,11 +31,12 @@ per-key work across a worker pool with byte-identical results.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
-from ..history import History, Transaction
-from ..history.index import check_unique_writes, duplicate_write_error
-from ..history.ops import APPEND
+import numpy as np
+
+from ..history import History
+from ..history.index import check_unique_writes
 from .analysis import Analysis, Evidence
 from .anomalies import (
     DIRTY_UPDATE,
@@ -61,37 +62,6 @@ from .keyspace import (
 from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
 from .profiling import Profile, stage
 from .validate import validate_workload_indexed
-
-try:  # Optional: the whole-index columnar fast path is numpy-backed.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
-
-
-def build_append_index(
-    txns: Sequence[Transaction],
-) -> Dict[Tuple[Any, Any], Transaction]:
-    """Map ``(key, element)`` to the transaction that appended it.
-
-    Every transaction participates — including aborted and indeterminate
-    ones, since identifying *aborted* writers is exactly how G1a is caught.
-    Two observed appends of the same element to the same key break
-    recoverability and indicate a broken generator, so they raise
-    :class:`~repro.errors.WorkloadError` rather than report an anomaly.
-    """
-    index: Dict[Tuple[Any, Any], Transaction] = {}
-    for txn in txns:
-        for mop in txn.mops:
-            if mop.fn != APPEND:
-                continue
-            slot = (mop.key, mop.value)
-            other = index.get(slot)
-            if other is not None and other.id != txn.id:
-                raise duplicate_write_error(
-                    "list-append", mop.key, mop.value, other, txn
-                )
-            index[slot] = txn
-    return index
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +179,13 @@ class ListAppendPlan(KeyspacePlan):
         its ww/wr/rw edges are computable as bulk id arrays — so the
         per-key plan invocation is skipped entirely.  Flagged reads land
         in ``(key, position)`` survivor arrays and their keys fall back
-        to :meth:`analyze_key`, the pure-Python twin, whose batches merge
+        to :meth:`analyze_key`, the per-key path, whose batches merge
         in the same tag order as ever.  Output — anomalies, graph
         emission order, evidence precedence — is byte-identical to the
         classic path; the sharding/streaming/service oracles pin that.
         """
-        if not self.columnar_eligible() or not self._keys:
+        if not self._keys:
             return False
-        np = _np
         index = self.index
         cols = index.columns()
 

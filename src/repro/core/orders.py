@@ -24,10 +24,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-try:  # Optional: vectorizes the realtime interval preparation.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback branch
-    _np = None
+import numpy as np
 
 from ..graph import interval_precedence_pairs
 from .analysis import Analysis
@@ -53,49 +50,32 @@ def add_process_edges(analysis: Analysis) -> None:
     aborted = index.txn_aborted
     ids = index.txn_ids
     total = len(ids)
-    if _np is not None and total >= 1024:
-        chains = [p for p in index.proc_positions.values() if p]
-        if not chains:
-            return
-        flat = _np.concatenate(
-            [_np.asarray(p, dtype=_np.int64) for p in chains]
-        )
-        lengths = _np.asarray([len(p) for p in chains], dtype=_np.int64)
-        seg = _np.repeat(_np.arange(len(chains), dtype=_np.int64), lengths)
-        committed_np = _np.frombuffer(committed, dtype=_np.uint8)
-        aborted_np = _np.frombuffer(aborted, dtype=_np.uint8)
-        # Running "last committed position" per chain: a segment-reset
-        # prefix max.  Offsetting each segment by a stride larger than any
-        # position makes later segments dominate earlier ones, so one
-        # global accumulate never leaks a maximum across a chain boundary.
-        stride = total + 2
-        x = _np.where(committed_np[flat] != 0, flat, -1)
-        acc = _np.maximum.accumulate(x + seg * stride) - seg * stride
-        prev = _np.empty_like(acc)
-        prev[0] = -1
-        prev[1:] = acc[:-1]
-        starts = _np.zeros(len(flat), dtype=bool)
-        starts[_np.cumsum(lengths[:-1])] = True
-        prev[starts] = -1
-        emit = (aborted_np[flat] == 0) & (prev >= 0)
-        ids_np = _np.asarray(ids, dtype=_np.int64)
-        analysis.add_order_edge_arrays(
-            ids_np[prev[emit]], ids_np[flat[emit]], PROCESS
-        )
+    chains = [p for p in index.proc_positions.values() if p]
+    if not chains:
         return
-    for positions in index.proc_positions.values():
-        sources: List[int] = []
-        targets: List[int] = []
-        last_committed = -1
-        for pos in positions:
-            if aborted[pos]:
-                continue
-            if last_committed >= 0:
-                sources.append(ids[last_committed])
-                targets.append(ids[pos])
-            if committed[pos]:
-                last_committed = pos
-        analysis.add_order_edge_arrays(sources, targets, PROCESS)
+    flat = np.concatenate([np.asarray(p, dtype=np.int64) for p in chains])
+    lengths = np.asarray([len(p) for p in chains], dtype=np.int64)
+    seg = np.repeat(np.arange(len(chains), dtype=np.int64), lengths)
+    committed_np = np.frombuffer(committed, dtype=np.uint8)
+    aborted_np = np.frombuffer(aborted, dtype=np.uint8)
+    # Running "last committed position" per chain: a segment-reset
+    # prefix max.  Offsetting each segment by a stride larger than any
+    # position makes later segments dominate earlier ones, so one
+    # global accumulate never leaks a maximum across a chain boundary.
+    stride = total + 2
+    x = np.where(committed_np[flat] != 0, flat, -1)
+    acc = np.maximum.accumulate(x + seg * stride) - seg * stride
+    prev = np.empty_like(acc)
+    prev[0] = -1
+    prev[1:] = acc[:-1]
+    starts = np.zeros(len(flat), dtype=bool)
+    starts[np.cumsum(lengths[:-1])] = True
+    prev[starts] = -1
+    emit = (aborted_np[flat] == 0) & (prev >= 0)
+    ids_np = np.asarray(ids, dtype=np.int64)
+    analysis.add_order_edge_arrays(
+        ids_np[prev[emit]], ids_np[flat[emit]], PROCESS
+    )
 
 
 def add_realtime_edges(analysis: Analysis) -> None:
@@ -117,38 +97,22 @@ def add_realtime_edges(analysis: Analysis) -> None:
     invoke = index.txn_invoke
     complete = index.txn_complete
     sentinel = history.max_index + 1
-    if _np is not None and len(ids) >= 1024:
-        aborted_np = _np.frombuffer(aborted, dtype=_np.uint8)
-        committed_np = _np.frombuffer(committed, dtype=_np.uint8)
-        complete_np = _np.asarray(complete, dtype=_np.int64)
-        keep = aborted_np == 0
-        observed = (committed_np != 0) & (complete_np >= 0) & keep
-        # Indeterminate completions are unobserved: each gets the next
-        # sentinel tick, in position order, exactly as the scalar loop.
-        pending = keep & ~observed
-        ticks = _np.cumsum(pending) + sentinel
-        resolved = _np.where(observed, complete_np, ticks)[keep]
-        # Stay columnar: the reduction and the edge-log ingest both take
-        # numpy arrays directly, no per-element boxing round-trip.
-        iv_ids = _np.asarray(ids, dtype=_np.int64)[keep]
-        iv_invoke = _np.asarray(invoke, dtype=_np.int64)[keep]
-        iv_complete = resolved
-    else:
-        iv_ids: List[int] = []
-        iv_invoke: List[int] = []
-        iv_complete: List[int] = []
-        for pos in range(len(ids)):
-            if aborted[pos]:
-                continue
-            iv_ids.append(ids[pos])
-            iv_invoke.append(invoke[pos])
-            if committed[pos] and complete[pos] >= 0:
-                iv_complete.append(complete[pos])
-            else:
-                # Indeterminate: the true completion is unobserved.
-                sentinel += 1
-                iv_complete.append(sentinel)
-    sources, targets = interval_precedence_pairs(iv_ids, iv_invoke, iv_complete)
+    aborted_np = np.frombuffer(aborted, dtype=np.uint8)
+    committed_np = np.frombuffer(committed, dtype=np.uint8)
+    complete_np = np.asarray(complete, dtype=np.int64)
+    keep = aborted_np == 0
+    observed = (committed_np != 0) & (complete_np >= 0) & keep
+    # Indeterminate completions are unobserved: each gets the next
+    # sentinel tick past every observed event, in position order.
+    pending = keep & ~observed
+    ticks = np.cumsum(pending) + sentinel
+    # Stay columnar: the reduction and the edge-log ingest both take
+    # numpy arrays directly, no per-element boxing round-trip.
+    sources, targets = interval_precedence_pairs(
+        np.asarray(ids, dtype=np.int64)[keep],
+        np.asarray(invoke, dtype=np.int64)[keep],
+        np.where(observed, complete_np, ticks)[keep],
+    )
     analysis.add_order_edge_arrays(sources, targets, REALTIME)
 
 

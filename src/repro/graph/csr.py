@@ -25,18 +25,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-try:  # Optional acceleration; every path below has a pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the _force flags
-    _np = None
+import numpy as np
 
 #: Mask that admits every edge regardless of label.
 ALL_EDGES = -1
-
-#: Below this edge count the pure-Python edge-log build wins (numpy's
-#: per-call overhead dominates tiny graphs).  Both builds are byte-identical,
-#: so the threshold is purely a performance knob.
-_BULK_MIN_EDGES = 512
 
 #: Below this edge count the scipy strongly-connected screen is not worth
 #: the array round-trip; the Python Tarjan runs directly.
@@ -54,7 +46,7 @@ def _sparse():
             from scipy import sparse as sp  # type: ignore
 
             _SCIPY_SPARSE = sp
-        except ImportError:  # pragma: no cover - exercised via _force flags
+        except ImportError:  # pragma: no cover - scipy is optional
             _SCIPY_SPARSE = False
     return _SCIPY_SPARSE
 
@@ -179,13 +171,76 @@ class CSRGraph:
         ``u0, v0, u1, v1, ...`` stream, and each row's successors keep
         first-emission order.
 
-        Large logs of integer nodes take a vectorized numpy path
-        (sort/reduce over flat arrays); small logs — and numpy-less
-        installs — use the byte-identical dict build, :meth:`from_edges`.
+        The build is vectorized over flat integer arrays (sort/reduce);
+        :meth:`from_edges` is the dict build for arbitrary hashable nodes.
         """
-        if _np is not None and len(us) >= _BULK_MIN_EDGES:
-            return cls._from_edge_log_np(us, vs, labels)
-        return cls.from_edges(us, vs, labels)
+        u = np.asarray(us, dtype=np.int64)
+        v = np.asarray(vs, dtype=np.int64)
+        lab = np.asarray(labels, dtype=np.int64)
+        e = len(u)
+        if e == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return cls._from_np(empty, np.zeros(1, dtype=np.int64), empty, empty, 0)
+        # Nodes, in first-appearance order over the interleaved stream.
+        interleaved = np.empty(2 * e, dtype=np.int64)
+        interleaved[0::2] = u
+        interleaved[1::2] = v
+        lo = int(interleaved.min())
+        hi = int(interleaved.max())
+        if lo >= 0 and hi < 8 * e + 1024:
+            # Dense node domain (transaction ids): two scatters replace the
+            # O(n log n) sort inside np.unique.  Fancy assignment keeps the
+            # *last* write per repeated index, so assigning in reverse
+            # stream order records each node's first appearance.
+            first_occ = np.full(hi + 1, -1, dtype=np.int64)
+            first_occ[interleaved[::-1]] = np.arange(
+                2 * e - 1, -1, -1, dtype=np.int64
+            )
+            present = np.flatnonzero(first_occ >= 0)  # sorted by value
+            node_vals = present[np.argsort(first_occ[present])]
+            n = len(node_vals)
+            rank = np.empty(hi + 1, dtype=np.int64)
+            rank[node_vals] = np.arange(n, dtype=np.int64)
+            uid = rank[u]
+            vid = rank[v]
+            node_source = node_vals
+        else:
+            uniq, first = np.unique(interleaved, return_index=True)
+            n = len(uniq)
+            order = np.argsort(first)
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n, dtype=np.int64)
+            uid = rank[np.searchsorted(uniq, u)]
+            vid = rank[np.searchsorted(uniq, v)]
+            node_source = uniq[order]
+        # Group emissions by (u, v): OR the labels, keep the first emission
+        # position (stable sort => the group's minimum stream index).
+        pair = uid * n + vid
+        by_pair = np.argsort(pair, kind="stable")
+        sorted_pair = pair[by_pair]
+        starts_mask = np.empty(e, dtype=bool)
+        starts_mask[0] = True
+        np.not_equal(sorted_pair[1:], sorted_pair[:-1], out=starts_mask[1:])
+        starts = np.flatnonzero(starts_mask)
+        pairs = sorted_pair[starts]
+        pair_labels = np.bitwise_or.reduceat(lab[by_pair], starts)
+        pair_first = by_pair[starts]
+        # CSR rows: sort unique pairs by (source id, first emission).
+        src = pairs // n
+        dst = pairs - src * n
+        row_order = np.lexsort((pair_first, src))
+        indices_np = dst[row_order]
+        labels_np = pair_labels[row_order]
+        counts = np.bincount(src, minlength=n)
+        indptr_np = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr_np[1:])
+        return cls._from_np(
+            node_source,
+            indptr_np,
+            indices_np,
+            labels_np,
+            int(np.bitwise_or.reduce(lab)),
+        )
 
     @classmethod
     def from_edges(
@@ -215,73 +270,6 @@ class CSRGraph:
                 flat_labels.extend(targets.values())
             indptr[i + 1] = pos
         return cls(nodes, index_of, indptr, indices, flat_labels)
-
-    @classmethod
-    def _from_edge_log_np(cls, us, vs, labels) -> "CSRGraph":
-        u = _np.asarray(us, dtype=_np.int64)
-        v = _np.asarray(vs, dtype=_np.int64)
-        lab = _np.asarray(labels, dtype=_np.int64)
-        e = len(u)
-        # Nodes, in first-appearance order over the interleaved stream.
-        interleaved = _np.empty(2 * e, dtype=_np.int64)
-        interleaved[0::2] = u
-        interleaved[1::2] = v
-        lo = int(interleaved.min())
-        hi = int(interleaved.max())
-        if lo >= 0 and hi < 8 * e + 1024:
-            # Dense node domain (transaction ids): two scatters replace the
-            # O(n log n) sort inside np.unique.  Fancy assignment keeps the
-            # *last* write per repeated index, so assigning in reverse
-            # stream order records each node's first appearance.
-            first_occ = _np.full(hi + 1, -1, dtype=_np.int64)
-            first_occ[interleaved[::-1]] = _np.arange(
-                2 * e - 1, -1, -1, dtype=_np.int64
-            )
-            present = _np.flatnonzero(first_occ >= 0)  # sorted by value
-            node_vals = present[_np.argsort(first_occ[present])]
-            n = len(node_vals)
-            rank = _np.empty(hi + 1, dtype=_np.int64)
-            rank[node_vals] = _np.arange(n, dtype=_np.int64)
-            uid = rank[u]
-            vid = rank[v]
-            node_source = node_vals
-        else:
-            uniq, first = _np.unique(interleaved, return_index=True)
-            n = len(uniq)
-            order = _np.argsort(first)
-            rank = _np.empty(n, dtype=_np.int64)
-            rank[order] = _np.arange(n, dtype=_np.int64)
-            uid = rank[_np.searchsorted(uniq, u)]
-            vid = rank[_np.searchsorted(uniq, v)]
-            node_source = uniq[order]
-        # Group emissions by (u, v): OR the labels, keep the first emission
-        # position (stable sort => the group's minimum stream index).
-        pair = uid * n + vid
-        by_pair = _np.argsort(pair, kind="stable")
-        sorted_pair = pair[by_pair]
-        starts_mask = _np.empty(e, dtype=bool)
-        starts_mask[0] = True
-        _np.not_equal(sorted_pair[1:], sorted_pair[:-1], out=starts_mask[1:])
-        starts = _np.flatnonzero(starts_mask)
-        pairs = sorted_pair[starts]
-        pair_labels = _np.bitwise_or.reduceat(lab[by_pair], starts)
-        pair_first = by_pair[starts]
-        # CSR rows: sort unique pairs by (source id, first emission).
-        src = pairs // n
-        dst = pairs - src * n
-        row_order = _np.lexsort((pair_first, src))
-        indices_np = dst[row_order]
-        labels_np = pair_labels[row_order]
-        counts = _np.bincount(src, minlength=n)
-        indptr_np = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=indptr_np[1:])
-        return cls._from_np(
-            node_source,
-            indptr_np,
-            indices_np,
-            labels_np,
-            int(_np.bitwise_or.reduce(lab)) if e else 0,
-        )
 
     # ------------------------------------------------------------------
     # Node-domain queries
@@ -484,7 +472,7 @@ class CSRGraph:
 
     def _provably_acyclic(self, mask: int) -> bool:
         """True only when a C-speed screen proves no cycle exists under ``mask``."""
-        if _np is None or self._e < _FAST_SCC_MIN_EDGES:
+        if self._e < _FAST_SCC_MIN_EDGES:
             return False
         sparse = _sparse()
         if not sparse:
@@ -492,9 +480,9 @@ class CSRGraph:
         arrays = self._np_arrays
         if arrays is None:
             arrays = self._np_arrays = (
-                _np.asarray(self.indptr, dtype=_np.int64),
-                _np.asarray(self.indices, dtype=_np.int64),
-                _np.asarray(self.labels, dtype=_np.int64),
+                np.asarray(self.indptr, dtype=np.int64),
+                np.asarray(self.indices, dtype=np.int64),
+                np.asarray(self.labels, dtype=np.int64),
             )
         indptr_np, indices_np, labels_np = arrays
         n = self._n
@@ -502,7 +490,7 @@ class CSRGraph:
             # Every edge visible: wrap the existing CSR arrays directly.
             matrix = sparse.csr_matrix(
                 (
-                    _np.ones(len(indices_np), dtype=_np.int8),
+                    np.ones(len(indices_np), dtype=np.int8),
                     indices_np,
                     indptr_np,
                 ),
@@ -510,12 +498,12 @@ class CSRGraph:
             )
         else:
             keep = (labels_np & mask) != 0
-            rows = _np.repeat(
-                _np.arange(n, dtype=_np.int64), _np.diff(indptr_np)
+            rows = np.repeat(
+                np.arange(n, dtype=np.int64), np.diff(indptr_np)
             )[keep]
             matrix = sparse.csr_matrix(
                 (
-                    _np.ones(len(rows), dtype=_np.int8),
+                    np.ones(len(rows), dtype=np.int8),
                     (rows, indices_np[keep]),
                 ),
                 shape=(n, n),

@@ -19,12 +19,9 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from .csr import ALL_EDGES, CSRGraph
+import numpy as np
 
-try:  # Optional acceleration; every path below has a pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
+from .csr import ALL_EDGES, CSRGraph
 
 
 class EdgeLogGraph:
@@ -78,22 +75,16 @@ class EdgeLogGraph:
         if n == 0:
             return
         self._csr = None
-        if _np is not None and isinstance(us, _np.ndarray):
-            # numpy int64 shares array('q')'s native 8-byte layout, so the
-            # append is a memcpy instead of per-element boxing.
-            self._u.frombytes(us.astype(_np.int64, copy=False).tobytes())
-            self._v.frombytes(
-                _np.asarray(vs).astype(_np.int64, copy=False).tobytes()
-            )
-        else:
-            self._u.extend(us)
-            self._v.extend(vs)
+        # numpy int64 shares array('q')'s native 8-byte layout, so the
+        # append is a memcpy instead of per-element boxing.
+        self._u.frombytes(np.asarray(us, dtype=np.int64).tobytes())
+        self._v.frombytes(np.asarray(vs, dtype=np.int64).tobytes())
         self._l.extend(array("q", [label]) * n)
 
     def add_edge_columns(
-        self, us: "_np.ndarray", vs: "_np.ndarray", labels: "_np.ndarray"
+        self, us: Sequence[int], vs: Sequence[int], labels: Sequence[int]
     ) -> None:
-        """Append parallel numpy columns with per-edge labels in one memcpy.
+        """Append parallel columns with per-edge labels in one memcpy each.
 
         The whole-index analyzer emits its clean-key wr/rw/ww stream here;
         labels are dependency bits, non-zero by construction.
@@ -101,14 +92,9 @@ class EdgeLogGraph:
         if len(us) == 0:
             return
         self._csr = None
-        if _np is not None and isinstance(us, _np.ndarray):
-            self._u.frombytes(us.astype(_np.int64, copy=False).tobytes())
-            self._v.frombytes(vs.astype(_np.int64, copy=False).tobytes())
-            self._l.frombytes(labels.astype(_np.int64, copy=False).tobytes())
-        else:
-            self._u.extend(us)
-            self._v.extend(vs)
-            self._l.extend(labels)
+        self._u.frombytes(np.asarray(us, dtype=np.int64).tobytes())
+        self._v.frombytes(np.asarray(vs, dtype=np.int64).tobytes())
+        self._l.frombytes(np.asarray(labels, dtype=np.int64).tobytes())
 
     def add_edge_keys(self, triples: Iterable[Tuple[int, int, int]]) -> None:
         """Append pre-validated ``(u, v, label)`` triples in bulk.

@@ -51,13 +51,10 @@ import weakref
 from contextlib import nullcontext
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..errors import RetiredKeyError, WorkloadError
 from .ops import OpType, READ, MicroOp, Transaction
-
-try:  # Optional: the whole-index column views are numpy-backed.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy job
-    _np = None
 
 
 def _stage(profile, name: str):
@@ -405,7 +402,6 @@ class IndexColumns:
     )
 
     def __init__(self, index: "HistoryIndex") -> None:
-        np = _np
         self.keys: List[Any] = list(index.read_key_order)
         slices = [index.slices[key] for key in self.keys]
         nk = len(slices)
@@ -904,16 +900,12 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     # Access
 
-    def columns(self) -> Optional[IndexColumns]:
+    def columns(self) -> IndexColumns:
         """The whole-index CSR column view in ``read_key_order``, cached.
 
-        Feeds the list-append whole-index screen.  Returns ``None`` when
-        numpy is unavailable — callers fall back to the per-key object
-        path.  The view is immutable; any index mutation bumps the clock
-        and the next call rebuilds.
+        Feeds the list-append whole-index screen.  The view is immutable;
+        any index mutation bumps the clock and the next call rebuilds.
         """
-        if _np is None:
-            return None
         cached = self._columns
         if cached is not None and cached[0] == self._clock:
             return cached[1]

@@ -9,8 +9,6 @@ tests pin the accumulation semantics, the report format, and the
 
 import time
 
-import pytest
-
 from repro import check
 from repro.__main__ import main
 from repro.core import Profile
@@ -105,19 +103,24 @@ class TestCheckProfiling:
             "analyze",
             "analyze/index",
             "index/scan",
-            "analyze/keys",
+            "analyze/columnar-screen",
+            "analyze/fallback",
             "analyze/merge",
             "analyze/orders",
             "freeze",
             "cycle-search",
         ):
             assert name in profile.stages, name
+        assert "analyze/keys" not in profile.stages
         assert profile.counters["index.txns"] == len(history.transactions)
         assert profile.counters["index.keys"] == len(history.index().slices)
         assert profile.counters["index.interned_values"] > 0
         assert profile.counters["graph.nodes"] > 0
         # Sub-stages are contained in their parents.
-        assert profile.stages["analyze"] >= profile.stages["analyze/keys"]
+        assert (
+            profile.stages["analyze"]
+            >= profile.stages["analyze/columnar-screen"]
+        )
         assert profile.stages["analyze/index"] >= profile.stages["index/scan"]
 
     def test_cached_index_records_no_build_stages(self):
@@ -130,14 +133,6 @@ class TestCheckProfiling:
 
 class TestColumnarProfiling:
     """The whole-index screen reports its stages and key accounting."""
-
-    @pytest.fixture(autouse=True)
-    def _force_columnar(self, monkeypatch):
-        import repro.core.keyspace as keyspace
-
-        if keyspace._np is None:
-            pytest.skip("columnar screens require numpy")
-        monkeypatch.setattr(keyspace, "COLUMNAR_MIN_TXNS", 0)
 
     def test_list_append_screen_stages_and_key_accounting(self):
         history = figure4_history(600, 4)
@@ -165,22 +160,22 @@ class TestColumnarProfiling:
         profile = Profile()
         result = check(history, workload="rw-register", profile=profile)
         assert result.valid
-        # Registers have no whole-index pass: even forced columnar, every
-        # key runs the per-key loop and no screen key accounting appears.
+        # Registers have no whole-index pass: every key runs the per-key
+        # loop and no screen key accounting appears.
         assert "analyze/columnar-screen" not in profile.stages
         assert "analyze/keys" in profile.stages
         assert "keyspace.columnar_keys" not in profile.counters
 
-    def test_small_histories_skip_the_screen(self, monkeypatch):
-        import repro.core.keyspace as keyspace
-
-        monkeypatch.setattr(keyspace, "COLUMNAR_MIN_TXNS", 512)
-        history = figure4_history(300, 4)
+    def test_small_histories_run_the_screen(self):
+        # No size cut-over: a few dozen transactions take the same
+        # whole-index pass as the largest history.
+        history = figure4_history(30, 4)
         history._index = None
         profile = Profile()
         check(history, profile=profile)
-        assert "analyze/columnar-screen" not in profile.stages
-        assert "analyze/keys" in profile.stages
+        assert "analyze/columnar-screen" in profile.stages
+        assert "analyze/keys" not in profile.stages
+        assert profile.counters["keyspace.columnar_keys"] > 0
 
 
 class TestProfileCLI:
@@ -193,11 +188,6 @@ class TestProfileCLI:
         assert "counters:" in out
 
     def test_profile_flag_surfaces_columnar_screen_stage(self, capsys):
-        import repro.core.keyspace as keyspace
-
-        if keyspace._np is None:
-            pytest.skip("columnar screens require numpy")
-        # 600 generated transactions cross COLUMNAR_MIN_TXNS (512).
         code = main(["--quiet", "--txns", "600", "--seed", "1", "--profile"])
         assert code == 0
         out = capsys.readouterr().out

@@ -702,11 +702,8 @@ def test_self_loop_label_outside_the_mask_is_no_cycle():
 
 
 def test_self_loops_in_a_bulk_built_snapshot():
-    from repro.graph.csr import _BULK_MIN_EDGES
-
-    # A long chain (enough edges for the numpy build when it is present)
-    # with self-loops at a few nodes, each under its own label.
-    n = _BULK_MIN_EDGES + 8
+    # A long chain with self-loops at a few nodes, each under its own label.
+    n = 520
     us = list(range(n - 1)) + [5, 77, 300]
     vs = list(range(1, n)) + [5, 77, 300]
     labels = [1] * (n - 1) + [2, 4, 2]

@@ -5,11 +5,14 @@ The analysis pipeline emits its dependency graph through
 byte-identical to the dict build :meth:`CSRGraph.from_edges` over the same
 emission stream: same node interning order, same successor row order, same
 OR-ed labels (``tests/graph/test_csr_equivalence.py`` pins that build
-against a plain dict-of-dicts).  The vectorized bulk builder is pinned
-against it, as is the scipy acyclicity screen that lets large clean graphs
-skip the Python Tarjan entirely.
+against a plain dict-of-dicts).  The vectorized :meth:`CSRGraph.from_edge_log`
+is pinned against it at every log size, as is the scipy acyclicity screen
+that lets large clean graphs skip the Python Tarjan entirely.
 """
 
+from array import array
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +21,6 @@ from repro.graph import CSRGraph, EdgeLogGraph
 from repro.graph import csr as csr_mod
 from repro.graph.csr import _FAST_SCC_MIN_EDGES
 from repro.graph.intervals import interval_precedence_pairs
-
-requires_numpy = pytest.mark.skipif(
-    csr_mod._np is None, reason="exercises the numpy bulk builder directly"
-)
 
 requires_scipy = pytest.mark.skipif(
     not csr_mod._sparse(), reason="the acyclicity screen needs scipy.sparse"
@@ -67,10 +66,17 @@ class TestEdgeLogEquivalence:
         ls = [label for _u, _v, label in edges]
         ref = csr_signature(reference_csr(edges))
         assert csr_signature(CSRGraph.from_edge_log(us, vs, ls)) == ref
-        if edges and csr_mod._np is not None:
-            assert csr_signature(CSRGraph._from_edge_log_np(us, vs, ls)) == ref
+        columns = (array("q", us), array("q", vs), array("q", ls))
+        assert csr_signature(CSRGraph.from_edge_log(*columns)) == ref
 
-    @requires_numpy
+    def test_empty_log_freezes_to_an_empty_snapshot(self):
+        csr = CSRGraph.from_edge_log(array("q"), array("q"), array("q"))
+        assert csr_signature(csr) == csr_signature(reference_csr([]))
+        assert csr_signature(csr) == ([], [0], [], [], 0)
+        assert csr.node_count == csr.edge_count == 0
+        assert csr.scc_idx() == []
+        assert csr.cyclic_scc_idx() == []
+
     def test_numpy_builder_handles_sparse_node_values(self):
         # Node values far above the edge count take the np.unique path
         # instead of the dense-domain scatter.
@@ -79,12 +85,13 @@ class TestEdgeLogEquivalence:
         vs = [v for _u, v, _l in edges]
         ls = [1] * len(edges)
         assert csr_signature(
-            CSRGraph._from_edge_log_np(us, vs, ls)
+            CSRGraph.from_edge_log(us, vs, ls)
         ) == csr_signature(reference_csr(edges))
 
-    def test_builder_outputs_python_ints(self):
+    @pytest.mark.parametrize("size", [1, 3, 1000])
+    def test_builder_outputs_python_ints(self, size):
         log = EdgeLogGraph()
-        log.add_edges_from([(i, i + 1, 1) for i in range(1000)])
+        log.add_edges_from([(i, i + 1, 1) for i in range(size)])
         csr = log.freeze()
         for seq in (csr.nodes, csr.indptr, csr.indices, csr.labels):
             assert all(type(x) is int for x in seq)
@@ -229,9 +236,7 @@ class TestEdgeLogApi:
         assert log.edge_label(4, 1) == 2
         assert log.emission_count == 5
 
-    @requires_numpy
     def test_numpy_columns_match_sequence_appends(self):
-        np = csr_mod._np
         us, vs, ls = [5, 1, 5], [1, 7, 1], [1, 2, 4]
         via_lists = EdgeLogGraph()
         via_lists.add_edge_columns(us, vs, ls)
@@ -323,26 +328,6 @@ class TestAcyclicityScreen:
 
 
 class TestIntervalPairs:
-    def test_numpy_sort_path_matches_tuple_sort(self, monkeypatch):
-        # Enough intervals to cross the numpy lexsort threshold, with
-        # heavy (time, kind) ties to stress the stable tie-breaking.
-        import repro.graph.intervals as intervals_mod
-
-        intervals = [(i, i % 97, i % 97 + 1 + i % 5) for i in range(1500)]
-        ids = [i for i, _a, _b in intervals]
-        invokes = [a for _i, a, _b in intervals]
-        completes = [b for _i, _a, b in intervals]
-        if intervals_mod._np is None:
-            pytest.skip("numpy unavailable; only the tuple sort exists")
-        via_numpy = interval_precedence_pairs(ids, invokes, completes)
-        # Force the tuple-sort branch for the reference computation.
-        monkeypatch.setattr(intervals_mod, "_np", None)
-        via_tuples = interval_precedence_pairs(ids, invokes, completes)
-        # The numpy branch may hand back int64 arrays; compare as lists.
-        assert [list(map(int, side)) for side in via_numpy] == [
-            list(side) for side in via_tuples
-        ]
-
     def test_invalid_interval_raises(self):
         with pytest.raises(ValueError):
             interval_precedence_pairs(["x"], [5], [5])

@@ -101,3 +101,18 @@ def test_no_redundant_edges(intervals):
         assert edge not in transitive_closure(rest), (
             f"edge {edge} is transitively implied"
         )
+
+
+def test_tuple_ids_come_back_whole():
+    # Hashable ids need not be scalars: tuples must not be unpacked into
+    # an integer matrix.
+    intervals = [((0, "a"), 0, 1), ((1, "b"), 2, 3), ((2, "c"), 4, 5)]
+    assert edges_of(intervals) == {
+        ((0, "a"), (1, "b")),
+        ((1, "b"), (2, "c")),
+    }
+    ids = [(0, 1), (2, 3), (4, 5)]
+    assert interval_precedence_pairs(ids, [0, 2, 4], [1, 3, 5]) == (
+        [(0, 1), (2, 3)],
+        [(2, 3), (4, 5)],
+    )
