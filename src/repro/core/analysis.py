@@ -16,7 +16,7 @@ plus the history already determine everything the record would say.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..graph import EdgeLogGraph
 from ..history import History, Transaction
@@ -83,43 +83,6 @@ class Analysis:
         self.graph.add_edge(u, v, evidence.kind)
         self.evidence.setdefault((u, v, evidence.kind), evidence)
 
-    def add_order_edges(
-        self, pairs: Iterable[Tuple[int, int]], evidence: Evidence
-    ) -> None:
-        """Bulk-record order edges sharing one justification shape.
-
-        Order-derived dependencies (process / realtime / timestamp) carry
-        evidence fully determined by their kind and endpoints, so nothing is
-        stored per pair — :meth:`edge_evidence` synthesizes the record on
-        demand — and the graph edges go in through the bulk path.
-        Self-edges are dropped as in :meth:`add_edge`.  Kinds outside
-        :data:`~repro.core.deps.ORDER_EDGES` fall back to per-pair storage.
-        """
-        kind = evidence.kind
-        us: List[int] = []
-        vs: List[int] = []
-        for u, v in pairs:
-            if u != v:
-                us.append(u)
-                vs.append(v)
-        self.graph.add_edge_arrays(us, vs, kind)
-        if not kind & ORDER_EDGES:
-            setdefault = self.evidence.setdefault
-            for u, v in zip(us, vs):
-                setdefault((u, v, kind), evidence)
-
-    def add_order_edge_arrays(
-        self, us: List[int], vs: List[int], kind: int
-    ) -> None:
-        """Bulk order edges as parallel endpoint arrays (no self-pairs).
-
-        The columnar twin of :meth:`add_order_edges` for callers that
-        already hold flat id arrays and guarantee ``us[i] != vs[i]``; the
-        kind must be one of :data:`~repro.core.deps.ORDER_EDGES`, whose
-        evidence is synthesized on demand.
-        """
-        self.graph.add_edge_arrays(us, vs, kind)
-
     def edge_evidence(self, u: int, v: int, bit: int) -> Optional[Evidence]:
         ev = self.evidence.get((u, v, bit))
         if ev is not None:
@@ -129,11 +92,3 @@ class Analysis:
                 return Evidence(kind=PROCESS, process=self.history[u].process)
             return Evidence(kind=bit)
         return None
-
-    def merge(self, other: "Analysis") -> "Analysis":
-        """Fold another analysis (same history) into this one."""
-        self.graph.union(other.graph)
-        self.anomalies.extend(other.anomalies)
-        for key, value in other.evidence.items():
-            self.evidence.setdefault(key, value)
-        return self

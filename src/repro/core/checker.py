@@ -1,6 +1,6 @@
 """The top-level checker: observation in, verdict and counterexamples out.
 
-:func:`check` runs the workload-appropriate analyzer, searches the inferred
+:func:`check` runs the workload's analysis plan, searches the inferred
 serialization graph for cycle anomalies, attaches Figure-2-style
 explanations to each cycle, and interprets the findings against a requested
 consistency model.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -29,6 +28,7 @@ from typing import (
 )
 
 from ..history import History
+from . import counter_set, list_append, rw_register  # noqa: F401 (register plans)
 from .analysis import Analysis
 from .anomalies import Anomaly, CycleAnomaly, sort_anomalies
 from .consistency import (
@@ -39,27 +39,13 @@ from .consistency import (
     weakest_violated,
     _validate as _validate_model,
 )
-from .counter_set import analyze_counter, analyze_grow_set
 from .cycle_search import find_cycle_anomalies
 from .explain import render_cycle
 from .gcpause import paused_gc
-from .list_append import analyze_list_append
+from .keyspace import PLANS, execute_plan
+from .orders import add_orders
 from .profiling import Profile
 from .profiling import stage as _stage
-from .rw_register import analyze_rw_register
-
-#: Registered analyzers: workload name -> analyze function.
-ANALYZERS: Dict[str, Callable[..., Analysis]] = {
-    "list-append": analyze_list_append,
-    "rw-register": analyze_rw_register,
-    "grow-set": analyze_grow_set,
-    "counter": analyze_counter,
-}
-
-
-def register_analyzer(workload: str, fn: Callable[..., Analysis]) -> None:
-    """Register an analyzer for a workload name (used by rw-register etc.)."""
-    ANALYZERS[workload] = fn
 
 
 @dataclass(frozen=True)
@@ -135,34 +121,37 @@ def analyze(
     workload: str = "list-append",
     process_edges: bool = True,
     realtime_edges: bool = True,
+    timestamp_edges: bool = False,
     shards: int = 1,
     profile: Optional[Profile] = None,
     **options,
 ) -> Analysis:
     """Run dependency inference only (no cycle search, no verdict).
 
-    ``shards`` fans the per-key analysis across a process pool (``1`` =
-    inline, identical results either way); ``profile`` collects the
-    analyzer's per-stage timings.  Both are forwarded only when set, so
-    analyzers registered via :func:`register_analyzer` need not accept
-    them.
+    The one way into analysis, for every workload: index the history,
+    build the workload's :class:`~repro.core.keyspace.KeyspacePlan` from
+    :data:`~repro.core.keyspace.PLANS` (extra ``options``, e.g.
+    ``sources`` for rw-register, go to the plan, which also validates the
+    observation), run it with :func:`~repro.core.keyspace.execute_plan`,
+    then add the §5.1 order edges.  ``shards`` fans the per-key analysis
+    across a process pool (``1`` = inline, identical results either way);
+    ``profile`` collects the per-stage timings.
     """
     try:
-        analyzer = ANALYZERS[workload]
+        plan_class = PLANS[workload]
     except KeyError:
         raise ValueError(
-            f"unknown workload {workload!r}; known: {sorted(ANALYZERS)}"
+            f"unknown workload {workload!r}; known: {sorted(PLANS)}"
         ) from None
-    if shards != 1:
-        options["shards"] = shards
-    if profile is not None:
-        options["profile"] = profile
-    return analyzer(
-        history,
-        process_edges=process_edges,
-        realtime_edges=realtime_edges,
-        **options,
-    )
+    analysis = Analysis(history=history, workload=workload)
+    with _stage(profile, "analyze/index"):
+        history.index(profile=profile)
+    with _stage(profile, "analyze/plan"):
+        plan = plan_class(history, **options)
+    execute_plan(plan, analysis, shards=shards, profile=profile)
+    with _stage(profile, "analyze/orders"):
+        add_orders(analysis, process_edges, realtime_edges, timestamp_edges)
+    return analysis
 
 
 def check(
@@ -177,16 +166,19 @@ def check(
 ) -> CheckResult:
     """Check an observation against a consistency model.
 
-    ``workload`` selects the analyzer (``list-append``, ``rw-register``,
-    ``grow-set``, ``counter``).  ``process_edges`` / ``realtime_edges``
-    control the §5.1 order inference; disable ``realtime_edges`` when the
-    database makes no real-time claims.  ``shards`` partitions the per-key
-    analysis across a ``multiprocessing`` pool (``python -m repro
-    --shards``); results are identical to ``shards=1``.  ``profile``, when
-    given, collects per-stage timings and SCC counters (see
-    :mod:`repro.core.profiling`; ``python -m repro --profile`` prints
-    them).  Extra keyword options pass through to the analyzer (e.g.
-    ``sources`` for rw-register).
+    Runs :func:`analyze` (the one analysis pipeline: plan, execution,
+    order edges), then :func:`finish_analysis` (cycle search, explanations,
+    verdict).  ``workload`` selects the keyspace plan (``list-append``,
+    ``rw-register``, ``grow-set``, ``counter``).  ``process_edges`` /
+    ``realtime_edges`` control the §5.1 order inference; disable
+    ``realtime_edges`` when the database makes no real-time claims.
+    ``shards`` partitions the per-key analysis across a
+    ``multiprocessing`` pool (``python -m repro --shards``); results are
+    identical to ``shards=1``.  ``profile``, when given, collects
+    per-stage timings and SCC counters (see :mod:`repro.core.profiling`;
+    ``python -m repro --profile`` prints them).  Extra keyword options
+    pass through to :func:`analyze` (``timestamp_edges``) or to the plan
+    (e.g. ``sources`` for rw-register).
     """
     _validate_model(consistency_model)
     with paused_gc():

@@ -27,12 +27,11 @@ the history's single-pass index, so they shard like the stronger analyzers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
-from ..history import History, Transaction
-from ..history.index import check_unique_writes, duplicate_write_error
-from ..history.ops import ADD
-from .analysis import Analysis, Evidence
+from ..history import History
+from ..history.index import check_unique_writes
+from .analysis import Evidence
 from .anomalies import G1A, GARBAGE_READ, Anomaly
 from .deps import RW, WR
 from .keyspace import (
@@ -41,31 +40,8 @@ from .keyspace import (
     KeyspacePlan,
     ReadCheckStyle,
     check_recoverable_read,
-    execute_plan,
     register_plan,
 )
-from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
-from .profiling import Profile, stage
-from .validate import validate_workload_indexed
-
-
-def build_add_index(
-    txns: Sequence[Transaction],
-) -> Dict[Tuple[Any, Any], Transaction]:
-    """Map ``(key, element)`` to the transaction that added it (unique adds)."""
-    index: Dict[Tuple[Any, Any], Transaction] = {}
-    for txn in txns:
-        for mop in txn.mops:
-            if mop.fn != ADD:
-                continue
-            slot = (mop.key, mop.value)
-            other = index.get(slot)
-            if other is not None and other.id != txn.id:
-                raise duplicate_write_error(
-                    "grow-set", mop.key, mop.value, other, txn
-                )
-            index[slot] = txn
-    return index
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +136,14 @@ class GrowSetPlan(KeyspacePlan):
 
 @register_plan
 class CounterPlan(KeyspacePlan):
-    """Per-key counter plausibility: reads within the feasible sum range."""
+    """Per-key counter plausibility: reads within the feasible sum range.
+
+    A committed read of key ``k`` returning ``v`` must satisfy
+    ``lo <= v <= hi`` where ``lo`` sums definitely-committed negative
+    increments plus nothing else, and ``hi`` sums every possibly-committed
+    positive increment (ok + indeterminate).  Violations are reported as
+    ``garbage-read`` — the counter held a value no interpretation produces.
+    """
 
     workload = "counter"
 
@@ -221,62 +204,3 @@ class CounterPlan(KeyspacePlan):
                     )
                 )
         return anomaly_blocks, []
-
-
-def analyze_grow_set(
-    history: History,
-    process_edges: bool = True,
-    realtime_edges: bool = True,
-    timestamp_edges: bool = False,
-    shards: int = 1,
-    profile: Profile = None,
-) -> Analysis:
-    """Grow-set analysis: wr/rw edges from element visibility."""
-    analysis = Analysis(history=history, workload="grow-set")
-    with stage(profile, "analyze/index"):
-        history.index(profile=profile)
-    validate_workload_indexed(history, "grow-set")
-    with stage(profile, "analyze/plan"):
-        plan = GrowSetPlan(history)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
-    with stage(profile, "analyze/orders"):
-        if process_edges:
-            add_process_edges(analysis)
-        if realtime_edges:
-            add_realtime_edges(analysis)
-        if timestamp_edges:
-            add_timestamp_edges(analysis)
-    return analysis
-
-
-def analyze_counter(
-    history: History,
-    process_edges: bool = True,
-    realtime_edges: bool = True,
-    timestamp_edges: bool = False,
-    shards: int = 1,
-    profile: Profile = None,
-) -> Analysis:
-    """Counter analysis: internal consistency and value plausibility.
-
-    A committed read of key ``k`` returning ``v`` must satisfy
-    ``lo <= v <= hi`` where ``lo`` sums definitely-committed negative
-    increments plus nothing else, and ``hi`` sums every possibly-committed
-    positive increment (ok + indeterminate).  Violations are reported as
-    ``garbage-read`` — the counter held a value no interpretation produces.
-    """
-    analysis = Analysis(history=history, workload="counter")
-    with stage(profile, "analyze/index"):
-        history.index(profile=profile)
-    validate_workload_indexed(history, "counter")
-    with stage(profile, "analyze/plan"):
-        plan = CounterPlan(history)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
-    with stage(profile, "analyze/orders"):
-        if process_edges:
-            add_process_edges(analysis)
-        if realtime_edges:
-            add_realtime_edges(analysis)
-        if timestamp_edges:
-            add_timestamp_edges(analysis)
-    return analysis

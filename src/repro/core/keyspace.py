@@ -53,6 +53,7 @@ from .analysis import Analysis, EdgeKey, Evidence
 from .anomalies import Anomaly
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
 from .profiling import Profile, stage
+from .validate import validate_workload_indexed
 
 #: Batch sort key: (phase, major, minor).  Phases order anomaly groups the
 #: way the historical analyzers emitted them: 0 = internal consistency
@@ -183,14 +184,17 @@ class KeyspacePlan:
     Subclasses set :attr:`workload`, validate the observation's
     recoverability contract in ``__init__`` (raising
     :class:`~repro.errors.WorkloadError` in the parent, deterministically),
-    and implement :meth:`analyze_key`.  ``plan_options`` must capture the
-    constructor keywords so a ``spawn``-based worker can rebuild the plan
-    from the pickled history.
+    and implement :meth:`analyze_key`.  The base constructor first rejects
+    micro-ops foreign to the workload, so that error outranks every
+    contract check a subclass runs after it.  ``plan_options`` must
+    capture the constructor keywords so a ``spawn``-based worker can
+    rebuild the plan from the pickled history.
     """
 
     workload: str = ""
 
     def __init__(self, history: History, **options: Any) -> None:
+        validate_workload_indexed(history, self.workload)
         self.history = history
         self.index: HistoryIndex = history.index()
         self.plan_options: Dict[str, Any] = dict(options)
@@ -231,18 +235,21 @@ class KeyspacePlan:
         """Internal-consistency anomalies for one committed transaction."""
         return INTERNAL_CHECKERS[self.workload](txn)
 
-    def internal_anomaly_blocks(self) -> List[AnomalyBlock]:
-        """The internal-consistency sweep over all transactions, as blocks.
+    def internal_anomaly_blocks(self, txn_lo: int, txn_hi: int) -> List[AnomalyBlock]:
+        """The internal-consistency sweep over a transaction range.
 
-        Used by ``analyze_index`` implementations; byte-identical to the
-        sweep inside :func:`_analyze_chunk` (same tags, same order).
+        Reads the index's columnar transaction status arrays and skips
+        every transaction whose ``internal_candidates`` bit is clear — a
+        transaction with no read-after-same-key micro-op can never witness
+        an internal anomaly, so the per-transaction checker only runs
+        where it could possibly report something.
         """
         index = self.index
         transactions = index.transactions
         txn_ids = index.txn_ids
         check_internal = self.check_internal
         blocks: List[AnomalyBlock] = []
-        for pos in internal_candidate_positions(index, 0, len(transactions)):
+        for pos in internal_candidate_positions(index, txn_lo, txn_hi):
             found = check_internal(transactions[pos])
             if found:
                 blocks.append(((PHASE_INTERNAL, txn_ids[pos], 0), found))
@@ -286,24 +293,9 @@ def _chunk_bounds(plan: KeyspacePlan, shards: int) -> List[Tuple[int, int, int, 
 def _analyze_chunk(
     plan: KeyspacePlan, txn_lo: int, txn_hi: int, key_lo: int, key_hi: int
 ) -> Batch:
-    """One worker's share: a transaction range and a key range.
-
-    The internal-consistency sweep reads the index's columnar transaction
-    status arrays and skips every transaction whose ``internal_candidates``
-    bit is clear — a transaction with no read-after-same-key micro-op can
-    never witness an internal anomaly, so the per-transaction checker only
-    runs where it could possibly report something.
-    """
-    anomaly_blocks: List[AnomalyBlock] = []
+    """One worker's share: a transaction range and a key range."""
+    anomaly_blocks = plan.internal_anomaly_blocks(txn_lo, txn_hi)
     edge_blocks: List[EdgeBlock] = []
-    index = plan.index
-    transactions = index.transactions
-    txn_ids = index.txn_ids
-    check_internal = plan.check_internal
-    for pos in internal_candidate_positions(index, txn_lo, txn_hi):
-        found = check_internal(transactions[pos])
-        if found:
-            anomaly_blocks.append(((PHASE_INTERNAL, txn_ids[pos], 0), found))
     keys = plan.keys()
     analyze_key = plan.analyze_key
     for key in keys[key_lo:key_hi]:

@@ -56,12 +56,9 @@ from .keyspace import (
     LazyEvidence,
     ReadCheckStyle,
     check_recoverable_read,
-    execute_plan,
     register_plan,
 )
-from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
-from .profiling import Profile, stage
-from .validate import validate_workload_indexed
+from .profiling import stage
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +380,7 @@ class ListAppendPlan(KeyspacePlan):
                 out_u = out_v = out_l = np.empty(0, dtype=np.int64)
                 out_indptr = np.zeros(nk + 1, dtype=np.int64)
 
-            anomaly_blocks = self.internal_anomaly_blocks()
+            anomaly_blocks = self.internal_anomaly_blocks(0, len(index.transactions))
 
         if profile is not None:
             profile.count("keyspace.columnar_keys", nk - len(fallback))
@@ -778,36 +775,3 @@ class ListAppendPlan(KeyspacePlan):
         if not aborted.isdisjoint(value):
             return True  # aborted read (G1a) / dirty update
         return value[-1] in nonfinal  # intermediate read (G1b)
-
-
-def analyze_list_append(
-    history: History,
-    process_edges: bool = True,
-    realtime_edges: bool = True,
-    timestamp_edges: bool = False,
-    shards: int = 1,
-    profile: Profile = None,
-) -> Analysis:
-    """Full list-append analysis of an observation.
-
-    Returns an :class:`Analysis` whose graph is the inferred direct
-    serialization graph and whose anomaly list carries every non-cycle
-    anomaly.  Cycle anomalies are found from the graph by
-    :mod:`repro.core.cycle_search`.  ``shards`` fans the per-key work
-    across a process pool (``1`` = inline) with identical results.
-    """
-    analysis = Analysis(history=history, workload="list-append")
-    with stage(profile, "analyze/index"):
-        history.index(profile=profile)
-    validate_workload_indexed(history, "list-append")
-    with stage(profile, "analyze/plan"):
-        plan = ListAppendPlan(history)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
-    with stage(profile, "analyze/orders"):
-        if process_edges:
-            add_process_edges(analysis)
-        if realtime_edges:
-            add_realtime_edges(analysis)
-        if timestamp_edges:
-            add_timestamp_edges(analysis)
-    return analysis

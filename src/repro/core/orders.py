@@ -31,6 +31,24 @@ from .analysis import Analysis
 from .deps import PROCESS, REALTIME, TIMESTAMP
 
 
+def add_orders(
+    analysis: Analysis, process: bool, realtime: bool, timestamp: bool
+) -> None:
+    """Add the enabled order-edge families to ``analysis``.
+
+    The single order-edge step of both the batch checker and the
+    streaming checker.  Order edges carry no stored evidence:
+    :meth:`~repro.core.analysis.Analysis.edge_evidence` synthesizes it
+    from the graph bit and the history.
+    """
+    if process:
+        add_process_edges(analysis)
+    if realtime:
+        add_realtime_edges(analysis)
+    if timestamp:
+        add_timestamp_edges(analysis)
+
+
 def add_process_edges(analysis: Analysis) -> None:
     """Chain each process's transactions in session (program) order.
 
@@ -73,9 +91,7 @@ def add_process_edges(analysis: Analysis) -> None:
     prev[starts] = -1
     emit = (aborted_np[flat] == 0) & (prev >= 0)
     ids_np = np.asarray(ids, dtype=np.int64)
-    analysis.add_order_edge_arrays(
-        ids_np[prev[emit]], ids_np[flat[emit]], PROCESS
-    )
+    analysis.graph.add_edge_arrays(ids_np[prev[emit]], ids_np[flat[emit]], PROCESS)
 
 
 def add_realtime_edges(analysis: Analysis) -> None:
@@ -113,7 +129,7 @@ def add_realtime_edges(analysis: Analysis) -> None:
         np.asarray(invoke, dtype=np.int64)[keep],
         np.where(observed, complete_np, ticks)[keep],
     )
-    analysis.add_order_edge_arrays(sources, targets, REALTIME)
+    analysis.graph.add_edge_arrays(sources, targets, REALTIME)
 
 
 def add_timestamp_edges(analysis: Analysis) -> None:
@@ -155,4 +171,4 @@ def add_timestamp_edges(analysis: Analysis) -> None:
         iv_invoke.append(invoke)
         iv_complete.append(complete)
     sources, targets = interval_precedence_pairs(iv_ids, iv_invoke, iv_complete)
-    analysis.add_order_edge_arrays(sources, targets, TIMESTAMP)
+    analysis.graph.add_edge_arrays(sources, targets, TIMESTAMP)

@@ -49,14 +49,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from ..graph import CSRGraph, interval_precedence_pairs
-from ..history import History, Transaction
-from ..history.index import (
-    check_unique_writes,
-    duplicate_write_error,
-    none_write_error,
-)
-from ..history.ops import WRITE
-from .analysis import Analysis, Evidence
+from ..history import History
+from ..history.index import check_unique_writes
+from .analysis import Evidence
 from .anomalies import (
     CYCLIC_VERSIONS,
     G1A,
@@ -74,12 +69,8 @@ from .keyspace import (
     KeyspacePlan,
     ReadCheckStyle,
     check_recoverable_read,
-    execute_plan,
     register_plan,
 )
-from .orders import add_process_edges, add_realtime_edges, add_timestamp_edges
-from .profiling import Profile, stage
-from .validate import validate_workload_indexed
 
 #: Version-order inference sources enabled by default.  ``process`` and
 #: ``realtime`` assume the database claims per-key sequential consistency /
@@ -104,32 +95,6 @@ def _validate_sources(sources: Sequence[str]) -> None:
             f"unknown version-order sources {sorted(unknown)}; "
             f"known: {sorted(KNOWN_SOURCES)}"
         )
-
-
-def build_write_index(
-    txns: Sequence[Transaction],
-) -> Dict[Tuple[Any, Any], Transaction]:
-    """Map ``(key, value)`` to the transaction that wrote it.
-
-    Unique written values are the workload's recoverability contract;
-    duplicates (or writes of ``None``, which would collide with the initial
-    version) raise :class:`~repro.errors.WorkloadError`.
-    """
-    index: Dict[Tuple[Any, Any], Transaction] = {}
-    for txn in txns:
-        for mop in txn.mops:
-            if mop.fn != WRITE:
-                continue
-            if mop.value is None:
-                raise none_write_error(mop.key, txn)
-            slot = (mop.key, mop.value)
-            other = index.get(slot)
-            if other is not None and other.id != txn.id:
-                raise duplicate_write_error(
-                    "rw-register", mop.key, mop.value, other, txn
-                )
-            index[slot] = txn
-    return index
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +147,7 @@ class RwRegisterPlan(KeyspacePlan):
     def __init__(
         self, history: History, sources: Sequence[str] = DEFAULT_SOURCES
     ) -> None:
+        # Ahead of the base constructor: bad sources outrank workload errors.
         _validate_sources(sources)
         super().__init__(history, sources=tuple(sources))
         check_unique_writes(self.index, "rw-register")
@@ -497,40 +463,3 @@ class RwRegisterPlan(KeyspacePlan):
             anomaly_blocks.append(((PHASE_LATE, key_pos, 0), late))
 
         return anomaly_blocks, edge_blocks
-
-
-def analyze_rw_register(
-    history: History,
-    process_edges: bool = True,
-    realtime_edges: bool = True,
-    timestamp_edges: bool = False,
-    sources: Sequence[str] = DEFAULT_SOURCES,
-    shards: int = 1,
-    profile: Profile = None,
-) -> Analysis:
-    """Full rw-register analysis of an observation.
-
-    ``sources`` selects the version-order inference rules (§5.2); see
-    :data:`DEFAULT_SOURCES`.  ``process_edges`` / ``realtime_edges`` control
-    the *transaction*-level session and real-time edges, independent of
-    whether those orders also feed version inference.  ``shards`` fans the
-    per-key work across a process pool (``1`` = inline).
-    """
-    # Validated here too (not just in the plan) so the historical error
-    # ordering holds: bad sources outrank workload-validation errors.
-    _validate_sources(sources)
-    analysis = Analysis(history=history, workload="rw-register")
-    with stage(profile, "analyze/index"):
-        history.index(profile=profile)
-    validate_workload_indexed(history, "rw-register")
-    with stage(profile, "analyze/plan"):
-        plan = RwRegisterPlan(history, sources=sources)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
-    with stage(profile, "analyze/orders"):
-        if process_edges:
-            add_process_edges(analysis)
-        if realtime_edges:
-            add_realtime_edges(analysis)
-        if timestamp_edges:
-            add_timestamp_edges(analysis)
-    return analysis

@@ -113,14 +113,6 @@ class EdgeLogGraph:
         self._v.extend(vs)
         self._l.extend(ls)
 
-    def union(self, other: "EdgeLogGraph") -> "EdgeLogGraph":
-        """Append another log's emissions after this one's; returns self."""
-        self._csr = None
-        self._u.extend(other._u)
-        self._v.extend(other._v)
-        self._l.extend(other._l)
-        return self
-
     # ------------------------------------------------------------------
     # Freezing and reads (all reads go through the cached snapshot).
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro import Analysis, ReproError, WorkloadError, check
-from repro.core import WR, WW, analyze, register_analyzer
+from repro.core import PROCESS, REALTIME, WR, WW, Profile, add_orders, analyze
 from repro.core.analysis import Evidence
-from repro.core.checker import ANALYZERS
+from repro.core.keyspace import PLANS
 from repro.errors import GeneratorError, HistoryError
+from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, append, r, w
 
 
@@ -28,8 +29,9 @@ class TestAnalyzeFunction:
         assert analysis.workload == "list-append"
 
     def test_unknown_workload(self):
-        with pytest.raises(ValueError, match="unknown workload"):
+        with pytest.raises(ValueError, match="unknown workload") as excinfo:
             analyze(History([]), workload="btree")
+        assert f"known: {sorted(PLANS)}" in str(excinfo.value)
 
     def test_options_forwarded(self):
         h = History.of(("ok", 0, [w("x", 1)]))
@@ -43,22 +45,67 @@ class TestAnalyzeFunction:
         with pytest.raises(WorkloadError, match="cannot interpret"):
             analyze(h, workload="list-append")
 
+    def test_bad_sources_outrank_workload_errors(self):
+        # A list-append history is foreign to rw-register, but the unknown
+        # version-order source is reported first.
+        h = History.of(("ok", 0, [append("x", 1)]))
+        with pytest.raises(
+            ValueError, match="unknown version-order sources"
+        ) as excinfo:
+            analyze(h, workload="rw-register", sources=("vector-clocks",))
+        assert not isinstance(excinfo.value, WorkloadError)
 
-class TestRegisterAnalyzer:
-    def test_custom_analyzer_dispatch(self):
-        calls = []
+    def test_workload_errors_outrank_duplicate_writes(self):
+        h = History.of(
+            ("ok", 0, [w("x", 1)]),
+            ("ok", 1, [w("x", 1), append("y", 2)]),
+        )
+        with pytest.raises(WorkloadError, match="cannot interpret"):
+            analyze(h, workload="rw-register")
 
-        def fake(history, **kw):
-            calls.append(kw)
-            return Analysis(history=history, workload="custom")
 
-        register_analyzer("custom", fake)
-        try:
-            result = check(History([]), workload="custom")
-            assert result.valid
-            assert calls and "process_edges" in calls[0]
-        finally:
-            del ANALYZERS["custom"]
+class TestOnePipeline:
+    """Every workload enters analysis through ``analyze()``'s one path."""
+
+    @pytest.mark.parametrize("workload", sorted(PLANS))
+    def test_every_workload_runs_the_same_stages(self, workload):
+        h = run_workload(
+            RunConfig(
+                txns=60,
+                concurrency=4,
+                workload=WorkloadConfig(workload=workload, active_keys=3),
+                seed=1,
+            )
+        )
+        profile = Profile()
+        analysis = analyze(h, workload=workload, profile=profile)
+        assert analysis.workload == workload
+        stages = [s for s in profile.stages if s.startswith("analyze/")]
+        assert stages[:2] == ["analyze/index", "analyze/plan"]
+        assert stages[-2:] == ["analyze/merge", "analyze/orders"]
+
+    def test_plan_rejects_foreign_micro_ops(self):
+        h = History.of(("ok", 0, [w("x", 1)]))
+        with pytest.raises(WorkloadError, match="cannot interpret"):
+            PLANS["list-append"](h)
+
+    def test_add_orders_adds_only_the_enabled_families(self):
+        h = History.of(
+            ("ok", 0, [append("x", 1)]),
+            ("ok", 0, [append("x", 2)]),
+        )
+        for flags, expected in (
+            ((False, False, False), 0),
+            ((True, False, False), PROCESS),
+            ((False, True, False), REALTIME),
+            ((True, True, False), PROCESS | REALTIME),
+        ):
+            analysis = Analysis(history=h, workload="list-append")
+            add_orders(analysis, *flags)
+            labels = 0
+            for _u, _v, label in analysis.graph.edges():
+                labels |= label
+            assert labels == expected, flags
 
 
 class TestAnalysisContainer:
@@ -80,15 +127,6 @@ class TestAnalysisContainer:
     def test_missing_evidence_is_none(self):
         a = self.make()
         assert a.edge_evidence(0, 2, WW) is None
-
-    def test_merge_combines(self):
-        a = self.make()
-        b = Analysis(history=a.history, workload="list-append")
-        a.add_edge(0, 2, Evidence(kind=WR))
-        b.add_edge(2, 0, Evidence(kind=WW))
-        a.merge(b)
-        assert a.graph.has_edge(0, 2, WR)
-        assert a.graph.has_edge(2, 0, WW)
 
     def test_txn_lookup(self):
         a = self.make()

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core import RW, WR
-from repro.core.counter_set import (
-    analyze_counter,
-    analyze_grow_set,
-    build_add_index,
-)
+from repro.core import RW, WR, analyze
 from repro.errors import WorkloadError
 from repro.history import History, add, inc, r
 
@@ -15,13 +10,13 @@ from repro.history import History, add, inc, r
 def analyze_set(*txns, **kw):
     kw.setdefault("process_edges", False)
     kw.setdefault("realtime_edges", False)
-    return analyze_grow_set(History.of(*txns), **kw)
+    return analyze(History.of(*txns), workload="grow-set", **kw)
 
 
 def analyze_ctr(*txns, **kw):
     kw.setdefault("process_edges", False)
     kw.setdefault("realtime_edges", False)
-    return analyze_counter(History.of(*txns), **kw)
+    return analyze(History.of(*txns), workload="counter", **kw)
 
 
 def names(analysis):
@@ -30,9 +25,8 @@ def names(analysis):
 
 class TestAddIndex:
     def test_duplicate_adds_rejected(self):
-        h = History.of(("ok", 0, [add("x", 1)]), ("ok", 1, [add("x", 1)]))
         with pytest.raises(WorkloadError, match="unique adds"):
-            build_add_index(h.transactions)
+            analyze_set(("ok", 0, [add("x", 1)]), ("ok", 1, [add("x", 1)]))
 
 
 class TestSection3Example:

@@ -178,19 +178,3 @@ class TestAnalyzeForwarding:
         sequential = analyze(h, shards=1)
         sharded = analyze(h, shards=2)
         assert sorted(sequential.graph.edges()) == sorted(sharded.graph.edges())
-
-    def test_custom_analyzers_unaffected_by_defaults(self):
-        # analyze() must not force shards/profile kwargs on analyzers that
-        # never opted in (registered third-party callables).
-        from repro.core import register_analyzer
-        from repro.core.checker import ANALYZERS
-
-        def fake(history, process_edges=True, realtime_edges=True):
-            return Analysis(history=history, workload="fake")
-
-        register_analyzer("fake-workload", fake)
-        try:
-            result = analyze(history(seed=3), workload="fake-workload")
-            assert result.workload == "fake"
-        finally:
-            ANALYZERS.pop("fake-workload", None)

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core import PROCESS, REALTIME, RW, WR, WW, analyze_list_append
+from repro.core import PROCESS, REALTIME, RW, WR, WW, analyze
 from repro.errors import WorkloadError
 from repro.history import History, append, r
 
 
-def analyze(*txns, **kw):
+def analyze_txns(*txns, **kw):
     kw.setdefault("process_edges", False)
     kw.setdefault("realtime_edges", False)
-    return analyze_list_append(History.of(*txns), **kw)
+    return analyze(History.of(*txns), workload="list-append", **kw)
 
 
 def anomaly_names(analysis):
@@ -20,13 +20,13 @@ def anomaly_names(analysis):
 class TestWriteIndex:
     def test_duplicate_appends_rejected(self):
         with pytest.raises(WorkloadError, match="globally unique"):
-            analyze(
+            analyze_txns(
                 ("ok", 0, [append("x", 1)]),
                 ("ok", 1, [append("x", 1)]),
             )
 
     def test_same_value_different_keys_ok(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("y", 1)]),
         )
@@ -35,7 +35,7 @@ class TestWriteIndex:
 
 class TestWrEdges:
     def test_wr_from_last_element_writer(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),   # T0 (id 0)
             ("ok", 1, [append("x", 2)]),   # T1 (id 2)
             ("ok", 2, [r("x", [1, 2])]),   # T2 (id 4)
@@ -45,11 +45,11 @@ class TestWrEdges:
         assert not g.has_edge(0, 4, WR)  # earlier writer linked via ww chain
 
     def test_wr_own_read_no_self_edge(self):
-        analysis = analyze(("ok", 0, [append("x", 1), r("x", [1])]))
+        analysis = analyze_txns(("ok", 0, [append("x", 1), r("x", [1])]))
         assert analysis.graph.edge_count == 0
 
     def test_empty_read_no_wr(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [r("x", [])]),
             ("ok", 1, [append("x", 1)]),
         )
@@ -60,7 +60,7 @@ class TestWrEdges:
 
 class TestWwEdges:
     def test_chain_follows_trace(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2)]),
             ("ok", 2, [append("x", 3)]),
@@ -74,7 +74,7 @@ class TestWwEdges:
     def test_intermediate_appends_skipped(self):
         # T0 appends 1 then 3 (1 is intermediate); T1 appends 2 between.
         # Order [1, 2, 3]: installed versions are [1,2] (T1) and [1,2,3] (T0).
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1), append("x", 3)]),
             ("ok", 1, [append("x", 2)]),
             ("ok", 2, [r("x", [1, 2, 3])]),
@@ -84,7 +84,7 @@ class TestWwEdges:
         assert not g.has_edge(0, 2, WW)  # the intermediate 1 orders nothing
 
     def test_unobserved_appends_unordered(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2)]),
             ("ok", 2, [r("x", [1])]),  # 2 unobserved
@@ -92,7 +92,7 @@ class TestWwEdges:
         assert not analysis.graph.has_edge(0, 2, WW)
 
     def test_ww_evidence_records_via(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2)]),
             ("ok", 2, [r("x", [1, 2])]),
@@ -105,7 +105,7 @@ class TestWwEdges:
 
 class TestRwEdges:
     def test_reader_of_stale_version(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [r("x", [1])]),
             ("ok", 2, [append("x", 2)]),
@@ -114,7 +114,7 @@ class TestRwEdges:
         assert analysis.graph.has_edge(2, 4, RW)  # reader of [1] -> writer of 2
 
     def test_empty_read_antidepends_on_first_writer(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [r("x", [])]),
             ("ok", 1, [append("x", 1)]),
             ("ok", 2, [r("x", [1])]),
@@ -122,7 +122,7 @@ class TestRwEdges:
         assert analysis.graph.has_edge(0, 2, RW)
 
     def test_current_read_no_rw(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [r("x", [1])]),
         )
@@ -133,7 +133,7 @@ class TestRwEdges:
     def test_rw_skips_to_next_installed(self):
         # T0 appends 1; T1 appends 2 then 3 (2 intermediate).  A reader of
         # [1] anti-depends on T1, which installed [1,2,3].
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2), append("x", 3)]),
             ("ok", 2, [r("x", [1])]),
@@ -145,7 +145,7 @@ class TestRwEdges:
         # Reader sees T1's intermediate version [1,2]; the next installed
         # version belongs to T1 itself, so no anti-dependency is emitted
         # (the real anomaly is the G1b, reported separately).
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2), append("x", 3)]),
             ("ok", 2, [r("x", [1, 2])]),
@@ -157,7 +157,7 @@ class TestRwEdges:
 
 class TestNonCycleAnomalies:
     def test_aborted_read_g1a(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("fail", 0, [append("x", 1)]),
             ("ok", 1, [r("x", [1])]),
         )
@@ -165,38 +165,38 @@ class TestNonCycleAnomalies:
         assert "G1a" in names
 
     def test_info_writer_not_g1a(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("info", 0, [append("x", 1)]),
             ("ok", 1, [r("x", [1])]),
         )
         assert "G1a" not in anomaly_names(analysis)
 
     def test_intermediate_read_g1b(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1), append("x", 2)]),
             ("ok", 1, [r("x", [1])]),
         )
         assert "G1b" in anomaly_names(analysis)
 
     def test_own_intermediate_read_not_g1b(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1), r("x", [1]), append("x", 2)]),
         )
         assert "G1b" not in anomaly_names(analysis)
 
     def test_final_version_read_not_g1b(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1), append("x", 2)]),
             ("ok", 1, [r("x", [1, 2])]),
         )
         assert "G1b" not in anomaly_names(analysis)
 
     def test_garbage_read(self):
-        analysis = analyze(("ok", 0, [r("x", [99])]))
+        analysis = analyze_txns(("ok", 0, [r("x", [99])]))
         assert anomaly_names(analysis) == ["garbage-read"]
 
     def test_duplicate_elements(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [r("x", [1, 1])]),
         )
@@ -205,7 +205,7 @@ class TestNonCycleAnomalies:
     def test_dirty_update(self):
         # Aborted T0's element 1 below committed T1's element 2: T1's
         # append acted on aborted state.
-        analysis = analyze(
+        analysis = analyze_txns(
             ("fail", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2)]),
             ("ok", 2, [r("x", [1, 2])]),
@@ -215,7 +215,7 @@ class TestNonCycleAnomalies:
         assert "G1a" in names  # the read itself also saw aborted data
 
     def test_incompatible_order_blocks_edges(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2)]),
             ("ok", 2, [r("x", [1, 2])]),
@@ -224,13 +224,13 @@ class TestNonCycleAnomalies:
         assert "incompatible-order" in anomaly_names(analysis)
 
     def test_internal_anomaly_surfaces(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1), r("x", [])]),
         )
         assert "internal" in anomaly_names(analysis)
 
     def test_clean_history_no_anomalies(self):
-        analysis = analyze(
+        analysis = analyze_txns(
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [r("x", [1]), append("x", 2)]),
             ("ok", 2, [r("x", [1, 2])]),
@@ -245,7 +245,9 @@ class TestOrderEdges:
             ("ok", 0, [append("x", 2)]),
             ("ok", 1, [append("y", 1)]),
         )
-        analysis = analyze_list_append(h, process_edges=True, realtime_edges=False)
+        analysis = analyze(
+            h, workload="list-append", process_edges=True, realtime_edges=False
+        )
         assert analysis.graph.has_edge(0, 2, PROCESS)
         assert not analysis.graph.has_edge(2, 4, PROCESS)
 
@@ -254,7 +256,9 @@ class TestOrderEdges:
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2)]),
         )
-        analysis = analyze_list_append(h, process_edges=False, realtime_edges=True)
+        analysis = analyze(
+            h, workload="list-append", process_edges=False, realtime_edges=True
+        )
         assert analysis.graph.has_edge(0, 2, REALTIME)
 
     def test_realtime_skips_concurrent(self):
@@ -262,7 +266,9 @@ class TestOrderEdges:
             ("ok", 0, [append("x", 1)]),
             ("ok", 1, [append("x", 2)]),
         )
-        analysis = analyze_list_append(h, process_edges=False, realtime_edges=True)
+        analysis = analyze(
+            h, workload="list-append", process_edges=False, realtime_edges=True
+        )
         assert not any(
             label & REALTIME for _u, _v, label in analysis.graph.edges()
         )
@@ -273,7 +279,124 @@ class TestOrderEdges:
             ("fail", 0, [append("x", 2)]),
             ("ok", 0, [append("x", 3)]),
         )
-        analysis = analyze_list_append(h, process_edges=True, realtime_edges=True)
+        analysis = analyze(
+            h, workload="list-append", process_edges=True, realtime_edges=True
+        )
         failed = h.transactions[1].id
         assert failed not in analysis.graph or analysis.graph.out_degree(failed) == 0
         assert analysis.graph.has_edge(0, 4, PROCESS)
+
+
+class TestVersionOrder:
+    """The longest committed read defines each key's version order (§4.3.2).
+
+    Every other committed read of the key must be a prefix of it; reads
+    that are not are ``incompatible-order`` anomalies.
+    """
+
+    def incompatible(self, analysis):
+        return [a for a in analysis.anomalies if a.name == "incompatible-order"]
+
+    def test_single_read_orders_its_writers(self):
+        analysis = analyze_txns(
+            ("ok", 0, [append("x", 1)]),  # id 0
+            ("ok", 1, [append("x", 2)]),  # id 2
+            ("ok", 2, [append("x", 3)]),  # id 4
+            ("ok", 3, [r("x", [1, 2, 3])]),
+        )
+        assert analysis.anomalies == []
+        assert analysis.graph.has_edge(0, 2, WW)
+        assert analysis.graph.has_edge(2, 4, WW)
+
+    def test_longest_read_wins(self):
+        analysis = analyze_txns(
+            ("ok", 0, [append("x", 1)]),  # id 0
+            ("ok", 1, [append("x", 2)]),  # id 2
+            ("ok", 2, [append("x", 3)]),  # id 4
+            ("ok", 3, [r("x", [1])]),
+            ("ok", 4, [r("x", [1, 2])]),
+            ("ok", 5, [r("x", [1, 2, 3])]),
+        )
+        assert analysis.anomalies == []
+        # Only the longest read saw 3 installed after 2.
+        assert analysis.graph.has_edge(2, 4, WW)
+
+    def test_incompatible_read_flagged(self):
+        analysis = analyze_txns(
+            ("ok", 0, [append("x", 1)]),
+            ("ok", 1, [append("x", 2)]),
+            ("ok", 2, [r("x", [1, 2])]),
+            ("ok", 3, [r("x", [2, 1])]),
+        )
+        (anomaly,) = analysis.anomalies
+        assert anomaly.name == "incompatible-order"
+
+    def test_one_report_per_distinct_value(self):
+        analysis = analyze_txns(
+            ("ok", 0, [append("x", 1), append("x", 2), append("x", 3)]),
+            ("ok", 1, [append("x", 9)]),
+            ("ok", 2, [r("x", [1, 2, 3])]),
+            ("ok", 3, [r("x", [9])]),
+            ("ok", 4, [r("x", [9])]),
+        )
+        assert len(self.incompatible(analysis)) == 1
+
+    def test_divergent_mid_history(self):
+        analysis = analyze_txns(
+            ("ok", 0, [append("x", 1), append("x", 2), append("x", 3)]),
+            ("ok", 1, [append("x", 9)]),
+            ("ok", 2, [r("x", [1, 2, 3])]),
+            ("ok", 3, [r("x", [1, 9])]),
+        )
+        (anomaly,) = self.incompatible(analysis)
+        assert anomaly.data["value"] == (1, 9)
+
+    def test_empty_reads_compatible_with_everything(self):
+        analysis = analyze_txns(
+            ("ok", 0, [append("x", 1)]),  # id 0
+            ("ok", 1, [r("x", [])]),  # id 2
+            ("ok", 2, [r("x", [1])]),
+        )
+        assert analysis.anomalies == []
+        # The empty read still anti-depends on the first installed write.
+        assert analysis.graph.has_edge(2, 0, RW)
+
+    def test_only_empty_reads_give_no_edges(self):
+        analysis = analyze_txns(("ok", 0, [r("x", [])]), ("ok", 1, [r("x", [])]))
+        assert analysis.anomalies == []
+        assert analysis.graph.edge_count == 0
+
+    def test_uncommitted_reads_ignored(self):
+        analysis = analyze_txns(
+            ("ok", 9, [append("x", 1)]),
+            ("ok", 0, [r("x", [1])]),
+            ("info", 1, [r("x", [1, 2, 3])]),
+            ("fail", 2, [r("x", [9, 9, 9])]),
+        )
+        assert analysis.anomalies == []
+
+    def test_unknown_read_values_ignored(self):
+        analysis = analyze_txns(
+            ("ok", 1, [append("y", 5)]),  # id 0
+            ("ok", 0, [r("x", None), r("y", [5])]),  # id 2
+        )
+        assert analysis.anomalies == []
+        assert sorted(analysis.graph.edges()) == [(0, 2, WR)]
+
+    def test_keys_independent(self):
+        analysis = analyze_txns(
+            ("ok", 2, [append("x", 1), append("y", 7)]),  # id 0
+            ("ok", 3, [append("x", 2), append("y", 8)]),  # id 2
+            ("ok", 0, [r("x", [1, 2]), r("y", [7])]),  # id 4
+            ("ok", 1, [r("y", [7, 8])]),  # id 6
+        )
+        assert analysis.anomalies == []
+        assert analysis.graph.has_edge(0, 2, WW)
+        assert analysis.graph.has_edge(4, 2, RW)  # missed y = 8
+
+    def test_writes_do_not_define_orders(self):
+        analysis = analyze_txns(
+            ("ok", 0, [append("x", 1)]), ("ok", 1, [append("x", 2)])
+        )
+        assert analysis.anomalies == []
+        assert analysis.graph.edge_count == 0

@@ -1,13 +1,13 @@
 """Focused tests for each rw-register version-order source (§5.2)."""
 
-from repro.core import RW, WW
-from repro.core.rw_register import analyze_rw_register
+from repro.core import RW, WW, analyze
 from repro.history import History, HistoryBuilder, r, w
 
 
-def analyze(history, *sources):
-    return analyze_rw_register(
+def analyze_sources(history, *sources):
+    return analyze(
         history,
+        workload="rw-register",
         process_edges=False,
         realtime_edges=False,
         sources=sources or ("initial-state", "write-follows-read"),
@@ -26,13 +26,13 @@ class TestProcessSource:
         )
 
     def test_process_source_orders_versions(self):
-        a = analyze(self.history(), "process")
+        a = analyze_sources(self.history(), "process")
         # Process 0 touched x at 1, then at 2: version edge 1 -> 2 gives
         # ww T(w1) -> T(w2).
         assert a.graph.has_edge(0, 2, WW)
 
     def test_without_process_source_no_ww(self):
-        a = analyze(self.history(), "initial-state")
+        a = analyze_sources(self.history(), "initial-state")
         assert not a.graph.has_edge(0, 2, WW)
 
 
@@ -44,7 +44,7 @@ class TestProcessSourceCycleDetection:
             ("ok", 0, [w("x", 1)]),
             ("ok", 0, [r("x", None)]),
         )
-        a = analyze(h, "initial-state", "process")
+        a = analyze_sources(h, "initial-state", "process")
         assert any(an.name == "cyclic-versions" for an in a.anomalies)
 
 
@@ -60,7 +60,7 @@ class TestSourceCombinations:
         h = b.build()
         # wfr alone: 1 < 2. realtime adds 2 < nil (the late nil read), and
         # initial-state nil < 1: a cycle spanning three sources.
-        a = analyze(h, "initial-state", "write-follows-read", "realtime")
+        a = analyze_sources(h, "initial-state", "write-follows-read", "realtime")
         assert any(an.name == "cyclic-versions" for an in a.anomalies)
 
     def test_all_sources_on_clean_history_no_anomalies(self):
@@ -69,7 +69,7 @@ class TestSourceCombinations:
             ("ok", 1, [r("x", 1), w("x", 2)]),
             ("ok", 2, [r("x", 2)]),
         )
-        a = analyze(
+        a = analyze_sources(
             h, "initial-state", "write-follows-read", "process", "realtime"
         )
         assert a.anomalies == []
@@ -80,6 +80,6 @@ class TestSourceCombinations:
             ("ok", 1, [r("x", 1)]),
             ("ok", 2, [r("x", 1), w("x", 2)]),
         )
-        a = analyze(h, "initial-state", "write-follows-read")
+        a = analyze_sources(h, "initial-state", "write-follows-read")
         # Readers of version 1 anti-depend on the writer of 2.
         assert a.graph.has_edge(2, 4, RW)

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.core import RW, WR, WW
-from repro.core.rw_register import analyze_rw_register, build_write_index
+from repro.core import RW, WR, WW, analyze
 from repro.errors import WorkloadError
 from repro.history import History, HistoryBuilder, r, w
 
 
-def analyze(*txns, **kw):
+def analyze_txns(*txns, **kw):
     kw.setdefault("process_edges", False)
     kw.setdefault("realtime_edges", False)
-    return analyze_rw_register(History.of(*txns), **kw)
+    return analyze(History.of(*txns), workload="rw-register", **kw)
 
 
 def names(analysis):
@@ -20,36 +19,34 @@ def names(analysis):
 
 class TestWriteIndex:
     def test_duplicate_writes_rejected(self):
-        h = History.of(("ok", 0, [w("x", 1)]), ("ok", 1, [w("x", 1)]))
         with pytest.raises(WorkloadError, match="unique writes"):
-            build_write_index(h.transactions)
+            analyze_txns(("ok", 0, [w("x", 1)]), ("ok", 1, [w("x", 1)]))
 
     def test_none_write_rejected(self):
-        h = History.of(("ok", 0, [w("x", None)]))
         with pytest.raises(WorkloadError, match="initial version"):
-            build_write_index(h.transactions)
+            analyze_txns(("ok", 0, [w("x", None)]))
 
     def test_same_value_other_key_fine(self):
-        h = History.of(("ok", 0, [w("x", 1)]), ("ok", 1, [w("y", 1)]))
-        assert len(build_write_index(h.transactions)) == 2
+        a = analyze_txns(("ok", 0, [w("x", 1)]), ("ok", 1, [w("y", 1)]))
+        assert a.anomalies == []
 
 
 class TestWrEdges:
     def test_read_links_writer(self):
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [w("x", 1)]),
             ("ok", 1, [r("x", 1)]),
         )
         assert a.graph.has_edge(0, 2, WR)
 
     def test_nil_read_no_wr(self):
-        a = analyze(("ok", 0, [r("x", None)]), ("ok", 1, [w("x", 1)]))
+        a = analyze_txns(("ok", 0, [r("x", None)]), ("ok", 1, [w("x", 1)]))
         assert not any(l & WR for _u, _v, l in a.graph.edges())
 
 
 class TestInitialStateInference:
     def test_nil_reader_antidepends_on_all_writers(self):
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [r("x", None)]),
             ("ok", 1, [w("x", 1)]),
             ("ok", 2, [w("x", 2)]),
@@ -58,8 +55,9 @@ class TestInitialStateInference:
         assert a.graph.has_edge(0, 4, RW)
 
     def test_disabled_source_no_edges(self):
-        a = analyze_rw_register(
+        a = analyze(
             History.of(("ok", 0, [r("x", None)]), ("ok", 1, [w("x", 1)])),
+            workload="rw-register",
             process_edges=False,
             realtime_edges=False,
             sources=("write-follows-read",),
@@ -68,14 +66,14 @@ class TestInitialStateInference:
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="unknown version-order sources"):
-            analyze_rw_register(History([]), sources=("vector-clocks",))
+            analyze(History([]), workload="rw-register", sources=("vector-clocks",))
 
 
 class TestWriteFollowsRead:
     def test_rmw_orders_versions(self):
         # T1 read 1, wrote 2: version 1 < 2, so T0 ww T1 and readers of 1
         # anti-depend on T1.
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [w("x", 1)]),
             ("ok", 1, [r("x", 1), w("x", 2)]),
             ("ok", 2, [r("x", 1)]),
@@ -84,7 +82,7 @@ class TestWriteFollowsRead:
         assert a.graph.has_edge(4, 2, RW)
 
     def test_own_write_chain(self):
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [w("x", 1)]),
             ("ok", 1, [r("x", 1), w("x", 2), w("x", 3)]),
             ("ok", 2, [r("x", 3)]),
@@ -94,7 +92,7 @@ class TestWriteFollowsRead:
         assert a.graph.has_edge(0, 2, WW)
 
     def test_g1b_intermediate_register_read(self):
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [w("x", 1), w("x", 2)]),
             ("ok", 1, [r("x", 1)]),
         )
@@ -103,7 +101,7 @@ class TestWriteFollowsRead:
 
 class TestUnanchoredWrites:
     def test_info_write_unobserved_no_version_edges(self):
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [r("x", None)]),
             ("info", 1, [w("x", 1)]),
         )
@@ -111,7 +109,7 @@ class TestUnanchoredWrites:
         assert not any(l & RW for _u, _v, l in a.graph.edges())
 
     def test_info_write_observed_is_anchored(self):
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [r("x", None)]),
             ("info", 1, [w("x", 1)]),
             ("ok", 2, [r("x", 1)]),
@@ -123,22 +121,22 @@ class TestUnanchoredWrites:
 
 class TestNonCycleAnomalies:
     def test_garbage_read(self):
-        a = analyze(("ok", 0, [r("x", 42)]))
+        a = analyze_txns(("ok", 0, [r("x", 42)]))
         assert names(a) == ["garbage-read"]
 
     def test_aborted_register_read(self):
-        a = analyze(
+        a = analyze_txns(
             ("fail", 0, [w("x", 1)]),
             ("ok", 1, [r("x", 1)]),
         )
         assert "G1a" in names(a)
 
     def test_internal_dgraph_case(self):
-        a = analyze(("ok", 0, [w(10, 2), r(10, 1)]), ("ok", 1, [w(10, 1)]))
+        a = analyze_txns(("ok", 0, [w(10, 2), r(10, 1)]), ("ok", 1, [w(10, 1)]))
         assert "internal" in names(a)
 
     def test_lost_update(self):
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [w("x", 1)]),
             ("ok", 1, [r("x", 1), w("x", 2)]),
             ("ok", 2, [r("x", 1), w("x", 3)]),
@@ -146,7 +144,7 @@ class TestNonCycleAnomalies:
         assert "lost-update" in names(a)
 
     def test_no_lost_update_on_chain(self):
-        a = analyze(
+        a = analyze_txns(
             ("ok", 0, [w("x", 1)]),
             ("ok", 1, [r("x", 1), w("x", 2)]),
             ("ok", 2, [r("x", 2), w("x", 3)]),
@@ -163,8 +161,9 @@ class TestCyclicVersions:
         b.ok(0, [r(541, None), w(540, 2)])
         b.invoke(1, [r(540, None), w(544, 1)])
         b.ok(1, [r(540, None), w(544, 1)])
-        a = analyze_rw_register(
+        a = analyze(
             b.build(),
+            workload="rw-register",
             process_edges=False,
             realtime_edges=False,
             sources=("initial-state", "write-follows-read", "realtime"),
@@ -183,8 +182,9 @@ class TestCyclicVersions:
         b.ok(1, [r("x", "a"), w("x", "b")])
         b.invoke(2, [r("x", None)])
         b.ok(2, [r("x", None)])
-        a = analyze_rw_register(
+        a = analyze(
             b.build(),
+            workload="rw-register",
             process_edges=False,
             realtime_edges=False,
             sources=("initial-state", "write-follows-read", "realtime"),
@@ -203,8 +203,9 @@ class TestCyclicVersions:
         b.ok(1, [r(540, 2)])
         b.invoke(2, [r(540, None)])
         b.ok(2, [r(540, None)])
-        a = analyze_rw_register(
+        a = analyze(
             b.build(),
+            workload="rw-register",
             process_edges=False,
             realtime_edges=False,
             sources=("initial-state", "realtime"),
@@ -220,8 +221,9 @@ class TestCyclicVersions:
         b.ok(0, [w(540, 2), w("y", 7)])
         b.invoke(1, [r(540, None), r("y", 7)])
         b.ok(1, [r(540, None), r("y", 7)])
-        a = analyze_rw_register(
+        a = analyze(
             b.build(),
+            workload="rw-register",
             process_edges=False,
             realtime_edges=False,
             sources=("initial-state", "realtime"),
@@ -239,7 +241,9 @@ class TestDgraphReadSkew:
             ("ok", 1, [w(2434, 10)]),
             ("ok", 2, [w(2432, 10), r(2434, 10)]),
         )
-        a = analyze_rw_register(h, process_edges=False, realtime_edges=False)
+        a = analyze(
+            h, workload="rw-register", process_edges=False, realtime_edges=False
+        )
         # T0 read T2's write of 2432 (wr T2->T0) and missed T1's write of
         # 2434 (rw T0->T1, via initial-state); T2 read T1's write
         # (wr T1->T2): cycle T0 -> T1 -> T2 -> T0 with one rw: G-single.

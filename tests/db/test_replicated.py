@@ -126,11 +126,11 @@ class TestLongFork:
         assert "G2-item" in result.anomaly_types
 
     def test_cycle_has_two_antidependencies(self):
-        from repro.core import analyze_list_append
+        from repro.core import analyze
 
         h = self.observe()
-        analysis = analyze_list_append(
-            h, process_edges=False, realtime_edges=False
+        analysis = analyze(
+            h, workload="list-append", process_edges=False, realtime_edges=False
         )
         cycles = find_cycle_anomalies(analysis.graph)
         g2 = next(c for c in cycles if c.name == "G2-item")

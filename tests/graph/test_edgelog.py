@@ -157,16 +157,6 @@ class TestEdgeLogApi:
         assert not log.has_edge(1, 2, 2)
         assert not log.has_edge(2, 1)
 
-    def test_union_ors_labels_of_shared_pairs(self):
-        log = EdgeLogGraph()
-        log.add_edge(1, 2, 1)
-        other = EdgeLogGraph()
-        other.add_edges_from([(1, 2, 2), (2, 3, 4)])
-        log.union(other)
-        assert log.edge_label(1, 2) == 3
-        assert log.edge_label(2, 3) == 4
-        assert log.edge_count == 2
-
     def test_zero_label_rejected_everywhere(self):
         log = EdgeLogGraph()
         with pytest.raises(ValueError):
@@ -183,13 +173,6 @@ class TestEdgeLogApi:
         assert log.edge_label(3, 2) == 8
         log.add_edge_arrays([], [], 8)  # no-op
 
-    def test_union_concatenates_logs(self):
-        log = self.build()
-        other = EdgeLogGraph()
-        other.add_edge(3, 4, 1)
-        assert log.union(other) is log
-        assert log.has_edge(3, 4)
-
     def test_frozen_snapshot_survives_later_appends(self):
         log = EdgeLogGraph()
         log.add_edge(1, 2, 1)
@@ -201,15 +184,6 @@ class TestEdgeLogApi:
         assert 3 not in first
         assert first.edge_count == 1
         assert log.edge_label(1, 2) == 5
-
-    def test_union_leaves_the_other_log_unchanged(self):
-        log = self.build()
-        other = EdgeLogGraph()
-        other.add_edge(3, 4, 1)
-        log.union(other)
-        log.add_edge(4, 5, 2)
-        assert list(other.edges()) == [(3, 4, 1)]
-        assert other.emission_count == 1
 
     def test_in_degree_respects_mask(self):
         log = EdgeLogGraph()

@@ -32,7 +32,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.keyspace as keyspace_mod
-import repro.core.list_append as list_append_mod
 import repro.core.orders as orders_mod
 import repro.core.rw_register as rw_register_mod
 from repro import check
@@ -124,7 +123,7 @@ def ref_add_process_edges(analysis) -> None:
                 targets.append(ids[pos])
             if committed[pos]:
                 last_committed = pos
-        analysis.add_order_edge_arrays(sources, targets, PROCESS)
+        analysis.graph.add_edge_arrays(sources, targets, PROCESS)
 
 
 def ref_add_realtime_edges(analysis) -> None:
@@ -149,7 +148,7 @@ def ref_add_realtime_edges(analysis) -> None:
             sentinel += 1
             iv_complete.append(sentinel)
     sources, targets = sweep_pairs(iv_ids, iv_invoke, iv_complete)
-    analysis.add_order_edge_arrays(sources, targets, REALTIME)
+    analysis.graph.add_edge_arrays(sources, targets, REALTIME)
 
 
 def ref_internal_candidate_positions(index, lo: int, hi: int) -> List[int]:
@@ -281,9 +280,10 @@ class TestLoopReferences:
         install_references(monkeypatch)
         assert orders_mod.interval_precedence_pairs is sweep_pairs
         assert rw_register_mod.interval_precedence_pairs is sweep_pairs
-        for module in (list_append_mod, rw_register_mod):
-            assert module.add_process_edges is ref_add_process_edges
-            assert module.add_realtime_edges is ref_add_realtime_edges
+        # ``orders.add_orders`` is the one caller of the order-edge passes
+        # (batch and streaming alike), and it resolves them in ``orders``.
+        assert orders_mod.add_process_edges is ref_add_process_edges
+        assert orders_mod.add_realtime_edges is ref_add_realtime_edges
         assert (
             keyspace_mod.internal_candidate_positions
             is ref_internal_candidate_positions

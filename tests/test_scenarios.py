@@ -54,11 +54,14 @@ class TestHserial:
         assert result.valid
 
     def test_wr_chain_recovered(self):
-        from repro.core import WR, analyze_list_append
+        from repro.core import WR, analyze
 
         history, names = hserial_history()
-        analysis = analyze_list_append(
-            history, process_edges=False, realtime_edges=False
+        analysis = analyze(
+            history,
+            workload="list-append",
+            process_edges=False,
+            realtime_edges=False,
         )
         # T2 read-depends on T1 (x), T3 on T2 (y) — §2's walk-through.
         assert analysis.graph.has_edge(names["T1"], names["T2"], WR)
