@@ -5,10 +5,17 @@ the non-cycle anomalies found along the way, plus *evidence*: for every edge
 bit, the observation that justifies it.  Evidence is what turns a cycle into
 a human-readable counterexample (Figure 2 of the paper).
 
-Evidence storage is tiered for scale.  Value edges (ww/wr/rw) store one
-record per ``(from, to, bit)`` — the justifying key and values genuinely
-differ per edge.  Order edges (process/realtime/timestamp) would store
-hundreds of thousands of identical records on a large history, so they are
+Evidence is built only when something reads it.  Value edges (ww/wr/rw)
+carry one record per ``(from, to, bit)`` — the justifying key and values
+genuinely differ per edge — but a valid history never explains a cycle,
+so the analysis keeps an ordered *log* of evidence sources instead of a
+dict: each source is a producer of per-key fragments in emission order
+(the keyspace merge's eager fragment list, or list-append's generator
+that re-runs the per-key analysis).  The first read of
+:attr:`Analysis.evidence` replays the log once, in reverse, with
+``dict.update``, so the first-emitted record for every edge bit wins.
+Order edges (process/realtime/timestamp) would store hundreds of
+thousands of identical records on a large history, so they are
 *synthesized on demand* by :meth:`Analysis.edge_evidence`: the graph bit
 plus the history already determine everything the record would say.
 """
@@ -16,7 +23,7 @@ plus the history already determine everything the record would say.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..graph import EdgeLogGraph
 from ..history import History, Transaction
@@ -48,6 +55,11 @@ class Evidence(NamedTuple):
 
 EdgeKey = Tuple[int, int, int]  # (from_txn, to_txn, dependency_bit)
 
+#: One evidence source: a producer of ``(u, v, bit) -> Evidence`` fragments
+#: in emission order.  Called again on every replay attempt, so a replay
+#: that raises leaves the log intact.
+EvidenceSource = Callable[[], Iterable[Dict[EdgeKey, Evidence]]]
+
 
 @dataclass
 class Analysis:
@@ -56,32 +68,52 @@ class Analysis:
     ``graph`` is the inferred direct serialization graph over transaction
     ids.  ``anomalies`` holds the *non-cycle* anomalies found during
     inference; cycle anomalies are found later by
-    :mod:`repro.core.cycle_search` on this graph.  ``evidence`` maps
+    :mod:`repro.core.cycle_search` on this graph.  :attr:`evidence` maps
     ``(from, to, bit)`` to the :class:`Evidence` justifying that bit (value
     edges only; order-edge evidence is synthesized by
-    :meth:`edge_evidence`).
+    :meth:`edge_evidence`).  A pickled analysis carries its evidence
+    materialized.  Read (or pickle) it before extending the history in
+    place: list-append's deferred source raises
+    :class:`~repro.errors.HistoryError` once the history has changed.
     """
 
     history: History
     workload: str
     graph: EdgeLogGraph = field(default_factory=EdgeLogGraph)
     anomalies: List[Anomaly] = field(default_factory=list)
-    evidence: Dict[EdgeKey, Evidence] = field(default_factory=dict)
+    _evidence: Dict[EdgeKey, Evidence] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _pending: List[EvidenceSource] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def txn(self, txn_id: int) -> Transaction:
         return self.history[txn_id]
 
-    def add_edge(self, u: int, v: int, evidence: Evidence) -> None:
-        """Record a dependency edge with its justification.
+    def log_evidence(self, source: EvidenceSource) -> None:
+        """Append an evidence source; records logged earlier take precedence."""
+        self._pending.append(source)
 
-        Self-edges are dropped: serialization graphs relate distinct
-        transactions (the paper keeps Adya's definitions but assumes
-        ``Ti != Tj``).
-        """
-        if u == v:
-            return
-        self.graph.add_edge(u, v, evidence.kind)
-        self.evidence.setdefault((u, v, evidence.kind), evidence)
+    @property
+    def evidence(self) -> Dict[EdgeKey, Evidence]:
+        """Every value edge's evidence, replaying pending sources on first read."""
+        if self._pending:
+            replayed: Dict[EdgeKey, Evidence] = {}
+            for source in reversed(self._pending):
+                for fragment in reversed(list(source())):
+                    replayed.update(fragment)
+            # Records materialized by an earlier read came from earlier sources.
+            replayed.update(self._evidence)
+            self._evidence = replayed
+            self._pending = []
+        return self._evidence
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_evidence"] = self.evidence
+        state["_pending"] = []
+        return state
 
     def edge_evidence(self, u: int, v: int, bit: int) -> Optional[Evidence]:
         ev = self.evidence.get((u, v, bit))

@@ -109,10 +109,6 @@ class CycleAnomaly(Anomaly):
         return f"[{self.name}] {self.message}"
 
 
-def is_cycle_anomaly(name: str) -> bool:
-    return name in CYCLE_ANOMALIES
-
-
 def sort_anomalies(anomalies: List[Anomaly]) -> List[Anomaly]:
     """Deterministic presentation order: by type name, then by txns."""
     rank = {name: i for i, name in enumerate(ALL_ANOMALIES)}

@@ -16,7 +16,10 @@ edges).  The merge sorts batches by tag before applying them, so the
 resulting analysis — anomaly order, graph node interning order (which
 downstream cycle-witness selection is sensitive to), and evidence
 precedence — is byte-identical whether the plan ran on one shard or many,
-and identical to the historical non-partitioned analyzers.
+and identical to the historical non-partitioned analyzers.  The merge
+does not build evidence: it logs the tag-sorted edge fragments as one
+source on the analysis (:meth:`~repro.core.analysis.Analysis.log_evidence`),
+which replays them only if something reads evidence.
 
 **Sharding.**  ``execute_plan(..., shards=N)`` partitions keys (and the
 transaction list, for internal-consistency checks) round-robin across a
@@ -224,10 +227,10 @@ class KeyspacePlan:
         """Whole-index fast path: analyze every key in one vectorized pass.
 
         Returns ``True`` when the plan fully handled the analysis
-        (including the merge into ``analysis``); ``False`` to fall back to
-        the classic per-key chunk path.  Only the list-append plan
-        overrides it; every other plan, rw-register included, always runs
-        the per-key :meth:`analyze_key` path.
+        (including the merge into ``analysis`` and its evidence source);
+        ``False`` to fall back to the classic per-key chunk path.  Only
+        the list-append plan overrides it; every other plan, rw-register
+        included, always runs the per-key :meth:`analyze_key` path.
         """
         return False
 
@@ -321,120 +324,16 @@ def _merge(analysis: Analysis, batches: Sequence[Batch]) -> None:
         anomalies.extend(found)
 
     # Graph edges go in forward tag order so node interning matches the
-    # historical per-edge emission; evidence merges in *reverse* tag order
-    # with overwrite, leaving exactly the first-emitted record per edge bit.
-    # Each fragment's keys are the exact (u, v, bit) triples, so whole
-    # batches land in the graph's edge log without per-edge dispatch.
+    # historical per-edge emission; each fragment's keys are the exact
+    # (u, v, bit) triples, so whole batches land in the graph's edge log
+    # without per-edge dispatch.  The same tag-ordered fragments become
+    # one evidence source, replayed only if something reads evidence.
     graph_add = analysis.graph.add_edge_keys
+    fragments = []
     for _tag, fragment in edge_blocks:
         graph_add(fragment)
-    combined: Dict[EdgeKey, Evidence] = {}
-    for _tag, fragment in reversed(edge_blocks):
-        combined.update(fragment)
-    if analysis.evidence:
-        setdefault = analysis.evidence.setdefault
-        for edge_key, evidence in combined.items():
-            setdefault(edge_key, evidence)
-    else:
-        analysis.evidence = combined
-
-
-class LazyEvidence(dict):
-    """Evidence map that materializes per-edge records on first read.
-
-    The columnar fast path knows every clean key's evidence is
-    *reconstructible* from the index columns (the trace, the installed
-    writers), so instead of building hundreds of thousands of
-    :class:`Evidence` tuples up front it stores a thunk.  The thunk yields
-    evidence fragments in **reverse tag order** — the exact replay of
-    :func:`_merge`'s ``combined.update(fragment)`` loop — so the
-    materialized dict is byte-identical to the eager one.  A clean history
-    never reads evidence (no anomalies → no cycle witnesses to explain),
-    which is where the laziness pays.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self, pending: Callable[[], Any]) -> None:
-        super().__init__()
-        self._pending = pending
-
-    def _materialize(self) -> None:
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            update = super().update
-            for fragment in pending():
-                update(fragment)
-
-    def __len__(self):
-        self._materialize()
-        return super().__len__()
-
-    def __iter__(self):
-        self._materialize()
-        return super().__iter__()
-
-    def __contains__(self, key):
-        self._materialize()
-        return super().__contains__(key)
-
-    def __getitem__(self, key):
-        self._materialize()
-        return super().__getitem__(key)
-
-    def __eq__(self, other):
-        self._materialize()
-        return super().__eq__(other)
-
-    def __ne__(self, other):
-        self._materialize()
-        return super().__ne__(other)
-
-    __hash__ = None
-
-    def get(self, key, default=None):
-        self._materialize()
-        return super().get(key, default)
-
-    def setdefault(self, key, default=None):
-        self._materialize()
-        return super().setdefault(key, default)
-
-    def pop(self, *args):
-        self._materialize()
-        return super().pop(*args)
-
-    def popitem(self):
-        self._materialize()
-        return super().popitem()
-
-    def update(self, *args, **kwargs):
-        self._materialize()
-        return super().update(*args, **kwargs)
-
-    def items(self):
-        self._materialize()
-        return super().items()
-
-    def keys(self):
-        self._materialize()
-        return super().keys()
-
-    def values(self):
-        self._materialize()
-        return super().values()
-
-    def copy(self):
-        self._materialize()
-        return dict(self)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        self._materialize()
-        return super().__repr__()
-
-    def __reduce__(self):
-        self._materialize()
-        return (dict, (dict(self),))
+        fragments.append(fragment)
+    analysis.log_evidence(lambda: fragments)
 
 
 # Worker-side state.  Under the ``fork`` start method the parent sets

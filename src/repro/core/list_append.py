@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Set, Tuple
 
 import numpy as np
 
+from ..errors import HistoryError
 from ..history import History
 from ..history.index import check_unique_writes
 from .analysis import Analysis, Evidence
@@ -53,7 +54,6 @@ from .keyspace import (
     PHASE_READ,
     Batch,
     KeyspacePlan,
-    LazyEvidence,
     ReadCheckStyle,
     check_recoverable_read,
     register_plan,
@@ -177,9 +177,13 @@ class ListAppendPlan(KeyspacePlan):
         per-key plan invocation is skipped entirely.  Flagged reads land
         in ``(key, position)`` survivor arrays and their keys fall back
         to :meth:`analyze_key`, the per-key path, whose batches merge
-        in the same tag order as ever.  Output — anomalies, graph
-        emission order, evidence precedence — is byte-identical to the
-        classic path; the sharding/streaming/service oracles pin that.
+        in the same tag order as ever.  Evidence is not built here: the
+        analysis logs one deferred source that, if ever read, yields the
+        fallback fragments and re-runs :meth:`analyze_key` for each clean
+        key, so both kinds of key share one derivation.  Output —
+        anomalies, graph emission order, evidence precedence — is
+        byte-identical to the per-key path; the sharding/streaming/service
+        and reference oracles pin that.
         """
         if not self._keys:
             return False
@@ -424,99 +428,29 @@ class ListAppendPlan(KeyspacePlan):
             if hi > lo:
                 graph.add_edge_columns(out_u[lo:hi], out_v[lo:hi], out_l[lo:hi])
 
-            # Evidence: replay the merge's reversed-tag update lazily; a
-            # clean history never reads it.
-            fragment_at = {kp: frag for (_p, kp, _m), frag in edge_blocks}
-            ctx = (
-                cols,
-                r_indptr_l,
-                r_len_l,
-                s_indptr_l,
-                s_txn.tolist(),
-                s_final.tolist(),
-                longest_l,
-                index.txn_ids,
-            )
-            clean_l = clean.tolist()
-            build = self._clean_fragment
+            # Evidence: one deferred source, in key order — the fallback
+            # keys' fragments as computed, and each clean key's fragment
+            # re-derived by the per-key path.  A clean history never reads
+            # it.  The replay runs analyze_key against the live index, so
+            # it refuses once the history has grown past this analysis.
+            fallback_edges = {kp: frag for (_p, kp, _m), frag in edge_blocks}
+            clock = index._clock
 
-            def pending():
-                for kp in range(nk - 1, -1, -1):
-                    fragment = fragment_at.get(kp)
-                    if fragment is not None:
-                        yield fragment
-                    elif clean_l[kp]:
-                        yield build(ctx, kp)
+            def fragments():
+                if index._clock != clock:
+                    raise HistoryError(
+                        "the history changed after this list-append "
+                        "analysis; its evidence can no longer be replayed"
+                    )
+                for kp, key in enumerate(keys):
+                    if clean_bits[kp]:
+                        for _tag, fragment in analyze_key(key)[1]:
+                            yield fragment
+                    elif kp in fallback_edges:
+                        yield fallback_edges[kp]
 
-            analysis.evidence = LazyEvidence(pending)
+            analysis.log_evidence(fragments)
         return True
-
-    @staticmethod
-    def _clean_fragment(ctx, k: int) -> Dict[Tuple[int, int, int], Evidence]:
-        """Rebuild one clean key's evidence fragment from the columns.
-
-        Mirrors :meth:`analyze_key`'s fragment construction exactly: the
-        ww chain along the installed versions (for a clean key, the
-        ``s_final`` positions of the trace), then per read the wr and rw
-        records, first emission winning.
-        """
-        (
-            cols,
-            r_indptr_l,
-            r_len_l,
-            s_indptr_l,
-            s_txn_l,
-            s_final_l,
-            longest_l,
-            ids,
-        ) = ctx
-        rv = cols.r_val
-        trace = rv[longest_l[k]]
-        tlen = len(trace)
-        key = cols.keys[k]
-        slo = s_indptr_l[k]
-        s_seg = s_txn_l[slo : slo + tlen]
-        inst_pos = [p for p in range(tlen) if s_final_l[slo + p]]
-        n_inst = len(inst_pos)
-        r_txn = cols.r_txn
-        longest_id = ids[r_txn[longest_l[k]]]
-        fragment: Dict[Tuple[int, int, int], Evidence] = {}
-        for j in range(1, n_inst):
-            pwriter = s_seg[inst_pos[j - 1]]
-            nwriter = s_seg[inst_pos[j]]
-            edge = (ids[pwriter], ids[nwriter], WW)
-            if edge not in fragment:
-                fragment[edge] = Evidence(
-                    WW, key, trace[inst_pos[j]], trace[inst_pos[j - 1]], longest_id
-                )
-        next_installed: List[int] = []
-        kk = 0
-        for b in range(-1, tlen):
-            while kk < n_inst and inst_pos[kk] <= b:
-                kk += 1
-            next_installed.append(kk)
-        lo, hi = r_indptr_l[k], r_indptr_l[k + 1]
-        for i in range(lo, hi):
-            length = r_len_l[i]
-            if length < 0:
-                continue  # unknown read: filtered, no edges
-            reader = r_txn[i]
-            if length:
-                producer = s_seg[length - 1]
-                if producer != reader:
-                    edge = (ids[producer], ids[reader], WR)
-                    if edge not in fragment:
-                        fragment[edge] = Evidence(WR, key, trace[length - 1])
-            nxt = next_installed[length]
-            if nxt < n_inst:
-                writer = s_seg[inst_pos[nxt]]
-                if reader != writer:
-                    edge = (ids[reader], ids[writer], RW)
-                    if edge not in fragment:
-                        fragment[edge] = Evidence(
-                            RW, key, trace[inst_pos[nxt]], rv[i]
-                        )
-        return fragment
 
     def analyze_key(self, key: Any) -> Batch:
         """One key's read checks, version order, and dependency edges.

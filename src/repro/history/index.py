@@ -23,8 +23,10 @@ parallel arrays:
   committed reads as parallel ``(txn position, mop position, value)``
   arrays — ints and raw values, no per-slot tuple or dataclass objects.
 
-Object-level views (``slice.ops``, ``slice.write_map``, ...) remain as
-derived properties for tests and cold paths; the plans read the arrays.
+The plans read the arrays.  The only object-level derivations are the
+ones ``src/`` calls: ``slice.write_map`` (the suspicious-read walk),
+``slice.committed_stream()`` and ``slice.interacting_positions_by_process()``
+(the rw-register version sources).
 
 The index is cached on the history (``history.index()``), so the checker,
 plans, and the streaming layer share one build.  Because a fork-based
@@ -68,9 +70,6 @@ def _stage(profile, name: str):
         return nullcontext()
     return profile.stage(name)
 
-#: One positioned micro-op: (transaction, mop position within it, micro-op).
-#: The object-level view; slices *store* parallel int arrays instead.
-Slotted = Tuple[Transaction, int, MicroOp]
 
 def _dead_ref() -> None:
     """Stands in for a pickled-away owner weakref until it is re-wired."""
@@ -104,7 +103,7 @@ class KeySlice:
     derivation from the slice is valid exactly while the version matches.
     ``first_seq`` / ``first_read_seq`` are the key's first appearance and
     first committed value-bearing read, as :data:`Seq` positions; they
-    define the key orderings.  ``dup`` / ``none_write`` are the slice-local
+    define the key orderings.  ``_dup`` / ``_none_write`` are the slice-local
     write-uniqueness violation candidates (the index-wide first violation
     is the minimum over slices).
     """
@@ -175,7 +174,7 @@ class KeySlice:
         self._none_write = None
 
     # ------------------------------------------------------------------
-    # Object-level views (tests and cold paths; plans read the arrays)
+    # Derived views (the arrays stay the stored form)
 
     @property
     def _owner(self) -> "HistoryIndex":
@@ -186,31 +185,6 @@ class KeySlice:
                 "into a live index"
             )
         return owner
-
-    @property
-    def ops(self) -> List[Slotted]:
-        """The op stream as ``(txn, mop_seq, mop)`` triples (derived view).
-
-        Micro-op positions are reconstructed from each transaction's own
-        mops: a transaction's slots on this key are consecutive in
-        ``op_txn`` and correspond 1:1, in order, to its micro-ops on the
-        key.
-        """
-        txns = self._owner.transactions
-        key = self.key
-        op_txn = self.op_txn
-        out: List[Slotted] = []
-        n = len(op_txn)
-        i = 0
-        while i < n:
-            txn = txns[op_txn[i]]
-            count = 0
-            for s, mop in enumerate(txn.mops):
-                if mop.key == key:
-                    out.append((txn, s, mop))
-                    count += 1
-            i += count
-        return out
 
     def committed_stream(self) -> Tuple[List[int], List[int], List[Any]]:
         """The committed micro-op stream as ``(positions, read flags, values)``.
@@ -263,70 +237,10 @@ class KeySlice:
         return positions, flags, values
 
     @property
-    def writes(self) -> List[Slotted]:
-        """The write substream as ``(txn, mop_seq, mop)`` triples."""
-        txns = self._owner.transactions
-        return [
-            (txns[p], s, txns[p].mops[s])
-            for p, s in zip(self.w_txn, self.w_seq)
-        ]
-
-    @property
-    def committed_reads(self) -> List[Slotted]:
-        """The committed-read substream as ``(txn, mop_seq, mop)`` triples."""
-        txns = self._owner.transactions
-        return [
-            (txns[p], s, txns[p].mops[s])
-            for p, s in zip(self.r_txn, self.r_seq)
-        ]
-
-    @property
     def write_map(self) -> Dict[Any, Transaction]:
         """``first_writer`` with positions resolved to Transactions."""
         txns = self._owner.transactions
         return {value: txns[p] for value, p in self.first_writer.items()}
-
-    @property
-    def interacting(self) -> List[Transaction]:
-        """Committed interacting transactions, in invocation order."""
-        txns = self._owner.transactions
-        return [txns[p] for p in self.inter_txn]
-
-    @property
-    def dup(self) -> Optional[Tuple[Seq, Any, Any, Transaction, Transaction]]:
-        if self._dup is None:
-            return None
-        seq, key, value, first, second = self._dup
-        txns = self._owner.transactions
-        return (seq, key, value, txns[first], txns[second])
-
-    @property
-    def none_write(self) -> Optional[Tuple[Seq, Any, Transaction]]:
-        if self._none_write is None:
-            return None
-        seq, key, pos = self._none_write
-        return (seq, key, self._owner.transactions[pos])
-
-    @property
-    def intervals(self) -> List[Tuple[Transaction, int, int]]:
-        """Real-time intervals of committed interacting transactions."""
-        owner = self._owner
-        txns = owner.transactions
-        complete = owner.txn_complete
-        invoke = owner.txn_invoke
-        return [
-            (txns[p], invoke[p], complete[p])
-            for p in self.inter_txn
-            if complete[p] >= 0
-        ]
-
-    def interacting_by_process(self) -> Dict[int, List[Transaction]]:
-        """Committed interacting transactions grouped by process, in order."""
-        txns = self._owner.transactions
-        by_process: Dict[int, List[Transaction]] = {}
-        for p, positions in self.interacting_positions_by_process().items():
-            by_process[p] = [txns[i] for i in positions]
-        return by_process
 
     def interacting_positions_by_process(self) -> Dict[int, List[int]]:
         """Committed interacting transaction *positions* per process."""
@@ -728,18 +642,6 @@ class HistoryIndex:
         ]
 
     # ------------------------------------------------------------------
-    # Derived views
-
-    @property
-    def by_process(self) -> Dict[int, List[Transaction]]:
-        """Each process's transactions in invocation order (derived view)."""
-        txns = self.transactions
-        return {
-            process: [txns[i] for i in positions]
-            for process, positions in self.proc_positions.items()
-        }
-
-    # ------------------------------------------------------------------
     # Incremental extension
 
     def extend(
@@ -912,9 +814,6 @@ class HistoryIndex:
         cols = IndexColumns(self)
         self._columns = (self._clock, cols)
         return cols
-
-    def slice(self, key: Any) -> KeySlice:
-        return self.slices[key]
 
     def __contains__(self, key: Any) -> bool:
         return key in self.slices

@@ -264,10 +264,6 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self._solo().observe(value)
 
-    @property
-    def series_count(self) -> int:
-        return len(self._children)
-
 
 class MetricsRegistry:
     """All metric families, their cardinality budget, and the exposition."""

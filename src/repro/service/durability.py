@@ -450,28 +450,6 @@ class DurabilityManager:
         """True when the session left durable state behind on disk."""
         return self.store(session_id).exists
 
-    def on_disk(self) -> List[str]:
-        """Session ids with durable state (restart-time inventory).
-
-        Reads each directory's ``meta.json`` directly — the directory
-        name is the *escaped* id, the meta record holds the real one.
-        """
-        ids = []
-        try:
-            names = os.listdir(self.sessions_dir)
-        except OSError:
-            return []
-        for name in names:
-            meta_path = os.path.join(self.sessions_dir, name, "meta.json")
-            try:
-                with open(meta_path, "r", encoding="utf-8") as fh:
-                    meta = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(meta, dict) and "session_id" in meta:
-                ids.append(meta["session_id"])
-        return sorted(ids)
-
     # ------------------------------------------------------------------
     # Session lifecycle hooks (called by the server / registry)
 

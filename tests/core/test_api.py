@@ -113,16 +113,17 @@ class TestAnalysisContainer:
         h = History.of(("ok", 0, [append("x", 1)]), ("ok", 1, [r("x", [1])]))
         return Analysis(history=h, workload="list-append")
 
-    def test_self_edges_dropped(self):
-        a = self.make()
-        a.add_edge(0, 0, Evidence(kind=WW))
-        assert a.graph.edge_count == 0
-
     def test_first_evidence_wins(self):
         a = self.make()
-        a.add_edge(0, 2, Evidence(kind=WR, key="x", value=1))
-        a.add_edge(0, 2, Evidence(kind=WR, key="x", value=99))
+        first = Evidence(kind=WR, key="x", value=1)
+        second = first._replace(value=2)
+        a.log_evidence(lambda: [{(0, 2, WR): first}, {(0, 2, WR): second}])
+        a.log_evidence(lambda: [{(0, 2, WR): second}])
         assert a.edge_evidence(0, 2, WR).value == 1
+        # A source logged after the first read still yields to it.
+        a.log_evidence(lambda: [{(0, 2, WR): second, (2, 0, WW): first}])
+        assert a.edge_evidence(0, 2, WR).value == 1
+        assert a.edge_evidence(2, 0, WW) == first
 
     def test_missing_evidence_is_none(self):
         a = self.make()

@@ -1,10 +1,18 @@
 """Tests for the list-append analyzer: edges and non-cycle anomalies."""
 
+import pickle
+
 import pytest
 
+from repro import check
 from repro.core import PROCESS, REALTIME, RW, WR, WW, analyze
-from repro.errors import WorkloadError
+from repro.core.anomalies import CycleAnomaly
+from repro.core.list_append import ListAppendPlan
+from repro.db import Isolation, TiDBRetry
+from repro.errors import HistoryError, WorkloadError
+from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, append, r
+from repro.scenarios import figure4_history
 
 
 def analyze_txns(*txns, **kw):
@@ -400,3 +408,56 @@ class TestVersionOrder:
         )
         assert analysis.anomalies == []
         assert analysis.graph.edge_count == 0
+
+
+class TestDeferredEvidence:
+    """Evidence is one deferred source, replayed through ``analyze_key``."""
+
+    def test_valid_check_never_runs_the_per_key_path(self, monkeypatch):
+        # Figure 4 shape: every key passes the columnar screen, so a valid
+        # check leaves evidence pending and analyze_key uncalled.
+        history = figure4_history(500, 10)
+        calls = []
+        per_key = ListAppendPlan.analyze_key
+
+        def counting(self, key):
+            calls.append(key)
+            return per_key(self, key)
+
+        monkeypatch.setattr(ListAppendPlan, "analyze_key", counting)
+        result = check(history)
+        assert result.valid
+        assert calls == []
+        assert result.analysis.evidence  # the first read replays per key
+        assert len(calls) == len(history.index().read_key_order)
+
+    def test_pickled_result_carries_evidence(self):
+        history = run_workload(
+            RunConfig(
+                txns=300,
+                concurrency=6,
+                isolation=Isolation.SNAPSHOT_ISOLATION,
+                workload=WorkloadConfig(workload="list-append", active_keys=5),
+                seed=1,
+                faults=lambda rng: TiDBRetry(rng),
+            )
+        )
+        result = check(history, consistency_model="snapshot-isolation")
+        assert any(isinstance(a, CycleAnomaly) for a in result.anomalies)
+        restored = pickle.loads(pickle.dumps(result))
+        assert sorted(restored.analysis.evidence.items()) == sorted(
+            result.analysis.evidence.items()
+        )
+        # Pickling a still-pending analysis materializes it first.
+        pending = analyze(history)
+        restored = pickle.loads(pickle.dumps(pending))
+        assert restored.evidence == result.analysis.evidence
+
+    def test_replay_refuses_a_history_that_grew(self):
+        ops = list(figure4_history(200, 5).ops)
+        history = History(ops[:-40])
+        result = check(history)
+        history.extend(ops[-40:])
+        for _attempt in range(2):  # a failed replay keeps the source logged
+            with pytest.raises(HistoryError, match="evidence can no longer"):
+                result.analysis.evidence

@@ -45,45 +45,49 @@ class TestIndexContents:
     def test_slices_partition_every_mop(self):
         history = generated()
         index = history.index()
-        total = sum(len(s.ops) for s in index.slices.values())
+        total = sum(len(s.op_txn) for s in index.slices.values())
         assert total == sum(len(t.mops) for t in history.transactions)
         for key, slice_ in index.slices.items():
-            for txn, mop_seq, mop in slice_.ops:
-                assert mop.key == key
-                assert txn.mops[mop_seq] is mop
+            assert slice_.op_txn == [
+                pos
+                for pos, t in enumerate(history.transactions)
+                for m in t.mops
+                if m.key == key
+            ]
 
     def test_writes_and_committed_reads_match_brute_force(self):
         history = generated(seed=3)
         index = history.index()
         for key, slice_ in index.slices.items():
             expected_writes = [
-                (t.id, seq)
-                for t in history.transactions
+                (pos, seq, m.value)
+                for pos, t in enumerate(history.transactions)
                 for seq, m in enumerate(t.mops)
                 if m.key == key and m.is_write
             ]
-            assert [(t.id, seq) for t, seq, _m in slice_.writes] == expected_writes
+            writes = list(zip(slice_.w_txn, slice_.w_seq, slice_.w_val))
+            assert writes == expected_writes
+            # Read values are normalized to tuples at build time.
             expected_reads = [
-                (t.id, seq)
-                for t in history.transactions
+                (pos, seq, tuple(m.value) if isinstance(m.value, list) else m.value)
+                for pos, t in enumerate(history.transactions)
                 if t.committed
                 for seq, m in enumerate(t.mops)
                 if m.key == key and m.fn == READ
             ]
-            assert [
-                (t.id, seq) for t, seq, _m in slice_.committed_reads
-            ] == expected_reads
+            reads = list(zip(slice_.r_txn, slice_.r_seq, slice_.r_val))
+            assert reads == expected_reads
 
     def test_interacting_matches_brute_force(self):
         history = generated(seed=8)
         index = history.index()
         for key, slice_ in index.slices.items():
             expected = [
-                t.id
-                for t in history.transactions
+                pos
+                for pos, t in enumerate(history.transactions)
                 if t.committed and any(m.key == key for m in t.mops)
             ]
-            assert [t.id for t in slice_.interacting] == expected
+            assert slice_.inter_txn == expected
 
     def test_write_map_keeps_first_writer(self):
         history = History.of(
@@ -103,8 +107,8 @@ class TestIndexContents:
         b.invoke(0, [append("x", 3)])
         b.ok(0, [append("x", 3)])
         index = b.build().index()
-        assert [t.id for t in index.by_process[0]] == [0, 4]
-        assert [t.id for t in index.by_process[1]] == [1]
+        assert index.proc_positions == {0: [0, 2], 1: [1]}
+        assert [index.txn_ids[p] for p in index.proc_positions[0]] == [0, 4]
 
     def test_intervals_exclude_indeterminate(self):
         b = HistoryBuilder()
@@ -114,7 +118,7 @@ class TestIndexContents:
         history = b.build()
         # the indeterminate transaction is not committed, so it is not
         # interacting at all
-        assert [t.id for t in history.index().slices["x"].interacting] == [0]
+        assert history.index().slices["x"].inter_txn == [0]
 
 
 class TestUniquenessContracts:
@@ -157,23 +161,23 @@ class TestUniquenessContracts:
 
 
 def index_signature(index):
-    """Everything the analyzers consume, keyed for comparison."""
+    """Everything the analyzers consume: the stored arrays, keyed by key."""
     return (
         [(t.id, t.type.value) for t in index.transactions],
         list(index.key_order),
         list(index.read_key_order),
         {
             key: (
-                [(t.id, seq) for t, seq, _m in sl.ops],
-                [(t.id, seq) for t, seq, _m in sl.writes],
-                [(t.id, seq) for t, seq, _m in sl.committed_reads],
-                {repr(v): t.id for v, t in sl.write_map.items()},
-                [t.id for t in sl.interacting],
+                sl.op_txn,
+                (sl.w_txn, sl.w_seq, repr(sl.w_val)),
+                (sl.r_txn, sl.r_seq, repr(sl.r_val)),
+                {repr(v): p for v, p in sl.first_writer.items()},
+                sl.inter_txn,
                 sl.pos,
             )
             for key, sl in index.slices.items()
         },
-        {p: [t.id for t in txns] for p, txns in index.by_process.items()},
+        index.proc_positions,
         index.first_duplicate and index.first_duplicate[0],
         index.first_none_write and index.first_none_write[0],
     )
@@ -209,7 +213,7 @@ class TestIncrementalExtension:
         history.extend(b.build().ops)
         # Both transactions are provisionally indeterminate: no committed
         # reads anywhere yet.
-        assert index.slices["x"].committed_reads == []
+        assert index.slices["x"].r_txn == []
         assert history.transactions[0].indeterminate
         versions = {k: s.version for k, s in index.slices.items()}
         # Completions arrive: the provisional transactions upgrade in place.
@@ -219,8 +223,8 @@ class TestIncrementalExtension:
             Op(3, OpType.OK, 1, (r("x", (1,)),)),
         ])
         assert history.transactions[0].committed
-        assert [t.id for t, _s, _m in index.slices["x"].committed_reads] == [1]
-        assert index.slices["y"].committed_reads != []
+        assert [index.txn_ids[p] for p in index.slices["x"].r_txn] == [1]
+        assert index.slices["y"].r_txn != []
         for key in ("x", "y"):
             assert index.slices[key].version > versions[key]
 
@@ -267,7 +271,7 @@ class TestIncrementalExtension:
 
 
 class TestColumnarDerivedViews:
-    """The object-level compatibility views over the columnar arrays."""
+    """The derived views ``src/`` reads, and the columns they come from."""
 
     def test_interacting_by_process_groups_committed_txns(self):
         history = History.of(
@@ -276,13 +280,10 @@ class TestColumnarDerivedViews:
             ("fail", 0, [w("x", 3)]),
             ("ok", 0, [r("x", 2)]),
         )
-        slice_ = history.index().slices["x"]
-        grouped = slice_.interacting_by_process()
-        assert {p: [t.id for t in txns] for p, txns in grouped.items()} == {
-            0: [0, 6],
-            1: [2],
-        }
-        assert slice_.interacting_positions_by_process() == {0: [0, 3], 1: [1]}
+        index = history.index()
+        grouped = index.slices["x"].interacting_positions_by_process()
+        assert grouped == {0: [0, 3], 1: [1]}
+        assert [index.txn_ids[p] for p in grouped[0]] == [0, 6]
 
     def test_intervals_cover_committed_interactions_only(self):
         builder = HistoryBuilder()
@@ -290,22 +291,23 @@ class TestColumnarDerivedViews:
         builder.invoke(1, [w("x", 2)])
         builder.ok(0, [w("x", 1)])
         builder.info(1)  # indeterminate: excluded from intervals
-        history = builder.build()
-        slice_ = history.index().slices["x"]
-        assert [(t.id, a, b) for t, a, b in slice_.intervals] == [(0, 0, 2)]
+        index = builder.build().index()
+        intervals = [
+            (index.txn_ids[p], index.txn_invoke[p], index.txn_complete[p])
+            for p in index.slices["x"].inter_txn
+            if index.txn_complete[p] >= 0
+        ]
+        assert intervals == [(0, 0, 2)]
 
-    def test_ops_view_reconstructs_uncommitted_read_slots(self):
+    def test_op_txn_keeps_uncommitted_read_slots(self):
         history = History.of(
             ("ok", 0, [append("x", 1), r("x", [1])]),
             ("info", 1, [r("x", None), append("x", 2)]),
         )
         slice_ = history.index().slices["x"]
-        assert [(t.id, seq, m.fn) for t, seq, m in slice_.ops] == [
-            (0, 0, "append"),
-            (0, 1, "r"),
-            (2, 0, "r"),
-            (2, 1, "append"),
-        ]
+        assert slice_.op_txn == [0, 0, 1, 1]
+        assert (slice_.r_txn, slice_.r_seq) == ([0], [1])
+        assert (slice_.w_txn, slice_.w_seq) == ([0, 1], [0, 1])
 
     def test_committed_stream_merges_reads_and_writes_in_order(self):
         history = History.of(
