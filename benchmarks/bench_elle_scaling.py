@@ -75,18 +75,15 @@ def _check_options(workload):
     return {}
 
 
-def _warm_optional_accelerators():  # pragma: no cover - manual
-    """Import numpy/scipy up front so one-time import cost stays out of rows.
+def _warm_lazy_imports():  # pragma: no cover - manual
+    """Import scipy's graph module up front so its cost stays out of rows.
 
-    The graph layer lazily imports both for its bulk CSR build and the
-    strongly-connected acyclicity screen; importing here keeps the first
-    timed row from paying ~0.2s of module initialization that every
-    subsequent check gets for free.
+    The graph layer imports it lazily, on the first strongly-connected
+    labelling of a large graph; importing here keeps the first timed row
+    from paying ~0.2s of module initialization that every subsequent
+    check gets for free.
     """
-    try:
-        import scipy.sparse.csgraph  # noqa: F401
-    except ImportError:
-        pass
+    import scipy.sparse.csgraph  # noqa: F401
 
 
 def _timed_check(history, workload, shards):  # pragma: no cover - manual
@@ -516,7 +513,7 @@ def main(argv=None) -> None:  # pragma: no cover - manual entry point
     )
     args = parser.parse_args(argv)
 
-    _warm_optional_accelerators()
+    _warm_lazy_imports()
     rows = []
     results = []
     if args.mode == "stream":

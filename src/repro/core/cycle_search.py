@@ -121,10 +121,10 @@ _VALUE = WW | WR | RW
 #: family (``ww|e ⊆ ww|wr|e ⊆ ww|wr|rw|e``) and across families at full
 #: width (``value ⊆ session ⊆ realtime``).  A cycle under a mask is a
 #: cycle under every superset mask, so each entry's cyclic SCCs live
-#: inside its parent's — only masks with ``parent_mask=None`` can ever
-#: need an unconditional full-graph decomposition.  On a clean history the
-#: realtime root comes back acyclic and every other mask resolves for
-#: free: one full-graph Tarjan instead of sixteen.
+#: inside its parent's — only masks with ``parent_mask=None`` ever
+#: decompose the whole graph; the rest probe their parent's members.  On a
+#: clean history the realtime root comes back acyclic and every other mask
+#: resolves for free: one whole-graph decomposition instead of sixteen.
 _REFINEMENT: Tuple[Tuple[str, int, Optional[int]], ...] = (
     ("realtime", _VALUE | PROCESS | REALTIME, None),
     ("realtime", WW | WR | PROCESS | REALTIME, _VALUE | PROCESS | REALTIME),
@@ -221,12 +221,12 @@ def _refined_components(
 
     A cycle under a mask is a cycle under every superset mask, so all of a
     mask's cyclic SCCs live inside the cyclic components already found
-    under its parent in the tree.  :func:`_decompose` exploits that twice:
-    a mask whose parent found nothing is resolved to ``[]`` outright, and
-    otherwise a Tarjan *probe* confined to the parent components decides
-    whether the mask has any cycles at all before the full-graph
-    decomposition runs.  On a clean history (the production hot path) every
-    non-root mask resolves without touching the graph.
+    under its parent in the tree.  :func:`_decompose` exploits that: only a
+    root mask runs over the whole graph, and every other mask is answered
+    by a Tarjan *probe* confined to its parent's members (or resolved to
+    ``[]`` outright when the parent found nothing).  On a clean history
+    (the production hot path) every non-root mask resolves without
+    touching the graph.
     """
     label_union = csr.label_union
     cache: Dict[int, List[List[int]]] = {}
@@ -257,33 +257,28 @@ def _decompose(
 ) -> List[List[int]]:
     """One decomposition step of the refinement walk.
 
-    Witness selection downstream is sensitive to Tarjan's emission order
-    (component order and member order are traversal-dependent), so any
-    components actually handed to the searches come from a *full-graph*
-    run — byte-identical to the historical per-spec decomposition.  The
-    refinement saves work by proving, via the parent components, that the
-    full run is unnecessary: narrow masks whose parent is acyclic resolve
-    to ``[]`` for free, and otherwise a Tarjan probe confined to the
-    parent's members (where every narrow-mask cycle must live) runs first.
-    The probe sees exactly the true cyclic SCC *sets* — only their order
-    may differ — so an empty probe proves the full run would find nothing.
+    A root mask (``widest``) decomposes the whole graph.  Any other mask's
+    cyclic SCCs are exactly the cyclic SCCs of the subgraph induced by its
+    parent's members: each lies inside one parent component, and every
+    path between two of its nodes stays inside the SCC.  ``cyclic_scc_idx``
+    orders its answer canonically, so the probe confined to those members
+    returns the same lists a whole-graph run would, and is the final
+    answer.
     """
     if mask == 0:
         # No visible edges: nothing can be cyclic.
         return []
-    if not widest:
-        if not parent:
-            # Parent found no cyclic components; narrower masks can't either.
-            return []
+    if widest:
         if profile is not None:
-            profile.count("scc.probe_runs")
-        members = sorted(i for component in parent for i in component)
-        allowed = csr.allowed_table(members)
-        if not csr.cyclic_scc_idx(mask, roots=members, allowed=allowed):
-            return []
+            profile.count("scc.full_runs")
+        return csr.cyclic_scc_idx(mask)
+    if not parent:
+        # Parent found no cyclic components; narrower masks can't either.
+        return []
     if profile is not None:
-        profile.count("scc.full_runs")
-    return csr.cyclic_scc_idx(mask)
+        profile.count("scc.probe_runs")
+    members = sorted(i for component in parent for i in component)
+    return csr.cyclic_scc_idx(mask, members)
 
 
 def find_cycle_anomalies(
@@ -294,7 +289,7 @@ def find_cycle_anomalies(
     """All cycle anomalies, one witness per (cycle, classification).
 
     Freezes the graph once into its CSR snapshot, computes the SCC
-    refinement tree (at most one full-graph Tarjan per mask family), then
+    refinement tree (one whole-graph decomposition per root mask), then
     runs every search pass in severity order.  Each pass finds at most one
     short cycle per strongly connected component; duplicates across passes
     are dropped by cycle signature.

@@ -15,14 +15,22 @@ is frozen once into flat arrays:
 
 All algorithms here work in the integer domain and take an edge *mask*: an
 edge participates iff ``label & mask`` is non-zero.  Restricted variants
-additionally take an ``allowed`` byte table (``allowed[i]`` truthy means
-node ``i`` is in play), which is how the cycle search confines narrower
-passes to the strongly connected components found under wider masks.
+additionally take ``members`` (ascending ids), confining the traversal to
+the subgraph those nodes induce — which is how the cycle search confines
+narrower passes to the strongly connected components found under wider
+masks.
+
+Cyclic components come out in one canonical order — members ascending,
+components by smallest member — that depends only on the component sets.
+That lets two engines answer the same query: scipy labels the strongly
+connected components of a large graph in C, and the Python Tarjan serves
+small graphs and restricted queries, each returning identical lists.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -30,25 +38,17 @@ import numpy as np
 #: Mask that admits every edge regardless of label.
 ALL_EDGES = -1
 
-#: Below this edge count the scipy strongly-connected screen is not worth
-#: the array round-trip; the Python Tarjan runs directly.
+#: Unrestricted cyclic-SCC queries on graphs with at least this many edges
+#: go to scipy's C labelling; smaller graphs stay on the Python Tarjan.
+#: scipy pays ~0.1 ms per call (sparse-matrix validation, label grouping),
+#: plus the array conversion on a snapshot built from Python lists; Tarjan
+#: pays ~0.2 µs per edge.  Measured on a 2-vCPU x86 host (numpy 2.4,
+#: scipy 1.17) over sparse dependency-shaped graphs: they break even
+#: between 1k and 2k edges; at 8192 edges Tarjan takes 1.4 ms against
+#: scipy's 0.4 ms (1.1 ms with the conversion); at 335k edges (a
+#: register-stale dependency graph) ~90 ms against ~13 ms.  rw-register's
+#: per-key version graphs (tens of edges) stay on Tarjan.
 _FAST_SCC_MIN_EDGES = 8192
-
-# Lazily resolved scipy.sparse handle (None = not probed, False = absent).
-_SCIPY_SPARSE = None
-
-
-def _sparse():
-    """``scipy.sparse`` if importable, else ``False`` (probed once)."""
-    global _SCIPY_SPARSE
-    if _SCIPY_SPARSE is None:
-        try:
-            from scipy import sparse as sp  # type: ignore
-
-            _SCIPY_SPARSE = sp
-        except ImportError:  # pragma: no cover - scipy is optional
-            _SCIPY_SPARSE = False
-    return _SCIPY_SPARSE
 
 
 class CSRGraph:
@@ -61,8 +61,7 @@ class CSRGraph:
     """
 
     __slots__ = ("_nodes", "_nodes_np", "_index_of", "_indptr", "_indices",
-                 "_labels", "_n", "_e", "label_union", "_np_arrays",
-                 "_self_loops")
+                 "_labels", "_n", "_e", "label_union", "_np_arrays")
 
     def __init__(
         self,
@@ -87,10 +86,8 @@ class CSRGraph:
                 label_union |= label
         self.label_union = label_union
         #: Cached ``(indptr, indices, labels)`` as numpy arrays, built on
-        #: demand by the scipy acyclicity screen (or kept from a bulk build).
+        #: demand by the scipy engine (or kept from a bulk build).
         self._np_arrays = None
-        #: Self-looping node id -> OR of its self-loop labels, built on demand.
-        self._self_loops = None
 
     @classmethod
     def _from_np(
@@ -98,8 +95,8 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Wrap a bulk-built numpy CSR; Python lists materialize lazily.
 
-        On a clean history the vectorized acyclicity screen answers the
-        whole cycle search from the numpy arrays, so the (costly) int-list
+        On a clean history scipy's component labelling answers the whole
+        cycle search from the numpy arrays, so the (costly) int-list
         conversions never happen unless a Python traversal — Tarjan, BFS,
         node-domain queries — actually needs them.
         """
@@ -114,7 +111,6 @@ class CSRGraph:
         graph._e = len(indices_np)
         graph.label_union = label_union
         graph._np_arrays = (indptr_np, indices_np, labels_np)
-        graph._self_loops = None
         return graph
 
     @property
@@ -341,15 +337,14 @@ class CSRGraph:
     def scc_idx(
         self,
         mask: int = ALL_EDGES,
-        roots: Optional[Sequence[int]] = None,
-        allowed: Optional[bytearray] = None,
+        members: Optional[Sequence[int]] = None,
     ) -> List[List[int]]:
         """Tarjan SCCs over integer ids, unrolled to an explicit stack.
 
-        ``roots`` is the DFS root order (default: every node in interning
-        order); ``allowed`` restricts the traversal to a node subset.  With
-        defaults the visit order — hence component order *and* member order
-        — is that of the textbook recursive Tarjan over CSR rows.
+        ``members`` restricts the traversal to a node subset and is also
+        the DFS root order (default: every node in interning order).  With
+        the default the visit order — hence component order *and* member
+        order — is that of the textbook recursive Tarjan over CSR rows.
         Components come out in reverse topological order of the
         condensation.
         """
@@ -363,8 +358,12 @@ class CSRGraph:
         stack: List[int] = []
         components: List[List[int]] = []
         counter = 0
-        if roots is None:
-            roots = range(n)
+        if members is None:
+            roots: Iterable[int] = range(n)
+            allowed = None
+        else:
+            roots = members
+            allowed = self.allowed_table(members)
         # Parallel work stacks: the node under visit and its resume position
         # in the CSR row (cheaper than tuples or saved iterators).
         work_node: List[int] = []
@@ -423,60 +422,50 @@ class CSRGraph:
                     components.append(component)
         return components
 
-    def _self_loop_labels(self) -> Dict[int, int]:
-        """Self-looping node id -> the OR of its self-loop labels.
-
-        Scanned once per snapshot (a C-level membership test per row; only
-        rows that hold their own id are walked), so the singleton test in
-        :meth:`cyclic_scc_idx` is a dict lookup however many Tarjan passes
-        and probes run over the snapshot.
-        """
-        loops = self._self_loops
-        if loops is None:
-            loops = {}
-            indices = self.indices
-            labels = self.labels
-            start = 0
-            for node, end in enumerate(self.indptr[1:]):
-                if node in indices[start:end]:
-                    for pos in range(start, end):
-                        if indices[pos] == node:
-                            loops[node] = loops.get(node, 0) | labels[pos]
-                start = end
-            self._self_loops = loops
-        return loops
-
     def cyclic_scc_idx(
         self,
         mask: int = ALL_EDGES,
-        roots: Optional[Sequence[int]] = None,
-        allowed: Optional[bytearray] = None,
+        members: Optional[Sequence[int]] = None,
     ) -> List[List[int]]:
         """SCCs that can contain a cycle: size > 1, or a self-looping node.
 
-        Full-graph queries on large graphs first run a vectorized
-        acyclicity screen (scipy's strongly-connected count): when the
-        graph under ``mask`` is provably acyclic — one component per node
-        and no self-loop — the answer is ``[]`` with no Python traversal.
-        Any other outcome falls through to the Tarjan walk, whose emission
-        order downstream witness selection depends on.
+        Each component is an ascending list of ids, and components are
+        ordered by their smallest id.  ``members`` (ascending ids) confines
+        the query to the subgraph they induce.  Unrestricted queries on
+        graphs of at least ``_FAST_SCC_MIN_EDGES`` edges are answered by
+        scipy's C labelling; the rest by the Python Tarjan.  Both engines
+        return identical lists.
         """
-        if roots is None and allowed is None and self._provably_acyclic(mask):
-            return []
-        loops = self._self_loop_labels()
-        return [
-            component
-            for component in self.scc_idx(mask, roots, allowed)
-            if len(component) > 1 or loops.get(component[0], 0) & mask
-        ]
+        if members is None and self._e >= _FAST_SCC_MIN_EDGES:
+            return self._cyclic_scipy(mask)
+        return self._cyclic_tarjan(mask, members)
 
-    def _provably_acyclic(self, mask: int) -> bool:
-        """True only when a C-speed screen proves no cycle exists under ``mask``."""
-        if self._e < _FAST_SCC_MIN_EDGES:
-            return False
-        sparse = _sparse()
-        if not sparse:
-            return False
+    def _cyclic_tarjan(
+        self, mask: int, members: Optional[Sequence[int]] = None
+    ) -> List[List[int]]:
+        """:meth:`cyclic_scc_idx` by the Python Tarjan, sorted."""
+        indptr = self.indptr
+        indices = self.indices
+        cyclic = []
+        for component in self.scc_idx(mask, members):
+            if len(component) > 1:
+                component.sort()
+                cyclic.append(component)
+                continue
+            node = component[0]
+            # C-level membership test first: most rows hold no self-loop.
+            if node in indices[indptr[node]:indptr[node + 1]]:
+                if self.edge_label_idx(node, node) & mask:
+                    cyclic.append(component)
+        cyclic.sort(key=itemgetter(0))
+        return cyclic
+
+    def _cyclic_scipy(self, mask: int) -> List[List[int]]:
+        """:meth:`cyclic_scc_idx` by scipy's strong-component labelling."""
+        # Lazy: ``import repro`` stays free of scipy's import cost.
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         arrays = self._np_arrays
         if arrays is None:
             arrays = self._np_arrays = (
@@ -484,38 +473,39 @@ class CSRGraph:
                 np.asarray(self.indices, dtype=np.int64),
                 np.asarray(self.labels, dtype=np.int64),
             )
-        indptr_np, indices_np, labels_np = arrays
+        indptr, indices, labels = arrays
         n = self._n
-        if mask & self.label_union == self.label_union:
-            # Every edge visible: wrap the existing CSR arrays directly.
-            matrix = sparse.csr_matrix(
-                (
-                    np.ones(len(indices_np), dtype=np.int8),
-                    indices_np,
-                    indptr_np,
-                ),
+        if mask & self.label_union != self.label_union:
+            # Drop the edges the mask hides: each row's new start is the
+            # number of kept edges before its old start.
+            keep = (labels & mask) != 0
+            kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept_before[1:])
+            indptr = kept_before[indptr]
+            indices = indices[keep]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        looped = rows[rows == indices]
+        count, component_of = connected_components(
+            csr_matrix(
+                (np.ones(len(indices), dtype=np.int8), indices, indptr),
                 shape=(n, n),
-            )
-        else:
-            keep = (labels_np & mask) != 0
-            rows = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(indptr_np)
-            )[keep]
-            matrix = sparse.csr_matrix(
-                (
-                    np.ones(len(rows), dtype=np.int8),
-                    (rows, indices_np[keep]),
-                ),
-                shape=(n, n),
-            )
-        if bool(matrix.diagonal().any()):
-            return False  # a self-loop is already a cycle
-        from scipy.sparse import csgraph  # local: follows the gate above
-
-        count = csgraph.connected_components(
-            matrix, directed=True, connection="strong", return_labels=False
+            ),
+            directed=True,
+            connection="strong",
         )
-        return int(count) == n
+        cyclic = np.bincount(component_of, minlength=count) > 1
+        cyclic[component_of[looped]] = True
+        nodes = np.flatnonzero(cyclic[component_of])  # ascending
+        if not len(nodes):
+            return []
+        # Group by label (stable: each group stays ascending), then order
+        # the groups by their smallest member.
+        of_node = component_of[nodes]
+        order = np.argsort(of_node, kind="stable")
+        breaks = np.flatnonzero(np.diff(of_node[order])) + 1
+        components = [part.tolist() for part in np.split(nodes[order], breaks)]
+        components.sort(key=itemgetter(0))
+        return components
 
     # ------------------------------------------------------------------
     # Breadth-first cycle searches

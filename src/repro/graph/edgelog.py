@@ -40,6 +40,15 @@ class EdgeLogGraph:
         self._l = array("q")
         self._csr = None
 
+    def __getstate__(self):
+        # The snapshot is derived from the log: pickles (daemon
+        # checkpoints) carry the log alone and freeze() rebuilds on demand.
+        return self._u, self._v, self._l
+
+    def __setstate__(self, state) -> None:
+        self._u, self._v, self._l = state
+        self._csr = None
+
     # ------------------------------------------------------------------
     # Construction: every path is appends on flat parallel arrays.
 

@@ -1,7 +1,10 @@
 """Tests for cycle-anomaly classification and search."""
 
-from repro.core import PROCESS, REALTIME, RW, WR, WW, classify_cycle
-from repro.core.cycle_search import find_cycle_anomalies
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import PROCESS, REALTIME, RW, TIMESTAMP, WR, WW, classify_cycle
+from repro.core.cycle_search import _SPECS, find_cycle_anomalies
 from repro.graph import EdgeLogGraph
 
 
@@ -132,3 +135,58 @@ class TestFindCycleAnomalies:
         names = self.names(g)
         assert "G1c" in names
         assert "G-single" in names
+
+
+# ----------------------------------------------------------------------
+# Witness validity, checked on each witness alone (no second search path).
+
+_BITS = WW | WR | RW | PROCESS | REALTIME | TIMESTAMP
+#: The two roots of the search: every cycle a spec can see lies under one.
+_ROOTS = (WW | WR | RW | PROCESS | REALTIME, WW | WR | RW | TIMESTAMP)
+
+
+@st.composite
+def labeled_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=1, max_value=_BITS),
+            ),
+            max_size=30,
+        )
+    )
+    return graph_of(*edges)
+
+
+@given(labeled_graphs())
+@settings(max_examples=300, deadline=None)
+def test_every_witness_is_a_valid_simple_cycle(g):
+    anomalies = find_cycle_anomalies(g)
+    signatures = set()
+    for anomaly in anomalies:
+        cycle = anomaly.txns
+        interior = cycle[:-1]
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert len(set(interior)) == len(interior), "not a simple cycle"
+        steps = anomaly.steps
+        assert [(u, v) for u, v, _bit in steps] == list(zip(cycle, cycle[1:]))
+        bits = 0
+        for u, v, bit in steps:
+            assert bin(bit).count("1") == 1
+            assert g.edge_label(u, v) & bit, f"{u}->{v} lacks bit {bit}"
+            bits |= bit
+        assert any(bits & spec.mask == bits for spec in _SPECS)
+        # The name is a function of the chosen bits alone.
+        own = graph_of(*steps)
+        assert classify_cycle(own, cycle, _BITS) == (anomaly.name, steps)
+        assert anomaly.message.startswith(f"{anomaly.name} cycle over ")
+        rotation = interior.index(min(interior))
+        signature = interior[rotation:] + interior[:rotation]
+        assert signature not in signatures, "duplicate witness"
+        signatures.add(signature)
+    csr = g.freeze()
+    cyclic = any(csr.cyclic_scc_idx(root) for root in _ROOTS)
+    assert bool(anomalies) == cyclic

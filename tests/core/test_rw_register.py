@@ -173,8 +173,8 @@ class TestCyclicVersions:
     def test_exact_cycle_over_string_versions_through_initial_state(self):
         # Initial state puts nil before "a", write-follows-read puts "a"
         # before "b", and realtime puts "b" before the late nil read: one
-        # component whose member order is the Tarjan emission order over
-        # versions interned in first-emission order.
+        # component whose members come in the versions' first-emission
+        # order (the component lists its interned ids ascending).
         b = HistoryBuilder()
         b.invoke(0, [w("x", "a")])
         b.ok(0, [w("x", "a")])
@@ -192,7 +192,7 @@ class TestCyclicVersions:
         (anomaly,) = a.anomalies
         assert anomaly.name == "cyclic-versions"
         assert anomaly.txns == (0, 2, 4)
-        assert anomaly.data == {"key": "x", "values": ("b", "a", None)}
+        assert anomaly.data == {"key": "x", "values": (None, "a", "b")}
         assert "cyclic over values ['a', 'b', None]" in anomaly.message
 
     def test_cyclic_key_keeps_wr_edges(self):

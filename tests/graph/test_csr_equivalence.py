@@ -5,9 +5,12 @@ in successor insertion order, so every traversal (Tarjan, BFS
 shortest-cycle, first-edge search) must visit nodes and edges in exactly
 the order the historical dict-of-dicts implementation did — same
 components in the same order with the same member order, same tie-broken
-witness cycles, same anomaly lists.  These tests pin that equivalence
-against a faithful dict-based reference implementation, over random
-labeled graphs and random masks.
+witness cycles.  Cyclic components are the one deliberate reordering:
+``cyclic_scc_idx`` lists the reference Tarjan's cyclic components with
+members ascending by id and components by smallest member
+(:func:`ref_cyclic_sorted`), and the cycle searches consume them in that
+order.  These tests pin that equivalence against a faithful dict-based
+reference implementation, over random labeled graphs and random masks.
 
 The reference code below is the pre-CSR implementation, kept verbatim as
 an executable oracle.  It runs over a plain dict-of-dicts
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.cycle_search import find_cycle_anomalies
 from repro.graph import ALL_EDGES, CSRGraph, EdgeLogGraph
+from repro.graph.csr import _FAST_SCC_MIN_EDGES
 
 # All six dependency bits the checker uses.
 FULL_MASK = 63
@@ -142,6 +146,22 @@ def ref_cyclic(graph, mask):
     return result
 
 
+def ref_cyclic_sorted(graph, mask):
+    """:func:`ref_cyclic` in the canonical order of ``cyclic_scc_idx``.
+
+    Members ascend by id (the dict's key order, which :func:`freeze`
+    interns by) and components are ordered by their smallest member.
+    """
+    rank = {node: i for i, node in enumerate(graph)}.__getitem__
+    components = [sorted(c, key=rank) for c in ref_cyclic(graph, mask)]
+    components.sort(key=lambda component: rank(component[0]))
+    return components
+
+
+def as_sets(components):
+    return {frozenset(component) for component in components}
+
+
 def ref_shortest_path(graph, source, target, mask, restrict=None):
     if source not in graph:
         return None
@@ -201,7 +221,8 @@ def ref_first_edge_cycle(graph, first_mask, rest_mask, components=None):
 
 
 def ref_find_cycle_anomalies(graph):
-    """The seed's 16-pass search: a fresh full decomposition per spec."""
+    """The seed's 16-pass search: a fresh full decomposition per spec,
+    its cyclic components taken in the canonical order."""
     from repro.core.anomalies import CycleAnomaly
     from repro.core.cycle_search import (
         _SPECS,
@@ -212,7 +233,7 @@ def ref_find_cycle_anomalies(graph):
 
     anomalies, seen = [], set()
     for spec in _SPECS:
-        for component in ref_cyclic(graph, spec.mask):
+        for component in ref_cyclic_sorted(graph, spec.mask):
             if spec.first is None:
                 cycle = ref_shortest_cycle(graph, component, spec.mask)
             else:
@@ -276,7 +297,9 @@ def test_scc_identical(g, mask):
 @settings(max_examples=300, deadline=None)
 def test_cyclic_components_identical(g, mask):
     csr = freeze(g)
-    assert as_nodes(csr, csr.cyclic_scc_idx(mask)) == ref_cyclic(g, mask)
+    found = as_nodes(csr, csr.cyclic_scc_idx(mask))
+    assert found == ref_cyclic_sorted(g, mask)
+    assert as_sets(found) == as_sets(ref_cyclic(g, mask))
 
 
 @given(labeled_graphs(), masks, st.integers(0, 11), st.integers(0, 11))
@@ -308,17 +331,19 @@ def test_shortest_cycle_identical(g, mask):
 @given(labeled_graphs(), masks, masks)
 @settings(max_examples=300, deadline=None)
 def test_first_edge_cycle_identical(g, first_mask, rest_mask):
+    components = ref_cyclic_sorted(g, first_mask | rest_mask)
+    assert as_sets(components) == as_sets(ref_cyclic(g, first_mask | rest_mask))
     assert first_edge_cycle(
         freeze(g), first_mask, rest_mask
-    ) == ref_first_edge_cycle(g, first_mask, rest_mask)
+    ) == ref_first_edge_cycle(g, first_mask, rest_mask, components)
 
 
 @given(labeled_graphs())
 @settings(max_examples=300, deadline=None)
 def test_find_cycle_anomalies_identical(g):
-    # The refined (probe-gated, cache-shared) search must reproduce the
-    # seed's 16-pass output byte for byte: same anomalies, same witnesses,
-    # same order.
+    # The refined (probe-answered, cache-shared) search must reproduce the
+    # seed's 16-pass output over canonically ordered components byte for
+    # byte: same anomalies, same witnesses, same order.
     assert find_cycle_anomalies(freeze(g)) == ref_find_cycle_anomalies(g)
 
 
@@ -674,8 +699,9 @@ def _induced(graph, members):
 def test_self_loops_under_masks_identical(g, mask_sequence):
     csr = freeze(g)
     for mask in mask_sequence:
-        components = csr.cyclic_scc_idx(mask)
-        assert as_nodes(csr, components) == ref_cyclic(g, mask)
+        found = as_nodes(csr, csr.cyclic_scc_idx(mask))
+        assert found == ref_cyclic_sorted(g, mask)
+        assert as_sets(found) == as_sets(ref_cyclic(g, mask))
 
 
 @given(self_looping_graphs(), masks, st.data())
@@ -684,10 +710,10 @@ def test_self_loops_restricted_probe_identical(g, mask, data):
     csr = freeze(g)
     members = data.draw(st.sets(st.sampled_from(list(g.nodes()))))
     ids = sorted(csr.index_of[m] for m in members)
-    components = csr.cyclic_scc_idx(
-        mask, roots=ids, allowed=csr.allowed_table(ids)
-    )
-    assert as_nodes(csr, components) == ref_cyclic(_induced(g, members), mask)
+    found = as_nodes(csr, csr.cyclic_scc_idx(mask, ids))
+    sub = _induced(g, members)
+    assert found == ref_cyclic_sorted(sub, mask)
+    assert as_sets(found) == as_sets(ref_cyclic(sub, mask))
 
 
 def test_self_loop_label_outside_the_mask_is_no_cycle():
@@ -695,10 +721,9 @@ def test_self_loop_label_outside_the_mask_is_no_cycle():
     assert csr.cyclic_scc_idx(0b0001) == [[1]]
     assert csr.cyclic_scc_idx(0b0100) == [[0]]
     assert csr.cyclic_scc_idx(0b1000) == []
-    assert csr.cyclic_scc_idx(FULL_MASK) == [[1], [0]]
-    only_one = csr.allowed_table([0])
-    assert csr.cyclic_scc_idx(0b0011, roots=[0], allowed=only_one) == []
-    assert csr.cyclic_scc_idx(0b0100, roots=[0], allowed=only_one) == [[0]]
+    assert csr.cyclic_scc_idx(FULL_MASK) == [[0], [1]]
+    assert csr.cyclic_scc_idx(0b0011, [0]) == []
+    assert csr.cyclic_scc_idx(0b0100, [0]) == [[0]]
 
 
 def test_self_loops_in_a_bulk_built_snapshot():
@@ -713,3 +738,39 @@ def test_self_loops_in_a_bulk_built_snapshot():
         assert csr.cyclic_scc_idx(mask) == reference.cyclic_scc_idx(mask)
     found = csr.cyclic_scc_idx(2)
     assert sorted(csr.nodes[c[0]] for c in found) == [5, 300]
+
+
+# ----------------------------------------------------------------------
+# The two cyclic-SCC engines: scipy's labelling and the sorted Tarjan.
+
+
+@given(self_looping_graphs(), masks, st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_both_engines_identical(g, mask, padded, data):
+    nodes = list(g)
+    if padded:
+        # An acyclic tail pushes the snapshot over the cut-over without
+        # adding cyclic components, so the public call takes scipy.
+        tail = [("tail", i) for i in range(_FAST_SCC_MIN_EDGES + 1)]
+        for u, v in zip(tail, tail[1:]):
+            g[u] = {v: 1}
+        g[tail[-1]] = {}
+    csr = freeze(g)
+    assert (csr.edge_count >= _FAST_SCC_MIN_EDGES) == padded
+    expected = ref_cyclic_sorted(g, mask)
+    assert as_nodes(csr, csr._cyclic_tarjan(mask)) == expected
+    assert as_nodes(csr, csr._cyclic_scipy(mask)) == expected
+    assert as_nodes(csr, csr.cyclic_scc_idx(mask)) == expected
+    # Members covering every cyclic node under a wider mask (the
+    # refinement walk's probe) reproduce the unrestricted answer.
+    wider = csr.cyclic_scc_idx(FULL_MASK)
+    probe = sorted(i for component in wider for i in component)
+    assert as_nodes(csr, csr.cyclic_scc_idx(mask, probe)) == expected
+    # Any member set: the restricted Tarjan equals scipy on the subgraph
+    # those members induce.
+    members = data.draw(st.sets(st.sampled_from(nodes)))
+    sub = freeze(_induced(g, members))
+    ids = sorted(csr.index_of[m] for m in members)
+    assert as_nodes(csr, csr.cyclic_scc_idx(mask, ids)) == as_nodes(
+        sub, sub._cyclic_scipy(mask)
+    )

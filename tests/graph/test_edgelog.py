@@ -6,10 +6,12 @@ byte-identical to the dict build :meth:`CSRGraph.from_edges` over the same
 emission stream: same node interning order, same successor row order, same
 OR-ed labels (``tests/graph/test_csr_equivalence.py`` pins that build
 against a plain dict-of-dicts).  The vectorized :meth:`CSRGraph.from_edge_log`
-is pinned against it at every log size, as is the scipy acyclicity screen
-that lets large clean graphs skip the Python Tarjan entirely.
+is pinned against it at every log size, as is the engine choice of
+``cyclic_scc_idx``: scipy's labelling on large graphs, the Python Tarjan
+on small ones and on restricted queries.
 """
 
+import pickle
 from array import array
 
 import numpy as np
@@ -18,13 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, EdgeLogGraph
-from repro.graph import csr as csr_mod
 from repro.graph.csr import _FAST_SCC_MIN_EDGES
 from repro.graph.intervals import interval_precedence_pairs
-
-requires_scipy = pytest.mark.skipif(
-    not csr_mod._sparse(), reason="the acyclicity screen needs scipy.sparse"
-)
 
 edge_lists = st.lists(
     st.tuples(
@@ -254,7 +251,7 @@ class TestEdgeLogApi:
         assert list(log.successors(1)) == [2, 3]
 
 
-class TestAcyclicityScreen:
+class TestScipyEngine:
     def chain_graph(self, n, cyclic):
         log = EdgeLogGraph()
         log.add_edges_from([(i, i + 1, 1) for i in range(n)])
@@ -262,43 +259,88 @@ class TestAcyclicityScreen:
             log.add_edge(n, 0, 1)
         return log.freeze()
 
-    @requires_scipy
-    def test_large_acyclic_graph_screens_to_no_components(self):
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """Counts each engine's calls while still running it."""
+        calls = {"scipy": 0, "tarjan": 0}
+        for name, method in (
+            ("scipy", "_cyclic_scipy"),
+            ("tarjan", "_cyclic_tarjan"),
+        ):
+            original = getattr(CSRGraph, method)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(CSRGraph, method, counted)
+        return calls
+
+    def test_large_acyclic_graph_has_no_components(self, engines):
         csr = self.chain_graph(_FAST_SCC_MIN_EDGES + 8, cyclic=False)
-        assert csr._provably_acyclic(csr.label_union)
         assert csr.cyclic_scc_idx(csr.label_union) == []
+        assert engines == {"scipy": 1, "tarjan": 0}
+        assert csr._cyclic_tarjan(csr.label_union) == []
 
-    def test_large_cyclic_graph_falls_through_to_tarjan(self):
-        csr = self.chain_graph(_FAST_SCC_MIN_EDGES + 8, cyclic=True)
-        assert not csr._provably_acyclic(csr.label_union)
+    def test_large_cyclic_graph_is_one_ascending_component(self, engines):
+        n = _FAST_SCC_MIN_EDGES + 8
+        csr = self.chain_graph(n, cyclic=True)
         components = csr.cyclic_scc_idx(csr.label_union)
-        assert len(components) == 1
-        assert len(components[0]) == _FAST_SCC_MIN_EDGES + 9
+        assert engines == {"scipy": 1, "tarjan": 0}
+        assert components == [list(range(n + 1))]
+        assert csr._cyclic_tarjan(csr.label_union) == components
 
-    def test_self_loop_defeats_the_screen(self):
+    def test_self_loop_is_a_component(self, engines):
         log = EdgeLogGraph()
         log.add_edges_from([(i, i + 1, 1) for i in range(_FAST_SCC_MIN_EDGES)])
         log.add_edge(5, 5, 1)
+        log.add_edge(3, 3, 2)
         csr = log.freeze()
-        assert not csr._provably_acyclic(csr.label_union)
-        assert [c for c in csr.cyclic_scc_idx(csr.label_union)] == [[5]]
+        assert csr.cyclic_scc_idx(csr.label_union) == [[3], [5]]
+        assert csr.cyclic_scc_idx(1) == [[5]]
+        assert engines == {"scipy": 2, "tarjan": 0}
+        assert csr._cyclic_tarjan(1) == [[5]]
 
-    @requires_scipy
-    def test_masked_screen_filters_edges(self):
+    def test_mask_filters_edges(self, engines):
         # Under the full mask there is a cycle; under mask=1 there is not.
         log = EdgeLogGraph()
         log.add_edges_from([(i, i + 1, 1) for i in range(_FAST_SCC_MIN_EDGES)])
         log.add_edge(_FAST_SCC_MIN_EDGES, 0, 2)
         csr = log.freeze()
-        assert not csr._provably_acyclic(csr.label_union)
-        assert csr._provably_acyclic(1)
         assert csr.cyclic_scc_idx(1) == []
-        assert len(csr.cyclic_scc_idx(csr.label_union)) == 1
+        assert csr.cyclic_scc_idx(2) == []
+        assert csr.cyclic_scc_idx(csr.label_union) == [
+            list(range(_FAST_SCC_MIN_EDGES + 1))
+        ]
+        assert engines == {"scipy": 3, "tarjan": 0}
 
-    def test_small_graphs_never_use_the_screen(self):
-        csr = self.chain_graph(16, cyclic=False)
-        assert not csr._provably_acyclic(csr.label_union)
-        assert csr.cyclic_scc_idx(csr.label_union) == []
+    def test_small_graphs_and_restricted_queries_use_tarjan(self, engines):
+        small = self.chain_graph(16, cyclic=True)
+        assert small.cyclic_scc_idx(small.label_union) == [list(range(17))]
+        large = self.chain_graph(_FAST_SCC_MIN_EDGES + 8, cyclic=True)
+        assert large.cyclic_scc_idx(large.label_union, [0, 1, 2]) == []
+        assert engines == {"scipy": 0, "tarjan": 2}
+
+
+class TestPickle:
+    def test_frozen_graph_round_trips_without_its_snapshot(self):
+        log = EdgeLogGraph()
+        log.add_edges_from([(3, 1, 1), (1, 2, 4), (2, 3, 2), (1, 2, 1)])
+        before = log.freeze()
+        data = pickle.dumps(log, pickle.HIGHEST_PROTOCOL)
+        assert b"CSRGraph" not in data
+        loaded = pickle.loads(data)
+        after = loaded.freeze()
+        assert after is not before
+        assert (after.nodes, after.indptr, after.indices, after.labels) == (
+            before.nodes,
+            before.indptr,
+            before.indices,
+            before.labels,
+        )
+        loaded.add_edge(2, 1, 8)
+        assert loaded.edge_label(2, 1) == 8
+        assert log.edge_label(2, 1) == 0
 
 
 class TestIntervalPairs:
