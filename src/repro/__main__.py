@@ -430,6 +430,8 @@ def _op_chunks(args, fault_factory):
 
 def _follow(args, fault_factory, profile) -> int:
     """Streaming mode: chunked ingest, per-chunk verdict deltas."""
+    from .service.protocol import record_summary, update_record
+
     checker = StreamingChecker(
         workload=args.workload,
         consistency_model=args.model,
@@ -442,14 +444,12 @@ def _follow(args, fault_factory, profile) -> int:
         for chunk in chunks:
             update = checker.extend(chunk)
             if args.json:
-                from .service.protocol import update_record
-
                 print(
                     json.dumps(update_record(update), separators=(",", ":")),
                     flush=True,
                 )
             elif not args.quiet:
-                print(update.summary(), flush=True)
+                print(record_summary(update_record(update)), flush=True)
     finally:
         if opened is not None:
             opened.close()

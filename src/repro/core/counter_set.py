@@ -92,7 +92,7 @@ class GrowSetPlan(KeyspacePlan):
         txn_ids = index.txn_ids
         first_writer = slice_.first_writer
         fw_get = first_writer.get
-        obj_write_map = slice_.write_map
+        obj_write_map = index.write_map(slice_)
         anomaly_blocks = []
         edge_blocks = []
         r_txn = slice_.r_txn

@@ -105,23 +105,6 @@ class StreamUpdate:
     reanalyzed_keys: int
     reused_keys: int
 
-    def summary(self) -> str:
-        """A one-line digest, the ``--follow`` progress format."""
-        verdict = "VALID" if self.result.valid else "INVALID"
-        parts = [
-            f"chunk {self.chunk}: +{self.ops} ops ({self.txns} txns)",
-            f"{verdict} under {self.result.consistency_model}",
-        ]
-        if self.new_anomalies:
-            counts = Counter(a.name for a in self.new_anomalies)
-            named = ", ".join(f"{name} x{n}" for name, n in sorted(counts.items()))
-            parts.append(f"+{len(self.new_anomalies)} anomalies ({named})")
-        else:
-            parts.append("+0 anomalies")
-        if self.resolved:
-            parts.append(f"{self.resolved} resolved")
-        return "; ".join(parts)
-
 
 #: Cached per-key analysis: (slice version, merge position, batch).
 _CacheEntry = Tuple[int, int, Batch]
@@ -566,7 +549,7 @@ class StreamingChecker:
             block = self._internal.pop(txn_id, None)
             if block is not None:
                 self._frozen_anomalies.append(block)
-        index.retire(retirable, frozen.keys())
+        index.retire(frozen.keys())
         dropped = self.history.retire_transactions(retirable)
         self._retired_ids = total_retired
         return self._summary(

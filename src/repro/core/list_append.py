@@ -581,7 +581,7 @@ class ListAppendPlan(KeyspacePlan):
         def check_suspicious_read(i: int, value: Tuple) -> None:
             nonlocal obj_write_map
             if obj_write_map is None:
-                obj_write_map = slice_.write_map
+                obj_write_map = index.write_map(slice_)
             found = check_recoverable_read(
                 transactions[reads_txn[i]], key, value, obj_write_map, self._style
             )

@@ -242,7 +242,7 @@ class RwRegisterPlan(KeyspacePlan):
                 or (wpos != pos and final_of[wpos] != value)
             ):
                 if obj_write_map is None:
-                    obj_write_map = slice_.write_map
+                    obj_write_map = index.write_map(slice_)
                 found = check_recoverable_read(
                     transactions[pos], key, (value,), obj_write_map, self._style
                 )
@@ -290,7 +290,7 @@ class RwRegisterPlan(KeyspacePlan):
         if need_stream:
             # The committed micro-op stream, merged back into observation
             # order from the read/write substreams.
-            st_txn, st_read, st_val = slice_.committed_stream()
+            st_txn, st_read, st_val = index.committed_stream(slice_)
             n_ops = len(st_txn)
 
         if "write-follows-read" in sources:
@@ -330,7 +330,7 @@ class RwRegisterPlan(KeyspacePlan):
                     add_version_edge(last[1], first[0], tag)
 
             if "process" in sources:
-                grouped = slice_.interacting_positions_by_process()
+                grouped = index.interacting_positions_by_process(slice_)
                 for positions in grouped.values():
                     order_source_edges(zip(positions, positions[1:]), "process")
             if "realtime" in sources:

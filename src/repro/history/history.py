@@ -97,19 +97,18 @@ class History:
     __slots__ = (
         "ops",
         "transactions",
-        "_by_id",
         "_index",
         "_pending",
         "_pos_by_id",
         "_max_index",
         "_retired_ops",
-        "_retired_txns",
     )
 
     def __init__(self, ops: Sequence[Op] = ()) -> None:
         self.ops: Tuple[Op, ...] = ()
+        #: The one transaction table: the cached index shares this list
+        #: and ``_pos_by_id`` rather than copying them.
         self.transactions: List[Optional[Transaction]] = []
-        self._by_id: Dict[int, Transaction] = {}
         self._index = None
         #: Pending invocations: process -> invoke Op.
         self._pending: Dict[int, Op] = {}
@@ -121,8 +120,6 @@ class History:
         self._max_index = -1
         #: Ops dropped by retirement (their count still figures in totals).
         self._retired_ops = 0
-        #: Retired positions: ``transactions[pos] is None`` for each.
-        self._retired_txns = 0
         self._apply(ops)
 
     # ------------------------------------------------------------------
@@ -181,7 +178,7 @@ class History:
         """Fold further operations into the pairing state.
 
         Each invocation reserves its slot at the end of the
-        (invocation-ordered) transaction list and in ``_by_id``; each
+        (invocation-ordered) transaction list and in ``_pos_by_id``; each
         transaction is built once, in its final form for this batch.  An
         invocation completed within the batch fills its slot directly; a
         completion for an invocation from an *earlier* batch replaces that
@@ -195,7 +192,6 @@ class History:
         new_ops = tuple(new_ops)
         transactions = self.transactions
         pending = self._pending
-        by_id = self._by_id
         pos_by_id = self._pos_by_id
         invoke_type = OpType.INVOKE
         ok_type = OpType.OK
@@ -225,7 +221,6 @@ class History:
                     fresh[index] = op
                     pos_by_id[index] = len(transactions)
                     transactions.append(None)
-                    by_id[index] = None
                     continue
                 invoke = pending.pop(process, None)
                 if invoke is None:
@@ -251,18 +246,16 @@ class History:
                 else:
                     upgraded.append((transactions[position], txn))
                 transactions[position] = txn
-                by_id[txn_id] = txn
         finally:
             for invoke in fresh.values():
                 if invoke is not None:
                     txn = _provisional(invoke)
                     transactions[pos_by_id[txn.id]] = txn
-                    by_id[txn.id] = txn
         self.ops += new_ops
         if last is not None:
             self._max_index = last
         return HistoryDelta(
-            new=tuple(by_id[i] for i in fresh),
+            new=tuple(transactions[pos_by_id[i]] for i in fresh),
             upgraded=tuple(upgraded),
         )
 
@@ -278,9 +271,7 @@ class History:
         """
         delta = self._apply(new_ops)
         if self._index is not None and (delta.new or delta.upgraded):
-            dirty = self._index.extend(
-                self.transactions, delta.new, delta.upgraded
-            )
+            dirty = self._index.extend(delta.new, delta.upgraded)
             delta = delta._replace(dirty_keys=frozenset(dirty))
         return delta
 
@@ -297,7 +288,7 @@ class History:
 
     def __getitem__(self, txn_id: int) -> Transaction:
         try:
-            return self._by_id[txn_id]
+            return self.transactions[self._pos_by_id[txn_id]]
         except KeyError:
             raise HistoryError(f"no transaction with id {txn_id}") from None
 
@@ -351,12 +342,14 @@ class History:
 
         Each position's :class:`~repro.history.ops.Transaction` view and
         its invoke/completion :class:`~repro.history.ops.Op` records are
-        released; the position itself keeps a ``None`` placeholder so that
-        every index column, process chain, and ``_pos_by_id`` entry stays
-        valid.  Callers (the streaming checker) are responsible for having
-        frozen whatever analysis output those transactions contributed —
-        the history alone cannot re-derive it afterwards.  Returns the
-        number of ops dropped.
+        released and its id leaves ``_pos_by_id``; the position itself
+        keeps a ``None`` placeholder so that every index column, process
+        chain, and live ``_pos_by_id`` entry stays valid.  The cached index
+        shares both, so it sees the retirement without being told.
+        Callers (the streaming checker) are responsible for having frozen
+        whatever analysis output those transactions contributed — the
+        history alone cannot re-derive it afterwards.  Returns the number
+        of ops dropped.
         """
         transactions = self.transactions
         drop: set = set()
@@ -368,9 +361,7 @@ class History:
             if txn.complete_index is not None:
                 drop.add(txn.complete_index)
             transactions[pos] = None
-            self._by_id.pop(txn.id, None)
             self._pos_by_id.pop(txn.id, None)
-            self._retired_txns += 1
         if not drop:
             return 0
         kept = tuple(op for op in self.ops if op.index not in drop)
@@ -391,7 +382,9 @@ class History:
         if self._index is None:
             from .index import HistoryIndex
 
-            self._index = HistoryIndex(self.transactions, profile=profile)
+            self._index = HistoryIndex(
+                self.transactions, self._pos_by_id, profile=profile
+            )
         return self._index
 
     def __repr__(self) -> str:

@@ -23,57 +23,50 @@ parallel arrays:
   committed reads as parallel ``(txn position, mop position, value)``
   arrays — ints and raw values, no per-slot tuple or dataclass objects.
 
-The plans read the arrays.  The only object-level derivations are the
-ones ``src/`` calls: ``slice.write_map`` (the suspicious-read walk),
-``slice.committed_stream()`` and ``slice.interacting_positions_by_process()``
-(the rw-register version sources).
+The plans read the arrays.  The only object-level derivations are
+:class:`HistoryIndex` methods that take a slice: ``write_map(slice)`` (the
+suspicious-read walk), ``committed_stream(slice)`` and
+``interacting_positions_by_process(slice)`` (the rw-register version
+sources).  A :class:`KeySlice` itself is a plain slotted record with no
+reference back to its index.
+
+**One transaction table.**  The index does not copy the observation: its
+``transactions`` list and ``pos_by_id`` map *are* the history's own
+objects.  The history appends, upgrades and retires entries in place; the
+index only adds the per-position columns derived from them.
 
 The index is cached on the history (``history.index()``), so the checker,
 plans, and the streaming layer share one build.  Because a fork-based
 worker pool inherits the parent's memory, sharded analysis reuses the same
 index without re-scanning per worker.
 
-**Incremental extension.**  ``History.extend`` keeps the cached index alive
-by calling :meth:`HistoryIndex.extend` with the appended transactions and
-any *upgraded* ones (a pending invocation whose completion arrived, turning
-a provisional indeterminate transaction into its final form).  New
-transactions append their slots to the affected slices in place; a slice
-touched by an upgraded transaction is rebuilt from its own transaction set
-— never by re-scanning the whole history.  Every observation-order position
-is a ``(transaction position, micro-op position)`` pair, which is stable
-under append-only growth, so candidates recorded before an extension stay
-comparable with ones recorded after it.  Each slice carries a ``version``
-counter that bumps on any mutation; the streaming checker keys its per-key
-result cache on it.
+**Incremental extension.**  ``History.extend`` first grows the shared
+transaction table, then keeps the cached index alive by calling
+:meth:`HistoryIndex.extend` with the appended transactions and any
+*upgraded* ones (a pending invocation whose completion arrived, turning a
+provisional indeterminate transaction into its final form).  New
+transactions append their column rows and their slots to the affected
+slices in place; a slice touched by an upgraded transaction is rebuilt from
+its own transaction set — never by re-scanning the whole history.
+Retirement is split the same way: the history clears retired entries from
+the shared table and :meth:`HistoryIndex.retire` only stubs the settled
+keys' slices.  Every observation-order position is a ``(transaction
+position, micro-op position)`` pair, which is stable under append-only
+growth, so candidates recorded before an extension stay comparable with
+ones recorded after it.  Each slice carries a ``version`` counter that
+bumps on any mutation; the streaming checker keys its per-key result cache
+on it.
 """
 
 from __future__ import annotations
 
-import weakref
-from contextlib import nullcontext
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..core.profiling import stage
 from ..errors import RetiredKeyError, WorkloadError
 from .ops import OpType, READ, MicroOp, Transaction
-
-
-def _stage(profile, name: str):
-    """``profile.stage(name)`` or a no-op context when profiling is off.
-
-    A local twin of :func:`repro.core.profiling.stage` (duck-typed on the
-    profile's ``stage`` method) — the history layer cannot import from
-    :mod:`repro.core` without inverting the package layering.
-    """
-    if profile is None:
-        return nullcontext()
-    return profile.stage(name)
-
-
-def _dead_ref() -> None:
-    """Stands in for a pickled-away owner weakref until it is re-wired."""
-    return None
 
 
 #: An observation-order position: (transaction position, micro-op position).
@@ -90,8 +83,8 @@ class KeySlice:
     of the key's ``i``-th micro-op slot (all completion types included),
     and ``w_txn``/``w_seq``/``w_val`` and ``r_txn``/``r_seq``/``r_val``
     are the parallel write and committed-read substreams the analyzers
-    consume; :meth:`committed_stream` merges the substreams back into the
-    full committed per-slot stream on demand.  List-valued read
+    consume; :meth:`HistoryIndex.committed_stream` merges the substreams
+    back into the full committed per-slot stream on demand.  List-valued read
     observations are normalized to tuples once, at build time.
     ``first_writer`` maps written value -> first writing
     transaction's *position* (the interned per-key write index), and
@@ -106,6 +99,9 @@ class KeySlice:
     define the key orderings.  ``_dup`` / ``_none_write`` are the slice-local
     write-uniqueness violation candidates (the index-wide first violation
     is the minimum over slices).
+
+    A plain record: every derivation that needs the transaction columns is
+    a :class:`HistoryIndex` method taking the slice.
     """
 
     __slots__ = (
@@ -126,14 +122,9 @@ class KeySlice:
         "retired",
         "_dup",
         "_none_write",
-        "_owner_ref",
     )
 
-    def __init__(self, owner: "HistoryIndex", key: Any, pos: int) -> None:
-        # Weak: the index owns its slices, and a strong back-reference
-        # would make every dropped index cyclic garbage (invisible to
-        # reference counting, and the analysis runs under a paused GC).
-        self._owner_ref = weakref.ref(owner)
+    def __init__(self, key: Any, pos: int) -> None:
         self.key = key
         self.pos = pos
         self.version = 0
@@ -173,110 +164,11 @@ class KeySlice:
         self._dup = None
         self._none_write = None
 
-    # ------------------------------------------------------------------
-    # Derived views (the arrays stay the stored form)
-
-    @property
-    def _owner(self) -> "HistoryIndex":
-        owner = self._owner_ref()
-        if owner is None:  # pragma: no cover - index-internal invariant
-            raise ReferenceError(
-                "KeySlice outlived its HistoryIndex; slices are views "
-                "into a live index"
-            )
-        return owner
-
-    def committed_stream(self) -> Tuple[List[int], List[int], List[Any]]:
-        """The committed micro-op stream as ``(positions, read flags, values)``.
-
-        Merges the committed-read and write substreams back into
-        observation order, keeping only committed transactions' slots —
-        exactly the stream the rw-register write-follows-read walk and
-        version pins consume.  Read values are the slice's normalized
-        values (lists became tuples at build time).
-        """
-        committed = self._owner.txn_committed
-        r_txn = self.r_txn
-        r_seq = self.r_seq
-        r_val = self.r_val
-        w_txn = self.w_txn
-        w_seq = self.w_seq
-        w_val = self.w_val
-        n_r = len(r_txn)
-        n_w = len(w_txn)
-        positions: List[int] = []
-        flags: List[int] = []
-        values: List[Any] = []
-        i = j = 0
-        while True:
-            if i < n_r:
-                if j < n_w and (
-                    w_txn[j] < r_txn[i]
-                    or (w_txn[j] == r_txn[i] and w_seq[j] < r_seq[i])
-                ):
-                    pos = w_txn[j]
-                    if committed[pos]:
-                        positions.append(pos)
-                        flags.append(0)
-                        values.append(w_val[j])
-                    j += 1
-                else:
-                    positions.append(r_txn[i])
-                    flags.append(1)
-                    values.append(r_val[i])
-                    i += 1
-            elif j < n_w:
-                pos = w_txn[j]
-                if committed[pos]:
-                    positions.append(pos)
-                    flags.append(0)
-                    values.append(w_val[j])
-                j += 1
-            else:
-                break
-        return positions, flags, values
-
-    @property
-    def write_map(self) -> Dict[Any, Transaction]:
-        """``first_writer`` with positions resolved to Transactions."""
-        txns = self._owner.transactions
-        return {value: txns[p] for value, p in self.first_writer.items()}
-
-    def interacting_positions_by_process(self) -> Dict[int, List[int]]:
-        """Committed interacting transaction *positions* per process."""
-        process = self._owner.txn_process
-        by_process: Dict[int, List[int]] = {}
-        for pos in self.inter_txn:
-            proc = process[pos]
-            positions = by_process.get(proc)
-            if positions is None:
-                positions = by_process[proc] = []
-            positions.append(pos)
-        return by_process
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"KeySlice({self.key!r}, ops={len(self.op_txn)}, "
             f"writes={len(self.w_txn)}, reads={len(self.r_txn)})"
         )
-
-    # ------------------------------------------------------------------
-    # Pickling (service checkpoints serialize whole checker states)
-
-    def __getstate__(self) -> dict:
-        # The owner weakref cannot pickle; HistoryIndex.__setstate__
-        # re-wires it when the owning index is restored.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_owner_ref"
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.retired = False  # default for checkpoints predating the slot
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._owner_ref = _dead_ref  # replaced by the index's setstate
 
 
 class IndexColumns:
@@ -361,11 +253,17 @@ class IndexColumns:
 
 
 class HistoryIndex:
-    """Per-key columnar views of a history, computed in one pass and shared."""
+    """Per-key columnar views of a history, computed in one pass and shared.
+
+    ``transactions`` and ``pos_by_id`` are the owning history's own list
+    and map.  The index holds those two objects rather than the history:
+    a back-reference would make every dropped history cyclic garbage,
+    invisible to reference counting while the analysis pauses the GC.
+    """
 
     __slots__ = (
-        "__weakref__",
         "transactions",
+        "pos_by_id",
         "slices",
         "key_order",
         "read_key_order",
@@ -378,15 +276,18 @@ class HistoryIndex:
         "internal_candidates",
         "proc_positions",
         "mop_fns",
-        "_pos",
         "_clock",
         "_columns",
     )
 
     def __init__(
-        self, transactions: Sequence[Transaction], profile=None
+        self,
+        transactions: List[Optional[Transaction]],
+        pos_by_id: Dict[int, int],
+        profile=None,
     ) -> None:
-        self.transactions: Tuple[Transaction, ...] = tuple(transactions)
+        self.transactions = transactions
+        self.pos_by_id = pos_by_id
         self.slices: Dict[Any, KeySlice] = {}
         self.key_order: List[Any] = []
         self.read_key_order: List[Any] = []
@@ -409,8 +310,6 @@ class HistoryIndex:
         #: validation uses it to skip its per-mop scan when every function
         #: is one the analyzer understands.
         self.mop_fns: Set[str] = set()
-        #: Transaction id -> position in ``transactions``.
-        self._pos: Dict[int, int] = {}
         #: Index-wide monotonic mutation clock.  Slice versions are drawn
         #: from it, so a version can never repeat — even when a slice is
         #: deleted (an upgrade dropped its key) and later recreated, the
@@ -420,12 +319,12 @@ class HistoryIndex:
         #: (clock, IndexColumns): the cached whole-index column view,
         #: rebuilt when the mutation clock moves.  Not pickled.
         self._columns: Optional[Tuple[int, IndexColumns]] = None
-        with _stage(profile, "index/scan"):
+        with stage(profile, "index/scan"):
             self._register_txns(0, self.transactions)
             scan = self._scan_txn
             for pos, txn in enumerate(self.transactions):
                 scan(pos, txn)
-        with _stage(profile, "index/orders"):
+        with stage(profile, "index/orders"):
             self._regenerate_orders()
         if profile is not None:
             profile.count("index.txns", len(self.transactions))
@@ -444,18 +343,13 @@ class HistoryIndex:
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("__weakref__", "_columns")
+            if slot != "_columns"
         }
 
     def __setstate__(self, state: dict) -> None:
         self._columns = None
         for slot, value in state.items():
             setattr(self, slot, value)
-        # Restore the slices' back-references: they pickled without their
-        # owner weakref (see KeySlice.__getstate__).
-        ref = weakref.ref(self)
-        for slice_ in self.slices.values():
-            slice_._owner_ref = ref
 
     # ------------------------------------------------------------------
     # Construction
@@ -470,7 +364,6 @@ class HistoryIndex:
         must scan each registered transaction exactly once, in order.
         """
         proc_map = self.proc_positions
-        pos_map = self._pos
         ids_append = self.txn_ids.append
         process_append = self.txn_process.append
         committed_append = self.txn_committed.append
@@ -486,7 +379,6 @@ class HistoryIndex:
             if positions is None:
                 positions = proc_map[process] = []
             positions.append(pos)
-            pos_map[txn.id] = pos
             ids_append(txn.id)
             process_append(process)
             type_ = txn.type
@@ -542,7 +434,7 @@ class HistoryIndex:
             entry = slices.get(key)
             if entry is None:
                 # Provisional position; _regenerate_orders renumbers.
-                entry = slices[key] = KeySlice(self, key, len(slices))
+                entry = slices[key] = KeySlice(key, len(slices))
             elif entry.retired:
                 raise RetiredKeyError(key)
             entry.version = clock
@@ -646,14 +538,13 @@ class HistoryIndex:
 
     def extend(
         self,
-        transactions: Sequence[Transaction],
         new_txns: Sequence[Transaction],
         upgraded: Sequence[Tuple[Transaction, Transaction]],
     ) -> Set[Any]:
         """Fold appended and upgraded transactions in without a re-scan.
 
-        ``transactions`` is the history's full transaction list after the
-        extension; ``new_txns`` the transactions appended at its end (in
+        The shared transaction list already holds the extension:
+        ``new_txns`` are the transactions appended at its end (in
         invocation order), and ``upgraded`` ``(old, new)`` pairs for
         provisional indeterminate transactions whose completion arrived.
         Slices touched only by appends grow in place; slices touched by an
@@ -662,8 +553,7 @@ class HistoryIndex:
         and interaction streams anywhere in the slice's stream.  Returns
         the set of keys whose slices changed.
         """
-        self.transactions = tuple(transactions)
-        pos_of = self._pos
+        pos_of = self.pos_by_id
         dirty: Set[Any] = set()
         extra_scan: Dict[Any, Set[int]] = {}
         for old, new in upgraded:
@@ -695,7 +585,7 @@ class HistoryIndex:
         """
         entry = self.slices.get(key)
         if entry is None:
-            entry = self.slices[key] = KeySlice(self, key, len(self.slices))
+            entry = self.slices[key] = KeySlice(key, len(self.slices))
         elif entry.retired:
             # Unreachable when retirement eligibility held (a provisional
             # transaction on the key blocks retiring it); kept as a loud
@@ -719,21 +609,22 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     # Retirement (settled-prefix garbage collection)
 
-    def retire(
-        self, positions: Sequence[int], keys: Iterable[Any]
-    ) -> Tuple[int, int]:
-        """Drop the per-op storage of settled keys and transactions.
+    def retire(self, keys: Iterable[Any]) -> Tuple[int, int]:
+        """Drop the per-op storage of settled keys.
 
         Each key's slice becomes a *stub*: identity fields (``key``,
         ``pos``, ``first_seq``, ``first_read_seq``) survive so both key
         orderings — and therefore every live key's merge position — are
         unchanged, but the streams, write index, and interaction lists are
         released and the slice is flagged ``retired`` (any later operation
-        on the key raises :class:`~repro.errors.RetiredKeyError`).  The
-        per-position transaction columns are *kept*: process and realtime
-        order edges re-derive from them on every extension, so retired
-        transactions keep contributing exactly the order edges they always
-        did.  Returns ``(slots_dropped, values_dropped)`` for accounting.
+        on the key raises :class:`~repro.errors.RetiredKeyError`).  Settled
+        transactions are released by
+        :meth:`~repro.history.history.History.retire_transactions`, which
+        clears the shared transaction list; the per-position transaction
+        columns are *kept*: process and realtime order edges re-derive from
+        them on every extension, so retired transactions keep contributing
+        exactly the order edges they always did.  Returns
+        ``(slots_dropped, values_dropped)`` for accounting.
         """
         slots = values = 0
         clock = self._clock
@@ -754,16 +645,6 @@ class HistoryIndex:
             entry.retired = True
             entry.version = clock
         self._clock = clock
-        if positions:
-            txns = list(self.transactions)
-            pos_map = self._pos
-            for pos in positions:
-                txn = txns[pos]
-                if txn is None:
-                    continue
-                pos_map.pop(txn.id, None)
-                txns[pos] = None
-            self.transactions = tuple(txns)
         return slots, values
 
     @property
@@ -798,6 +679,78 @@ class HistoryIndex:
             return None
         seq, key, pos = best
         return (seq, key, self.transactions[pos])
+
+    # ------------------------------------------------------------------
+    # Per-slice derived views (the slice arrays stay the stored form)
+
+    def committed_stream(
+        self, entry: KeySlice
+    ) -> Tuple[List[int], List[int], List[Any]]:
+        """A slice's committed stream as ``(positions, read flags, values)``.
+
+        Merges the committed-read and write substreams back into
+        observation order, keeping only committed transactions' slots —
+        exactly the stream the rw-register write-follows-read walk and
+        version pins consume.  Read values are the slice's normalized
+        values (lists became tuples at build time).
+        """
+        committed = self.txn_committed
+        r_txn = entry.r_txn
+        r_seq = entry.r_seq
+        r_val = entry.r_val
+        w_txn = entry.w_txn
+        w_seq = entry.w_seq
+        w_val = entry.w_val
+        n_r = len(r_txn)
+        n_w = len(w_txn)
+        positions: List[int] = []
+        flags: List[int] = []
+        values: List[Any] = []
+        i = j = 0
+        while True:
+            if i < n_r:
+                if j < n_w and (
+                    w_txn[j] < r_txn[i]
+                    or (w_txn[j] == r_txn[i] and w_seq[j] < r_seq[i])
+                ):
+                    pos = w_txn[j]
+                    if committed[pos]:
+                        positions.append(pos)
+                        flags.append(0)
+                        values.append(w_val[j])
+                    j += 1
+                else:
+                    positions.append(r_txn[i])
+                    flags.append(1)
+                    values.append(r_val[i])
+                    i += 1
+            elif j < n_w:
+                pos = w_txn[j]
+                if committed[pos]:
+                    positions.append(pos)
+                    flags.append(0)
+                    values.append(w_val[j])
+                j += 1
+            else:
+                break
+        return positions, flags, values
+
+    def write_map(self, entry: KeySlice) -> Dict[Any, Transaction]:
+        """A slice's ``first_writer`` with positions resolved to Transactions."""
+        txns = self.transactions
+        return {value: txns[p] for value, p in entry.first_writer.items()}
+
+    def interacting_positions_by_process(self, entry: KeySlice) -> Dict[int, List[int]]:
+        """A slice's committed interacting transaction positions, per process."""
+        process = self.txn_process
+        by_process: Dict[int, List[int]] = {}
+        for pos in entry.inter_txn:
+            proc = process[pos]
+            positions = by_process.get(proc)
+            if positions is None:
+                positions = by_process[proc] = []
+            positions.append(pos)
+        return by_process
 
     # ------------------------------------------------------------------
     # Access

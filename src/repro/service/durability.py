@@ -55,6 +55,7 @@ Fsync policy trade-offs (``--fsync``):
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -69,6 +70,7 @@ from ..errors import ServiceError
 from ..history.io import decode_op, encode_op, iter_json_lines
 from ..history.ops import Op
 from ..obs import Observability
+from .session import SessionConfig
 
 #: Recognized ``--fsync`` policies.
 FSYNC_POLICIES = ("always", "batch", "never")
@@ -79,7 +81,7 @@ FSYNC_STALL_SECONDS = 0.1
 
 #: Checkpoint file magic: bumped if the payload layout ever changes, so a
 #: daemon never misreads a checkpoint from an incompatible build.
-CHECKPOINT_MAGIC = b"REPROCKPT1\n"
+CHECKPOINT_MAGIC = b"REPROCKPT2\n"
 
 _SAFE_SESSION = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -459,7 +461,7 @@ class DurabilityManager:
         store.create({
             "format": 1,
             "session_id": session.id,
-            "config": _encode_config(session.config),
+            "config": dataclasses.asdict(session.config),
         })
 
     def log_append(self, session, seq: int, ops: List[Op]) -> None:
@@ -498,7 +500,7 @@ class DurabilityManager:
                 f"session {session_id!r} has no recoverable state",
                 code="unknown-session",
             )
-        config = _decode_config(meta.get("config") or {})
+        config = SessionConfig(**(meta.get("config") or {}))
         payload = store.load_checkpoint()
         highest_seq, batches = store.replay_wal()
         session = registry.open(config, session_id)
@@ -562,32 +564,6 @@ class DurabilityManager:
 
 # ---------------------------------------------------------------------------
 # Payload (de)serialization helpers
-
-
-def _encode_config(config) -> Dict[str, Any]:
-    return {
-        "workload": config.workload,
-        "consistency_model": config.consistency_model,
-        "chunk_ops": config.chunk_ops,
-        "process_edges": config.process_edges,
-        "realtime_edges": config.realtime_edges,
-        "timestamp_edges": config.timestamp_edges,
-        "options": dict(config.options),
-    }
-
-
-def _decode_config(record: Mapping[str, Any]):
-    from .session import SessionConfig
-
-    return SessionConfig(
-        workload=record.get("workload", "list-append"),
-        consistency_model=record.get("consistency_model", "serializable"),
-        chunk_ops=record.get("chunk_ops", 1000),
-        process_edges=record.get("process_edges", True),
-        realtime_edges=record.get("realtime_edges", True),
-        timestamp_edges=record.get("timestamp_edges", False),
-        options=record.get("options") or {},
-    )
 
 
 def _session_payload(session) -> Dict[str, Any]:

@@ -222,9 +222,9 @@ def update_record(update: StreamUpdate) -> Dict[str, Any]:
 def record_summary(record: Dict[str, Any]) -> str:
     """A one-line human digest of a verdict record.
 
-    Mirrors :meth:`StreamUpdate.summary` but works from the wire record,
-    so ``--connect --follow`` can narrate a remote session without
-    shipping the full verdict objects.
+    The one ``--follow`` progress format: local ``--follow`` prints it for
+    :func:`update_record` of each update, and ``--connect --follow``
+    narrates a remote session from the wire records alike.
     """
     verdict = "VALID" if record["valid"] else "INVALID"
     parts = [

@@ -12,6 +12,7 @@ from repro import History, WorkloadError, append, check, check_stream, r, w
 from repro.core.incremental import StreamingChecker
 from repro.errors import HistoryError
 from repro.history.ops import Op, OpType
+from repro.service.protocol import record_summary, update_record
 
 
 def ops_of(*txns):
@@ -151,7 +152,7 @@ class TestServiceAbusePaths:
         # Consume the verdict the way the service does: render the
         # report, walk the anomalies, serialize the summary.
         mid.result.report()
-        mid.summary()
+        record_summary(update_record(mid))
         list(mid.result.anomalies)
         final = checker.extend(ops[3:])
         batch = check(History(ops))
@@ -198,7 +199,7 @@ class TestStreamUpdate:
         )
         assert not update.result.valid
         assert update.new_anomalies
-        assert "garbage-read" in update.summary()
+        assert "garbage-read" in record_summary(update_record(update))
         assert update.chunk == 2
         assert update.ops == 2
 

@@ -140,7 +140,8 @@ class TestSharedReadChecks:
             ("fail", 1, [w("k", 3)]),
             ("ok", 2, [r("k", 1)]),
         )
-        write_map = h.index().slices["k"].write_map
+        index = h.index()
+        write_map = index.write_map(index.slices["k"])
         reader = h.transactions[2]
         return reader, write_map
 

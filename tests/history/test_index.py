@@ -94,7 +94,8 @@ class TestIndexContents:
             ("ok", 0, [append("x", 1)]),
             ("fail", 1, [append("x", 2)]),
         )
-        write_map = history.index().slices["x"].write_map
+        index = history.index()
+        write_map = index.write_map(index.slices["x"])
         assert write_map[1].id == 0
         assert write_map[2].aborted
 
@@ -281,7 +282,7 @@ class TestColumnarDerivedViews:
             ("ok", 0, [r("x", 2)]),
         )
         index = history.index()
-        grouped = index.slices["x"].interacting_positions_by_process()
+        grouped = index.interacting_positions_by_process(index.slices["x"])
         assert grouped == {0: [0, 3], 1: [1]}
         assert [index.txn_ids[p] for p in grouped[0]] == [0, 6]
 
@@ -315,8 +316,8 @@ class TestColumnarDerivedViews:
             ("fail", 1, [w("x", 9)]),  # uncommitted write excluded
             ("ok", 0, [w("x", 2)]),
         )
-        slice_ = history.index().slices["x"]
-        positions, flags, values = slice_.committed_stream()
+        index = history.index()
+        positions, flags, values = index.committed_stream(index.slices["x"])
         assert positions == [0, 0, 0, 2]
         assert flags == [1, 0, 1, 0]
         assert values == [None, 1, 1, 2]
@@ -326,7 +327,8 @@ class TestColumnarDerivedViews:
             ("ok", 0, [w("x", 1)]),
             ("fail", 1, [w("x", 2)]),
         )
-        write_map = history.index().slices["x"].write_map
+        index = history.index()
+        write_map = index.write_map(index.slices["x"])
         assert write_map[1].id == 0
         assert write_map[2].aborted
 
@@ -344,3 +346,89 @@ class TestColumnarDerivedViews:
             ]
         )
         assert index.mop_fns == {"append", "r"}
+
+
+class TestOneTransactionTable:
+    """The index reads the history's transaction table; it never copies it."""
+
+    def assert_shared(self, history):
+        index = history.index()
+        assert index.transactions is history.transactions
+        assert index.pos_by_id is history._pos_by_id
+
+    def rotating(self, seed=41):
+        """A rotating keyspace, so a prefix settles and can retire."""
+        return run_workload(
+            RunConfig(
+                txns=250,
+                concurrency=8,
+                workload=WorkloadConfig(
+                    workload="list-append", active_keys=4, max_writes_per_key=4
+                ),
+                seed=seed,
+                crash_probability=0.02,
+            )
+        )
+
+    def test_fresh_build_shares_the_table(self):
+        history = generated(seed=3)
+        self.assert_shared(history)
+        index = history.index()
+        assert len(index.txn_ids) == len(history.transactions)
+
+    def test_extend_with_upgrade_shares_the_table(self):
+        from repro.history.ops import Op, OpType
+
+        history = History(())
+        history.index()
+        history.extend([Op(0, OpType.INVOKE, 0, (append("x", 1),))])
+        delta = history.extend([Op(1, OpType.OK, 0, (append("x", 1),))])
+        assert delta.upgraded
+        self.assert_shared(history)
+        assert history[0].committed
+        assert history.index().txn_committed[0] == 1
+
+    def test_retire_shares_the_table(self):
+        from repro.core.incremental import StreamingChecker
+
+        ops = list(self.rotating().ops)
+        cut = len(ops) // 2
+        future = {m.key for op in ops[cut:] for m in op.value or ()}
+        checker = StreamingChecker()
+        checker.extend(ops[:cut])
+        history = checker.history
+        allowed = [k for k in history.index().slices if k not in future]
+        summary = checker.retire(allowed_keys=allowed)
+        assert summary["retired_txns"] > 0
+        self.assert_shared(history)
+        index = history.index()
+        retired = [p for p, t in enumerate(index.transactions) if t is None]
+        assert len(retired) == summary["retired_txns"]
+        for pos in retired:
+            assert index.txn_ids[pos] not in index.pos_by_id
+
+    def test_pickled_checker_shares_the_table(self):
+        import copy
+        import pickle
+
+        from repro import check
+        from repro.core.incremental import StreamingChecker
+
+        ops = list(self.rotating().ops)
+        cut = len(ops) // 3
+        checker = StreamingChecker()
+        checker.extend(ops[:cut])
+        clone = copy.copy(checker)
+        clone.result = None
+        restored = pickle.loads(pickle.dumps(clone))
+        self.assert_shared(restored.history)
+        seen = cut
+        for size in (97, 211, len(ops)):
+            chunk = ops[seen : seen + size]
+            seen += len(chunk)
+            update = restored.extend(chunk)
+            self.assert_shared(restored.history)
+            batch = check(History(ops[:seen]))
+            assert update.result.report() == batch.report()
+            assert update.result.anomaly_types == batch.anomaly_types
+        assert seen == len(ops)

@@ -14,7 +14,7 @@ Two oracles:
   provisional indeterminate transaction for every invocation and replaced
   it on completion; it is kept verbatim as an executable oracle.  A
   history built at once, every single split point, and random
-  multi-splits must match it in ``transactions``, ``_by_id`` order, each
+  multi-splits must match it in ``transactions``, id lookup order, each
   call's ``HistoryDelta.new`` / ``upgraded``, and the error texts and
   partial state of malformed batches.
 """
@@ -271,7 +271,7 @@ class RefHistory:
 
 def assert_same_state(history, ref):
     assert history.transactions == ref.transactions
-    assert list(history._by_id.items()) == list(ref.by_id.items())
+    assert [(i, history[i]) for i in history._pos_by_id] == list(ref.by_id.items())
     assert list(history._pos_by_id.items()) == list(ref.pos_by_id.items())
     assert history._pending == ref.pending
     assert history.ops == ref.ops
@@ -329,7 +329,7 @@ def test_pairing_matches_reference_at_every_split(ops):
     for cut in range(len(ops) + 1):
         history = fold(ops, [cut])
         assert history.transactions == whole.transactions
-        assert list(history._by_id) == list(whole._by_id)
+        assert list(history._pos_by_id) == list(whole._pos_by_id)
 
 
 @given(op_streams(), st.data())

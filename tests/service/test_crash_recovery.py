@@ -281,6 +281,85 @@ class TestRecoveryOracle:
         update = recovered.verdict()
         assert update.result.report() == expected.report()
 
+    def test_stale_magic_checkpoint_is_skipped(self, tmp_path):
+        """A checkpoint from an older payload layout is never unpickled.
+
+        Each checkpoint is re-framed under the previous magic with its
+        body and digest intact — exactly what an older build left on
+        disk.  Recovery must skip every one and replay the whole WAL.
+        """
+        ops = session_workload(txns=60, seed=4, **FAULTY)
+        expected = self.run_uninterrupted(ops)
+        batches = batches_of(ops, 40)
+
+        from repro.service.durability import CHECKPOINT_MAGIC
+        from repro.service.session import SessionConfig
+
+        data_dir = str(tmp_path)
+        durability = DurabilityManager(data_dir, checkpoint_every=30, fsync="never")
+        registry = SessionRegistry()
+        session = registry.open(SessionConfig(chunk_ops=16), "chaos")
+        durability.open_session(session)
+        for index, batch in enumerate(batches):
+            apply_batch(durability, registry, session, index + 1, batch)
+            drain(durability, registry, session)
+        store = durability.store("chaos")
+        checkpoints = store.checkpoint_paths()
+        assert checkpoints, "cadence should have produced checkpoints"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT2\n"
+        for path in checkpoints:
+            blob = open(path, "rb").read()
+            with open(path, "wb") as fh:
+                fh.write(b"REPROCKPT1\n" + blob[len(CHECKPOINT_MAGIC) :])
+            assert store._read_checkpoint(path) is None
+        durability.close()
+
+        restarted = DurabilityManager(data_dir, fsync="never")
+        registry = SessionRegistry()
+        recovered = restarted.recover_session("chaos", registry)
+        assert recovered.checker.history.op_count == 0
+        assert recovered.backlog == len(ops)
+        drain(restarted, registry, recovered)
+        update = recovered.verdict()
+        assert update.result.report() == expected.report()
+        assert update.result.valid == expected.valid
+
+    def test_session_config_survives_recovery(self, tmp_path):
+        """Every ``SessionConfig`` field, set off its default, comes back."""
+        import dataclasses
+
+        from repro.service.session import SessionConfig
+
+        values = {
+            "workload": "rw-register",
+            "consistency_model": "snapshot-isolation",
+            "chunk_ops": 17,
+            "process_edges": False,
+            "realtime_edges": False,
+            "timestamp_edges": True,
+            "max_ops": 1000,
+            "max_analyze_seconds": 5.0,
+            "retire_idle_txns": 50,
+            "options": {"sources": ["initial-state", "process"]},
+        }
+        defaults = SessionConfig()
+        fields = [f.name for f in dataclasses.fields(SessionConfig)]
+        assert sorted(fields) == sorted(values)
+        for name in fields:
+            assert values[name] != getattr(defaults, name), name
+        config = SessionConfig(**values)
+
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        session = SessionRegistry().open(config, "configured")
+        durability.open_session(session)
+        durability.close()
+
+        restarted = DurabilityManager(str(tmp_path), fsync="never")
+        recovered = restarted.recover_session("configured", SessionRegistry())
+        for name in fields:
+            assert getattr(recovered.config, name) == values[name], name
+        assert recovered.config == config
+
 
 def free_port():
     with socket.socket() as sock:
