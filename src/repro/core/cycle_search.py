@@ -329,8 +329,12 @@ def find_cycle_anomalies(
                     component, spec.mask, scratch
                 )
             else:
+                # Latest member first.  Ids ascend with transaction ids
+                # (invocation order) and most edges point forward in time,
+                # so a first edge out of an early member leads to a node
+                # whose failing BFS sweeps most of the component.
                 cycle_idx = csr.first_edge_cycle_idx(
-                    component, spec.first, spec.rest, scratch
+                    component[::-1], spec.first, spec.rest, scratch
                 )
             for i in component:
                 scratch[i] = 0

@@ -23,7 +23,7 @@ so far — with the expensive half of the work made incremental:
 
 **Equivalence.**  After each chunk the emitted :class:`CheckResult` is
 byte-identical to ``check()`` of the same prefix — same anomalies in the
-same order with the same messages and evidence, same graph interning order,
+same order with the same messages and evidence, same dependency graph,
 same verdict.  ``tests/properties/test_streaming_equivalence.py`` pins this
 for every workload, fault injector, and hypothesis-chosen chunk boundaries.
 
@@ -153,7 +153,7 @@ class StreamingChecker:
         self._error: Optional[BaseException] = None
         #: Frozen summary of the retired prefix: the tagged anomaly and
         #: edge blocks its keys and transactions contributed (re-merged on
-        #: every extension at their original tag positions, so interning
+        #: every extension at their original tag positions, so anomaly
         #: order and evidence precedence never drift), the merge position
         #: each retired key froze at (a drift check), the pre-rendered
         #: cycle anomalies among retired transactions, and the retired

@@ -13,10 +13,10 @@ then merges the batches into the :class:`~repro.core.analysis.Analysis`.
 its contents appeared in the historical single-threaded emission order
 (transaction-major for per-read checks, key-major for per-key orders and
 edges).  The merge sorts batches by tag before applying them, so the
-resulting analysis — anomaly order, graph node interning order (which
-downstream cycle-witness selection is sensitive to), and evidence
-precedence — is byte-identical whether the plan ran on one shard or many,
-and identical to the historical non-partitioned analyzers.  The merge
+resulting analysis — anomaly order and evidence precedence — is
+byte-identical whether the plan ran on one shard or many, and identical
+to the historical non-partitioned analyzers.  The dependency graph needs
+no order: its frozen snapshot depends on the edge set alone.  The merge
 does not build evidence: it logs the tag-sorted edge fragments as one
 source on the analysis (:meth:`~repro.core.analysis.Analysis.log_evidence`),
 which replays them only if something reads evidence.
@@ -68,8 +68,9 @@ Tag = Tuple[int, int, int]
 AnomalyBlock = Tuple[Tag, List[Anomaly]]
 
 #: One edge batch: emission-ordered ``(u, v, bit) -> Evidence``.  The dict's
-#: key order doubles as the graph-insertion order, and its keys are exactly
-#: the ``(u, v, label)`` triples the graph bulk-insert path consumes.
+#: key order sets evidence precedence (the first emission of an edge wins),
+#: and its keys are exactly the ``(u, v, label)`` triples the graph
+#: bulk-insert path consumes.
 EdgeBlock = Tuple[Tag, Dict[EdgeKey, Evidence]]
 
 Batch = Tuple[List[AnomalyBlock], List[EdgeBlock]]
@@ -323,11 +324,10 @@ def _merge(analysis: Analysis, batches: Sequence[Batch]) -> None:
     for _tag, found in anomaly_blocks:
         anomalies.extend(found)
 
-    # Graph edges go in forward tag order so node interning matches the
-    # historical per-edge emission; each fragment's keys are the exact
-    # (u, v, bit) triples, so whole batches land in the graph's edge log
-    # without per-edge dispatch.  The same tag-ordered fragments become
-    # one evidence source, replayed only if something reads evidence.
+    # Each fragment's keys are the exact (u, v, bit) triples, so whole
+    # batches land in the graph's edge log without per-edge dispatch.
+    # The tag-ordered fragments become one evidence source, replayed only
+    # if something reads evidence.
     graph_add = analysis.graph.add_edge_keys
     fragments = []
     for _tag, fragment in edge_blocks:

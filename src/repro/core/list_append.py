@@ -141,7 +141,7 @@ class ListAppendPlan(KeyspacePlan):
         self._keys = self.index.read_key_order
         # Merge positions must follow the committed-read key order (the
         # historical emission order), not the all-mops first-appearance
-        # order, or evidence precedence and node interning would drift.
+        # order, or anomaly order and evidence precedence would drift.
         self._key_pos = {key: i for i, key in enumerate(self._keys)}
         self._style = ReadCheckStyle(
             garbage=_garbage,
@@ -176,14 +176,16 @@ class ListAppendPlan(KeyspacePlan):
         its ww/wr/rw edges are computable as bulk id arrays — so the
         per-key plan invocation is skipped entirely.  Flagged reads land
         in ``(key, position)`` survivor arrays and their keys fall back
-        to :meth:`analyze_key`, the per-key path, whose batches merge
-        in the same tag order as ever.  Evidence is not built here: the
-        analysis logs one deferred source that, if ever read, yields the
-        fallback fragments and re-runs :meth:`analyze_key` for each clean
-        key, so both kinds of key share one derivation.  Output —
-        anomalies, graph emission order, evidence precedence — is
-        byte-identical to the per-key path; the sharding/streaming/service
-        and reference oracles pin that.
+        to :meth:`analyze_key`, the per-key path, whose anomaly batches
+        merge in the same tag order as ever.  The clean keys' edges go
+        into the graph as one block of columns and the fallback
+        fragments after them: the frozen graph is the same for any
+        emission order.  Evidence is not built here: the analysis logs
+        one deferred source that, if ever read, yields the fallback
+        fragments and re-runs :meth:`analyze_key` for each clean key, so
+        both kinds of key share one derivation.  Output — anomalies, the
+        graph, evidence precedence — is identical to the per-key path;
+        the sharding/streaming/service and reference oracles pin that.
         """
         if not self._keys:
             return False
@@ -194,7 +196,6 @@ class ListAppendPlan(KeyspacePlan):
             nk = len(cols.keys)
             rv = cols.r_val
             wv = cols.w_val
-            n_reads = len(rv)
             r_indptr = cols.r_indptr
             r_len_l = [-1 if v is None else len(v) for v in rv]
             r_len = np.asarray(r_len_l, dtype=np.int64)
@@ -296,10 +297,10 @@ class ListAppendPlan(KeyspacePlan):
             )
             fallback = np.flatnonzero(~clean).tolist()
 
-            # Bulk wr/rw/ww edge columns for the clean keys, in the exact
-            # per-key emission order: the ww chain first, then per read a
-            # wr slot followed by an rw slot.  Everything below is in the
-            # transaction-position domain until the final id gather.
+            # Bulk ww/wr/rw edge columns for the clean keys, computed in
+            # the transaction-position domain until the final id gather.
+            # The frozen graph does not depend on emission order, so the
+            # three kinds go in as one block each.
             r_txn = cols.r_txn
             if n_s:
                 s_key = np.repeat(
@@ -312,16 +313,10 @@ class ListAppendPlan(KeyspacePlan):
                 in_trace = (
                     np.arange(n_s, dtype=np.int64) - s_indptr[s_key]
                 ) < maxlen[s_key]
-                inst = clean[s_key] & s_final & in_trace
-                ii = np.flatnonzero(inst)
+                ii = np.flatnonzero(clean[s_key] & s_final & in_trace)
                 pair = s_key[ii[1:]] == s_key[ii[:-1]] if len(ii) else ii
                 ww_u = s_txn[ii[:-1][pair]]
                 ww_v = s_txn[ii[1:][pair]]
-                ww_key = s_key[ii[1:][pair]]
-                cum_inst = np.zeros(n_s + 1, dtype=np.int64)
-                np.cumsum(inst, out=cum_inst[1:])
-                inst_count = cum_inst[s_indptr[1:]] - cum_inst[s_indptr[:-1]]
-                ww_count = np.maximum(inst_count - 1, 0)
 
                 clean_r = clean[key_of_read]
                 wr_valid = clean_r & (r_len > 0)
@@ -335,54 +330,19 @@ class ListAppendPlan(KeyspacePlan):
                 nwriter = s_txn[np.where(rw_valid, base + r_len, 0)]
                 rw_emit = rw_valid & (nwriter != r_txn)
 
-                u2 = np.empty(2 * n_reads, dtype=np.int64)
-                v2 = np.empty(2 * n_reads, dtype=np.int64)
-                l2 = np.empty(2 * n_reads, dtype=np.int64)
-                m2 = np.empty(2 * n_reads, dtype=bool)
-                u2[0::2] = producer
-                v2[0::2] = r_txn
-                l2[0::2] = WR
-                m2[0::2] = wr_emit
-                u2[1::2] = r_txn
-                v2[1::2] = nwriter
-                l2[1::2] = RW
-                m2[1::2] = rw_emit
-                re_u = u2[m2]
-                re_v = v2[m2]
-                re_l = l2[m2]
-                re_key = np.repeat(key_of_read, 2)[m2]
-
-                cum_re = np.zeros(n_reads + 1, dtype=np.int64)
-                np.cumsum(
-                    wr_emit.astype(np.int64) + rw_emit.astype(np.int64),
-                    out=cum_re[1:],
-                )
-                re_count = cum_re[r_indptr[1:]] - cum_re[r_indptr[:-1]]
-                ww_cum = np.zeros(nk + 1, dtype=np.int64)
-                np.cumsum(ww_count, out=ww_cum[1:])
-                re_cum = np.zeros(nk + 1, dtype=np.int64)
-                np.cumsum(re_count, out=re_cum[1:])
-                out_indptr = ww_cum + re_cum
-                total = int(out_indptr[-1])
-                out_u = np.empty(total, dtype=np.int64)
-                out_v = np.empty(total, dtype=np.int64)
-                out_l = np.empty(total, dtype=np.int64)
-                ww_dest = np.arange(len(ww_u), dtype=np.int64) + re_cum[ww_key]
-                re_dest = (
-                    np.arange(len(re_u), dtype=np.int64) + ww_cum[re_key + 1]
-                )
-                out_u[ww_dest] = ww_u
-                out_u[re_dest] = re_u
-                out_v[ww_dest] = ww_v
-                out_v[re_dest] = re_v
-                out_l[ww_dest] = WW
-                out_l[re_dest] = re_l
                 ids_np = cols.txn_ids
-                out_u = ids_np[out_u]
-                out_v = ids_np[out_v]
+                out_u = ids_np[
+                    np.concatenate((ww_u, producer[wr_emit], r_txn[rw_emit]))
+                ]
+                out_v = ids_np[
+                    np.concatenate((ww_v, r_txn[wr_emit], nwriter[rw_emit]))
+                ]
+                out_l = np.repeat(
+                    np.array([WW, WR, RW], dtype=np.int64),
+                    [len(ww_u), int(wr_emit.sum()), int(rw_emit.sum())],
+                )
             else:
                 out_u = out_v = out_l = np.empty(0, dtype=np.int64)
-                out_indptr = np.zeros(nk + 1, dtype=np.int64)
 
             anomaly_blocks = self.internal_anomaly_blocks(0, len(index.transactions))
 
@@ -406,27 +366,11 @@ class ListAppendPlan(KeyspacePlan):
             anomalies = analysis.anomalies
             for _tag, found in anomaly_blocks:
                 anomalies.extend(found)
-            edge_blocks.sort(key=tag)
 
-            # Graph: bulk clean-key columns and fallback fragments
-            # interleave in key order — runs of consecutive clean keys go
-            # in as one memcpy each.  Duplicate emissions in the bulk
-            # stream freeze identically to the fragment-dict dedup (first
-            # appearance interns, labels OR together).
             graph = analysis.graph
-            out_indptr_l = out_indptr.tolist()
-            prev = 0
-            for (_phase, kp, _minor), fragment in edge_blocks:
-                lo, hi = out_indptr_l[prev], out_indptr_l[kp]
-                if hi > lo:
-                    graph.add_edge_columns(
-                        out_u[lo:hi], out_v[lo:hi], out_l[lo:hi]
-                    )
+            graph.add_edge_columns(out_u, out_v, out_l)
+            for _tag, fragment in edge_blocks:
                 graph.add_edge_keys(fragment)
-                prev = kp
-            lo, hi = out_indptr_l[prev], out_indptr_l[nk]
-            if hi > lo:
-                graph.add_edge_columns(out_u[lo:hi], out_v[lo:hi], out_l[lo:hi])
 
             # Evidence: one deferred source, in key order — the fallback
             # keys' fragments as computed, and each clean key's fragment

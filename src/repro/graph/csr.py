@@ -6,12 +6,15 @@ At Elle's target scale (§7.5: hundreds of thousands of transactions) the
 search runs many Tarjan and BFS passes over the same topology, so the log
 is frozen once into flat arrays:
 
-* ``nodes[i]`` — the original node for integer id ``i`` (interning order is
-  first appearance over the interleaved ``u0, v0, u1, v1, ...`` emission
-  stream, keeping traversals deterministic);
+* ``nodes[i]`` — the original node for integer id ``i``: the distinct
+  transaction ids in ascending order;
 * ``indptr`` / ``indices`` / ``labels`` — classic CSR: the out-edges of
   node ``i`` are ``indices[indptr[i]:indptr[i + 1]]`` with bitmask labels
-  ``labels[indptr[i]:indptr[i + 1]]``, in first-emission order.
+  ``labels[indptr[i]:indptr[i + 1]]``, ascending by target.
+
+The snapshot depends on the labelled edge set alone, never on the order
+in which analyzers emitted the edges, so every traversal — and every
+cycle witness — is a function of the graph itself.
 
 All algorithms here work in the integer domain and take an edge *mask*: an
 edge participates iff ``label & mask`` is non-zero.  Restricted variants
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +60,7 @@ class CSRGraph:
     Build via :meth:`from_edge_log` (or ``EdgeLogGraph.freeze()``, which
     caches the snapshot until the next append) or :meth:`from_edges` for
     arbitrary hashable nodes.  Node-domain helpers (``edge_label``,
-    ``__contains__``, ``successors``) serve read-only code paths.
+    ``__contains__``) serve read-only code paths.
     """
 
     __slots__ = ("_nodes", "_nodes_np", "_index_of", "_indptr", "_indices",
@@ -159,16 +162,18 @@ class CSRGraph:
         vs: Sequence[int],
         labels: Sequence[int],
     ) -> "CSRGraph":
-        """Build a snapshot from a flat, append-ordered edge log.
+        """Build the canonical snapshot of a flat edge log.
 
         The log lists every edge *emission* — the same ``(u, v, label)``
         triple may repeat, and labels for one ``(u, v)`` pair OR together.
-        Nodes intern in first-appearance order over the interleaved
-        ``u0, v0, u1, v1, ...`` stream, and each row's successors keep
-        first-emission order.
+        Nodes are the distinct endpoints in ascending order, and each
+        row's successors ascend by target, so the snapshot is a function
+        of the labelled edge set alone: any permutation or split of the
+        log freezes to the same arrays.
 
-        The build is vectorized over flat integer arrays (sort/reduce);
-        :meth:`from_edges` is the dict build for arbitrary hashable nodes.
+        The build is one unstable sort of ``(u, v)`` pair codes plus an
+        OR-reduce of their labels; :meth:`from_edges` is the dict build
+        for hashable nodes that cannot be sorted.
         """
         u = np.asarray(us, dtype=np.int64)
         v = np.asarray(vs, dtype=np.int64)
@@ -177,72 +182,56 @@ class CSRGraph:
         if e == 0:
             empty = np.empty(0, dtype=np.int64)
             return cls._from_np(empty, np.zeros(1, dtype=np.int64), empty, empty, 0)
-        # Nodes, in first-appearance order over the interleaved stream.
-        interleaved = np.empty(2 * e, dtype=np.int64)
-        interleaved[0::2] = u
-        interleaved[1::2] = v
-        lo = int(interleaved.min())
-        hi = int(interleaved.max())
+        lo = min(int(u.min()), int(v.min()))
+        hi = max(int(u.max()), int(v.max()))
         if lo >= 0 and hi < 8 * e + 1024:
-            # Dense node domain (transaction ids): two scatters replace the
-            # O(n log n) sort inside np.unique.  Fancy assignment keeps the
-            # *last* write per repeated index, so assigning in reverse
-            # stream order records each node's first appearance.
-            first_occ = np.full(hi + 1, -1, dtype=np.int64)
-            first_occ[interleaved[::-1]] = np.arange(
-                2 * e - 1, -1, -1, dtype=np.int64
-            )
-            present = np.flatnonzero(first_occ >= 0)  # sorted by value
-            node_vals = present[np.argsort(first_occ[present])]
-            n = len(node_vals)
-            rank = np.empty(hi + 1, dtype=np.int64)
-            rank[node_vals] = np.arange(n, dtype=np.int64)
+            # Dense node domain (transaction ids): a presence table
+            # replaces the O(n log n) sort inside np.unique.
+            present = np.zeros(hi + 1, dtype=bool)
+            present[u] = True
+            present[v] = True
+            nodes = np.flatnonzero(present)
+            rank = np.cumsum(present) - 1
             uid = rank[u]
             vid = rank[v]
-            node_source = node_vals
         else:
-            uniq, first = np.unique(interleaved, return_index=True)
-            n = len(uniq)
-            order = np.argsort(first)
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.arange(n, dtype=np.int64)
-            uid = rank[np.searchsorted(uniq, u)]
-            vid = rank[np.searchsorted(uniq, v)]
-            node_source = uniq[order]
-        # Group emissions by (u, v): OR the labels, keep the first emission
-        # position (stable sort => the group's minimum stream index).
+            nodes, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
+            uid = inverse[:e]
+            vid = inverse[e:]
+        n = len(nodes)
+        # Sorting the pair codes groups each (u, v) pair's emissions and
+        # orders the groups by source, then target: the CSR row order.
         pair = uid * n + vid
-        by_pair = np.argsort(pair, kind="stable")
-        sorted_pair = pair[by_pair]
+        order = np.argsort(pair)
+        sorted_pair = pair[order]
         starts_mask = np.empty(e, dtype=bool)
         starts_mask[0] = True
         np.not_equal(sorted_pair[1:], sorted_pair[:-1], out=starts_mask[1:])
         starts = np.flatnonzero(starts_mask)
         pairs = sorted_pair[starts]
-        pair_labels = np.bitwise_or.reduceat(lab[by_pair], starts)
-        pair_first = by_pair[starts]
-        # CSR rows: sort unique pairs by (source id, first emission).
+        labels_np = np.bitwise_or.reduceat(lab[order], starts)
         src = pairs // n
-        dst = pairs - src * n
-        row_order = np.lexsort((pair_first, src))
-        indices_np = dst[row_order]
-        labels_np = pair_labels[row_order]
-        counts = np.bincount(src, minlength=n)
         indptr_np = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr_np[1:])
+        np.cumsum(np.bincount(src, minlength=n), out=indptr_np[1:])
         return cls._from_np(
-            node_source,
+            nodes,
             indptr_np,
-            indices_np,
+            pairs - src * n,
             labels_np,
-            int(np.bitwise_or.reduce(lab)),
+            int(np.bitwise_or.reduce(labels_np)),
         )
 
     @classmethod
     def from_edges(
         cls, us: Iterable, vs: Iterable, labels: Iterable[int]
     ) -> "CSRGraph":
-        """The dict build of :meth:`from_edge_log`, for any hashable nodes."""
+        """A snapshot over any hashable nodes, in first-appearance order.
+
+        Nodes intern in first appearance over the ``u0, v0, u1, v1, ...``
+        stream and rows keep first-emission order.  rw-register's per-key
+        version graphs come here: their values mix types that cannot be
+        sorted, so they cannot take :meth:`from_edge_log`'s canonical order.
+        """
         succ: Dict = {}
         for u, v, label in zip(us, vs, labels):
             row = succ.get(u)
@@ -299,20 +288,6 @@ class CSRGraph:
     def has_edge(self, u, v, mask: int = ALL_EDGES) -> bool:
         return bool(self.edge_label(u, v) & mask)
 
-    def successors(self, u, mask: int = ALL_EDGES) -> Iterator:
-        """Node-domain successor iteration (compatibility helper)."""
-        ui = self.index_of.get(u)
-        if ui is None:
-            return iter(())
-        nodes = self.nodes
-        indices = self.indices
-        labels = self.labels
-        return (
-            nodes[indices[pos]]
-            for pos in range(self.indptr[ui], self.indptr[ui + 1])
-            if labels[pos] & mask
-        )
-
     # ------------------------------------------------------------------
     # Integer-domain primitives
 
@@ -342,7 +317,7 @@ class CSRGraph:
         """Tarjan SCCs over integer ids, unrolled to an explicit stack.
 
         ``members`` restricts the traversal to a node subset and is also
-        the DFS root order (default: every node in interning order).  With
+        the DFS root order (default: every node in id order).  With
         the default the visit order — hence component order *and* member
         order — is that of the textbook recursive Tarjan over CSR rows.
         Components come out in reverse topological order of the
@@ -519,8 +494,8 @@ class CSRGraph:
     ) -> Optional[List[int]]:
         """BFS shortest path ``source -> ... -> target`` under ``mask``.
 
-        Successors are scanned in CSR row order (first-emission order), so
-        ties break deterministically.  When ``source == target`` the path
+        Successors are scanned in CSR row order (ascending target id in a
+        :meth:`from_edge_log` snapshot), so ties break deterministically.  When ``source == target`` the path
         must leave the node and return: the target test happens on edge
         traversal, not on dequeue.
         """

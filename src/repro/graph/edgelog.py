@@ -4,14 +4,15 @@ The analysis pipeline emits hundreds of thousands of dependency edges in
 one deterministic stream, then freezes the graph once and only reads it
 afterwards.  :class:`EdgeLogGraph` embraces that shape — ``add_edge`` and
 friends are list appends, with no per-edge dict probe or read-modify-write,
-and all the dedup/interning work happens in one vectorized bulk pass
+and all the dedup work happens in one vectorized bulk pass
 (:meth:`CSRGraph.from_edge_log`) at freeze time.
 
-Freezing interns nodes in first appearance over the interleaved ``u, v``
-stream, keeps successor rows in first-emission order, and ORs the labels
-of a repeated pair together.  Read-side methods (``nodes``, ``edges``,
-``edge_label``, ``has_edge``) delegate to the cached snapshot, so the class
-serves everywhere the checker reads the inferred serialization graph.
+Freezing ORs the labels of a repeated pair together, numbers the nodes in
+ascending order and sorts each successor row by target, so the snapshot
+is the same however the emissions were ordered or split across the
+``add_*`` calls.  Read-side methods (``nodes``, ``edges``, ``edge_label``,
+``has_edge``) delegate to the cached snapshot, so the class serves
+everywhere the checker reads the inferred serialization graph.
 """
 
 from __future__ import annotations
@@ -133,11 +134,6 @@ class EdgeLogGraph:
         return csr
 
     @property
-    def emission_count(self) -> int:
-        """Raw log length (emissions, not deduplicated edges)."""
-        return len(self._u)
-
-    @property
     def node_count(self) -> int:
         return self.freeze().node_count
 
@@ -152,11 +148,11 @@ class EdgeLogGraph:
         return node in self.freeze().index_of
 
     def nodes(self) -> Iterator[int]:
-        """Nodes in interning (first-emission) order."""
+        """Nodes in ascending order."""
         return iter(self.freeze().nodes)
 
     def edges(self, mask: int = ALL_EDGES) -> Iterator[Tuple[int, int, int]]:
-        """All ``(u, v, label)`` triples visible under ``mask``."""
+        """All ``(u, v, label)`` triples visible under ``mask``, by ``(u, v)``."""
         csr = self.freeze()
         nodes = csr.nodes
         indptr = csr.indptr
@@ -173,33 +169,6 @@ class EdgeLogGraph:
 
     def has_edge(self, u: int, v: int, mask: int = ALL_EDGES) -> bool:
         return bool(self.edge_label(u, v) & mask)
-
-    def successors(self, u: int, mask: int = ALL_EDGES) -> Iterator[int]:
-        return self.freeze().successors(u, mask)
-
-    def out_degree(self, u: int, mask: int = ALL_EDGES) -> int:
-        csr = self.freeze()
-        ui = csr.index_of.get(u)
-        if ui is None:
-            return 0
-        labels = csr.labels
-        return sum(
-            1
-            for pos in range(csr.indptr[ui], csr.indptr[ui + 1])
-            if labels[pos] & mask
-        )
-
-    def in_degree(self, v: int, mask: int = ALL_EDGES) -> int:
-        csr = self.freeze()
-        vi = csr.index_of.get(v)
-        if vi is None:
-            return 0
-        labels = csr.labels
-        return sum(
-            1
-            for pos, target in enumerate(csr.indices)
-            if target == vi and labels[pos] & mask
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EdgeLogGraph({len(self._u)} emissions)"

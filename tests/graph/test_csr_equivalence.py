@@ -1,7 +1,7 @@
 """Property tests: the CSR core is byte-equivalent to the dict algorithms.
 
-The CSR snapshot interns nodes in first-appearance order and keeps each row
-in successor insertion order, so every traversal (Tarjan, BFS
+A CSR snapshot keeps the node order and row order it was built with (the
+test-local :func:`freeze` takes the dict's), so every traversal (Tarjan, BFS
 shortest-cycle, first-edge search) must visit nodes and edges in exactly
 the order the historical dict-of-dicts implementation did — same
 components in the same order with the same member order, same tie-broken
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.core.cycle_search import find_cycle_anomalies
 from repro.graph import ALL_EDGES, CSRGraph, EdgeLogGraph
 from repro.graph.csr import _FAST_SCC_MIN_EDGES
+from tests.graph_reference import canonical_csr, successors
 
 # All six dependency bits the checker uses.
 FULL_MASK = 63
@@ -222,7 +223,8 @@ def ref_first_edge_cycle(graph, first_mask, rest_mask, components=None):
 
 def ref_find_cycle_anomalies(graph):
     """The seed's 16-pass search: a fresh full decomposition per spec,
-    its cyclic components taken in the canonical order."""
+    its cyclic components taken in the canonical order, and the
+    first-edge searches scanning each component's members in reverse."""
     from repro.core.anomalies import CycleAnomaly
     from repro.core.cycle_search import (
         _SPECS,
@@ -238,7 +240,7 @@ def ref_find_cycle_anomalies(graph):
                 cycle = ref_shortest_cycle(graph, component, spec.mask)
             else:
                 cycle = ref_first_edge_cycle(
-                    graph, spec.first, spec.rest, [component]
+                    graph, spec.first, spec.rest, [component[::-1]]
                 )
             if cycle is None:
                 continue
@@ -402,9 +404,9 @@ def test_snapshot_node_domain_queries():
     assert csr.edge_label("c", "a") == 0
     assert csr.edge_label("zz", "a") == 0
     assert "a" in csr and "zz" not in csr
-    assert list(csr.successors("a")) == ["b", "c"]
-    assert list(csr.successors("a", 2)) == ["b"]
-    assert list(csr.successors("zz")) == []
+    assert successors(csr, "a") == ["b", "c"]
+    assert successors(csr, "a", 2) == ["b"]
+    assert successors(csr, "zz") == []
     assert csr.has_edge("b", "c", 4) and not csr.has_edge("b", "c", 1)
 
 
@@ -415,7 +417,7 @@ def test_node_domain_queries_match_dict_graph(g, mask, probe):
     csr = freeze(g)
     for u in list(g) + [probe]:
         row = g.get(u, {})
-        assert list(csr.successors(u, mask)) == [
+        assert successors(csr, u, mask) == [
             v for v, label in row.items() if label & mask
         ]
         for v in list(g) + [probe]:
@@ -733,7 +735,7 @@ def test_self_loops_in_a_bulk_built_snapshot():
     vs = list(range(1, n)) + [5, 77, 300]
     labels = [1] * (n - 1) + [2, 4, 2]
     csr = CSRGraph.from_edge_log(us, vs, labels)
-    reference = CSRGraph.from_edges(us, vs, labels)
+    reference = canonical_csr(us, vs, labels)
     for mask in (1, 2, 4, 6, FULL_MASK):
         assert csr.cyclic_scc_idx(mask) == reference.cyclic_scc_idx(mask)
     found = csr.cyclic_scc_idx(2)

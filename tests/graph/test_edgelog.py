@@ -2,17 +2,19 @@
 
 The analysis pipeline emits its dependency graph through
 :class:`~repro.graph.edgelog.EdgeLogGraph`, whose freeze must be
-byte-identical to the dict build :meth:`CSRGraph.from_edges` over the same
-emission stream: same node interning order, same successor row order, same
-OR-ed labels (``tests/graph/test_csr_equivalence.py`` pins that build
-against a plain dict-of-dicts).  The vectorized :meth:`CSRGraph.from_edge_log`
-is pinned against it at every log size, as is the engine choice of
-``cyclic_scc_idx``: scipy's labelling on large graphs, the Python Tarjan
-on small ones and on restricted queries.
+byte-identical to the canonical dict build
+(:func:`graph_reference.canonical_csr`) over the same emissions: nodes
+sorted, successor rows ascending, labels OR-ed — whatever the order of the
+emissions and however they were split across the ``add_*`` calls.  The
+vectorized :meth:`CSRGraph.from_edge_log` is pinned against it at every
+log size, as is the engine choice of ``cyclic_scc_idx``: scipy's
+labelling on large graphs, the Python Tarjan on small ones and on
+restricted queries.
 """
 
 import pickle
 from array import array
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro.graph import CSRGraph, EdgeLogGraph
 from repro.graph.csr import _FAST_SCC_MIN_EDGES
 from repro.graph.intervals import interval_precedence_pairs
+from tests.graph_reference import canonical_csr, in_degree, out_degree, successors
 
 edge_lists = st.lists(
     st.tuples(
@@ -34,7 +37,7 @@ edge_lists = st.lists(
 
 
 def reference_csr(edges):
-    return CSRGraph.from_edges(
+    return canonical_csr(
         [u for u, _v, _l in edges],
         [v for _u, v, _l in edges],
         [label for _u, _v, label in edges],
@@ -51,6 +54,33 @@ class TestEdgeLogEquivalence:
     def test_freeze_matches_dict_build(self, edges):
         log = EdgeLogGraph()
         log.add_edges_from(edges)
+        assert csr_signature(log.freeze()) == csr_signature(
+            reference_csr(edges)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists, st.data())
+    def test_freeze_ignores_emission_order_and_split(self, edges, data):
+        # Any permutation of the log, cut into runs that each go through
+        # one of the three bulk appends, freezes to the same snapshot.
+        emissions = data.draw(st.permutations(edges))
+        log = EdgeLogGraph()
+        start = 0
+        while start < len(emissions):
+            stop = data.draw(
+                st.integers(min_value=start + 1, max_value=len(emissions))
+            )
+            run = emissions[start:stop]
+            start = stop
+            how = data.draw(st.sampled_from(["columns", "arrays", "keys"]))
+            if how == "columns":
+                log.add_edge_columns(*zip(*run))
+            elif how == "keys":
+                log.add_edge_keys(run)
+            else:
+                for label, group in groupby(run, key=lambda edge: edge[2]):
+                    us, vs, _ls = zip(*group)
+                    log.add_edge_arrays(us, vs, label)
         assert csr_signature(log.freeze()) == csr_signature(
             reference_csr(edges)
         )
@@ -128,7 +158,7 @@ class TestEdgeLogApi:
         log = EdgeLogGraph()
         log.add_edge(1, 1, 4)
         assert log.has_edge(1, 1, 4)
-        assert list(log.successors(1)) == [1]
+        assert successors(log, 1) == [1]
         assert log.freeze().cyclic_scc_idx(4) == [[0]]
 
     def test_add_edge_creates_nodes(self):
@@ -141,10 +171,10 @@ class TestEdgeLogApi:
     def test_successors_respect_mask(self):
         log = EdgeLogGraph()
         log.add_edges_from([(1, 2, 1), (1, 3, 2), (1, 4, 1 | 4)])
-        assert list(log.successors(1, 1)) == [2, 4]
-        assert list(log.successors(1, 2)) == [3]
-        assert list(log.successors(1, 4)) == [4]
-        assert list(log.successors(9)) == []
+        assert successors(log, 1, 1) == [2, 4]
+        assert successors(log, 1, 2) == [3]
+        assert successors(log, 1, 4) == [4]
+        assert successors(log, 9) == []
 
     def test_has_edge_with_mask(self):
         log = EdgeLogGraph()
@@ -185,11 +215,11 @@ class TestEdgeLogApi:
     def test_in_degree_respects_mask(self):
         log = EdgeLogGraph()
         log.add_edges_from([(2, 1, 1), (3, 1, 2), (4, 1, 1 | 4)])
-        assert log.in_degree(1) == 3
-        assert log.in_degree(1, mask=1) == 2
-        assert log.in_degree(1, mask=2) == 1
-        assert log.in_degree(1, mask=8) == 0
-        assert log.in_degree(2) == 0
+        assert in_degree(log, 1) == 3
+        assert in_degree(log, 1, mask=1) == 2
+        assert in_degree(log, 1, mask=2) == 1
+        assert in_degree(log, 1, mask=8) == 0
+        assert in_degree(log, 2) == 0
 
     def test_edges_keep_the_ored_label_under_either_bit(self):
         log = EdgeLogGraph()
@@ -205,7 +235,7 @@ class TestEdgeLogApi:
         log.add_edge_columns([], [], [])  # no-op
         assert log.edge_label(3, 4) == 8
         assert log.edge_label(4, 1) == 2
-        assert log.emission_count == 5
+        assert log.edge_count == 5
 
     def test_numpy_columns_match_sequence_appends(self):
         us, vs, ls = [5, 1, 5], [1, 7, 1], [1, 2, 4]
@@ -238,17 +268,17 @@ class TestEdgeLogApi:
         assert list(log.edges(mask=2)) == [(2, 3, 2)]
         assert 1 in log and 9 not in log
         assert len(log) == 3
-        assert log.emission_count == 3
+        assert log.edge_count == 3
 
     def test_degrees_and_successors(self):
         log = self.build()
-        assert log.out_degree(1) == 2
-        assert log.out_degree(1, mask=1) == 1
-        assert log.out_degree(9) == 0
-        assert log.in_degree(3) == 2
-        assert log.in_degree(3, mask=2) == 1
-        assert log.in_degree(9) == 0
-        assert list(log.successors(1)) == [2, 3]
+        assert out_degree(log, 1) == 2
+        assert out_degree(log, 1, mask=1) == 1
+        assert out_degree(log, 9) == 0
+        assert in_degree(log, 3) == 2
+        assert in_degree(log, 3, mask=2) == 1
+        assert in_degree(log, 9) == 0
+        assert successors(log, 1) == [2, 3]
 
 
 class TestScipyEngine:

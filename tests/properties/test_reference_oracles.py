@@ -11,8 +11,8 @@ byte-identical to the shipped one:
   interval preparation (``add_realtime_edges``);
 * the internal-consistency candidate comprehension
   (``internal_candidate_positions``);
-* the dict build ``CSRGraph.from_edges`` in place of the vectorized
-  ``CSRGraph.from_edge_log``.
+* the canonical dict build (``graph_reference.canonical_csr``) in place
+  of the vectorized ``CSRGraph.from_edge_log``.
 
 The list-append whole-index screen's reference is the per-key
 ``analyze_key`` path, which stays in ``src/`` (streaming, fallback keys
@@ -20,7 +20,7 @@ and shards run it); restoring the base ``KeyspacePlan.analyze_index``,
 which declines, forces it for every key.
 
 Identity is the full analysis signature — anomalies in order, node
-interning order, edges, evidence — the same oracle the sharding and
+order, edges, evidence — the same oracle the sharding and
 streaming equivalence suites use.
 """
 
@@ -43,6 +43,7 @@ from repro.core.orders import add_process_edges, add_realtime_edges
 from repro.db import FaunaInternal, Isolation, TiDBRetry, YugaByteStaleRead
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.graph import CSRGraph, interval_precedence_pairs
+from tests.graph_reference import canonical_csr
 
 FAULTS = {
     "none": None,
@@ -187,7 +188,7 @@ def install_references(patch) -> None:
                     patch.setattr(module, attr, reference)
                     hits += 1
         assert hits, shipped
-    patch.setattr(CSRGraph, "from_edge_log", CSRGraph.from_edges)
+    patch.setattr(CSRGraph, "from_edge_log", canonical_csr)
     per_key_only(patch)
 
 
@@ -229,7 +230,7 @@ def analysis_signature(analysis):
     return (
         [(a.name, a.txns, a.message, tuple(sorted(a.data.items(), key=repr)))
          for a in analysis.anomalies],
-        list(analysis.graph.nodes()),          # interning order matters
+        list(analysis.graph.nodes()),
         sorted(analysis.graph.edges()),
         sorted(analysis.evidence.items()),
     )
@@ -288,7 +289,7 @@ class TestLoopReferences:
             keyspace_mod.internal_candidate_positions
             is ref_internal_candidate_positions
         )
-        assert CSRGraph.from_edge_log == CSRGraph.from_edges
+        assert CSRGraph.from_edge_log is canonical_csr
 
     def test_closed_form_matches_the_sweep_under_heavy_ties(self):
         # Heavy (time, kind) ties stress the stable tie-breaking.

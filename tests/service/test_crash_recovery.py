@@ -281,12 +281,20 @@ class TestRecoveryOracle:
         update = recovered.verdict()
         assert update.result.report() == expected.report()
 
-    def test_stale_magic_checkpoint_is_skipped(self, tmp_path):
+    @pytest.mark.parametrize(
+        "stale",
+        [b"REPROCKPT1\n", b"REPROCKPT2\n"],
+        ids=["REPROCKPT1", "REPROCKPT2"],
+    )
+    def test_stale_magic_checkpoint_is_skipped(self, tmp_path, stale):
         """A checkpoint from an older payload layout is never unpickled.
 
-        Each checkpoint is re-framed under the previous magic with its
-        body and digest intact — exactly what an older build left on
-        disk.  Recovery must skip every one and replay the whole WAL.
+        Each checkpoint is re-framed under an earlier magic with its body
+        and digest intact — exactly what an older build left on disk.
+        ``REPROCKPT2`` checkpoints carry cycle witnesses chosen on a graph
+        ordered by edge emission, which batch ``check()`` no longer
+        produces.  Recovery must skip every one and replay the whole WAL
+        to the batch report.
         """
         ops = session_workload(txns=60, seed=4, **FAULTY)
         expected = self.run_uninterrupted(ops)
@@ -306,11 +314,11 @@ class TestRecoveryOracle:
         store = durability.store("chaos")
         checkpoints = store.checkpoint_paths()
         assert checkpoints, "cadence should have produced checkpoints"
-        assert CHECKPOINT_MAGIC == b"REPROCKPT2\n"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT3\n"
         for path in checkpoints:
             blob = open(path, "rb").read()
             with open(path, "wb") as fh:
-                fh.write(b"REPROCKPT1\n" + blob[len(CHECKPOINT_MAGIC) :])
+                fh.write(stale + blob[len(CHECKPOINT_MAGIC) :])
             assert store._read_checkpoint(path) is None
         durability.close()
 
