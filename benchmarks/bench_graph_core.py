@@ -61,7 +61,7 @@ def run(nodes, degree=6, back_fraction=0.02, seed=0):
 
     def build():
         g = EdgeLogGraph()
-        g.add_edges_from(edges)
+        g.add_edge_keys(edges)
         return g
 
     graph, build_s = timed(build)

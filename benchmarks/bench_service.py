@@ -200,10 +200,11 @@ def _completed(ops):
 
     Each wave's processes are never reused (``_shifted`` re-bases them),
     so an invoke the wave didn't complete stays provisional for the rest
-    of the stream — and one permanently provisional transaction pins the
-    retirement horizon: nothing appended after it can ever freeze.  A
-    process alternates invoke/completion, so the only possibly-pending
-    invoke per process is its last op.
+    of the stream — and a permanently provisional transaction pins the
+    keys it touched and every transaction that depends on it, so
+    residency would grow with every wave.  A process alternates
+    invoke/completion, so the only possibly-pending invoke per process is
+    its last op.
     """
     from repro.history.ops import OpType
 

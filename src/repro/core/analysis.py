@@ -9,11 +9,11 @@ Evidence is built only when something reads it.  Value edges (ww/wr/rw)
 carry one record per ``(from, to, bit)`` — the justifying key and values
 genuinely differ per edge — but a valid history never explains a cycle,
 so the analysis keeps an ordered *log* of evidence sources instead of a
-dict: each source is a producer of per-key fragments in emission order
-(the keyspace merge's eager fragment list, or list-append's generator
-that re-runs the per-key analysis).  The first read of
+dict: each source is a producer of per-key fragments in the plan's key
+order (the keyspace merge's eager fragment list, or list-append's
+generator that re-runs the per-key analysis).  The first read of
 :attr:`Analysis.evidence` replays the log once, in reverse, with
-``dict.update``, so the first-emitted record for every edge bit wins.
+``dict.update``, so the first key's record for every edge bit wins.
 Order edges (process/realtime/timestamp) would store hundreds of
 thousands of identical records on a large history, so they are
 *synthesized on demand* by :meth:`Analysis.edge_evidence`: the graph bit
@@ -56,7 +56,7 @@ class Evidence(NamedTuple):
 EdgeKey = Tuple[int, int, int]  # (from_txn, to_txn, dependency_bit)
 
 #: One evidence source: a producer of ``(u, v, bit) -> Evidence`` fragments
-#: in emission order.  Called again on every replay attempt, so a replay
+#: in key order.  Called again on every replay attempt, so a replay
 #: that raises leaves the log intact.
 EvidenceSource = Callable[[], Iterable[Dict[EdgeKey, Evidence]]]
 

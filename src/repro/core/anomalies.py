@@ -20,7 +20,7 @@ verifiable counterexamples*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 # ---------------------------------------------------------------------------
 # Anomaly type names
@@ -109,9 +109,17 @@ class CycleAnomaly(Anomaly):
         return f"[{self.name}] {self.message}"
 
 
-def sort_anomalies(anomalies: List[Anomaly]) -> List[Anomaly]:
-    """Deterministic presentation order: by type name, then by txns."""
-    rank = {name: i for i, name in enumerate(ALL_ANOMALIES)}
+_RANK = {name: i for i, name in enumerate(ALL_ANOMALIES)}
+
+
+def sort_anomalies(anomalies: Iterable[Anomaly]) -> List[Anomaly]:
+    """The canonical anomaly order: taxonomy rank, then txns, then message.
+
+    A total order on what a report prints, so the result never depends on
+    the order in which analyzers, shards or stream chunks emitted the
+    anomalies.
+    """
     return sorted(
-        anomalies, key=lambda a: (rank.get(a.name, len(rank)), a.txns)
+        anomalies,
+        key=lambda a: (_RANK.get(a.name, len(_RANK)), a.txns, a.message),
     )

@@ -213,10 +213,9 @@ def finish_analysis(
     ``retired`` / ``frozen_cycles`` carry the streaming checker's settled
     prefix: components made only of retired transactions are skipped in
     the search and their cycles — rendered once, while the transaction
-    views still existed — are spliced back in before the deterministic
-    sort.  Retired and live cycles can never tie on the sort key (their
-    transaction sets are disjoint), so the combined order is byte-for-byte
-    what an unretired checker would produce.
+    views still existed — are spliced back in before the canonical
+    :func:`~repro.core.anomalies.sort_anomalies` order, so the combined
+    order is byte-for-byte what an unretired checker would produce.
     """
     stage = lambda name: _stage(profile, name)  # noqa: E731
     with stage("freeze"):

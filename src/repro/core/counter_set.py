@@ -27,7 +27,7 @@ the history's single-pass index, so they shard like the stronger analyzers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..history import History
 from ..history.index import check_unique_writes
@@ -35,7 +35,6 @@ from .analysis import Evidence
 from .anomalies import G1A, GARBAGE_READ, Anomaly
 from .deps import RW, WR
 from .keyspace import (
-    PHASE_READ,
     Batch,
     KeyspacePlan,
     ReadCheckStyle,
@@ -93,27 +92,25 @@ class GrowSetPlan(KeyspacePlan):
         first_writer = slice_.first_writer
         fw_get = first_writer.get
         obj_write_map = index.write_map(slice_)
-        anomaly_blocks = []
-        edge_blocks = []
+        anomalies: List[Anomaly] = []
+        # One fragment per key: the first read (in observation order) that
+        # justifies an edge bit supplies its evidence.
+        fragment: Dict[Tuple[int, int, int], Evidence] = {}
         r_txn = slice_.r_txn
-        r_seq = slice_.r_seq
         r_val = slice_.r_val
         for i in range(len(r_val)):
             value = r_val[i]
             if value is None:
                 continue
             pos = r_txn[i]
-            mop_seq = r_seq[i]
             reader_id = txn_ids[pos]
             observed = frozenset(value)
             ordered = tuple(sorted(observed, key=repr))
-            found = check_recoverable_read(
-                transactions[pos], key, ordered, obj_write_map, self._style
+            anomalies.extend(
+                check_recoverable_read(
+                    transactions[pos], key, ordered, obj_write_map, self._style
+                )
             )
-            if found:
-                anomaly_blocks.append(((PHASE_READ, reader_id, mop_seq), found))
-
-            fragment: Dict[Tuple[int, int, int], Evidence] = {}
             for element in ordered:
                 adder = fw_get(element)
                 if adder is None or txn_ids[adder] == reader_id:
@@ -129,9 +126,7 @@ class GrowSetPlan(KeyspacePlan):
                         (reader_id, txn_ids[adder], RW),
                         Evidence(kind=RW, key=key, value=element),
                     )
-            if fragment:
-                edge_blocks.append(((0, reader_id, mop_seq), fragment))
-        return anomaly_blocks, edge_blocks
+        return anomalies, fragment
 
 
 @register_plan
@@ -171,9 +166,8 @@ class CounterPlan(KeyspacePlan):
         lo = min(lo, 0)
         hi = max(hi, 0)
 
-        anomaly_blocks = []
+        anomalies: List[Anomaly] = []
         r_txn = slice_.r_txn
-        r_seq = slice_.r_seq
         r_val = slice_.r_val
         for i in range(len(r_val)):
             value = r_val[i]
@@ -181,26 +175,16 @@ class CounterPlan(KeyspacePlan):
                 continue
             if not (lo <= value <= hi):
                 reader_id = txn_ids[r_txn[i]]
-                anomaly_blocks.append(
-                    (
-                        (PHASE_READ, reader_id, r_seq[i]),
-                        [
-                            Anomaly(
-                                name=GARBAGE_READ,
-                                txns=(reader_id,),
-                                message=(
-                                    f"T{reader_id} read counter {key!r} = "
-                                    f"{value!r}, outside the feasible range "
-                                    f"[{lo}, {hi}] of observed increments"
-                                ),
-                                data={
-                                    "key": key,
-                                    "value": value,
-                                    "lo": lo,
-                                    "hi": hi,
-                                },
-                            )
-                        ],
+                anomalies.append(
+                    Anomaly(
+                        name=GARBAGE_READ,
+                        txns=(reader_id,),
+                        message=(
+                            f"T{reader_id} read counter {key!r} = "
+                            f"{value!r}, outside the feasible range "
+                            f"[{lo}, {hi}] of observed increments"
+                        ),
+                        data={"key": key, "value": value, "lo": lo, "hi": hi},
                     )
                 )
-        return anomaly_blocks, []
+        return anomalies, {}

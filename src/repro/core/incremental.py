@@ -13,7 +13,7 @@ so far — with the expensive half of the work made incremental:
   re-scanned;
 * per-key analysis batches are cached and recomputed only for *dirty* keys
   — those whose slice changed, detected by the slice ``version`` counter
-  (plus the key's merge position, which tags encode);
+  (a batch depends on its key alone, never on the key's rank);
 * internal-consistency results are cached per transaction and refreshed
   only for transactions the chunk added or upgraded;
 * the dependency graph is reassembled from the cached batches through the
@@ -48,9 +48,9 @@ longer be trusted.
 daemon serving sessions for weeks the binding constraint is *memory*, not
 compute.  :meth:`StreamingChecker.retire` folds the settled part of the
 prefix — transactions whose outcome can no longer change and whose every
-analysis contribution is final — into a compact frozen summary (the tagged
-anomaly and edge blocks they produced, plus their pre-rendered cycle
-anomalies) and drops the per-op storage: the ops tuple entries, the
+analysis contribution is final — into a compact frozen summary (each
+settled key's batch, plus the pre-rendered cycle anomalies among retired
+transactions) and drops the per-op storage: the ops tuple entries, the
 Transaction views, and the per-key slice streams.  What stays resident is
 O(active window): live ops, live slices, and the per-transaction integer
 columns the order edges re-derive from.  The verdict stream after any mix
@@ -60,7 +60,11 @@ workloads, fault injectors, and hypothesis-chosen retirement points,
 including through a checkpoint/restore cycle.  The one contract change: a
 retired key can never be touched again (the slice cannot be re-derived), so
 a recurrence raises :class:`~repro.errors.RetiredKeyError` and poisons the
-stream — streams that retire must rotate their keyspace.
+stream — streams that retire must rotate their keyspace.  A transaction
+whose completion never arrives pins only what it could still change: the
+keys it touched and the transactions reachable from it in the dependency
+graph.  Every other key freezes, because a frozen batch re-merges wherever
+the key sits in the current key order.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..errors import WorkloadError
 from ..history import History
 from ..history.ops import Op
 from .analysis import Analysis
@@ -78,7 +81,7 @@ from .anomalies import Anomaly, CycleAnomaly
 from .checker import CheckResult, finish_analysis
 from .consistency import SERIALIZABLE, _validate as _validate_model
 from .gcpause import paused_gc
-from .keyspace import PHASE_INTERNAL, PLANS, Batch, _merge
+from .keyspace import PLANS, Batch, _merge
 from .orders import add_orders
 from .profiling import Profile, stage
 from .validate import validate_workload
@@ -106,8 +109,8 @@ class StreamUpdate:
     reused_keys: int
 
 
-#: Cached per-key analysis: (slice version, merge position, batch).
-_CacheEntry = Tuple[int, int, Batch]
+#: Cached per-key analysis: (slice version, batch).
+_CacheEntry = Tuple[int, Batch]
 
 
 class StreamingChecker:
@@ -146,21 +149,18 @@ class StreamingChecker:
         self._profile = profile
         self._plan_options = plan_options
         self._key_cache: Dict[Any, _CacheEntry] = {}
-        #: Cached internal-consistency anomaly blocks, per transaction id
-        #: (only transactions that actually have anomalies are stored).
-        self._internal: Dict[int, Tuple[Tuple[int, int, int], list]] = {}
+        #: Cached internal-consistency anomalies, per transaction id (only
+        #: transactions that actually have anomalies are stored; a retired
+        #: transaction's entry never changes again).
+        self._internal: Dict[int, List[Anomaly]] = {}
         self._prev_counts: Counter = Counter()
         self._error: Optional[BaseException] = None
-        #: Frozen summary of the retired prefix: the tagged anomaly and
-        #: edge blocks its keys and transactions contributed (re-merged on
-        #: every extension at their original tag positions, so anomaly
-        #: order and evidence precedence never drift), the merge position
-        #: each retired key froze at (a drift check), the pre-rendered
+        #: Frozen summary of the retired prefix: each retired key's batch
+        #: (re-merged on every extension wherever the key sits in the key
+        #: order, exactly as a batch check places it), the pre-rendered
         #: cycle anomalies among retired transactions, and the retired
         #: transaction ids (components to skip in the cycle search).
-        self._frozen_anomalies: List[Tuple[Tuple[int, int, int], list]] = []
-        self._frozen_edges: List[Tuple[Tuple[int, int, int], dict]] = []
-        self._frozen_key_pos: Dict[Any, int] = {}
+        self._frozen: Dict[Any, Batch] = {}
         self._frozen_cycles: List[CycleAnomaly] = []
         self._frozen_cycle_keys: Set[Tuple[Any, ...]] = set()
         self._retired_ids: Set[int] = set()
@@ -209,16 +209,14 @@ class StreamingChecker:
                 if txn.committed:
                     found = plan.check_internal(txn)
                     if found:
-                        self._internal[txn.id] = (
-                            (PHASE_INTERNAL, txn.id, 0),
-                            found,
-                        )
+                        self._internal[txn.id] = found
                     else:
                         self._internal.pop(txn.id, None)
         with stage(profile, "stream/keys"):
-            anomaly_blocks = list(self._frozen_anomalies)
-            anomaly_blocks.extend(self._internal.values())
-            edge_blocks = list(self._frozen_edges)
+            anomalies: List[Anomaly] = []
+            for found in self._internal.values():
+                anomalies.extend(found)
+            fragments = []
             index = plan.index
             cache = self._key_cache
             # Evict every dirty key up front.  The version clock alone
@@ -229,42 +227,27 @@ class StreamingChecker:
             for key in delta.dirty_keys or ():
                 cache.pop(key, None)
             reused = reanalyzed = 0
-            frozen_pos = self._frozen_key_pos
+            frozen = self._frozen
             for key in plan.keys():
                 slice_ = index.slices[key]
                 if slice_.retired:
-                    # The frozen batch re-merges at its recorded tag
-                    # position; if the live key order ever shifted under a
-                    # retired key the merge would silently drift, so fail
-                    # loudly instead (it cannot happen while every earlier
-                    # key is settled, which eligibility enforced).
-                    pinned = frozen_pos.get(key)
-                    if pinned is not None and plan.key_pos(key) != pinned:
-                        raise WorkloadError(
-                            f"retired key {key!r} shifted merge position "
-                            f"({pinned} -> {plan.key_pos(key)}); the frozen "
-                            "summary is no longer mergeable"
-                        )
-                    continue
-                pos = plan.key_pos(key)
-                entry = cache.get(key)
-                if (
-                    entry is not None
-                    and entry[0] == slice_.version
-                    and entry[1] == pos
-                ):
-                    batch = entry[2]
-                    reused += 1
+                    batch = frozen[key]
                 else:
-                    batch = plan.analyze_key(key)
-                    cache[key] = (slice_.version, pos, batch)
-                    reanalyzed += 1
-                key_anomalies, key_edges = batch
-                anomaly_blocks.extend(key_anomalies)
-                edge_blocks.extend(key_edges)
+                    entry = cache.get(key)
+                    if entry is not None and entry[0] == slice_.version:
+                        batch = entry[1]
+                        reused += 1
+                    else:
+                        batch = plan.analyze_key(key)
+                        cache[key] = (slice_.version, batch)
+                        reanalyzed += 1
+                key_anomalies, fragment = batch
+                anomalies.extend(key_anomalies)
+                if fragment:
+                    fragments.append(fragment)
         with stage(profile, "stream/merge"):
             analysis = Analysis(history=self.history, workload=self.workload)
-            _merge(analysis, [(anomaly_blocks, edge_blocks)])
+            _merge(analysis, [(anomalies, fragments)])
         with stage(profile, "stream/orders"):
             add_orders(
                 analysis,
@@ -336,7 +319,7 @@ class StreamingChecker:
         edge keeps its evidence record (~200 bytes).  Deterministic, so
         watermark behavior is unit-testable without touching the RSS.
         """
-        frozen_edges = sum(len(frag) for _tag, frag in self._frozen_edges)
+        frozen_edges = sum(len(frag) for _found, frag in self._frozen.values())
         return (
             len(self.history.ops) * 400
             + len(self.history.transactions) * 100
@@ -426,18 +409,6 @@ class StreamingChecker:
         # because nobody read it (read-ordered workloads only — the
         # rw-register plan analyzes every key).
         read_ordered = self.workload != "rw-register"
-        # A key's merge position is its rank in the key order — the count
-        # of keys anchored (first appearance / first committed read) before
-        # it.  A provisional transaction that later upgrades can add or
-        # remove anchors at its own position, shifting the rank of every
-        # key anchored after it; a frozen key's batch tags encode the rank,
-        # so only keys anchored strictly before every provisional
-        # transaction may freeze.
-        horizon = n
-        for p in range(n):
-            if transactions[p] is not None and complete[p] < 0:
-                horizon = p
-                break
         candidates: Dict[Any, Tuple[Any, Optional[_CacheEntry]]] = {}
         for key, slice_ in index.slices.items():
             if slice_.retired:
@@ -449,11 +420,6 @@ class StreamingChecker:
                 and slice_.op_txn
                 and slice_.op_txn[-1] >= n - min_idle_txns
             ):
-                continue
-            anchor = slice_.first_read_seq
-            if not read_ordered or anchor is None:
-                anchor = slice_.first_seq
-            if anchor is not None and anchor[0] >= horizon:
                 continue
             entry = cache.get(key)
             if entry is not None and entry[0] == slice_.version:
@@ -540,15 +506,7 @@ class StreamingChecker:
         for key, (_slice, entry) in frozen.items():
             cache.pop(key, None)
             if entry is not None:
-                _version, pos, batch = entry
-                key_anomalies, key_edges = batch
-                self._frozen_anomalies.extend(key_anomalies)
-                self._frozen_edges.extend(key_edges)
-                self._frozen_key_pos[key] = pos
-        for txn_id in new_ids:
-            block = self._internal.pop(txn_id, None)
-            if block is not None:
-                self._frozen_anomalies.append(block)
+                self._frozen[key] = entry[1]
         index.retire(frozen.keys())
         dropped = self.history.retire_transactions(retirable)
         self._retired_ids = total_retired

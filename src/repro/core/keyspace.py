@@ -9,23 +9,24 @@ anomalies and evidence-carrying edges — and :func:`execute_plan` runs the
 plan over every key, either inline or across a ``multiprocessing`` pool,
 then merges the batches into the :class:`~repro.core.analysis.Analysis`.
 
-**Determinism.**  Every batch is tagged with a sort key that encodes where
-its contents appeared in the historical single-threaded emission order
-(transaction-major for per-read checks, key-major for per-key orders and
-edges).  The merge sorts batches by tag before applying them, so the
-resulting analysis — anomaly order and evidence precedence — is
-byte-identical whether the plan ran on one shard or many, and identical
-to the historical non-partitioned analyzers.  The dependency graph needs
-no order: its frozen snapshot depends on the edge set alone.  The merge
-does not build evidence: it logs the tag-sorted edge fragments as one
-source on the analysis (:meth:`~repro.core.analysis.Analysis.log_evidence`),
-which replays them only if something reads evidence.
+**Determinism.**  Nothing in the result depends on emission order.  A
+key's batch is its anomalies plus one evidence fragment.  The merge puts
+the anomalies in the canonical order of
+:func:`~repro.core.anomalies.sort_anomalies` (taxonomy rank, txns,
+message), and the dependency graph's frozen snapshot depends on the edge
+set alone.  Evidence follows one rule: when several keys justify the same
+edge bit, the first key in the plan's :meth:`KeyspacePlan.keys` order
+wins.  The merge does not build evidence: it logs the fragments, in key
+order, as one source on the analysis
+(:meth:`~repro.core.analysis.Analysis.log_evidence`), which replays them
+only if something reads evidence.  So the analysis is byte-identical
+whether the plan ran on one shard or many, inline or streamed.
 
 **Sharding.**  ``execute_plan(..., shards=N)`` partitions keys (and the
-transaction list, for internal-consistency checks) round-robin across a
-worker pool.  Workers are forked after the plan is built, so they inherit
-the parent's :class:`~repro.history.index.HistoryIndex` by copy-on-write
-and ship back only compact batch payloads.  On platforms without ``fork``
+transaction list, for internal-consistency checks) into contiguous ranges
+across a worker pool.  Workers are forked after the plan is built, so they
+inherit the parent's :class:`~repro.history.index.HistoryIndex` by
+copy-on-write and ship back only compact batch payloads.  On platforms without ``fork``
 the pool falls back to ``spawn`` and rebuilds the plan from the pickled
 history.
 
@@ -38,7 +39,6 @@ while the logic exists once.
 from __future__ import annotations
 
 import multiprocessing
-from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -53,32 +53,16 @@ from typing import (
 from ..history import History, Transaction
 from ..history.index import HistoryIndex
 from .analysis import Analysis, EdgeKey, Evidence
-from .anomalies import Anomaly
+from .anomalies import Anomaly, sort_anomalies
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
 from .profiling import Profile, stage
 from .validate import validate_workload_indexed
 
-#: Batch sort key: (phase, major, minor).  Phases order anomaly groups the
-#: way the historical analyzers emitted them: 0 = internal consistency
-#: (transaction-major), 1 = per-read checks (transaction-major), 2 = per-key
-#: order anomalies (key-major), 3 = per-key late anomalies (key-major).
-Tag = Tuple[int, int, int]
-
-#: One anomaly batch: every anomaly that one emission step produced.
-AnomalyBlock = Tuple[Tag, List[Anomaly]]
-
-#: One edge batch: emission-ordered ``(u, v, bit) -> Evidence``.  The dict's
-#: key order sets evidence precedence (the first emission of an edge wins),
-#: and its keys are exactly the ``(u, v, label)`` triples the graph
-#: bulk-insert path consumes.
-EdgeBlock = Tuple[Tag, Dict[EdgeKey, Evidence]]
-
-Batch = Tuple[List[AnomalyBlock], List[EdgeBlock]]
-
-PHASE_INTERNAL = 0
-PHASE_READ = 1
-PHASE_KEYED = 2
-PHASE_LATE = 3
+#: One key's analysis: its anomalies and its evidence fragment, the
+#: ``(u, v, bit) -> Evidence`` records of the value edges it justifies (the
+#: first record of an edge wins).  The fragment's keys are exactly the
+#: ``(u, v, label)`` triples the graph bulk-insert path consumes.
+Batch = Tuple[List[Anomaly], Dict[EdgeKey, Evidence]]
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +189,11 @@ class KeyspacePlan:
         self._keys: Sequence[Any] = ()
 
     def keys(self) -> Sequence[Any]:
-        """Keys to analyze, in the canonical (merge-defining) order."""
+        """Keys to analyze, in evidence-precedence order."""
         return self._keys
 
-    def key_pos(self, key: Any) -> int:
-        """The merge position ``analyze_key`` tags this key's batches with.
-
-        The streaming checker caches per-key batches across history
-        extensions; a cached batch is reusable only while both the key's
-        slice *and* this position are unchanged (tags encode the position,
-        and the deterministic merge sorts by tag).
-        """
-        return self.index.slices[key].pos
-
     def analyze_key(self, key: Any) -> Batch:
-        """All anomaly and edge batches derived from one key."""
+        """The anomalies and evidence fragment derived from one key."""
         raise NotImplementedError
 
     def analyze_index(
@@ -239,7 +213,7 @@ class KeyspacePlan:
         """Internal-consistency anomalies for one committed transaction."""
         return INTERNAL_CHECKERS[self.workload](txn)
 
-    def internal_anomaly_blocks(self, txn_lo: int, txn_hi: int) -> List[AnomalyBlock]:
+    def internal_anomalies(self, txn_lo: int, txn_hi: int) -> List[Anomaly]:
         """The internal-consistency sweep over a transaction range.
 
         Reads the index's columnar transaction status arrays and skips
@@ -250,14 +224,11 @@ class KeyspacePlan:
         """
         index = self.index
         transactions = index.transactions
-        txn_ids = index.txn_ids
         check_internal = self.check_internal
-        blocks: List[AnomalyBlock] = []
+        found: List[Anomaly] = []
         for pos in internal_candidate_positions(index, txn_lo, txn_hi):
-            found = check_internal(transactions[pos])
-            if found:
-                blocks.append(((PHASE_INTERNAL, txn_ids[pos], 0), found))
-        return blocks
+            found.extend(check_internal(transactions[pos]))
+        return found
 
 
 #: Registered plans: workload name -> plan class (populated by analyzers).
@@ -294,45 +265,42 @@ def _chunk_bounds(plan: KeyspacePlan, shards: int) -> List[Tuple[int, int, int, 
     ]
 
 
+#: One worker's share: anomalies plus the non-empty fragments, in key order.
+Chunk = Tuple[List[Anomaly], List[Dict[EdgeKey, Evidence]]]
+
+
 def _analyze_chunk(
     plan: KeyspacePlan, txn_lo: int, txn_hi: int, key_lo: int, key_hi: int
-) -> Batch:
+) -> Chunk:
     """One worker's share: a transaction range and a key range."""
-    anomaly_blocks = plan.internal_anomaly_blocks(txn_lo, txn_hi)
-    edge_blocks: List[EdgeBlock] = []
-    keys = plan.keys()
+    anomalies = plan.internal_anomalies(txn_lo, txn_hi)
+    fragments: List[Dict[EdgeKey, Evidence]] = []
     analyze_key = plan.analyze_key
-    for key in keys[key_lo:key_hi]:
-        key_anomalies, key_edges = analyze_key(key)
-        anomaly_blocks.extend(key_anomalies)
-        edge_blocks.extend(key_edges)
-    return anomaly_blocks, edge_blocks
+    for key in plan.keys()[key_lo:key_hi]:
+        key_anomalies, fragment = analyze_key(key)
+        anomalies.extend(key_anomalies)
+        if fragment:
+            fragments.append(fragment)
+    return anomalies, fragments
 
 
-def _merge(analysis: Analysis, batches: Sequence[Batch]) -> None:
-    """Apply batches in tag order: the deterministic heart of the design."""
-    anomaly_blocks: List[AnomalyBlock] = []
-    edge_blocks: List[EdgeBlock] = []
-    for chunk_anomalies, chunk_edges in batches:
-        anomaly_blocks.extend(chunk_anomalies)
-        edge_blocks.extend(chunk_edges)
-    tag = itemgetter(0)
-    anomaly_blocks.sort(key=tag)
-    edge_blocks.sort(key=tag)
+def _merge(analysis: Analysis, chunks: Sequence[Chunk]) -> None:
+    """Apply chunks, given in key order: the deterministic heart of the design.
 
-    anomalies = analysis.anomalies
-    for _tag, found in anomaly_blocks:
-        anomalies.extend(found)
-
-    # Each fragment's keys are the exact (u, v, bit) triples, so whole
-    # batches land in the graph's edge log without per-edge dispatch.
-    # The tag-ordered fragments become one evidence source, replayed only
-    # if something reads evidence.
+    Anomalies go in the canonical order; each fragment's keys are the
+    exact (u, v, bit) triples, so whole fragments land in the graph's edge
+    log without per-edge dispatch.  The fragments, in key order, become
+    one evidence source, replayed only if something reads evidence.
+    """
+    anomalies: List[Anomaly] = []
+    fragments: List[Dict[EdgeKey, Evidence]] = []
+    for chunk_anomalies, chunk_fragments in chunks:
+        anomalies.extend(chunk_anomalies)
+        fragments.extend(chunk_fragments)
+    analysis.anomalies.extend(sort_anomalies(anomalies))
     graph_add = analysis.graph.add_edge_keys
-    fragments = []
-    for _tag, fragment in edge_blocks:
+    for fragment in fragments:
         graph_add(fragment)
-        fragments.append(fragment)
     analysis.log_evidence(lambda: fragments)
 
 
@@ -349,7 +317,7 @@ def _spawn_init(payload: Tuple[History, str, Dict[str, Any]]) -> None:
     _WORKER_PLAN = PLANS[workload](history, **options)
 
 
-def _run_chunk(args: Tuple[int, int, int, int]) -> Batch:
+def _run_chunk(args: Tuple[int, int, int, int]) -> Chunk:
     return _analyze_chunk(_WORKER_PLAN, *args)
 
 
@@ -393,15 +361,17 @@ def execute_plan(
         n_txns = len(plan.index.transactions)
         n_keys = len(plan.keys())
         with stage(profile, "analyze/keys"):
-            batches = [_analyze_chunk(plan, 0, n_txns, 0, n_keys)]
+            chunks = [_analyze_chunk(plan, 0, n_txns, 0, n_keys)]
     else:
         pool = _make_pool(plan, shards)
         bounds = _chunk_bounds(plan, shards)
         try:
+            # Ordered: the key ranges are contiguous, so chunk order is
+            # key order.
             with pool, stage(profile, "analyze/keys"):
-                batches = list(pool.imap_unordered(_run_chunk, bounds))
+                chunks = list(pool.imap(_run_chunk, bounds))
         finally:
             _WORKER_PLAN = None
 
     with stage(profile, "analyze/merge"):
-        _merge(analysis, batches)
+        _merge(analysis, chunks)

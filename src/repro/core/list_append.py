@@ -30,7 +30,6 @@ per-key work across a worker pool with byte-identical results.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Dict, List, Set, Tuple
 
 import numpy as np
@@ -47,11 +46,10 @@ from .anomalies import (
     GARBAGE_READ,
     INCOMPATIBLE_ORDER,
     Anomaly,
+    sort_anomalies,
 )
 from .deps import RW, WR, WW
 from .keyspace import (
-    PHASE_KEYED,
-    PHASE_READ,
     Batch,
     KeyspacePlan,
     ReadCheckStyle,
@@ -139,10 +137,6 @@ class ListAppendPlan(KeyspacePlan):
         # Keys in first-committed-read order: only keys somebody read can
         # define a version order or witness read anomalies.
         self._keys = self.index.read_key_order
-        # Merge positions must follow the committed-read key order (the
-        # historical emission order), not the all-mops first-appearance
-        # order, or anomaly order and evidence precedence would drift.
-        self._key_pos = {key: i for i, key in enumerate(self._keys)}
         self._style = ReadCheckStyle(
             garbage=_garbage,
             g1a=_g1a,
@@ -154,11 +148,6 @@ class ListAppendPlan(KeyspacePlan):
             intermediate=True,
             intermediate_after_aborted=True,
         )
-
-    # ------------------------------------------------------------------
-
-    def key_pos(self, key: Any) -> int:
-        return self._key_pos[key]
 
     # ------------------------------------------------------------------
     # Whole-index columnar pass
@@ -176,14 +165,15 @@ class ListAppendPlan(KeyspacePlan):
         its ww/wr/rw edges are computable as bulk id arrays — so the
         per-key plan invocation is skipped entirely.  Flagged reads land
         in ``(key, position)`` survivor arrays and their keys fall back
-        to :meth:`analyze_key`, the per-key path, whose anomaly batches
-        merge in the same tag order as ever.  The clean keys' edges go
-        into the graph as one block of columns and the fallback
-        fragments after them: the frozen graph is the same for any
-        emission order.  Evidence is not built here: the analysis logs
-        one deferred source that, if ever read, yields the fallback
-        fragments and re-runs :meth:`analyze_key` for each clean key, so
-        both kinds of key share one derivation.  Output — anomalies, the
+        to :meth:`analyze_key`, the per-key path.  Anomalies merge in
+        the canonical :func:`~repro.core.anomalies.sort_anomalies` order.
+        The clean keys' edges go into the graph as one block of columns
+        and the fallback fragments after them: the frozen graph is the
+        same for any emission order.  Evidence is not built here: the
+        analysis logs one deferred source that, if ever read, yields the
+        fragments in key order — the fallback keys' as computed, and each
+        clean key's re-derived by :meth:`analyze_key` — so both kinds of
+        key share one derivation.  Output — anomalies, the
         graph, evidence precedence — is identical to the per-key path;
         the sharding/streaming/service and reference oracles pin that.
         """
@@ -344,7 +334,7 @@ class ListAppendPlan(KeyspacePlan):
             else:
                 out_u = out_v = out_l = np.empty(0, dtype=np.int64)
 
-            anomaly_blocks = self.internal_anomaly_blocks(0, len(index.transactions))
+            anomalies = self.internal_anomalies(0, len(index.transactions))
 
         if profile is not None:
             profile.count("keyspace.columnar_keys", nk - len(fallback))
@@ -352,24 +342,20 @@ class ListAppendPlan(KeyspacePlan):
             profile.count("keyspace.survivor_reads", len(survivor_reads))
 
         with stage(profile, "analyze/fallback"):
-            edge_blocks = []
+            fallback_edges = {}
             analyze_key = self.analyze_key
             keys = self._keys
             for k in fallback:
-                key_anomalies, key_edges = analyze_key(keys[k])
-                anomaly_blocks.extend(key_anomalies)
-                edge_blocks.extend(key_edges)
+                key_anomalies, fragment = analyze_key(keys[k])
+                anomalies.extend(key_anomalies)
+                if fragment:
+                    fallback_edges[k] = fragment
 
         with stage(profile, "analyze/merge"):
-            tag = itemgetter(0)
-            anomaly_blocks.sort(key=tag)
-            anomalies = analysis.anomalies
-            for _tag, found in anomaly_blocks:
-                anomalies.extend(found)
-
+            analysis.anomalies.extend(sort_anomalies(anomalies))
             graph = analysis.graph
             graph.add_edge_columns(out_u, out_v, out_l)
-            for _tag, fragment in edge_blocks:
+            for fragment in fallback_edges.values():
                 graph.add_edge_keys(fragment)
 
             # Evidence: one deferred source, in key order — the fallback
@@ -377,7 +363,6 @@ class ListAppendPlan(KeyspacePlan):
             # re-derived by the per-key path.  A clean history never reads
             # it.  The replay runs analyze_key against the live index, so
             # it refuses once the history has grown past this analysis.
-            fallback_edges = {kp: frag for (_p, kp, _m), frag in edge_blocks}
             clock = index._clock
 
             def fragments():
@@ -388,8 +373,7 @@ class ListAppendPlan(KeyspacePlan):
                     )
                 for kp, key in enumerate(keys):
                     if clean_bits[kp]:
-                        for _tag, fragment in analyze_key(key)[1]:
-                            yield fragment
+                        yield analyze_key(key)[1]
                     elif kp in fallback_edges:
                         yield fallback_edges[kp]
 
@@ -407,9 +391,9 @@ class ListAppendPlan(KeyspacePlan):
         judged suspicious or clean by three integer comparisons, and only
         suspicious reads pay for the element-by-element recoverability
         walk (with the object-level write map built lazily, at most once
-        per key).  Emission order — anomalies, evidence, fragment keys —
-        is byte-identical to the object-based implementation this
-        replaced.
+        per key).  Within the fragment the first record of an edge wins:
+        ww edges along the trace, then each read's wr and rw edges in
+        read order.
         """
         index = self.index
         slice_ = index.slices[key]
@@ -417,25 +401,20 @@ class ListAppendPlan(KeyspacePlan):
         txn_ids = index.txn_ids
         txn_aborted = index.txn_aborted
         first_writer = slice_.first_writer
-        key_pos = self._key_pos[key]
 
         # Committed value-bearing reads, columnar.  The slice arrays are
         # used as-is unless some committed read has an unknown (None)
         # value, which is rare enough to pay a filtered copy for.
         reads_txn = slice_.r_txn
-        reads_seq = slice_.r_seq
         reads_val = slice_.r_val
         if None in reads_val:
             filtered_txn: List[int] = []
-            filtered_seq: List[int] = []
             filtered_val: List[Tuple] = []
             for i, value in enumerate(reads_val):
                 if value is not None:
                     filtered_txn.append(reads_txn[i])
-                    filtered_seq.append(reads_seq[i])
                     filtered_val.append(value)
             reads_txn = filtered_txn
-            reads_seq = filtered_seq
             reads_val = filtered_val
         n_reads = len(reads_val)
 
@@ -477,8 +456,7 @@ class ListAppendPlan(KeyspacePlan):
         # *installed* when its element is its writer's final append to the
         # key; elements with no recovered writer (garbage) break the chain
         # — nothing beyond them is ordered soundly.  The ww edges land in
-        # the fragment first, before any read's wr/rw edges, preserving
-        # the historical emission order.
+        # the fragment first, before any read's wr/rw edges.
         fragment: Dict[Tuple[int, int, int], Evidence] = {}
         installed_positions: List[int] = []
         installed_writers: List[int] = []
@@ -510,7 +488,7 @@ class ListAppendPlan(KeyspacePlan):
         # for the incompatible-order report below.  ``next_installed[b+1]``
         # is the index of the first installed position > b, replacing a
         # per-read bisect with one table lookup.
-        anomaly_blocks = []
+        anomalies: List[Anomaly] = []
         n_installed = len(installed_positions)
         next_installed: List[int] = []
         k = 0
@@ -526,13 +504,11 @@ class ListAppendPlan(KeyspacePlan):
             nonlocal obj_write_map
             if obj_write_map is None:
                 obj_write_map = index.write_map(slice_)
-            found = check_recoverable_read(
-                transactions[reads_txn[i]], key, value, obj_write_map, self._style
-            )
-            if found:
-                anomaly_blocks.append(
-                    ((PHASE_READ, txn_ids[reads_txn[i]], reads_seq[i]), found)
+            anomalies.extend(
+                check_recoverable_read(
+                    transactions[reads_txn[i]], key, value, obj_write_map, self._style
                 )
+            )
 
         for i in range(n_reads):
             value = reads_val[i]
@@ -595,14 +571,13 @@ class ListAppendPlan(KeyspacePlan):
 
         # Incompatible orders: non-prefix reads, one report per distinct value.
         if nonprefix:
-            order_anomalies: List[Anomaly] = []
             flagged = set()
             for i in nonprefix:
                 value = reads_val[i]
                 if value in flagged:
                     continue
                 flagged.add(value)
-                order_anomalies.append(
+                anomalies.append(
                     Anomaly(
                         name=INCOMPATIBLE_ORDER,
                         txns=(txn_ids[reads_txn[i]], longest_id),
@@ -616,10 +591,7 @@ class ListAppendPlan(KeyspacePlan):
                         data={"key": key, "value": value, "longest": longest},
                     )
                 )
-            anomaly_blocks.append(((PHASE_KEYED, key_pos, 0), order_anomalies))
-
-        edge_blocks = [((0, key_pos, 0), fragment)] if fragment else []
-        return anomaly_blocks, edge_blocks
+        return anomalies, fragment
 
     @staticmethod
     def _nonfinal_elements(w_txn: List[int], w_val: List[Any]) -> Set[Any]:

@@ -62,9 +62,6 @@ from .anomalies import (
 )
 from .deps import RW, WR, WW
 from .keyspace import (
-    PHASE_KEYED,
-    PHASE_LATE,
-    PHASE_READ,
     Batch,
     KeyspacePlan,
     ReadCheckStyle,
@@ -195,8 +192,7 @@ class RwRegisterPlan(KeyspacePlan):
         of the key's op stream instead of re-scanning each transaction's
         micro-ops per pair.  Reads pay for the element-by-element
         recoverability walk only when a three-comparison screen says they
-        could witness garbage, G1a, or G1b.  Emission order is
-        byte-identical to the object-based implementation this replaced.
+        could witness garbage, G1a, or G1b.
         """
         index = self.index
         slice_ = index.slices[key]
@@ -206,12 +202,10 @@ class RwRegisterPlan(KeyspacePlan):
         txn_aborted = index.txn_aborted
         first_writer = slice_.first_writer
         fw_get = first_writer.get
-        key_pos = slice_.pos
         sources = self._sources
-        anomaly_blocks = []
+        anomalies: List[Anomaly] = []
 
         r_txn = slice_.r_txn
-        r_seq = slice_.r_seq
         r_val = slice_.r_val
 
         # Values proven committed by observation: read by a committed txn.
@@ -243,15 +237,13 @@ class RwRegisterPlan(KeyspacePlan):
             ):
                 if obj_write_map is None:
                     obj_write_map = index.write_map(slice_)
-                found = check_recoverable_read(
-                    transactions[pos], key, (value,), obj_write_map, self._style
+                anomalies.extend(
+                    check_recoverable_read(
+                        transactions[pos], key, (value,), obj_write_map, self._style
+                    )
                 )
-            else:
-                found = None
             if wpos >= 0:
                 readers.setdefault(value, []).append(txn_ids[pos])
-            if found:
-                anomaly_blocks.append(((PHASE_READ, txn_ids[pos], r_seq[i]), found))
 
         # --------------------------------------------------------------
         # The per-key version DAG from each enabled source.  Adjacency is
@@ -354,20 +346,27 @@ class RwRegisterPlan(KeyspacePlan):
         # Cyclic version orders: report and discard (§7.4).  A Kahn peel
         # over the plain adjacency proves the common case (acyclic)
         # cheaply; only a key that fails it pays for the CSR freeze and the
-        # Tarjan decomposition, whose node interning order — first emission
-        # of each version — fixes the component and member order.
+        # component search.  Versions mix types that cannot be sorted, so
+        # they intern to ints in first-emission order; the canonical
+        # component order over those ids is then first-emission order.
         if self._kahn_acyclic(succ, version_edges):
             components: List[List[Any]] = []
         else:
-            us, vs = zip(*version_edges)
-            version_graph = CSRGraph.from_edges(us, vs, [1] * len(us))
+            values: Dict[Any, int] = {}
+            us: List[int] = []
+            vs: List[int] = []
+            for v1, v2 in version_edges:
+                us.append(values.setdefault(v1, len(values)))
+                vs.append(values.setdefault(v2, len(values)))
+            version_graph = CSRGraph.from_edge_log(us, vs, [1] * len(us))
+            # Every interned id is an endpoint, so node ids are the ids.
+            by_id = list(values)
             components = [
-                version_graph.to_nodes(component)
+                [by_id[i] for i in component]
                 for component in version_graph.cyclic_scc_idx()
             ]
         cyclic = bool(components)
         if components:
-            keyed = []
             for component in components:
                 involved = set()
                 for value in component:
@@ -376,7 +375,7 @@ class RwRegisterPlan(KeyspacePlan):
                         involved.add(txn_ids[wpos])
                     involved.update(readers.get(value, ()))
                 implicated = sorted(involved)
-                keyed.append(
+                anomalies.append(
                     Anomaly(
                         name=CYCLIC_VERSIONS,
                         txns=tuple(implicated),
@@ -388,7 +387,6 @@ class RwRegisterPlan(KeyspacePlan):
                         data={"key": key, "values": tuple(component)},
                     )
                 )
-            anomaly_blocks.append(((PHASE_KEYED, key_pos, 0), keyed))
 
         # --------------------------------------------------------------
         # Transaction dependency edges.
@@ -430,7 +428,6 @@ class RwRegisterPlan(KeyspacePlan):
                         edge = (reader_id, writer2_id, RW)
                         if edge not in fragment:
                             fragment[edge] = Evidence(RW, key, v2, v1)
-        edge_blocks = [((0, key_pos, 0), fragment)] if fragment else []
 
         # --------------------------------------------------------------
         # Lost updates: two committed read-modify-writes off one version.
@@ -441,13 +438,12 @@ class RwRegisterPlan(KeyspacePlan):
             wpos = fw_get(v2)
             if wpos is not None and txn_committed[wpos]:
                 rmw_writers.setdefault(v1, []).append((v2, wpos))
-        late = []
         for v1, writers in rmw_writers.items():
             distinct = {txn_ids[w]: (v2, w) for v2, w in writers}
             if len(distinct) >= 2:
                 ids = tuple(sorted(distinct))
                 values = sorted((v2 for v2, _w in distinct.values()), key=repr)
-                late.append(
+                anomalies.append(
                     Anomaly(
                         name=LOST_UPDATE,
                         txns=ids,
@@ -459,7 +455,4 @@ class RwRegisterPlan(KeyspacePlan):
                         data={"key": key, "base": v1, "values": tuple(values)},
                     )
                 )
-        if late:
-            anomaly_blocks.append(((PHASE_LATE, key_pos, 0), late))
-
-        return anomaly_blocks, edge_blocks
+        return anomalies, fragment

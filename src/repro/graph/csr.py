@@ -43,12 +43,11 @@ ALL_EDGES = -1
 
 #: Unrestricted cyclic-SCC queries on graphs with at least this many edges
 #: go to scipy's C labelling; smaller graphs stay on the Python Tarjan.
-#: scipy pays ~0.1 ms per call (sparse-matrix validation, label grouping),
-#: plus the array conversion on a snapshot built from Python lists; Tarjan
-#: pays ~0.2 µs per edge.  Measured on a 2-vCPU x86 host (numpy 2.4,
+#: scipy pays ~0.1 ms per call (sparse-matrix validation, label grouping);
+#: Tarjan pays ~0.2 µs per edge.  Measured on a 2-vCPU x86 host (numpy 2.4,
 #: scipy 1.17) over sparse dependency-shaped graphs: they break even
 #: between 1k and 2k edges; at 8192 edges Tarjan takes 1.4 ms against
-#: scipy's 0.4 ms (1.1 ms with the conversion); at 335k edges (a
+#: scipy's 0.4 ms; at 335k edges (a
 #: register-stale dependency graph) ~90 ms against ~13 ms.  rw-register's
 #: per-key version graphs (tens of edges) stay on Tarjan.
 _FAST_SCC_MIN_EDGES = 8192
@@ -58,9 +57,8 @@ class CSRGraph:
     """An immutable CSR snapshot of a labeled digraph.
 
     Build via :meth:`from_edge_log` (or ``EdgeLogGraph.freeze()``, which
-    caches the snapshot until the next append) or :meth:`from_edges` for
-    arbitrary hashable nodes.  Node-domain helpers (``edge_label``,
-    ``__contains__``) serve read-only code paths.
+    caches the snapshot until the next append).  Node-domain helpers
+    (``edge_label``, ``__contains__``) serve read-only code paths.
     """
 
     __slots__ = ("_nodes", "_nodes_np", "_index_of", "_indptr", "_indices",
@@ -68,57 +66,38 @@ class CSRGraph:
 
     def __init__(
         self,
-        nodes: List,
-        index_of: Optional[Dict],
-        indptr: List[int],
-        indices: List[int],
-        labels: List[int],
-        label_union: Optional[int] = None,
+        nodes: Sequence,
+        indptr: Sequence[int],
+        indices: Sequence[int],
+        labels: Sequence[int],
     ) -> None:
-        self._nodes = nodes
-        self._nodes_np = None
-        self._index_of = index_of
-        self._indptr = indptr
-        self._indices = indices
-        self._labels = labels
-        self._n = len(nodes)
-        self._e = len(indices)
-        if label_union is None:
-            label_union = 0
-            for label in labels:
-                label_union |= label
-        self.label_union = label_union
-        #: Cached ``(indptr, indices, labels)`` as numpy arrays, built on
-        #: demand by the scipy engine (or kept from a bulk build).
-        self._np_arrays = None
-
-    @classmethod
-    def _from_np(
-        cls, nodes_np, indptr_np, indices_np, labels_np, label_union: int
-    ) -> "CSRGraph":
-        """Wrap a bulk-built numpy CSR; Python lists materialize lazily.
+        """Wrap CSR arrays; Python lists materialize lazily.
 
         On a clean history scipy's component labelling answers the whole
         cycle search from the numpy arrays, so the (costly) int-list
         conversions never happen unless a Python traversal — Tarjan, BFS,
         node-domain queries — actually needs them.
         """
-        graph = cls.__new__(cls)
-        graph._nodes = None
-        graph._nodes_np = nodes_np
-        graph._index_of = None
-        graph._indptr = None
-        graph._indices = None
-        graph._labels = None
-        graph._n = len(nodes_np)
-        graph._e = len(indices_np)
-        graph.label_union = label_union
-        graph._np_arrays = (indptr_np, indices_np, labels_np)
-        return graph
+        labels_np = np.asarray(labels, dtype=np.int64)
+        indices_np = np.asarray(indices, dtype=np.int64)
+        self._nodes = None
+        self._nodes_np = np.asarray(nodes)
+        self._index_of = None
+        self._indptr = None
+        self._indices = None
+        self._labels = None
+        self._n = len(self._nodes_np)
+        self._e = len(indices_np)
+        self.label_union = int(np.bitwise_or.reduce(labels_np))
+        self._np_arrays = (
+            np.asarray(indptr, dtype=np.int64),
+            indices_np,
+            labels_np,
+        )
 
     @property
     def nodes(self) -> List:
-        """Interned nodes, id order (materialized lazily from a bulk build)."""
+        """Interned nodes, id order (materialized lazily)."""
         nodes = self._nodes
         if nodes is None:
             nodes = self._nodes = self._nodes_np.tolist()
@@ -172,8 +151,7 @@ class CSRGraph:
         log freezes to the same arrays.
 
         The build is one unstable sort of ``(u, v)`` pair codes plus an
-        OR-reduce of their labels; :meth:`from_edges` is the dict build
-        for hashable nodes that cannot be sorted.
+        OR-reduce of their labels.
         """
         u = np.asarray(us, dtype=np.int64)
         v = np.asarray(vs, dtype=np.int64)
@@ -181,7 +159,7 @@ class CSRGraph:
         e = len(u)
         if e == 0:
             empty = np.empty(0, dtype=np.int64)
-            return cls._from_np(empty, np.zeros(1, dtype=np.int64), empty, empty, 0)
+            return cls(empty, np.zeros(1, dtype=np.int64), empty, empty)
         lo = min(int(u.min()), int(v.min()))
         hi = max(int(u.max()), int(v.max()))
         if lo >= 0 and hi < 8 * e + 1024:
@@ -213,48 +191,7 @@ class CSRGraph:
         src = pairs // n
         indptr_np = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr_np[1:])
-        return cls._from_np(
-            nodes,
-            indptr_np,
-            pairs - src * n,
-            labels_np,
-            int(np.bitwise_or.reduce(labels_np)),
-        )
-
-    @classmethod
-    def from_edges(
-        cls, us: Iterable, vs: Iterable, labels: Iterable[int]
-    ) -> "CSRGraph":
-        """A snapshot over any hashable nodes, in first-appearance order.
-
-        Nodes intern in first appearance over the ``u0, v0, u1, v1, ...``
-        stream and rows keep first-emission order.  rw-register's per-key
-        version graphs come here: their values mix types that cannot be
-        sorted, so they cannot take :meth:`from_edge_log`'s canonical order.
-        """
-        succ: Dict = {}
-        for u, v, label in zip(us, vs, labels):
-            row = succ.get(u)
-            if row is None:
-                row = succ[u] = {}
-            if v not in succ:
-                succ[v] = {}
-            row[v] = row.get(v, 0) | label
-        nodes = list(succ)
-        index_of = {node: i for i, node in enumerate(nodes)}
-        indptr = [0] * (len(nodes) + 1)
-        indices: List[int] = []
-        flat_labels: List[int] = []
-        intern = index_of.__getitem__
-        pos = 0
-        for i, node in enumerate(nodes):
-            targets = succ[node]
-            if targets:
-                pos += len(targets)
-                indices.extend(map(intern, targets))
-                flat_labels.extend(targets.values())
-            indptr[i + 1] = pos
-        return cls(nodes, index_of, indptr, indices, flat_labels)
+        return cls(nodes, indptr_np, pairs - src * n, labels_np)
 
     # ------------------------------------------------------------------
     # Node-domain queries
@@ -441,14 +378,7 @@ class CSRGraph:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
-        arrays = self._np_arrays
-        if arrays is None:
-            arrays = self._np_arrays = (
-                np.asarray(self.indptr, dtype=np.int64),
-                np.asarray(self.indices, dtype=np.int64),
-                np.asarray(self.labels, dtype=np.int64),
-            )
-        indptr, indices, labels = arrays
+        indptr, indices, labels = self._np_arrays
         n = self._n
         if mask & self.label_union != self.label_union:
             # Drop the edges the mask hides: each row's new start is the

@@ -1,11 +1,11 @@
 """An append-only edge log that freezes into a CSR snapshot.
 
-The analysis pipeline emits hundreds of thousands of dependency edges in
-one deterministic stream, then freezes the graph once and only reads it
-afterwards.  :class:`EdgeLogGraph` embraces that shape — ``add_edge`` and
-friends are list appends, with no per-edge dict probe or read-modify-write,
-and all the dedup work happens in one vectorized bulk pass
-(:meth:`CSRGraph.from_edge_log`) at freeze time.
+The analysis pipeline emits hundreds of thousands of dependency edges,
+then freezes the graph once and only reads it afterwards.
+:class:`EdgeLogGraph` embraces that shape — the ``add_edge_*`` bulk
+appends extend flat arrays, with no per-edge dict probe or
+read-modify-write, and all the dedup work happens in one vectorized bulk
+pass (:meth:`CSRGraph.from_edge_log`) at freeze time.
 
 Freezing ORs the labels of a repeated pair together, numbers the nodes in
 ascending order and sorts each successor row by target, so the snapshot
@@ -52,28 +52,6 @@ class EdgeLogGraph:
 
     # ------------------------------------------------------------------
     # Construction: every path is appends on flat parallel arrays.
-
-    def add_edge(self, u: int, v: int, label: int) -> None:
-        """Append one edge emission (labels for a repeated pair OR together)."""
-        if label == 0:
-            raise ValueError("edge label must have at least one bit set")
-        self._u.append(u)
-        self._v.append(v)
-        self._l.append(label)
-        self._csr = None
-
-    def add_edges_from(self, edges: Iterable[Tuple[int, int, int]]) -> None:
-        """Bulk :meth:`add_edge` from ``(u, v, label)`` triples."""
-        self._csr = None
-        append_u = self._u.append
-        append_v = self._v.append
-        append_l = self._l.append
-        for u, v, label in edges:
-            if label == 0:
-                raise ValueError("edge label must have at least one bit set")
-            append_u(u)
-            append_v(v)
-            append_l(label)
 
     def add_edge_arrays(
         self, us: Sequence[int], vs: Sequence[int], label: int

@@ -15,7 +15,9 @@ parallel arrays:
   (``txn_ids``, ``txn_committed``, ``txn_aborted``, ``txn_process``,
   ``txn_invoke``, ``txn_complete``, ``internal_candidates``) answer every
   status/interval question with one index instead of an attribute chain;
-* keys intern to slice positions (``slices[key].pos``, the merge order);
+* keys map to their :class:`KeySlice` (``slices[key]``); the two key
+  orders (``key_order`` by first appearance, ``read_key_order`` by first
+  committed read) are lists of keys, regenerated after every extension;
 * written values intern to their first writer's position: each slice's
   ``first_writer`` maps value -> writer position, the per-key restriction
   of the global write index with the Transaction object replaced by an int;
@@ -106,7 +108,6 @@ class KeySlice:
 
     __slots__ = (
         "key",
-        "pos",
         "version",
         "op_txn",
         "w_txn",
@@ -124,9 +125,8 @@ class KeySlice:
         "_none_write",
     )
 
-    def __init__(self, key: Any, pos: int) -> None:
+    def __init__(self, key: Any) -> None:
         self.key = key
-        self.pos = pos
         self.version = 0
         self.op_txn: List[int] = []
         self.w_txn: List[int] = []
@@ -140,7 +140,7 @@ class KeySlice:
         self.first_seq: Optional[Seq] = None
         self.first_read_seq: Optional[Seq] = None
         #: True once the slice's streams were folded into a frozen summary
-        #: and dropped; only the identity fields (key, pos, orderings) stay
+        #: and dropped; only the identity fields (key, orderings) stay
         #: live, and any further operation on the key is an error.
         self.retired = False
         #: (seq, key, value, first writer pos, second writer pos)
@@ -178,7 +178,7 @@ class IndexColumns:
     the list-append whole-index screen wants "what happened on *every*
     key" as one vectorizable pass.  ``IndexColumns`` concatenates the
     committed-read and write substreams of all keys (in
-    ``read_key_order``, the list-append merge order) into single numpy
+    ``read_key_order``, the list-append key order) into single numpy
     arrays with per-key ``indptr`` offsets — the same CSR shape
     :mod:`repro.graph.csr` uses for adjacency.  Values stay as flat Python
     lists (they are arbitrary objects); everything integral is int64.
@@ -433,8 +433,7 @@ class HistoryIndex:
             key = mop.key
             entry = slices.get(key)
             if entry is None:
-                # Provisional position; _regenerate_orders renumbers.
-                entry = slices[key] = KeySlice(key, len(slices))
+                entry = slices[key] = KeySlice(key)
             elif entry.retired:
                 raise RetiredKeyError(key)
             entry.version = clock
@@ -518,13 +517,10 @@ class HistoryIndex:
         Sorting by first-appearance position reproduces the historical
         append order exactly (positions are unique and transaction-major),
         while also absorbing the rare upgrade that shifts a key's first
-        committed read into the middle of the order.  Slice ``pos`` fields
-        are renumbered to match.
+        committed read into the middle of the order.
         """
         ordered = sorted(self.slices.values(), key=lambda s: s.first_seq)
         self.key_order[:] = [s.key for s in ordered]
-        for i, entry in enumerate(ordered):
-            entry.pos = i
         self.read_key_order[:] = [
             s.key
             for s in sorted(
@@ -585,7 +581,7 @@ class HistoryIndex:
         """
         entry = self.slices.get(key)
         if entry is None:
-            entry = self.slices[key] = KeySlice(key, len(self.slices))
+            entry = self.slices[key] = KeySlice(key)
         elif entry.retired:
             # Unreachable when retirement eligibility held (a provisional
             # transaction on the key blocks retiring it); kept as a loud
@@ -613,9 +609,9 @@ class HistoryIndex:
         """Drop the per-op storage of settled keys.
 
         Each key's slice becomes a *stub*: identity fields (``key``,
-        ``pos``, ``first_seq``, ``first_read_seq``) survive so both key
-        orderings — and therefore every live key's merge position — are
-        unchanged, but the streams, write index, and interaction lists are
+        ``first_seq``, ``first_read_seq``) survive so the key keeps its
+        place in both key orderings, but the streams, write index, and
+        interaction lists are
         released and the slice is flagged ``retired`` (any later operation
         on the key raises :class:`~repro.errors.RetiredKeyError`).  Settled
         transactions are released by

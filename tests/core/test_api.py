@@ -176,6 +176,6 @@ class TestReprs:
         from repro.graph import EdgeLogGraph
 
         g = EdgeLogGraph()
-        g.add_edge(1, 2, 1)
+        g.add_edge_keys([(1, 2, 1)])
         assert "1 emissions" in repr(g)
         assert "nodes=2" in repr(g.freeze())

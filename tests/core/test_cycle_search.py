@@ -10,7 +10,7 @@ from repro.graph import EdgeLogGraph
 
 def graph_of(*edges):
     g = EdgeLogGraph()
-    g.add_edges_from(edges)
+    g.add_edge_keys(edges)
     return g
 
 

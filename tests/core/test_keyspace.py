@@ -2,10 +2,19 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import WW, analyze
 from repro.core.analysis import Analysis, Evidence
-from repro.core.anomalies import G1A, GARBAGE_READ, Anomaly
+from repro.core.anomalies import (
+    ALL_ANOMALIES,
+    G1A,
+    GARBAGE_READ,
+    Anomaly,
+    sort_anomalies,
+)
 from repro.core.keyspace import (
     PLANS,
     ReadCheckStyle,
@@ -17,6 +26,7 @@ from repro.core.keyspace import (
     check_recoverable_read,
 )
 from repro.core import keyspace
+from repro.db import FaunaInternal, Isolation, TiDBRetry
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, append, r, w
 
@@ -34,6 +44,8 @@ def history(workload="list-append", seed=17, txns=150):
 
 class TestMergeDeterminism:
     def test_batch_order_is_irrelevant(self):
+        # Anomalies and the graph are canonical for any chunk order;
+        # evidence precedence is key order, which in-order chunks keep.
         h = history()
         plan = PLANS["list-append"](h)
         n_txns = len(plan.index.transactions)
@@ -42,33 +54,99 @@ class TestMergeDeterminism:
         pieces = [
             _analyze_chunk(plan, *bounds) for bounds in _chunk_bounds(plan, 3)
         ]
-        random.Random(0).shuffle(pieces)
+        shuffled = list(pieces)
+        random.Random(0).shuffle(shuffled)
 
         merged_whole = Analysis(history=h, workload="list-append")
         _merge(merged_whole, whole)
         merged_pieces = Analysis(history=h, workload="list-append")
         _merge(merged_pieces, pieces)
+        merged_shuffled = Analysis(history=h, workload="list-append")
+        _merge(merged_shuffled, shuffled)
 
-        assert merged_pieces.anomalies == merged_whole.anomalies
-        assert list(merged_pieces.graph.nodes()) == list(
-            merged_whole.graph.nodes()
-        )
-        assert sorted(merged_pieces.graph.edges()) == sorted(
-            merged_whole.graph.edges()
-        )
+        for merged in (merged_pieces, merged_shuffled):
+            assert merged.anomalies == merged_whole.anomalies
+            assert list(merged.graph.nodes()) == list(merged_whole.graph.nodes())
+            assert sorted(merged.graph.edges()) == sorted(
+                merged_whole.graph.edges()
+            )
         assert merged_pieces.evidence == merged_whole.evidence
 
-    def test_evidence_precedence_follows_tags(self):
+    def test_evidence_precedence_follows_key_order(self):
         h = History.of(("ok", 0, [append("x", 1)]))
         first = Evidence(kind=WW, key="x", value=1)
         second = Evidence(kind=WW, key="x", value=99)
-        batches = [
-            ([], [((0, 5, 0), {(0, 2, WW): second})]),
-            ([], [((0, 1, 0), {(0, 2, WW): first})]),
+        chunks = [
+            ([], [{(0, 2, WW): first}]),
+            ([], [{(0, 2, WW): second}]),
         ]
         analysis = Analysis(history=h, workload="list-append")
-        _merge(analysis, batches)
+        _merge(analysis, chunks)
         assert analysis.evidence[(0, 2, WW)] == first
+
+
+#: Anomalies whose (name, txns) tie: only the message can order them.
+TIED = [
+    Anomaly(G1A, (1, 2), "c"),
+    Anomaly(GARBAGE_READ, (3,), "z"),
+    Anomaly(G1A, (1, 2), "a"),
+    Anomaly(G1A, (0, 5), "q"),
+    Anomaly(GARBAGE_READ, (3,), "y"),
+    Anomaly(G1A, (1, 2), "b"),
+]
+
+
+class TestCanonicalOrder:
+    @given(st.permutations(TIED))
+    @settings(max_examples=50, deadline=None)
+    def test_ties_on_name_and_txns_sort_by_message(self, anomalies):
+        ordered = sort_anomalies(anomalies)
+        assert [(a.name, a.txns, a.message) for a in ordered] == [
+            (G1A, (0, 5), "q"),
+            (G1A, (1, 2), "a"),
+            (G1A, (1, 2), "b"),
+            (G1A, (1, 2), "c"),
+            (GARBAGE_READ, (3,), "y"),
+            (GARBAGE_READ, (3,), "z"),
+        ]
+
+    @pytest.mark.parametrize(
+        "workload, faults, isolation, seed",
+        [
+            ("list-append", TiDBRetry, Isolation.SNAPSHOT_ISOLATION, 5),
+            ("rw-register", FaunaInternal, Isolation.READ_COMMITTED, 2),
+            ("counter", FaunaInternal, Isolation.READ_COMMITTED, 3),
+        ],
+    )
+    def test_sharded_analysis_lists_the_same_canonical_anomalies(
+        self, workload, faults, isolation, seed
+    ):
+        h = run_workload(
+            RunConfig(
+                txns=200,
+                concurrency=6,
+                isolation=isolation,
+                workload=WorkloadConfig(workload=workload, active_keys=4),
+                seed=seed,
+                crash_probability=0.05,
+                faults=faults,
+            )
+        )
+        sequential = analyze(h, workload=workload)
+        sharded = analyze(h, workload=workload, shards=2)
+
+        def listed(anomalies):
+            return [
+                (a.name, a.txns, a.message, sorted(a.data.items(), key=repr))
+                for a in anomalies
+            ]
+
+        assert len(sequential.anomalies) > 1
+        assert listed(sharded.anomalies) == listed(sequential.anomalies)
+        rank = {name: i for i, name in enumerate(ALL_ANOMALIES)}
+        assert listed(sequential.anomalies) == sorted(
+            listed(sequential.anomalies), key=lambda a: (rank[a[0]], a[1], a[2])
+        )
 
 
 class TestPlanRegistry:

@@ -8,7 +8,7 @@ NAMES = {WW: "ww", WR: "wr", RW: "rw"}
 
 def graph_of(*edges):
     g = EdgeLogGraph()
-    g.add_edges_from(edges)
+    g.add_edge_keys(edges)
     return g
 
 

@@ -27,7 +27,7 @@ def canonical_csr(us, vs, labels):
             indices.append(index_of[target])
             flat_labels.append(row[target])
         indptr.append(len(indices))
-    return CSRGraph(nodes, index_of, indptr, indices, flat_labels)
+    return CSRGraph(nodes, indptr, indices, flat_labels)
 
 
 def _snapshot(graph):

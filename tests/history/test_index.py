@@ -174,7 +174,6 @@ def index_signature(index):
                 (sl.r_txn, sl.r_seq, repr(sl.r_val)),
                 {repr(v): p for v, p in sl.first_writer.items()},
                 sl.inter_txn,
-                sl.pos,
             )
             for key, sl in index.slices.items()
         },

@@ -21,6 +21,7 @@ early as it exists.
 
 import copy
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -249,7 +250,8 @@ class TestRetiredKeyContract:
 
     def test_recurrence_raises_and_poisons(self):
         checker = self._retired_checker()
-        key = next(iter(checker._frozen_key_pos))
+        slices = checker.history.index().slices
+        key = next(key for key, sl in slices.items() if sl.retired)
         base = checker.history.max_index + 1
         mops = (MicroOp(APPEND, key, 10**9),)
         bad = [
@@ -288,3 +290,37 @@ class TestRetiredKeyContract:
         summary = checker.retire(allowed_keys=())
         assert summary["retired_txns"] == 0
         assert summary["retired_keys"] == 0
+
+
+class TestHungInvoke:
+    """A never-completed invoke pins only what it could still change."""
+
+    @staticmethod
+    def stream(ops, chunk=300, idle=100):
+        checker = StreamingChecker()
+        retired_keys = 0
+        for start in range(0, len(ops), chunk):
+            checker.extend(ops[start : start + chunk])
+            retired_keys += checker.retire(min_idle_txns=idle)["retired_keys"]
+        return checker, retired_keys
+
+    def test_hung_invoke_on_a_fresh_key_does_not_pin_retirement(self):
+        history = make_history(
+            "list-append", "none", seed=7, txns=1500, crash_probability=0.0
+        )
+        ops = list(history.ops)
+        spare = max(op.process for op in ops) + 1
+        hung = Op(0, OpType.INVOKE, spare, (MicroOp(APPEND, 10**9, 1),))
+        cut = len(ops) // 10
+        with_hung = [
+            replace(op, index=i)
+            for i, op in enumerate(ops[:cut] + [hung] + ops[cut:])
+        ]
+
+        _clean, clean_keys = self.stream(ops)
+        checker, hung_keys = self.stream(with_hung)
+        assert clean_keys > 0
+        assert hung_keys == clean_keys
+        final = checker.extend(())
+        batch = check(History(with_hung))
+        assert result_signature(final.result) == result_signature(batch)
