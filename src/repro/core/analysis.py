@@ -10,10 +10,13 @@ carry one record per ``(from, to, bit)`` — the justifying key and values
 genuinely differ per edge — but a valid history never explains a cycle,
 so the analysis keeps an ordered *log* of evidence sources instead of a
 dict: each source is a producer of per-key fragments in the plan's key
-order (the keyspace merge's eager fragment list, or list-append's
-generator that re-runs the per-key analysis).  The first read of
-:attr:`Analysis.evidence` replays the log once, in reverse, with
-``dict.update``, so the first key's record for every edge bit wins.
+order (the keyspace merge's eager fragment list, list-append's
+generator that re-runs the per-key analysis, or rw-register's builder
+over its edge columns).  The first read of :attr:`Analysis.evidence`
+replays the log once, in reverse, with ``dict.update``, so the first
+key's record for every edge bit wins.  A cycle explanation needs a few
+records, not all of them: :meth:`Analysis.edge_evidence` asks sources
+that can look one bit up (rw-register's) instead of replaying.
 Order edges (process/realtime/timestamp) would store hundreds of
 thousands of identical records on a large history, so they are
 *synthesized on demand* by :meth:`Analysis.edge_evidence`: the graph bit
@@ -57,7 +60,10 @@ EdgeKey = Tuple[int, int, int]  # (from_txn, to_txn, dependency_bit)
 
 #: One evidence source: a producer of ``(u, v, bit) -> Evidence`` fragments
 #: in key order.  Called again on every replay attempt, so a replay
-#: that raises leaves the log intact.
+#: that raises leaves the log intact.  A source may also offer
+#: ``find(edge) -> Optional[Evidence]``, the one record its replay would
+#: give that bit, so :meth:`Analysis.edge_evidence` can answer without a
+#: replay.
 EvidenceSource = Callable[[], Iterable[Dict[EdgeKey, Evidence]]]
 
 
@@ -109,6 +115,26 @@ class Analysis:
             self._pending = []
         return self._evidence
 
+    def _find(self, edge: EdgeKey) -> Optional[Evidence]:
+        """One bit's record, as :attr:`evidence` would hold it.
+
+        When every pending source offers ``find``, the first one that
+        knows the bit answers (records materialized earlier take
+        precedence, as in a replay) and nothing is replayed; otherwise
+        this reads :attr:`evidence`.
+        """
+        found = self._evidence.get(edge)
+        if found is not None or not self._pending:
+            return found
+        finders = [getattr(source, "find", None) for source in self._pending]
+        if None in finders:
+            return self.evidence.get(edge)
+        for find in finders:
+            found = find(edge)
+            if found is not None:
+                return found
+        return None
+
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["_evidence"] = self.evidence
@@ -116,7 +142,7 @@ class Analysis:
         return state
 
     def edge_evidence(self, u: int, v: int, bit: int) -> Optional[Evidence]:
-        ev = self.evidence.get((u, v, bit))
+        ev = self._find((u, v, bit))
         if ev is not None:
             return ev
         if bit & ORDER_EDGES and self.graph.has_edge(u, v, bit):

@@ -203,9 +203,9 @@ class KeyspacePlan:
 
         Returns ``True`` when the plan fully handled the analysis
         (including the merge into ``analysis`` and its evidence source);
-        ``False`` to fall back to the classic per-key chunk path.  Only
-        the list-append plan overrides it; every other plan, rw-register
-        included, always runs the per-key :meth:`analyze_key` path.
+        ``False`` to fall back to the classic per-key chunk path.  The
+        list-append and rw-register plans override it; grow-set and
+        counter always run the per-key :meth:`analyze_key` path.
         """
         return False
 

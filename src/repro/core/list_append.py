@@ -180,7 +180,7 @@ class ListAppendPlan(KeyspacePlan):
         if not self._keys:
             return False
         index = self.index
-        cols = index.columns()
+        cols = index.columns(self._keys)
 
         with stage(profile, "analyze/columnar-screen"):
             nk = len(cols.keys)

@@ -36,22 +36,32 @@ some committed read observed the value.  Lost updates surface when two
 committed read-modify-write transactions hang off the same version.
 
 The analysis runs as a keyspace-partitioned plan over the history's
-single-pass :class:`~repro.history.index.HistoryIndex`: each key's version
-DAG, read checks, and dependency edges derive from that key's
-:class:`~repro.history.index.KeySlice` alone.  In particular the process /
-realtime version-order sources read each key's *interacting* transactions
-straight off the slice instead of rescanning every transaction once per key
-— the historical O(keys × txns) hotspot is now O(ops) total.
+single-pass :class:`~repro.history.index.HistoryIndex`, in two forms with
+identical output.  A batch check takes one whole-index pass
+(:meth:`RwRegisterPlan.analyze_index`) over the index's flat columns: every
+version of every key is an int node of one global version graph, each
+source emits its version edges as int arrays over all keys at once, and
+one strongly-connected-component search flags every cyclic key.  The
+streaming checker re-analyzes only the keys a chunk touched, so it runs
+the per-key form (:meth:`RwRegisterPlan.analyze_key`), which derives one
+key's version DAG, read checks, and dependency edges from that key's
+:class:`~repro.history.index.KeySlice` alone; it is also the whole-index
+pass's reference.  Both read each key's *interacting* transactions
+directly instead of rescanning every transaction once per key, so the
+process / realtime sources cost O(ops) in total, not O(keys × txns).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..graph import CSRGraph, interval_precedence_pairs
 from ..history import History
-from ..history.index import check_unique_writes
-from .analysis import Evidence
+from ..history.index import IndexColumns, check_unique_writes
+from .analysis import Analysis, EdgeKey, Evidence
 from .anomalies import (
     CYCLIC_VERSIONS,
     G1A,
@@ -59,6 +69,7 @@ from .anomalies import (
     GARBAGE_READ,
     LOST_UPDATE,
     Anomaly,
+    sort_anomalies,
 )
 from .deps import RW, WR, WW
 from .keyspace import (
@@ -68,6 +79,7 @@ from .keyspace import (
     check_recoverable_read,
     register_plan,
 )
+from .profiling import stage
 
 #: Version-order inference sources enabled by default.  ``process`` and
 #: ``realtime`` assume the database claims per-key sequential consistency /
@@ -135,6 +147,250 @@ def _g1b(reader, key, value, final, _elements, writer):
     )
 
 
+def _cyclic_versions(key, component, involved):
+    return Anomaly(
+        name=CYCLIC_VERSIONS,
+        txns=tuple(sorted(involved)),
+        message=(
+            f"inferred version order for key {key!r} is cyclic "
+            f"over values {sorted(component, key=repr)}; the "
+            "order is discarded for dependency inference"
+        ),
+        data={"key": key, "values": tuple(component)},
+    )
+
+
+def _lost_update(key, base, distinct):
+    """``distinct`` maps each writer id to ``(written value, position)``."""
+    ids = tuple(sorted(distinct))
+    values = sorted((v2 for v2, _w in distinct.values()), key=repr)
+    return Anomaly(
+        name=LOST_UPDATE,
+        txns=ids,
+        message=(
+            f"transactions {', '.join(f'T{i}' for i in ids)} "
+            f"each read version {base!r} of key {key!r} and "
+            f"wrote {values}: all but one update was lost"
+        ),
+        data={"key": key, "base": base, "values": tuple(values)},
+    )
+
+
+#: Version-order source codes in the whole-index pass, in per-key
+#: emission order.
+_INITIAL, _WFR, _PROCESS, _REALTIME = range(4)
+
+
+class _Versions(NamedTuple):
+    """Every version of every key as an int node.
+
+    Nodes are numbered key by key, in canonical version order: the key's
+    INIT, one id per write slot of the ``w_*`` columns (a written value's
+    node is its first write slot's id), then the key's unwritten (garbage)
+    read values in first-read order.
+    """
+
+    n: int
+    key: np.ndarray  # node -> key index
+    writer: np.ndarray  # node -> first writer's position (-1: INIT, garbage)
+    slot: np.ndarray  # node -> first write slot (-1: INIT, garbage)
+    garbage: Dict[int, Any]  # garbage node -> its value
+    init: np.ndarray  # key index -> INIT node
+    r_slot: np.ndarray  # read -> its value's first write slot (-1/-2: INIT/garbage)
+    r_node: np.ndarray  # read -> node
+    w_first: np.ndarray  # write slot -> its value's first write slot
+    w_node: np.ndarray  # write slot -> node
+
+    def value(self, node: int, w_val: List[Any]) -> Any:
+        """The object that stands for a node's version (None for INIT)."""
+        slot = self.slot[node]
+        return w_val[slot] if slot >= 0 else self.garbage.get(node)
+
+    def values(self, w_val: List[Any]) -> List[Any]:
+        """Every node's value, in node order."""
+        values: List[Any] = [None] * self.n
+        firsts = np.flatnonzero(self.slot >= 0)
+        for node, slot in zip(firsts.tolist(), self.slot[firsts].tolist()):
+            values[node] = w_val[slot]
+        for node, value in self.garbage.items():
+            values[node] = value
+        return values
+
+
+def _intern_versions(cols: IndexColumns, r_key: np.ndarray) -> _Versions:
+    """Resolve every read and write of the columns to its version node."""
+    nk = len(cols.keys)
+    rv = cols.r_val
+    wv = cols.w_val
+    n_w = len(wv)
+    # Per key, ``first`` maps each written value to its first write slot
+    # (iterating backwards, the first slot is stored last); a read of nil
+    # resolves to -1 (INIT), an unwritten value to -2 (garbage).
+    w_first = np.empty(n_w, dtype=np.int64)
+    r_slot = np.empty(len(rv), dtype=np.int64)
+    w_bounds = cols.w_indptr.tolist()
+    r_bounds = cols.r_indptr.tolist()
+    for k in range(nk):
+        lo, hi = w_bounds[k], w_bounds[k + 1]
+        values = wv[lo:hi]
+        first = dict(zip(reversed(values), range(hi - 1, lo - 1, -1)))
+        w_first[lo:hi] = list(map(first.__getitem__, values))
+        first[INIT] = -1
+        lo, hi = r_bounds[k], r_bounds[k + 1]
+        r_slot[lo:hi] = list(map(first.get, rv[lo:hi], repeat(-2)))
+
+    # Garbage values number after the key's write slots, in first-read order.
+    garbage_reads = np.flatnonzero(r_slot == -2)
+    garbage: Dict[Tuple[int, Any], int] = {}
+    g_count = [0] * nk
+    g_local = []
+    for i, k in zip(garbage_reads.tolist(), r_key[garbage_reads].tolist()):
+        j = garbage.setdefault((k, rv[i]), g_count[k])
+        if j == g_count[k]:
+            g_count[k] += 1
+        g_local.append(j)
+
+    w_count = np.diff(cols.w_indptr)
+    node_indptr = np.zeros(nk + 1, dtype=np.int64)
+    np.cumsum(1 + w_count + np.asarray(g_count, dtype=np.int64), out=node_indptr[1:])
+    n = int(node_indptr[-1])
+    init = node_indptr[:-1]
+    w_key = np.repeat(np.arange(nk, dtype=np.int64), w_count)
+    slot_node = np.arange(n_w, dtype=np.int64) + (init + 1 - cols.w_indptr[:-1])[w_key]
+    # Reads without a writer select the padding entry past the last slot.
+    r_node = np.where(
+        r_slot >= 0,
+        np.append(slot_node, 0)[np.where(r_slot >= 0, r_slot, n_w)],
+        init[r_key],
+    )
+    garbage_node: Dict[int, Any] = {}
+    if len(garbage_reads):
+        g_key = r_key[garbage_reads]
+        r_node[garbage_reads] = (
+            init[g_key] + 1 + w_count[g_key] + np.asarray(g_local, dtype=np.int64)
+        )
+        for (k, value), j in garbage.items():
+            garbage_node[int(init[k] + 1 + w_count[k] + j)] = value
+    firsts = np.flatnonzero(w_first == np.arange(n_w))
+    writer = np.full(n, -1, dtype=np.int64)
+    writer[slot_node[firsts]] = cols.w_txn[firsts]
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[slot_node[firsts]] = firsts
+    return _Versions(
+        n=n,
+        key=np.repeat(np.arange(nk, dtype=np.int64), np.diff(node_indptr)),
+        writer=writer,
+        slot=slot,
+        garbage=garbage_node,
+        init=init,
+        r_slot=r_slot,
+        r_node=r_node,
+        w_first=w_first,
+        w_node=slot_node[w_first],
+    )
+
+
+class _RegisterEvidence:
+    """rw-register's deferred evidence source, over the pass's edge columns.
+
+    Each block is ``(bit, u, v, value node, prev node or None, rank)``
+    with ``u``/``v`` transaction positions; per ``(u, v)`` the record of
+    lowest rank wins.  Calling the source builds every winning record (a
+    full :attr:`~repro.core.analysis.Analysis.evidence` read); :meth:`find`
+    builds one, which is all a cycle explanation needs.  Edge keys reuse
+    the index's transaction-id ints rather than boxing new ones.
+    """
+
+    def __init__(self, blocks, txn_ids: List[int], keys, versions, w_val) -> None:
+        self._blocks = blocks
+        self._txn_ids = txn_ids
+        self._keys = list(keys)
+        self._versions = versions
+        self._w_val = w_val
+        #: bit -> (code width, winners' ``u * width + v`` id codes
+        #: ascending, their (value, prev) nodes in that order), on demand.
+        self._found: Dict[int, Tuple[int, np.ndarray, np.ndarray, Any]] = {}
+
+    @staticmethod
+    def _winners(u, v, value, prev, rank):
+        order = np.lexsort((rank, v, u))
+        su = u[order]
+        sv = v[order]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+        win = order[head]
+        return u[win], v[win], value[win], None if prev is None else prev[win]
+
+    def __call__(self) -> List[Dict[EdgeKey, Evidence]]:
+        ids = self._txn_ids
+        keys = self._keys
+        node_key = self._versions.key
+        values = self._versions.values(self._w_val)
+        fragment: Dict[EdgeKey, Evidence] = {}
+        for bit, *columns in self._blocks:
+            u, v, value, prev = self._winners(*columns)
+            us = list(map(ids.__getitem__, u.tolist()))
+            vs = list(map(ids.__getitem__, v.tolist()))
+            record_keys = list(map(keys.__getitem__, node_key[value].tolist()))
+            record_values = list(map(values.__getitem__, value.tolist()))
+            if prev is None:
+                record_prevs = repeat(None)
+            else:
+                record_prevs = list(map(values.__getitem__, prev.tolist()))
+            # tuple.__new__ builds each record in C; the six-wide rows fill
+            # every Evidence field (via and process stay None for value
+            # edges).
+            records = map(
+                tuple.__new__,
+                repeat(Evidence),
+                zip(
+                    repeat(bit),
+                    record_keys,
+                    record_values,
+                    record_prevs,
+                    repeat(None),
+                    repeat(None),
+                ),
+            )
+            fragment.update(zip(zip(us, vs, repeat(bit)), records))
+        return [fragment]
+
+    def find(self, edge: EdgeKey) -> Optional[Evidence]:
+        """The winning record of one edge bit, or None."""
+        u, v, bit = edge
+        found = self._found.get(bit)
+        if found is None:
+            ids = np.asarray(self._txn_ids, dtype=np.int64)
+            width = int(ids.max()) + 1 if len(ids) else 1
+            found = (width, np.empty(0, dtype=np.int64), None, None)
+            for block_bit, *columns in self._blocks:
+                if block_bit == bit:
+                    wu, wv, value, prev = self._winners(*columns)
+                    codes = ids[wu] * width + ids[wv]
+                    order = np.argsort(codes)
+                    found = (
+                        width,
+                        codes[order],
+                        value[order],
+                        None if prev is None else prev[order],
+                    )
+            self._found[bit] = found
+        width, codes, value, prev = found
+        if not (0 <= u < width and 0 <= v < width):
+            return None
+        code = u * width + v
+        i = int(np.searchsorted(codes, code))
+        if i == len(codes) or codes[i] != code:
+            return None
+        versions = self._versions
+        return Evidence(
+            bit,
+            self._keys[versions.key[value[i]]],
+            versions.value(value[i], self._w_val),
+            None if prev is None else versions.value(prev[i], self._w_val),
+        )
+
+
 @register_plan
 class RwRegisterPlan(KeyspacePlan):
     """Per-key rw-register analysis over the shared history index."""
@@ -159,6 +415,326 @@ class RwRegisterPlan(KeyspacePlan):
         )
 
     # ------------------------------------------------------------------
+    # Whole-index columnar pass
+
+    def analyze_index(self, analysis: Analysis, profile=None) -> bool:
+        """Analyze every key in one vectorized pass over one version graph.
+
+        Every version of every key becomes an int node (:class:`_Versions`:
+        the key's INIT, each written value's first write slot in the
+        ``w_*`` columns, each unwritten read value), and committed reads
+        resolve to their nodes in one ``(key, value)`` lookup pass.  Each
+        enabled source emits its version edges as int arrays over the
+        whole index (:meth:`_version_edges`), and one SCC search over the
+        global version graph flags every cyclic key: those keys report
+        their ``cyclic-versions`` components and keep only their wr edges
+        (§7.4).  ww/wr/rw edges come from gathers and a readers-per-version
+        join and go into the graph as one block of columns; lost updates
+        group the write-follows-read edges by base version.  A read the
+        three-comparison screen flags runs :func:`check_recoverable_read`
+        for that read alone.
+
+        Evidence is one deferred source over the edge columns
+        (:class:`_RegisterEvidence`): a bit's record is the one
+        :meth:`analyze_key` emits first, in the first key of :meth:`keys`
+        order that justifies the bit.  A full evidence read builds only
+        those winners; a cycle explanation looks up its few bits alone.
+        The output is identical to running :meth:`analyze_key` on every
+        key; the reference oracles pin that.
+        """
+        keys = self._keys
+        if not keys:
+            return False
+        index = self.index
+        transactions = index.transactions
+        cols = index.columns(keys)
+
+        with stage(profile, "analyze/columnar-screen"):
+            nk = len(keys)
+            n_r = len(cols.r_val)
+            r_txn = cols.r_txn
+            r_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(cols.r_indptr))
+            committed = np.frombuffer(bytes(index.txn_committed), dtype=np.uint8) != 0
+            versions = _intern_versions(cols, r_key)
+            r_slot = versions.r_slot
+            r_node = versions.r_node
+            has_writer = r_slot >= 0
+            observed = np.zeros(versions.n, dtype=bool)
+            observed[r_node[has_writer]] = True
+
+            # The read screen: garbage, an aborted writer, or another
+            # transaction's non-final write.  Slot gathers go through one
+            # padding entry, which reads without a writer select.
+            wslot = np.where(has_writer, r_slot, len(cols.w_val))
+            r_writer = np.append(cols.w_txn, -1)[wslot]
+            finals = np.flatnonzero(cols.w_final)
+            final_slot = np.append(versions.w_first[finals], -3)[
+                np.searchsorted(finals, wslot)
+            ]
+            intermediate = (r_writer != r_txn) & (final_slot != r_slot)
+            aborted = cols.aborted[r_writer] != 0
+            flagged = np.flatnonzero(
+                (r_slot == -2) | (has_writer & (aborted | intermediate))
+            )
+
+            # Readers per version: committed reads of INIT or of a written
+            # value, grouped by node in read order.
+            readable = np.flatnonzero(r_slot != -2)
+            by_node = readable[np.argsort(r_node[readable], kind="stable")]
+            rd_indptr = np.zeros(versions.n + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(r_node[readable], minlength=versions.n),
+                out=rd_indptr[1:],
+            )
+            rd_txn = r_txn[by_node]
+
+            ve_v1, ve_v2, ve_rank, ve_wfr = self._version_edges(
+                cols, versions, committed, observed
+            )
+
+            # One SCC search flags every cyclic key.  Node ids ascend key
+            # by key in canonical version order, so each component lists
+            # its versions in that order.
+            version_graph = CSRGraph.from_edge_log(
+                ve_v1, ve_v2, np.ones(len(ve_v1), dtype=np.int64)
+            )
+            components = [
+                version_graph.to_nodes(c) for c in version_graph.cyclic_scc_idx()
+            ]
+            cyclic_keys = [int(versions.key[c[0]]) for c in components]
+            cyclic = np.zeros(nk, dtype=bool)
+            cyclic[np.asarray(cyclic_keys, dtype=np.int64)] = True
+
+            # wr: the writer of each read version -> its committed reader;
+            # these need no version order and survive cyclic keys.
+            wr = np.flatnonzero(has_writer & (r_writer != r_txn))
+            # ww / rw along the version edges of acyclic keys whose later
+            # version is committed or observed.
+            w1 = versions.writer[ve_v1]
+            w2 = versions.writer[ve_v2]
+            live1 = (w1 >= 0) & (committed[np.maximum(w1, 0)] | observed[ve_v1])
+            live2 = (w2 >= 0) & (committed[np.maximum(w2, 0)] | observed[ve_v2])
+            ok = live2 & ~cyclic[versions.key[ve_v2]]
+            ww = np.flatnonzero(ok & live1 & (w1 != w2))
+            # rw joins each edge with the readers of its earlier version.
+            e = np.flatnonzero(ok)
+            lo = rd_indptr[ve_v1[e]]
+            count = rd_indptr[ve_v1[e] + 1] - lo
+            rw = np.repeat(e, count)
+            rw_u = rd_txn[
+                np.arange(len(rw), dtype=np.int64)
+                + np.repeat(lo - (np.cumsum(count) - count), count)
+            ]
+            keep = rw_u != w2[rw]
+            rw = rw[keep]
+            rw_u = rw_u[keep]
+
+            ids = cols.txn_ids
+            out_u = ids[np.concatenate((r_writer[wr], w1[ww], rw_u))]
+            out_v = ids[np.concatenate((r_txn[wr], w2[ww], w2[rw]))]
+            out_l = np.repeat(
+                np.array([WR, WW, RW], dtype=np.int64), [len(wr), len(ww), len(rw)]
+            )
+
+            # Lost updates: base versions with write-follows-read edges to
+            # two or more committed writers.
+            lu = np.flatnonzero(ve_wfr & (w2 >= 0) & committed[np.maximum(w2, 0)])
+            lu = lu[np.lexsort((w2[lu], ve_v1[lu]))]
+            base = ve_v1[lu]
+            new_base = np.ones(len(lu), dtype=bool)
+            new_base[1:] = base[1:] != base[:-1]
+            new_writer = new_base.astype(np.int64)
+            new_writer[1:] |= w2[lu[1:]] != w2[lu[:-1]]
+            starts = np.flatnonzero(new_base)
+            writers = np.add.reduceat(new_writer, starts)
+            ends = np.append(starts[1:], len(lu))[: len(starts)]
+            lost = [lu[a:b] for a, b in zip(starts[writers >= 2], ends[writers >= 2])]
+
+            anomalies = self.internal_anomalies(0, len(transactions))
+
+        flagged_l = flagged.tolist()
+        fallback = set(r_key[flagged].tolist())
+        fallback.update(cyclic_keys)
+        if profile is not None:
+            profile.count("keyspace.columnar_keys", nk - len(fallback))
+            profile.count("keyspace.fallback_keys", len(fallback))
+            profile.count("keyspace.survivor_reads", len(flagged_l))
+
+        with stage(profile, "analyze/fallback"):
+            rv = cols.r_val
+            wv = cols.w_val
+            for i in flagged_l:
+                value = rv[i]
+                writer = r_writer[i]
+                write_map = {value: transactions[writer]} if writer >= 0 else {}
+                reader = transactions[r_txn[i]]
+                anomalies.extend(
+                    check_recoverable_read(
+                        reader, keys[r_key[i]], (value,), write_map, self._style
+                    )
+                )
+            for component in components:
+                involved = set()
+                for node in component:
+                    if versions.writer[node] >= 0:
+                        involved.add(int(ids[versions.writer[node]]))
+                    readers = rd_txn[rd_indptr[node] : rd_indptr[node + 1]]
+                    involved.update(ids[readers].tolist())
+                key = keys[versions.key[component[0]]]
+                component_values = [versions.value(node, wv) for node in component]
+                anomalies.append(_cyclic_versions(key, component_values, involved))
+            for edges in lost:
+                edges = edges[np.argsort(ve_rank[edges])]
+                v1 = ve_v1[edges[0]]
+                distinct = {
+                    int(ids[w]): (versions.value(v2, wv), w)
+                    for v2, w in zip(ve_v2[edges].tolist(), w2[edges].tolist())
+                }
+                key = keys[versions.key[v1]]
+                anomalies.append(_lost_update(key, versions.value(v1, wv), distinct))
+
+        with stage(profile, "analyze/merge"):
+            analysis.anomalies.extend(sort_anomalies(anomalies))
+            analysis.graph.add_edge_columns(out_u, out_v, out_l)
+            # Evidence ranks: wr in the key's readers-per-version order
+            # (the version's first read, then the read), ww/rw in
+            # version-edge order; both are key-major.
+            has_readers = np.diff(rd_indptr) > 0
+            first_read = np.zeros(versions.n, dtype=np.int64)
+            first_read[has_readers] = by_node[rd_indptr[:-1][has_readers]]
+            wr_rank = first_read[r_node[wr]] * n_r + wr
+            blocks = (
+                (WR, r_writer[wr], r_txn[wr], r_node[wr], None, wr_rank),
+                (WW, w1[ww], w2[ww], ve_v2[ww], ve_v1[ww], ve_rank[ww]),
+                (RW, rw_u, w2[rw], ve_v2[rw], ve_v1[rw], ve_rank[rw]),
+            )
+            analysis.log_evidence(
+                _RegisterEvidence(blocks, index.txn_ids, keys, versions, cols.w_val)
+            )
+        return True
+
+    def _version_edges(
+        self,
+        cols: IndexColumns,
+        versions: _Versions,
+        committed: np.ndarray,
+        observed: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every enabled source's version edges over the whole index.
+
+        Returns the distinct ``(v1, v2)`` node pairs with the rank of each
+        pair's first emission in :meth:`analyze_key`'s order (key, then
+        source, then the source's own order) and whether write-follows-read
+        emitted it.  Each source's block comes out key-major, so one
+        stable sort by key of the concatenation restores emission order.
+        """
+        sources = self._sources
+        index = self.index
+        nk = len(cols.keys)
+        w_txn = cols.w_txn
+        w_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(cols.w_indptr))
+        r_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(cols.r_indptr))
+        blocks = []
+        if "initial-state" in sources:
+            # INIT precedes every first write that is committed or observed.
+            firsts = versions.slot[versions.slot >= 0]
+            firsts = firsts[
+                committed[w_txn[firsts]] | observed[versions.w_node[firsts]]
+            ]
+            blocks.append(
+                (_INITIAL, versions.init[w_key[firsts]], versions.w_node[firsts])
+            )
+        if sources & {"write-follows-read", "process", "realtime"}:
+            # The committed stream: every committed read plus every
+            # committed transaction's writes, in (key, txn, mop) order.
+            # Both substreams are in that order already, so a stable sort
+            # of one combined code merges them.  (The code is below keys x
+            # transactions x micro-ops per transaction: far inside int64
+            # for any history that fits in memory.)
+            cw = np.flatnonzero(committed[w_txn])
+            st_key = np.concatenate((r_key, w_key[cw]))
+            st_pos = np.concatenate((cols.r_txn, w_txn[cw]))
+            st_seq = np.concatenate((cols.r_seq, cols.w_seq[cw]))
+            width = int(st_seq.max()) + 1 if len(st_seq) else 1
+            order = np.argsort(
+                (st_key * len(index.txn_ids) + st_pos) * width + st_seq,
+                kind="stable",
+            )
+            st_key = st_key[order]
+            st_pos = st_pos[order]
+            st_node = np.concatenate((versions.r_node, versions.w_node[cw]))[order]
+            n_st = len(order)
+            same = np.zeros(n_st, dtype=bool)
+            same[1:] = (st_key[1:] == st_key[:-1]) & (st_pos[1:] == st_pos[:-1])
+        if "write-follows-read" in sources:
+            # A write lands on whatever its transaction last read or wrote.
+            i = np.flatnonzero(same & (order >= len(cols.r_txn)))
+            blocks.append((_WFR, st_node[i - 1], st_node[i]))
+        if sources & {"process", "realtime"}:
+            # One group per (key, interacting transaction), pinned to the
+            # first and last version it touched.
+            g_start = np.flatnonzero(~same)
+            g_key = st_key[g_start]
+            g_pos = st_pos[g_start]
+            g_first = st_node[g_start]
+            g_last = st_node[np.append(g_start[1:], n_st)[: len(g_start)] - 1]
+        if "process" in sources:
+            g_proc = np.asarray(index.txn_process, dtype=np.int64)[g_pos]
+            by_proc = np.lexsort((g_proc, g_key))
+            run = (g_key[by_proc[1:]] == g_key[by_proc[:-1]]) & (
+                g_proc[by_proc[1:]] == g_proc[by_proc[:-1]]
+            )
+            # Processes in order of first appearance in the key, then
+            # their consecutive pairs: sort pairs by their run's first
+            # (lowest) group.
+            run_start = np.ones(len(by_proc), dtype=bool)
+            run_start[1:] = ~run
+            run_first = by_proc[
+                np.maximum.accumulate(np.where(run_start, np.arange(len(by_proc)), 0))
+            ]
+            emit = np.argsort(run_first[1:][run], kind="stable")
+            p1 = by_proc[:-1][run][emit]
+            p2 = by_proc[1:][run][emit]
+            blocks.append((_PROCESS, g_last[p1], g_first[p2]))
+        if "realtime" in sources:
+            g_complete = np.asarray(index.txn_complete, dtype=np.int64)[g_pos]
+            g_invoke = np.asarray(index.txn_invoke, dtype=np.int64)[g_pos]
+            spans = np.flatnonzero(g_complete >= 0)
+            if len(spans):
+                # Shifting each key's times past the previous key's keeps
+                # every key's reduction intact: the only extra pairs cross
+                # keys, and are dropped.
+                lo = int(g_invoke[spans].min())
+                shift = g_key[spans] * (int(g_complete[spans].max()) - lo + 2) - lo
+                src, dst = interval_precedence_pairs(
+                    spans, g_invoke[spans] + shift, g_complete[spans] + shift
+                )
+                src = np.asarray(src, dtype=np.int64)
+                dst = np.asarray(dst, dtype=np.int64)
+                keep = g_key[src] == g_key[dst]
+                blocks.append((_REALTIME, g_last[src[keep]], g_first[dst[keep]]))
+
+        empty = np.empty(0, dtype=np.int64)
+        src_code = np.repeat(
+            np.array([b[0] for b in blocks], dtype=np.int64),
+            [len(b[1]) for b in blocks],
+        )
+        v1 = np.concatenate([b[1] for b in blocks] + [empty])
+        v2 = np.concatenate([b[2] for b in blocks] + [empty])
+        # Emission order, self loops dropped; np.unique's stable sort
+        # keeps each pair's first emission.
+        emit = np.argsort(versions.key[v1], kind="stable")
+        emit = emit[v1[emit] != v2[emit]]
+        n = versions.n
+        pairs, rank, inverse = np.unique(
+            v1[emit] * n + v2[emit], return_index=True, return_inverse=True
+        )
+        wfr = np.zeros(len(pairs), dtype=bool)
+        wfr[inverse[src_code[emit] == _WFR]] = True
+        return pairs // n, pairs % n, rank, wfr
+
+    # ------------------------------------------------------------------
+    # The per-key path: the stream's analyzer and the batch reference
 
     @staticmethod
     def _kahn_acyclic(
@@ -185,6 +761,9 @@ class RwRegisterPlan(KeyspacePlan):
     def analyze_key(self, key: Any) -> Batch:
         """One key's read checks, version DAG, and dependency edges.
 
+        The streaming checker's per-key path, and the reference that
+        :meth:`analyze_index` reproduces.
+
         Runs over the slice's columnar arrays: writers are interned
         transaction positions (``first_writer``), transaction status comes
         from the index's flat columns, and the per-transaction version
@@ -207,6 +786,15 @@ class RwRegisterPlan(KeyspacePlan):
 
         r_txn = slice_.r_txn
         r_val = slice_.r_val
+
+        # One object stands for each version, whichever equal object a read
+        # returned (1, 1.0 and True are one version): its first write, else
+        # its first committed read.  The whole-index pass follows the same
+        # rule, and this order (written values by first write, then
+        # unwritten ones by first read) is the canonical version order.
+        canon: Dict[Any, Any] = dict(zip(first_writer, first_writer))
+        for value in r_val:
+            canon.setdefault(value, value)
 
         # Values proven committed by observation: read by a committed txn.
         observed: Set[Any] = {v for v in r_val if v is not None}
@@ -243,7 +831,7 @@ class RwRegisterPlan(KeyspacePlan):
                     )
                 )
             if wpos >= 0:
-                readers.setdefault(value, []).append(txn_ids[pos])
+                readers.setdefault(canon[value], []).append(txn_ids[pos])
 
         # --------------------------------------------------------------
         # The per-key version DAG from each enabled source.  Adjacency is
@@ -283,6 +871,7 @@ class RwRegisterPlan(KeyspacePlan):
             # The committed micro-op stream, merged back into observation
             # order from the read/write substreams.
             st_txn, st_read, st_val = index.committed_stream(slice_)
+            st_val = list(map(canon.__getitem__, st_val))
             n_ops = len(st_txn)
 
         if "write-follows-read" in sources:
@@ -347,22 +936,25 @@ class RwRegisterPlan(KeyspacePlan):
         # over the plain adjacency proves the common case (acyclic)
         # cheaply; only a key that fails it pays for the CSR freeze and the
         # component search.  Versions mix types that cannot be sorted, so
-        # they intern to ints in first-emission order; the canonical
-        # component order over those ids is then first-emission order.
+        # they intern to ints in canonical version order, INIT first — the
+        # node order of the whole-index pass, so both paths list a
+        # component's values in the same order.
         if self._kahn_acyclic(succ, version_edges):
             components: List[List[Any]] = []
         else:
-            values: Dict[Any, int] = {}
+            canonical: Dict[Any, int] = {INIT: 0}
+            for value in canon:
+                canonical.setdefault(value, len(canonical))
             us: List[int] = []
             vs: List[int] = []
             for v1, v2 in version_edges:
-                us.append(values.setdefault(v1, len(values)))
-                vs.append(values.setdefault(v2, len(values)))
+                us.append(canonical[v1])
+                vs.append(canonical[v2])
             version_graph = CSRGraph.from_edge_log(us, vs, [1] * len(us))
-            # Every interned id is an endpoint, so node ids are the ids.
-            by_id = list(values)
+            by_id = list(canonical)
+            nodes = version_graph.nodes
             components = [
-                [by_id[i] for i in component]
+                [by_id[nodes[i]] for i in component]
                 for component in version_graph.cyclic_scc_idx()
             ]
         cyclic = bool(components)
@@ -374,19 +966,7 @@ class RwRegisterPlan(KeyspacePlan):
                     if wpos is not None:
                         involved.add(txn_ids[wpos])
                     involved.update(readers.get(value, ()))
-                implicated = sorted(involved)
-                anomalies.append(
-                    Anomaly(
-                        name=CYCLIC_VERSIONS,
-                        txns=tuple(implicated),
-                        message=(
-                            f"inferred version order for key {key!r} is cyclic "
-                            f"over values {sorted(component, key=repr)}; the "
-                            "order is discarded for dependency inference"
-                        ),
-                        data={"key": key, "values": tuple(component)},
-                    )
-                )
+                anomalies.append(_cyclic_versions(key, component, involved))
 
         # --------------------------------------------------------------
         # Transaction dependency edges.
@@ -441,18 +1021,5 @@ class RwRegisterPlan(KeyspacePlan):
         for v1, writers in rmw_writers.items():
             distinct = {txn_ids[w]: (v2, w) for v2, w in writers}
             if len(distinct) >= 2:
-                ids = tuple(sorted(distinct))
-                values = sorted((v2 for v2, _w in distinct.values()), key=repr)
-                anomalies.append(
-                    Anomaly(
-                        name=LOST_UPDATE,
-                        txns=ids,
-                        message=(
-                            f"transactions {', '.join(f'T{i}' for i in ids)} "
-                            f"each read version {v1!r} of key {key!r} and "
-                            f"wrote {values}: all but one update was lost"
-                        ),
-                        data={"key": key, "base": v1, "values": tuple(values)},
-                    )
-                )
+                anomalies.append(_lost_update(key, v1, distinct))
         return anomalies, fragment

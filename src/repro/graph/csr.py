@@ -49,7 +49,8 @@ ALL_EDGES = -1
 #: between 1k and 2k edges; at 8192 edges Tarjan takes 1.4 ms against
 #: scipy's 0.4 ms; at 335k edges (a
 #: register-stale dependency graph) ~90 ms against ~13 ms.  rw-register's
-#: per-key version graphs (tens of edges) stay on Tarjan.
+#: global version graph goes to scipy; the per-key path's version graphs
+#: (tens of edges) stay on Tarjan.
 _FAST_SCC_MIN_EDGES = 8192
 
 

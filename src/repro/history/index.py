@@ -29,8 +29,10 @@ The plans read the arrays.  The only object-level derivations are
 :class:`HistoryIndex` methods that take a slice: ``write_map(slice)`` (the
 suspicious-read walk), ``committed_stream(slice)`` and
 ``interacting_positions_by_process(slice)`` (the rw-register version
-sources).  A :class:`KeySlice` itself is a plain slotted record with no
-reference back to its index.
+sources of the per-key path).  A :class:`KeySlice` itself is a plain
+slotted record with no reference back to its index.  The whole-index
+passes read :meth:`HistoryIndex.columns` instead: every slice's streams
+concatenated in a given key order.
 
 **One transaction table.**  The index does not copy the observation: its
 ``transactions`` list and ``pos_by_id`` map *are* the history's own
@@ -62,6 +64,7 @@ on it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -175,13 +178,17 @@ class IndexColumns:
     """Whole-index CSR columns: every key's streams concatenated flat.
 
     The per-key :class:`KeySlice` arrays answer "what happened on key k";
-    the list-append whole-index screen wants "what happened on *every*
-    key" as one vectorizable pass.  ``IndexColumns`` concatenates the
-    committed-read and write substreams of all keys (in
-    ``read_key_order``, the list-append key order) into single numpy
-    arrays with per-key ``indptr`` offsets — the same CSR shape
-    :mod:`repro.graph.csr` uses for adjacency.  Values stay as flat Python
-    lists (they are arbitrary objects); everything integral is int64.
+    the whole-index analyzer passes want "what happened on *every* key"
+    as one vectorizable pass.  ``IndexColumns`` concatenates the
+    committed-read and write substreams of the given keys, in the given
+    order (list-append passes ``read_key_order``, rw-register
+    ``key_order``), into single numpy arrays with per-key ``indptr``
+    offsets — the same CSR shape :mod:`repro.graph.csr` uses for
+    adjacency.  ``r_seq``/``w_seq`` carry each slot's micro-op position,
+    so one sort by (key, transaction position, micro-op position)
+    restores observation order across both substreams.  Values stay as
+    flat Python lists (they are arbitrary objects); everything integral
+    is int64.
 
     ``w_final`` marks the last write of each ``(key, txn)`` run — for
     list-append keys that is the writer's final append, the candidate
@@ -197,9 +204,11 @@ class IndexColumns:
     __slots__ = (
         "keys",
         "r_txn",
+        "r_seq",
         "r_indptr",
         "r_val",
         "w_txn",
+        "w_seq",
         "w_indptr",
         "w_val",
         "w_final",
@@ -207,34 +216,31 @@ class IndexColumns:
         "txn_ids",
     )
 
-    def __init__(self, index: "HistoryIndex") -> None:
-        self.keys: List[Any] = list(index.read_key_order)
+    def __init__(self, index: "HistoryIndex", keys: Sequence[Any]) -> None:
+        self.keys: List[Any] = list(keys)
         slices = [index.slices[key] for key in self.keys]
         nk = len(slices)
         r_counts = np.zeros(nk + 1, dtype=np.int64)
         w_counts = np.zeros(nk + 1, dtype=np.int64)
-        for i, entry in enumerate(slices):
-            r_counts[i + 1] = len(entry.r_txn)
-            w_counts[i + 1] = len(entry.w_txn)
+        r_counts[1:] = [len(entry.r_txn) for entry in slices]
+        w_counts[1:] = [len(entry.w_txn) for entry in slices]
         self.r_indptr = np.cumsum(r_counts)
         self.w_indptr = np.cumsum(w_counts)
         n_r = int(self.r_indptr[-1])
         n_w = int(self.w_indptr[-1])
-        self.r_txn = np.empty(n_r, dtype=np.int64)
-        self.w_txn = np.empty(n_w, dtype=np.int64)
-        r_val: List[Any] = []
-        w_val: List[Any] = []
-        r_starts = self.r_indptr[:-1].tolist()
-        w_starts = self.w_indptr[:-1].tolist()
-        for i, entry in enumerate(slices):
-            lo = r_starts[i]
-            self.r_txn[lo : lo + len(entry.r_txn)] = entry.r_txn
-            r_val += entry.r_val
-            lo = w_starts[i]
-            self.w_txn[lo : lo + len(entry.w_txn)] = entry.w_txn
-            w_val += entry.w_val
-        self.r_val = r_val
-        self.w_val = w_val
+
+        def column(name: str, n: int) -> np.ndarray:
+            # The slices' lists chain straight into numpy: one pass, and
+            # no concatenated Python list in between.
+            streams = (getattr(entry, name) for entry in slices)
+            return np.fromiter(chain.from_iterable(streams), np.int64, n)
+
+        self.r_txn = column("r_txn", n_r)
+        self.r_seq = column("r_seq", n_r)
+        self.w_txn = column("w_txn", n_w)
+        self.w_seq = column("w_seq", n_w)
+        self.r_val = list(chain.from_iterable(entry.r_val for entry in slices))
+        self.w_val = list(chain.from_iterable(entry.w_val for entry in slices))
         # Last write of each (key, txn) run.  Writes are key-major (by
         # construction) and, within a key, transaction-major with each
         # transaction's writes consecutive, so a run ends where either
@@ -316,9 +322,9 @@ class HistoryIndex:
         #: new slice's versions exceed every version the old one had.
         #: Anything cached against a (key, version) pair stays sound.
         self._clock = 0
-        #: (clock, IndexColumns): the cached whole-index column view,
-        #: rebuilt when the mutation clock moves.  Not pickled.
-        self._columns: Optional[Tuple[int, IndexColumns]] = None
+        #: (clock, key order, IndexColumns): the cached whole-index column
+        #: view, rebuilt when the mutation clock moves.  Not pickled.
+        self._columns: Optional[Tuple[int, List[Any], IndexColumns]] = None
         with stage(profile, "index/scan"):
             self._register_txns(0, self.transactions)
             scan = self._scan_txn
@@ -751,17 +757,19 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     # Access
 
-    def columns(self) -> IndexColumns:
-        """The whole-index CSR column view in ``read_key_order``, cached.
+    def columns(self, keys: Sequence[Any]) -> IndexColumns:
+        """The whole-index CSR column view over ``keys``, cached.
 
-        Feeds the list-append whole-index screen.  The view is immutable;
-        any index mutation bumps the clock and the next call rebuilds.
+        ``keys`` is one of the index's own key orders (``read_key_order``
+        for list-append, ``key_order`` for rw-register).  The view is
+        immutable; any index mutation bumps the clock and the next call
+        rebuilds, as does a call with the other order.
         """
         cached = self._columns
-        if cached is not None and cached[0] == self._clock:
-            return cached[1]
-        cols = IndexColumns(self)
-        self._columns = (self._clock, cols)
+        if cached is not None and cached[0] == self._clock and cached[1] is keys:
+            return cached[2]
+        cols = IndexColumns(self, keys)
+        self._columns = (self._clock, keys, cols)
         return cols
 
     def __contains__(self, key: Any) -> bool:

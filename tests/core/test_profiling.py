@@ -154,17 +154,19 @@ class TestColumnarProfiling:
         )
         assert counters["keyspace.survivor_reads"] >= 0
 
-    def test_rw_register_runs_only_the_per_key_loop(self):
+    def test_rw_register_screen_stages_and_key_accounting(self):
         history = figure4_history(600, 4, workload="rw-register")
         history._index = None
         profile = Profile()
         result = check(history, workload="rw-register", profile=profile)
         assert result.valid
-        # Registers have no whole-index pass: every key runs the per-key
-        # loop and no screen key accounting appears.
-        assert "analyze/columnar-screen" not in profile.stages
-        assert "analyze/keys" in profile.stages
-        assert "keyspace.columnar_keys" not in profile.counters
+        # Registers run one whole-index pass too: no per-key plan loop.
+        assert "analyze/columnar-screen" in profile.stages
+        assert "analyze/keys" not in profile.stages
+        counters = profile.counters
+        assert counters["keyspace.columnar_keys"] == counters["keyspace.keys"]
+        assert counters["keyspace.fallback_keys"] == 0
+        assert counters["keyspace.survivor_reads"] == 0
 
     def test_small_histories_run_the_screen(self):
         # No size cut-over: a few dozen transactions take the same

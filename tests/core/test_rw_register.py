@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro import check
 from repro.core import RW, WR, WW, analyze
+from repro.core.keyspace import KeyspacePlan
+from repro.core.rw_register import KNOWN_SOURCES, RwRegisterPlan
+from repro.db import Isolation, YugaByteStaleRead
 from repro.errors import WorkloadError
+from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, HistoryBuilder, r, w
 
 
@@ -173,8 +178,8 @@ class TestCyclicVersions:
     def test_exact_cycle_over_string_versions_through_initial_state(self):
         # Initial state puts nil before "a", write-follows-read puts "a"
         # before "b", and realtime puts "b" before the late nil read: one
-        # component whose members come in the versions' first-emission
-        # order (the component lists its interned ids ascending).
+        # component whose members come in canonical version order (INIT,
+        # then written values by first write).
         b = HistoryBuilder()
         b.invoke(0, [w("x", "a")])
         b.ok(0, [w("x", "a")])
@@ -194,6 +199,38 @@ class TestCyclicVersions:
         assert anomaly.txns == (0, 2, 4)
         assert anomaly.data == {"key": "x", "values": (None, "a", "b")}
         assert "cyclic over values ['a', 'b', None]" in anomaly.message
+
+    @pytest.mark.parametrize("whole_index", [True, False])
+    def test_component_values_follow_first_write_not_first_emission(
+        self, monkeypatch, whole_index
+    ):
+        # T3 spans the run, so it writes "c" in the first write slot and
+        # is concurrent with everything.  Its read-modify-write emits b -> c
+        # before realtime emits a -> b -> a; the component still lists "a"
+        # (first written) before "b", on both analysis paths.
+        if not whole_index:
+            monkeypatch.setattr(
+                RwRegisterPlan, "analyze_index", KeyspacePlan.analyze_index
+            )
+        b = HistoryBuilder()
+        b.invoke(3, [r("x", "b"), w("x", "c")])
+        b.invoke(0, [w("x", "a")])
+        b.ok(0, [w("x", "a")])
+        b.invoke(1, [w("x", "b")])
+        b.ok(1, [w("x", "b")])
+        b.invoke(2, [r("x", "a")])
+        b.ok(2, [r("x", "a")])
+        b.ok(3, [r("x", "b"), w("x", "c")])
+        a = analyze(
+            b.build(),
+            workload="rw-register",
+            process_edges=False,
+            realtime_edges=False,
+            sources=("write-follows-read", "realtime"),
+        )
+        (anomaly,) = a.anomalies
+        assert anomaly.name == "cyclic-versions"
+        assert anomaly.data == {"key": "x", "values": ("a", "b")}
 
     def test_cyclic_key_keeps_wr_edges(self):
         b = HistoryBuilder()
@@ -278,3 +315,81 @@ class TestCheckIntegration:
                        consistency_model="snapshot-isolation")
         assert not result.valid
         assert "lost-update" in result.anomaly_types
+
+
+def stale_register_history():
+    return run_workload(
+        RunConfig(
+            txns=400,
+            concurrency=8,
+            isolation=Isolation.SNAPSHOT_ISOLATION,
+            workload=WorkloadConfig(workload="rw-register", active_keys=6),
+            seed=3,
+            crash_probability=0.02,
+            faults=lambda rng: YugaByteStaleRead(rng, probability=0.4, staleness=3),
+        )
+    )
+
+
+class TestWholeIndexPass:
+    """Batch analysis runs one columnar pass; analyze_key serves streams."""
+
+    def test_batch_check_never_runs_the_per_key_path(self, monkeypatch):
+        history = stale_register_history()
+        calls = []
+        per_key = RwRegisterPlan.analyze_key
+
+        def counting(self, key):
+            calls.append(key)
+            return per_key(self, key)
+
+        monkeypatch.setattr(RwRegisterPlan, "analyze_key", counting)
+        result = check(
+            history,
+            workload="rw-register",
+            consistency_model="strict-serializable",
+            sources=sorted(KNOWN_SOURCES),
+        )
+        assert "cyclic-versions" in result.anomaly_types
+        assert result.analysis.evidence
+        assert calls == []
+
+    def test_single_bit_lookups_match_the_full_replay(self):
+        # Cycle explanations look records up one bit at a time; each must
+        # be the record a full evidence read holds, and none may replay.
+        history = stale_register_history()
+        options = {"workload": "rw-register", "sources": sorted(KNOWN_SOURCES)}
+        full = analyze(history, **options).evidence
+        lazy = analyze(history, **options)
+        assert full
+        for (u, v, bit), record in full.items():
+            assert lazy.edge_evidence(u, v, bit) == record
+        assert lazy.edge_evidence(-1, 0, WR) is None
+        assert lazy._pending  # still deferred: nothing was replayed
+        assert lazy.evidence == full
+
+    def test_history_without_committed_micro_ops(self):
+        # No committed read or write: the committed stream is empty.
+        history = History.of(("fail", 0, [w("x", 1)]), ("info", 1, [r("x", None)]))
+        result = check(history, workload="rw-register", sources=sorted(KNOWN_SOURCES))
+        assert result.valid
+        assert result.analysis.graph.edge_count == 0
+
+    @pytest.mark.parametrize("whole_index", [True, False])
+    def test_equal_values_are_one_version_named_by_its_write(
+        self, monkeypatch, whole_index
+    ):
+        # A read of 1.0 observes the write of 1: one version, which both
+        # paths name by the written object whatever a read returned.
+        if not whole_index:
+            monkeypatch.setattr(
+                RwRegisterPlan, "analyze_index", KeyspacePlan.analyze_index
+            )
+        a = analyze_txns(
+            ("ok", 0, [w("x", 1)]),
+            ("ok", 1, [r("x", 1.0), w("x", 2)]),
+            ("ok", 2, [r("x", 1.0)]),
+        )
+        for edge in ((0, 2, WW), (4, 2, RW)):
+            record = a.evidence[edge]
+            assert record.prev_value == 1 and type(record.prev_value) is int

@@ -14,10 +14,11 @@ byte-identical to the shipped one:
 * the canonical dict build (``graph_reference.canonical_csr``) in place
   of the vectorized ``CSRGraph.from_edge_log``.
 
-The list-append whole-index screen's reference is the per-key
-``analyze_key`` path, which stays in ``src/`` (streaming, fallback keys
-and shards run it); restoring the base ``KeyspacePlan.analyze_index``,
-which declines, forces it for every key.
+The whole-index passes of list-append and rw-register have the per-key
+``analyze_key`` path as their reference, which stays in ``src/``
+(streaming, list-append's fallback keys and shards run it); restoring
+the base ``KeyspacePlan.analyze_index``, which declines, forces it for
+every key.
 
 Identity is the full analysis signature — anomalies in order, node
 order, edges, evidence — the same oracle the sharding and
@@ -39,6 +40,7 @@ from repro.core.deps import PROCESS, REALTIME
 from repro.core.internal import internal_candidate_positions
 from repro.core.keyspace import KeyspacePlan
 from repro.core.list_append import ListAppendPlan
+from repro.core.rw_register import RwRegisterPlan
 from repro.core.orders import add_process_edges, add_realtime_edges
 from repro.db import FaunaInternal, Isolation, TiDBRetry, YugaByteStaleRead
 from repro.generator import RunConfig, WorkloadConfig, run_workload
@@ -168,8 +170,9 @@ REFERENCES = [
 
 
 def per_key_only(patch) -> None:
-    """Force list-append's per-key path for every key."""
-    patch.setattr(ListAppendPlan, "analyze_index", KeyspacePlan.analyze_index)
+    """Force the per-key path for every key of both whole-index plans."""
+    for plan in (ListAppendPlan, RwRegisterPlan):
+        patch.setattr(plan, "analyze_index", KeyspacePlan.analyze_index)
 
 
 def install_references(patch) -> None:
@@ -196,15 +199,23 @@ def install_references(patch) -> None:
 # Histories and signatures
 
 
-def make_history(workload, fault, seed, txns=250):
+def make_history(
+    workload,
+    fault,
+    seed,
+    txns=250,
+    isolation=Isolation.SNAPSHOT_ISOLATION,
+    abort_probability=0.0,
+):
     return run_workload(
         RunConfig(
             txns=txns,
             concurrency=8,
-            isolation=Isolation.SNAPSHOT_ISOLATION,
+            isolation=isolation,
             workload=WorkloadConfig(workload=workload, active_keys=6),
             seed=seed,
             crash_probability=0.02,
+            abort_probability=abort_probability,
             faults=FAULTS[fault],
         )
     )
@@ -322,17 +333,53 @@ class TestLoopReferences:
         assert [list(side) for side in closed] == [list(side) for side in swept]
 
 
-class TestScreenAgainstPerKeyPath:
-    """The whole-index screen == the per-key path on every key."""
+#: (workload, fault, isolation, abort probability) for the screen oracle.
+#: The weak-isolation register runs with aborts witness G1a and G1b.
+SCREEN_CASES = [
+    (workload, fault, Isolation.SNAPSHOT_ISOLATION, 0.0)
+    for workload in ("list-append", "rw-register")
+    for fault in sorted(FAULTS)
+] + [
+    ("rw-register", fault, isolation, 0.2)
+    for isolation in (Isolation.READ_UNCOMMITTED, Isolation.READ_COMMITTED)
+    for fault in ("none", "tidb-retry")
+]
 
-    @pytest.mark.parametrize("workload", ["list-append", "rw-register"])
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
-    def test_screen_matches_per_key_path(self, monkeypatch, workload, fault):
-        history = make_history(workload, fault, seed=29)
+
+class TestScreenAgainstPerKeyPath:
+    """The whole-index passes == the per-key path on every key."""
+
+    @pytest.mark.parametrize(
+        "workload,fault,isolation,aborts",
+        SCREEN_CASES,
+        ids=["-".join((c[0], c[1], c[2].value, str(c[3]))) for c in SCREEN_CASES],
+    )
+    def test_screen_matches_per_key_path(
+        self, monkeypatch, workload, fault, isolation, aborts
+    ):
+        history = make_history(
+            workload, fault, 29, isolation=isolation, abort_probability=aborts
+        )
         screened = _signed_check(history, workload)
         with monkeypatch.context() as patch:
             per_key_only(patch)
             assert _signed_check(history, workload) == screened
+
+    def test_register_cases_reach_every_register_finding(self):
+        # The oracle above is only as strong as what its register cases
+        # produce: together they must reach every register-specific path.
+        seen = set()
+        for workload, fault, isolation, aborts in SCREEN_CASES:
+            if workload == "rw-register":
+                history = make_history(
+                    workload, fault, 29, isolation=isolation, abort_probability=aborts
+                )
+                result = check(history, workload=workload, **check_options(workload))
+                seen.update(result.anomaly_types)
+        assert "cyclic-versions" in seen
+        assert "lost-update" in seen
+        assert seen & {"G1a", "G1b"}
+        assert any(name.startswith("G2-item") for name in seen)
 
 
 class TestHypothesisSweep:

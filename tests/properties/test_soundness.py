@@ -5,7 +5,10 @@ interpretation of the observation.  For value-edge cycle anomalies that
 implies the observation has no serializable explanation at all; for
 realtime-variant cycles, no strictly serializable one.  We check this
 against the NP-complete search baseline on randomly generated runs spanning
-every isolation level and every fault injector.
+every isolation level and every fault injector.  rw-register runs are
+checked too, with all four version-order sources: the inferred-order
+sources (``process``, ``realtime``) are where an unsound version edge
+would hide.
 
 The generators here produce *real* observations — histories from the MVCC
 simulator under randomized workloads, faults, crashes, and aborts — so the
@@ -37,6 +40,10 @@ ANY_CYCLES = VALUE_CYCLES | {
 }
 #: Non-cycle anomalies that also contradict serializability outright.
 HARD_ANOMALIES = {"G1a", "garbage-read", "duplicate-elements"}
+#: Every rw-register version-order source; ``process`` and ``realtime``
+#: assume per-key sequential consistency / linearizability, which strict
+#: serializability implies.
+ALL_SOURCES = ("initial-state", "write-follows-read", "process", "realtime")
 
 FAULT_FACTORIES = [
     None,
@@ -48,7 +55,7 @@ FAULT_FACTORIES = [
 
 
 @st.composite
-def run_configs(draw):
+def run_configs(draw, workload="list-append"):
     isolation = draw(st.sampled_from(list(Isolation)))
     fault = draw(st.sampled_from(FAULT_FACTORIES))
     return RunConfig(
@@ -56,6 +63,7 @@ def run_configs(draw):
         concurrency=draw(st.integers(min_value=1, max_value=4)),
         isolation=isolation,
         workload=WorkloadConfig(
+            workload=workload,
             active_keys=draw(st.integers(min_value=1, max_value=2)),
             max_writes_per_key=draw(st.integers(min_value=2, max_value=20)),
             min_txn_len=1,
@@ -111,6 +119,51 @@ def test_cycles_imply_strict_unserializability(config):
         assert verdict.valid is False, (
             f"Elle reported {types & (ANY_CYCLES | HARD_ANOMALIES)} but the "
             f"oracle found a strict serialization for seed={config.seed}"
+        )
+
+
+@given(run_configs("rw-register"))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_register_findings_imply_strict_unserializability(config):
+    history = run_workload(config)
+    result = check(
+        history,
+        workload="rw-register",
+        consistency_model="strict-serializable",
+        sources=ALL_SOURCES,
+    )
+    found = set(result.anomaly_types) & (ANY_CYCLES | {"cyclic-versions", "G1a"})
+    if found:
+        verdict = oracle(history, real_time=True)
+        if verdict.valid is None:
+            return
+        assert verdict.valid is False, (
+            f"Elle reported {found} with every version-order source but the "
+            f"oracle found a strict serialization for seed={config.seed}"
+        )
+
+
+@given(run_configs("rw-register"))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_register_value_cycles_imply_unserializability(config):
+    history = run_workload(config)
+    result = check(history, workload="rw-register", consistency_model="serializable")
+    found = set(result.anomaly_types) & (VALUE_CYCLES | {"G1a"})
+    if found:
+        verdict = oracle(history, real_time=False)
+        if verdict.valid is None:
+            return
+        assert verdict.valid is False, (
+            f"Elle reported {found} but the oracle found a serialization "
+            f"for seed={config.seed}"
         )
 
 

@@ -283,8 +283,8 @@ class TestRecoveryOracle:
 
     @pytest.mark.parametrize(
         "stale",
-        [b"REPROCKPT1\n", b"REPROCKPT2\n", b"REPROCKPT3\n"],
-        ids=["REPROCKPT1", "REPROCKPT2", "REPROCKPT3"],
+        [b"REPROCKPT1\n", b"REPROCKPT2\n", b"REPROCKPT3\n", b"REPROCKPT4\n"],
+        ids=["REPROCKPT1", "REPROCKPT2", "REPROCKPT3", "REPROCKPT4"],
     )
     def test_stale_magic_checkpoint_is_skipped(self, tmp_path, stale):
         """A checkpoint from an older payload layout is never unpickled.
@@ -294,8 +294,10 @@ class TestRecoveryOracle:
         ``REPROCKPT2`` checkpoints carry cycle witnesses chosen on a graph
         ordered by edge emission, which batch ``check()`` no longer
         produces; ``REPROCKPT3`` checkpoints hold tagged frozen batches and
-        merge positions.  Recovery must skip every one and replay the
-        whole WAL to the batch report.
+        merge positions; ``REPROCKPT4`` checkpoints hold register batches
+        whose ``cyclic-versions`` values follow first emission, not the
+        canonical version order.  Recovery must skip every one and replay
+        the whole WAL to the batch report.
         """
         ops = session_workload(txns=60, seed=4, **FAULTY)
         expected = self.run_uninterrupted(ops)
@@ -315,7 +317,7 @@ class TestRecoveryOracle:
         store = durability.store("chaos")
         checkpoints = store.checkpoint_paths()
         assert checkpoints, "cadence should have produced checkpoints"
-        assert CHECKPOINT_MAGIC == b"REPROCKPT4\n"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT5\n"
         for path in checkpoints:
             blob = open(path, "rb").read()
             with open(path, "wb") as fh:
