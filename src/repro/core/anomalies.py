@@ -112,6 +112,11 @@ class CycleAnomaly(Anomaly):
 _RANK = {name: i for i, name in enumerate(ALL_ANOMALIES)}
 
 
+def anomaly_order(anomaly: Anomaly) -> Tuple[int, Tuple[int, ...], str]:
+    """An anomaly's sort key in the canonical order."""
+    return (_RANK.get(anomaly.name, len(_RANK)), anomaly.txns, anomaly.message)
+
+
 def sort_anomalies(anomalies: Iterable[Anomaly]) -> List[Anomaly]:
     """The canonical anomaly order: taxonomy rank, then txns, then message.
 
@@ -119,7 +124,4 @@ def sort_anomalies(anomalies: Iterable[Anomaly]) -> List[Anomaly]:
     the order in which analyzers, shards or stream chunks emitted the
     anomalies.
     """
-    return sorted(
-        anomalies,
-        key=lambda a: (_RANK.get(a.name, len(_RANK)), a.txns, a.message),
-    )
+    return sorted(anomalies, key=anomaly_order)

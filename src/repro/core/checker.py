@@ -17,15 +17,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..history import History
 from . import counter_set, list_append, rw_register  # noqa: F401 (register plans)
@@ -199,24 +191,27 @@ def finish_analysis(
     analysis: Analysis,
     consistency_model: str,
     profile: Optional[Profile] = None,
-    retired: Optional[Set[int]] = None,
-    frozen_cycles: Sequence[CycleAnomaly] = (),
 ) -> CheckResult:
     """Turn a completed analysis into a verdict: the checker's back half.
 
     Freezes the inferred graph, runs the cycle search, renders Figure-2
-    explanations, and interprets every anomaly against the requested model.
-    Shared by :func:`check` and the streaming checker
-    (:mod:`repro.core.incremental`), so a streamed prefix's verdict is
-    assembled by exactly the batch code path.
-
-    ``retired`` / ``frozen_cycles`` carry the streaming checker's settled
-    prefix: components made only of retired transactions are skipped in
-    the search and their cycles — rendered once, while the transaction
-    views still existed — are spliced back in before the canonical
-    :func:`~repro.core.anomalies.sort_anomalies` order, so the combined
-    order is byte-for-byte what an unretired checker would produce.
+    explanations (:func:`explained_cycles`), and interprets every anomaly
+    against the requested model (:func:`verdict`).  The streaming checker
+    (:mod:`repro.core.incremental`) runs the same two steps on its live
+    window and splices its settled prefix in between.
     """
+    cycles = explained_cycles(analysis, profile)
+    return verdict(
+        sort_anomalies(list(analysis.anomalies) + cycles),
+        consistency_model,
+        analysis,
+    )
+
+
+def explained_cycles(
+    analysis: Analysis, profile: Optional[Profile] = None
+) -> List[CycleAnomaly]:
+    """Every cycle anomaly of ``analysis.graph``, each with its explanation."""
     stage = lambda name: _stage(profile, name)  # noqa: E731
     with stage("freeze"):
         csr = analysis.graph.freeze()
@@ -224,11 +219,9 @@ def finish_analysis(
         profile.count("graph.nodes", csr.node_count)
         profile.count("graph.edges", csr.edge_count)
     with stage("cycle-search"):
-        cycles = find_cycle_anomalies(
-            analysis.graph, profile=profile, retired=retired
-        )
+        cycles = find_cycle_anomalies(analysis.graph, profile=profile)
     with stage("explain"):
-        explained = [
+        return [
             CycleAnomaly(
                 name=c.name,
                 txns=c.txns,
@@ -237,10 +230,13 @@ def finish_analysis(
             )
             for c in cycles
         ]
-        explained.extend(frozen_cycles)
-    all_anomalies = sort_anomalies(list(analysis.anomalies) + explained)
-    types = tuple(sorted({a.name for a in all_anomalies}))
 
+
+def verdict(
+    anomalies: Sequence[Anomaly], consistency_model: str, analysis: Analysis
+) -> CheckResult:
+    """The :class:`CheckResult` for anomalies already in canonical order."""
+    types = tuple(sorted({a.name for a in anomalies}))
     impossible = impossible_models(types)
     forbidden = anomalies_forbidden_by(consistency_model)
     valid = consistency_model not in impossible and not (
@@ -249,7 +245,7 @@ def finish_analysis(
     return CheckResult(
         valid=valid,
         consistency_model=consistency_model,
-        anomalies=tuple(all_anomalies),
+        anomalies=tuple(anomalies),
         anomaly_types=types,
         impossible=impossible,
         not_=weakest_violated(types),

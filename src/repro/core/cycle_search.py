@@ -282,9 +282,7 @@ def _decompose(
 
 
 def find_cycle_anomalies(
-    graph: GraphLike,
-    profile: Optional[Profile] = None,
-    retired: Optional[Set[int]] = None,
+    graph: GraphLike, profile: Optional[Profile] = None
 ) -> List[CycleAnomaly]:
     """All cycle anomalies, one witness per (cycle, classification).
 
@@ -293,35 +291,16 @@ def find_cycle_anomalies(
     runs every search pass in severity order.  Each pass finds at most one
     short cycle per strongly connected component; duplicates across passes
     are dropped by cycle signature.
-
-    ``retired`` names transaction ids whose settled prefix the streaming
-    checker already folded into frozen, pre-rendered cycle anomalies.
-    Retirement eligibility guarantees no edge crosses between retired and
-    live transactions, so each strongly connected component is wholly one
-    or the other; fully retired components are skipped here (their cycles
-    are re-reported from the frozen record, and their transaction views no
-    longer exist to render fresh explanations from).
     """
     csr = graph if isinstance(graph, CSRGraph) else graph.freeze()
     components_for = _refined_components(csr, profile)
     label_union = csr.label_union
     scratch = bytearray(csr.node_count)
-    retired_idx: Optional[Set[int]] = None
-    if retired:
-        retired_idx = {
-            i for i, node in enumerate(csr.nodes) if node in retired
-        }
 
     anomalies: List[CycleAnomaly] = []
     seen: Set[Tuple[int, ...]] = set()
     for spec in _SPECS:
         for component in components_for[spec.mask & label_union]:
-            if retired_idx is not None and component[0] in retired_idx:
-                if all(i in retired_idx for i in component):
-                    continue
-                # A mixed component breaks the retirement isolation
-                # invariant; fall through and search it so the failure is
-                # loud (rendering will refuse) rather than silently wrong.
             for i in component:
                 scratch[i] = 1
             if spec.first is None:

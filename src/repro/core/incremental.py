@@ -16,10 +16,14 @@ so far — with the expensive half of the work made incremental:
   (a batch depends on its key alone, never on the key's rank);
 * internal-consistency results are cached per transaction and refreshed
   only for transactions the chunk added or upgraded;
-* the dependency graph is reassembled from the cached batches through the
-  deterministic merge of :mod:`repro.core.keyspace`, and the cycle search
-  runs through the same SCC refinement tree as batch checking — on a clean
-  prefix a single full-graph Tarjan resolves all sixteen passes.
+* each chunk re-checks only the *live window* — the transactions not yet
+  retired (below).  Its dependency graph holds every edge *into* a live
+  transaction: the live keys' cached batches, the frozen keys' edges
+  into live transactions, and the process and real-time in-edges of the
+  live transactions (:func:`~repro.core.orders.add_orders` with
+  ``targets``), merged through :mod:`repro.core.keyspace`'s
+  deterministic merge.  The graph freeze and the SCC refinement tree of
+  the cycle search run over that graph alone.
 
 **Equivalence.**  After each chunk the emitted :class:`CheckResult` is
 byte-identical to ``check()`` of the same prefix — same anomalies in the
@@ -44,41 +48,56 @@ stream: the failing :meth:`StreamingChecker.extend` raises, and every later
 call re-raises the same error, because the half-extended history can no
 longer be trusted.
 
-**Settled-prefix retirement.**  A forever-stream grows without bound; for a
-daemon serving sessions for weeks the binding constraint is *memory*, not
-compute.  :meth:`StreamingChecker.retire` folds the settled part of the
-prefix — transactions whose outcome can no longer change and whose every
-analysis contribution is final — into a compact frozen summary (each
-settled key's batch, plus the pre-rendered cycle anomalies among retired
-transactions) and drops the per-op storage: the ops tuple entries, the
-Transaction views, and the per-key slice streams.  What stays resident is
-O(active window): live ops, live slices, and the per-transaction integer
-columns the order edges re-derive from.  The verdict stream after any mix
-of extends and retires is byte-identical to the unretired checker's —
-``tests/properties/test_retirement_equivalence.py`` pins this across
-workloads, fault injectors, and hypothesis-chosen retirement points,
-including through a checkpoint/restore cycle.  The one contract change: a
-retired key can never be touched again (the slice cannot be re-derived), so
-a recurrence raises :class:`~repro.errors.RetiredKeyError` and poisons the
-stream — streams that retire must rotate their keyspace.  A transaction
-whose completion never arrives pins only what it could still change: the
-keys it touched and the transactions reachable from it in the dependency
-graph.  Every other key freezes, because a frozen batch re-merges wherever
-the key sits in the current key order.
+**Settled-prefix retirement.**  A forever-stream grows without bound.
+:meth:`StreamingChecker.retire` folds the settled part of the prefix —
+transactions whose outcome can no longer change, whose every key is
+frozen, and which no live transaction can reach — into a frozen summary
+and drops their per-op storage (ops, Transaction views, key slices).
+Nothing live ever reaches a retired transaction, so no cycle, SCC or
+order edge the search needs crosses the boundary, and every edge into a
+retired transaction is fixed.  Those edges move to the *frozen block*
+(append-only edge columns plus each value bit's evidence record); the
+settled anomalies and the cycles among retired transactions stay
+pre-rendered, in canonical order.  Each chunk then pays for its window,
+not its history: what it merges, orders, freezes and searches is the
+live graph, and retirement scans only live transactions and the live
+graph.  A verdict's :attr:`CheckResult.analysis` joins the two halves
+lazily: its graph and evidence are the live ones plus the frozen block,
+materialized only when read (``dot``, ``explain``, the oracles).  A
+stream that never retires just has an empty frozen block.
+
+The verdict stream after any mix of extends and retires is byte-identical
+to the unretired checker's — ``tests/properties/test_retirement_equivalence.py``
+pins this across workloads, fault injectors, and hypothesis-chosen
+retirement points, including through a checkpoint/restore cycle.  The one
+contract change: a retired key can never be touched again (the slice
+cannot be re-derived), so a recurrence raises
+:class:`~repro.errors.RetiredKeyError` and poisons the stream — streams
+that retire must rotate their keyspace.  A transaction whose completion
+never arrives pins only what it could still change: the keys it touched
+and the transactions reachable from it in the dependency graph.  Every
+other key freezes; a frozen key's edges into still-live transactions
+keep merging at its fixed rank in the key order until their targets
+retire too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import compress, islice
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..graph import CSRGraph, EdgeLogGraph
 from ..history import History
 from ..history.ops import Op
-from .analysis import Analysis
-from .anomalies import Anomaly, CycleAnomaly
-from .checker import CheckResult, finish_analysis
+from .analysis import Analysis, EdgeKey, Evidence
+from .anomalies import Anomaly, CycleAnomaly, anomaly_order, sort_anomalies
+from .checker import CheckResult, explained_cycles, verdict
 from .consistency import SERIALIZABLE, _validate as _validate_model
 from .gcpause import paused_gc
 from .keyspace import PLANS, Batch, _merge
@@ -111,6 +130,73 @@ class StreamUpdate:
 
 #: Cached per-key analysis: (slice version, batch).
 _CacheEntry = Tuple[int, Batch]
+
+
+class _Settled:
+    """Anomalies of the retired prefix, kept in canonical order.
+
+    Retirement adds to it; every verdict merges its few live anomalies in
+    by binary search, so a chunk never re-sorts what settled before it.
+    """
+
+    __slots__ = ("items", "_keys")
+
+    def __init__(self) -> None:
+        self.items: List[Anomaly] = []
+        self._keys: List[Any] = []
+
+    def add(self, anomalies: Iterable[Anomaly]) -> None:
+        for anomaly in anomalies:
+            key = anomaly_order(anomaly)
+            at = bisect_right(self._keys, key)
+            self._keys.insert(at, key)
+            self.items.insert(at, anomaly)
+
+    def merged(self, live: Sequence[Anomaly]) -> List[Anomaly]:
+        """The settled anomalies with ``live`` (canonical order) merged in."""
+        items = self.items
+        if not live:
+            return list(items)
+        out: List[Anomaly] = []
+        start = 0
+        keys = self._keys
+        for anomaly in live:
+            at = bisect_right(keys, anomaly_order(anomaly), start)
+            out.extend(items[start:at])
+            out.append(anomaly)
+            start = at
+        out.extend(items[start:])
+        return out
+
+
+class _UnionGraph(EdgeLogGraph):
+    """The live graph plus the frozen block, joined on first read.
+
+    A streamed verdict's :attr:`CheckResult.analysis` graph: cycle search
+    never needs the frozen block, so ``join`` adds its edges to the log
+    only when something reads the graph (``dot``, ``explain``, the
+    oracles).
+    """
+
+    __slots__ = ("_join",)
+
+    def __init__(self, join: Callable[[EdgeLogGraph], None]) -> None:
+        super().__init__()
+        self._join = join
+
+    def freeze(self) -> CSRGraph:
+        if self._join is not None:
+            join, self._join = self._join, None
+            join(self)
+        return super().freeze()
+
+    def __getstate__(self):
+        self.freeze()
+        return super().__getstate__()
+
+    def __setstate__(self, state) -> None:
+        super().__setstate__(state)
+        self._join = None
 
 
 class StreamingChecker:
@@ -149,21 +235,36 @@ class StreamingChecker:
         self._profile = profile
         self._plan_options = plan_options
         self._key_cache: Dict[Any, _CacheEntry] = {}
-        #: Cached internal-consistency anomalies, per transaction id (only
-        #: transactions that actually have anomalies are stored; a retired
-        #: transaction's entry never changes again).
+        #: Cached internal-consistency anomalies of live transactions, per
+        #: transaction id (only transactions that have anomalies).
         self._internal: Dict[int, List[Anomaly]] = {}
+        #: Identity counts of the last verdict's live anomalies.
         self._prev_counts: Counter = Counter()
         self._error: Optional[BaseException] = None
-        #: Frozen summary of the retired prefix: each retired key's batch
-        #: (re-merged on every extension wherever the key sits in the key
-        #: order, exactly as a batch check places it), the pre-rendered
-        #: cycle anomalies among retired transactions, and the retired
-        #: transaction ids (components to skip in the cycle search).
-        self._frozen: Dict[Any, Batch] = {}
-        self._frozen_cycles: List[CycleAnomaly] = []
-        self._frozen_cycle_keys: Set[Tuple[Any, ...]] = set()
-        self._retired_ids: Set[int] = set()
+        #: Positions of the live (unretired) transactions, ascending.
+        self._live: List[int] = []
+        #: The last chunk's live analysis and its explained cycles; not
+        #: checkpointed (the next chunk rebuilds both).
+        self._window: Optional[Tuple[Analysis, List[CycleAnomaly]]] = None
+        # -- the frozen summary of the retired prefix --------------------
+        #: Each frozen key's edges into live transactions, with the key's
+        #: rank: they keep merging, in key order, until their targets
+        #: retire too.
+        self._residual: Dict[Any, Tuple[Any, Dict[EdgeKey, Evidence]]] = {}
+        #: The frozen block: each value edge bit into a retired
+        #: transaction, with its evidence record (append-only).  Order
+        #: edges into retired transactions need no storage: the index
+        #: re-derives them (:func:`~repro.core.orders.add_orders`).
+        self._frozen: Dict[EdgeKey, Evidence] = {}
+        #: Settled anomalies: non-cycle ones, and those plus cycles.
+        self._settled_found = _Settled()
+        self._settled = _Settled()
+        self._retired_txns = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_window"] = None
+        return state
 
     # ------------------------------------------------------------------
 
@@ -192,6 +293,7 @@ class StreamingChecker:
         if profile is None:
             profile = self._profile
         ops_before = len(self.history.ops)
+        txns_before = len(self.history.transactions)
         with stage(profile, "stream/ingest"):
             delta = self.history.extend(ops)
             changed = delta.changed
@@ -200,6 +302,9 @@ class StreamingChecker:
             # index's function census and never walks the full history
             # (whose retired slots are ``None``).
             validate_workload(changed, self.workload)
+            self._live.extend(
+                range(txns_before, len(self.history.transactions))
+            )
         # Plan construction is cheap (the index is extended, not rebuilt)
         # and re-applies the workload's recoverability contract exactly as
         # a batch check of this prefix would.
@@ -216,7 +321,7 @@ class StreamingChecker:
             anomalies: List[Anomaly] = []
             for found in self._internal.values():
                 anomalies.extend(found)
-            fragments = []
+            ranked = []
             index = plan.index
             cache = self._key_cache
             # Evict every dirty key up front.  The version clock alone
@@ -227,58 +332,61 @@ class StreamingChecker:
             for key in delta.dirty_keys or ():
                 cache.pop(key, None)
             reused = reanalyzed = 0
-            frozen = self._frozen
+            rank_of = attrgetter(plan.key_rank)
             for key in plan.keys():
                 slice_ = index.slices[key]
-                if slice_.retired:
-                    batch = frozen[key]
+                entry = cache.get(key)
+                if entry is not None and entry[0] == slice_.version:
+                    batch = entry[1]
+                    reused += 1
                 else:
-                    entry = cache.get(key)
-                    if entry is not None and entry[0] == slice_.version:
-                        batch = entry[1]
-                        reused += 1
-                    else:
-                        batch = plan.analyze_key(key)
-                        cache[key] = (slice_.version, batch)
-                        reanalyzed += 1
+                    batch = plan.analyze_key(key)
+                    cache[key] = (slice_.version, batch)
+                    reanalyzed += 1
                 key_anomalies, fragment = batch
                 anomalies.extend(key_anomalies)
                 if fragment:
-                    fragments.append(fragment)
+                    ranked.append((rank_of(slice_), fragment))
+            # Frozen keys' edges into live transactions keep their place
+            # in key order (evidence precedence) among the live keys'.
+            if self._residual:
+                ranked.extend(self._residual.values())
+                ranked.sort(key=itemgetter(0))
         with stage(profile, "stream/merge"):
-            analysis = Analysis(history=self.history, workload=self.workload)
-            _merge(analysis, [(anomalies, fragments)])
+            live = Analysis(history=self.history, workload=self.workload)
+            _merge(live, [(anomalies, [fragment for _r, fragment in ranked])])
         with stage(profile, "stream/orders"):
             add_orders(
-                analysis,
+                live,
                 self._process_edges,
                 self._realtime_edges,
                 self._timestamp_edges,
+                targets=self._live,
             )
-        result = finish_analysis(
-            analysis,
+        cycles = explained_cycles(live, profile)
+        live_all = sort_anomalies(live.anomalies + cycles)
+        result = verdict(
+            self._settled.merged(live_all),
             self.consistency_model,
-            profile,
-            retired=self._retired_ids or None,
-            frozen_cycles=self._frozen_cycles,
+            self._whole(live),
         )
+        self._window = (live, cycles)
         if profile is not None:
             profile.count("stream.keys_reused", reused)
             profile.count("stream.keys_reanalyzed", reanalyzed)
+            profile.count("stream.live_txns", len(self._live))
+            profile.count("stream.frozen_edges", len(self._frozen))
 
         self.chunks += 1
         self.result = result
-        counts = Counter(
-            (a.name, a.txns, a.message) for a in result.anomalies
-        )
+        counts = Counter((a.name, a.txns, a.message) for a in live_all)
         fresh = counts - self._prev_counts
         resolved = sum((self._prev_counts - counts).values())
         new_anomalies = []
-        budget = Counter(fresh)
-        for anomaly in result.anomalies:
+        for anomaly in live_all:
             ident = (anomaly.name, anomaly.txns, anomaly.message)
-            if budget[ident] > 0:
-                budget[ident] -= 1
+            if fresh[ident] > 0:
+                fresh[ident] -= 1
                 new_anomalies.append(anomaly)
         self._prev_counts = counts
         return StreamUpdate(
@@ -291,6 +399,41 @@ class StreamingChecker:
             reanalyzed_keys=reanalyzed,
             reused_keys=reused,
         )
+
+    def _whole(self, live: Analysis) -> Analysis:
+        """The prefix's analysis: ``live`` joined with the frozen summary.
+
+        The graph and evidence join on first read.  The frozen block and
+        the live-position list only grow until the next retirement (which
+        builds a new list), so their current lengths pin this verdict's
+        share of them; the transactions retired by now are exactly the
+        positions outside this verdict's live window.
+        """
+        history = self.history
+        workload = self.workload
+        frozen = self._frozen
+        bits = len(frozen)
+        count = len(history.transactions)
+        window = self._live
+        width = len(window)
+        flags = (self._process_edges, self._realtime_edges, False)
+
+        def join(graph: EdgeLogGraph) -> None:
+            graph.add_edge_keys(islice(frozen, bits))
+            graph.add_edge_columns(*live.graph.log())
+            retired = np.setdiff1d(np.arange(count), window[:width])
+            settled = Analysis(history=history, workload=workload, graph=graph)
+            add_orders(settled, *flags, targets=retired)
+
+        whole = Analysis(
+            history=history,
+            workload=workload,
+            graph=_UnionGraph(join),
+            anomalies=self._settled_found.merged(live.anomalies),
+        )
+        whole.log_evidence(lambda: (dict(islice(frozen.items(), bits)),))
+        whole.log_evidence(lambda: (live.evidence,))
+        return whole
 
     # ------------------------------------------------------------------
     # Settled-prefix retirement
@@ -307,7 +450,17 @@ class StreamingChecker:
 
     @property
     def retired_txns(self) -> int:
-        return len(self._retired_ids)
+        return self._retired_txns
+
+    @property
+    def live_txns(self) -> int:
+        """Transactions in the live window (every chunk re-checks these)."""
+        return len(self._live)
+
+    @property
+    def frozen_edges(self) -> int:
+        """Value edge bits in the frozen block (never re-checked)."""
+        return len(self._frozen)
 
     def estimated_bytes(self) -> int:
         """A coarse resident-footprint estimate for governance accounting.
@@ -319,11 +472,10 @@ class StreamingChecker:
         edge keeps its evidence record (~200 bytes).  Deterministic, so
         watermark behavior is unit-testable without touching the RSS.
         """
-        frozen_edges = sum(len(frag) for _found, frag in self._frozen.values())
         return (
             len(self.history.ops) * 400
             + len(self.history.transactions) * 100
-            + frozen_edges * 200
+            + len(self._frozen) * 200
         )
 
     def retire(
@@ -335,19 +487,20 @@ class StreamingChecker:
 
         A key *freezes* when every transaction that touched it is final
         (its completion was observed, so no upgrade can ever rebuild the
-        slice): its analysis batch can never change, so the batch is frozen
-        and the slice's streams are released.  A transaction *retires* when
-        it is final, every key it touched is frozen, and no live
-        transaction can reach it through the dependency graph — the
-        in-closure that makes retirement safe for the cycle search: a
-        retired transaction's in-edges are fixed (value edges come from
-        frozen keys, order edges from transactions that precede it), so any
-        cycle through it walks backwards without ever leaving the retired
-        set — meaning every such cycle exists *now* and is frozen
-        pre-rendered.  Out-edges toward live transactions are harmless and
-        expected (process chains cross every retirement boundary): order
-        edges re-derive from the per-transaction columns, which retirement
-        keeps.
+        slice): its analysis batch can never change, so its anomalies
+        settle, its edges into live transactions keep merging at its rank,
+        and the slice is released.  A transaction *retires* when it is
+        final, every key it touched is frozen, and no live transaction can
+        reach it through the dependency graph.  Then every edge into it is
+        fixed — value edges come from frozen keys, order edges from
+        transactions invoked before it — so they move from the live graph
+        to the frozen block with their evidence, and any cycle through it
+        lies wholly inside the retired set and is frozen pre-rendered.
+        Edges out of retired transactions into live ones stay with their
+        live targets (process chains cross every retirement boundary);
+        the per-transaction columns they derive from are kept.  Both
+        scans — for retirable transactions and for the in-closure — cover
+        the live window and the live graph only.
 
         ``allowed_keys`` restricts which keys may freeze (callers that know
         the future of the stream — tests, clients with rotating keyspaces —
@@ -375,7 +528,7 @@ class StreamingChecker:
             "retired_txns": 0,
             "retired_keys": 0,
             "retired_ops": 0,
-            "total_retired_txns": len(self._retired_ids),
+            "total_retired_txns": self._retired_txns,
             "total_retired_ops": self.history.retired_ops,
             "resident_ops": self.history.resident_ops,
         }
@@ -389,10 +542,11 @@ class StreamingChecker:
             # add_timestamp_edges walks the Transaction views themselves;
             # no dominance argument exists for database timestamps anyway.
             return self._summary(reason="timestamp-edges")
-        if self.result is None:
+        if self._window is None:
             return self._summary(reason="no-verdict")
+        live, cycles = self._window
         index = self.history._index
-        if index is None:  # pragma: no cover - result implies a built index
+        if index is None:  # pragma: no cover - a verdict implies an index
             return self._summary(reason="no-index")
         if allowed_keys is not None and not isinstance(allowed_keys, set):
             allowed_keys = set(allowed_keys)
@@ -402,17 +556,14 @@ class StreamingChecker:
         complete = index.txn_complete
         ids = index.txn_ids
         cache = self._key_cache
+        rank_of = attrgetter(PLANS[self.workload].key_rank)
 
         # -- candidate keys: live, permitted, idle, and freezable --------
         # A key freezes either from its fresh cached batch (analyzed last
-        # extension) or as a no-batch key: one the plan never analyzes
-        # because nobody read it (read-ordered workloads only — the
-        # rw-register plan analyzes every key).
-        read_ordered = self.workload != "rw-register"
+        # extension) or as a no-batch key: one without a rank, which the
+        # plan's keys() leaves out (read-ordered workloads: nobody read it).
         candidates: Dict[Any, Tuple[Any, Optional[_CacheEntry]]] = {}
         for key, slice_ in index.slices.items():
-            if slice_.retired:
-                continue
             if allowed_keys is not None and key not in allowed_keys:
                 continue
             if (
@@ -424,18 +575,14 @@ class StreamingChecker:
             entry = cache.get(key)
             if entry is not None and entry[0] == slice_.version:
                 candidates[key] = (slice_, entry)
-            elif (
-                entry is None
-                and read_ordered
-                and slice_.first_read_seq is None
-            ):
+            elif entry is None and rank_of(slice_) is None:
                 candidates[key] = (slice_, None)
 
         # -- frozen keys: every toucher final ----------------------------
         # A provisional toucher blocks the freeze: its completion would
-        # upgrade the transaction and rebuild the slice, which a stub
-        # cannot do.  Final touchers (committed, aborted, or indeterminate
-        # with the completion observed) never change again.
+        # upgrade the transaction and rebuild the slice, which a frozen
+        # key cannot do.  Final touchers (committed, aborted, or
+        # indeterminate with the completion observed) never change again.
         frozen = {
             key: value
             for key, value in candidates.items()
@@ -443,15 +590,13 @@ class StreamingChecker:
         }
 
         # -- retirable transactions: final, every key frozen -------------
-        slices = index.slices
+        retired_keys = index.retired_keys
         retirable: List[int] = []
-        for p in range(n):
-            txn = transactions[p]
-            if txn is None or complete[p] < 0:
+        for p in self._live:
+            if complete[p] < 0:
                 continue
-            for mop in txn.mops:
-                s = slices.get(mop.key)
-                if s is None or (not s.retired and mop.key not in frozen):
+            for mop in transactions[p].mops:
+                if mop.key not in frozen and mop.key not in retired_keys:
                     break
             else:
                 retirable.append(p)
@@ -460,20 +605,27 @@ class StreamingChecker:
             return self._summary(reason="nothing-settled")
 
         # -- in-closure: nothing retired is reachable from live ----------
-        # Walk the frozen graph's CSR rows forward from every live transaction;
-        # any retirement candidate it reaches stays resident.  Survivors'
-        # in-edges all come from survivors or earlier-retired transactions
-        # (both fixed forever), so no future cycle can include them without
-        # lying entirely inside the retired set — where every cycle already
+        # Walk the live graph's CSR rows forward from every transaction
+        # that stays live; any retirement candidate it reaches stays
+        # resident.  The live graph holds every edge into a live
+        # transaction, and no path from live ever enters the retired
+        # prefix, so this is the whole reachable set.  Survivors' in-edges
+        # all come from survivors or retired transactions (both fixed
+        # forever), so no future cycle can include them without lying
+        # entirely inside the retired set — where every cycle already
         # exists and is frozen below.
         new_ids = {ids[p] for p in retirable}
         if new_ids:
-            csr = self.result.analysis.graph.freeze()
+            csr = live.graph.freeze()
             nodes = csr.nodes
             indptr = csr.indptr
             indices = csr.indices
-            sealed = new_ids | self._retired_ids
-            stack = [i for i, u in enumerate(nodes) if u not in sealed]
+            pos_by_id = index.pos_by_id
+            stack = [
+                i
+                for i, u in enumerate(nodes)
+                if u in pos_by_id and u not in new_ids
+            ]
             visited = bytearray(len(nodes))
             for i in stack:
                 visited[i] = 1
@@ -492,31 +644,52 @@ class StreamingChecker:
             return self._summary(reason="nothing-settled")
 
         # -- freeze, then drop -------------------------------------------
-        total_retired = self._retired_ids | new_ids
-        for anomaly in self.result.anomalies:
-            if (
-                isinstance(anomaly, CycleAnomaly)
-                and anomaly.steps
-                and set(anomaly.txns) <= total_retired
-            ):
-                cycle_key = (anomaly.name, anomaly.txns)
-                if cycle_key not in self._frozen_cycle_keys:
-                    self._frozen_cycle_keys.add(cycle_key)
-                    self._frozen_cycles.append(anomaly)
-        for key, (_slice, entry) in frozen.items():
+        # Every edge into a newly retired transaction is fixed: its value
+        # edges come from frozen keys (their evidence moves to the frozen
+        # block) and its order edges were fixed when it was invoked.
+        self._frozen.update(
+            (edge, record)
+            for edge, record in live.evidence.items()
+            if edge[1] in new_ids
+        )
+        settled_found: List[Anomaly] = []
+        for txn_id in new_ids:
+            settled_found.extend(self._internal.pop(txn_id, ()))
+        residual = self._residual
+        for key, (slice_, entry) in frozen.items():
             cache.pop(key, None)
             if entry is not None:
-                self._frozen[key] = entry[1]
+                key_anomalies, fragment = entry[1]
+                settled_found.extend(key_anomalies)
+                if fragment:
+                    residual[key] = (rank_of(slice_), fragment)
+        settled_cycles = [
+            cycle for cycle in cycles if new_ids.issuperset(cycle.txns)
+        ]
         index.retire(frozen.keys())
         dropped = self.history.retire_transactions(retirable)
-        self._retired_ids = total_retired
+        # Frozen keys keep only their edges into live transactions (new
+        # dicts: an earlier verdict's evidence still reads the old ones).
+        if new_ids:
+            for key, (rank, fragment) in list(residual.items()):
+                kept = {
+                    e: r for e, r in fragment.items() if e[1] not in new_ids
+                }
+                if kept:
+                    residual[key] = (rank, kept)
+                else:
+                    del residual[key]
+            self._live = [p for p in self._live if transactions[p] is not None]
+        self._settled_found.add(settled_found)
+        self._settled.add(settled_found + settled_cycles)
+        self._prev_counts -= Counter(
+            (a.name, a.txns, a.message) for a in settled_found + settled_cycles
+        )
+        self._retired_txns += len(retirable)
         return self._summary(
             retired_txns=len(retirable),
             retired_keys=len(frozen),
             retired_ops=dropped,
-            total_retired_txns=len(total_retired),
-            total_retired_ops=self.history.retired_ops,
-            resident_ops=self.history.resident_ops,
         )
 
 

@@ -22,13 +22,14 @@ order, as one source on the analysis
 only if something reads evidence.  So the analysis is byte-identical
 whether the plan ran on one shard or many, inline or streamed.
 
-**Sharding.**  ``execute_plan(..., shards=N)`` partitions keys (and the
-transaction list, for internal-consistency checks) into contiguous ranges
-across a worker pool.  Workers are forked after the plan is built, so they
-inherit the parent's :class:`~repro.history.index.HistoryIndex` by
-copy-on-write and ship back only compact batch payloads.  On platforms without ``fork``
-the pool falls back to ``spawn`` and rebuilds the plan from the pickled
-history.
+**Sharding.**  ``execute_plan(..., shards=N)`` runs a plan's whole-index
+pass first; only a plan that declines it (grow-set, counter) partitions
+keys (and the transaction list, for internal-consistency checks) into
+contiguous ranges across a worker pool.  Workers are forked after the
+plan is built, so they inherit the parent's
+:class:`~repro.history.index.HistoryIndex` by copy-on-write and ship back
+only compact batch payloads.  On platforms without ``fork`` the pool
+falls back to ``spawn`` and rebuilds the plan from the pickled history.
 
 The shared read checks (garbage reads, aborted reads / G1a, intermediate
 reads / G1b, dirty updates) live here too, parameterized by a per-workload
@@ -180,6 +181,9 @@ class KeyspacePlan:
     """
 
     workload: str = ""
+    #: The :class:`~repro.history.index.KeySlice` field :meth:`keys` is
+    #: sorted by (first committed read; rw-register: first appearance).
+    key_rank: str = "first_read_seq"
 
     def __init__(self, history: History, **options: Any) -> None:
         validate_workload_indexed(history, self.workload)
@@ -341,9 +345,11 @@ def execute_plan(
 ) -> None:
     """Run a plan over its keyspace and merge the batches into ``analysis``.
 
-    ``shards=1`` runs inline.  ``shards=N`` fans the per-key work (plus the
-    internal-consistency sweep) across ``N`` worker processes; the merged
-    result is identical to the sequential run by construction.
+    The plan's whole-index pass runs first, whatever ``shards`` says; a
+    plan without one declines, and its per-key work runs inline
+    (``shards=1``) or fans out, with the internal-consistency sweep,
+    across ``N`` worker processes.  The merged result is identical to the
+    sequential run by construction.
     """
     global _WORKER_PLAN
     shards = max(1, int(shards))
@@ -353,11 +359,9 @@ def execute_plan(
         profile.count("keyspace.keys", len(plan.keys()))
         profile.count("keyspace.shards", shards)
 
+    if plan.analyze_index(analysis, profile):
+        return
     if shards == 1:
-        # Whole-index columnar pass first; a plan without one declines
-        # and the per-key loop below runs every key.
-        if plan.analyze_index(analysis, profile):
-            return
         n_txns = len(plan.index.transactions)
         n_keys = len(plan.keys())
         with stage(profile, "analyze/keys"):

@@ -22,79 +22,80 @@ it committed.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graph import interval_precedence_pairs
+from ..graph.intervals import precedence_windows
+from ..history.index import take
 from .analysis import Analysis
 from .deps import PROCESS, REALTIME, TIMESTAMP
 
 
 def add_orders(
-    analysis: Analysis, process: bool, realtime: bool, timestamp: bool
+    analysis: Analysis,
+    process: bool,
+    realtime: bool,
+    timestamp: bool,
+    targets: Optional[Sequence[int]] = None,
 ) -> None:
     """Add the enabled order-edge families to ``analysis``.
 
     The single order-edge step of both the batch checker and the
-    streaming checker.  Order edges carry no stored evidence:
+    streaming checker.  ``targets`` (transaction positions; ``None`` =
+    all) selects whose *in-edges* to add: a transaction's
+    process and real-time in-edges are fixed once it is invoked, so the
+    streaming checker asks for its live window only.  Timestamp edges
+    ignore it (a stream with them never retires, so its window is
+    everything).  Order edges carry no stored evidence:
     :meth:`~repro.core.analysis.Analysis.edge_evidence` synthesizes it
     from the graph bit and the history.
     """
     if process:
-        add_process_edges(analysis)
+        add_process_edges(analysis, targets)
     if realtime:
-        add_realtime_edges(analysis)
+        add_realtime_edges(analysis, targets)
     if timestamp:
         add_timestamp_edges(analysis)
 
 
-def add_process_edges(analysis: Analysis) -> None:
+def _targets(index, targets: Optional[Sequence[int]]) -> np.ndarray:
+    """The non-aborted positions among ``targets`` (all when ``None``)."""
+    aborted = np.frombuffer(index.txn_aborted, dtype=np.uint8)
+    if targets is None:
+        return np.flatnonzero(aborted == 0)
+    positions = np.asarray(targets, dtype=np.int64)
+    return positions[aborted[positions] == 0]
+
+
+def add_process_edges(
+    analysis: Analysis, targets: Optional[Sequence[int]] = None
+) -> None:
     """Chain each process's transactions in session (program) order.
 
-    Per-process orderings come from the history's single-pass index (they
-    are already in invocation order there), so no re-grouping pass runs —
-    the chains are walked over the index's columnar status arrays and land
-    in the graph's edge log as parallel id arrays.  Only *committed*
-    transactions emit edges: after a timeout the client moves on while the
-    indeterminate commit races its successors, so an ``info`` transaction
-    is concurrent with everything that follows it — even on its own
-    process — and may only receive edges.  Each non-aborted transaction is
-    therefore ordered after the nearest preceding committed transaction of
-    its process.
+    Only *committed* transactions emit edges: after a timeout the client
+    moves on while the indeterminate commit races its successors, so an
+    ``info`` transaction is concurrent with everything that follows it —
+    even on its own process — and may only receive edges.  Each
+    non-aborted transaction is therefore ordered after the nearest
+    preceding committed transaction of its process, which the index
+    records per position (``txn_prev``) when the transaction is invoked.
     """
     index = analysis.history.index()
-    committed = index.txn_committed
-    aborted = index.txn_aborted
-    ids = index.txn_ids
-    total = len(ids)
-    chains = [p for p in index.proc_positions.values() if p]
-    if not chains:
-        return
-    flat = np.concatenate([np.asarray(p, dtype=np.int64) for p in chains])
-    lengths = np.asarray([len(p) for p in chains], dtype=np.int64)
-    seg = np.repeat(np.arange(len(chains), dtype=np.int64), lengths)
-    committed_np = np.frombuffer(committed, dtype=np.uint8)
-    aborted_np = np.frombuffer(aborted, dtype=np.uint8)
-    # Running "last committed position" per chain: a segment-reset
-    # prefix max.  Offsetting each segment by a stride larger than any
-    # position makes later segments dominate earlier ones, so one
-    # global accumulate never leaks a maximum across a chain boundary.
-    stride = total + 2
-    x = np.where(committed_np[flat] != 0, flat, -1)
-    acc = np.maximum.accumulate(x + seg * stride) - seg * stride
-    prev = np.empty_like(acc)
-    prev[0] = -1
-    prev[1:] = acc[:-1]
-    starts = np.zeros(len(flat), dtype=bool)
-    starts[np.cumsum(lengths[:-1])] = True
-    prev[starts] = -1
-    emit = (aborted_np[flat] == 0) & (prev >= 0)
-    ids_np = np.asarray(ids, dtype=np.int64)
-    analysis.graph.add_edge_arrays(ids_np[prev[emit]], ids_np[flat[emit]], PROCESS)
+    positions = _targets(index, targets)
+    prev = take(index.txn_prev, positions)
+    emit = prev >= 0
+    analysis.graph.add_edge_arrays(
+        take(index.txn_ids, prev[emit]),
+        take(index.txn_ids, positions[emit]),
+        PROCESS,
+    )
 
 
-def add_realtime_edges(analysis: Analysis) -> None:
+def add_realtime_edges(
+    analysis: Analysis, targets: Optional[Sequence[int]] = None
+) -> None:
     """Add transitive-reduction edges of the real-time precedence order.
 
     Only *committed* transactions emit edges.  An indeterminate
@@ -104,32 +105,27 @@ def add_realtime_edges(analysis: Analysis) -> None:
     real-time edges (and, from them, false G-*-realtime cycles on
     perfectly serializable runs).  Its interval therefore extends past
     every observed event: it may receive edges, never emit them.
+
+    The emitters are the index's completion log, already in completion
+    order, so each non-aborted target's in-edges come from its window of
+    the log (:func:`~repro.graph.intervals.precedence_windows`) — the
+    same pairs :func:`~repro.graph.interval_precedence_pairs` yields over
+    the whole history.
     """
-    history = analysis.history
-    index = history.index()
-    committed = index.txn_committed
-    aborted = index.txn_aborted
-    ids = index.txn_ids
-    invoke = index.txn_invoke
-    complete = index.txn_complete
-    sentinel = history.max_index + 1
-    aborted_np = np.frombuffer(aborted, dtype=np.uint8)
-    committed_np = np.frombuffer(committed, dtype=np.uint8)
-    complete_np = np.asarray(complete, dtype=np.int64)
-    keep = aborted_np == 0
-    observed = (committed_np != 0) & (complete_np >= 0) & keep
-    # Indeterminate completions are unobserved: each gets the next
-    # sentinel tick past every observed event, in position order.
-    pending = keep & ~observed
-    ticks = np.cumsum(pending) + sentinel
-    # Stay columnar: the reduction and the edge-log ingest both take
-    # numpy arrays directly, no per-element boxing round-trip.
-    sources, targets = interval_precedence_pairs(
-        np.asarray(ids, dtype=np.int64)[keep],
-        np.asarray(invoke, dtype=np.int64)[keep],
-        np.where(observed, complete_np, ticks)[keep],
+    index = analysis.history.index()
+    if not index.rt_complete:
+        return
+    positions = _targets(index, targets)
+    sources, owners = precedence_windows(
+        np.frombuffer(index.rt_complete, dtype=np.int64),
+        np.frombuffer(index.rt_reach, dtype=np.int64),
+        take(index.txn_invoke, positions),
     )
-    analysis.graph.add_edge_arrays(sources, targets, REALTIME)
+    analysis.graph.add_edge_arrays(
+        np.frombuffer(index.rt_ids, dtype=np.int64)[sources],
+        take(index.txn_ids, positions[owners]),
+        REALTIME,
+    )
 
 
 def add_timestamp_edges(analysis: Analysis) -> None:

@@ -396,6 +396,7 @@ class RwRegisterPlan(KeyspacePlan):
     """Per-key rw-register analysis over the shared history index."""
 
     workload = "rw-register"
+    key_rank = "first_seq"
 
     def __init__(
         self, history: History, sources: Sequence[str] = DEFAULT_SOURCES

@@ -101,6 +101,13 @@ class EdgeLogGraph:
         self._v.extend(vs)
         self._l.extend(ls)
 
+    def log(self) -> Tuple[array, array, array]:
+        """The raw emission columns ``(us, vs, labels)``, repeats included.
+
+        The live arrays, not copies: callers must not append to them.
+        """
+        return self._u, self._v, self._l
+
     # ------------------------------------------------------------------
     # Freezing and reads (all reads go through the cached snapshot).
 

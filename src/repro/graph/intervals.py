@@ -73,28 +73,15 @@ def interval_precedence_pairs(
         )
     corder = np.argsort(comp, kind="stable")
     iorder = np.argsort(inv, kind="stable")
-    comp_sorted = comp[corder]
-    inv_sorted = inv[iorder]
-    tail = np.searchsorted(comp_sorted, inv_sorted, side="left")
     # Prefix max of invocation times in completion order gives M(b) for
     # the tail(b) completions processed before b.
-    prefmax = np.maximum.accumulate(inv[corder])
-    thresh = prefmax[np.maximum(tail - 1, 0)]
-    head = np.where(
-        tail > 0, np.searchsorted(comp_sorted, thresh, side="left"), 0
+    idx, owner = precedence_windows(
+        comp[corder], np.maximum.accumulate(inv[corder]), inv[iorder]
     )
-    counts = tail - head
-    total = int(counts.sum())
-    if total == 0:
+    if len(idx) == 0:
         return [], []
-    # Concatenated window indices: one arange per invocation, offset so
-    # each restarts at its own head.
-    offsets = np.cumsum(counts) - counts
-    idx = np.arange(total, dtype=np.int64) + np.repeat(
-        head - offsets, counts
-    )
     src_pos = corder[idx]
-    tgt_pos = np.repeat(iorder, counts)
+    tgt_pos = iorder[owner]
     ids_arr = np.asarray(ids)
     if ids_arr.ndim == 1 and ids_arr.dtype.kind in "iu":
         # Integer ids stay columnar: the edge log ingests these arrays
@@ -104,3 +91,33 @@ def interval_precedence_pairs(
     targets = [ids[i] for i in tgt_pos.tolist()]
     return sources, targets
 
+
+
+def precedence_windows(
+    completes: np.ndarray, reach: np.ndarray, invokes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each invocation's frontier window over completion-sorted intervals.
+
+    ``completes`` is ascending; ``reach[i]`` is the largest invocation
+    time among ``completes[:i + 1]``'s intervals.  For every entry of
+    ``invokes`` the window is ``[head, tail)`` as described in
+    :func:`interval_precedence_pairs`.  Returns ``(source, owner)``:
+    window members as indices into ``completes``, and for each the index
+    into ``invokes`` it precedes, grouped by invocation in input order,
+    members ascending.  A window depends only on completions before its
+    invocation, so it never changes as later intervals are appended.
+    """
+    if len(completes) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    tail = np.searchsorted(completes, invokes, side="left")
+    thresh = reach[np.maximum(tail - 1, 0)]
+    head = np.where(tail > 0, np.searchsorted(completes, thresh, side="left"), 0)
+    counts = tail - head
+    total = int(counts.sum())
+    # Concatenated window indices: one arange per invocation, offset so
+    # each restarts at its own head.
+    offsets = np.cumsum(counts) - counts
+    source = np.arange(total, dtype=np.int64) + np.repeat(head - offsets, counts)
+    owner = np.repeat(np.arange(len(invokes), dtype=np.int64), counts)
+    return source, owner

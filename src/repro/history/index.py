@@ -13,8 +13,12 @@ parallel arrays:
 
 * transactions intern to their *list position* — per-position arrays
   (``txn_ids``, ``txn_committed``, ``txn_aborted``, ``txn_process``,
-  ``txn_invoke``, ``txn_complete``, ``internal_candidates``) answer every
-  status/interval question with one index instead of an attribute chain;
+  ``txn_invoke``, ``txn_complete``, ``txn_prev``, ``internal_candidates``)
+  answer every status/interval question with one index instead of an
+  attribute chain, and the *completion log* (``rt_complete``,
+  ``rt_reach``, ``rt_ids``) lists committed completions in time order —
+  the two inputs from which :mod:`repro.core.orders` derives any
+  transaction's process and real-time in-edges;
 * keys map to their :class:`KeySlice` (``slices[key]``); the two key
   orders (``key_order`` by first appearance, ``read_key_order`` by first
   committed read) are lists of keys, regenerated after every extension;
@@ -53,17 +57,18 @@ transactions append their column rows and their slots to the affected
 slices in place; a slice touched by an upgraded transaction is rebuilt from
 its own transaction set — never by re-scanning the whole history.
 Retirement is split the same way: the history clears retired entries from
-the shared table and :meth:`HistoryIndex.retire` only stubs the settled
-keys' slices.  Every observation-order position is a ``(transaction
-position, micro-op position)`` pair, which is stable under append-only
-growth, so candidates recorded before an extension stay comparable with
-ones recorded after it.  Each slice carries a ``version`` counter that
+the shared table and :meth:`HistoryIndex.retire` drops the settled keys'
+slices, remembering only their names.  Every observation-order position
+is a ``(transaction position, micro-op position)`` pair, which is stable
+under append-only growth, so candidates recorded before an extension stay
+comparable with ones recorded after it.  Each slice carries a ``version`` counter that
 bumps on any mutation; the streaming checker keys its per-key result cache
 on it.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -123,7 +128,6 @@ class KeySlice:
         "inter_txn",
         "first_seq",
         "first_read_seq",
-        "retired",
         "_dup",
         "_none_write",
     )
@@ -142,10 +146,6 @@ class KeySlice:
         self.inter_txn: List[int] = []
         self.first_seq: Optional[Seq] = None
         self.first_read_seq: Optional[Seq] = None
-        #: True once the slice's streams were folded into a frozen summary
-        #: and dropped; only the identity fields (key, orderings) stay
-        #: live, and any further operation on the key is an error.
-        self.retired = False
         #: (seq, key, value, first writer pos, second writer pos)
         self._dup: Optional[Tuple[Seq, Any, Any, int, int]] = None
         #: (seq, key, writer pos)
@@ -271,6 +271,7 @@ class HistoryIndex:
         "transactions",
         "pos_by_id",
         "slices",
+        "retired_keys",
         "key_order",
         "read_key_order",
         "txn_ids",
@@ -279,9 +280,13 @@ class HistoryIndex:
         "txn_aborted",
         "txn_invoke",
         "txn_complete",
+        "txn_prev",
         "internal_candidates",
-        "proc_positions",
+        "rt_complete",
+        "rt_reach",
+        "rt_ids",
         "mop_fns",
+        "_last_committed",
         "_clock",
         "_columns",
     )
@@ -294,7 +299,10 @@ class HistoryIndex:
     ) -> None:
         self.transactions = transactions
         self.pos_by_id = pos_by_id
+        #: Live keys only: a retired key's slice is dropped and its name
+        #: moves to ``retired_keys`` (any later operation on it raises).
         self.slices: Dict[Any, KeySlice] = {}
+        self.retired_keys: Set[Any] = set()
         self.key_order: List[Any] = []
         self.read_key_order: List[Any] = []
         #: Per-position transaction columns (position = index in
@@ -305,12 +313,25 @@ class HistoryIndex:
         self.txn_aborted = bytearray()
         self.txn_invoke: List[int] = []
         self.txn_complete: List[int] = []  # -1 = completion unobserved
+        #: Position of the latest committed transaction of the same
+        #: process invoked before this one (-1: none).  Final when the row
+        #: is appended: a process invokes nothing while a transaction of
+        #: it is pending, so every earlier one already has its outcome.
+        self.txn_prev: List[int] = []
         #: 1 where the transaction *could* witness an internal-consistency
         #: anomaly: some read-with-value follows an earlier micro-op on the
         #: same key.  The per-txn internal check is skipped everywhere else.
         self.internal_candidates = bytearray()
-        #: Process -> its transactions' positions, in invocation order.
-        self.proc_positions: Dict[int, List[int]] = {}
+        #: The completion log: committed transactions with an observed
+        #: completion, in completion order — completion index, running
+        #: maximum of their invocation indices, and id.  Append-only,
+        #: because every extension's completions come after all earlier
+        #: ones (op indices strictly increase).
+        self.rt_complete = array("q")
+        self.rt_reach = array("q")
+        self.rt_ids = array("q")
+        #: Process -> its latest committed position (feeds ``txn_prev``).
+        self._last_committed: Dict[int, int] = {}
         #: Census of micro-op function names seen anywhere in the history.
         #: Grows monotonically (an upgrade never removes entries); workload
         #: validation uses it to skip its per-mop scan when every function
@@ -330,6 +351,7 @@ class HistoryIndex:
             scan = self._scan_txn
             for pos, txn in enumerate(self.transactions):
                 scan(pos, txn)
+            self._log_completions(np.arange(len(self.transactions)))
         with stage(profile, "index/orders"):
             self._regenerate_orders()
         if profile is not None:
@@ -369,7 +391,8 @@ class HistoryIndex:
         by :meth:`_scan_txn` (which walks the micro-ops anyway); callers
         must scan each registered transaction exactly once, in order.
         """
-        proc_map = self.proc_positions
+        last_committed = self._last_committed
+        prev_append = self.txn_prev.append
         ids_append = self.txn_ids.append
         process_append = self.txn_process.append
         committed_append = self.txn_committed.append
@@ -381,13 +404,12 @@ class HistoryIndex:
         for offset, txn in enumerate(txns):
             pos = base + offset
             process = txn.process
-            positions = proc_map.get(process)
-            if positions is None:
-                positions = proc_map[process] = []
-            positions.append(pos)
+            prev_append(last_committed.get(process, -1))
             ids_append(txn.id)
             process_append(process)
             type_ = txn.type
+            if type_ is ok:
+                last_committed[process] = pos
             committed_append(1 if type_ is ok else 0)
             aborted_append(1 if type_ is fail else 0)
             invoke_append(txn.invoke_index)
@@ -395,13 +417,40 @@ class HistoryIndex:
             complete_append(-1 if complete is None else complete)
 
     def _update_txn(self, pos: int, txn: Transaction) -> None:
-        """Refresh one position's columns after an in-place upgrade."""
+        """Refresh one position's columns after an in-place upgrade.
+
+        The upgraded transaction is its process's latest (it was pending),
+        so a commit makes it the process's latest committed one.
+        """
         type_ = txn.type
+        if type_ is OpType.OK:
+            self._last_committed[txn.process] = pos
         self.txn_committed[pos] = 1 if type_ is OpType.OK else 0
         self.txn_aborted[pos] = 1 if type_ is OpType.FAIL else 0
         complete = txn.complete_index
         self.txn_complete[pos] = -1 if complete is None else complete
         self.internal_candidates[pos] = self._internal_candidate(txn)
+
+    def _log_completions(self, positions: np.ndarray) -> None:
+        """Append the committed, completed ``positions`` to the completion log.
+
+        Sorted by completion index first; each is later than every entry
+        already logged.
+        """
+        committed = np.frombuffer(self.txn_committed, dtype=np.uint8)
+        positions = positions[committed[positions] != 0]
+        at = take(self.txn_complete, positions)
+        observed = at >= 0
+        if not observed.any():
+            return
+        order = np.argsort(at[observed], kind="stable")
+        positions = positions[observed][order]
+        reach = np.maximum.accumulate(take(self.txn_invoke, positions))
+        if self.rt_reach:
+            reach = np.maximum(reach, self.rt_reach[-1])
+        self.rt_complete.frombytes(at[observed][order].tobytes())
+        self.rt_reach.frombytes(reach.tobytes())
+        self.rt_ids.frombytes(take(self.txn_ids, positions).tobytes())
 
     @staticmethod
     def _internal_candidate(txn: Transaction) -> int:
@@ -439,9 +488,9 @@ class HistoryIndex:
             key = mop.key
             entry = slices.get(key)
             if entry is None:
+                if key in self.retired_keys:
+                    raise RetiredKeyError(key)
                 entry = slices[key] = KeySlice(key)
-            elif entry.retired:
-                raise RetiredKeyError(key)
             entry.version = clock
             if entry.first_seq is None:
                 entry.first_seq = (pos, mop_seq)
@@ -558,9 +607,11 @@ class HistoryIndex:
         pos_of = self.pos_by_id
         dirty: Set[Any] = set()
         extra_scan: Dict[Any, Set[int]] = {}
+        completed: List[int] = []
         for old, new in upgraded:
             position = pos_of[new.id]
             self._update_txn(position, new)
+            completed.append(position)
             for mop in old.mops:
                 dirty.add(mop.key)
             for mop in new.mops:
@@ -574,6 +625,8 @@ class HistoryIndex:
             self._scan_txn(base + offset, txn)
             for mop in txn.mops:
                 dirty.add(mop.key)
+        completed.extend(range(base, len(self.transactions)))
+        self._log_completions(np.asarray(completed, dtype=np.int64))
         self._regenerate_orders()
         return dirty
 
@@ -587,12 +640,13 @@ class HistoryIndex:
         """
         entry = self.slices.get(key)
         if entry is None:
+            if key in self.retired_keys:
+                # Unreachable when retirement eligibility held (a
+                # provisional transaction on the key blocks retiring it);
+                # kept as a loud guard rather than silently rebuilding
+                # from an empty stream.
+                raise RetiredKeyError(key)
             entry = self.slices[key] = KeySlice(key)
-        elif entry.retired:
-            # Unreachable when retirement eligibility held (a provisional
-            # transaction on the key blocks retiring it); kept as a loud
-            # guard rather than silently rebuilding from an empty stream.
-            raise RetiredKeyError(key)
         positions = set(entry.op_txn)
         positions.update(extra_positions)
         entry._reset()
@@ -612,41 +666,30 @@ class HistoryIndex:
     # Retirement (settled-prefix garbage collection)
 
     def retire(self, keys: Iterable[Any]) -> Tuple[int, int]:
-        """Drop the per-op storage of settled keys.
+        """Drop the slices of settled keys.
 
-        Each key's slice becomes a *stub*: identity fields (``key``,
-        ``first_seq``, ``first_read_seq``) survive so the key keeps its
-        place in both key orderings, but the streams, write index, and
-        interaction lists are
-        released and the slice is flagged ``retired`` (any later operation
-        on the key raises :class:`~repro.errors.RetiredKeyError`).  Settled
-        transactions are released by
+        Each key's slice is released and its name joins ``retired_keys``
+        (any later operation on the key raises
+        :class:`~repro.errors.RetiredKeyError`); the key leaves both key
+        orders, so everything that walks slices or key orders covers live
+        keys only.  Settled transactions are released by
         :meth:`~repro.history.history.History.retire_transactions`, which
         clears the shared transaction list; the per-position transaction
-        columns are *kept*: process and realtime order edges re-derive from
-        them on every extension, so retired transactions keep contributing
-        exactly the order edges they always did.  Returns
+        columns and the completion log are *kept*: a live transaction's
+        order in-edges may come from a retired one.  Returns
         ``(slots_dropped, values_dropped)`` for accounting.
         """
         slots = values = 0
-        clock = self._clock
+        slices = self.slices
         for key in keys:
-            entry = self.slices.get(key)
-            if entry is None or entry.retired:
+            entry = slices.pop(key, None)
+            if entry is None:
                 continue
             slots += len(entry.op_txn)
             values += len(entry.w_val) + len(entry.r_val)
-            clock += 1
-            # _reset clears the ordering fields with everything else; the
-            # stub must keep its place in both key orders, so pin them.
-            first_seq = entry.first_seq
-            first_read_seq = entry.first_read_seq
-            entry._reset()
-            entry.first_seq = first_seq
-            entry.first_read_seq = first_read_seq
-            entry.retired = True
-            entry.version = clock
-        self._clock = clock
+            self.retired_keys.add(key)
+        self._clock += 1
+        self._regenerate_orders()
         return slots, values
 
     @property
@@ -783,6 +826,16 @@ class HistoryIndex:
             f"HistoryIndex({len(self.transactions)} txns, "
             f"{len(self.slices)} keys)"
         )
+
+
+def take(column: Sequence[int], positions: np.ndarray) -> np.ndarray:
+    """``column[positions]`` as int64, converting the whole column only
+    when the positions cover a good share of it."""
+    if 8 * len(positions) >= len(column):
+        return np.asarray(column, dtype=np.int64)[positions]
+    return np.fromiter(
+        map(column.__getitem__, positions.tolist()), np.int64, len(positions)
+    )
 
 
 # ---------------------------------------------------------------------------

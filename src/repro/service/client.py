@@ -31,12 +31,13 @@ import socket
 import time
 import uuid
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import replace
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..db import INJECTORS, Isolation
 from ..errors import ServiceError, ServiceUnavailableError
 from ..generator import RunConfig, WorkloadConfig, run_workload
-from ..history.ops import Op
+from ..history.ops import Op, OpType
 from ..obs import percentiles
 from .protocol import decode_frame, encode_frame, encode_ops
 
@@ -449,6 +450,41 @@ def session_workload(
         )
     )
     return list(history.ops)
+
+
+def rotating_stream(waves: Iterable[Sequence[Op]]) -> List[Op]:
+    """Concatenate waves into one forever-stream that retirement can settle.
+
+    Each wave is shifted past the op indices, integer keys and processes
+    of the waves before it, and loses the invocations it left in flight
+    (a never-completed invoke pins its keys and dependents forever).
+    """
+    stream: List[Op] = []
+    key_base = process_base = 0
+    for ops in waves:
+        last = {op.process: op for op in ops}
+        dangling = {op.index for op in last.values() if op.type is OpType.INVOKE}
+        ops = [op for op in ops if op.index not in dangling]
+        if not ops:
+            continue
+        index_base = stream[-1].index + 1 - ops[0].index if stream else 0
+        for op in ops:
+            value = op.value
+            if value is not None:
+                value = tuple(replace(m, key=m.key + key_base) for m in value)
+            stream.append(
+                replace(
+                    op,
+                    index=op.index + index_base,
+                    process=op.process + process_base,
+                    value=value,
+                )
+            )
+        key_base += 1 + max(
+            (m.key for op in ops if op.value for m in op.value), default=-1
+        )
+        process_base += 1 + max(op.process for op in ops)
+    return stream
 
 
 def run_load(

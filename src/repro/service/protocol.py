@@ -50,7 +50,9 @@ Request frames (client to server):
     ``{"type": "stats"}`` or ``{"type": "stats", "session": ...}`` —
     server-wide or per-session counters, including the governance
     numbers (``resident_ops``, ``retired_ops``, ``est_bytes``,
-    ``shed_opens``, ``quota_trips``, scheduler ``deficit``), the
+    ``shed_opens``, ``quota_trips``, scheduler ``deficit``), each
+    session's ``live_txns`` (the window every chunk re-checks) and
+    ``frozen_edges`` (the retired block it never touches), the
     daemon's ``uptime_seconds``/``started_at``, and each session's
     ``last_chunk_ms`` p50/p95/p99 digest.
 

@@ -445,6 +445,8 @@ class Session:
                 for name, value in percentiles(self.chunk_ms_window).items()
             },
             "resident_ops": self.resident_ops,
+            "live_txns": self.checker.live_txns,
+            "frozen_edges": self.checker.frozen_edges,
             "retired_ops": self.retired_ops,
             "retired_txns": self.txns_retired,
             "est_bytes": self.est_bytes,

@@ -259,3 +259,46 @@ class TestSliceRecreation:
         # No cached-index extension before the index is built:
         fresh = History(())
         assert fresh.extend(self.OPS[:2]).dirty_keys is None
+
+
+def rotating_waves(waves, txns=150, seed=1):
+    """One tidb-retry list-append wave, re-based ``waves`` times.
+
+    Every copy settles the same way, so a retiring stream's live window
+    is periodic.
+    """
+    from repro.service.client import rotating_stream, session_workload
+
+    wave = session_workload(
+        fault="tidb-retry", seed=seed, txns=txns, max_writes_per_key=4
+    )
+    return rotating_stream([wave] * waves)
+
+
+class TestRetiringStreamCostsItsWindow:
+    """A retiring stream's per-chunk graph is its live window, not its age."""
+
+    @staticmethod
+    def graph_sizes(waves):
+        from repro.core.profiling import Profile
+
+        checker = StreamingChecker()
+        sizes = []
+        ops = rotating_waves(waves)
+        for start in range(0, len(ops), 100):
+            profile = Profile()
+            checker.extend(ops[start : start + 100], profile=profile)
+            checker.retire(min_idle_txns=50)
+            counters = profile.counters
+            sizes.append((counters["graph.nodes"], counters["graph.edges"]))
+        return sizes, checker
+
+    def test_graph_does_not_grow_with_the_stream(self):
+        short, _ = self.graph_sizes(4)
+        long, checker = self.graph_sizes(16)
+        tail = long[len(long) * 4 // 5 :]
+        assert checker.retired_txns > 0.8 * len(checker.history)
+        for column in (0, 1):
+            assert max(s[column] for s in tail) <= max(s[column] for s in short)
+        # The frozen block holds what the live graph no longer does.
+        assert checker.frozen_edges > max(s[1] for s in long)

@@ -354,6 +354,42 @@ class TestWholeIndexPass:
         assert result.analysis.evidence
         assert calls == []
 
+    @pytest.mark.parametrize("workload", ["rw-register", "list-append"])
+    def test_sharded_check_runs_the_whole_index_pass(self, monkeypatch, workload):
+        # ``--shards`` serves only plans without a whole-index pass: no
+        # pool is made and no key goes through analyze_key.
+        import repro.core.keyspace as keyspace_mod
+        from repro.core.list_append import ListAppendPlan
+
+        plan = RwRegisterPlan if workload == "rw-register" else ListAppendPlan
+        if workload == "rw-register":
+            history = stale_register_history()
+            options = {"sources": sorted(KNOWN_SOURCES)}
+        else:
+            # Clean: no key falls back to the per-key walk.
+            history = run_workload(
+                RunConfig(txns=400, concurrency=8, seed=4, crash_probability=0.0)
+            )
+            options = {}
+        calls = []
+        per_key = plan.analyze_key
+
+        def counting(self, key):
+            calls.append(key)
+            return per_key(self, key)
+
+        def no_pool(*args):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(plan, "analyze_key", counting)
+        monkeypatch.setattr(keyspace_mod, "_make_pool", no_pool)
+        sharded = check(history, workload=workload, shards=2, **options)
+        monkeypatch.undo()
+        assert calls == []
+        assert sharded.report() == check(
+            history, workload=workload, **options
+        ).report()
+
     def test_single_bit_lookups_match_the_full_replay(self):
         # Cycle explanations look records up one bit at a time; each must
         # be the record a full evidence read holds, and none may replay.

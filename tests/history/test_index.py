@@ -108,8 +108,9 @@ class TestIndexContents:
         b.invoke(0, [append("x", 3)])
         b.ok(0, [append("x", 3)])
         index = b.build().index()
-        assert index.proc_positions == {0: [0, 2], 1: [1]}
-        assert [index.txn_ids[p] for p in index.proc_positions[0]] == [0, 4]
+        # Each position's nearest earlier committed one on its process.
+        assert index.txn_prev == [-1, -1, 0]
+        assert [index.txn_ids[p] for p in (index.txn_prev[2], 2)] == [0, 4]
 
     def test_intervals_exclude_indeterminate(self):
         b = HistoryBuilder()
@@ -177,7 +178,8 @@ def index_signature(index):
             )
             for key, sl in index.slices.items()
         },
-        index.proc_positions,
+        index.txn_prev,
+        (list(index.rt_complete), list(index.rt_reach), list(index.rt_ids)),
         index.first_duplicate and index.first_duplicate[0],
         index.first_none_write and index.first_none_write[0],
     )

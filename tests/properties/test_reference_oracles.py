@@ -108,29 +108,39 @@ def sweep_pairs(
     return sources, targets
 
 
-def ref_add_process_edges(analysis) -> None:
-    """Each process's chain, walked transaction by transaction."""
+def ref_add_process_edges(analysis, targets=None) -> None:
+    """Each process's chain, walked transaction by transaction.
+
+    ``targets`` keeps only the edges into those positions.
+    """
     index = analysis.history.index()
     committed = index.txn_committed
     aborted = index.txn_aborted
     ids = index.txn_ids
-    for positions in index.proc_positions.values():
+    chains = {}
+    for pos, process in enumerate(index.txn_process):
+        chains.setdefault(process, []).append(pos)
+    wanted = range(len(ids)) if targets is None else set(targets)
+    for positions in chains.values():
         sources: List[int] = []
-        targets: List[int] = []
+        targets_: List[int] = []
         last_committed = -1
         for pos in positions:
             if aborted[pos]:
                 continue
-            if last_committed >= 0:
+            if last_committed >= 0 and pos in wanted:
                 sources.append(ids[last_committed])
-                targets.append(ids[pos])
+                targets_.append(ids[pos])
             if committed[pos]:
                 last_committed = pos
-        analysis.graph.add_edge_arrays(sources, targets, PROCESS)
+        analysis.graph.add_edge_arrays(sources, targets_, PROCESS)
 
 
-def ref_add_realtime_edges(analysis) -> None:
-    """Realtime intervals prepared one transaction at a time, then swept."""
+def ref_add_realtime_edges(analysis, targets=None) -> None:
+    """Realtime intervals prepared one transaction at a time, then swept.
+
+    ``targets`` keeps only the edges into those positions.
+    """
     history = analysis.history
     index = history.index()
     committed = index.txn_committed
@@ -150,8 +160,13 @@ def ref_add_realtime_edges(analysis) -> None:
             # Indeterminate: the true completion is unobserved.
             sentinel += 1
             iv_complete.append(sentinel)
-    sources, targets = sweep_pairs(iv_ids, iv_invoke, iv_complete)
-    analysis.graph.add_edge_arrays(sources, targets, REALTIME)
+    sources, sinks = sweep_pairs(iv_ids, iv_invoke, iv_complete)
+    if targets is not None:
+        wanted = {index.txn_ids[pos] for pos in targets}
+        kept = [(u, v) for u, v in zip(sources, sinks) if v in wanted]
+        sources = [u for u, _v in kept]
+        sinks = [v for _u, v in kept]
+    analysis.graph.add_edge_arrays(sources, sinks, REALTIME)
 
 
 def ref_internal_candidate_positions(index, lo: int, hi: int) -> List[int]:

@@ -174,6 +174,24 @@ class TestRetirementEquivalence:
         final = checker.extend(())
         assert result_signature(final.result) == result_signature(batch)
 
+    def test_verdicts_read_after_the_stream_moved_on(self):
+        # A verdict's graph and evidence join the frozen block only when
+        # read; read after later chunks and retirements, each must still
+        # be its own prefix's batch analysis.
+        history = make_history("list-append", "tidb-retry", seed=41)
+        ops = list(history.ops)
+        checker = StreamingChecker()
+        seen = 0
+        verdicts = []
+        for chunk in chunked(ops, (299, 601, 1103)):
+            seen += len(chunk)
+            verdicts.append((seen, checker.extend(chunk).result))
+            checker.retire(allowed_keys=settled_keys(checker, ops[seen:]))
+        assert checker.retired_txns > 0
+        for seen, result in verdicts:
+            prefix = check(History(ops[:seen]))
+            assert result_signature(result) == result_signature(prefix)
+
     def test_retire_composes_with_checkpoint_restore(self):
         # The durable-session path: a retired checker pickles (minus its
         # result, exactly as service checkpoints do) and the restored
@@ -250,8 +268,7 @@ class TestRetiredKeyContract:
 
     def test_recurrence_raises_and_poisons(self):
         checker = self._retired_checker()
-        slices = checker.history.index().slices
-        key = next(key for key, sl in slices.items() if sl.retired)
+        key = next(iter(checker.history.index().retired_keys))
         base = checker.history.max_index + 1
         mops = (MicroOp(APPEND, key, 10**9),)
         bad = [

@@ -283,8 +283,14 @@ class TestRecoveryOracle:
 
     @pytest.mark.parametrize(
         "stale",
-        [b"REPROCKPT1\n", b"REPROCKPT2\n", b"REPROCKPT3\n", b"REPROCKPT4\n"],
-        ids=["REPROCKPT1", "REPROCKPT2", "REPROCKPT3", "REPROCKPT4"],
+        [
+            b"REPROCKPT1\n",
+            b"REPROCKPT2\n",
+            b"REPROCKPT3\n",
+            b"REPROCKPT4\n",
+            b"REPROCKPT5\n",
+        ],
+        ids=["REPROCKPT1", "REPROCKPT2", "REPROCKPT3", "REPROCKPT4", "REPROCKPT5"],
     )
     def test_stale_magic_checkpoint_is_skipped(self, tmp_path, stale):
         """A checkpoint from an older payload layout is never unpickled.
@@ -296,7 +302,9 @@ class TestRecoveryOracle:
         produces; ``REPROCKPT3`` checkpoints hold tagged frozen batches and
         merge positions; ``REPROCKPT4`` checkpoints hold register batches
         whose ``cyclic-versions`` values follow first emission, not the
-        canonical version order.  Recovery must skip every one and replay
+        canonical version order; ``REPROCKPT5`` checkpoints hold whole
+        frozen key batches, re-merged on every chunk, where the checker now
+        keeps a frozen edge block.  Recovery must skip every one and replay
         the whole WAL to the batch report.
         """
         ops = session_workload(txns=60, seed=4, **FAULTY)
@@ -317,7 +325,7 @@ class TestRecoveryOracle:
         store = durability.store("chaos")
         checkpoints = store.checkpoint_paths()
         assert checkpoints, "cadence should have produced checkpoints"
-        assert CHECKPOINT_MAGIC == b"REPROCKPT5\n"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT6\n"
         for path in checkpoints:
             blob = open(path, "rb").read()
             with open(path, "wb") as fh:

@@ -378,6 +378,9 @@ class TestWireGovernance:
             "retired_ops"
         ] == len(ops)
         assert "deficit" in session_stats
+        # The window each chunk re-checks, beside the block it never does.
+        assert session_stats["frozen_edges"] > 0
+        assert 0 <= session_stats["live_txns"] < len(ops) // 2
         # The final stats snapshot (what --stats-json writes) carries the
         # same governance counters.
         assert "retired_ops" in record["server"]
