@@ -3,12 +3,13 @@
 A daemon session with auto-retirement keeps O(window) ops resident, and
 each analysis chunk should cost O(window) too, however long the session
 has run.  This benchmark replays the shape of perfbench's
-``serve-durable`` stream in-process: for each session (a clean database
-and the ``tidb-retry`` injector) ``--waves`` rotating-keyspace
-list-append waves of 150 transactions, re-based into one stream
-(:func:`repro.service.client.rotating_stream`), are fed to a
-:class:`~repro.core.incremental.StreamingChecker` in ``--chunk-ops``
-chunks with ``retire(min_idle_txns=50)`` after every chunk.
+``serve-durable`` stream in-process: for each session (list-append on a
+clean database and with the ``tidb-retry`` injector, and rw-register on a
+clean database) ``--waves`` rotating-keyspace waves of 150 transactions,
+re-based into one stream (:func:`repro.service.client.rotating_stream`),
+are fed to a :class:`~repro.core.incremental.StreamingChecker` in
+``--chunk-ops`` chunks with ``retire(min_idle_txns=50)`` after every
+chunk.
 
 Each chunk's CPU time (extend plus retire) and stage profile are split
 into quintiles of the stream.  The stream is replayed ``--repeats``
@@ -44,16 +45,22 @@ from repro.core.incremental import StreamingChecker
 from repro.core.profiling import Profile
 from repro.service.client import rotating_stream, session_workload
 
-SESSIONS = {"clean": None, "retry": "tidb-retry"}
+#: Session name -> (workload, fault injector).
+SESSIONS = {
+    "clean": ("list-append", None),
+    "retry": ("list-append", "tidb-retry"),
+    "register": ("rw-register", None),
+}
 WAVE_TXNS = 150
 RETIRE_IDLE_TXNS = 50
 STAGES = ("stream/merge", "stream/orders", "freeze", "cycle-search", "retire")
 
 
-def session_stream(seed: int, slot: int, fault, waves: int):
+def session_stream(seed: int, slot: int, workload: str, fault, waves: int):
     """``waves`` rotating-keyspace waves, each with its own seed."""
     return rotating_stream(
         session_workload(
+            workload=workload,
             fault=fault,
             seed=(seed * 1_000_003 + wave) * 2 + slot,
             txns=WAVE_TXNS,
@@ -64,13 +71,13 @@ def session_stream(seed: int, slot: int, fault, waves: int):
     )
 
 
-def replay(ops, chunk_ops: int):
+def replay(workload: str, ops, chunk_ops: int):
     """Per-chunk ``(seconds, profile)`` for one retiring stream.
 
     A chunk's cost is its CPU time: on a shared host the wall clock also
     counts the time other tenants held the processor.
     """
-    checker = StreamingChecker()
+    checker = StreamingChecker(workload=workload)
     rows = []
     for start in range(0, len(ops), chunk_ops):
         profile = Profile()
@@ -135,20 +142,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     streams = {
-        name: session_stream(args.seed, slot, fault, args.waves)
-        for slot, (name, fault) in enumerate(SESSIONS.items())
+        name: session_stream(args.seed, slot, workload, fault, args.waves)
+        for slot, (name, (workload, fault)) in enumerate(SESSIONS.items())
     }
     replays = {name: [] for name in streams}
     checkers = {}
     for _ in range(args.repeats):
         for name, ops in streams.items():
-            rows, checkers[name] = replay(ops, args.chunk_ops)
+            workload = SESSIONS[name][0]
+            rows, checkers[name] = replay(workload, ops, args.chunk_ops)
             replays[name].append(rows)
     results = [summarize(name, replays[name], checkers[name]) for name in streams]
 
     for row in results:
         print(
-            f"{row['session']:6s} {row['chunks']} chunks, "
+            f"{row['session']:8s} {row['chunks']} chunks, "
             f"resident {row['resident_ops']} ops, "
             f"{row['retired_txns']} txns retired, "
             f"last/first quintile {row['ratio']:.2f}x"

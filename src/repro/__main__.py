@@ -14,9 +14,10 @@ Jepsen tests are.
 Real observations work too: ``--in history.jsonl`` checks a JSON-lines
 history captured from an actual system instead of generating one (``--in -``
 reads stdin), and ``--dump-history out.jsonl`` saves whatever was checked
-for replay.  ``--shards N`` fans the per-key dependency inference across N
-worker processes (identical verdicts; the pool path skips the columnar
-screen, so it measured slower than the inline default on 2 vCPUs).
+for replay.  ``--shards N`` fans the per-key dependency inference of
+grow-set and counter across N worker processes (identical verdicts);
+list-append and rw-register run their whole-index pass inline whatever
+``--shards`` says.
 
 ``--follow`` switches to the streaming incremental checker: operations are
 consumed in chunks of ``--chunk`` (from ``--in``/stdin, or from the
@@ -109,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="partition per-key dependency inference across N worker "
-        "processes (1 = inline, the fastest measured: the pool path skips "
-        "the columnar screen; results are identical either way)",
+        help="partition grow-set and counter inference across N worker "
+        "processes (1 = inline; list-append and rw-register always run "
+        "their whole-index pass inline; results are identical either way)",
     )
     parser.add_argument(
         "--in",

@@ -126,8 +126,10 @@ def analyze(
     ``sources`` for rw-register, go to the plan, which also validates the
     observation), run it with :func:`~repro.core.keyspace.execute_plan`,
     then add the §5.1 order edges.  ``shards`` fans the per-key analysis
-    across a process pool (``1`` = inline, identical results either way);
-    ``profile`` collects the per-stage timings.
+    of plans without a whole-index pass (grow-set, counter) across a
+    process pool (``1`` = inline, identical results either way);
+    list-append and rw-register run their whole-index pass whatever it
+    says.  ``profile`` collects the per-stage timings.
     """
     try:
         plan_class = PLANS[workload]
@@ -164,9 +166,10 @@ def check(
     ``rw-register``, ``grow-set``, ``counter``).  ``process_edges`` /
     ``realtime_edges`` control the §5.1 order inference; disable
     ``realtime_edges`` when the database makes no real-time claims.
-    ``shards`` partitions the per-key analysis across a
-    ``multiprocessing`` pool (``python -m repro --shards``); results are
-    identical to ``shards=1``.  ``profile``, when given, collects
+    ``shards`` partitions the per-key analysis of grow-set and counter
+    across a ``multiprocessing`` pool (``python -m repro --shards``);
+    list-append and rw-register take their whole-index pass at any
+    shard count.  Results are identical to ``shards=1``.  ``profile``, when given, collects
     per-stage timings and SCC counters (see :mod:`repro.core.profiling`;
     ``python -m repro --profile`` prints them).  Extra keyword options
     pass through to :func:`analyze` (``timestamp_edges``) or to the plan

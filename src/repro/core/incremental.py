@@ -12,8 +12,11 @@ so far — with the expensive half of the work made incremental:
   extended in place (:meth:`~repro.history.history.History.extend`), never
   re-scanned;
 * per-key analysis batches are cached and recomputed only for *dirty* keys
-  — those whose slice changed, detected by the slice ``version`` counter
-  (a batch depends on its key alone, never on the key's rank);
+  — those whose slice changed, detected by the slice ``version`` counter.
+  A batch depends on its key alone, never on the key's rank or on the
+  keys analyzed with it, so each chunk re-analyzes its stale keys in one
+  :meth:`~repro.core.keyspace.KeyspacePlan.analyze_keys` call (for
+  rw-register, one version-graph pass over those keys);
 * internal-consistency results are cached per transaction and refreshed
   only for transactions the chunk added or upgraded;
 * each chunk re-checks only the *live window* — the transactions not yet
@@ -331,22 +334,24 @@ class StreamingChecker:
             # would otherwise linger in the cache forever.
             for key in delta.dirty_keys or ():
                 cache.pop(key, None)
-            reused = reanalyzed = 0
+            # One plan call re-analyzes every stale key.
+            keys = plan.keys()
+            slices = index.slices
+            stale = [
+                key
+                for key in keys
+                if cache.get(key, (None,))[0] != slices[key].version
+            ]
+            for key, batch in zip(stale, plan.analyze_keys(stale)):
+                cache[key] = (slices[key].version, batch)
+            reanalyzed = len(stale)
+            reused = len(keys) - reanalyzed
             rank_of = attrgetter(plan.key_rank)
-            for key in plan.keys():
-                slice_ = index.slices[key]
-                entry = cache.get(key)
-                if entry is not None and entry[0] == slice_.version:
-                    batch = entry[1]
-                    reused += 1
-                else:
-                    batch = plan.analyze_key(key)
-                    cache[key] = (slice_.version, batch)
-                    reanalyzed += 1
-                key_anomalies, fragment = batch
+            for key in keys:
+                key_anomalies, fragment = cache[key][1]
                 anomalies.extend(key_anomalies)
                 if fragment:
-                    ranked.append((rank_of(slice_), fragment))
+                    ranked.append((rank_of(slices[key]), fragment))
             # Frozen keys' edges into live transactions keep their place
             # in key order (evidence precedence) among the live keys'.
             if self._residual:

@@ -4,10 +4,12 @@ Elle's dependency inference is separable by key (§4–§5): version orders,
 write indexes, and ww/wr/rw edges are all derived from one key's micro-op
 stream at a time.  This module is the execution engine that exploits that
 separability.  Each analyzer contributes a :class:`KeyspacePlan` — a recipe
-that turns one :class:`~repro.history.index.KeySlice` into *batches* of
-anomalies and evidence-carrying edges — and :func:`execute_plan` runs the
-plan over every key, either inline or across a ``multiprocessing`` pool,
-then merges the batches into the :class:`~repro.core.analysis.Analysis`.
+that turns a list of keys into one *batch* per key of anomalies and
+evidence-carrying edges (:meth:`KeyspacePlan.analyze_keys`), a batch
+depending on its key alone — and :func:`execute_plan` runs the plan over
+every key, in one whole-index pass or in key ranges, inline or across a
+``multiprocessing`` pool, then merges the batches into the
+:class:`~repro.core.analysis.Analysis`.
 
 **Determinism.**  Nothing in the result depends on emission order.  A
 key's batch is its anomalies plus one evidence fragment.  The merge puts
@@ -173,11 +175,11 @@ class KeyspacePlan:
     Subclasses set :attr:`workload`, validate the observation's
     recoverability contract in ``__init__`` (raising
     :class:`~repro.errors.WorkloadError` in the parent, deterministically),
-    and implement :meth:`analyze_key`.  The base constructor first rejects
-    micro-ops foreign to the workload, so that error outranks every
-    contract check a subclass runs after it.  ``plan_options`` must
-    capture the constructor keywords so a ``spawn``-based worker can
-    rebuild the plan from the pickled history.
+    and implement :meth:`analyze_key` or :meth:`analyze_keys`.  The base
+    constructor first rejects micro-ops foreign to the workload, so that
+    error outranks every contract check a subclass runs after it.
+    ``plan_options`` must capture the constructor keywords so a
+    ``spawn``-based worker can rebuild the plan from the pickled history.
     """
 
     workload: str = ""
@@ -200,6 +202,16 @@ class KeyspacePlan:
         """The anomalies and evidence fragment derived from one key."""
         raise NotImplementedError
 
+    def analyze_keys(self, keys: Sequence[Any]) -> List[Batch]:
+        """The batches of ``keys``, in order; each depends on its key alone.
+
+        The unit of work of the streaming checker (a chunk's stale keys)
+        and of the worker pool (a key range).  The default runs
+        :meth:`analyze_key` per key; rw-register runs one pass over the
+        key list and splits it by key.
+        """
+        return list(map(self.analyze_key, keys))
+
     def analyze_index(
         self, analysis: Analysis, profile: Optional[Profile] = None
     ) -> bool:
@@ -207,9 +219,9 @@ class KeyspacePlan:
 
         Returns ``True`` when the plan fully handled the analysis
         (including the merge into ``analysis`` and its evidence source);
-        ``False`` to fall back to the classic per-key chunk path.  The
-        list-append and rw-register plans override it; grow-set and
-        counter always run the per-key :meth:`analyze_key` path.
+        ``False`` to fall back to the chunk path over
+        :meth:`analyze_keys`.  The list-append and rw-register plans
+        override it; grow-set and counter always run the chunk path.
         """
         return False
 
@@ -279,9 +291,7 @@ def _analyze_chunk(
     """One worker's share: a transaction range and a key range."""
     anomalies = plan.internal_anomalies(txn_lo, txn_hi)
     fragments: List[Dict[EdgeKey, Evidence]] = []
-    analyze_key = plan.analyze_key
-    for key in plan.keys()[key_lo:key_hi]:
-        key_anomalies, fragment = analyze_key(key)
+    for key_anomalies, fragment in plan.analyze_keys(plan.keys()[key_lo:key_hi]):
         anomalies.extend(key_anomalies)
         if fragment:
             fragments.append(fragment)
@@ -349,7 +359,8 @@ def execute_plan(
     plan without one declines, and its per-key work runs inline
     (``shards=1``) or fans out, with the internal-consistency sweep,
     across ``N`` worker processes.  The merged result is identical to the
-    sequential run by construction.
+    sequential run by construction.  The ``keyspace.shards`` counter
+    records the pool's size, so only a run that started a pool has it.
     """
     global _WORKER_PLAN
     shards = max(1, int(shards))
@@ -357,7 +368,6 @@ def execute_plan(
     shards = min(shards, work_units)
     if profile is not None:
         profile.count("keyspace.keys", len(plan.keys()))
-        profile.count("keyspace.shards", shards)
 
     if plan.analyze_index(analysis, profile):
         return
@@ -367,6 +377,8 @@ def execute_plan(
         with stage(profile, "analyze/keys"):
             chunks = [_analyze_chunk(plan, 0, n_txns, 0, n_keys)]
     else:
+        if profile is not None:
+            profile.count("keyspace.shards", shards)
         pool = _make_pool(plan, shards)
         bounds = _chunk_bounds(plan, shards)
         try:

@@ -24,8 +24,9 @@ Per key:
 
 Internal consistency (each transaction against its own ops) runs
 transaction-major alongside the plan, and optional session/real-time edges
-(§5.1) are added after the per-key batches merge.  ``shards=N`` fans the
-per-key work across a worker pool with byte-identical results.
+(§5.1) are added after the per-key batches merge.  A batch check runs the
+whole-index pass at any ``shards=N``: the worker pool serves only plans
+without one (grow-set, counter).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from ..errors import HistoryError
 from ..history import History
-from ..history.index import check_unique_writes
+from ..history.index import check_unique_writes, take
 from .analysis import Analysis, Evidence
 from .anomalies import (
     DIRTY_UPDATE,
@@ -210,7 +211,7 @@ class ListAppendPlan(KeyspacePlan):
             # read and installed (the per-key path only breaks the chain
             # on aborted or garbage elements).  ``s_final`` marks the
             # last append of each writer's run: the *installed* versions.
-            wm = cols.aborted[cols.w_txn] == 0
+            wm = take(index.txn_aborted, cols.w_txn) == 0
             w_indptr = cols.w_indptr
             cum = np.zeros(len(wm) + 1, dtype=np.int64)
             np.cumsum(wm, out=cum[1:])
@@ -320,13 +321,23 @@ class ListAppendPlan(KeyspacePlan):
                 nwriter = s_txn[np.where(rw_valid, base + r_len, 0)]
                 rw_emit = rw_valid & (nwriter != r_txn)
 
-                ids_np = cols.txn_ids
-                out_u = ids_np[
-                    np.concatenate((ww_u, producer[wr_emit], r_txn[rw_emit]))
-                ]
-                out_v = ids_np[
-                    np.concatenate((ww_v, r_txn[wr_emit], nwriter[rw_emit]))
-                ]
+                # One gather of transaction ids for both endpoint columns.
+                out_u, out_v = np.split(
+                    take(
+                        index.txn_ids,
+                        np.concatenate(
+                            (
+                                ww_u,
+                                producer[wr_emit],
+                                r_txn[rw_emit],
+                                ww_v,
+                                r_txn[wr_emit],
+                                nwriter[rw_emit],
+                            )
+                        ),
+                    ),
+                    2,
+                )
                 out_l = np.repeat(
                     np.array([WW, WR, RW], dtype=np.int64),
                     [len(ww_u), int(wr_emit.sum()), int(rw_emit.sum())],

@@ -35,32 +35,30 @@ Writes participate only when provably committed — the writer returned ok, or
 some committed read observed the value.  Lost updates surface when two
 committed read-modify-write transactions hang off the same version.
 
-The analysis runs as a keyspace-partitioned plan over the history's
-single-pass :class:`~repro.history.index.HistoryIndex`, in two forms with
-identical output.  A batch check takes one whole-index pass
-(:meth:`RwRegisterPlan.analyze_index`) over the index's flat columns: every
-version of every key is an int node of one global version graph, each
-source emits its version edges as int arrays over all keys at once, and
-one strongly-connected-component search flags every cyclic key.  The
-streaming checker re-analyzes only the keys a chunk touched, so it runs
-the per-key form (:meth:`RwRegisterPlan.analyze_key`), which derives one
-key's version DAG, read checks, and dependency edges from that key's
-:class:`~repro.history.index.KeySlice` alone; it is also the whole-index
-pass's reference.  Both read each key's *interacting* transactions
-directly instead of rescanning every transaction once per key, so the
-process / realtime sources cost O(ops) in total, not O(keys × txns).
+The analysis runs as a keyspace plan over the history's single-pass
+:class:`~repro.history.index.HistoryIndex`, on one path: a vectorized pass
+over the flat columns of a key list.  Every version of every key is an int
+node of one version graph, each source emits its version edges as int
+arrays over all the keys at once, and one strongly-connected-component
+search flags every cyclic key.  A batch check runs it over every key
+(:meth:`RwRegisterPlan.analyze_index`); the streaming checker runs it over
+the keys a chunk touched (:meth:`RwRegisterPlan.analyze_keys`) and splits
+the result into per-key batches, which depend on their key alone.  The
+pass groups each key's *interacting* transactions from its own slots
+instead of rescanning every transaction once per key, so the process /
+realtime sources cost O(ops) in total, not O(keys × txns).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graph import CSRGraph, interval_precedence_pairs
 from ..history import History
-from ..history.index import IndexColumns, check_unique_writes
+from ..history.index import IndexColumns, check_unique_writes, take
 from .analysis import Analysis, EdgeKey, Evidence
 from .anomalies import (
     CYCLIC_VERSIONS,
@@ -92,9 +90,6 @@ KNOWN_SOURCES = frozenset(
 
 #: Marker for the initial version in version graphs (registers start nil).
 INIT = None
-
-#: Distinguishes "no pinned version yet" from a pinned ``None`` (= INIT).
-_UNPINNED = object()
 
 
 def _validate_sources(sources: Sequence[str]) -> None:
@@ -176,8 +171,7 @@ def _lost_update(key, base, distinct):
     )
 
 
-#: Version-order source codes in the whole-index pass, in per-key
-#: emission order.
+#: Version-order source codes, in emission order within a key.
 _INITIAL, _WFR, _PROCESS, _REALTIME = range(4)
 
 
@@ -226,18 +220,20 @@ def _intern_versions(cols: IndexColumns, r_key: np.ndarray) -> _Versions:
     # Per key, ``first`` maps each written value to its first write slot
     # (iterating backwards, the first slot is stored last); a read of nil
     # resolves to -1 (INIT), an unwritten value to -2 (garbage).
-    w_first = np.empty(n_w, dtype=np.int64)
-    r_slot = np.empty(len(rv), dtype=np.int64)
+    w_first_l: List[int] = []
+    r_slot_l: List[int] = []
     w_bounds = cols.w_indptr.tolist()
     r_bounds = cols.r_indptr.tolist()
     for k in range(nk):
         lo, hi = w_bounds[k], w_bounds[k + 1]
         values = wv[lo:hi]
         first = dict(zip(reversed(values), range(hi - 1, lo - 1, -1)))
-        w_first[lo:hi] = list(map(first.__getitem__, values))
+        w_first_l.extend(map(first.__getitem__, values))
         first[INIT] = -1
         lo, hi = r_bounds[k], r_bounds[k + 1]
-        r_slot[lo:hi] = list(map(first.get, rv[lo:hi], repeat(-2)))
+        r_slot_l.extend(map(first.get, rv[lo:hi], repeat(-2)))
+    w_first = np.array(w_first_l, dtype=np.int64)
+    r_slot = np.array(r_slot_l, dtype=np.int64)
 
     # Garbage values number after the key's write slots, in first-read order.
     garbage_reads = np.flatnonzero(r_slot == -2)
@@ -290,6 +286,49 @@ def _intern_versions(cols: IndexColumns, r_key: np.ndarray) -> _Versions:
     )
 
 
+def _winners(rank: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each ``(u, v)`` pair's lowest-rank row, pairs ascending."""
+    order = np.lexsort((rank, v, u))
+    su = u[order]
+    sv = v[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+    return order[head]
+
+
+def _records(bit: int, value, prev, keys, versions: _Versions, values) -> Iterator:
+    """The Evidence records of one bit's rows, given their version nodes."""
+    record_keys = map(keys.__getitem__, versions.key[value].tolist())
+    record_values = map(values.__getitem__, value.tolist())
+    if prev is None:
+        record_prevs = repeat(None)
+    else:
+        record_prevs = map(values.__getitem__, prev.tolist())
+    # tuple.__new__ builds each record in C; the six-wide rows fill every
+    # Evidence field (via and process stay None for value edges).
+    return map(
+        tuple.__new__,
+        repeat(Evidence),
+        zip(
+            repeat(bit),
+            record_keys,
+            record_values,
+            record_prevs,
+            repeat(None),
+            repeat(None),
+        ),
+    )
+
+
+def _edges(bit: int, u, v, txn_ids: List[int]) -> Iterator:
+    """The ``(u, v, bit)`` edge keys of position columns ``u`` and ``v``."""
+    return zip(
+        map(txn_ids.__getitem__, u.tolist()),
+        map(txn_ids.__getitem__, v.tolist()),
+        repeat(bit),
+    )
+
+
 class _RegisterEvidence:
     """rw-register's deferred evidence source, over the pass's edge columns.
 
@@ -311,48 +350,16 @@ class _RegisterEvidence:
         #: ascending, their (value, prev) nodes in that order), on demand.
         self._found: Dict[int, Tuple[int, np.ndarray, np.ndarray, Any]] = {}
 
-    @staticmethod
-    def _winners(u, v, value, prev, rank):
-        order = np.lexsort((rank, v, u))
-        su = u[order]
-        sv = v[order]
-        head = np.ones(len(order), dtype=bool)
-        head[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
-        win = order[head]
-        return u[win], v[win], value[win], None if prev is None else prev[win]
-
     def __call__(self) -> List[Dict[EdgeKey, Evidence]]:
         ids = self._txn_ids
-        keys = self._keys
-        node_key = self._versions.key
-        values = self._versions.values(self._w_val)
+        versions = self._versions
+        values = versions.values(self._w_val)
         fragment: Dict[EdgeKey, Evidence] = {}
-        for bit, *columns in self._blocks:
-            u, v, value, prev = self._winners(*columns)
-            us = list(map(ids.__getitem__, u.tolist()))
-            vs = list(map(ids.__getitem__, v.tolist()))
-            record_keys = list(map(keys.__getitem__, node_key[value].tolist()))
-            record_values = list(map(values.__getitem__, value.tolist()))
-            if prev is None:
-                record_prevs = repeat(None)
-            else:
-                record_prevs = list(map(values.__getitem__, prev.tolist()))
-            # tuple.__new__ builds each record in C; the six-wide rows fill
-            # every Evidence field (via and process stay None for value
-            # edges).
-            records = map(
-                tuple.__new__,
-                repeat(Evidence),
-                zip(
-                    repeat(bit),
-                    record_keys,
-                    record_values,
-                    record_prevs,
-                    repeat(None),
-                    repeat(None),
-                ),
-            )
-            fragment.update(zip(zip(us, vs, repeat(bit)), records))
+        for bit, u, v, value, prev, rank in self._blocks:
+            win = _winners(rank, u, v)
+            prev = None if prev is None else prev[win]
+            records = _records(bit, value[win], prev, self._keys, versions, values)
+            fragment.update(zip(_edges(bit, u[win], v[win], ids), records))
         return [fragment]
 
     def find(self, edge: EdgeKey) -> Optional[Evidence]:
@@ -363,14 +370,14 @@ class _RegisterEvidence:
             ids = np.asarray(self._txn_ids, dtype=np.int64)
             width = int(ids.max()) + 1 if len(ids) else 1
             found = (width, np.empty(0, dtype=np.int64), None, None)
-            for block_bit, *columns in self._blocks:
+            for block_bit, wu, wv, value, prev, rank in self._blocks:
                 if block_bit == bit:
-                    wu, wv, value, prev = self._winners(*columns)
-                    codes = ids[wu] * width + ids[wv]
-                    order = np.argsort(codes)
+                    win = _winners(rank, wu, wv)
+                    codes = ids[wu[win]] * width + ids[wv[win]]
+                    order = win[np.argsort(codes)]
                     found = (
                         width,
-                        codes[order],
+                        np.sort(codes),
                         value[order],
                         None if prev is None else prev[order],
                     )
@@ -391,9 +398,24 @@ class _RegisterEvidence:
         )
 
 
+class _Findings(NamedTuple):
+    """One version-graph pass over a key list, before a merge or split."""
+
+    keys: List[Any]
+    versions: _Versions
+    w_val: List[Any]
+    #: Key by key: read checks in read order, cyclic-versions components,
+    #: then lost updates in the order their first edge was emitted.
+    anomalies: List[Anomaly]
+    anomaly_keys: List[int]  # each anomaly's key index
+    #: Evidence blocks ``(bit, u, v, value node, prev node or None, rank)``
+    #: over transaction positions; ranks ascend key by key.
+    blocks: Tuple[Tuple[Any, ...], ...]
+
+
 @register_plan
 class RwRegisterPlan(KeyspacePlan):
-    """Per-key rw-register analysis over the shared history index."""
+    """rw-register analysis over the shared history index."""
 
     workload = "rw-register"
     key_rank = "first_seq"
@@ -415,53 +437,117 @@ class RwRegisterPlan(KeyspacePlan):
             intermediate_after_aborted=False,
         )
 
-    # ------------------------------------------------------------------
-    # Whole-index columnar pass
-
     def analyze_index(self, analysis: Analysis, profile=None) -> bool:
-        """Analyze every key in one vectorized pass over one version graph.
+        """Analyze every key in one pass over one version graph.
 
-        Every version of every key becomes an int node (:class:`_Versions`:
-        the key's INIT, each written value's first write slot in the
-        ``w_*`` columns, each unwritten read value), and committed reads
-        resolve to their nodes in one ``(key, value)`` lookup pass.  Each
-        enabled source emits its version edges as int arrays over the
-        whole index (:meth:`_version_edges`), and one SCC search over the
-        global version graph flags every cyclic key: those keys report
-        their ``cyclic-versions`` components and keep only their wr edges
-        (§7.4).  ww/wr/rw edges come from gathers and a readers-per-version
-        join and go into the graph as one block of columns; lost updates
-        group the write-follows-read edges by base version.  A read the
-        three-comparison screen flags runs :func:`check_recoverable_read`
-        for that read alone.
-
-        Evidence is one deferred source over the edge columns
-        (:class:`_RegisterEvidence`): a bit's record is the one
-        :meth:`analyze_key` emits first, in the first key of :meth:`keys`
-        order that justifies the bit.  A full evidence read builds only
-        those winners; a cycle explanation looks up its few bits alone.
-        The output is identical to running :meth:`analyze_key` on every
-        key; the reference oracles pin that.
+        The anomalies merge in canonical order with the internal sweep's;
+        every edge goes into the graph as one block of columns.  Evidence
+        is one deferred source over the edge columns
+        (:class:`_RegisterEvidence`): a bit's record is the lowest-rank
+        one, from the first key of :meth:`keys` order that justifies the
+        bit.  A full evidence read builds only those winners; a cycle
+        explanation looks up its few bits alone.
         """
         keys = self._keys
         if not keys:
             return False
         index = self.index
+        found = self._pass(keys, profile)
+        with stage(profile, "analyze/merge"):
+            anomalies = self.internal_anomalies(0, len(index.transactions))
+            anomalies.extend(found.anomalies)
+            analysis.anomalies.extend(sort_anomalies(anomalies))
+            blocks = found.blocks
+            # One gather of transaction ids for both endpoint columns.
+            ends = take(
+                index.txn_ids,
+                np.concatenate([b[1] for b in blocks] + [b[2] for b in blocks]),
+            )
+            out_u, out_v = np.split(ends, 2)
+            out_l = np.repeat(
+                np.array([b[0] for b in blocks], dtype=np.int64),
+                [len(b[1]) for b in blocks],
+            )
+            analysis.graph.add_edge_columns(out_u, out_v, out_l)
+            analysis.log_evidence(
+                _RegisterEvidence(
+                    blocks, index.txn_ids, keys, found.versions, found.w_val
+                )
+            )
+        return True
+
+    def analyze_keys(self, keys: Sequence[Any]) -> List[Batch]:
+        """Each key's batch, from one pass over ``keys``' version graph.
+
+        A key's versions, version edges and evidence ranks never mix with
+        another key's, so its batch is the same in whatever key list it
+        comes: its anomalies, and a fragment holding, for every edge bit
+        the key justifies, its lowest-rank record.
+        """
+        if not keys:
+            return []
+        found = self._pass(keys)
+        batches: List[Batch] = [([], {}) for _ in keys]
+        for k, anomaly in zip(found.anomaly_keys, found.anomalies):
+            batches[k][0].append(anomaly)
+        txn_ids = self.index.txn_ids
+        versions = found.versions
+        values = versions.values(found.w_val)
+        for bit, u, v, value, prev, rank in found.blocks:
+            # In rank order, each key's first record of an edge wins.
+            order = np.argsort(rank, kind="stable")
+            value = value[order]
+            prev = None if prev is None else prev[order]
+            records = _records(bit, value, prev, found.keys, versions, values)
+            edges = _edges(bit, u[order], v[order], txn_ids)
+            for k, edge, record in zip(versions.key[value].tolist(), edges, records):
+                batches[k][1].setdefault(edge, record)
+        return batches
+
+    # ------------------------------------------------------------------
+    # The version-graph pass
+
+    def _pass(self, keys: Sequence[Any], profile=None) -> _Findings:
+        """Analyze ``keys`` in one vectorized pass over one version graph.
+
+        Every version of every key becomes an int node (:class:`_Versions`:
+        the key's INIT, each written value's first write slot in the
+        ``w_*`` columns, each unwritten read value), and committed reads
+        resolve to their nodes in one ``(key, value)`` lookup pass.  Each
+        enabled source emits its version edges as int arrays over all the
+        keys (:meth:`_version_edges`), and one SCC search over the version
+        graph flags every cyclic key: those keys report their
+        ``cyclic-versions`` components and keep only their wr edges
+        (§7.4).  ww/wr/rw edges come from gathers and a readers-per-version
+        join; lost updates group the write-follows-read edges by base
+        version.  A read the three-comparison screen flags runs
+        :func:`check_recoverable_read` for that read alone.  Transaction
+        status is read at the keys' own slots (:func:`take`), so the pass
+        costs the keys' slots, not the whole history.
+        """
+        index = self.index
         transactions = index.transactions
+        txn_ids = index.txn_ids
         cols = index.columns(keys)
+        keys = cols.keys
 
         with stage(profile, "analyze/columnar-screen"):
             nk = len(keys)
             n_r = len(cols.r_val)
             r_txn = cols.r_txn
             r_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(cols.r_indptr))
-            committed = np.frombuffer(bytes(index.txn_committed), dtype=np.uint8) != 0
             versions = _intern_versions(cols, r_key)
             r_slot = versions.r_slot
             r_node = versions.r_node
             has_writer = r_slot >= 0
-            observed = np.zeros(versions.n, dtype=bool)
-            observed[r_node[has_writer]] = True
+            # A written version is committed when its first writer is, and
+            # live when it is committed or a committed read observed it.
+            w_committed = take(index.txn_committed, cols.w_txn) != 0
+            written = np.flatnonzero(versions.slot >= 0)
+            committed = np.zeros(versions.n, dtype=bool)
+            committed[written] = w_committed[versions.slot[written]]
+            live = committed.copy()
+            live[r_node[has_writer]] = True
 
             # The read screen: garbage, an aborted writer, or another
             # transaction's non-final write.  Slot gathers go through one
@@ -473,7 +559,7 @@ class RwRegisterPlan(KeyspacePlan):
                 np.searchsorted(finals, wslot)
             ]
             intermediate = (r_writer != r_txn) & (final_slot != r_slot)
-            aborted = cols.aborted[r_writer] != 0
+            aborted = take(index.txn_aborted, np.maximum(r_writer, 0)) != 0
             flagged = np.flatnonzero(
                 (r_slot == -2) | (has_writer & (aborted | intermediate))
             )
@@ -490,18 +576,26 @@ class RwRegisterPlan(KeyspacePlan):
             rd_txn = r_txn[by_node]
 
             ve_v1, ve_v2, ve_rank, ve_wfr = self._version_edges(
-                cols, versions, committed, observed
+                cols, versions, w_committed, live
             )
 
             # One SCC search flags every cyclic key.  Node ids ascend key
             # by key in canonical version order, so each component lists
-            # its versions in that order.
-            version_graph = CSRGraph.from_edge_log(
-                ve_v1, ve_v2, np.ones(len(ve_v1), dtype=np.int64)
-            )
-            components = [
-                version_graph.to_nodes(c) for c in version_graph.cyclic_scc_idx()
-            ]
+            # its versions in that order.  A cycle stays inside its key
+            # and takes at least one edge against node order, so the
+            # search covers only the keys with such an edge.
+            components = []
+            back = ve_v1 > ve_v2
+            if back.any():
+                suspect = np.zeros(nk, dtype=bool)
+                suspect[versions.key[ve_v1[back]]] = True
+                search = np.flatnonzero(suspect[versions.key[ve_v1]])
+                version_graph = CSRGraph.from_edge_log(
+                    ve_v1[search], ve_v2[search], np.ones(len(search), dtype=np.int64)
+                )
+                components = [
+                    version_graph.to_nodes(c) for c in version_graph.cyclic_scc_idx()
+                ]
             cyclic_keys = [int(versions.key[c[0]]) for c in components]
             cyclic = np.zeros(nk, dtype=bool)
             cyclic[np.asarray(cyclic_keys, dtype=np.int64)] = True
@@ -510,13 +604,11 @@ class RwRegisterPlan(KeyspacePlan):
             # these need no version order and survive cyclic keys.
             wr = np.flatnonzero(has_writer & (r_writer != r_txn))
             # ww / rw along the version edges of acyclic keys whose later
-            # version is committed or observed.
+            # version is live.
             w1 = versions.writer[ve_v1]
             w2 = versions.writer[ve_v2]
-            live1 = (w1 >= 0) & (committed[np.maximum(w1, 0)] | observed[ve_v1])
-            live2 = (w2 >= 0) & (committed[np.maximum(w2, 0)] | observed[ve_v2])
-            ok = live2 & ~cyclic[versions.key[ve_v2]]
-            ww = np.flatnonzero(ok & live1 & (w1 != w2))
+            ok = live[ve_v2] & ~cyclic[versions.key[ve_v2]]
+            ww = np.flatnonzero(ok & live[ve_v1] & (w1 != w2))
             # rw joins each edge with the readers of its earlier version.
             e = np.flatnonzero(ok)
             lo = rd_indptr[ve_v1[e]]
@@ -530,73 +622,6 @@ class RwRegisterPlan(KeyspacePlan):
             rw = rw[keep]
             rw_u = rw_u[keep]
 
-            ids = cols.txn_ids
-            out_u = ids[np.concatenate((r_writer[wr], w1[ww], rw_u))]
-            out_v = ids[np.concatenate((r_txn[wr], w2[ww], w2[rw]))]
-            out_l = np.repeat(
-                np.array([WR, WW, RW], dtype=np.int64), [len(wr), len(ww), len(rw)]
-            )
-
-            # Lost updates: base versions with write-follows-read edges to
-            # two or more committed writers.
-            lu = np.flatnonzero(ve_wfr & (w2 >= 0) & committed[np.maximum(w2, 0)])
-            lu = lu[np.lexsort((w2[lu], ve_v1[lu]))]
-            base = ve_v1[lu]
-            new_base = np.ones(len(lu), dtype=bool)
-            new_base[1:] = base[1:] != base[:-1]
-            new_writer = new_base.astype(np.int64)
-            new_writer[1:] |= w2[lu[1:]] != w2[lu[:-1]]
-            starts = np.flatnonzero(new_base)
-            writers = np.add.reduceat(new_writer, starts)
-            ends = np.append(starts[1:], len(lu))[: len(starts)]
-            lost = [lu[a:b] for a, b in zip(starts[writers >= 2], ends[writers >= 2])]
-
-            anomalies = self.internal_anomalies(0, len(transactions))
-
-        flagged_l = flagged.tolist()
-        fallback = set(r_key[flagged].tolist())
-        fallback.update(cyclic_keys)
-        if profile is not None:
-            profile.count("keyspace.columnar_keys", nk - len(fallback))
-            profile.count("keyspace.fallback_keys", len(fallback))
-            profile.count("keyspace.survivor_reads", len(flagged_l))
-
-        with stage(profile, "analyze/fallback"):
-            rv = cols.r_val
-            wv = cols.w_val
-            for i in flagged_l:
-                value = rv[i]
-                writer = r_writer[i]
-                write_map = {value: transactions[writer]} if writer >= 0 else {}
-                reader = transactions[r_txn[i]]
-                anomalies.extend(
-                    check_recoverable_read(
-                        reader, keys[r_key[i]], (value,), write_map, self._style
-                    )
-                )
-            for component in components:
-                involved = set()
-                for node in component:
-                    if versions.writer[node] >= 0:
-                        involved.add(int(ids[versions.writer[node]]))
-                    readers = rd_txn[rd_indptr[node] : rd_indptr[node + 1]]
-                    involved.update(ids[readers].tolist())
-                key = keys[versions.key[component[0]]]
-                component_values = [versions.value(node, wv) for node in component]
-                anomalies.append(_cyclic_versions(key, component_values, involved))
-            for edges in lost:
-                edges = edges[np.argsort(ve_rank[edges])]
-                v1 = ve_v1[edges[0]]
-                distinct = {
-                    int(ids[w]): (versions.value(v2, wv), w)
-                    for v2, w in zip(ve_v2[edges].tolist(), w2[edges].tolist())
-                }
-                key = keys[versions.key[v1]]
-                anomalies.append(_lost_update(key, versions.value(v1, wv), distinct))
-
-        with stage(profile, "analyze/merge"):
-            analysis.anomalies.extend(sort_anomalies(anomalies))
-            analysis.graph.add_edge_columns(out_u, out_v, out_l)
             # Evidence ranks: wr in the key's readers-per-version order
             # (the version's first read, then the read), ww/rw in
             # version-edge order; both are key-major.
@@ -609,25 +634,89 @@ class RwRegisterPlan(KeyspacePlan):
                 (WW, w1[ww], w2[ww], ve_v2[ww], ve_v1[ww], ve_rank[ww]),
                 (RW, rw_u, w2[rw], ve_v2[rw], ve_v1[rw], ve_rank[rw]),
             )
-            analysis.log_evidence(
-                _RegisterEvidence(blocks, index.txn_ids, keys, versions, cols.w_val)
-            )
-        return True
+
+            # Lost updates: base versions with write-follows-read edges to
+            # two or more committed writers, each in the order its first
+            # edge was emitted.
+            lu = np.flatnonzero(ve_wfr & committed[ve_v2])
+            lost = []
+            if len(lu) > 1:
+                lu = lu[np.lexsort((w2[lu], ve_v1[lu]))]
+                base = ve_v1[lu]
+                new_base = np.ones(len(lu), dtype=bool)
+                new_base[1:] = base[1:] != base[:-1]
+                new_writer = new_base.astype(np.int64)
+                new_writer[1:] |= w2[lu[1:]] != w2[lu[:-1]]
+                starts = np.flatnonzero(new_base)
+                writers = np.add.reduceat(new_writer, starts)
+                ends = np.append(starts[1:], len(lu))[: len(starts)]
+                two = writers >= 2
+                lost = [lu[a:b] for a, b in zip(starts[two], ends[two])]
+                lost.sort(key=lambda edges: int(ve_rank[edges].min()))
+
+        flagged_l = flagged.tolist()
+        if profile is not None:
+            fallback = set(r_key[flagged].tolist())
+            fallback.update(cyclic_keys)
+            profile.count("keyspace.columnar_keys", nk - len(fallback))
+            profile.count("keyspace.fallback_keys", len(fallback))
+            profile.count("keyspace.survivor_reads", len(flagged_l))
+
+        with stage(profile, "analyze/fallback"):
+            anomalies: List[Anomaly] = []
+            anomaly_keys: List[int] = []
+            rv = cols.r_val
+            wv = cols.w_val
+            for i, k in zip(flagged_l, r_key[flagged].tolist()):
+                value = rv[i]
+                writer = r_writer[i]
+                write_map = {value: transactions[writer]} if writer >= 0 else {}
+                reader = transactions[r_txn[i]]
+                found = check_recoverable_read(
+                    reader, keys[k], (value,), write_map, self._style
+                )
+                anomalies.extend(found)
+                anomaly_keys.extend([k] * len(found))
+            for component, k in zip(components, cyclic_keys):
+                involved = set()
+                for node in component:
+                    if versions.writer[node] >= 0:
+                        involved.add(txn_ids[versions.writer[node]])
+                    readers = rd_txn[rd_indptr[node] : rd_indptr[node + 1]]
+                    involved.update(map(txn_ids.__getitem__, readers.tolist()))
+                component_values = [versions.value(node, wv) for node in component]
+                anomalies.append(_cyclic_versions(keys[k], component_values, involved))
+                anomaly_keys.append(k)
+            for edges in lost:
+                edges = edges[np.argsort(ve_rank[edges])]
+                v1 = ve_v1[edges[0]]
+                distinct = {
+                    txn_ids[w]: (versions.value(v2, wv), w)
+                    for v2, w in zip(ve_v2[edges].tolist(), w2[edges].tolist())
+                }
+                k = int(versions.key[v1])
+                anomalies.append(
+                    _lost_update(keys[k], versions.value(v1, wv), distinct)
+                )
+                anomaly_keys.append(k)
+        return _Findings(keys, versions, wv, anomalies, anomaly_keys, blocks)
 
     def _version_edges(
         self,
         cols: IndexColumns,
         versions: _Versions,
-        committed: np.ndarray,
-        observed: np.ndarray,
+        w_committed: np.ndarray,
+        live: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every enabled source's version edges over the whole index.
+        """Every enabled source's version edges over the columns' keys.
 
-        Returns the distinct ``(v1, v2)`` node pairs with the rank of each
-        pair's first emission in :meth:`analyze_key`'s order (key, then
-        source, then the source's own order) and whether write-follows-read
-        emitted it.  Each source's block comes out key-major, so one
-        stable sort by key of the concatenation restores emission order.
+        ``w_committed`` flags the write slots of committed transactions,
+        ``live`` the committed or observed written versions.  Returns the
+        distinct ``(v1, v2)`` node pairs with the rank of each pair's
+        first emission in emission order (key, then source, then the
+        source's own order) and whether write-follows-read emitted it.
+        Each source's block comes out key-major, so one stable sort by key
+        of the concatenation restores emission order.
         """
         sources = self._sources
         index = self.index
@@ -637,14 +726,9 @@ class RwRegisterPlan(KeyspacePlan):
         r_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(cols.r_indptr))
         blocks = []
         if "initial-state" in sources:
-            # INIT precedes every first write that is committed or observed.
-            firsts = versions.slot[versions.slot >= 0]
-            firsts = firsts[
-                committed[w_txn[firsts]] | observed[versions.w_node[firsts]]
-            ]
-            blocks.append(
-                (_INITIAL, versions.init[w_key[firsts]], versions.w_node[firsts])
-            )
+            # INIT precedes every live written version.
+            nodes = np.flatnonzero(live)
+            blocks.append((_INITIAL, versions.init[versions.key[nodes]], nodes))
         if sources & {"write-follows-read", "process", "realtime"}:
             # The committed stream: every committed read plus every
             # committed transaction's writes, in (key, txn, mop) order.
@@ -652,7 +736,7 @@ class RwRegisterPlan(KeyspacePlan):
             # of one combined code merges them.  (The code is below keys x
             # transactions x micro-ops per transaction: far inside int64
             # for any history that fits in memory.)
-            cw = np.flatnonzero(committed[w_txn])
+            cw = np.flatnonzero(w_committed)
             st_key = np.concatenate((r_key, w_key[cw]))
             st_pos = np.concatenate((cols.r_txn, w_txn[cw]))
             st_seq = np.concatenate((cols.r_seq, cols.w_seq[cw]))
@@ -680,7 +764,7 @@ class RwRegisterPlan(KeyspacePlan):
             g_first = st_node[g_start]
             g_last = st_node[np.append(g_start[1:], n_st)[: len(g_start)] - 1]
         if "process" in sources:
-            g_proc = np.asarray(index.txn_process, dtype=np.int64)[g_pos]
+            g_proc = take(index.txn_process, g_pos)
             by_proc = np.lexsort((g_proc, g_key))
             run = (g_key[by_proc[1:]] == g_key[by_proc[:-1]]) & (
                 g_proc[by_proc[1:]] == g_proc[by_proc[:-1]]
@@ -698,8 +782,8 @@ class RwRegisterPlan(KeyspacePlan):
             p2 = by_proc[1:][run][emit]
             blocks.append((_PROCESS, g_last[p1], g_first[p2]))
         if "realtime" in sources:
-            g_complete = np.asarray(index.txn_complete, dtype=np.int64)[g_pos]
-            g_invoke = np.asarray(index.txn_invoke, dtype=np.int64)[g_pos]
+            g_complete = take(index.txn_complete, g_pos)
+            g_invoke = take(index.txn_invoke, g_pos)
             spans = np.flatnonzero(g_complete >= 0)
             if len(spans):
                 # Shifting each key's times past the previous key's keeps
@@ -733,294 +817,3 @@ class RwRegisterPlan(KeyspacePlan):
         wfr = np.zeros(len(pairs), dtype=bool)
         wfr[inverse[src_code[emit] == _WFR]] = True
         return pairs // n, pairs % n, rank, wfr
-
-    # ------------------------------------------------------------------
-    # The per-key path: the stream's analyzer and the batch reference
-
-    @staticmethod
-    def _kahn_acyclic(
-        succ: Dict[Any, List[Any]], version_edges: Dict[Tuple[Any, Any], Set[str]]
-    ) -> bool:
-        """True iff the version adjacency has no cycle (Kahn peel)."""
-        indegree = dict.fromkeys(succ, 0)
-        for _v1, v2 in version_edges:
-            indegree[v2] += 1
-        stack = [v for v, d in indegree.items() if d == 0]
-        remaining = len(indegree)
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            value = pop()
-            remaining -= 1
-            for target in succ[value]:
-                d = indegree[target] - 1
-                indegree[target] = d
-                if d == 0:
-                    push(target)
-        return remaining == 0
-
-    def analyze_key(self, key: Any) -> Batch:
-        """One key's read checks, version DAG, and dependency edges.
-
-        The streaming checker's per-key path, and the reference that
-        :meth:`analyze_index` reproduces.
-
-        Runs over the slice's columnar arrays: writers are interned
-        transaction positions (``first_writer``), transaction status comes
-        from the index's flat columns, and the per-transaction version
-        pins feeding the process/realtime sources are computed in one walk
-        of the key's op stream instead of re-scanning each transaction's
-        micro-ops per pair.  Reads pay for the element-by-element
-        recoverability walk only when a three-comparison screen says they
-        could witness garbage, G1a, or G1b.
-        """
-        index = self.index
-        slice_ = index.slices[key]
-        transactions = index.transactions
-        txn_ids = index.txn_ids
-        txn_committed = index.txn_committed
-        txn_aborted = index.txn_aborted
-        first_writer = slice_.first_writer
-        fw_get = first_writer.get
-        sources = self._sources
-        anomalies: List[Anomaly] = []
-
-        r_txn = slice_.r_txn
-        r_val = slice_.r_val
-
-        # One object stands for each version, whichever equal object a read
-        # returned (1, 1.0 and True are one version): its first write, else
-        # its first committed read.  The whole-index pass follows the same
-        # rule, and this order (written values by first write, then
-        # unwritten ones by first read) is the canonical version order.
-        canon: Dict[Any, Any] = dict(zip(first_writer, first_writer))
-        for value in r_val:
-            canon.setdefault(value, value)
-
-        # Values proven committed by observation: read by a committed txn.
-        observed: Set[Any] = {v for v in r_val if v is not None}
-
-        # Final write per writer position (last write wins), for the G1b
-        # screen: a committed read of a non-final write is intermediate.
-        final_of: Dict[int, Any] = {}
-        w_txn = slice_.w_txn
-        w_val = slice_.w_val
-        for i in range(len(w_txn)):
-            final_of[w_txn[i]] = w_val[i]
-
-        # --------------------------------------------------------------
-        # Read checks: garbage, G1a, G1b; collect readers per version.
-        readers: Dict[Any, List[int]] = {}  # version -> reader txn ids
-        obj_write_map = None  # lazily built for suspicious reads only
-        for i in range(len(r_val)):
-            value = r_val[i]
-            pos = r_txn[i]
-            if value is None:
-                readers.setdefault(INIT, []).append(txn_ids[pos])
-                continue
-            wpos = fw_get(value, -1)
-            if (
-                wpos < 0
-                or txn_aborted[wpos]
-                or (wpos != pos and final_of[wpos] != value)
-            ):
-                if obj_write_map is None:
-                    obj_write_map = index.write_map(slice_)
-                anomalies.extend(
-                    check_recoverable_read(
-                        transactions[pos], key, (value,), obj_write_map, self._style
-                    )
-                )
-            if wpos >= 0:
-                readers.setdefault(canon[value], []).append(txn_ids[pos])
-
-        # --------------------------------------------------------------
-        # The per-key version DAG from each enabled source.  Adjacency is
-        # tracked in a plain dict; the full graph machinery is only built
-        # for the rare cyclic key (see below).
-        version_edges: Dict[Tuple[Any, Any], Set[str]] = {}
-        succ: Dict[Any, List[Any]] = {}
-
-        def add_version_edge(v1: Any, v2: Any, source: str) -> None:
-            if v1 == v2:
-                return
-            pair = (v1, v2)
-            entry = version_edges.get(pair)
-            if entry is None:
-                version_edges[pair] = {source}
-                row = succ.get(v1)
-                if row is None:
-                    succ[v1] = [v2]
-                else:
-                    row.append(v2)
-                if v2 not in succ:
-                    succ[v2] = []
-            else:
-                entry.add(source)
-
-        if "initial-state" in sources:
-            for value, wpos in first_writer.items():
-                if txn_committed[wpos] or value in observed:
-                    add_version_edge(INIT, value, "initial-state")
-
-        need_stream = (
-            "write-follows-read" in sources
-            or "process" in sources
-            or "realtime" in sources
-        )
-        if need_stream:
-            # The committed micro-op stream, merged back into observation
-            # order from the read/write substreams.
-            st_txn, st_read, st_val = index.committed_stream(slice_)
-            st_val = list(map(canon.__getitem__, st_val))
-            n_ops = len(st_txn)
-
-        if "write-follows-read" in sources:
-            i = 0
-            while i < n_ops:
-                pos = st_txn[i]
-                current: Any = _UNPINNED
-                while i < n_ops and st_txn[i] == pos:
-                    value = st_val[i]
-                    if st_read[i]:
-                        current = value  # None = INIT
-                    else:
-                        if current is not _UNPINNED:
-                            add_version_edge(
-                                current, value, "write-follows-read"
-                            )
-                        current = value
-                    i += 1
-
-        if "process" in sources or "realtime" in sources:
-            # (first, last) version each transaction pinned the key to —
-            # one pass over the op stream replaces the historical
-            # per-pair re-scan of each transaction's micro-ops.
-            pins: Dict[int, Tuple[Any, Any]] = {}
-            for i in range(n_ops):
-                pos = st_txn[i]
-                value = st_val[i]
-                cur = pins.get(pos)
-                pins[pos] = (value, value) if cur is None else (cur[0], value)
-
-            def order_source_edges(pairs, tag: str) -> None:
-                for p1, p2 in pairs:
-                    last = pins.get(p1)
-                    first = pins.get(p2)
-                    if last is None or first is None:
-                        continue
-                    add_version_edge(last[1], first[0], tag)
-
-            if "process" in sources:
-                grouped = index.interacting_positions_by_process(slice_)
-                for positions in grouped.values():
-                    order_source_edges(zip(positions, positions[1:]), "process")
-            if "realtime" in sources:
-                txn_invoke = index.txn_invoke
-                txn_complete = index.txn_complete
-                iv_pos = []
-                iv_invoke = []
-                iv_complete = []
-                for pos in slice_.inter_txn:
-                    complete = txn_complete[pos]
-                    if complete >= 0:
-                        iv_pos.append(pos)
-                        iv_invoke.append(txn_invoke[pos])
-                        iv_complete.append(complete)
-                sources_arr, targets_arr = interval_precedence_pairs(
-                    iv_pos, iv_invoke, iv_complete
-                )
-                order_source_edges(zip(sources_arr, targets_arr), "realtime")
-
-        # --------------------------------------------------------------
-        # Cyclic version orders: report and discard (§7.4).  A Kahn peel
-        # over the plain adjacency proves the common case (acyclic)
-        # cheaply; only a key that fails it pays for the CSR freeze and the
-        # component search.  Versions mix types that cannot be sorted, so
-        # they intern to ints in canonical version order, INIT first — the
-        # node order of the whole-index pass, so both paths list a
-        # component's values in the same order.
-        if self._kahn_acyclic(succ, version_edges):
-            components: List[List[Any]] = []
-        else:
-            canonical: Dict[Any, int] = {INIT: 0}
-            for value in canon:
-                canonical.setdefault(value, len(canonical))
-            us: List[int] = []
-            vs: List[int] = []
-            for v1, v2 in version_edges:
-                us.append(canonical[v1])
-                vs.append(canonical[v2])
-            version_graph = CSRGraph.from_edge_log(us, vs, [1] * len(us))
-            by_id = list(canonical)
-            nodes = version_graph.nodes
-            components = [
-                [by_id[nodes[i]] for i in component]
-                for component in version_graph.cyclic_scc_idx()
-            ]
-        cyclic = bool(components)
-        if components:
-            for component in components:
-                involved = set()
-                for value in component:
-                    wpos = fw_get(value)
-                    if wpos is not None:
-                        involved.add(txn_ids[wpos])
-                    involved.update(readers.get(value, ()))
-                anomalies.append(_cyclic_versions(key, component, involved))
-
-        # --------------------------------------------------------------
-        # Transaction dependency edges.
-        fragment: Dict[Tuple[int, int, int], Evidence] = {}
-
-        # wr edges need no version order; they survive cyclic keys.
-        for value, value_readers in readers.items():
-            if value is INIT:
-                continue
-            wpos = fw_get(value)
-            if wpos is None:
-                continue
-            writer_id = txn_ids[wpos]
-            for reader_id in value_readers:
-                if writer_id != reader_id:
-                    edge = (writer_id, reader_id, WR)
-                    if edge not in fragment:
-                        fragment[edge] = Evidence(WR, key, value)
-        if not cyclic:
-            for (v1, v2), _sources_seen in version_edges.items():
-                wpos2 = fw_get(v2)
-                if wpos2 is None or not (
-                    txn_committed[wpos2] or v2 in observed
-                ):
-                    continue
-                writer2_id = txn_ids[wpos2]
-                if v1 is not INIT:
-                    wpos1 = fw_get(v1)
-                    if wpos1 is not None and (
-                        txn_committed[wpos1] or v1 in observed
-                    ):
-                        writer1_id = txn_ids[wpos1]
-                        if writer1_id != writer2_id:
-                            edge = (writer1_id, writer2_id, WW)
-                            if edge not in fragment:
-                                fragment[edge] = Evidence(WW, key, v2, v1)
-                for reader_id in readers.get(v1, ()):
-                    if reader_id != writer2_id:
-                        edge = (reader_id, writer2_id, RW)
-                        if edge not in fragment:
-                            fragment[edge] = Evidence(RW, key, v2, v1)
-
-        # --------------------------------------------------------------
-        # Lost updates: two committed read-modify-writes off one version.
-        rmw_writers: Dict[Any, List[Tuple[Any, int]]] = {}
-        for (v1, v2), sources_seen in version_edges.items():
-            if "write-follows-read" not in sources_seen:
-                continue
-            wpos = fw_get(v2)
-            if wpos is not None and txn_committed[wpos]:
-                rmw_writers.setdefault(v1, []).append((v2, wpos))
-        for v1, writers in rmw_writers.items():
-            distinct = {txn_ids[w]: (v2, w) for v2, w in writers}
-            if len(distinct) >= 2:
-                anomalies.append(_lost_update(key, v1, distinct))
-        return anomalies, fragment

@@ -29,14 +29,13 @@ parallel arrays:
   committed reads as parallel ``(txn position, mop position, value)``
   arrays — ints and raw values, no per-slot tuple or dataclass objects.
 
-The plans read the arrays.  The only object-level derivations are
-:class:`HistoryIndex` methods that take a slice: ``write_map(slice)`` (the
-suspicious-read walk), ``committed_stream(slice)`` and
-``interacting_positions_by_process(slice)`` (the rw-register version
-sources of the per-key path).  A :class:`KeySlice` itself is a plain
-slotted record with no reference back to its index.  The whole-index
-passes read :meth:`HistoryIndex.columns` instead: every slice's streams
-concatenated in a given key order.
+The plans read the arrays.  The one object-level derivation is
+``write_map(slice)``, a :class:`HistoryIndex` method taking a slice (the
+suspicious-read walk); a :class:`KeySlice` itself is a plain slotted
+record with no reference back to its index.  The whole-index passes read
+:meth:`HistoryIndex.columns` instead: the streams of a list of keys
+concatenated in that order, with transaction status gathered at the
+slots' positions through :func:`take`.
 
 **One transaction table.**  The index does not copy the observation: its
 ``transactions`` list and ``pos_by_id`` map *are* the history's own
@@ -93,14 +92,11 @@ class KeySlice:
     of the key's ``i``-th micro-op slot (all completion types included),
     and ``w_txn``/``w_seq``/``w_val`` and ``r_txn``/``r_seq``/``r_val``
     are the parallel write and committed-read substreams the analyzers
-    consume; :meth:`HistoryIndex.committed_stream` merges the substreams
-    back into the full committed per-slot stream on demand.  List-valued read
+    consume; each slot's micro-op position (``*_seq``) lets a pass merge
+    the substreams back into observation order.  List-valued read
     observations are normalized to tuples once, at build time.
-    ``first_writer`` maps written value -> first writing
-    transaction's *position* (the interned per-key write index), and
-    ``inter_txn`` lists the committed interacting transactions' positions in
-    invocation order — the inputs to the per-key process/realtime
-    version-order sources (§5.2).
+    ``first_writer`` maps written value -> first writing transaction's
+    *position* (the interned per-key write index).
 
     ``version`` counts mutations (appended slots or rebuilds); any cached
     derivation from the slice is valid exactly while the version matches.
@@ -125,7 +121,6 @@ class KeySlice:
         "r_seq",
         "r_val",
         "first_writer",
-        "inter_txn",
         "first_seq",
         "first_read_seq",
         "_dup",
@@ -143,7 +138,6 @@ class KeySlice:
         self.r_seq: List[int] = []
         self.r_val: List[Any] = []
         self.first_writer: Dict[Any, int] = {}
-        self.inter_txn: List[int] = []
         self.first_seq: Optional[Seq] = None
         self.first_read_seq: Optional[Seq] = None
         #: (seq, key, value, first writer pos, second writer pos)
@@ -161,7 +155,6 @@ class KeySlice:
         self.r_seq = []
         self.r_val = []
         self.first_writer = {}
-        self.inter_txn = []
         self.first_seq = None
         self.first_read_seq = None
         self._dup = None
@@ -192,9 +185,9 @@ class IndexColumns:
 
     ``w_final`` marks the last write of each ``(key, txn)`` run — for
     list-append keys that is the writer's final append, the candidate
-    element of the installed version order.  The ``aborted`` status column
-    is a *copy* of the index's bytearray (a ``frombuffer`` view would
-    pin the bytearray and break streaming appends).
+    element of the installed version order.  The view holds slot columns
+    only, so it costs its keys' slots: a pass reads the per-position
+    transaction columns at its slots' positions with :func:`take`.
 
     Built lazily via :meth:`HistoryIndex.columns` and cached against the
     index mutation clock, so batch re-checks share one build and any
@@ -212,8 +205,6 @@ class IndexColumns:
         "w_indptr",
         "w_val",
         "w_final",
-        "aborted",
-        "txn_ids",
     )
 
     def __init__(self, index: "HistoryIndex", keys: Sequence[Any]) -> None:
@@ -253,9 +244,6 @@ class IndexColumns:
                 w_key[1:] != w_key[:-1]
             )
         self.w_final = w_final
-        # bytes() makes a copy: no buffer export pins the live bytearrays.
-        self.aborted = np.frombuffer(bytes(index.txn_aborted), dtype=np.uint8)
-        self.txn_ids = np.asarray(index.txn_ids, dtype=np.int64)
 
 
 class HistoryIndex:
@@ -517,10 +505,6 @@ class HistoryIndex:
                 if first != pos and entry._dup is None:
                     entry._dup = ((pos, mop_seq), key, value, first, pos)
             seen_add(key)
-            if committed:
-                inter = entry.inter_txn
-                if not inter or inter[-1] != pos:
-                    inter.append(pos)
         self.internal_candidates.append(candidate)
 
     def _fold_slot(
@@ -561,10 +545,6 @@ class HistoryIndex:
             first = entry.first_writer.setdefault(value, pos)
             if first != pos and entry._dup is None:
                 entry._dup = ((pos, mop_seq), key, value, first, pos)
-        if committed:
-            inter = entry.inter_txn
-            if not inter or inter[-1] != pos:
-                inter.append(pos)
 
     def _regenerate_orders(self) -> None:
         """Derive both key orderings from the slices' recorded positions.
@@ -726,76 +706,12 @@ class HistoryIndex:
         return (seq, key, self.transactions[pos])
 
     # ------------------------------------------------------------------
-    # Per-slice derived views (the slice arrays stay the stored form)
-
-    def committed_stream(
-        self, entry: KeySlice
-    ) -> Tuple[List[int], List[int], List[Any]]:
-        """A slice's committed stream as ``(positions, read flags, values)``.
-
-        Merges the committed-read and write substreams back into
-        observation order, keeping only committed transactions' slots —
-        exactly the stream the rw-register write-follows-read walk and
-        version pins consume.  Read values are the slice's normalized
-        values (lists became tuples at build time).
-        """
-        committed = self.txn_committed
-        r_txn = entry.r_txn
-        r_seq = entry.r_seq
-        r_val = entry.r_val
-        w_txn = entry.w_txn
-        w_seq = entry.w_seq
-        w_val = entry.w_val
-        n_r = len(r_txn)
-        n_w = len(w_txn)
-        positions: List[int] = []
-        flags: List[int] = []
-        values: List[Any] = []
-        i = j = 0
-        while True:
-            if i < n_r:
-                if j < n_w and (
-                    w_txn[j] < r_txn[i]
-                    or (w_txn[j] == r_txn[i] and w_seq[j] < r_seq[i])
-                ):
-                    pos = w_txn[j]
-                    if committed[pos]:
-                        positions.append(pos)
-                        flags.append(0)
-                        values.append(w_val[j])
-                    j += 1
-                else:
-                    positions.append(r_txn[i])
-                    flags.append(1)
-                    values.append(r_val[i])
-                    i += 1
-            elif j < n_w:
-                pos = w_txn[j]
-                if committed[pos]:
-                    positions.append(pos)
-                    flags.append(0)
-                    values.append(w_val[j])
-                j += 1
-            else:
-                break
-        return positions, flags, values
+    # Per-slice derived view (the slice arrays stay the stored form)
 
     def write_map(self, entry: KeySlice) -> Dict[Any, Transaction]:
         """A slice's ``first_writer`` with positions resolved to Transactions."""
         txns = self.transactions
         return {value: txns[p] for value, p in entry.first_writer.items()}
-
-    def interacting_positions_by_process(self, entry: KeySlice) -> Dict[int, List[int]]:
-        """A slice's committed interacting transaction positions, per process."""
-        process = self.txn_process
-        by_process: Dict[int, List[int]] = {}
-        for pos in entry.inter_txn:
-            proc = process[pos]
-            positions = by_process.get(proc)
-            if positions is None:
-                positions = by_process[proc] = []
-            positions.append(pos)
-        return by_process
 
     # ------------------------------------------------------------------
     # Access
@@ -803,10 +719,11 @@ class HistoryIndex:
     def columns(self, keys: Sequence[Any]) -> IndexColumns:
         """The whole-index CSR column view over ``keys``, cached.
 
-        ``keys`` is one of the index's own key orders (``read_key_order``
-        for list-append, ``key_order`` for rw-register).  The view is
-        immutable; any index mutation bumps the clock and the next call
-        rebuilds, as does a call with the other order.
+        A batch check passes one of the index's own key orders
+        (``read_key_order`` for list-append, ``key_order`` for
+        rw-register); a stream passes the keys a chunk touched.  The view
+        is immutable; any index mutation bumps the clock and the next call
+        rebuilds, as does a call with another key list.
         """
         cached = self._columns
         if cached is not None and cached[0] == self._clock and cached[1] is keys:

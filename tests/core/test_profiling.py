@@ -168,6 +168,22 @@ class TestColumnarProfiling:
         assert counters["keyspace.fallback_keys"] == 0
         assert counters["keyspace.survivor_reads"] == 0
 
+    def test_sharded_list_append_check_starts_no_pool(self):
+        # The whole-index pass serves every shard count: a shards=2
+        # check neither starts a pool nor reports pool shards.
+        history = figure4_history(600, 4)
+        profile = Profile()
+        assert check(history, shards=2, profile=profile).valid
+        assert "keyspace.shards" not in profile.counters
+        assert "analyze/columnar-screen" in profile.stages
+
+    def test_sharded_grow_set_check_reports_its_pool(self):
+        # grow-set has no whole-index pass: shards=2 starts a pool.
+        history = figure4_history(200, 4, workload="grow-set")
+        profile = Profile()
+        check(history, workload="grow-set", shards=2, profile=profile)
+        assert profile.counters["keyspace.shards"] == 2
+
     def test_small_histories_run_the_screen(self):
         # No size cut-over: a few dozen transactions take the same
         # whole-index pass as the largest history.

@@ -1,15 +1,21 @@
 """Tests for the rw-register analyzer: partial version orders (§5.2, §7.4)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro import check
 from repro.core import RW, WR, WW, analyze
-from repro.core.keyspace import KeyspacePlan
 from repro.core.rw_register import KNOWN_SOURCES, RwRegisterPlan
-from repro.db import Isolation, YugaByteStaleRead
+from repro.db import Isolation, TiDBRetry, YugaByteStaleRead
 from repro.errors import WorkloadError
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, HistoryBuilder, r, w
+from tests import rw_register_reference as reference
 
 
 def analyze_txns(*txns, **kw):
@@ -209,9 +215,7 @@ class TestCyclicVersions:
         # before realtime emits a -> b -> a; the component still lists "a"
         # (first written) before "b", on both analysis paths.
         if not whole_index:
-            monkeypatch.setattr(
-                RwRegisterPlan, "analyze_index", KeyspacePlan.analyze_index
-            )
+            reference.use_reference(monkeypatch)
         b = HistoryBuilder()
         b.invoke(3, [r("x", "b"), w("x", "c")])
         b.invoke(0, [w("x", "a")])
@@ -331,37 +335,97 @@ def stale_register_history():
     )
 
 
-class TestWholeIndexPass:
-    """Batch analysis runs one columnar pass; analyze_key serves streams."""
-
-    def test_batch_check_never_runs_the_per_key_path(self, monkeypatch):
-        history = stale_register_history()
-        calls = []
-        per_key = RwRegisterPlan.analyze_key
-
-        def counting(self, key):
-            calls.append(key)
-            return per_key(self, key)
-
-        monkeypatch.setattr(RwRegisterPlan, "analyze_key", counting)
-        result = check(
-            history,
-            workload="rw-register",
-            consistency_model="strict-serializable",
-            sources=sorted(KNOWN_SOURCES),
+def dirty_register_history():
+    return run_workload(
+        RunConfig(
+            txns=400,
+            concurrency=8,
+            isolation=Isolation.READ_UNCOMMITTED,
+            workload=WorkloadConfig(workload="rw-register", active_keys=6),
+            seed=3,
+            crash_probability=0.02,
+            abort_probability=0.2,
+            faults=lambda rng: TiDBRetry(rng),
         )
-        assert "cyclic-versions" in result.anomaly_types
-        assert result.analysis.evidence
-        assert calls == []
+    )
+
+
+class TestWholeIndexPass:
+    """One version-graph pass serves batch checks and streams alike."""
+
+    def test_neither_batch_nor_stream_imports_the_reference(self):
+        # The per-key reference lives in tests/; src/ has one analyzer.
+        script = textwrap.dedent(
+            """
+            import sys
+
+            from repro import check
+            from repro.core import StreamingChecker
+            from repro.core.rw_register import KNOWN_SOURCES, RwRegisterPlan
+            from repro.db import Isolation, YugaByteStaleRead
+            from repro.generator import RunConfig, WorkloadConfig, run_workload
+
+            history = run_workload(
+                RunConfig(
+                    txns=400,
+                    concurrency=8,
+                    isolation=Isolation.SNAPSHOT_ISOLATION,
+                    workload=WorkloadConfig(workload="rw-register", active_keys=6),
+                    seed=3,
+                    crash_probability=0.02,
+                    faults=lambda rng: YugaByteStaleRead(
+                        rng, probability=0.4, staleness=3
+                    ),
+                )
+            )
+            options = dict(workload="rw-register", sources=sorted(KNOWN_SOURCES))
+            batch = check(history, **options)
+            assert "cyclic-versions" in batch.anomaly_types
+            assert batch.analysis.evidence
+            stream = StreamingChecker(**options)
+            ops = list(history.ops)
+            for start in range(0, len(ops), 200):
+                update = stream.extend(ops[start : start + 200])
+            assert update.result.report() == batch.report()
+            assert "analyze_key" not in vars(RwRegisterPlan)
+            assert not [name for name in sys.modules if "reference" in name]
+            """
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        subprocess.run([sys.executable, "-c", script], cwd=root, env=env, check=True)
+
+    @pytest.mark.parametrize(
+        "history,expected",
+        [
+            (stale_register_history, {"cyclic-versions"}),
+            (dirty_register_history, {"G1a", "G1b", "lost-update"}),
+        ],
+        ids=["stale", "dirty"],
+    )
+    def test_a_register_batch_depends_on_its_key_alone(self, history, expected):
+        # The stream's per-key cache relies on it: a key's batch is the
+        # same whichever key list it was analyzed in, and equals the
+        # per-key reference's, anomalies in order.
+        plan = RwRegisterPlan(history(), sources=sorted(KNOWN_SOURCES))
+        keys = list(plan.keys())
+        together = plan.analyze_keys(keys)
+        seen = set()
+        for key, (anomalies, fragment) in zip(keys, together):
+            (alone,) = plan.analyze_keys([key])
+            for batch in (alone, reference.analyze_key(plan, key)):
+                assert [a.__dict__ for a in batch[0]] == [a.__dict__ for a in anomalies]
+                assert batch[1] == fragment
+            seen.update(a.name for a in anomalies)
+        assert seen == expected
+        assert max(len(anomalies) for anomalies, _f in together) > 1
 
     @pytest.mark.parametrize("workload", ["rw-register", "list-append"])
     def test_sharded_check_runs_the_whole_index_pass(self, monkeypatch, workload):
         # ``--shards`` serves only plans without a whole-index pass: no
-        # pool is made and no key goes through analyze_key.
+        # pool is made and the key-range chunk path never runs.
         import repro.core.keyspace as keyspace_mod
-        from repro.core.list_append import ListAppendPlan
 
-        plan = RwRegisterPlan if workload == "rw-register" else ListAppendPlan
         if workload == "rw-register":
             history = stale_register_history()
             options = {"sources": sorted(KNOWN_SOURCES)}
@@ -371,21 +435,17 @@ class TestWholeIndexPass:
                 RunConfig(txns=400, concurrency=8, seed=4, crash_probability=0.0)
             )
             options = {}
-        calls = []
-        per_key = plan.analyze_key
-
-        def counting(self, key):
-            calls.append(key)
-            return per_key(self, key)
 
         def no_pool(*args):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(plan, "analyze_key", counting)
+        def no_chunks(*args):
+            raise AssertionError("the key-range chunk path ran")
+
         monkeypatch.setattr(keyspace_mod, "_make_pool", no_pool)
+        monkeypatch.setattr(keyspace_mod, "_analyze_chunk", no_chunks)
         sharded = check(history, workload=workload, shards=2, **options)
         monkeypatch.undo()
-        assert calls == []
         assert sharded.report() == check(
             history, workload=workload, **options
         ).report()
@@ -418,9 +478,7 @@ class TestWholeIndexPass:
         # A read of 1.0 observes the write of 1: one version, which both
         # paths name by the written object whatever a read returned.
         if not whole_index:
-            monkeypatch.setattr(
-                RwRegisterPlan, "analyze_index", KeyspacePlan.analyze_index
-            )
+            reference.use_reference(monkeypatch)
         a = analyze_txns(
             ("ok", 0, [w("x", 1)]),
             ("ok", 1, [r("x", 1.0), w("x", 2)]),

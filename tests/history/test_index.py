@@ -7,6 +7,11 @@ from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, HistoryBuilder, append, r, w
 from repro.history.index import check_unique_writes
 from repro.history.ops import READ
+from tests.rw_register_reference import (
+    committed_stream,
+    interacting_positions,
+    interacting_positions_by_process,
+)
 
 
 def generated(workload="list-append", seed=21, txns=200):
@@ -87,7 +92,7 @@ class TestIndexContents:
                 for pos, t in enumerate(history.transactions)
                 if t.committed and any(m.key == key for m in t.mops)
             ]
-            assert slice_.inter_txn == expected
+            assert interacting_positions(index, slice_) == expected
 
     def test_write_map_keeps_first_writer(self):
         history = History.of(
@@ -120,7 +125,8 @@ class TestIndexContents:
         history = b.build()
         # the indeterminate transaction is not committed, so it is not
         # interacting at all
-        assert history.index().slices["x"].inter_txn == [0]
+        index = history.index()
+        assert interacting_positions(index, index.slices["x"]) == [0]
 
 
 class TestUniquenessContracts:
@@ -174,7 +180,6 @@ def index_signature(index):
                 (sl.w_txn, sl.w_seq, repr(sl.w_val)),
                 (sl.r_txn, sl.r_seq, repr(sl.r_val)),
                 {repr(v): p for v, p in sl.first_writer.items()},
-                sl.inter_txn,
             )
             for key, sl in index.slices.items()
         },
@@ -273,7 +278,7 @@ class TestIncrementalExtension:
 
 
 class TestColumnarDerivedViews:
-    """The derived views ``src/`` reads, and the columns they come from."""
+    """Derived views (the rw-register reference's too) and their columns."""
 
     def test_interacting_by_process_groups_committed_txns(self):
         history = History.of(
@@ -283,7 +288,7 @@ class TestColumnarDerivedViews:
             ("ok", 0, [r("x", 2)]),
         )
         index = history.index()
-        grouped = index.interacting_positions_by_process(index.slices["x"])
+        grouped = interacting_positions_by_process(index, index.slices["x"])
         assert grouped == {0: [0, 3], 1: [1]}
         assert [index.txn_ids[p] for p in grouped[0]] == [0, 6]
 
@@ -296,7 +301,7 @@ class TestColumnarDerivedViews:
         index = builder.build().index()
         intervals = [
             (index.txn_ids[p], index.txn_invoke[p], index.txn_complete[p])
-            for p in index.slices["x"].inter_txn
+            for p in interacting_positions(index, index.slices["x"])
             if index.txn_complete[p] >= 0
         ]
         assert intervals == [(0, 0, 2)]
@@ -318,7 +323,7 @@ class TestColumnarDerivedViews:
             ("ok", 0, [w("x", 2)]),
         )
         index = history.index()
-        positions, flags, values = index.committed_stream(index.slices["x"])
+        positions, flags, values = committed_stream(index, index.slices["x"])
         assert positions == [0, 0, 0, 2]
         assert flags == [1, 0, 1, 0]
         assert values == [None, 1, 1, 2]

@@ -14,11 +14,13 @@ byte-identical to the shipped one:
 * the canonical dict build (``graph_reference.canonical_csr``) in place
   of the vectorized ``CSRGraph.from_edge_log``.
 
-The whole-index passes of list-append and rw-register have the per-key
-``analyze_key`` path as their reference, which stays in ``src/``
-(streaming, list-append's fallback keys and shards run it); restoring
-the base ``KeyspacePlan.analyze_index``, which declines, forces it for
-every key.
+The whole-index passes of list-append and rw-register have a per-key
+path as their reference.  List-append's ``analyze_key`` stays in
+``src/`` (streams and the pass's fallback keys run it); restoring the
+base ``KeyspacePlan.analyze_index``, which declines, forces it for every
+key.  rw-register has one analyzer in ``src/``, the version-graph pass;
+its per-key reference lives in ``tests/rw_register_reference.py``, and
+``per_key_only`` makes batch checks and streams run it for every key.
 
 Identity is the full analysis signature — anomalies in order, node
 order, edges, evidence — the same oracle the sharding and
@@ -40,12 +42,14 @@ from repro.core.deps import PROCESS, REALTIME
 from repro.core.internal import internal_candidate_positions
 from repro.core.keyspace import KeyspacePlan
 from repro.core.list_append import ListAppendPlan
-from repro.core.rw_register import RwRegisterPlan
 from repro.core.orders import add_process_edges, add_realtime_edges
 from repro.db import FaunaInternal, Isolation, TiDBRetry, YugaByteStaleRead
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.graph import CSRGraph, interval_precedence_pairs
 from tests.graph_reference import canonical_csr
+from tests.rw_register_reference import use_reference
+
+REFERENCE = "tests.rw_register_reference"
 
 FAULTS = {
     "none": None,
@@ -186,20 +190,21 @@ REFERENCES = [
 
 def per_key_only(patch) -> None:
     """Force the per-key path for every key of both whole-index plans."""
-    for plan in (ListAppendPlan, RwRegisterPlan):
-        patch.setattr(plan, "analyze_index", KeyspacePlan.analyze_index)
+    patch.setattr(ListAppendPlan, "analyze_index", KeyspacePlan.analyze_index)
+    use_reference(patch)
 
 
 def install_references(patch) -> None:
     """Swap every vectorized pass for its loop reference.
 
     Each shipped function is rebound in every ``repro`` module that holds
-    it (callers import them by name), so no call site is missed.
+    it (callers import them by name), and in the rw-register reference,
+    so no call site is missed.
     """
     for shipped, reference in REFERENCES:
         hits = 0
         for name, module in list(sys.modules.items()):
-            if name != "repro" and not name.startswith("repro."):
+            if name != "repro" and not name.startswith(("repro.", REFERENCE)):
                 continue
             for attr, value in list(vars(module).items()):
                 if value is shipped:
@@ -307,6 +312,7 @@ class TestLoopReferences:
         install_references(monkeypatch)
         assert orders_mod.interval_precedence_pairs is sweep_pairs
         assert rw_register_mod.interval_precedence_pairs is sweep_pairs
+        assert sys.modules[REFERENCE].interval_precedence_pairs is sweep_pairs
         # ``orders.add_orders`` is the one caller of the order-edge passes
         # (batch and streaming alike), and it resolves them in ``orders``.
         assert orders_mod.add_process_edges is ref_add_process_edges

@@ -289,8 +289,9 @@ class TestRecoveryOracle:
             b"REPROCKPT3\n",
             b"REPROCKPT4\n",
             b"REPROCKPT5\n",
+            b"REPROCKPT6\n",
         ],
-        ids=["REPROCKPT1", "REPROCKPT2", "REPROCKPT3", "REPROCKPT4", "REPROCKPT5"],
+        ids=lambda magic: magic.decode().strip(),
     )
     def test_stale_magic_checkpoint_is_skipped(self, tmp_path, stale):
         """A checkpoint from an older payload layout is never unpickled.
@@ -304,8 +305,10 @@ class TestRecoveryOracle:
         whose ``cyclic-versions`` values follow first emission, not the
         canonical version order; ``REPROCKPT5`` checkpoints hold whole
         frozen key batches, re-merged on every chunk, where the checker now
-        keeps a frozen edge block.  Recovery must skip every one and replay
-        the whole WAL to the batch report.
+        keeps a frozen edge block; ``REPROCKPT6`` checkpoints hold key
+        slices with an ``inter_txn`` slot the index no longer has.
+        Recovery must skip every one and replay the whole WAL to the batch
+        report.
         """
         ops = session_workload(txns=60, seed=4, **FAULTY)
         expected = self.run_uninterrupted(ops)
@@ -325,7 +328,7 @@ class TestRecoveryOracle:
         store = durability.store("chaos")
         checkpoints = store.checkpoint_paths()
         assert checkpoints, "cadence should have produced checkpoints"
-        assert CHECKPOINT_MAGIC == b"REPROCKPT6\n"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT7\n"
         for path in checkpoints:
             blob = open(path, "rb").read()
             with open(path, "wb") as fh:
