@@ -12,14 +12,18 @@ daemon's ``--data-dir`` holding
     the meta write — nothing was acked yet).
 
 ``wal.jsonl``
-    The write-ahead op journal: one JSON line per acked ``append`` batch,
-    ``{"seq": N, "ops": [...]}``, where the ops are exactly the records
-    :func:`repro.history.io.encode_op` writes to history files.  The line
-    is written (and, per the fsync policy, synced) *before* the batch is
-    buffered or acked, so an acked op is always on disk.  Because a batch
-    is one line, a torn tail (the writer died mid-record) loses at most
-    one *unacked* batch — dropped on replay by the same
-    ``allow_torn_tail`` reader history files use.
+    The write-ahead op journal: one JSON line per acked ``append`` batch.
+    The line is the append frame as the daemon received it (its ``type``
+    and ``session`` fields included), or ``{"seq": N, "ops": [...]}``
+    when the server assigned the seq (a seq-less frame) or dedupe
+    trimmed ops from the frame; the ops are the frame's own records,
+    never re-encoded.  Both forms carry ``seq`` and ``ops``, which is all
+    replay reads.  The line is written (and, per the fsync policy,
+    synced) *before* the batch is buffered or acked, so an acked op is
+    always on disk.  Because a batch is one ``\\n``-terminated line, a
+    torn tail (the writer died mid-record) loses at most one *unacked*
+    batch — dropped on replay by the same ``allow_torn_tail`` reader
+    history files use.
 
 ``checkpoint-*.ckpt``
     Periodic serialized snapshots of the whole
@@ -64,10 +68,10 @@ import pickle
 import re
 import tempfile
 from time import perf_counter
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ServiceError
-from ..history.io import decode_op, encode_op, iter_json_lines
+from ..history.io import decode_op, iter_json_lines
 from ..history.ops import Op
 from ..obs import Observability
 from .session import SessionConfig
@@ -197,13 +201,30 @@ class SessionStore:
     # ------------------------------------------------------------------
     # The write-ahead log
 
-    def log_append(self, seq: int, ops: List[Op]) -> None:
+    def log_append(
+        self,
+        seq: int,
+        records: Sequence[Any],
+        raw: Optional[bytes],
+    ) -> None:
         """Journal one acked batch: write (and per policy sync) before the
-        caller buffers or acks it."""
+        caller buffers or acks it.
+
+        ``raw`` is the append frame as received; when given, it is the
+        line, byte for byte (the caller passes it only when the frame's
+        own ``seq`` is ``seq`` and dedupe kept every op).  Otherwise the
+        line is ``{"seq": seq, "ops": records}``, where ``records`` are
+        the frame's already-parsed op records that survived dedupe.
+        Either way no operation is re-encoded.
+        """
         if self._wal is None:
             self._wal = open(self.wal_path, "ab")
-        record = {"seq": seq, "ops": [encode_op(op) for op in ops]}
-        line = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        if raw is not None:
+            line = raw.strip()
+        else:
+            line = json.dumps(
+                {"seq": seq, "ops": records}, separators=(",", ":")
+            ).encode("utf-8")
         self._wal.write(line + b"\n")
         self._wal.flush()  # out of the process: survives kill -9
         self._wal_dirty = True
@@ -238,31 +259,40 @@ class SessionStore:
         """Read the journal back: ``(highest_seq, [(seq, ops), ...])``.
 
         Tolerates a torn final line (dropped — it was never acked) via the
-        same reader history files use.  Batches are returned in write
-        order; sequence numbers are the ack bookkeeping, op indices the
-        dedupe key.
+        same reader history files use.  Lines split on ``\\n`` alone, the
+        terminator the writer emits: a journaled frame may hold a bare
+        ``\\r`` between JSON tokens, which universal newlines would cut in
+        two.  Every record must be an object with a positive integer
+        ``seq`` and an ``ops`` array; anything else raises
+        :class:`~repro.errors.ServiceError` naming ``path:line``.
+        Batches are returned in write order; sequence numbers are the ack
+        bookkeeping, op indices the dedupe key.
         """
         batches: List[Tuple[int, List[Op]]] = []
         highest = 0
         try:
-            fh = open(self.wal_path, "r", encoding="utf-8")
+            fh = open(self.wal_path, "r", encoding="utf-8", newline="\n")
         except OSError:
             return 0, []
         with fh:
             for line_number, record in iter_json_lines(
                 fh, allow_torn_tail=True
             ):
-                if not isinstance(record, dict) or "ops" not in record:
+                seq = record.get("seq") if isinstance(record, dict) else None
+                if (
+                    type(seq) is not int
+                    or seq <= 0
+                    or not isinstance(record.get("ops"), list)
+                ):
                     raise ServiceError(
                         f"{self.wal_path}:{line_number}: "
                         "malformed WAL record"
                     )
-                seq = record.get("seq", 0)
                 ops = [
                     decode_op(raw, line_number) for raw in record["ops"]
                 ]
-                highest = max(highest, int(seq))
-                batches.append((int(seq), ops))
+                highest = max(highest, seq)
+                batches.append((seq, ops))
         return highest, batches
 
     # ------------------------------------------------------------------
@@ -464,9 +494,18 @@ class DurabilityManager:
             "config": dataclasses.asdict(session.config),
         })
 
-    def log_append(self, session, seq: int, ops: List[Op]) -> None:
-        """WAL the batch; must be called before buffering/acking it."""
-        self.store(session.id).log_append(seq, ops)
+    def log_append(
+        self,
+        session,
+        seq: int,
+        records: Sequence[Any],
+        raw: Optional[bytes],
+    ) -> None:
+        """WAL the batch; must be called before buffering/acking it.
+
+        See :meth:`SessionStore.log_append` for the two line forms.
+        """
+        self.store(session.id).log_append(seq, records, raw)
 
     def maybe_checkpoint(self, session) -> bool:
         """Checkpoint when enough new ops were analyzed since the last."""

@@ -33,7 +33,8 @@ Request frames (client to server):
     ``applied_seq`` is acknowledged again without being re-applied, and
     half-applied batches dedupe op-by-op on the strictly increasing
     history index.  On a durable daemon the batch is journaled to the
-    write-ahead log *before* the ack.  Reply: ``appended`` (with the
+    write-ahead log *before* the ack — as the frame's own bytes when it
+    carries a ``seq`` and dedupe kept every op.  Reply: ``appended`` (with the
     post-accept backlog, ``seq``, ``applied_seq``, and ``deduped`` when
     duplicates were dropped) — sent only once the session's buffer is
     below its high-watermark, which is how backpressure propagates to a

@@ -446,7 +446,7 @@ class CheckerService:
         try:
             frame = decode_frame(line)
             session_id = frame.get("session")
-            return await self._dispatch(frame)
+            return await self._dispatch(frame, line)
         except (ReproError, ValueError) as exc:
             # Malformed frames, session poisonings, bad configs, unknown
             # sessions: the request fails with a structured, coded error;
@@ -490,7 +490,10 @@ class CheckerService:
             error=message,
         )
 
-    async def _dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    async def _dispatch(
+        self, frame: Dict[str, Any], line: bytes
+    ) -> Dict[str, Any]:
+        """Answer one decoded frame; ``line`` is its bytes as received."""
         kind = request_type(frame)
         obs = self.obs
         if obs is not None and obs.metrics is not None:
@@ -511,7 +514,7 @@ class CheckerService:
         session = self.registry.get(frame.get("session"))
         session.touch()
         if kind == "append":
-            return await self._append(session, frame)
+            return await self._append(session, frame, line)
         if kind == "verdict":
             return await self._verdict(session, frame)
         return await self._close(session)
@@ -677,11 +680,19 @@ class CheckerService:
             }
         return self.stats_record()
 
-    async def _append(self, session, frame: Dict[str, Any]) -> Dict[str, Any]:
+    async def _append(
+        self, session, frame: Dict[str, Any], line: bytes
+    ) -> Dict[str, Any]:
+        """Buffer one batch; ``line`` is the frame's bytes as received.
+
+        ``line`` arrives as an argument, not as server state: the
+        backpressure wait below yields to other connections' frames.
+        """
         obs = self.obs
         tracer = obs.tracer if obs is not None else None
         decode_begin = perf_counter() if tracer is not None else 0.0
-        ops = decode_ops(frame.get("ops", ()))
+        records = frame.get("ops", ())
+        ops = decode_ops(records)
         if tracer is not None:
             # Parked on the session; the next analyzed chunk's trace
             # carries them as spans preceding ``analyze``.
@@ -743,15 +754,24 @@ class CheckerService:
         # and buffered the batch, then died before acking.  Indices are
         # strictly increasing across a stream, so anything at or below the
         # high-water mark has already been accepted.
-        fresh = session.dedupe_ops(ops)
+        fresh, records = session.dedupe_ops(ops, records)
         deduped = len(ops) - len(fresh)
+        # The frame itself is the journal line when it names its own seq
+        # and every op is kept; otherwise the WAL writes the server's seq
+        # and the surviving records.
+        raw = line if seq is not None and not deduped else None
         if seq is None:
             seq = session.applied_seq + 1
         if self.durability is not None and fresh:
             # WAL first, ack second: once the reply goes out the ops must
             # survive a crash, so they hit the journal (flushed, and
             # fsynced per policy) before they are even buffered.
-            self.durability.log_append(session, seq, fresh)
+            wal_begin = perf_counter() if tracer is not None else 0.0
+            self.durability.log_append(session, seq, records, raw)
+            if tracer is not None:
+                session.trace_spans.append(
+                    tracer.span("wal", perf_counter() - wal_begin)
+                )
         if tracer is not None:
             buffer_begin = perf_counter()
             self.registry.append(session.id, fresh)

@@ -173,11 +173,12 @@ class Session:
         #: behind the ``last_chunk_ms`` p50/p95/p99 digest in ``stats``.
         self.chunk_ms_window: deque = deque(maxlen=CHUNK_LATENCY_WINDOW)
         #: Spans recorded for this session's next chunk before analysis
-        #: ran (frame decode, backlog buffering) — the server parks them
-        #: here; the tracer folds them into the next chunk's trace.
-        #: Bounded: a client whose appends keep being refused must not
-        #: grow it between the chunks that would drain it.
-        self.trace_spans: deque = deque(maxlen=32)
+        #: ran (frame decode, WAL append, backlog buffering) — the server
+        #: parks them here; the tracer folds them into the next chunk's
+        #: trace.  Bounded (16 durable appends' worth): a client whose
+        #: appends keep being refused must not grow it between the
+        #: chunks that would drain it.
+        self.trace_spans: deque = deque(maxlen=48)
         #: Scheduler state: seconds of analysis credit.  Refilled by
         #: ``quantum_seconds`` per scheduling visit, charged at each
         #: slice's wall-clock cost; an expensive slice leaves the session
@@ -295,7 +296,9 @@ class Session:
                 analyze_seconds=round(self.analyze_seconds, 4),
             )
 
-    def dedupe_ops(self, ops: Sequence[Op]) -> List[Op]:
+    def dedupe_ops(
+        self, ops: Sequence[Op], records: Sequence[Any]
+    ) -> Tuple[List[Op], Sequence[Any]]:
         """Drop operations this session has already accepted.
 
         Operation indices are strictly increasing across a stream
@@ -304,9 +307,20 @@ class Session:
         client re-sending a batch the daemon journaled (maybe partially
         acked) before dying.  Idempotent resume falls out: re-sending is
         always safe.
+
+        ``records`` are the frame's op records, parallel to ``ops``;
+        returns the fresh operations and their records (the WAL journals
+        the records, so it never re-encodes an operation).
         """
         threshold = self.last_buffered_index
-        return [op for op in ops if op.index > threshold]
+        fresh = [op for op in ops if op.index > threshold]
+        if len(fresh) == len(ops):
+            return fresh, records
+        return fresh, [
+            record
+            for record, op in zip(records, ops)
+            if op.index > threshold
+        ]
 
     def analyze_chunk(self) -> StreamUpdate:
         """Run one bounded slice: up to ``chunk_ops`` backlog operations.

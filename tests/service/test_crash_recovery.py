@@ -19,6 +19,7 @@ the same property through a real ``python -m repro serve`` getting a real
 ``SIGKILL``.
 """
 
+import json
 import os
 import signal
 import socket
@@ -32,9 +33,11 @@ from hypothesis import strategies as st
 
 from repro import History, check
 from repro.service import (
+    BackgroundService,
     DurabilityManager,
     ServiceClient,
     SessionRegistry,
+    encode_frame,
     encode_ops,
 )
 from repro.service.client import session_workload
@@ -53,9 +56,15 @@ def apply_batch(durability, registry, session, seq, ops):
     """One ``append`` exactly as the server applies it: dedupe, WAL, buffer."""
     if seq <= session.applied_seq:
         return
-    fresh = session.dedupe_ops(ops)
+    frame = {
+        "type": "append", "session": session.id, "seq": seq,
+        "ops": encode_ops(ops),
+    }
+    fresh, records = session.dedupe_ops(ops, frame["ops"])
     if fresh:
-        durability.log_append(session, seq, fresh)
+        # The frame is the journal line unless dedupe trimmed it.
+        raw = encode_frame(frame) if len(fresh) == len(ops) else None
+        durability.log_append(session, seq, records, raw)
     registry.append(session.id, fresh)
     session.applied_seq = seq
 
@@ -381,6 +390,204 @@ class TestRecoveryOracle:
         for name in fields:
             assert getattr(recovered.config, name) == values[name], name
         assert recovered.config == config
+
+
+class TestWalLineForms:
+    """The journal holds frames as received or ``{"seq", "ops"}`` lines."""
+
+    def seeded_store(self, tmp_path, lines):
+        """A session directory whose WAL is exactly ``lines``."""
+        from repro.service.session import SessionConfig
+
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        session = SessionRegistry().open(SessionConfig(), "forms")
+        durability.open_session(session)
+        durability.close()
+        with open(wal_path(durability, "forms"), "wb") as fh:
+            fh.write(b"".join(line + b"\n" for line in lines))
+        return durability.store("forms")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b'{"seq":"2","ops":[]}',
+            b'{"seq":true,"ops":[]}',
+            b'{"seq":0,"ops":[]}',
+            b'{"seq":-3,"ops":[]}',
+            b'{"seq":2.0,"ops":[]}',
+            b'{"ops":[]}',
+            b'{"seq":2}',
+            b'{"seq":2,"ops":{}}',
+            b'{"seq":2,"ops":null}',
+            b'[2,[]]',
+            b'"append"',
+        ],
+        ids=[
+            "string-seq", "bool-seq", "zero-seq", "negative-seq",
+            "float-seq", "no-seq", "no-ops", "object-ops", "null-ops",
+            "array-record", "string-record",
+        ],
+    )
+    def test_malformed_records_refused_with_location(self, tmp_path, record):
+        from repro.errors import ServiceError
+
+        good = b'{"seq":1,"ops":[]}'
+        store = self.seeded_store(tmp_path, [good, record, good])
+        with pytest.raises(ServiceError) as excinfo:
+            store.replay_wal()
+        assert str(excinfo.value) == (
+            f"{store.wal_path}:2: malformed WAL record"
+        )
+
+    def test_bare_cr_frame_as_last_line_replays(self, tmp_path):
+        """A frame with ``\\r`` between tokens stays one record, even last."""
+        ops = session_workload(txns=6, seed=1)
+        records = encode_ops(ops)
+        first = encode_frame(
+            {"type": "append", "session": "forms", "seq": 1,
+             "ops": records[:4]}
+        ).strip()
+        last = b"\r".join([
+            b'{"type":"append",', b'"session":"forms",', b'"seq":2,',
+            b'"ops":' + encode_frame(records[4:]).strip() + b"}",
+        ])
+        store = self.seeded_store(tmp_path, [first, last])
+        highest, batches = store.replay_wal()
+        assert highest == 2
+        assert [seq for seq, _ops in batches] == [1, 2]
+        assert [op for _seq, batch in batches for op in batch] == ops
+
+    def test_append_path_never_encodes_an_op(self, tmp_path, monkeypatch):
+        """Verbatim, seq-less and trimmed appends all skip ``encode_op``."""
+        from repro.history.io import encode_op
+
+        ops = session_workload(txns=30, seed=2)
+        records = encode_ops(ops)
+        frames = [
+            {"type": "append", "session": "raw", "seq": 1,
+             "ops": records[:20]},
+            {"type": "append", "session": "raw", "ops": records[20:40]},
+            {"type": "append", "session": "raw", "seq": 3,
+             "ops": records[30:60]},
+        ]
+
+        def refuse(_op):
+            raise AssertionError("encode_op called on the append path")
+
+        # Every module holding a reference, wherever it was imported to.
+        for name, module in list(sys.modules.items()):
+            if (
+                name.startswith("repro")
+                and getattr(module, "encode_op", None) is encode_op
+            ):
+                monkeypatch.setattr(module, "encode_op", refuse)
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        with BackgroundService(port=0, durability=durability) as bg:
+            with ServiceClient(bg.tcp_address) as client:
+                client.request({"type": "open", "session": "raw"})
+                replies = [client.request(frame) for frame in frames]
+        assert [reply["ops"] for reply in replies] == [20, 20, 20]
+        assert replies[2]["deduped"] == 10
+        with open(wal_path(durability, "raw"), "rb") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == encode_frame(frames[0]).strip()
+        assert lines[1].startswith(b'{"seq":2,"ops":[')
+        assert lines[2].startswith(b'{"seq":3,"ops":[')
+
+    def test_kill9_mixed_journal_matches_batch(self, tmp_path):
+        """One journal mixing every line form survives a real ``kill -9``.
+
+        The WAL ends up holding, in order: a ``{"seq", "ops"}`` line
+        written by hand the way older builds journaled every batch,
+        frames journaled as received, a seq-less frame (the server
+        assigns its seq), a re-delivery dedupe trimmed, and finally a
+        frame with bare ``\\r`` bytes between its tokens.  The restarted
+        daemon replays all of them to the uninterrupted batch verdict.
+        """
+        from repro.history.io import encode_op
+        from repro.service.session import SessionConfig
+
+        data_dir = tmp_path / "data"
+        ops = session_workload(txns=150, seed=9, **FAULTY)
+        expected = check(History(ops))
+        batches = batches_of(ops, 40)
+        assert len(batches) >= 8
+        durability = DurabilityManager(str(data_dir), fsync="never")
+        seeded = SessionRegistry().open(SessionConfig(chunk_ops=32), "mixed")
+        durability.open_session(seeded)
+        durability.close()
+        journal = wal_path(durability, "mixed")
+        legacy = {"seq": 1, "ops": [encode_op(op) for op in batches[0]]}
+        with open(journal, "wb") as fh:
+            fh.write(
+                json.dumps(legacy, separators=(",", ":")).encode("utf-8")
+                + b"\n"
+            )
+
+        no_checkpoints = ("--checkpoint-every", "1000000")
+        port = free_port()
+        proc = spawn_daemon(data_dir, port, *no_checkpoints)
+        try:
+            with ServiceClient(f"127.0.0.1:{port}", timeout=30) as client:
+                sid = client.open_session(session_id="mixed", resume=True)
+                assert client._sessions[sid].next_seq == 2
+                client.append(sid, batches[1])  # seq 2, as received
+                client.append(sid, batches[2])  # seq 3, as received
+                reply = client.request({
+                    "type": "append", "session": sid,
+                    "ops": encode_ops(batches[3]),
+                })
+                assert reply["seq"] == 4
+                half = len(batches[3]) // 2
+                reply = client.request({
+                    "type": "append", "session": sid, "seq": 5,
+                    "ops": encode_ops(batches[3][half:] + batches[4]),
+                })
+                assert reply["deduped"] == len(batches[3]) - half
+            frame = b"\r".join([
+                b'{"type":"append",', b'"session":"mixed",', b'"seq":6,',
+                b'"ops":' + encode_frame(encode_ops(batches[5])).strip(),
+            ]) + b"\r}\n"
+            with socket.create_connection(("127.0.0.1", port), 30) as sock:
+                sock.sendall(frame)
+                with sock.makefile("rb") as replies:
+                    reply = json.loads(replies.readline())
+            assert reply["type"] == "appended", reply
+            assert reply["applied_seq"] == 6
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+
+            with open(journal, "rb") as fh:
+                lines = fh.read().split(b"\n")
+            assert lines[-1] == b""
+            assert len(lines) == 7
+            assert lines[0].startswith(b'{"seq":1,"ops":[')
+            assert lines[1].startswith(b'{"type":"append"')
+            assert lines[2].startswith(b'{"type":"append"')
+            assert lines[3].startswith(b'{"seq":4,"ops":[')
+            assert lines[4].startswith(b'{"seq":5,"ops":[')
+            assert lines[5] == frame.strip()
+            assert b"\r" in lines[5]
+
+            proc = spawn_daemon(data_dir, port, *no_checkpoints)
+            with ServiceClient(f"127.0.0.1:{port}", timeout=30) as client:
+                sid = client.open_session(session_id="mixed", resume=True)
+                assert client._sessions[sid].next_seq == 7
+                acked = sum(len(batch) for batch in batches[:6])
+                stats = client.stats(sid)
+                assert stats["stats"]["ops_ingested"] == acked
+                for batch in batches[6:]:
+                    client.append(sid, batch)
+                verdict = client.verdict(sid, report=True)
+                assert verdict["report"] == expected.report()
+                assert verdict["valid"] == expected.valid
+                stats = client.stats(sid)
+                assert stats["stats"]["ops_ingested"] == len(ops)
+                client.close_session(sid)
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=30)
 
 
 def free_port():

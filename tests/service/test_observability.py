@@ -16,7 +16,7 @@ import urllib.request
 import pytest
 
 from repro.obs import EventLog, Observability
-from repro.service import BackgroundService, ServiceClient
+from repro.service import BackgroundService, DurabilityManager, ServiceClient
 from repro.service.client import session_workload
 
 
@@ -99,6 +99,26 @@ class TestLiveScrape:
                 for span in trace["spans"]
             }
             assert "decode" in names
+            assert "wal" not in names  # no journal without --data-dir
+
+    def test_traced_durable_chunk_carries_every_stage(self, tmp_path):
+        """A durable daemon's chunk trace spans decode, WAL, buffer and
+        analysis, in that order."""
+        obs = Observability.enabled()
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        with BackgroundService(port=0, obs=obs, durability=durability) as bg:
+            drive_session(bg.tcp_address)
+            traces = obs.tracer.snapshot(session="obs-1")
+        stages = [
+            [span["name"] for span in trace["spans"]] for trace in traces
+        ]
+        for names in stages:
+            # Each append parks its three spans; the chunk adds analyze.
+            appends = (len(names) - 1) // 3
+            assert names == ["decode", "wal", "buffer"] * appends + [
+                "analyze"
+            ], stages
+        assert any(len(names) > 1 for names in stages), stages
 
     def test_unknown_route_404_and_bad_limit_400(self):
         obs = Observability.enabled()

@@ -221,7 +221,8 @@ class TestFrameDispatch:
             await service.start()
             service._draining = True
             with pytest.raises(ServiceError, match="draining"):
-                await service._dispatch({"type": "open", "session": "x"})
+                frame = {"type": "open", "session": "x"}
+                await service._dispatch(frame, encode_frame(frame))
             service._draining = False
             await service.drain()
 
