@@ -16,7 +16,8 @@ so far — with the expensive half of the work made incremental:
   A batch depends on its key alone, never on the key's rank or on the
   keys analyzed with it, so each chunk re-analyzes its stale keys in one
   :meth:`~repro.core.keyspace.KeyspacePlan.analyze_keys` call (for
-  rw-register, one version-graph pass over those keys);
+  list-append and rw-register, one columnar pass over those keys, split
+  by key);
 * internal-consistency results are cached per transaction and refreshed
   only for transactions the chunk added or upgraded;
 * each chunk re-checks only the *live window* — the transactions not yet

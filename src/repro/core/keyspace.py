@@ -9,7 +9,10 @@ evidence-carrying edges (:meth:`KeyspacePlan.analyze_keys`), a batch
 depending on its key alone — and :func:`execute_plan` runs the plan over
 every key, in one whole-index pass or in key ranges, inline or across a
 ``multiprocessing`` pool, then merges the batches into the
-:class:`~repro.core.analysis.Analysis`.
+:class:`~repro.core.analysis.Analysis`.  A :class:`ColumnarPlan`
+(list-append, rw-register) has one analyzer, a columnar pass over a key
+list: a batch check merges the pass over every key whole, and the
+streaming checker splits the pass over a chunk's stale keys by key.
 
 **Determinism.**  Nothing in the result depends on emission order.  A
 key's batch is its anomalies plus one evidence fragment.  The merge puts
@@ -53,9 +56,11 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..history import History, Transaction
-from ..history.index import HistoryIndex
-from .analysis import Analysis, EdgeKey, Evidence
+from ..history.index import HistoryIndex, take
+from .analysis import Analysis, ColumnEvidence, EdgeKey, Evidence
 from .anomalies import Anomaly, sort_anomalies
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
 from .profiling import Profile, stage
@@ -175,7 +180,8 @@ class KeyspacePlan:
     Subclasses set :attr:`workload`, validate the observation's
     recoverability contract in ``__init__`` (raising
     :class:`~repro.errors.WorkloadError` in the parent, deterministically),
-    and implement :meth:`analyze_key` or :meth:`analyze_keys`.  The base
+    and implement :meth:`analyze_key` or :meth:`analyze_keys` (a
+    :class:`ColumnarPlan` implements its pass instead).  The base
     constructor first rejects micro-ops foreign to the workload, so that
     error outranks every contract check a subclass runs after it.
     ``plan_options`` must capture the constructor keywords so a
@@ -207,8 +213,8 @@ class KeyspacePlan:
 
         The unit of work of the streaming checker (a chunk's stale keys)
         and of the worker pool (a key range).  The default runs
-        :meth:`analyze_key` per key; rw-register runs one pass over the
-        key list and splits it by key.
+        :meth:`analyze_key` per key; a :class:`ColumnarPlan` runs one
+        pass over the key list and splits it by key.
         """
         return list(map(self.analyze_key, keys))
 
@@ -220,8 +226,8 @@ class KeyspacePlan:
         Returns ``True`` when the plan fully handled the analysis
         (including the merge into ``analysis`` and its evidence source);
         ``False`` to fall back to the chunk path over
-        :meth:`analyze_keys`.  The list-append and rw-register plans
-        override it; grow-set and counter always run the chunk path.
+        :meth:`analyze_keys`.  A :class:`ColumnarPlan` merges its pass
+        over every key; grow-set and counter always run the chunk path.
         """
         return False
 
@@ -245,6 +251,77 @@ class KeyspacePlan:
         for pos in internal_candidate_positions(index, txn_lo, txn_hi):
             found.extend(check_internal(transactions[pos]))
         return found
+
+
+class Findings(NamedTuple):
+    """One columnar pass over a key list, before a merge or a split."""
+
+    #: Key by key, each key's anomalies in the order it reports them.
+    anomalies: List[Anomaly]
+    anomaly_keys: List[int]  # each anomaly's index in the pass's key list
+    evidence: ColumnEvidence  # the edge columns and their records
+
+
+class ColumnarPlan(KeyspacePlan):
+    """A plan whose unit of work is one columnar pass over a key list.
+
+    Subclasses implement :meth:`_pass`.  A batch check runs it over every
+    key and merges the result whole: the anomalies in canonical order,
+    the edges as one block of columns, and the pass's
+    :class:`~repro.core.analysis.ColumnEvidence` as the evidence source.
+    The streaming checker runs it over a chunk's stale keys and splits
+    it by key.  A key's findings never mix with another key's, so its
+    batch is the same in whatever key list it comes.
+    """
+
+    def _pass(
+        self, keys: Sequence[Any], profile: Optional[Profile] = None
+    ) -> Findings:
+        """The anomalies and edge columns of ``keys``, in one pass."""
+        raise NotImplementedError
+
+    def analyze_index(
+        self, analysis: Analysis, profile: Optional[Profile] = None
+    ) -> bool:
+        """Merge the pass over every key, with the internal sweep's
+        anomalies, into ``analysis``."""
+        keys = self._keys
+        if not keys:
+            return False
+        index = self.index
+        found = self._pass(keys, profile)
+        with stage(profile, "analyze/merge"):
+            anomalies = self.internal_anomalies(0, len(index.transactions))
+            anomalies.extend(found.anomalies)
+            analysis.anomalies.extend(sort_anomalies(anomalies))
+            columns = found.evidence.columns
+            # One gather of transaction ids for both endpoint columns.
+            ends = take(
+                index.txn_ids,
+                np.concatenate([c.u for c in columns] + [c.v for c in columns]),
+            )
+            out_u, out_v = np.split(ends, 2)
+            out_l = np.repeat(
+                np.array([c.bit for c in columns], dtype=np.int64),
+                [len(c.u) for c in columns],
+            )
+            analysis.graph.add_edge_columns(out_u, out_v, out_l)
+            analysis.log_evidence(found.evidence)
+        return True
+
+    def analyze_keys(self, keys: Sequence[Any]) -> List[Batch]:
+        """Each key's batch, from one pass over ``keys``: its anomalies,
+        and a fragment holding, for every edge bit the key justifies, its
+        lowest-rank record."""
+        if not keys:
+            return []
+        found = self._pass(keys)
+        batches: List[Batch] = [
+            ([], fragment) for fragment in found.evidence.by_key(len(keys))
+        ]
+        for k, anomaly in zip(found.anomaly_keys, found.anomalies):
+            batches[k][0].append(anomaly)
+        return batches
 
 
 #: Registered plans: workload name -> plan class (populated by analyzers).

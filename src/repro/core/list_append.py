@@ -10,35 +10,41 @@ The analysis is a keyspace-partitioned plan (:mod:`repro.core.keyspace`)
 over the history's single-pass :class:`~repro.history.index.HistoryIndex`.
 Per key:
 
-1. **Read checks** — per committed read: duplicate elements (a write applied
+1. **Version order** — the longest committed read (the first, on a tie)
+   is the key's *trace*; reads that are not a prefix of it are
+   ``incompatible-order`` anomalies and justify no edges.
+2. **Read checks** — per committed read: duplicate elements (a write applied
    twice by the database), garbage elements (never written by anyone),
    aborted reads (G1a), dirty updates, and intermediate reads (G1b), via the
-   shared recoverability checks.  A per-key screen (element / aborted /
-   non-final sets) proves most reads anomaly-free with set operations so the
-   element-by-element walk runs only on suspicious reads.
-2. **Version order** — the longest committed read defines the inferred
-   order; non-prefix reads are ``incompatible-order`` anomalies.
+   shared recoverability checks.  A screen over the trace's elements
+   (garbage, aborted writer, duplicate, non-final append) proves most reads
+   anomaly-free, so the element-by-element walk runs only on flagged reads.
 3. **Dependency edges** — ww along consecutive *installed* versions, wr from
    a version's writer to its readers, rw from a reader to the writer of the
    next installed version.
 
-Internal consistency (each transaction against its own ops) runs
-transaction-major alongside the plan, and optional session/real-time edges
-(§5.1) are added after the per-key batches merge.  A batch check runs the
-whole-index pass at any ``shards=N``: the worker pool serves only plans
-without one (grow-set, counter).
+All three run as one columnar pass over a key list
+(:meth:`ListAppendPlan._pass`), on one path: a batch check passes every
+key and merges the result whole, and the streaming checker passes a
+chunk's stale keys and splits the result by key
+(:class:`~repro.core.keyspace.ColumnarPlan`).  Internal consistency (each
+transaction against its own ops) runs transaction-major alongside the
+plan, and optional session/real-time edges (§5.1) are added after the
+merge.  A batch check runs the whole-index pass at any ``shards=N``: the
+worker pool serves only plans without one (grow-set, counter).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from itertools import chain, compress, repeat
+from operator import attrgetter, ne
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import HistoryError
 from ..history import History
 from ..history.index import check_unique_writes, take
-from .analysis import Analysis, Evidence
+from .analysis import ColumnEvidence, EdgeColumns
 from .anomalies import (
     DIRTY_UPDATE,
     DUPLICATE_ELEMENTS,
@@ -47,12 +53,11 @@ from .anomalies import (
     GARBAGE_READ,
     INCOMPATIBLE_ORDER,
     Anomaly,
-    sort_anomalies,
 )
 from .deps import RW, WR, WW
 from .keyspace import (
-    Batch,
-    KeyspacePlan,
+    ColumnarPlan,
+    Findings,
     ReadCheckStyle,
     check_recoverable_read,
     register_plan,
@@ -126,9 +131,24 @@ def _duplicate(reader, key, element, first_pos, pos, value):
     )
 
 
+def _incompatible(reader_id, key, value, longest, longest_id):
+    return Anomaly(
+        name=INCOMPATIBLE_ORDER,
+        txns=(reader_id, longest_id),
+        message=(
+            f"T{reader_id} read {list(value)} of "
+            f"key {key!r}, which is "
+            f"not a prefix of {list(longest)} as read by "
+            f"T{longest_id}; these versions cannot lie on one "
+            "version order"
+        ),
+        data={"key": key, "value": value, "longest": longest},
+    )
+
+
 @register_plan
-class ListAppendPlan(KeyspacePlan):
-    """Per-key list-append analysis over the shared history index."""
+class ListAppendPlan(ColumnarPlan):
+    """List-append analysis over the shared history index."""
 
     workload = "list-append"
 
@@ -150,489 +170,221 @@ class ListAppendPlan(KeyspacePlan):
             intermediate_after_aborted=True,
         )
 
-    # ------------------------------------------------------------------
-    # Whole-index columnar pass
+    def _pass(self, keys: Sequence[Any], profile=None) -> Findings:
+        """Analyze ``keys`` in one pass over their columns.
 
-    def analyze_index(self, analysis: Analysis, profile=None) -> bool:
-        """Analyze every key in one vectorized sweep over the CSR columns.
-
-        The per-key screens of :meth:`analyze_key` become single numpy
-        passes over the concatenated columns: per-key maximal reads
-        (``maximum.reduceat``), the committed-final-append stream ``S``
-        (one mask over ``w_final``), and the clean-key test ``S == trace
-        and every read a prefix``.  A key that passes is *clean*: its
-        recoverability / G1a / G1b / dirty-update / duplicate screens are
-        proven silent, its installed version order is exactly ``S``, and
-        its ww/wr/rw edges are computable as bulk id arrays — so the
-        per-key plan invocation is skipped entirely.  Flagged reads land
-        in ``(key, position)`` survivor arrays and their keys fall back
-        to :meth:`analyze_key`, the per-key path.  Anomalies merge in
-        the canonical :func:`~repro.core.anomalies.sort_anomalies` order.
-        The clean keys' edges go into the graph as one block of columns
-        and the fallback fragments after them: the frozen graph is the
-        same for any emission order.  Evidence is not built here: the
-        analysis logs one deferred source that, if ever read, yields the
-        fragments in key order — the fallback keys' as computed, and each
-        clean key's re-derived by :meth:`analyze_key` — so both kinds of
-        key share one derivation.  Output — anomalies, the
-        graph, evidence precedence — is identical to the per-key path;
-        the sharding/streaming/service and reference oracles pin that.
+        Per key, the trace is the first maximal known read, and each trace
+        element maps to its writer through the key's writes; a garbage
+        element (no writer) ends the installed chain.  An element is
+        *installed* when it is its writer's final append.  Then, as
+        columns over every key at once: ww links consecutive installed
+        elements of distinct writers; each prefix read gets wr from its
+        last element's writer and rw to the next installed writer (unless
+        that writer produced the version read); each distinct non-prefix
+        value is one ``incompatible-order``.  The screen flags a prefix
+        read that reaches past the first garbage, aborted or duplicate
+        trace element or ends on a non-final append, and a non-prefix
+        read holding a duplicate, garbage or aborted element or ending on
+        a non-final append; only flagged reads run
+        :func:`~repro.core.keyspace.check_recoverable_read`.  Evidence
+        ranks follow each key's emission order: its ww records along the
+        trace, then each read's wr and rw.  Transaction status is read at
+        the keys' own slots (:func:`take`), so the pass costs the keys'
+        slots, not the whole history.
         """
-        if not self._keys:
-            return False
         index = self.index
-        cols = index.columns(self._keys)
+        txn_ids = index.txn_ids
+        cols = index.columns(keys)
+        keys = cols.keys
 
         with stage(profile, "analyze/columnar-screen"):
-            nk = len(cols.keys)
+            nk = len(keys)
             rv = cols.r_val
-            wv = cols.w_val
-            r_indptr = cols.r_indptr
-            r_len_l = [-1 if v is None else len(v) for v in rv]
-            r_len = np.asarray(r_len_l, dtype=np.int64)
-            key_of_read = np.repeat(
-                np.arange(nk, dtype=np.int64), np.diff(r_indptr)
-            )
-            starts = r_indptr[:-1]
-            # Every key in read order has >= 1 committed value-bearing
-            # read, so the reduceat segments are never empty.  Unknown
-            # (None) reads carry length -1: they never win the max and
-            # are skipped everywhere, exactly like the classic path's
-            # filtered copy.
-            maxlen = np.maximum.reduceat(r_len, starts)
-            # First maximal read per key (max() picks the first maximum).
-            is_max = np.flatnonzero(r_len == maxlen[key_of_read])
-            longest_idx = is_max[
-                np.unique(key_of_read[is_max], return_index=True)[1]
-            ]
-
-            # S: every append of a non-aborted writer, per key in stream
-            # order.  Indeterminate writers belong — their appends can be
-            # read and installed (the per-key path only breaks the chain
-            # on aborted or garbage elements).  ``s_final`` marks the
-            # last append of each writer's run: the *installed* versions.
-            wm = take(index.txn_aborted, cols.w_txn) == 0
-            w_indptr = cols.w_indptr
-            cum = np.zeros(len(wm) + 1, dtype=np.int64)
-            np.cumsum(wm, out=cum[1:])
-            s_count = cum[w_indptr[1:]] - cum[w_indptr[:-1]]
-            s_idx = np.flatnonzero(wm)
-            s_txn = cols.w_txn[s_idx]
-            s_final = cols.w_final[s_idx]
-            s_indptr = np.zeros(nk + 1, dtype=np.int64)
-            np.cumsum(s_count, out=s_indptr[1:])
-            n_s = len(s_txn)
-
-            # Candidate clean keys, three vectorized gates: (a) at least
-            # as many surviving appends as the longest read has elements
-            # (appends after the last read sit in ``S`` beyond the trace
-            # and never enter the version order); (b) every known read
-            # ends on an installed position — a read ending mid-run saw
-            # an intermediate version (a G1b candidate) and survives to
-            # the per-key path.  The Python finishing loop then verifies
-            # (c) ``trace == S[:maxlen]`` elementwise with a duplicate
-            # check — the prefix compare stays exact, never hashed.
-            base = s_indptr[key_of_read]
-            count_ok = s_count >= maxlen
-            gather = (r_len > 0) & (r_len <= s_count[key_of_read])
-            if n_s:
-                ends_ok = (r_len <= 0) | (
-                    gather
-                    & s_final[np.where(gather, base + r_len - 1, 0)]
-                )
-            else:
-                ends_ok = r_len <= 0
-            candidates = np.flatnonzero(
-                count_ok & np.logical_and.reduceat(ends_ok, starts)
-            )
-            # Survivor (key, read) arrays from the vectorized screen:
-            # flagged reads in keys that passed the count gate.
-            flagged_idx = np.flatnonzero(~ends_ok & count_ok[key_of_read])
-            survivor_keys: List[int] = key_of_read[flagged_idx].tolist()
-            survivor_reads: List[int] = flagged_idx.tolist()
-
-            r_indptr_l = r_indptr.tolist()
-            s_indptr_l = s_indptr.tolist()
-            s_idx_l = s_idx.tolist()
-            longest_l = longest_idx.tolist()
-            clean_bits = bytearray(nk)
-            for k in candidates.tolist():
-                trace = rv[longest_l[k]]
-                tlen = len(trace)
-                slo = s_indptr_l[k]
-                if (
-                    tuple(wv[i] for i in s_idx_l[slo : slo + tlen]) != trace
-                    or len(set(trace)) != tlen
-                ):
-                    continue
-                lo, hi = r_indptr_l[k], r_indptr_l[k + 1]
-                prefixes = {tlen: trace}
-                flagged = -1
-                for i in range(lo, hi):
-                    length = r_len_l[i]
-                    if length < 0:
-                        continue  # unknown read: filtered, never judged
-                    prefix = prefixes.get(length)
-                    if prefix is None:
-                        prefix = prefixes[length] = trace[:length]
-                    if rv[i] != prefix:
-                        flagged = i
-                        break
-                if flagged >= 0:
-                    survivor_keys.append(k)
-                    survivor_reads.append(flagged)
-                    continue
-                clean_bits[k] = 1
-            clean = np.frombuffer(bytes(clean_bits), dtype=np.uint8).astype(
-                bool
-            )
-            fallback = np.flatnonzero(~clean).tolist()
-
-            # Bulk ww/wr/rw edge columns for the clean keys, computed in
-            # the transaction-position domain until the final id gather.
-            # The frozen graph does not depend on emission order, so the
-            # three kinds go in as one block each.
             r_txn = cols.r_txn
-            if n_s:
-                s_key = np.repeat(
-                    np.arange(nk, dtype=np.int64), np.diff(s_indptr)
-                )
-                # The ww chain links consecutive *installed* versions
-                # within the trace (in-segment offsets >= maxlen were
-                # never read); one run per writer, so adjacent installed
-                # writers are always distinct transactions.
-                in_trace = (
-                    np.arange(n_s, dtype=np.int64) - s_indptr[s_key]
-                ) < maxlen[s_key]
-                ii = np.flatnonzero(clean[s_key] & s_final & in_trace)
-                pair = s_key[ii[1:]] == s_key[ii[:-1]] if len(ii) else ii
-                ww_u = s_txn[ii[:-1][pair]]
-                ww_v = s_txn[ii[1:][pair]]
+            r_key = cols.r_key
+            r_indptr = cols.r_indptr
+            r_len_l = [-1 if value is None else len(value) for value in rv]
+            r_len = np.array(r_len_l, dtype=np.int64)
 
-                clean_r = clean[key_of_read]
-                wr_valid = clean_r & (r_len > 0)
-                producer = s_txn[np.where(wr_valid, base + r_len - 1, 0)]
-                wr_emit = wr_valid & (producer != r_txn)
-                # rw: the run starting right after the read's last element
-                # is the next installed version's writer (clean reads end
-                # on installed positions, so position ``length`` starts a
-                # fresh run whose final append is still inside the trace).
-                rw_valid = clean_r & (r_len >= 0) & (r_len < maxlen[key_of_read])
-                nwriter = s_txn[np.where(rw_valid, base + r_len, 0)]
-                rw_emit = rw_valid & (nwriter != r_txn)
+            # The trace: each key's first maximal read.  Every key has a
+            # known read, so no reduceat segment is empty, and unknown
+            # (None) reads, length -1, never win.
+            maxlen = np.maximum.reduceat(r_len, r_indptr[:-1])
+            is_max = (r_len == maxlen[r_key]).nonzero()[0]
+            head = np.empty(len(is_max), dtype=bool)
+            head[0] = True
+            np.not_equal(r_key[is_max[1:]], r_key[is_max[:-1]], out=head[1:])
+            longest = is_max[head]
+            longest_pos = r_txn[longest]
+            traces = [rv[i] for i in longest.tolist()]
+            trace = list(chain.from_iterable(traces))
+            n_t = len(trace)
+            t_indptr = np.zeros(nk + 1, dtype=np.int64)
+            maxlen.cumsum(out=t_indptr[1:])
+            t_key = np.arange(nk, dtype=np.int64).repeat(maxlen)
 
-                # One gather of transaction ids for both endpoint columns.
-                out_u, out_v = np.split(
-                    take(
-                        index.txn_ids,
-                        np.concatenate(
-                            (
-                                ww_u,
-                                producer[wr_emit],
-                                r_txn[rw_emit],
-                                ww_v,
-                                r_txn[wr_emit],
-                                nwriter[rw_emit],
-                            )
-                        ),
-                    ),
-                    2,
-                )
-                out_l = np.repeat(
-                    np.array([WW, WR, RW], dtype=np.int64),
-                    [len(ww_u), int(wr_emit.sum()), int(rw_emit.sum())],
-                )
-            else:
-                out_u = out_v = out_l = np.empty(0, dtype=np.int64)
+            # Each trace element's writer, through its key's write index
+            # (-1: garbage), plus one -1 pad entry; the per-key maps chain
+            # in C, with no loop per key.
+            index_of = map(
+                attrgetter("first_writer"), map(index.slices.__getitem__, keys)
+            )
+            writers = map(
+                map, map(attrgetter("get"), index_of), traces, repeat(repeat(-1))
+            )
+            t_writer = np.fromiter(
+                chain(chain.from_iterable(writers), (-1,)), np.int64, n_t + 1
+            )
+            garbage = t_writer[:-1] < 0
+            known = (~garbage).nonzero()[0]
+            k_writer = t_writer[known]
+            bad = garbage.copy()
+            bad[known] = take(index.txn_aborted, k_writer) != 0
+            # An element is *non-final* when it differs from the last
+            # append of its writer's run on the key.  Writes are key-major
+            # and each writer's run is one stretch, in position order, so
+            # the runs' (key, writer) codes ascend and each run starts
+            # past the previous run's end; a one-write run's element is
+            # its final append.
+            width = len(txn_ids)
+            finals = cols.w_final.nonzero()[0]
+            runs = cols.w_key[finals] * width + cols.w_txn[finals]
+            run = runs.searchsorted(t_key[known] * width + k_writer)
+            starts = np.concatenate(([0], finals[:-1] + 1))
+            several = finals[run] > starts[run]
+            multi = known[several]
+            nonfinal = np.zeros(n_t + 1, dtype=bool)  # one pad entry
+            nonfinal[multi] = np.fromiter(
+                map(
+                    ne,
+                    map(cols.w_val.__getitem__, finals[run[several]].tolist()),
+                    map(trace.__getitem__, multi.tolist()),
+                ),
+                bool,
+                len(multi),
+            )
 
-            anomalies = self.internal_anomalies(0, len(index.transactions))
+            def first(mask: np.ndarray) -> np.ndarray:
+                """Per key, the trace index of the first masked element
+                (the end of the key's trace if none)."""
+                out = t_indptr[1:].copy()
+                hits = mask.nonzero()[0][::-1]
+                out[t_key[hits]] = hits  # the last write, the first hit
+                return out
 
+            # The cut: the first garbage, aborted or repeated element.  A
+            # trace repeats an element when it has fewer distinct
+            # elements than positions.
+            cut = first(bad)
+            distinct = np.fromiter(map(len, map(set, traces)), np.int64, nk)
+            for k in (distinct < maxlen).nonzero()[0].tolist():
+                seen_elements = set()
+                for p, element in enumerate(traces[k]):
+                    if element in seen_elements:
+                        cut[k] = min(cut[k], t_indptr[k] + p)
+                        break
+                    seen_elements.add(element)
+
+            # ww: consecutive installed elements of distinct writers.
+            chained = np.arange(n_t) < first(garbage)[t_key]
+            installed = (~nonfinal[:-1] & chained).nonzero()[0]
+            a = installed[:-1]
+            b = installed[1:]
+            pair = (t_key[a] == t_key[b]) & (t_writer[a] != t_writer[b])
+            a = a[pair]
+            b = b[pair]
+            rank = b + 2 * r_indptr[t_key[b]]
+            ww = EdgeColumns(WW, t_writer[a], t_writer[b], b, a, longest_pos, rank)
+
+            # Prefix reads: wr from the producer of the version read, rw to
+            # the next installed writer; flagged when the read reaches past
+            # the cut or ends on a non-final element.  ``end`` is the
+            # trace index past the read's last element; a read's values
+            # index is ``n_t + i``, past the trace's elements.
+            r_key_l = r_key.tolist()
+            prefix = np.array(
+                [traces[k][:n] == value for value, k, n in zip(rv, r_key_l, r_len_l)],
+                dtype=bool,
+            )
+            end = np.where(prefix, t_indptr[r_key] + r_len, n_t)
+            last_t = np.where(prefix & (r_len > 0), end - 1, n_t)
+            producer = t_writer[last_t]
+            flagged = prefix & ((end > cut[r_key]) | nonfinal[last_t])
+            i = ((producer >= 0) & (producer != r_txn)).nonzero()[0]
+            rank = t_indptr[r_key[i] + 1] + 2 * i
+            wr = EdgeColumns(WR, producer[i], r_txn[i], last_t[i], None, None, rank)
+            nxt = np.concatenate((installed, [n_t]))[installed.searchsorted(end)]
+            nwriter = t_writer[nxt]
+            to_next = (nxt < t_indptr[r_key + 1]) & (nwriter != r_txn)
+            i = (to_next & ((producer < 0) | (nwriter != producer))).nonzero()[0]
+            rank = t_indptr[r_key[i] + 1] + 2 * i + 1
+            rw = EdgeColumns(RW, r_txn[i], nwriter[i], nxt[i], n_t + i, None, rank)
+
+            # Non-prefix reads: flagged on a duplicate element, an element
+            # outside the key's values of non-aborted writers (garbage or
+            # aborted), or a last element that ends no writer's run; and
+            # one incompatible-order per distinct value.
+            odd = ((r_len >= 0) & ~prefix).nonzero()[0].tolist()
+            if odd:
+                w_bounds = cols.w_indptr.tolist()
+                w_fine = take(index.txn_aborted, cols.w_txn) == 0
+                value_sets: Dict[int, Tuple[Set[Any], Set[Any]]] = {}
+            incompatible: List[Anomaly] = []
+            incompatible_keys: List[int] = []
+            seen = set()
+            for i in odd:
+                k = r_key_l[i]
+                value = rv[i]
+                if value:
+                    sets = value_sets.get(k)
+                    if sets is None:
+                        lo, hi = w_bounds[k], w_bounds[k + 1]
+                        written = cols.w_val[lo:hi]
+                        sets = value_sets[k] = (
+                            set(compress(written, w_fine[lo:hi].tolist())),
+                            set(compress(written, cols.w_final[lo:hi].tolist())),
+                        )
+                    if (
+                        len(set(value)) != len(value)
+                        or not sets[0].issuperset(value)
+                        or value[-1] not in sets[1]
+                    ):
+                        flagged[i] = True
+                if (k, value) not in seen:
+                    seen.add((k, value))
+                    reader = txn_ids[r_txn[i]]
+                    witness = txn_ids[longest_pos[k]]
+                    incompatible.append(
+                        _incompatible(reader, keys[k], value, traces[k], witness)
+                    )
+                    incompatible_keys.append(k)
+
+        flagged_l = flagged.nonzero()[0].tolist()
         if profile is not None:
-            profile.count("keyspace.columnar_keys", nk - len(fallback))
-            profile.count("keyspace.fallback_keys", len(fallback))
-            profile.count("keyspace.survivor_reads", len(survivor_reads))
+            walked = len(set(r_key[flagged].tolist()))
+            profile.count("keyspace.columnar_keys", nk - walked)
+            profile.count("keyspace.fallback_keys", walked)
+            profile.count("keyspace.survivor_reads", len(flagged_l))
 
         with stage(profile, "analyze/fallback"):
-            fallback_edges = {}
-            analyze_key = self.analyze_key
-            keys = self._keys
-            for k in fallback:
-                key_anomalies, fragment = analyze_key(keys[k])
-                anomalies.extend(key_anomalies)
-                if fragment:
-                    fallback_edges[k] = fragment
-
-        with stage(profile, "analyze/merge"):
-            analysis.anomalies.extend(sort_anomalies(anomalies))
-            graph = analysis.graph
-            graph.add_edge_columns(out_u, out_v, out_l)
-            for fragment in fallback_edges.values():
-                graph.add_edge_keys(fragment)
-
-            # Evidence: one deferred source, in key order — the fallback
-            # keys' fragments as computed, and each clean key's fragment
-            # re-derived by the per-key path.  A clean history never reads
-            # it.  The replay runs analyze_key against the live index, so
-            # it refuses once the history has grown past this analysis.
-            clock = index._clock
-
-            def fragments():
-                if index._clock != clock:
-                    raise HistoryError(
-                        "the history changed after this list-append "
-                        "analysis; its evidence can no longer be replayed"
-                    )
-                for kp, key in enumerate(keys):
-                    if clean_bits[kp]:
-                        yield analyze_key(key)[1]
-                    elif kp in fallback_edges:
-                        yield fallback_edges[kp]
-
-            analysis.log_evidence(fragments)
-        return True
-
-    def analyze_key(self, key: Any) -> Batch:
-        """One key's read checks, version order, and dependency edges.
-
-        Runs entirely over the slice's columnar arrays: read values are
-        pre-normalized tuples, writers are interned transaction positions
-        (``first_writer``), and transaction status comes from the index's
-        flat status columns.  The screen classifies the *longest* read's
-        elements once; any read that is a prefix of the longest is then
-        judged suspicious or clean by three integer comparisons, and only
-        suspicious reads pay for the element-by-element recoverability
-        walk (with the object-level write map built lazily, at most once
-        per key).  Within the fragment the first record of an edge wins:
-        ww edges along the trace, then each read's wr and rw edges in
-        read order.
-        """
-        index = self.index
-        slice_ = index.slices[key]
-        transactions = index.transactions
-        txn_ids = index.txn_ids
-        txn_aborted = index.txn_aborted
-        first_writer = slice_.first_writer
-
-        # Committed value-bearing reads, columnar.  The slice arrays are
-        # used as-is unless some committed read has an unknown (None)
-        # value, which is rare enough to pay a filtered copy for.
-        reads_txn = slice_.r_txn
-        reads_val = slice_.r_val
-        if None in reads_val:
-            filtered_txn: List[int] = []
-            filtered_val: List[Tuple] = []
-            for i, value in enumerate(reads_val):
-                if value is not None:
-                    filtered_txn.append(reads_txn[i])
-                    filtered_val.append(value)
-            reads_txn = filtered_txn
-            reads_val = filtered_val
-        n_reads = len(reads_val)
-
-        # Version order: the longest committed read defines the trace
-        # (first maximal read wins, as max() picks the first maximum).
-        longest_i = max(range(n_reads), key=lambda i: len(reads_val[i]))
-        longest = reads_val[longest_i]
-        longest_pos = reads_txn[longest_i]
-        longest_id = txn_ids[longest_pos]
-        trace_len = len(longest)
-
-        # Classify the longest read's elements once: writer positions,
-        # non-final flags, the first garbage/aborted position, and the
-        # first in-trace duplicate boundary.  Every prefix read screens
-        # against these in O(1) after one tuple comparison.
-        nonfinal = self._nonfinal_elements(slice_.w_txn, slice_.w_val)
-        fw_get = first_writer.get
-        writers = [fw_get(element, -1) for element in longest]
-        min_bad = trace_len
-        for p, w in enumerate(writers):
-            if w < 0 or txn_aborted[w]:
-                min_bad = p
-                break
-        if nonfinal:
-            nonfinal_at = [element in nonfinal for element in longest]
-        else:
-            nonfinal_at = [False] * trace_len
-        dup_at = trace_len
-        if len(set(longest)) != trace_len:
-            seen = set()
-            for p, element in enumerate(longest):
-                if element in seen:
-                    dup_at = p
-                    break
-                seen.add(element)
-
-        # ------------------------------------------------------------------
-        # Installed versions and their ww chain (§4.1.2): a version is
-        # *installed* when its element is its writer's final append to the
-        # key; elements with no recovered writer (garbage) break the chain
-        # — nothing beyond them is ordered soundly.  The ww edges land in
-        # the fragment first, before any read's wr/rw edges.
-        fragment: Dict[Tuple[int, int, int], Evidence] = {}
-        installed_positions: List[int] = []
-        installed_writers: List[int] = []
-        for p in range(trace_len):
-            w = writers[p]
-            if w < 0:
-                break  # garbage element: the trace beyond it is unreliable
-            if not nonfinal_at[p]:
-                installed_positions.append(p)
-                installed_writers.append(w)
-
-        for j in range(1, len(installed_writers)):
-            pwriter = installed_writers[j - 1]
-            nwriter = installed_writers[j]
-            if pwriter != nwriter:
-                edge = (txn_ids[pwriter], txn_ids[nwriter], WW)
-                if edge not in fragment:
-                    fragment[edge] = Evidence(
-                        kind=WW,
-                        key=key,
-                        value=longest[installed_positions[j]],
-                        prev_value=longest[installed_positions[j - 1]],
-                        via=longest_id,
-                    )
-
-        # ------------------------------------------------------------------
-        # One fused pass over the reads: screen, recoverability anomalies,
-        # and wr/rw edges for prefix reads; non-prefix reads are collected
-        # for the incompatible-order report below.  ``next_installed[b+1]``
-        # is the index of the first installed position > b, replacing a
-        # per-read bisect with one table lookup.
-        anomalies: List[Anomaly] = []
-        n_installed = len(installed_positions)
-        next_installed: List[int] = []
-        k = 0
-        for b in range(-1, trace_len):
-            while k < n_installed and installed_positions[k] <= b:
-                k += 1
-            next_installed.append(k)
-        nonprefix: List[int] = []
-        screen_sets = None  # (elements, aborted) for non-prefix reads
-        obj_write_map = None  # lazily built for suspicious reads only
-
-        def check_suspicious_read(i: int, value: Tuple) -> None:
-            nonlocal obj_write_map
-            if obj_write_map is None:
-                obj_write_map = index.write_map(slice_)
-            anomalies.extend(
-                check_recoverable_read(
-                    transactions[reads_txn[i]], key, value, obj_write_map, self._style
+            anomalies: List[Anomaly] = []
+            anomaly_keys: List[int] = []
+            transactions = index.transactions
+            write_maps: Dict[int, Dict[Any, Any]] = {}
+            for i in flagged_l:
+                k = r_key_l[i]
+                write_map = write_maps.get(k)
+                if write_map is None:
+                    write_map = index.write_map(index.slices[keys[k]])
+                    write_maps[k] = write_map
+                found = check_recoverable_read(
+                    transactions[r_txn[i]], keys[k], rv[i], write_map, self._style
                 )
-            )
-
-        for i in range(n_reads):
-            value = reads_val[i]
-            length = len(value)
-            if (
-                value == longest
-                if length == trace_len
-                else value == longest[:length]
-            ):
-                suspicious = (
-                    length > dup_at
-                    or length > min_bad
-                    or (length > 0 and nonfinal_at[length - 1])
-                )
-            else:
-                nonprefix.append(i)
-                if screen_sets is None:
-                    elements: Set[Any] = set(first_writer)
-                    aborted: Set[Any] = {
-                        v for v, w in first_writer.items() if txn_aborted[w]
-                    }
-                    screen_sets = (elements, aborted)
-                if self._suspicious(value, *screen_sets, nonfinal):
-                    check_suspicious_read(i, value)
-                continue  # incompatible read: no sound edges
-            if suspicious:
-                check_suspicious_read(i, value)
-
-            reader_pos = reads_txn[i]
-            # wr: the version read was produced by the writer of its last
-            # element (for a prefix read, the trace element at length - 1).
-            producer = writers[length - 1] if length else -1
-            if producer >= 0 and producer != reader_pos:
-                edge = (txn_ids[producer], txn_ids[reader_pos], WR)
-                if edge not in fragment:
-                    fragment[edge] = Evidence(
-                        kind=WR, key=key, value=longest[length - 1]
-                    )
-
-            # rw: the reader saw the version ending at position length-1;
-            # the writer of the next installed version overwrote it.
-            nxt = next_installed[length]
-            if nxt < n_installed:
-                writer = installed_writers[nxt]
-                if producer >= 0 and writer == producer:
-                    # The "next" installed version belongs to the same
-                    # transaction that produced the version read (an
-                    # intermediate read, flagged as G1b): no sound
-                    # anti-dependency follows.
-                    continue
-                if reader_pos != writer:
-                    edge = (txn_ids[reader_pos], txn_ids[writer], RW)
-                    if edge not in fragment:
-                        fragment[edge] = Evidence(
-                            kind=RW,
-                            key=key,
-                            value=longest[installed_positions[nxt]],
-                            prev_value=value,
-                        )
-
-        # Incompatible orders: non-prefix reads, one report per distinct value.
-        if nonprefix:
-            flagged = set()
-            for i in nonprefix:
-                value = reads_val[i]
-                if value in flagged:
-                    continue
-                flagged.add(value)
-                anomalies.append(
-                    Anomaly(
-                        name=INCOMPATIBLE_ORDER,
-                        txns=(txn_ids[reads_txn[i]], longest_id),
-                        message=(
-                            f"T{txn_ids[reads_txn[i]]} read {list(value)} of "
-                            f"key {key!r}, which is "
-                            f"not a prefix of {list(longest)} as read by "
-                            f"T{longest_id}; these versions cannot lie on one "
-                            "version order"
-                        ),
-                        data={"key": key, "value": value, "longest": longest},
-                    )
-                )
-        return anomalies, fragment
-
-    @staticmethod
-    def _nonfinal_elements(w_txn: List[int], w_val: List[Any]) -> Set[Any]:
-        """Elements that are a *non-final* append of their transaction."""
-        nonfinal: Set[Any] = set()
-        n = len(w_txn)
-        i = 0
-        while i < n:
-            txn = w_txn[i]
-            j = i
-            while j + 1 < n and w_txn[j + 1] == txn:
-                j += 1
-            if j > i:
-                final_value = w_val[j]
-                for k in range(i, j + 1):
-                    value = w_val[k]
-                    if value != final_value:
-                        nonfinal.add(value)
-            i = j + 1
-        return nonfinal
-
-    @staticmethod
-    def _suspicious(value, elements, aborted, nonfinal) -> bool:
-        """True when ``value`` could witness any anomaly on this key."""
-        if not value:
-            return False
-        if len(value) != len(set(value)):
-            return True  # duplicate elements
-        if not elements.issuperset(value):
-            return True  # garbage element
-        if not aborted.isdisjoint(value):
-            return True  # aborted read (G1a) / dirty update
-        return value[-1] in nonfinal  # intermediate read (G1b)
+                anomalies.extend(found)
+                anomaly_keys.extend([k] * len(found))
+        anomalies.extend(incompatible)
+        anomaly_keys.extend(incompatible_keys)
+        evidence = ColumnEvidence(
+            (ww, wr, rw), txn_ids, keys, lambda: trace + rv, t_key
+        )
+        return Findings(anomalies, anomaly_keys, evidence)

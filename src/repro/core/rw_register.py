@@ -40,10 +40,11 @@ The analysis runs as a keyspace plan over the history's single-pass
 over the flat columns of a key list.  Every version of every key is an int
 node of one version graph, each source emits its version edges as int
 arrays over all the keys at once, and one strongly-connected-component
-search flags every cyclic key.  A batch check runs it over every key
-(:meth:`RwRegisterPlan.analyze_index`); the streaming checker runs it over
-the keys a chunk touched (:meth:`RwRegisterPlan.analyze_keys`) and splits
-the result into per-key batches, which depend on their key alone.  The
+search flags every cyclic key.  The plan is a
+:class:`~repro.core.keyspace.ColumnarPlan`: a batch check runs the pass
+over every key and merges it whole; the streaming checker runs it over
+the keys a chunk touched and splits the result into per-key batches,
+which depend on their key alone.  The
 pass groups each key's *interacting* transactions from its own slots
 instead of rescanning every transaction once per key, so the process /
 realtime sources cost O(ops) in total, not O(keys × txns).
@@ -52,14 +53,14 @@ realtime sources cost O(ops) in total, not O(keys × txns).
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..graph import CSRGraph, interval_precedence_pairs
 from ..history import History
 from ..history.index import IndexColumns, check_unique_writes, take
-from .analysis import Analysis, EdgeKey, Evidence
+from .analysis import ColumnEvidence, EdgeColumns
 from .anomalies import (
     CYCLIC_VERSIONS,
     G1A,
@@ -67,12 +68,11 @@ from .anomalies import (
     GARBAGE_READ,
     LOST_UPDATE,
     Anomaly,
-    sort_anomalies,
 )
 from .deps import RW, WR, WW
 from .keyspace import (
-    Batch,
-    KeyspacePlan,
+    ColumnarPlan,
+    Findings,
     ReadCheckStyle,
     check_recoverable_read,
     register_plan,
@@ -200,18 +200,8 @@ class _Versions(NamedTuple):
         slot = self.slot[node]
         return w_val[slot] if slot >= 0 else self.garbage.get(node)
 
-    def values(self, w_val: List[Any]) -> List[Any]:
-        """Every node's value, in node order."""
-        values: List[Any] = [None] * self.n
-        firsts = np.flatnonzero(self.slot >= 0)
-        for node, slot in zip(firsts.tolist(), self.slot[firsts].tolist()):
-            values[node] = w_val[slot]
-        for node, value in self.garbage.items():
-            values[node] = value
-        return values
 
-
-def _intern_versions(cols: IndexColumns, r_key: np.ndarray) -> _Versions:
+def _intern_versions(cols: IndexColumns) -> _Versions:
     """Resolve every read and write of the columns to its version node."""
     nk = len(cols.keys)
     rv = cols.r_val
@@ -236,7 +226,8 @@ def _intern_versions(cols: IndexColumns, r_key: np.ndarray) -> _Versions:
     r_slot = np.array(r_slot_l, dtype=np.int64)
 
     # Garbage values number after the key's write slots, in first-read order.
-    garbage_reads = np.flatnonzero(r_slot == -2)
+    r_key = cols.r_key
+    garbage_reads = (r_slot == -2).nonzero()[0]
     garbage: Dict[Tuple[int, Any], int] = {}
     g_count = [0] * nk
     g_local = []
@@ -251,7 +242,7 @@ def _intern_versions(cols: IndexColumns, r_key: np.ndarray) -> _Versions:
     np.cumsum(1 + w_count + np.asarray(g_count, dtype=np.int64), out=node_indptr[1:])
     n = int(node_indptr[-1])
     init = node_indptr[:-1]
-    w_key = np.repeat(np.arange(nk, dtype=np.int64), w_count)
+    w_key = cols.w_key
     slot_node = np.arange(n_w, dtype=np.int64) + (init + 1 - cols.w_indptr[:-1])[w_key]
     # Reads without a writer select the padding entry past the last slot.
     r_node = np.where(
@@ -267,7 +258,7 @@ def _intern_versions(cols: IndexColumns, r_key: np.ndarray) -> _Versions:
         )
         for (k, value), j in garbage.items():
             garbage_node[int(init[k] + 1 + w_count[k] + j)] = value
-    firsts = np.flatnonzero(w_first == np.arange(n_w))
+    firsts = (w_first == np.arange(n_w)).nonzero()[0]
     writer = np.full(n, -1, dtype=np.int64)
     writer[slot_node[firsts]] = cols.w_txn[firsts]
     slot = np.full(n, -1, dtype=np.int64)
@@ -286,135 +277,8 @@ def _intern_versions(cols: IndexColumns, r_key: np.ndarray) -> _Versions:
     )
 
 
-def _winners(rank: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each ``(u, v)`` pair's lowest-rank row, pairs ascending."""
-    order = np.lexsort((rank, v, u))
-    su = u[order]
-    sv = v[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
-    return order[head]
-
-
-def _records(bit: int, value, prev, keys, versions: _Versions, values) -> Iterator:
-    """The Evidence records of one bit's rows, given their version nodes."""
-    record_keys = map(keys.__getitem__, versions.key[value].tolist())
-    record_values = map(values.__getitem__, value.tolist())
-    if prev is None:
-        record_prevs = repeat(None)
-    else:
-        record_prevs = map(values.__getitem__, prev.tolist())
-    # tuple.__new__ builds each record in C; the six-wide rows fill every
-    # Evidence field (via and process stay None for value edges).
-    return map(
-        tuple.__new__,
-        repeat(Evidence),
-        zip(
-            repeat(bit),
-            record_keys,
-            record_values,
-            record_prevs,
-            repeat(None),
-            repeat(None),
-        ),
-    )
-
-
-def _edges(bit: int, u, v, txn_ids: List[int]) -> Iterator:
-    """The ``(u, v, bit)`` edge keys of position columns ``u`` and ``v``."""
-    return zip(
-        map(txn_ids.__getitem__, u.tolist()),
-        map(txn_ids.__getitem__, v.tolist()),
-        repeat(bit),
-    )
-
-
-class _RegisterEvidence:
-    """rw-register's deferred evidence source, over the pass's edge columns.
-
-    Each block is ``(bit, u, v, value node, prev node or None, rank)``
-    with ``u``/``v`` transaction positions; per ``(u, v)`` the record of
-    lowest rank wins.  Calling the source builds every winning record (a
-    full :attr:`~repro.core.analysis.Analysis.evidence` read); :meth:`find`
-    builds one, which is all a cycle explanation needs.  Edge keys reuse
-    the index's transaction-id ints rather than boxing new ones.
-    """
-
-    def __init__(self, blocks, txn_ids: List[int], keys, versions, w_val) -> None:
-        self._blocks = blocks
-        self._txn_ids = txn_ids
-        self._keys = list(keys)
-        self._versions = versions
-        self._w_val = w_val
-        #: bit -> (code width, winners' ``u * width + v`` id codes
-        #: ascending, their (value, prev) nodes in that order), on demand.
-        self._found: Dict[int, Tuple[int, np.ndarray, np.ndarray, Any]] = {}
-
-    def __call__(self) -> List[Dict[EdgeKey, Evidence]]:
-        ids = self._txn_ids
-        versions = self._versions
-        values = versions.values(self._w_val)
-        fragment: Dict[EdgeKey, Evidence] = {}
-        for bit, u, v, value, prev, rank in self._blocks:
-            win = _winners(rank, u, v)
-            prev = None if prev is None else prev[win]
-            records = _records(bit, value[win], prev, self._keys, versions, values)
-            fragment.update(zip(_edges(bit, u[win], v[win], ids), records))
-        return [fragment]
-
-    def find(self, edge: EdgeKey) -> Optional[Evidence]:
-        """The winning record of one edge bit, or None."""
-        u, v, bit = edge
-        found = self._found.get(bit)
-        if found is None:
-            ids = np.asarray(self._txn_ids, dtype=np.int64)
-            width = int(ids.max()) + 1 if len(ids) else 1
-            found = (width, np.empty(0, dtype=np.int64), None, None)
-            for block_bit, wu, wv, value, prev, rank in self._blocks:
-                if block_bit == bit:
-                    win = _winners(rank, wu, wv)
-                    codes = ids[wu[win]] * width + ids[wv[win]]
-                    order = win[np.argsort(codes)]
-                    found = (
-                        width,
-                        np.sort(codes),
-                        value[order],
-                        None if prev is None else prev[order],
-                    )
-            self._found[bit] = found
-        width, codes, value, prev = found
-        if not (0 <= u < width and 0 <= v < width):
-            return None
-        code = u * width + v
-        i = int(np.searchsorted(codes, code))
-        if i == len(codes) or codes[i] != code:
-            return None
-        versions = self._versions
-        return Evidence(
-            bit,
-            self._keys[versions.key[value[i]]],
-            versions.value(value[i], self._w_val),
-            None if prev is None else versions.value(prev[i], self._w_val),
-        )
-
-
-class _Findings(NamedTuple):
-    """One version-graph pass over a key list, before a merge or split."""
-
-    keys: List[Any]
-    versions: _Versions
-    w_val: List[Any]
-    #: Key by key: read checks in read order, cyclic-versions components,
-    #: then lost updates in the order their first edge was emitted.
-    anomalies: List[Anomaly]
-    anomaly_keys: List[int]  # each anomaly's key index
-    #: Evidence blocks ``(bit, u, v, value node, prev node or None, rank)``
-    #: over transaction positions; ranks ascend key by key.
-    blocks: Tuple[Tuple[Any, ...], ...]
-
-
 @register_plan
-class RwRegisterPlan(KeyspacePlan):
+class RwRegisterPlan(ColumnarPlan):
     """rw-register analysis over the shared history index."""
 
     workload = "rw-register"
@@ -437,77 +301,10 @@ class RwRegisterPlan(KeyspacePlan):
             intermediate_after_aborted=False,
         )
 
-    def analyze_index(self, analysis: Analysis, profile=None) -> bool:
-        """Analyze every key in one pass over one version graph.
-
-        The anomalies merge in canonical order with the internal sweep's;
-        every edge goes into the graph as one block of columns.  Evidence
-        is one deferred source over the edge columns
-        (:class:`_RegisterEvidence`): a bit's record is the lowest-rank
-        one, from the first key of :meth:`keys` order that justifies the
-        bit.  A full evidence read builds only those winners; a cycle
-        explanation looks up its few bits alone.
-        """
-        keys = self._keys
-        if not keys:
-            return False
-        index = self.index
-        found = self._pass(keys, profile)
-        with stage(profile, "analyze/merge"):
-            anomalies = self.internal_anomalies(0, len(index.transactions))
-            anomalies.extend(found.anomalies)
-            analysis.anomalies.extend(sort_anomalies(anomalies))
-            blocks = found.blocks
-            # One gather of transaction ids for both endpoint columns.
-            ends = take(
-                index.txn_ids,
-                np.concatenate([b[1] for b in blocks] + [b[2] for b in blocks]),
-            )
-            out_u, out_v = np.split(ends, 2)
-            out_l = np.repeat(
-                np.array([b[0] for b in blocks], dtype=np.int64),
-                [len(b[1]) for b in blocks],
-            )
-            analysis.graph.add_edge_columns(out_u, out_v, out_l)
-            analysis.log_evidence(
-                _RegisterEvidence(
-                    blocks, index.txn_ids, keys, found.versions, found.w_val
-                )
-            )
-        return True
-
-    def analyze_keys(self, keys: Sequence[Any]) -> List[Batch]:
-        """Each key's batch, from one pass over ``keys``' version graph.
-
-        A key's versions, version edges and evidence ranks never mix with
-        another key's, so its batch is the same in whatever key list it
-        comes: its anomalies, and a fragment holding, for every edge bit
-        the key justifies, its lowest-rank record.
-        """
-        if not keys:
-            return []
-        found = self._pass(keys)
-        batches: List[Batch] = [([], {}) for _ in keys]
-        for k, anomaly in zip(found.anomaly_keys, found.anomalies):
-            batches[k][0].append(anomaly)
-        txn_ids = self.index.txn_ids
-        versions = found.versions
-        values = versions.values(found.w_val)
-        for bit, u, v, value, prev, rank in found.blocks:
-            # In rank order, each key's first record of an edge wins.
-            order = np.argsort(rank, kind="stable")
-            value = value[order]
-            prev = None if prev is None else prev[order]
-            records = _records(bit, value, prev, found.keys, versions, values)
-            edges = _edges(bit, u[order], v[order], txn_ids)
-            for k, edge, record in zip(versions.key[value].tolist(), edges, records):
-                batches[k][1].setdefault(edge, record)
-        return batches
-
     # ------------------------------------------------------------------
     # The version-graph pass
 
-    def _pass(self, keys: Sequence[Any], profile=None) -> _Findings:
+    def _pass(self, keys: Sequence[Any], profile=None) -> Findings:
         """Analyze ``keys`` in one vectorized pass over one version graph.
 
         Every version of every key becomes an int node (:class:`_Versions`:
@@ -535,15 +332,15 @@ class RwRegisterPlan(KeyspacePlan):
             nk = len(keys)
             n_r = len(cols.r_val)
             r_txn = cols.r_txn
-            r_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(cols.r_indptr))
-            versions = _intern_versions(cols, r_key)
+            r_key = cols.r_key
+            versions = _intern_versions(cols)
             r_slot = versions.r_slot
             r_node = versions.r_node
             has_writer = r_slot >= 0
             # A written version is committed when its first writer is, and
             # live when it is committed or a committed read observed it.
             w_committed = take(index.txn_committed, cols.w_txn) != 0
-            written = np.flatnonzero(versions.slot >= 0)
+            written = (versions.slot >= 0).nonzero()[0]
             committed = np.zeros(versions.n, dtype=bool)
             committed[written] = w_committed[versions.slot[written]]
             live = committed.copy()
@@ -554,19 +351,18 @@ class RwRegisterPlan(KeyspacePlan):
             # padding entry, which reads without a writer select.
             wslot = np.where(has_writer, r_slot, len(cols.w_val))
             r_writer = np.append(cols.w_txn, -1)[wslot]
-            finals = np.flatnonzero(cols.w_final)
+            finals = cols.w_final.nonzero()[0]
             final_slot = np.append(versions.w_first[finals], -3)[
                 np.searchsorted(finals, wslot)
             ]
             intermediate = (r_writer != r_txn) & (final_slot != r_slot)
             aborted = take(index.txn_aborted, np.maximum(r_writer, 0)) != 0
-            flagged = np.flatnonzero(
-                (r_slot == -2) | (has_writer & (aborted | intermediate))
-            )
+            screen = (r_slot == -2) | (has_writer & (aborted | intermediate))
+            flagged = screen.nonzero()[0]
 
             # Readers per version: committed reads of INIT or of a written
             # value, grouped by node in read order.
-            readable = np.flatnonzero(r_slot != -2)
+            readable = (r_slot != -2).nonzero()[0]
             by_node = readable[np.argsort(r_node[readable], kind="stable")]
             rd_indptr = np.zeros(versions.n + 1, dtype=np.int64)
             np.cumsum(
@@ -589,7 +385,7 @@ class RwRegisterPlan(KeyspacePlan):
             if back.any():
                 suspect = np.zeros(nk, dtype=bool)
                 suspect[versions.key[ve_v1[back]]] = True
-                search = np.flatnonzero(suspect[versions.key[ve_v1]])
+                search = suspect[versions.key[ve_v1]].nonzero()[0]
                 version_graph = CSRGraph.from_edge_log(
                     ve_v1[search], ve_v2[search], np.ones(len(search), dtype=np.int64)
                 )
@@ -602,15 +398,15 @@ class RwRegisterPlan(KeyspacePlan):
 
             # wr: the writer of each read version -> its committed reader;
             # these need no version order and survive cyclic keys.
-            wr = np.flatnonzero(has_writer & (r_writer != r_txn))
+            wr = (has_writer & (r_writer != r_txn)).nonzero()[0]
             # ww / rw along the version edges of acyclic keys whose later
             # version is live.
             w1 = versions.writer[ve_v1]
             w2 = versions.writer[ve_v2]
             ok = live[ve_v2] & ~cyclic[versions.key[ve_v2]]
-            ww = np.flatnonzero(ok & live[ve_v1] & (w1 != w2))
+            ww = (ok & live[ve_v1] & (w1 != w2)).nonzero()[0]
             # rw joins each edge with the readers of its earlier version.
-            e = np.flatnonzero(ok)
+            e = ok.nonzero()[0]
             lo = rd_indptr[ve_v1[e]]
             count = rd_indptr[ve_v1[e] + 1] - lo
             rw = np.repeat(e, count)
@@ -624,21 +420,52 @@ class RwRegisterPlan(KeyspacePlan):
 
             # Evidence ranks: wr in the key's readers-per-version order
             # (the version's first read, then the read), ww/rw in
-            # version-edge order; both are key-major.
+            # version-edge order; each is key-major.  A key's fragment
+            # holds its wr records, then ww, then rw: the later bits'
+            # ranks start past the earlier bits'.  Records name a
+            # version by its first write slot; INIT names the None past
+            # the last slot.
             has_readers = np.diff(rd_indptr) > 0
             first_read = np.zeros(versions.n, dtype=np.int64)
             first_read[has_readers] = by_node[rd_indptr[:-1][has_readers]]
             wr_rank = first_read[r_node[wr]] * n_r + wr
-            blocks = (
-                (WR, r_writer[wr], r_txn[wr], r_node[wr], None, wr_rank),
-                (WW, w1[ww], w2[ww], ve_v2[ww], ve_v1[ww], ve_rank[ww]),
-                (RW, rw_u, w2[rw], ve_v2[rw], ve_v1[rw], ve_rank[rw]),
+            ww_base = n_r * n_r
+            rw_base = ww_base + int(ve_rank.max()) + 1 if len(ve_rank) else ww_base
+            slot = np.where(versions.slot >= 0, versions.slot, len(cols.w_val))
+            columns = (
+                EdgeColumns(
+                    WR,
+                    r_writer[wr],
+                    r_txn[wr],
+                    r_slot[wr],
+                    None,
+                    None,
+                    wr_rank,
+                ),
+                EdgeColumns(
+                    WW,
+                    w1[ww],
+                    w2[ww],
+                    slot[ve_v2[ww]],
+                    slot[ve_v1[ww]],
+                    None,
+                    ve_rank[ww] + ww_base,
+                ),
+                EdgeColumns(
+                    RW,
+                    rw_u,
+                    w2[rw],
+                    slot[ve_v2[rw]],
+                    slot[ve_v1[rw]],
+                    None,
+                    ve_rank[rw] + rw_base,
+                ),
             )
 
             # Lost updates: base versions with write-follows-read edges to
             # two or more committed writers, each in the order its first
             # edge was emitted.
-            lu = np.flatnonzero(ve_wfr & committed[ve_v2])
+            lu = (ve_wfr & committed[ve_v2]).nonzero()[0]
             lost = []
             if len(lu) > 1:
                 lu = lu[np.lexsort((w2[lu], ve_v1[lu]))]
@@ -647,7 +474,7 @@ class RwRegisterPlan(KeyspacePlan):
                 new_base[1:] = base[1:] != base[:-1]
                 new_writer = new_base.astype(np.int64)
                 new_writer[1:] |= w2[lu[1:]] != w2[lu[:-1]]
-                starts = np.flatnonzero(new_base)
+                starts = new_base.nonzero()[0]
                 writers = np.add.reduceat(new_writer, starts)
                 ends = np.append(starts[1:], len(lu))[: len(starts)]
                 two = writers >= 2
@@ -699,7 +526,10 @@ class RwRegisterPlan(KeyspacePlan):
                     _lost_update(keys[k], versions.value(v1, wv), distinct)
                 )
                 anomaly_keys.append(k)
-        return _Findings(keys, versions, wv, anomalies, anomaly_keys, blocks)
+        evidence = ColumnEvidence(
+            columns, txn_ids, keys, lambda: wv + [None], cols.w_key
+        )
+        return Findings(anomalies, anomaly_keys, evidence)
 
     def _version_edges(
         self,
@@ -720,14 +550,13 @@ class RwRegisterPlan(KeyspacePlan):
         """
         sources = self._sources
         index = self.index
-        nk = len(cols.keys)
         w_txn = cols.w_txn
-        w_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(cols.w_indptr))
-        r_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(cols.r_indptr))
+        w_key = cols.w_key
+        r_key = cols.r_key
         blocks = []
         if "initial-state" in sources:
             # INIT precedes every live written version.
-            nodes = np.flatnonzero(live)
+            nodes = live.nonzero()[0]
             blocks.append((_INITIAL, versions.init[versions.key[nodes]], nodes))
         if sources & {"write-follows-read", "process", "realtime"}:
             # The committed stream: every committed read plus every
@@ -736,7 +565,7 @@ class RwRegisterPlan(KeyspacePlan):
             # of one combined code merges them.  (The code is below keys x
             # transactions x micro-ops per transaction: far inside int64
             # for any history that fits in memory.)
-            cw = np.flatnonzero(w_committed)
+            cw = w_committed.nonzero()[0]
             st_key = np.concatenate((r_key, w_key[cw]))
             st_pos = np.concatenate((cols.r_txn, w_txn[cw]))
             st_seq = np.concatenate((cols.r_seq, cols.w_seq[cw]))
@@ -753,12 +582,12 @@ class RwRegisterPlan(KeyspacePlan):
             same[1:] = (st_key[1:] == st_key[:-1]) & (st_pos[1:] == st_pos[:-1])
         if "write-follows-read" in sources:
             # A write lands on whatever its transaction last read or wrote.
-            i = np.flatnonzero(same & (order >= len(cols.r_txn)))
+            i = (same & (order >= len(cols.r_txn))).nonzero()[0]
             blocks.append((_WFR, st_node[i - 1], st_node[i]))
         if sources & {"process", "realtime"}:
             # One group per (key, interacting transaction), pinned to the
             # first and last version it touched.
-            g_start = np.flatnonzero(~same)
+            g_start = (~same).nonzero()[0]
             g_key = st_key[g_start]
             g_pos = st_pos[g_start]
             g_first = st_node[g_start]
@@ -784,7 +613,7 @@ class RwRegisterPlan(KeyspacePlan):
         if "realtime" in sources:
             g_complete = take(index.txn_complete, g_pos)
             g_invoke = take(index.txn_invoke, g_pos)
-            spans = np.flatnonzero(g_complete >= 0)
+            spans = (g_complete >= 0).nonzero()[0]
             if len(spans):
                 # Shifting each key's times past the previous key's keeps
                 # every key's reduction intact: the only extra pairs cross

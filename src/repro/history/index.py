@@ -179,11 +179,14 @@ class IndexColumns:
     offsets — the same CSR shape :mod:`repro.graph.csr` uses for
     adjacency.  ``r_seq``/``w_seq`` carry each slot's micro-op position,
     so one sort by (key, transaction position, micro-op position)
-    restores observation order across both substreams.  Values stay as
+    restores observation order across both substreams; they are built on
+    first use (rw-register's version sources read them, list-append's
+    pass never does).  Values stay as
     flat Python lists (they are arbitrary objects); everything integral
     is int64.
 
-    ``w_final`` marks the last write of each ``(key, txn)`` run — for
+    ``r_key``/``w_key`` give each slot's key index.  ``w_final`` marks
+    the last write of each ``(key, txn)`` run — for
     list-append keys that is the writer's final append, the candidate
     element of the installed version order.  The view holds slot columns
     only, so it costs its keys' slots: a pass reads the per-position
@@ -197,14 +200,16 @@ class IndexColumns:
     __slots__ = (
         "keys",
         "r_txn",
-        "r_seq",
         "r_indptr",
+        "r_key",
         "r_val",
         "w_txn",
-        "w_seq",
         "w_indptr",
+        "w_key",
         "w_val",
         "w_final",
+        "_slices",
+        "_seq",
     )
 
     def __init__(self, index: "HistoryIndex", keys: Sequence[Any]) -> None:
@@ -215,23 +220,20 @@ class IndexColumns:
         w_counts = np.zeros(nk + 1, dtype=np.int64)
         r_counts[1:] = [len(entry.r_txn) for entry in slices]
         w_counts[1:] = [len(entry.w_txn) for entry in slices]
-        self.r_indptr = np.cumsum(r_counts)
-        self.w_indptr = np.cumsum(w_counts)
+        self.r_indptr = r_counts.cumsum()
+        self.w_indptr = w_counts.cumsum()
         n_r = int(self.r_indptr[-1])
         n_w = int(self.w_indptr[-1])
 
-        def column(name: str, n: int) -> np.ndarray:
-            # The slices' lists chain straight into numpy: one pass, and
-            # no concatenated Python list in between.
-            streams = (getattr(entry, name) for entry in slices)
-            return np.fromiter(chain.from_iterable(streams), np.int64, n)
-
-        self.r_txn = column("r_txn", n_r)
-        self.r_seq = column("r_seq", n_r)
-        self.w_txn = column("w_txn", n_w)
-        self.w_seq = column("w_seq", n_w)
+        self._slices = slices
+        self._seq: Dict[str, np.ndarray] = {}
+        self.r_txn = self._column("r_txn", n_r)
+        self.w_txn = self._column("w_txn", n_w)
         self.r_val = list(chain.from_iterable(entry.r_val for entry in slices))
         self.w_val = list(chain.from_iterable(entry.w_val for entry in slices))
+        key_ids = np.arange(nk, dtype=np.int64)
+        self.r_key = key_ids.repeat(r_counts[1:])
+        self.w_key = w_key = key_ids.repeat(w_counts[1:])
         # Last write of each (key, txn) run.  Writes are key-major (by
         # construction) and, within a key, transaction-major with each
         # transaction's writes consecutive, so a run ends where either
@@ -239,11 +241,28 @@ class IndexColumns:
         w_final = np.empty(n_w, dtype=bool)
         if n_w:
             w_final[-1] = True
-            w_key = np.repeat(np.arange(nk, dtype=np.int64), np.diff(self.w_indptr))
             w_final[:-1] = (self.w_txn[1:] != self.w_txn[:-1]) | (
                 w_key[1:] != w_key[:-1]
             )
         self.w_final = w_final
+
+    def _column(self, name: str, n: int) -> np.ndarray:
+        # The slices' lists chain straight into numpy: one pass, and no
+        # concatenated Python list in between.
+        streams = (getattr(entry, name) for entry in self._slices)
+        return np.fromiter(chain.from_iterable(streams), np.int64, n)
+
+    @property
+    def r_seq(self) -> np.ndarray:
+        if "r_seq" not in self._seq:
+            self._seq["r_seq"] = self._column("r_seq", len(self.r_txn))
+        return self._seq["r_seq"]
+
+    @property
+    def w_seq(self) -> np.ndarray:
+        if "w_seq" not in self._seq:
+            self._seq["w_seq"] = self._column("w_seq", len(self.w_txn))
+        return self._seq["w_seq"]
 
 
 class HistoryIndex:
@@ -746,8 +765,13 @@ class HistoryIndex:
 
 
 def take(column: Sequence[int], positions: np.ndarray) -> np.ndarray:
-    """``column[positions]`` as int64, converting the whole column only
-    when the positions cover a good share of it."""
+    """``column[positions]`` as int64.  A flag column (a ``bytearray``) is
+    read in place; a list column is converted whole only when the
+    positions cover a good share of it."""
+    if isinstance(column, bytearray):
+        # The view is a temporary: its buffer export ends with the gather,
+        # so the column stays free to grow.
+        return np.frombuffer(column, dtype=np.uint8)[positions].astype(np.int64)
     if 8 * len(positions) >= len(column):
         return np.asarray(column, dtype=np.int64)[positions]
     return np.fromiter(

@@ -762,6 +762,10 @@ class CheckerService:
         raw = line if seq is not None and not deduped else None
         if seq is None:
             seq = session.applied_seq + 1
+        # Admission before the journal: a refused batch (closed, poisoned,
+        # over quota) must not come back on restart.  Nothing awaits from
+        # here to the buffer below, so the answer still holds there.
+        session.admit(len(fresh))
         if self.durability is not None and fresh:
             # WAL first, ack second: once the reply goes out the ops must
             # survive a crash, so they hit the journal (flushed, and

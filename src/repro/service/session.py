@@ -239,35 +239,9 @@ class Session:
         self.last_activity = self._clock()
 
     def buffer(self, ops: Sequence[Op]) -> None:
-        """Accept one ``append`` batch into the backlog.
-
-        Quota trips are structured errors (``code="quota"``), not
-        poisonings: the batch is refused, but the session — and every
-        verdict over what it already ingested — stays intact.
-        """
-        if self.closed:
-            raise ServiceError(f"session {self.id!r} is closed")
-        if self.error is not None:
-            raise ServiceError(
-                f"session {self.id!r} is poisoned: {self.error}",
-                code="poisoned",
-            )
-        quota = self.config.max_ops
-        if quota is not None and self.ops_ingested + len(ops) > quota:
-            self._trip_quota("ops", quota)
-            raise ServiceError(
-                f"session {self.id!r} ops quota exceeded: "
-                f"{self.ops_ingested} ingested + {len(ops)} > {quota}",
-                code="quota",
-            )
-        budget = self.config.max_analyze_seconds
-        if budget is not None and self.analyze_seconds >= budget:
-            self._trip_quota("analyze_seconds", budget)
-            raise ServiceError(
-                f"session {self.id!r} analyze-time quota exceeded: "
-                f"{self.analyze_seconds:.3f}s >= {budget}s",
-                code="quota",
-            )
+        """Accept one ``append`` batch into the backlog, once :meth:`admit`
+        lets it in."""
+        self.admit(len(ops))
         self.pending.extend(ops)
         self.ops_ingested += len(ops)
         obs = self.obs
@@ -278,6 +252,39 @@ class Session:
                 self.last_buffered_index, ops[-1].index
             )
         self.touch()
+
+    def admit(self, n_ops: int) -> None:
+        """Refuse an ``append`` batch of ``n_ops`` ops the session cannot take.
+
+        The server asks before it journals a batch, so a refused batch
+        never reaches the WAL.  Quota trips are structured errors
+        (``code="quota"``), not poisonings: the batch is refused, but the
+        session — and every verdict over what it already ingested — stays
+        intact.
+        """
+        if self.closed:
+            raise ServiceError(f"session {self.id!r} is closed")
+        if self.error is not None:
+            raise ServiceError(
+                f"session {self.id!r} is poisoned: {self.error}",
+                code="poisoned",
+            )
+        quota = self.config.max_ops
+        if quota is not None and self.ops_ingested + n_ops > quota:
+            self._trip_quota("ops", quota)
+            raise ServiceError(
+                f"session {self.id!r} ops quota exceeded: "
+                f"{self.ops_ingested} ingested + {n_ops} > {quota}",
+                code="quota",
+            )
+        budget = self.config.max_analyze_seconds
+        if budget is not None and self.analyze_seconds >= budget:
+            self._trip_quota("analyze_seconds", budget)
+            raise ServiceError(
+                f"session {self.id!r} analyze-time quota exceeded: "
+                f"{self.analyze_seconds:.3f}s >= {budget}s",
+                code="quota",
+            )
 
     def _trip_quota(self, quota: str, limit: Any) -> None:
         """Book one quota refusal (counter, metric, event)."""

@@ -6,13 +6,15 @@ import pytest
 
 from repro import check
 from repro.core import PROCESS, REALTIME, RW, WR, WW, analyze
+from repro.core.analysis import ColumnEvidence
 from repro.core.anomalies import CycleAnomaly
 from repro.core.list_append import ListAppendPlan
 from repro.db import Isolation, TiDBRetry
-from repro.errors import HistoryError, WorkloadError
+from repro.errors import WorkloadError
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, append, r
 from repro.scenarios import figure4_history
+from tests import list_append_reference as reference
 from tests.graph_reference import out_degree
 
 
@@ -412,25 +414,33 @@ class TestVersionOrder:
 
 
 class TestDeferredEvidence:
-    """Evidence is one deferred source, replayed through ``analyze_key``."""
+    """Evidence is one deferred source over the pass's own edge columns."""
 
-    def test_valid_check_never_runs_the_per_key_path(self, monkeypatch):
-        # Figure 4 shape: every key passes the columnar screen, so a valid
-        # check leaves evidence pending and analyze_key uncalled.
+    def test_valid_check_leaves_evidence_pending(self, monkeypatch):
+        # Figure 4 shape: a valid check builds no record until evidence is
+        # read, and then holds exactly the per-key reference's records.
         history = figure4_history(500, 10)
-        calls = []
-        per_key = ListAppendPlan.analyze_key
-
-        def counting(self, key):
-            calls.append(key)
-            return per_key(self, key)
-
-        monkeypatch.setattr(ListAppendPlan, "analyze_key", counting)
         result = check(history)
         assert result.valid
-        assert calls == []
-        assert result.analysis.evidence  # the first read replays per key
-        assert len(calls) == len(history.index().read_key_order)
+        (source,) = result.analysis._pending
+        assert isinstance(source, ColumnEvidence)
+        evidence = result.analysis.evidence
+        assert evidence and not result.analysis._pending
+        reference.use_reference(monkeypatch)
+        assert evidence == check(History(history.ops)).analysis.evidence
+
+    def test_single_bit_lookups_match_the_full_replay(self):
+        # Cycle explanations look records up one bit at a time; each must
+        # be the record a full evidence read holds, and none may replay.
+        history = faulty_history()
+        full = analyze(history).evidence
+        lazy = analyze(history)
+        assert full
+        for (u, v, bit), record in full.items():
+            assert lazy.edge_evidence(u, v, bit) == record
+        assert lazy.edge_evidence(-1, 0, WR) is None
+        assert lazy._pending  # still deferred: nothing was replayed
+        assert lazy.evidence == full
 
     def test_pickled_result_carries_evidence(self):
         history = run_workload(
@@ -454,11 +464,111 @@ class TestDeferredEvidence:
         restored = pickle.loads(pickle.dumps(pending))
         assert restored.evidence == result.analysis.evidence
 
-    def test_replay_refuses_a_history_that_grew(self):
+    def test_evidence_read_after_the_history_grew(self):
+        # The source holds the pass's columns, never the live index: read
+        # after ``History.extend``, it gives the pre-extend evidence.
         ops = list(figure4_history(200, 5).ops)
+        expected = check(History(ops[:-40])).analysis.evidence
         history = History(ops[:-40])
         result = check(history)
+        lookups = analyze(History(ops[:-40]))
         history.extend(ops[-40:])
-        for _attempt in range(2):  # a failed replay keeps the source logged
-            with pytest.raises(HistoryError, match="evidence can no longer"):
-                result.analysis.evidence
+        assert result.analysis.evidence == expected
+        assert expected
+        for (u, v, bit), record in expected.items():
+            assert lookups.edge_evidence(u, v, bit) == record
+
+
+def faulty_history():
+    """Read-uncommitted with aborts and tidb-retry: G1a, G1b, dirty
+    updates and incompatible orders on list-append keys."""
+    return run_workload(
+        RunConfig(
+            txns=400,
+            concurrency=8,
+            isolation=Isolation.READ_UNCOMMITTED,
+            workload=WorkloadConfig(workload="list-append", active_keys=6),
+            seed=3,
+            crash_probability=0.02,
+            abort_probability=0.2,
+            faults=lambda rng: TiDBRetry(rng),
+        )
+    )
+
+
+def odd_history():
+    """Duplicate and garbage elements, a value appended twice by its own
+    transaction, and an unknown read: the screen's rarer branches."""
+    return History.of(
+        ("ok", 0, [append("x", 1), append("x", 2), append("x", 1)]),
+        ("ok", 1, [append("x", 3)]),
+        ("ok", 2, [r("x", [1, 2, 1, 3])]),
+        ("ok", 3, [r("x", [1, 2])]),
+        ("ok", 4, [r("x", [1])]),
+        ("ok", 5, [r("x", None)]),
+        ("ok", 6, [r("y", [7, 8])]),
+        ("ok", 7, [append("y", 8)]),
+        ("ok", 8, [r("y", [8, 9])]),
+        ("ok", 9, [r("y", [8])]),
+        ("ok", 10, [append("z", 5), r("z", [5, 5])]),
+    )
+
+
+class TestOnePath:
+    """One columnar pass serves batch checks and streams alike."""
+
+    @pytest.mark.parametrize(
+        "histories,expected",
+        [
+            (
+                lambda: [figure4_history(300, 8)],
+                set(),
+            ),
+            (
+                lambda: [faulty_history(), odd_history()],
+                {
+                    "G1a",
+                    "G1b",
+                    "dirty-update",
+                    "duplicate-elements",
+                    "garbage-read",
+                    "incompatible-order",
+                },
+            ),
+        ],
+        ids=["clean", "faulty"],
+    )
+    def test_a_list_append_batch_depends_on_its_key_alone(self, histories, expected):
+        # The stream's per-key cache relies on it: a key's batch is the
+        # same whichever key list it was analyzed in, and equals the
+        # per-key reference's, anomalies in order.
+        seen = set()
+        for history in histories():
+            plan = ListAppendPlan(history)
+            keys = list(plan.keys())
+            together = plan.analyze_keys(keys)
+            for key, (anomalies, fragment) in zip(keys, together):
+                (alone,) = plan.analyze_keys([key])
+                for batch in (alone, reference.analyze_key(plan, key)):
+                    got = [a.__dict__ for a in batch[0]]
+                    assert got == [a.__dict__ for a in anomalies]
+                    assert list(batch[1].items()) == list(fragment.items())
+                seen.update(a.name for a in anomalies)
+        assert seen == expected
+        if expected:
+            assert max(len(anomalies) for anomalies, _f in together) > 1
+
+    def test_odd_history_matches_the_reference(self, monkeypatch):
+        # The whole-index merge of the rarer branches, against the
+        # per-key walk: anomalies in order, edges and evidence.
+        def signature(result):
+            analysis = result.analysis
+            return (
+                [a.__dict__ for a in result.anomalies],
+                sorted(analysis.graph.edges()),
+                analysis.evidence,
+            )
+
+        shipped = signature(check(odd_history()))
+        reference.use_reference(monkeypatch)
+        assert signature(check(odd_history())) == shipped

@@ -354,15 +354,17 @@ class TestWholeIndexPass:
     """One version-graph pass serves batch checks and streams alike."""
 
     def test_neither_batch_nor_stream_imports_the_reference(self):
-        # The per-key reference lives in tests/; src/ has one analyzer.
+        # The per-key references live in tests/; src/ has one analyzer per
+        # workload, for rw-register and list-append alike.
         script = textwrap.dedent(
             """
             import sys
 
             from repro import check
             from repro.core import StreamingChecker
+            from repro.core.list_append import ListAppendPlan
             from repro.core.rw_register import KNOWN_SOURCES, RwRegisterPlan
-            from repro.db import Isolation, YugaByteStaleRead
+            from repro.db import Isolation, TiDBRetry, YugaByteStaleRead
             from repro.generator import RunConfig, WorkloadConfig, run_workload
 
             history = run_workload(
@@ -388,6 +390,28 @@ class TestWholeIndexPass:
                 update = stream.extend(ops[start : start + 200])
             assert update.result.report() == batch.report()
             assert "analyze_key" not in vars(RwRegisterPlan)
+
+            history = run_workload(
+                RunConfig(
+                    txns=400,
+                    concurrency=8,
+                    isolation=Isolation.READ_UNCOMMITTED,
+                    workload=WorkloadConfig(workload="list-append", active_keys=6),
+                    seed=3,
+                    crash_probability=0.02,
+                    abort_probability=0.2,
+                    faults=lambda rng: TiDBRetry(rng),
+                )
+            )
+            batch = check(history)
+            assert {"G1a", "G1b", "dirty-update"} <= set(batch.anomaly_types)
+            assert batch.analysis.evidence
+            stream = StreamingChecker()
+            ops = list(history.ops)
+            for start in range(0, len(ops), 200):
+                update = stream.extend(ops[start : start + 200])
+            assert update.result.report() == batch.report()
+            assert "analyze_key" not in vars(ListAppendPlan)
             assert not [name for name in sys.modules if "reference" in name]
             """
         )
@@ -430,7 +454,7 @@ class TestWholeIndexPass:
             history = stale_register_history()
             options = {"sources": sorted(KNOWN_SOURCES)}
         else:
-            # Clean: no key falls back to the per-key walk.
+            # Clean: no read takes the flagged-read walk.
             history = run_workload(
                 RunConfig(txns=400, concurrency=8, seed=4, crash_probability=0.0)
             )

@@ -14,13 +14,11 @@ byte-identical to the shipped one:
 * the canonical dict build (``graph_reference.canonical_csr``) in place
   of the vectorized ``CSRGraph.from_edge_log``.
 
-The whole-index passes of list-append and rw-register have a per-key
-path as their reference.  List-append's ``analyze_key`` stays in
-``src/`` (streams and the pass's fallback keys run it); restoring the
-base ``KeyspacePlan.analyze_index``, which declines, forces it for every
-key.  rw-register has one analyzer in ``src/``, the version-graph pass;
-its per-key reference lives in ``tests/rw_register_reference.py``, and
-``per_key_only`` makes batch checks and streams run it for every key.
+The columnar passes of list-append and rw-register have a per-key walk
+as their reference.  Each workload has one analyzer in ``src/``, its
+pass; the walks live in ``tests/list_append_reference.py`` and
+``tests/rw_register_reference.py``, and ``per_key_only`` makes batch
+checks and streams run them for every key.
 
 Identity is the full analysis signature — anomalies in order, node
 order, edges, evidence — the same oracle the sharding and
@@ -40,14 +38,12 @@ import repro.core.rw_register as rw_register_mod
 from repro import check
 from repro.core.deps import PROCESS, REALTIME
 from repro.core.internal import internal_candidate_positions
-from repro.core.keyspace import KeyspacePlan
-from repro.core.list_append import ListAppendPlan
 from repro.core.orders import add_process_edges, add_realtime_edges
 from repro.db import FaunaInternal, Isolation, TiDBRetry, YugaByteStaleRead
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.graph import CSRGraph, interval_precedence_pairs
 from tests.graph_reference import canonical_csr
-from tests.rw_register_reference import use_reference
+from tests import list_append_reference, rw_register_reference
 
 REFERENCE = "tests.rw_register_reference"
 
@@ -189,9 +185,9 @@ REFERENCES = [
 
 
 def per_key_only(patch) -> None:
-    """Force the per-key path for every key of both whole-index plans."""
-    patch.setattr(ListAppendPlan, "analyze_index", KeyspacePlan.analyze_index)
-    use_reference(patch)
+    """Force the per-key walk for every key of both columnar plans."""
+    list_append_reference.use_reference(patch)
+    rw_register_reference.use_reference(patch)
 
 
 def install_references(patch) -> None:

@@ -355,6 +355,36 @@ class TestRecoveryOracle:
         assert update.result.report() == expected.report()
         assert update.result.valid == expected.valid
 
+    def test_a_refused_batch_never_reaches_the_journal(self, tmp_path):
+        """A batch the session refuses is not journaled, so no restart
+        brings it back: 80 ops acked, a 40-op batch over ``max_ops`` 100
+        refused, and recovery finds the 80 ops alone."""
+        from repro.errors import ServiceError
+
+        ops = session_workload(txns=80, seed=4)
+        durability = DurabilityManager(str(tmp_path), fsync="never")
+        frames = [
+            {"type": "append", "session": "q", "seq": seq, "ops": encode_ops(batch)}
+            for seq, batch in ((1, ops[:80]), (2, ops[80:120]))
+        ]
+        with BackgroundService(port=0, durability=durability) as bg:
+            with ServiceClient(bg.tcp_address) as client:
+                client.request({"type": "open", "session": "q", "max_ops": 100})
+                acked = client.request(frames[0])
+                with pytest.raises(ServiceError) as refused:
+                    client.request(frames[1])
+        assert acked["ops"] == 80
+        assert refused.value.code == "quota"
+
+        restarted = DurabilityManager(str(tmp_path), fsync="never")
+        registry = SessionRegistry()
+        session = restarted.recover_session("q", registry)
+        assert session.ops_ingested == 80
+        assert session.applied_seq == 1
+        drain(restarted, registry, session)
+        expected = check(History(ops[:80]))
+        assert session.verdict().result.report() == expected.report()
+
     def test_session_config_survives_recovery(self, tmp_path):
         """Every ``SessionConfig`` field, set off its default, comes back."""
         import dataclasses
