@@ -1,12 +1,12 @@
-"""Experiment E8: the §7.5 scale claim, across workloads and shard counts.
+"""Experiment E8: the §7.5 scale claim, across workloads.
 
 "Elle was able to check histories of hundreds of thousands of transactions
 in tens of seconds" — on the authors' hardware and JVM.  The pytest entry
 runs the list-append check at 10k/25k/50k transactions once each; the
 manual entry point (``python benchmarks/bench_elle_scaling.py``) measures a
-full sweep — sizes x workloads (``list-append``, ``rw-register``) x shard
-counts — verifies every shard count produces the identical verdict, and
-appends the rows to ``BENCH_elle_scaling.json``.  The default sweep ends
+full sweep — sizes x workloads (``list-append``, ``rw-register``, and on
+request ``grow-set`` and ``counter``) — and appends the rows to
+``BENCH_elle_scaling.json``.  The default sweep ends
 at a 1,000,000-transaction tier, one order of magnitude past the paper's
 claim; the whole-index columnar screens keep it near-linear (the residual
 growth is cache pressure on the flat op columns, not algorithm).
@@ -15,7 +15,7 @@ growth is cache pressure on the flat op columns, not algorithm).
 chunk-size x per-chunk latency rows, with the final streamed verdict
 asserted identical to batch.  ``--baseline PATH --tolerance X`` turns the
 run into a CI regression guard: each batch row is compared against the best
-committed record at the same workload/size/shards, and the process exits
+committed record at the same workload and size, and the process exits
 non-zero when it is more than ``X`` times slower (absolute wall-clock on
 heterogeneous runners needs generous tolerances; the guard is for
 order-of-magnitude regressions, not percent drift).
@@ -37,10 +37,8 @@ history with twice the keys (same transaction count) must not cost
 meaningfully more than the baseline, which the old code violated by
 construction.
 
-Shard-sweep note: ``--shards N`` fans per-key inference across N worker
-processes.  The speedup is bounded by available cores (the record includes
-``cpu_count``); on a single-core machine the sweep only demonstrates result
-equivalence.
+Every record carries ``cpu_count``.  Records before the worker pool was
+removed may hold ``shards`` > 1 rows; the baseline guard skips them.
 """
 
 import pytest
@@ -86,7 +84,7 @@ def _warm_lazy_imports():  # pragma: no cover - manual
     import scipy.sparse.csgraph  # noqa: F401
 
 
-def _timed_check(history, workload, shards):  # pragma: no cover - manual
+def _timed_check(history, workload):  # pragma: no cover - manual
     import time
 
     from repro.core import Profile
@@ -97,7 +95,6 @@ def _timed_check(history, workload, shards):  # pragma: no cover - manual
         history,
         workload=workload,
         consistency_model="strict-serializable",
-        shards=shards,
         profile=profile,
         **_check_options(workload),
     )
@@ -231,9 +228,7 @@ def _stream_rows(args, rows, results):  # pragma: no cover - manual
     for workload in args.workloads:
         for size in args.sizes:
             history = figure4_history(size, args.concurrency, workload=workload)
-            batch_seconds, batch_result, _profile = _timed_check(
-                history, workload, shards=1
-            )
+            batch_seconds, batch_result, _profile = _timed_check(history, workload)
             for chunk_ops in args.chunk_sizes:
                 timings, update = _timed_stream(history, workload, chunk_ops)
                 assert _verdict(update.result) == _verdict(batch_result), (
@@ -360,7 +355,7 @@ def _enforce_baseline(
 ):  # pragma: no cover
     """Compare batch rows against the best committed record; [] if ok.
 
-    Matches rows by (workload, txns, shards) among the *five most recent*
+    Matches rows by (workload, txns) among the *five most recent*
     ``elle_scaling`` runs in ``baseline_path`` (rows predating the
     workload/mode fields default to list-append/batch).  The recency
     window keeps the guard from ratcheting permanently tighter: one
@@ -384,13 +379,13 @@ def _enforce_baseline(
     best_mem = {}
     for run in runs:
         for row in run.get("results", []):
-            if "seconds" not in row or row.get("mode", "batch") != "batch":
+            if (
+                "seconds" not in row
+                or row.get("mode", "batch") != "batch"
+                or row.get("shards", 1) != 1
+            ):
                 continue
-            key = (
-                row.get("workload", "list-append"),
-                row.get("txns"),
-                row.get("shards", 1),
-            )
+            key = (row.get("workload", "list-append"), row.get("txns"))
             if key not in best or row["seconds"] < best[key]:
                 best[key] = row["seconds"]
             peak = row.get("peak_mb")
@@ -402,14 +397,14 @@ def _enforce_baseline(
     for row in results:
         if "seconds" not in row or row.get("mode", "batch") != "batch":
             continue
-        key = (row.get("workload"), row.get("txns"), row.get("shards", 1))
+        key = (row.get("workload"), row.get("txns"))
         reference = best.get(key)
         if reference is None:
             print(f"baseline: no committed record for {key}; skipping")
             continue
         if row["seconds"] > reference * tolerance:
             violations.append(
-                f"{key[0]}/{key[1]} txns/shards={key[2]}: "
+                f"{key[0]}/{key[1]} txns: "
                 f"{row['seconds']:.3f}s vs best committed "
                 f"{reference:.3f}s (tolerance {tolerance:g}x)"
             )
@@ -419,7 +414,7 @@ def _enforce_baseline(
             continue
         if peak > mem_reference * mem_tolerance:
             violations.append(
-                f"{key[0]}/{key[1]} txns/shards={key[2]}: "
+                f"{key[0]}/{key[1]} txns: "
                 f"{peak:.1f} MB peak vs best committed "
                 f"{mem_reference:.1f} MB (tolerance {mem_tolerance:g}x)"
             )
@@ -452,24 +447,16 @@ def main(argv=None) -> None:  # pragma: no cover - manual entry point
     parser.add_argument(
         "--workloads",
         nargs="+",
-        choices=["list-append", "rw-register"],
+        choices=["list-append", "rw-register", "grow-set", "counter"],
         default=["list-append", "rw-register"],
         help="workloads to sweep",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=[1],
-        metavar="N",
-        help="shard counts to sweep (verdicts are asserted identical)",
     )
     parser.add_argument("--concurrency", type=int, default=20)
     parser.add_argument(
         "--mode",
         choices=["batch", "stream"],
         default="batch",
-        help="batch: one-shot checks across shard counts; stream: the "
+        help="batch: one-shot checks; stream: the "
         "incremental checker across chunk sizes (final verdicts are "
         "asserted identical to batch)",
     )
@@ -534,48 +521,27 @@ def main(argv=None) -> None:  # pragma: no cover - manual entry point
                 history = figure4_history(
                     size, args.concurrency, workload=workload
                 )
-                baseline = None
-                sequential_row = None
-                for shards in args.shards:
-                    elapsed, result, profile = _timed_check(
-                        history, workload, shards
-                    )
-                    assert result.valid
-                    if len(args.shards) > 1:
-                        # Only a shard sweep compares; a single run skips
-                        # rendering the report and listing the graph.
-                        verdict = _verdict(result)
-                        if baseline is None:
-                            baseline = verdict
-                        assert verdict == baseline, (
-                            f"shards={shards} diverged from shards="
-                            f"{args.shards[0]} on {workload}/{size}"
-                        )
-                    rows.append(
-                        [workload, size, history.op_count, shards, f"{elapsed:.2f}"]
-                    )
-                    row = {
+                elapsed, result, profile = _timed_check(history, workload)
+                assert result.valid
+                rows.append(
+                    [workload, size, history.op_count, "batch", f"{elapsed:.2f}"]
+                )
+                # Peak memory comes from a separate traced run.
+                peak_mb = _peak_memory_check(history, workload)
+                results.append(
+                    {
                         "workload": workload,
                         "txns": size,
                         "ops": history.op_count,
-                        "shards": shards,
                         "seconds": round(elapsed, 4),
                         "profile": profile.as_dict(),
+                        "peak_mb": round(peak_mb, 2),
                     }
-                    if shards == 1 and sequential_row is None:
-                        sequential_row = row
-                    results.append(row)
-                if sequential_row is not None:
-                    # Peak memory of the sequential check (separate traced
-                    # run; forked shard workers aren't traceable here).
-                    peak_mb = _peak_memory_check(history, workload)
-                    sequential_row["peak_mb"] = round(peak_mb, 2)
-                    print(
-                        f"peak memory {workload}/{size}: {peak_mb:.1f} MB"
-                    )
+                )
+                print(f"peak memory {workload}/{size}: {peak_mb:.1f} MB")
     print(
         render_table(
-            ["workload", "transactions", "operations", "shards/chunk", "elle (s)"],
+            ["workload", "transactions", "operations", "mode", "elle (s)"],
             rows,
         )
     )

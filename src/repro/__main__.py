@@ -14,10 +14,7 @@ Jepsen tests are.
 Real observations work too: ``--in history.jsonl`` checks a JSON-lines
 history captured from an actual system instead of generating one (``--in -``
 reads stdin), and ``--dump-history out.jsonl`` saves whatever was checked
-for replay.  ``--shards N`` fans the per-key dependency inference of
-grow-set and counter across N worker processes (identical verdicts);
-list-append and rw-register run their whole-index pass inline whatever
-``--shards`` says.
+for replay.
 
 ``--follow`` switches to the streaming incremental checker: operations are
 consumed in chunks of ``--chunk`` (from ``--in``/stdin, or from the
@@ -104,15 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-stage timings (analysis, graph freeze, each SCC "
         "mask family, explanation rendering) and SCC run counters",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition grow-set and counter inference across N worker "
-        "processes (1 = inline; list-append and rw-register always run "
-        "their whole-index pass inline; results are identical either way)",
     )
     parser.add_argument(
         "--in",
@@ -482,7 +470,6 @@ def _check_batch(args, fault_factory, profile) -> int:
         workload=args.workload,
         consistency_model=args.model,
         timestamp_edges=args.timestamps,
-        shards=args.shards,
         profile=profile,
     )
     return _report(result, args, profile)
@@ -657,24 +644,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _serve_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.shards < 1:
-        parser.error("--shards must be positive")
     if args.fault_window is not None and args.fault_window < 1:
         parser.error("--fault-window must be positive")
-    if args.follow and args.shards != 1:
-        parser.error("--shards is not supported with --follow "
-                     "(streaming analysis runs inline)")
     if args.chunk <= 0:
         parser.error("--chunk must be positive")
     if args.json and not (args.follow or args.connect):
         parser.error("--json requires --follow or --connect")
-    if args.connect:
-        if args.shards != 1:
-            parser.error("--shards is not supported with --connect "
-                         "(the daemon analyzes inline)")
-        if args.profile:
-            parser.error("--profile is not supported with --connect "
-                         "(profiles are collected in the local process)")
+    if args.connect and args.profile:
+        parser.error("--profile is not supported with --connect "
+                     "(profiles are collected in the local process)")
 
     fault_factory = None
     if args.fault is not None:

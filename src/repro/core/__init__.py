@@ -26,7 +26,6 @@ from .keyspace import (
     KeyspacePlan,
     ReadCheckStyle,
     check_recoverable_read,
-    execute_plan,
     register_plan,
 )
 from .objects import (
@@ -85,7 +84,6 @@ __all__ = [
     "check_stream",
     "check_recoverable_read",
     "classify_cycle",
-    "execute_plan",
     "consistency",
     "cycle_dot",
     "dep_bit",

@@ -60,7 +60,7 @@ class Evidence(NamedTuple):
     from a third party's read).
 
     A ``NamedTuple`` rather than a dataclass: analyses carry one record per
-    value edge, and sharded analysis ships them between processes, so cheap
+    value edge, and streams cache and checkpoint them per key, so cheap
     construction and fast pickling matter.
     """
 
@@ -105,6 +105,18 @@ class EdgeColumns(NamedTuple):
     rank: np.ndarray
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def _narrow(column: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``column`` as int32 when every value fits, else unchanged."""
+    if column is None or not len(column) or column.dtype == np.int32:
+        return column
+    if _INT32.min <= column.min() and column.max() <= _INT32.max:
+        return column.astype(np.int32)
+    return column
+
+
 def _winners(rank: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each ``(u, v)`` pair's lowest-rank row, pairs ascending."""
     order = np.lexsort((rank, v, u))
@@ -146,6 +158,20 @@ class ColumnEvidence:
         #: ascending, their rows in that order, the bit's columns), on
         #: demand.
         self._found: Dict[int, Tuple[int, np.ndarray, Any, Any]] = {}
+
+    def narrow(self) -> None:
+        """Store each row column as int32 where its values fit: a source
+        logged on an analysis lives as long as the analysis."""
+        self.columns = tuple(
+            cols._replace(
+                u=_narrow(cols.u),
+                v=_narrow(cols.v),
+                value=_narrow(cols.value),
+                prev=_narrow(cols.prev),
+                rank=_narrow(cols.rank),
+            )
+            for cols in self.columns
+        )
 
     def _records(self, cols: EdgeColumns, rows) -> Iterator[Evidence]:
         """The Evidence records of ``rows`` of one bit's columns."""
@@ -224,6 +250,8 @@ class ColumnEvidence:
         first record of an edge winning."""
         fragments: List[Dict[EdgeKey, Evidence]] = [{} for _ in range(n_keys)]
         columns = self.columns
+        if not columns:
+            return fragments
         edges: List[EdgeKey] = []
         records: List[Evidence] = []
         every = slice(None)

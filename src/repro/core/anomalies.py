@@ -121,7 +121,7 @@ def sort_anomalies(anomalies: Iterable[Anomaly]) -> List[Anomaly]:
     """The canonical anomaly order: taxonomy rank, then txns, then message.
 
     A total order on what a report prints, so the result never depends on
-    the order in which analyzers, shards or stream chunks emitted the
+    the order in which analyzers, keys or stream chunks emitted the
     anomalies.
     """
     return sorted(anomalies, key=anomaly_order)

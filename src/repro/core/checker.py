@@ -34,7 +34,7 @@ from .consistency import (
 from .cycle_search import find_cycle_anomalies
 from .explain import render_cycle
 from .gcpause import paused_gc
-from .keyspace import PLANS, execute_plan
+from .keyspace import PLANS
 from .orders import add_orders
 from .profiling import Profile
 from .profiling import stage as _stage
@@ -114,7 +114,6 @@ def analyze(
     process_edges: bool = True,
     realtime_edges: bool = True,
     timestamp_edges: bool = False,
-    shards: int = 1,
     profile: Optional[Profile] = None,
     **options,
 ) -> Analysis:
@@ -124,12 +123,9 @@ def analyze(
     build the workload's :class:`~repro.core.keyspace.KeyspacePlan` from
     :data:`~repro.core.keyspace.PLANS` (extra ``options``, e.g.
     ``sources`` for rw-register, go to the plan, which also validates the
-    observation), run it with :func:`~repro.core.keyspace.execute_plan`,
-    then add the §5.1 order edges.  ``shards`` fans the per-key analysis
-    of plans without a whole-index pass (grow-set, counter) across a
-    process pool (``1`` = inline, identical results either way);
-    list-append and rw-register run their whole-index pass whatever it
-    says.  ``profile`` collects the per-stage timings.
+    observation), merge its columnar pass over every key
+    (:meth:`~repro.core.keyspace.KeyspacePlan.analyze_index`), then add
+    the §5.1 order edges.  ``profile`` collects the per-stage timings.
     """
     try:
         plan_class = PLANS[workload]
@@ -142,7 +138,9 @@ def analyze(
         history.index(profile=profile)
     with _stage(profile, "analyze/plan"):
         plan = plan_class(history, **options)
-    execute_plan(plan, analysis, shards=shards, profile=profile)
+    if profile is not None:
+        profile.count("keyspace.keys", len(plan.keys()))
+    plan.analyze_index(analysis, profile)
     with _stage(profile, "analyze/orders"):
         add_orders(analysis, process_edges, realtime_edges, timestamp_edges)
     return analysis
@@ -166,10 +164,9 @@ def check(
     ``rw-register``, ``grow-set``, ``counter``).  ``process_edges`` /
     ``realtime_edges`` control the §5.1 order inference; disable
     ``realtime_edges`` when the database makes no real-time claims.
-    ``shards`` partitions the per-key analysis of grow-set and counter
-    across a ``multiprocessing`` pool (``python -m repro --shards``);
-    list-append and rw-register take their whole-index pass at any
-    shard count.  Results are identical to ``shards=1``.  ``profile``, when given, collects
+    ``shards`` is accepted and ignored: analysis runs in one process,
+    and the keyword stays only until the benchmark harness stops passing
+    it.  ``profile``, when given, collects
     per-stage timings and SCC counters (see :mod:`repro.core.profiling`;
     ``python -m repro --profile`` prints them).  Extra keyword options
     pass through to :func:`analyze` (``timestamp_edges``) or to the plan
@@ -183,7 +180,6 @@ def check(
                 workload=workload,
                 process_edges=process_edges,
                 realtime_edges=realtime_edges,
-                shards=shards,
                 profile=profile,
                 **options,
             )

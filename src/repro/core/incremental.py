@@ -15,9 +15,8 @@ so far — with the expensive half of the work made incremental:
   — those whose slice changed, detected by the slice ``version`` counter.
   A batch depends on its key alone, never on the key's rank or on the
   keys analyzed with it, so each chunk re-analyzes its stale keys in one
-  :meth:`~repro.core.keyspace.KeyspacePlan.analyze_keys` call (for
-  list-append and rw-register, one columnar pass over those keys, split
-  by key);
+  :meth:`~repro.core.keyspace.KeyspacePlan.analyze_keys` call (one
+  columnar pass over those keys, split by key);
 * internal-consistency results are cached per transaction and refreshed
   only for transactions the chunk added or upgraded;
 * each chunk re-checks only the *live window* — the transactions not yet
@@ -221,7 +220,7 @@ class StreamingChecker:
         realtime_edges: bool = True,
         timestamp_edges: bool = False,
         profile: Optional[Profile] = None,
-        **plan_options: Any,
+        **options: Any,
     ) -> None:
         if workload not in PLANS:
             raise ValueError(
@@ -237,7 +236,7 @@ class StreamingChecker:
         self._realtime_edges = realtime_edges
         self._timestamp_edges = timestamp_edges
         self._profile = profile
-        self._plan_options = plan_options
+        self._options = options
         self._key_cache: Dict[Any, _CacheEntry] = {}
         #: Cached internal-consistency anomalies of live transactions, per
         #: transaction id (only transactions that have anomalies).
@@ -313,7 +312,7 @@ class StreamingChecker:
         # and re-applies the workload's recoverability contract exactly as
         # a batch check of this prefix would.
         with stage(profile, "stream/plan"):
-            plan = PLANS[self.workload](self.history, **self._plan_options)
+            plan = PLANS[self.workload](self.history, **self._options)
             for txn in changed:
                 if txn.committed:
                     found = plan.check_internal(txn)
@@ -360,7 +359,7 @@ class StreamingChecker:
                 ranked.sort(key=itemgetter(0))
         with stage(profile, "stream/merge"):
             live = Analysis(history=self.history, workload=self.workload)
-            _merge(live, [(anomalies, [fragment for _r, fragment in ranked])])
+            _merge(live, anomalies, [fragment for _r, fragment in ranked])
         with stage(profile, "stream/orders"):
             add_orders(
                 live,

@@ -27,11 +27,10 @@ All three run as one columnar pass over a key list
 (:meth:`ListAppendPlan._pass`), on one path: a batch check passes every
 key and merges the result whole, and the streaming checker passes a
 chunk's stale keys and splits the result by key
-(:class:`~repro.core.keyspace.ColumnarPlan`).  Internal consistency (each
-transaction against its own ops) runs transaction-major alongside the
-plan, and optional session/real-time edges (§5.1) are added after the
-merge.  A batch check runs the whole-index pass at any ``shards=N``: the
-worker pool serves only plans without one (grow-set, counter).
+(:class:`~repro.core.keyspace.KeyspacePlan`).  Internal consistency
+(each transaction against its own ops) runs transaction-major alongside
+the plan, and optional session/real-time edges (§5.1) are added after the
+merge.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ from .anomalies import (
 )
 from .deps import RW, WR, WW
 from .keyspace import (
-    ColumnarPlan,
     Findings,
+    KeyspacePlan,
     ReadCheckStyle,
     check_recoverable_read,
     register_plan,
@@ -147,7 +146,7 @@ def _incompatible(reader_id, key, value, longest, longest_id):
 
 
 @register_plan
-class ListAppendPlan(ColumnarPlan):
+class ListAppendPlan(KeyspacePlan):
     """List-append analysis over the shared history index."""
 
     workload = "list-append"

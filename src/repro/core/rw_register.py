@@ -40,8 +40,8 @@ The analysis runs as a keyspace plan over the history's single-pass
 over the flat columns of a key list.  Every version of every key is an int
 node of one version graph, each source emits its version edges as int
 arrays over all the keys at once, and one strongly-connected-component
-search flags every cyclic key.  The plan is a
-:class:`~repro.core.keyspace.ColumnarPlan`: a batch check runs the pass
+search flags every cyclic key.  As for every
+:class:`~repro.core.keyspace.KeyspacePlan`, a batch check runs the pass
 over every key and merges it whole; the streaming checker runs it over
 the keys a chunk touched and splits the result into per-key batches,
 which depend on their key alone.  The
@@ -71,8 +71,8 @@ from .anomalies import (
 )
 from .deps import RW, WR, WW
 from .keyspace import (
-    ColumnarPlan,
     Findings,
+    KeyspacePlan,
     ReadCheckStyle,
     check_recoverable_read,
     register_plan,
@@ -278,7 +278,7 @@ def _intern_versions(cols: IndexColumns) -> _Versions:
 
 
 @register_plan
-class RwRegisterPlan(ColumnarPlan):
+class RwRegisterPlan(KeyspacePlan):
     """rw-register analysis over the shared history index."""
 
     workload = "rw-register"
@@ -289,7 +289,7 @@ class RwRegisterPlan(ColumnarPlan):
     ) -> None:
         # Ahead of the base constructor: bad sources outrank workload errors.
         _validate_sources(sources)
-        super().__init__(history, sources=tuple(sources))
+        super().__init__(history)
         check_unique_writes(self.index, "rw-register")
         self._sources = frozenset(sources)
         self._keys = self.index.key_order

@@ -375,7 +375,7 @@ class History:
 
         Built lazily on first use and shared by every analyzer, so the
         per-key regrouping of the observation happens exactly once per
-        history (and, under fork-based sharding, once per *check*).
+        history.
         ``profile``, when given, records the build's stages and interning
         counters — a no-op when the index is already cached.
         """

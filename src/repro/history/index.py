@@ -43,9 +43,7 @@ objects.  The history appends, upgrades and retires entries in place; the
 index only adds the per-position columns derived from them.
 
 The index is cached on the history (``history.index()``), so the checker,
-plans, and the streaming layer share one build.  Because a fork-based
-worker pool inherits the parent's memory, sharded analysis reuses the same
-index without re-scanning per worker.
+plans, and the streaming layer share one build.
 
 **Incremental extension.**  ``History.extend`` first grows the shared
 transaction table, then keeps the cached index alive by calling

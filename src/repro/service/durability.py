@@ -85,7 +85,7 @@ FSYNC_STALL_SECONDS = 0.1
 
 #: Checkpoint file magic: bumped if the payload layout ever changes, so a
 #: daemon never misreads a checkpoint from an incompatible build.
-CHECKPOINT_MAGIC = b"REPROCKPT7\n"
+CHECKPOINT_MAGIC = b"REPROCKPT8\n"
 
 _SAFE_SESSION = re.compile(r"[^A-Za-z0-9._-]")
 

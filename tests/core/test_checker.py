@@ -225,3 +225,12 @@ class TestResultShape:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown consistency model"):
             check(History([]), consistency_model="acid")
+
+    def test_shards_keyword_is_ignored(self):
+        # Accepted for callers that still pass it; analysis is in-process.
+        h = History.interleaved(
+            ("ok", 0, [append("x", 1), r("y", [2])]),
+            ("ok", 1, [append("y", 2), r("x", [1])]),
+        )
+        sharded = check(h, consistency_model="serializable", shards=2)
+        assert sharded.report() == check(h, consistency_model="serializable").report()

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.core import RW, WR, analyze
+from repro.core import RW, WR, Evidence, analyze
+from repro.core.counter_set import GrowSetPlan
+from repro.db import Isolation, TiDBRetry
 from repro.errors import WorkloadError
+from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, add, inc, r
+from repro.scenarios import figure4_history
+from tests import counter_set_reference as reference
 
 
 def analyze_set(*txns, **kw):
@@ -173,3 +178,85 @@ class TestCheckIntegration:
         result = check(h, workload="counter",
                        consistency_model="read-committed")
         assert result.valid
+
+
+def precedence_history():
+    """Edge bits several records justify, plus a garbage element."""
+    return History.of(
+        ("ok", 0, [add("x", 1), add("y", 2)]),  # id 0
+        ("ok", 1, [add("z", 4), add("z", 3)]),  # id 2
+        # id 4: y is read first, so y precedes x in key order.
+        ("ok", 2, [r("y", {2}), r("x", {1}), r("z", set())]),
+        ("ok", 3, [r("z", {3, 4})]),  # id 6
+        ("ok", 4, [r("z", {3, 99})]),  # id 8
+    )
+
+
+def faulty_set_history():
+    """Read-uncommitted with aborts and tidb-retry: reads of aborted adds."""
+    return run_workload(
+        RunConfig(
+            txns=400,
+            concurrency=8,
+            isolation=Isolation.READ_UNCOMMITTED,
+            workload=WorkloadConfig(workload="grow-set", active_keys=6),
+            seed=3,
+            crash_probability=0.02,
+            abort_probability=0.2,
+            faults=lambda rng: TiDBRetry(rng),
+        )
+    )
+
+
+class TestOnePath:
+    """One columnar pass serves batch checks and streams alike."""
+
+    def test_the_first_record_of_a_bit_wins(self, monkeypatch):
+        # wr 0 -> 4: keys y and x both justify it; y comes first in key
+        # order.  rw 4 -> 2: the empty read misses 4 and 3; 4 was added
+        # first.  wr 2 -> 6: the read holds 3 and 4; 3 sorts first.
+        expected = {
+            (0, 4, WR): Evidence(kind=WR, key="y", value=2),
+            (4, 2, RW): Evidence(kind=RW, key="z", value=4),
+            (2, 6, WR): Evidence(kind=WR, key="z", value=3),
+        }
+        looked_up = analyze(precedence_history(), workload="grow-set")
+        for (u, v, bit), record in expected.items():
+            assert looked_up.edge_evidence(u, v, bit) == record
+        shipped = analyze(precedence_history(), workload="grow-set").evidence
+        for edge, record in expected.items():
+            assert shipped[edge] == record
+        reference.use_reference(monkeypatch)
+        assert analyze(precedence_history(), workload="grow-set").evidence == shipped
+
+    @pytest.mark.parametrize(
+        "histories,expected",
+        [
+            (lambda: [figure4_history(300, 8, workload="grow-set")], set()),
+            (
+                lambda: [faulty_set_history(), precedence_history()],
+                {"G1a", "garbage-read"},
+            ),
+        ],
+        ids=["clean", "faulty"],
+    )
+    def test_a_grow_set_batch_depends_on_its_key_alone(self, histories, expected):
+        # The stream's per-key cache relies on it: a key's batch is the
+        # same whichever key list it was analyzed in, and equals the
+        # per-key reference's, anomalies and records in order.
+        seen = set()
+        most = 0
+        for history in histories():
+            plan = GrowSetPlan(history)
+            keys = list(plan.keys())
+            together = plan.analyze_keys(keys)
+            for key, (anomalies, fragment) in zip(keys, together):
+                (alone,) = plan.analyze_keys([key])
+                for batch in (alone, reference.grow_set_key(plan, key)):
+                    got = [a.__dict__ for a in batch[0]]
+                    assert got == [a.__dict__ for a in anomalies]
+                    assert list(batch[1].items()) == list(fragment.items())
+                seen.update(a.name for a in anomalies)
+                most = max(most, len(anomalies))
+        assert seen == expected
+        assert most > 1 or not expected

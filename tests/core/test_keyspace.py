@@ -18,14 +18,9 @@ from repro.core.anomalies import (
 from repro.core.keyspace import (
     PLANS,
     ReadCheckStyle,
-    _analyze_chunk,
-    _chunk_bounds,
     _merge,
-    _run_chunk,
-    _spawn_init,
     check_recoverable_read,
 )
-from repro.core import keyspace
 from repro.db import FaunaInternal, Isolation, TiDBRetry
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, append, r, w
@@ -44,25 +39,29 @@ def history(workload="list-append", seed=17, txns=150):
 
 class TestMergeDeterminism:
     def test_batch_order_is_irrelevant(self):
-        # Anomalies and the graph are canonical for any chunk order;
-        # evidence precedence is key order, which in-order chunks keep.
+        # Anomalies and the graph are canonical for any batch order;
+        # evidence precedence is key order, which in-order ranges keep.
         h = history()
         plan = PLANS["list-append"](h)
-        n_txns = len(plan.index.transactions)
-        n_keys = len(plan.keys())
-        whole = [_analyze_chunk(plan, 0, n_txns, 0, n_keys)]
-        pieces = [
-            _analyze_chunk(plan, *bounds) for bounds in _chunk_bounds(plan, 3)
-        ]
-        shuffled = list(pieces)
+        keys = list(plan.keys())
+        cuts = [0, len(keys) // 3, 2 * len(keys) // 3, len(keys)]
+        ranges = [plan.analyze_keys(keys[a:b]) for a, b in zip(cuts, cuts[1:])]
+        shuffled = list(ranges)
         random.Random(0).shuffle(shuffled)
 
-        merged_whole = Analysis(history=h, workload="list-append")
-        _merge(merged_whole, whole)
-        merged_pieces = Analysis(history=h, workload="list-append")
-        _merge(merged_pieces, pieces)
-        merged_shuffled = Analysis(history=h, workload="list-append")
-        _merge(merged_shuffled, shuffled)
+        def merged(batch_lists):
+            analysis = Analysis(history=h, workload="list-append")
+            batches = [batch for batches in batch_lists for batch in batches]
+            _merge(
+                analysis,
+                [anomaly for anomalies, _f in batches for anomaly in anomalies],
+                [fragment for _a, fragment in batches if fragment],
+            )
+            return analysis
+
+        merged_whole = merged([plan.analyze_keys(keys)])
+        merged_pieces = merged(ranges)
+        merged_shuffled = merged(shuffled)
 
         for merged in (merged_pieces, merged_shuffled):
             assert merged.anomalies == merged_whole.anomalies
@@ -71,17 +70,15 @@ class TestMergeDeterminism:
                 merged_whole.graph.edges()
             )
         assert merged_pieces.evidence == merged_whole.evidence
+        # The batch check's column source holds the same records.
+        assert analyze(h).evidence == merged_whole.evidence
 
     def test_evidence_precedence_follows_key_order(self):
         h = History.of(("ok", 0, [append("x", 1)]))
         first = Evidence(kind=WW, key="x", value=1)
         second = Evidence(kind=WW, key="x", value=99)
-        chunks = [
-            ([], [{(0, 2, WW): first}]),
-            ([], [{(0, 2, WW): second}]),
-        ]
         analysis = Analysis(history=h, workload="list-append")
-        _merge(analysis, chunks)
+        _merge(analysis, [], [{(0, 2, WW): first}, {(0, 2, WW): second}])
         assert analysis.evidence[(0, 2, WW)] == first
 
 
@@ -133,7 +130,17 @@ class TestCanonicalOrder:
             )
         )
         sequential = analyze(h, workload=workload)
-        sharded = analyze(h, workload=workload, shards=2)
+        # The same plan's keyspace in two shards (key ranges), last
+        # shard first, merged as a stream merges them.
+        plan = PLANS[workload](h)
+        keys = list(plan.keys())
+        half = len(keys) // 2
+        batches = plan.analyze_keys(keys[half:]) + plan.analyze_keys(keys[:half])
+        ranged = Analysis(history=h, workload=workload)
+        anomalies = plan.internal_anomalies()
+        for key_anomalies, _fragment in batches:
+            anomalies.extend(key_anomalies)
+        _merge(ranged, anomalies, [])
 
         def listed(anomalies):
             return [
@@ -142,7 +149,7 @@ class TestCanonicalOrder:
             ]
 
         assert len(sequential.anomalies) > 1
-        assert listed(sharded.anomalies) == listed(sequential.anomalies)
+        assert listed(ranged.anomalies) == listed(sequential.anomalies)
         rank = {name: i for i, name in enumerate(ALL_ANOMALIES)}
         assert listed(sequential.anomalies) == sorted(
             listed(sequential.anomalies), key=lambda a: (rank[a[0]], a[1], a[2])
@@ -157,44 +164,6 @@ class TestPlanRegistry:
             "grow-set",
             "counter",
         }
-
-    def test_spawn_init_rebuilds_equivalent_plan(self):
-        h = history(seed=23)
-        parent = PLANS["list-append"](h)
-        bounds = _chunk_bounds(parent, 2)
-
-        _spawn_init((h, "list-append", parent.plan_options))
-        try:
-            rebuilt = [_run_chunk(b) for b in bounds]
-        finally:
-            keyspace._WORKER_PLAN = None
-        direct = [_analyze_chunk(parent, *b) for b in bounds]
-        assert rebuilt == direct
-
-    def test_plan_options_survive_for_rw_register(self):
-        h = history("rw-register", seed=2)
-        plan = PLANS["rw-register"](
-            h, sources=("initial-state", "write-follows-read", "process")
-        )
-        assert plan.plan_options == {
-            "sources": ("initial-state", "write-follows-read", "process")
-        }
-
-
-class TestChunkBounds:
-    def test_bounds_cover_everything_once(self):
-        h = history(seed=31)
-        plan = PLANS["list-append"](h)
-        bounds = _chunk_bounds(plan, 4)
-        txn_spans = [(lo, hi) for lo, hi, _kl, _kh in bounds]
-        key_spans = [(kl, kh) for _lo, _hi, kl, kh in bounds]
-        assert txn_spans[0][0] == 0
-        assert txn_spans[-1][1] == len(plan.index.transactions)
-        assert key_spans[-1][1] == len(plan.keys())
-        for (a, b), (c, _d) in zip(txn_spans, txn_spans[1:]):
-            assert b == c
-        for (a, b), (c, _d) in zip(key_spans, key_spans[1:]):
-            assert b == c
 
 
 class TestSharedReadChecks:
@@ -250,10 +219,3 @@ class TestSharedReadChecks:
             reader, "k", (2,), write_map, self.style()
         ) == []
 
-
-class TestAnalyzeForwarding:
-    def test_shards_reach_builtin_analyzers(self):
-        h = history(seed=41)
-        sequential = analyze(h, shards=1)
-        sharded = analyze(h, shards=2)
-        assert sorted(sequential.graph.edges()) == sorted(sharded.graph.edges())

@@ -446,9 +446,9 @@ class TestWholeIndexPass:
 
     @pytest.mark.parametrize("workload", ["rw-register", "list-append"])
     def test_sharded_check_runs_the_whole_index_pass(self, monkeypatch, workload):
-        # ``--shards`` serves only plans without a whole-index pass: no
-        # pool is made and the key-range chunk path never runs.
-        import repro.core.keyspace as keyspace_mod
+        # ``check`` ignores ``shards``: a shards=2 check merges the one
+        # pass over every key and never splits it into per-key batches.
+        from repro.core.keyspace import KeyspacePlan
 
         if workload == "rw-register":
             history = stale_register_history()
@@ -459,17 +459,21 @@ class TestWholeIndexPass:
                 RunConfig(txns=400, concurrency=8, seed=4, crash_probability=0.0)
             )
             options = {}
+        whole_passes = []
+        analyze_index = KeyspacePlan.analyze_index
 
-        def no_pool(*args):
-            raise AssertionError("a worker pool was started")
+        def counted(plan, analysis, profile=None):
+            whole_passes.append(len(plan.keys()))
+            return analyze_index(plan, analysis, profile)
 
-        def no_chunks(*args):
-            raise AssertionError("the key-range chunk path ran")
+        def no_batches(*args):
+            raise AssertionError("the per-key batch path ran")
 
-        monkeypatch.setattr(keyspace_mod, "_make_pool", no_pool)
-        monkeypatch.setattr(keyspace_mod, "_analyze_chunk", no_chunks)
+        monkeypatch.setattr(KeyspacePlan, "analyze_index", counted)
+        monkeypatch.setattr(KeyspacePlan, "analyze_keys", no_batches)
         sharded = check(history, workload=workload, shards=2, **options)
         monkeypatch.undo()
+        assert len(whole_passes) == 1 and whole_passes[0] > 1
         assert sharded.report() == check(
             history, workload=workload, **options
         ).report()

@@ -17,8 +17,9 @@ from typing import Any, Dict, List, Set, Tuple
 from repro.core.analysis import Evidence
 from repro.core.anomalies import INCOMPATIBLE_ORDER, Anomaly
 from repro.core.deps import RW, WR, WW
-from repro.core.keyspace import Batch, KeyspacePlan, check_recoverable_read
+from repro.core.keyspace import Batch, check_recoverable_read
 from repro.core.list_append import ListAppendPlan
+from tests.keyspace_reference import use_walk
 
 
 def analyze_key(plan: ListAppendPlan, key: Any) -> Batch:
@@ -263,12 +264,6 @@ def _suspicious(value, elements, aborted, nonfinal) -> bool:
 
 
 def use_reference(patch) -> None:
-    """Make list-append plans run :func:`analyze_key` on every key.
-
-    The base plan's ``analyze_index`` declines and its ``analyze_keys``
-    maps ``analyze_key``, so batch checks, shards and streams all take
-    the per-key walk.
-    """
-    patch.setattr(ListAppendPlan, "analyze_index", KeyspacePlan.analyze_index)
-    patch.setattr(ListAppendPlan, "analyze_keys", KeyspacePlan.analyze_keys)
-    patch.setattr(ListAppendPlan, "analyze_key", analyze_key)
+    """Make list-append plans run :func:`analyze_key` on every key, in batch
+    checks and streams alike."""
+    use_walk(patch, ListAppendPlan, analyze_key)

@@ -14,15 +14,15 @@ byte-identical to the shipped one:
 * the canonical dict build (``graph_reference.canonical_csr``) in place
   of the vectorized ``CSRGraph.from_edge_log``.
 
-The columnar passes of list-append and rw-register have a per-key walk
-as their reference.  Each workload has one analyzer in ``src/``, its
-pass; the walks live in ``tests/list_append_reference.py`` and
-``tests/rw_register_reference.py``, and ``per_key_only`` makes batch
+Every workload's columnar pass has a per-key walk as its reference.
+Each workload has one analyzer in ``src/``, its pass; the walks live in
+``tests/list_append_reference.py``, ``tests/rw_register_reference.py``
+and ``tests/counter_set_reference.py``, and ``per_key_only`` makes batch
 checks and streams run them for every key.
 
 Identity is the full analysis signature — anomalies in order, node
-order, edges, evidence — the same oracle the sharding and
-streaming equivalence suites use.
+order, edges, evidence — the same oracle the streaming equivalence
+suite uses.
 """
 
 import sys
@@ -43,7 +43,7 @@ from repro.db import FaunaInternal, Isolation, TiDBRetry, YugaByteStaleRead
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.graph import CSRGraph, interval_precedence_pairs
 from tests.graph_reference import canonical_csr
-from tests import list_append_reference, rw_register_reference
+from tests import counter_set_reference, list_append_reference, rw_register_reference
 
 REFERENCE = "tests.rw_register_reference"
 
@@ -185,9 +185,10 @@ REFERENCES = [
 
 
 def per_key_only(patch) -> None:
-    """Force the per-key walk for every key of both columnar plans."""
+    """Force the per-key walk for every key of every plan."""
     list_append_reference.use_reference(patch)
     rw_register_reference.use_reference(patch)
+    counter_set_reference.use_reference(patch)
 
 
 def install_references(patch) -> None:
@@ -283,7 +284,9 @@ def _signed_check(history, workload):
 class TestLoopReferences:
     """The loop references must reproduce the vectorized output exactly."""
 
-    @pytest.mark.parametrize("workload", ["list-append", "rw-register"])
+    @pytest.mark.parametrize(
+        "workload", ["list-append", "rw-register", "grow-set", "counter"]
+    )
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_check_matches_loop_references(self, monkeypatch, workload, fault):
         history = make_history(workload, fault, seed=11, txns=600)
@@ -351,16 +354,25 @@ class TestLoopReferences:
 
 
 #: (workload, fault, isolation, abort probability) for the screen oracle.
-#: The weak-isolation register runs with aborts witness G1a and G1b.
-SCREEN_CASES = [
-    (workload, fault, Isolation.SNAPSHOT_ISOLATION, 0.0)
-    for workload in ("list-append", "rw-register")
-    for fault in sorted(FAULTS)
-] + [
-    ("rw-register", fault, isolation, 0.2)
-    for isolation in (Isolation.READ_UNCOMMITTED, Isolation.READ_COMMITTED)
-    for fault in ("none", "tidb-retry")
-]
+#: The weak-isolation register runs with aborts witness G1a and G1b; the
+#: read-uncommitted grow-set and counter runs, G1a and garbage reads.
+SCREEN_CASES = (
+    [
+        (workload, fault, Isolation.SNAPSHOT_ISOLATION, 0.0)
+        for workload in ("list-append", "rw-register")
+        for fault in sorted(FAULTS)
+    ]
+    + [
+        ("rw-register", fault, isolation, 0.2)
+        for isolation in (Isolation.READ_UNCOMMITTED, Isolation.READ_COMMITTED)
+        for fault in ("none", "tidb-retry")
+    ]
+    + [
+        (workload, fault, Isolation.READ_UNCOMMITTED, 0.2)
+        for workload in ("grow-set", "counter")
+        for fault in ("none", "fauna-internal")
+    ]
+)
 
 
 class TestScreenAgainstPerKeyPath:
@@ -408,7 +420,9 @@ class TestHypothesisSweep:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        workload=st.sampled_from(["list-append", "rw-register"]),
+        workload=st.sampled_from(
+            ["list-append", "rw-register", "grow-set", "counter"]
+        ),
         fault=st.sampled_from(sorted(FAULTS)),
         seed=st.integers(min_value=0, max_value=2**20),
     )

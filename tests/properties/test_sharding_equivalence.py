@@ -1,12 +1,17 @@
-"""The sharding oracle: ``shards=N`` is byte-identical to sequential.
+"""The sharding oracle: key-range shards are byte-identical to one pass.
 
-The keyspace-partitioned analysis pipeline promises that partitioning is
-purely an execution strategy — every batch merge is deterministic, so a
-sharded run must reproduce the sequential analysis *exactly*: same
-anomalies in the same order with the same messages, same graph (including
-node interning order, which cycle-witness selection depends on), same
-evidence, same verdict.  These tests pin that across all four workloads,
-multiple fault injectors, and randomized generator configurations.
+A plan's keyspace splits into contiguous key ranges ("shards"), each
+run through :meth:`~repro.core.keyspace.KeyspacePlan.analyze_keys` and
+merged with :func:`~repro.core.keyspace._merge`, exactly as the
+streaming checker merges its stale keys.  Every batch merge is
+deterministic, so a sharded analysis must reproduce the whole-index
+pass of :func:`~repro.core.analyze` *exactly*: same anomalies in the
+same order with the same messages, same graph (including node interning
+order, which cycle-witness selection depends on), same evidence, same
+verdict.  ``check(shards=N)`` accepts and ignores the keyword, so it
+must give the one-process verdict too.  These tests pin both across all
+four workloads, multiple fault injectors, and randomized generator
+configurations.
 """
 
 import pytest
@@ -15,6 +20,10 @@ from hypothesis import strategies as st
 
 from repro import check
 from repro.core import analyze
+from repro.core.analysis import Analysis
+from repro.core.checker import finish_analysis
+from repro.core.keyspace import PLANS, _merge
+from repro.core.orders import add_orders
 from repro.db import FaunaInternal, Isolation, TiDBRetry, YugaByteStaleRead
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 
@@ -68,6 +77,51 @@ def result_signature(result):
     ) + analysis_signature(result.analysis)
 
 
+def key_ranges(keys, shards):
+    """``keys`` cut into ``shards`` contiguous ranges (some empty when
+    there are more shards than keys)."""
+    cuts = [len(keys) * i // shards for i in range(shards + 1)]
+    return [keys[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def sharded_analyze(history, workload, shards, **options):
+    """The analysis merged from the plan's key ranges, one pass each."""
+    plan = PLANS[workload](history, **options)
+    anomalies = plan.internal_anomalies()
+    fragments = []
+    for keys in key_ranges(list(plan.keys()), shards):
+        for key_anomalies, fragment in plan.analyze_keys(keys):
+            anomalies.extend(key_anomalies)
+            fragments.append(fragment)
+    analysis = Analysis(history=history, workload=workload)
+    _merge(analysis, anomalies, fragments)
+    add_orders(analysis, True, True, False)
+    return analysis
+
+
+def sharded_check(history, shards, workload="list-append",
+                  consistency_model="serializable", **options):
+    """Check verdicts over key-range shards, and ``check(shards=)``'s."""
+    merged = finish_analysis(
+        sharded_analyze(history, workload, shards, **options),
+        consistency_model,
+    )
+    ignored = check(
+        history,
+        workload=workload,
+        consistency_model=consistency_model,
+        shards=shards,
+        **options,
+    )
+    return merged, ignored
+
+
+def assert_same_check(history, shards, **kwargs):
+    sequential = result_signature(check(history, **kwargs))
+    for sharded in sharded_check(history, shards, **kwargs):
+        assert result_signature(sharded) == sequential
+
+
 def check_options(workload):
     if workload == "rw-register":
         # Exercise every version-order source, including the per-key
@@ -84,7 +138,7 @@ def check_options(workload):
 
 
 class TestShardedCheckEquivalence:
-    """check(shards=N) == check(shards=1), everywhere."""
+    """Key-range shards and check(shards=N) == one pass, everywhere."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("fault", ["tidb-retry", "fauna-internal"])
@@ -95,29 +149,21 @@ class TestShardedCheckEquivalence:
             consistency_model="serializable",
             **check_options(workload),
         )
-        sequential = check(history, shards=1, **kwargs)
         for shards in (2, 3):
-            sharded = check(history, shards=shards, **kwargs)
-            assert result_signature(sharded) == result_signature(sequential)
+            assert_same_check(history, shards, **kwargs)
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_clean_histories(self, workload):
         history = make_history(workload, "none", seed=5)
-        sequential = check(history, workload=workload, shards=1)
-        sharded = check(history, workload=workload, shards=2)
-        assert result_signature(sharded) == result_signature(sequential)
+        assert_same_check(history, 2, workload=workload)
 
     def test_yugabyte_stale_read_list_append(self):
         history = make_history("list-append", "yugabyte-stale-read", seed=3)
-        sequential = check(history, shards=1)
-        sharded = check(history, shards=4)
-        assert result_signature(sharded) == result_signature(sequential)
+        assert_same_check(history, 4)
 
     def test_more_shards_than_keys(self):
         history = make_history("list-append", "none", seed=2, txns=40)
-        sequential = check(history, shards=1)
-        sharded = check(history, shards=64)
-        assert result_signature(sharded) == result_signature(sequential)
+        assert_same_check(history, 64)
 
 
 class TestShardedAnalyzeEquivalence:
@@ -126,8 +172,8 @@ class TestShardedAnalyzeEquivalence:
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_analysis_identical(self, workload):
         history = make_history(workload, "tidb-retry", seed=29)
-        sequential = analyze(history, workload=workload, shards=1)
-        sharded = analyze(history, workload=workload, shards=2)
+        sequential = analyze(history, workload=workload)
+        sharded = sharded_analyze(history, workload, 2)
         assert analysis_signature(sharded) == analysis_signature(sequential)
 
 
@@ -164,7 +210,6 @@ class TestRandomizedEquivalence:
                 faults=FAULTS[fault],
             )
         )
-        kwargs = dict(workload=workload, **check_options(workload))
-        sequential = check(history, shards=1, **kwargs)
-        sharded = check(history, shards=shards, **kwargs)
-        assert result_signature(sharded) == result_signature(sequential)
+        assert_same_check(
+            history, shards, workload=workload, **check_options(workload)
+        )

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Set, Tuple
 from repro.core.analysis import Evidence
 from repro.core.anomalies import Anomaly
 from repro.core.deps import RW, WR, WW
-from repro.core.keyspace import Batch, KeyspacePlan, check_recoverable_read
+from repro.core.keyspace import Batch, check_recoverable_read
 from repro.core.rw_register import (
     INIT,
     RwRegisterPlan,
@@ -26,6 +26,7 @@ from repro.core.rw_register import (
 )
 from repro.graph import CSRGraph, interval_precedence_pairs
 from repro.history.index import HistoryIndex, KeySlice
+from tests.keyspace_reference import use_walk
 
 #: Distinguishes "no pinned version yet" from a pinned ``None`` (= INIT).
 _UNPINNED = object()
@@ -383,12 +384,6 @@ def analyze_key(plan: RwRegisterPlan, key: Any) -> Batch:
 
 
 def use_reference(patch) -> None:
-    """Make rw-register plans run :func:`analyze_key` on every key.
-
-    The base plan's ``analyze_index`` declines and its ``analyze_keys``
-    maps ``analyze_key``, so batch checks, shards and streams all take
-    the per-key walk.
-    """
-    patch.setattr(RwRegisterPlan, "analyze_index", KeyspacePlan.analyze_index)
-    patch.setattr(RwRegisterPlan, "analyze_keys", KeyspacePlan.analyze_keys)
-    patch.setattr(RwRegisterPlan, "analyze_key", analyze_key)
+    """Make rw-register plans run :func:`analyze_key` on every key, in batch
+    checks and streams alike."""
+    use_walk(patch, RwRegisterPlan, analyze_key)

@@ -299,6 +299,7 @@ class TestRecoveryOracle:
             b"REPROCKPT4\n",
             b"REPROCKPT5\n",
             b"REPROCKPT6\n",
+            b"REPROCKPT7\n",
         ],
         ids=lambda magic: magic.decode().strip(),
     )
@@ -315,7 +316,9 @@ class TestRecoveryOracle:
         canonical version order; ``REPROCKPT5`` checkpoints hold whole
         frozen key batches, re-merged on every chunk, where the checker now
         keeps a frozen edge block; ``REPROCKPT6`` checkpoints hold key
-        slices with an ``inter_txn`` slot the index no longer has.
+        slices with an ``inter_txn`` slot the index no longer has;
+        ``REPROCKPT7`` checkpoints hold a streaming checker whose plan
+        options sit under an attribute it no longer reads.
         Recovery must skip every one and replay the whole WAL to the batch
         report.
         """
@@ -337,7 +340,7 @@ class TestRecoveryOracle:
         store = durability.store("chaos")
         checkpoints = store.checkpoint_paths()
         assert checkpoints, "cadence should have produced checkpoints"
-        assert CHECKPOINT_MAGIC == b"REPROCKPT7\n"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT8\n"
         for path in checkpoints:
             blob = open(path, "rb").read()
             with open(path, "wb") as fh:
