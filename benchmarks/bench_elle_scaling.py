@@ -12,9 +12,12 @@ claim; the whole-index columnar screens keep it near-linear (the residual
 growth is cache pressure on the flat op columns, not algorithm).
 
 ``--mode stream`` sweeps the streaming incremental checker instead:
-chunk-size x per-chunk latency rows, with the final streamed verdict
-asserted identical to batch.  ``--baseline PATH --tolerance X`` turns the
-run into a CI regression guard: each batch row is compared against the best
+chunk-size x per-chunk latency rows, each with its last chunk's stage
+times (``last_chunk_stages_ms``, from an extra profiled run of that chunk
+on a pickled copy of the checker, so every timed chunk runs unprofiled),
+with the final streamed verdict asserted identical to batch.
+``--baseline PATH --tolerance X`` turns the run into a CI regression
+guard: each batch row is compared against the best
 committed record at the same workload and size, and the process exits
 non-zero when it is more than ``X`` times slower (absolute wall-clock on
 heterogeneous runners needs generous tolerances; the guard is for
@@ -202,11 +205,27 @@ def _assert_register_asymptotics(txns, concurrency, rows):  # pragma: no cover
     )
 
 
-def _timed_stream(history, workload, chunk_ops):  # pragma: no cover - manual
-    """Stream a history chunk-by-chunk; returns (chunk timings, result)."""
+#: The stages a stream row records for its last chunk.
+STREAM_STAGES = (
+    "stream/ingest",
+    "stream/keys",
+    "stream/merge",
+    "stream/orders",
+    "freeze",
+    "cycle-search",
+)
+
+
+def _timed_stream(history, workload, chunk_ops, stages=False):  # pragma: no cover
+    """Stream a history chunk-by-chunk; returns (chunk timings, result,
+    the last chunk's stage profile or None).  Every timed chunk runs
+    unprofiled; with ``stages`` a checkpoint-style copy of the checker
+    runs the last chunk again under a profile."""
+    import pickle
     import time
 
     from repro.core.incremental import StreamingChecker
+    from repro.core.profiling import Profile
 
     checker = StreamingChecker(
         workload=workload,
@@ -216,11 +235,21 @@ def _timed_stream(history, workload, chunk_ops):  # pragma: no cover - manual
     ops = list(history.ops)
     timings = []
     update = None
+    profile = None
     for start in range(0, len(ops), chunk_ops):
+        chunk = ops[start:start + chunk_ops]
+        twin = None
+        if stages and start + chunk_ops >= len(ops):
+            result, checker.result = checker.result, None
+            twin = pickle.loads(pickle.dumps(checker))
+            checker.result = result
         begin = time.perf_counter()
-        update = checker.extend(ops[start:start + chunk_ops])
+        update = checker.extend(chunk)
         timings.append(time.perf_counter() - begin)
-    return timings, update
+        if twin is not None:
+            profile = Profile()
+            twin.extend(chunk, profile=profile)
+    return timings, update, profile
 
 
 def _stream_rows(args, rows, results):  # pragma: no cover - manual
@@ -230,7 +259,9 @@ def _stream_rows(args, rows, results):  # pragma: no cover - manual
             history = figure4_history(size, args.concurrency, workload=workload)
             batch_seconds, batch_result, _profile = _timed_check(history, workload)
             for chunk_ops in args.chunk_sizes:
-                timings, update = _timed_stream(history, workload, chunk_ops)
+                timings, update, profile = _timed_stream(
+                    history, workload, chunk_ops, stages=True
+                )
                 assert _verdict(update.result) == _verdict(batch_result), (
                     f"stream chunk={chunk_ops} diverged from batch "
                     f"on {workload}/{size}"
@@ -260,6 +291,10 @@ def _stream_rows(args, rows, results):  # pragma: no cover - manual
                         "last_chunk_seconds": round(timings[-1], 4),
                         "keys_reused": update.reused_keys,
                         "keys_reanalyzed": update.reanalyzed_keys,
+                        "last_chunk_stages_ms": {
+                            name: round(profile.stages.get(name, 0.0) * 1000, 3)
+                            for name in STREAM_STAGES
+                        },
                     }
                 )
                 print(
@@ -307,7 +342,7 @@ def _assert_stream_asymptotics(concurrency, rows):  # pragma: no cover
             check(history, consistency_model="strict-serializable")
             samples.append(time.perf_counter() - begin)
         batch[size] = min(samples)
-        timings, update = _timed_stream(history, "list-append", 1_000)
+        timings, update, _profile = _timed_stream(history, "list-append", 1_000)
         # Steady-state re-check cost at full history size: best of the
         # final two chunks (one sample can catch a GC pause).
         last[size] = min(timings[-2:])

@@ -6,29 +6,27 @@ bit, the observation that justifies it.  Evidence is what turns a cycle into
 a human-readable counterexample (Figure 2 of the paper).
 
 Evidence is built only when something reads it.  Value edges (ww/wr/rw)
-carry one record per ``(from, to, bit)`` — the justifying key and values
-genuinely differ per edge — but a valid history never explains a cycle,
-so the analysis keeps an ordered *log* of evidence sources instead of a
-dict: each source is a producer of per-key fragments in the plan's key
-order (the keyspace merge's eager fragment list, or a columnar pass's
-:class:`ColumnEvidence` over its edge columns).  The first read of
-:attr:`Analysis.evidence` replays the log once, in reverse, with
-``dict.update``, so the first key's record for every edge bit wins.  A
-cycle explanation needs a few records, not all of them:
-:meth:`Analysis.edge_evidence` asks sources that can look one bit up
-(:class:`ColumnEvidence` can) instead of replaying.  A column source
-holds its pass's own columns and values, never the live index, so it
-reads the same after the history grows.
-Order edges (process/realtime/timestamp) would store hundreds of
-thousands of identical records on a large history, so they are
-*synthesized on demand* by :meth:`Analysis.edge_evidence`: the graph bit
-plus the history already determine everything the record would say.
+carry one record per ``(from, to, bit)``, but a valid history never
+explains a cycle, so the analysis keeps an ordered *log* of evidence
+sources instead of a dict.  A keyspace merge logs one
+:class:`ColumnEvidence`: every edge it added, naming its key and values
+by index, with a precedence that picks each edge bit's record.  The first
+read of :attr:`Analysis.evidence` replays the log once, in reverse, with
+``dict.update``, so earlier sources win; a cycle explanation instead asks
+sources that can look one bit up (:meth:`Analysis.edge_evidence`).  A
+column source holds its passes' own columns and values, never the live
+index, so it reads the same after the history grows.  Order edges
+(process/realtime/timestamp) would store hundreds of thousands of
+identical records on a large history, so they are *synthesized on
+demand* by :meth:`Analysis.edge_evidence`: the graph bit plus the
+history already determine everything the record would say.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import (
     Any,
     Callable,
@@ -46,8 +44,9 @@ import numpy as np
 
 from ..graph import EdgeLogGraph
 from ..history import History, Transaction
+from ..history.index import take
 from .anomalies import Anomaly
-from .deps import ORDER_EDGES, PROCESS
+from .deps import ORDER_EDGES, PROCESS, VALUE_EDGES
 
 
 class Evidence(NamedTuple):
@@ -57,11 +56,8 @@ class Evidence(NamedTuple):
     kind; for value edges ``key`` names the object and ``value`` the element
     or register value whose observation justified the edge.  ``via`` is the
     transaction whose read witnessed the relationship (for ww edges inferred
-    from a third party's read).
-
-    A ``NamedTuple`` rather than a dataclass: analyses carry one record per
-    value edge, and streams cache and checkpoint them per key, so cheap
-    construction and fast pickling matter.
+    from a third party's read).  A ``NamedTuple``, cheap to build by the
+    hundred thousand.
     """
 
     kind: int
@@ -74,26 +70,24 @@ class Evidence(NamedTuple):
 
 EdgeKey = Tuple[int, int, int]  # (from_txn, to_txn, dependency_bit)
 
-#: One evidence source: a producer of ``(u, v, bit) -> Evidence`` fragments
-#: in key order.  Called again on every replay attempt, so a replay
-#: that raises leaves the log intact.  A source may also offer
-#: ``find(edge) -> Optional[Evidence]``, the one record its replay would
-#: give that bit, so :meth:`Analysis.edge_evidence` can answer without a
-#: replay.
+#: One evidence source: called (again on every replay attempt, so a replay
+#: that raises leaves the log intact) for ``(u, v, bit) -> Evidence``
+#: fragments in precedence order.  It may also offer ``find(edge)``, the
+#: record its replay would give that bit, to answer without a replay.
 EvidenceSource = Callable[[], Iterable[Dict[EdgeKey, Evidence]]]
+
+#: Value bits (1, 2, 4) fit below this, so ``code * _BITS + bit`` is one.
+_BITS = VALUE_EDGES + 1
 
 
 class EdgeColumns(NamedTuple):
-    """One dependency bit's value edges as columns, with their evidence.
+    """One dependency bit's value edges as a pass emits them.
 
-    Row ``j`` is the edge ``u[j] -> v[j]`` between transaction positions.
-    Its record is ``Evidence(bit, keys[k], values[value[j]],
-    values[prev[j]], ids[via[k]])`` over the source's ``keys``,
-    ``values`` and transaction ids, where ``k = value_key[value[j]]`` is
-    the row's key index; ``via`` holds one transaction position per key,
-    and a column given as None leaves its field None.  Within one bit,
-    ranks ascend key by key; within one key, ranks across bits are the
-    order the key emits its records in.  Per edge, the lowest rank wins.
+    Row ``j`` is the edge ``u[j] -> v[j]`` between transaction positions,
+    with record ``Evidence(bit, keys[k], values[value[j]], values[prev[j]],
+    ids[via[k]])`` for its key index ``k = value_key[value[j]]``; a column
+    given as None leaves its field None.  Ranks ascend key by key, within
+    a key in the order it emits its records; per edge, the lowest wins.
     """
 
     bit: int
@@ -105,164 +99,243 @@ class EdgeColumns(NamedTuple):
     rank: np.ndarray
 
 
-_INT32 = np.iinfo(np.int32)
+#: The rows of a :class:`ColumnEvidence` block; column ``j`` is one edge.
+#: A block stops after RANK when no edge names a previous value, and after
+#: PREV when none names a witness; a row it leaves out reads -1.
+BIT, U, V, VALUE, RANK, PREV, VIA = range(7)
 
 
-def _narrow(column: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """``column`` as int32 when every value fits, else unchanged."""
-    if column is None or not len(column) or column.dtype == np.int32:
-        return column
-    if _INT32.min <= column.min() and column.max() <= _INT32.max:
-        return column.astype(np.int32)
-    return column
+class _Part:
+    """One pass's keys, value-index-to-key-index map, and value list,
+    built on first need (a pickle carries it built)."""
+
+    def __init__(
+        self, keys: Sequence[Any], value_key: np.ndarray, values: Callable
+    ) -> None:
+        self.keys = keys
+        self.value_key = value_key
+        self._values: Any = values
+
+    def values(self) -> List[Any]:
+        """The value list with a None appended, so index -1 reads None."""
+        if callable(self._values):
+            self._values = [*self._values(), None]
+        return self._values
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return dict(self.__dict__, _values=self.values())
 
 
-def _winners(rank: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each ``(u, v)`` pair's lowest-rank row, pairs ascending."""
-    order = np.lexsort((rank, v, u))
-    su = u[order]
-    sv = v[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
-    return order[head]
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _padded(block: np.ndarray, rows: int) -> np.ndarray:
+    """``block`` with -1 rows appended up to ``rows``."""
+    if len(block) == rows:
+        return block
+    pad = np.full((rows - len(block), block.shape[1]), -1, block.dtype)
+    return np.concatenate((block, pad))
 
 
 class ColumnEvidence:
-    """A columnar pass's deferred evidence source, over its edge columns.
+    """Value edges as one block of int columns, records built on demand.
 
-    Calling the source builds every edge bit's winning record (a full
-    :attr:`Analysis.evidence` read); :meth:`find` builds one, which is
-    all a cycle explanation needs; :meth:`by_key` builds each key's
-    fragment for the streaming checker's per-key cache.  ``values`` is
-    called once, on first need, for the list the value columns index;
-    ``value_key`` maps each value index a row names to its key index.
-    Edge keys reuse the index's transaction-id ints rather than boxing
-    new ones.  A source holds at most one column set per bit.
+    Column ``j`` of :attr:`block` is the edge ``U -> V`` (transaction
+    positions) of bit ``BIT``; ``VIA`` is a position, and -1 leaves a
+    field None.  The columns come in runs, one per pass: run ``p`` spans
+    ``starts[p]:starts[p + 1]`` and its ``VALUE`` and ``PREV`` index the
+    value list of ``parts[p]`` (``value_key[VALUE]`` is the key).  Per
+    edge bit, the lowest ``(run, RANK)`` wins.  A pass gives one source
+    (:meth:`of`); :meth:`split` cuts it into per-key views, which streams
+    cache; :meth:`merge` joins sources into the one a keyspace merge
+    logs.  :meth:`records` (or calling the source) builds every winning
+    record, or those into some transactions; :meth:`find` builds one.
     """
+
+    __slots__ = ("block", "parts", "starts", "txn_ids", "_table")
 
     def __init__(
         self,
+        block: np.ndarray,
+        parts: Sequence[_Part],
+        starts: List[int],
+        txn_ids: Sequence[int],
+    ) -> None:
+        self.block = block
+        self.parts = parts
+        self.starts = starts
+        self.txn_ids = txn_ids
+        self._table: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+
+    @classmethod
+    def of(
+        cls,
         columns: Sequence[EdgeColumns],
         txn_ids: Sequence[int],
         keys: Sequence[Any],
         values: Callable[[], List[Any]],
         value_key: np.ndarray,
-    ) -> None:
-        self.columns = tuple(columns)
-        self._txn_ids = txn_ids
-        self._keys = keys
-        self._value_key = value_key
-        self._make_values = values
-        self._values: Optional[List[Any]] = None
-        #: bit -> (code width, winners' ``u * width + v`` id codes
-        #: ascending, their rows in that order, the bit's columns), on
-        #: demand.
-        self._found: Dict[int, Tuple[int, np.ndarray, Any, Any]] = {}
+    ) -> "ColumnEvidence":
+        """One pass's source over its per-bit columns.  ``values`` is
+        called once, on first need, for the list the value columns index;
+        ``value_key`` maps each value index an edge names to its key
+        index.  The block is int32 when every entry fits."""
+        # The ranks and previous values bound the entries the lengths don't.
+        tops = [len(txn_ids), len(value_key)] + [
+            int(c.max())
+            for cols in columns
+            if len(cols.u)
+            for c in (cols.prev, cols.rank)
+            if c is not None
+        ]
+        dtype = np.int32 if max(tops) <= _INT32_MAX else np.int64
+        rows = RANK + 1
+        if any(cols.via is not None for cols in columns):
+            rows = VIA + 1
+        elif any(cols.prev is not None for cols in columns):
+            rows = PREV + 1
+        n = sum(len(cols.u) for cols in columns)
+        block = np.full((rows, n), -1, dtype)
+        start = 0
+        for cols in columns:
+            at = slice(start, start + len(cols.u))
+            start = at.stop
+            block[BIT, at] = cols.bit
+            block[U, at] = cols.u
+            block[V, at] = cols.v
+            block[VALUE, at] = cols.value
+            block[RANK, at] = cols.rank
+            if cols.prev is not None:
+                block[PREV, at] = cols.prev
+            if cols.via is not None:
+                block[VIA, at] = cols.via[value_key[cols.value]]
+        return cls(block, [_Part(keys, value_key, values)], [0, n], txn_ids)
 
-    def narrow(self) -> None:
-        """Store each row column as int32 where its values fit: a source
-        logged on an analysis lives as long as the analysis."""
-        self.columns = tuple(
-            cols._replace(
-                u=_narrow(cols.u),
-                v=_narrow(cols.v),
-                value=_narrow(cols.value),
-                prev=_narrow(cols.prev),
-                rank=_narrow(cols.rank),
-            )
-            for cols in self.columns
-        )
+    @staticmethod
+    def merge(sources: Sequence["ColumnEvidence"]) -> "ColumnEvidence":
+        """``sources``, in precedence order, as one source whose runs are
+        theirs in turn, so each edge bit's winner is its lowest (source
+        position, rank) edge.  Every source indexes one history's
+        transaction positions."""
+        if len(sources) == 1:
+            return sources[0]
+        if not sources:
+            return ColumnEvidence.of((), (), (), list, np.empty(0, np.int64))
+        rows = max(len(source.block) for source in sources)
+        block = np.concatenate([_padded(s.block, rows) for s in sources], axis=1)
+        ends = list(accumulate([len(source) for source in sources], initial=0))
+        starts = [a + end for s, end in zip(sources, ends) for a in s.starts[:-1]]
+        parts = [part for source in sources for part in source.parts]
+        return ColumnEvidence(block, parts, starts + ends[-1:], sources[0].txn_ids)
 
-    def _records(self, cols: EdgeColumns, rows) -> Iterator[Evidence]:
-        """The Evidence records of ``rows`` of one bit's columns."""
-        if self._values is None:
-            self._values = self._make_values()
-        value_of = self._values.__getitem__
-        value = cols.value[rows]
-        key = self._value_key[value]
-        record_keys = map(self._keys.__getitem__, key.tolist())
-        record_values = map(value_of, value.tolist())
-        if cols.prev is None:
-            record_prevs = repeat(None)
-        else:
-            record_prevs = map(value_of, cols.prev[rows].tolist())
-        if cols.via is None:
-            record_vias = repeat(None)
-        else:
-            record_vias = map(self._txn_ids.__getitem__, cols.via[key].tolist())
+    def __len__(self) -> int:
+        return self.block.shape[1]
+
+    def split(self, n_keys: int) -> List["ColumnEvidence"]:
+        """A pass's source cut by key index: each key's edges, in rank
+        order, as views of one sorted copy of the pass's block."""
+        key = self.parts[0].value_key[self.block[VALUE]]
+        order = np.lexsort((self.block[RANK], key))
+        block = self.block[:, order]
+        bounds = np.searchsorted(key[order], np.arange(n_keys + 1)).tolist()
+        return [
+            ColumnEvidence(block[:, a:b], self.parts, [0, b - a], self.txn_ids)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+
+    def select(self, mask: np.ndarray) -> "ColumnEvidence":
+        """The edges ``mask`` keeps, as a source of their own."""
+        block = self.block[:, mask]
+        return ColumnEvidence(block, self.parts, self.kept(mask), self.txn_ids)
+
+    def kept(self, mask: np.ndarray) -> List[int]:
+        """Each run's start, and the end, among the columns ``mask`` keeps."""
+        return np.concatenate(([0], np.cumsum(mask)))[self.starts].tolist()
+
+    def _winners(self) -> Tuple[int, np.ndarray, np.ndarray]:
+        """(code width, each edge bit's ``(u * width + v) * _BITS + bit``
+        id code ascending, its winning column), built on first need."""
+        if self._table is None:
+            block = self.block
+            n = block.shape[1]
+            ends = take(self.txn_ids, block[U : V + 1].ravel())
+            width = int(ends.max()) + 1 if n else 1
+            codes = (ends[:n] * width + ends[n:]) * _BITS + block[BIT]
+            # Each edge bit's winner comes first among its equal codes.
+            if len(self.parts) == 1:
+                order = np.lexsort((block[RANK], codes))
+            else:
+                run = np.repeat(np.arange(len(self.parts)), np.diff(self.starts))
+                order = np.lexsort((block[RANK], run, codes))
+            codes = codes[order]
+            head = np.ones(n, dtype=bool)
+            np.not_equal(codes[1:], codes[:-1], out=head[1:])
+            self._table = (width, codes[head], order[head])
+        return self._table
+
+    def _items(self, columns: np.ndarray) -> Iterator[Tuple[EdgeKey, Evidence]]:
+        """The edge key and record of each of ``columns``, ascending."""
+        ids = self.txn_ids
+        sub = _padded(self.block[:, columns], VIA + 1)
+        bit, u, v, value, _rank, prev, via = sub.tolist()
+        keys: List[Any] = []
+        values: List[Any] = []
+        prevs: List[Any] = []
+        # One stretch of ``columns`` per pass: adjacent runs often share
+        # one (a stream's key views of one chunk's pass).
+        cuts = np.searchsorted(columns, self.starts).tolist()
+        parts = self.parts
+        a = 0
+        for i, owner in enumerate(parts):
+            b = cuts[i + 1]
+            if a == b or i + 1 < len(parts) and parts[i + 1] is owner:
+                continue
+            listed = owner.values()
+            key = owner.value_key[sub[VALUE, a:b]].tolist()
+            keys.extend(map(owner.keys.__getitem__, key))
+            values.extend(map(listed.__getitem__, value[a:b]))
+            prevs.extend(map(listed.__getitem__, prev[a:b]))
+            a = b
+        witnesses = [None if p < 0 else ids[p] for p in via]
         # tuple.__new__ builds each record in C; the six-wide rows fill
-        # every Evidence field (process stays None for value edges).
-        return map(
-            tuple.__new__,
-            repeat(Evidence),
-            zip(
-                repeat(cols.bit),
-                record_keys,
-                record_values,
-                record_prevs,
-                record_vias,
-                repeat(None),
-            ),
+        # every Evidence field (process stays None).
+        records = zip(bit, keys, values, prevs, witnesses, repeat(None))
+        return zip(
+            zip(map(ids.__getitem__, u), map(ids.__getitem__, v), bit),
+            map(tuple.__new__, repeat(Evidence), records),
         )
 
-    def _edges(self, cols: EdgeColumns, rows) -> Iterator[EdgeKey]:
-        """The ``(u, v, bit)`` edge keys of ``rows`` of one bit's columns."""
-        ids = self._txn_ids
-        return zip(
-            map(ids.__getitem__, cols.u[rows].tolist()),
-            map(ids.__getitem__, cols.v[rows].tolist()),
-            repeat(cols.bit),
-        )
+    def records(self, targets: Optional[np.ndarray] = None) -> Dict[EdgeKey, Evidence]:
+        """Every edge bit's winning record in block order (a key's source
+        lists its records in rank order); with ``targets``, a mask over
+        transaction positions, only the edges into them."""
+        columns = self._winners()[2]
+        if targets is not None:
+            columns = columns[targets[self.block[V, columns]]]
+        return dict(self._items(np.sort(columns)))
 
     def __call__(self) -> List[Dict[EdgeKey, Evidence]]:
-        fragment: Dict[EdgeKey, Evidence] = {}
-        for cols in self.columns:
-            win = _winners(cols.rank, cols.u, cols.v)
-            fragment.update(zip(self._edges(cols, win), self._records(cols, win)))
-        return [fragment]
+        """One fragment: :meth:`records`."""
+        return [self.records()]
 
     def find(self, edge: EdgeKey) -> Optional[Evidence]:
         """The winning record of one edge bit, or None."""
+        width, codes, columns = self._winners()
         u, v, bit = edge
-        found = self._found.get(bit)
-        if found is None:
-            ids = np.asarray(self._txn_ids, dtype=np.int64)
-            width = int(ids.max()) + 1 if len(ids) else 1
-            found = (width, np.empty(0, dtype=np.int64), None, None)
-            for cols in self.columns:
-                if cols.bit == bit:
-                    win = _winners(cols.rank, cols.u, cols.v)
-                    codes = ids[cols.u[win]] * width + ids[cols.v[win]]
-                    order = np.argsort(codes)
-                    found = (width, codes[order], win[order], cols)
-            self._found[bit] = found
-        width, codes, rows, cols = found
-        if not (0 <= u < width and 0 <= v < width):
+        if not (0 <= u < width and 0 <= v < width and 0 < bit < _BITS):
             return None
-        code = u * width + v
-        i = int(np.searchsorted(codes, code))
+        code = (u * width + v) * _BITS + bit
+        i = int(codes.searchsorted(code))
         if i == len(codes) or codes[i] != code:
             return None
-        return next(self._records(cols, rows[i : i + 1]))
-
-    def by_key(self, n_keys: int) -> List[Dict[EdgeKey, Evidence]]:
-        """Each key's fragment, by key index: its rows in rank order, the
-        first record of an edge winning."""
-        fragments: List[Dict[EdgeKey, Evidence]] = [{} for _ in range(n_keys)]
-        columns = self.columns
-        if not columns:
-            return fragments
-        edges: List[EdgeKey] = []
-        records: List[Evidence] = []
-        every = slice(None)
-        for cols in columns:
-            edges.extend(self._edges(cols, every))
-            records.extend(self._records(cols, every))
-        key = self._value_key[np.concatenate([cols.value for cols in columns])]
-        order = np.lexsort((np.concatenate([cols.rank for cols in columns]), key))
-        for k, j in zip(key[order].tolist(), order.tolist()):
-            fragments[k].setdefault(edges[j], records[j])
-        return fragments
+        column = int(columns[i])
+        row = self.block[:, column].tolist()
+        row += [-1] * (VIA + 1 - len(row))
+        owner = self.parts[bisect_right(self.starts, column) - 1]
+        listed = owner.values()
+        key = owner.keys[owner.value_key[row[VALUE]]]
+        via = None if row[VIA] < 0 else self.txn_ids[row[VIA]]
+        return Evidence(row[BIT], key, listed[row[VALUE]], listed[row[PREV]], via)
 
 
 @dataclass

@@ -214,7 +214,7 @@ class GrowSetPlan(KeyspacePlan):
                 )
                 anomalies.extend(found)
                 anomaly_keys.extend([k] * len(found))
-        evidence = ColumnEvidence(
+        evidence = ColumnEvidence.of(
             (wr_cols, rw_cols), txn_ids, keys, lambda: elements, e_key
         )
         return Findings(anomalies, anomaly_keys, evidence)
@@ -275,5 +275,5 @@ class CounterPlan(KeyspacePlan):
                     )
                 )
                 anomaly_keys.append(k)
-        evidence = ColumnEvidence((), txn_ids, keys, list, np.empty(0, np.int64))
+        evidence = ColumnEvidence.of((), txn_ids, keys, list, np.empty(0, np.int64))
         return Findings(anomalies, anomaly_keys, evidence)

@@ -15,8 +15,8 @@ so far — with the expensive half of the work made incremental:
   — those whose slice changed, detected by the slice ``version`` counter.
   A batch depends on its key alone, never on the key's rank or on the
   keys analyzed with it, so each chunk re-analyzes its stale keys in one
-  :meth:`~repro.core.keyspace.KeyspacePlan.analyze_keys` call (one
-  columnar pass over those keys, split by key);
+  :meth:`~repro.core.keyspace.KeyspacePlan.analyze_keys` call: one
+  columnar pass over those keys, whose edges each key's batch views;
 * internal-consistency results are cached per transaction and refreshed
   only for transactions the chunk added or upgraded;
 * each chunk re-checks only the *live window* — the transactions not yet
@@ -24,9 +24,10 @@ so far — with the expensive half of the work made incremental:
   transaction: the live keys' cached batches, the frozen keys' edges
   into live transactions, and the process and real-time in-edges of the
   live transactions (:func:`~repro.core.orders.add_orders` with
-  ``targets``), merged through :mod:`repro.core.keyspace`'s
-  deterministic merge.  The graph freeze and the SCC refinement tree of
-  the cycle search run over that graph alone.
+  ``targets``).  The key batches merge through the batch check's own
+  :func:`~repro.core.keyspace._merge`, in key order: one concatenation
+  of their edges.  The graph freeze and the SCC refinement tree of the
+  cycle search run over that graph alone.
 
 **Equivalence.**  After each chunk the emitted :class:`CheckResult` is
 byte-identical to ``check()`` of the same prefix — same anomalies in the
@@ -51,37 +52,21 @@ stream: the failing :meth:`StreamingChecker.extend` raises, and every later
 call re-raises the same error, because the half-extended history can no
 longer be trusted.
 
-**Settled-prefix retirement.**  A forever-stream grows without bound.
-:meth:`StreamingChecker.retire` folds the settled part of the prefix —
-transactions whose outcome can no longer change, whose every key is
-frozen, and which no live transaction can reach — into a frozen summary
-and drops their per-op storage (ops, Transaction views, key slices).
-Nothing live ever reaches a retired transaction, so no cycle, SCC or
-order edge the search needs crosses the boundary, and every edge into a
-retired transaction is fixed.  Those edges move to the *frozen block*
-(append-only edge columns plus each value bit's evidence record); the
-settled anomalies and the cycles among retired transactions stay
-pre-rendered, in canonical order.  Each chunk then pays for its window,
-not its history: what it merges, orders, freezes and searches is the
-live graph, and retirement scans only live transactions and the live
-graph.  A verdict's :attr:`CheckResult.analysis` joins the two halves
-lazily: its graph and evidence are the live ones plus the frozen block,
-materialized only when read (``dot``, ``explain``, the oracles).  A
-stream that never retires just has an empty frozen block.
-
-The verdict stream after any mix of extends and retires is byte-identical
-to the unretired checker's — ``tests/properties/test_retirement_equivalence.py``
-pins this across workloads, fault injectors, and hypothesis-chosen
-retirement points, including through a checkpoint/restore cycle.  The one
-contract change: a retired key can never be touched again (the slice
-cannot be re-derived), so a recurrence raises
-:class:`~repro.errors.RetiredKeyError` and poisons the stream — streams
-that retire must rotate their keyspace.  A transaction whose completion
-never arrives pins only what it could still change: the keys it touched
-and the transactions reachable from it in the dependency graph.  Every
-other key freezes; a frozen key's edges into still-live transactions
-keep merging at its fixed rank in the key order until their targets
-retire too.
+**Settled-prefix retirement.**  :meth:`StreamingChecker.retire` folds the
+settled part of a forever-stream's prefix into a frozen summary and drops
+its per-op storage.  Every edge into a retired transaction moves to the
+*frozen block*, each value bit with its evidence record (built only for
+those edges); a frozen key's edges into live transactions keep merging at
+its rank until their targets retire too; and the settled anomalies and
+the cycles among retired transactions stay pre-rendered.  Each chunk then
+pays for its live window, not its history.  A verdict's
+:attr:`CheckResult.analysis` joins the two halves lazily, when read.  The
+verdict stream after any mix of extends and retires is byte-identical to
+the unretired checker's (``tests/properties/test_retirement_equivalence.py``,
+through a checkpoint/restore cycle too), except that a retired key can
+never be touched again: a recurrence raises
+:class:`~repro.errors.RetiredKeyError` and poisons the stream, so streams
+that retire must rotate their keyspace.
 """
 
 from __future__ import annotations
@@ -98,8 +83,8 @@ import numpy as np
 from ..graph import CSRGraph, EdgeLogGraph
 from ..history import History
 from ..history.ops import Op
-from .analysis import Analysis, EdgeKey, Evidence
-from .anomalies import Anomaly, CycleAnomaly, anomaly_order, sort_anomalies
+from .analysis import V, Analysis, ColumnEvidence, EdgeKey, Evidence
+from .anomalies import Anomaly, anomaly_order, sort_anomalies
 from .checker import CheckResult, explained_cycles, verdict
 from .consistency import SERIALIZABLE, _validate as _validate_model
 from .gcpause import paused_gc
@@ -246,14 +231,13 @@ class StreamingChecker:
         self._error: Optional[BaseException] = None
         #: Positions of the live (unretired) transactions, ascending.
         self._live: List[int] = []
-        #: The last chunk's live analysis and its explained cycles; not
-        #: checkpointed (the next chunk rebuilds both).
-        self._window: Optional[Tuple[Analysis, List[CycleAnomaly]]] = None
+        #: The last chunk's live analysis, cycles, ``(rank, key, source)``
+        #: sources in merge order and merged source; never checkpointed.
+        self._window: Optional[Tuple[Any, ...]] = None
         # -- the frozen summary of the retired prefix --------------------
-        #: Each frozen key's edges into live transactions, with the key's
-        #: rank: they keep merging, in key order, until their targets
-        #: retire too.
-        self._residual: Dict[Any, Tuple[Any, Dict[EdgeKey, Evidence]]] = {}
+        #: Each frozen key's ``(rank, key, edges into live transactions)``,
+        #: which keep merging in key order until their targets retire too.
+        self._residual: Dict[Any, Tuple[Any, Any, ColumnEvidence]] = {}
         #: The frozen block: each value edge bit into a retired
         #: transaction, with its evidence record (append-only).  Order
         #: edges into retired transactions need no storage: the index
@@ -313,9 +297,13 @@ class StreamingChecker:
         # a batch check of this prefix would.
         with stage(profile, "stream/plan"):
             plan = PLANS[self.workload](self.history, **self._options)
+            # The batch sweep's screen: a clear candidate bit rules out
+            # any internal anomaly.
+            screen = plan.index.internal_candidates
+            pos_by_id = plan.index.pos_by_id
             for txn in changed:
                 if txn.committed:
-                    found = plan.check_internal(txn)
+                    found = screen[pos_by_id[txn.id]] and plan.check_internal(txn)
                     if found:
                         self._internal[txn.id] = found
                     else:
@@ -348,18 +336,17 @@ class StreamingChecker:
             reused = len(keys) - reanalyzed
             rank_of = attrgetter(plan.key_rank)
             for key in keys:
-                key_anomalies, fragment = cache[key][1]
+                key_anomalies, source = cache[key][1]
                 anomalies.extend(key_anomalies)
-                if fragment:
-                    ranked.append((rank_of(slices[key]), fragment))
-            # Frozen keys' edges into live transactions keep their place
-            # in key order (evidence precedence) among the live keys'.
+                if len(source):
+                    ranked.append((rank_of(slices[key]), key, source))
+            # Frozen keys' edges keep their place in key order.
             if self._residual:
                 ranked.extend(self._residual.values())
                 ranked.sort(key=itemgetter(0))
         with stage(profile, "stream/merge"):
             live = Analysis(history=self.history, workload=self.workload)
-            _merge(live, anomalies, [fragment for _r, fragment in ranked])
+            merged = _merge(live, anomalies, [source for _r, _k, source in ranked])
         with stage(profile, "stream/orders"):
             add_orders(
                 live,
@@ -375,7 +362,7 @@ class StreamingChecker:
             self.consistency_model,
             self._whole(live),
         )
-        self._window = (live, cycles)
+        self._window = (live, cycles, ranked, merged)
         if profile is not None:
             profile.count("stream.keys_reused", reused)
             profile.count("stream.keys_reanalyzed", reanalyzed)
@@ -523,7 +510,8 @@ class StreamingChecker:
         if self._error is not None:
             raise self._error
         try:
-            return self._retire(allowed_keys, min_idle_txns)
+            with paused_gc():
+                return self._retire(allowed_keys, min_idle_txns)
         except BaseException as exc:
             self._error = exc
             raise
@@ -549,7 +537,7 @@ class StreamingChecker:
             return self._summary(reason="timestamp-edges")
         if self._window is None:
             return self._summary(reason="no-verdict")
-        live, cycles = self._window
+        live, cycles, ranked, merged = self._window
         index = self.history._index
         if index is None:  # pragma: no cover - a verdict implies an index
             return self._summary(reason="no-index")
@@ -649,41 +637,42 @@ class StreamingChecker:
             return self._summary(reason="nothing-settled")
 
         # -- freeze, then drop -------------------------------------------
-        # Every edge into a newly retired transaction is fixed: its value
-        # edges come from frozen keys (their evidence moves to the frozen
-        # block) and its order edges were fixed when it was invoked.
-        self._frozen.update(
-            (edge, record)
-            for edge, record in live.evidence.items()
-            if edge[1] in new_ids
-        )
+        # Every edge into a retired transaction is fixed: its value edges
+        # come from frozen keys (their evidence moves to the frozen block)
+        # and its order edges were fixed when it was invoked.  A second
+        # retirement from one chunk's window also finds the edges into
+        # what the first retired, and rewrites the same records.
+        dead = np.ones(n, dtype=bool)
+        dead[self._live] = False
+        dead[retirable] = True
+        self._frozen.update(merged.records(dead))
         settled_found: List[Anomaly] = []
         for txn_id in new_ids:
             settled_found.extend(self._internal.pop(txn_id, ()))
-        residual = self._residual
-        for key, (slice_, entry) in frozen.items():
+        for key, (_slice, entry) in frozen.items():
             cache.pop(key, None)
             if entry is not None:
-                key_anomalies, fragment = entry[1]
-                settled_found.extend(key_anomalies)
-                if fragment:
-                    residual[key] = (rank_of(slice_), fragment)
+                settled_found.extend(entry[1][0])
+        # Frozen keys keep their edges into live targets; run ``i`` of the
+        # merged source is ``ranked[i]``.
+        ends = merged.kept(~dead[merged.block[V]])
+        residual = self._residual
+        for entry, a, b in zip(ranked, ends, ends[1:]):
+            rank, key, source = entry
+            if key not in frozen and key not in residual:
+                continue
+            if b - a == len(source):
+                residual[key] = entry
+            elif b > a:
+                residual[key] = (rank, key, source.select(~dead[source.block[V]]))
+            else:
+                residual.pop(key, None)
         settled_cycles = [
             cycle for cycle in cycles if new_ids.issuperset(cycle.txns)
         ]
         index.retire(frozen.keys())
         dropped = self.history.retire_transactions(retirable)
-        # Frozen keys keep only their edges into live transactions (new
-        # dicts: an earlier verdict's evidence still reads the old ones).
         if new_ids:
-            for key, (rank, fragment) in list(residual.items()):
-                kept = {
-                    e: r for e, r in fragment.items() if e[1] not in new_ids
-                }
-                if kept:
-                    residual[key] = (rank, kept)
-                else:
-                    del residual[key]
             self._live = [p for p in self._live if transactions[p] is not None]
         self._settled_found.add(settled_found)
         self._settled.add(settled_found + settled_cycles)

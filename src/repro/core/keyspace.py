@@ -6,25 +6,22 @@ stream at a time.  This module is the execution engine that exploits that
 separability.  Each analyzer contributes a :class:`KeyspacePlan` whose
 one analyzer is a columnar pass over a key list
 (:meth:`KeyspacePlan._pass`): a batch check merges the pass over every
-key whole into the :class:`~repro.core.analysis.Analysis`
-(:meth:`KeyspacePlan.analyze_index`), and the streaming checker splits
-the pass over a chunk's stale keys into one *batch* per key of anomalies
-and evidence-carrying edges (:meth:`KeyspacePlan.analyze_keys`), a batch
-depending on its key alone.
+key (:meth:`KeyspacePlan.analyze_index`), and the streaming checker
+splits the pass over a chunk's stale keys into one *batch* per key, its
+anomalies and a view of its edges (:meth:`KeyspacePlan.analyze_keys`),
+which depends on its key alone.
 
-**Determinism.**  Nothing in the result depends on emission order.  A
-key's batch is its anomalies plus one evidence fragment.  The merge puts
-the anomalies in the canonical order of
-:func:`~repro.core.anomalies.sort_anomalies` (taxonomy rank, txns,
-message), and the dependency graph's frozen snapshot depends on the edge
-set alone.  Evidence follows one rule: when several keys justify the same
-edge bit, the first key in the plan's :meth:`KeyspacePlan.keys` order
-wins.  Neither merge builds evidence: a batch check logs the pass's
-columns, and the stream's :func:`_merge` its fragments in key order, as
-one source on the analysis
-(:meth:`~repro.core.analysis.Analysis.log_evidence`), built only if
-something reads evidence.  So the analysis is byte-identical whether it
-was checked whole or streamed.
+**Determinism.**  Nothing in the result depends on emission order.  Both
+paths apply their results through one merge, :func:`_merge`: anomalies
+in the canonical order of :func:`~repro.core.anomalies.sort_anomalies`
+(taxonomy rank, txns, message), edges into a graph whose frozen snapshot
+depends on the edge set alone, and evidence sources in key order.  When
+several keys justify the same edge bit, the first key in the plan's
+:meth:`KeyspacePlan.keys` order wins: a pass ranks its edges key by key,
+and a stream gives its cached key batches in key order.  The merge logs
+the sources as one :class:`~repro.core.analysis.ColumnEvidence`, built
+only if something reads evidence.  So the analysis is byte-identical
+whether it was checked whole or streamed.
 
 The shared read checks (garbage reads, aborted reads / G1a, intermediate
 reads / G1b, dirty updates) live here too, parameterized by a per-workload
@@ -45,21 +42,17 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from ..history import History, Transaction
 from ..history.index import HistoryIndex, take
-from .analysis import Analysis, ColumnEvidence, EdgeKey, Evidence
+from .analysis import BIT, U, V, Analysis, ColumnEvidence
 from .anomalies import Anomaly, sort_anomalies
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
 from .profiling import Profile, stage
 from .validate import validate_workload_indexed
 
-#: One key's analysis: its anomalies and its evidence fragment, the
-#: ``(u, v, bit) -> Evidence`` records of the value edges it justifies (the
-#: first record of an edge wins).  The fragment's keys are exactly the
-#: ``(u, v, label)`` triples the graph bulk-insert path consumes.
-Batch = Tuple[List[Anomaly], Dict[EdgeKey, Evidence]]
+#: One key's analysis: its anomalies and its edges, a view of the pass's
+#: block in rank order (:meth:`~repro.core.analysis.ColumnEvidence.split`).
+Batch = Tuple[List[Anomaly], ColumnEvidence]
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +174,12 @@ class KeyspacePlan:
     :meth:`_pass`.  The base constructor first rejects micro-ops foreign
     to the workload, so that error outranks every contract check a
     subclass runs after it.  A batch check runs the pass over every key
-    and merges the result whole (:meth:`analyze_index`): the anomalies in
-    canonical order, the edges as one block of columns, and the pass's
-    :class:`~repro.core.analysis.ColumnEvidence` as the evidence source.
-    The streaming checker runs it over a chunk's stale keys and splits it
-    by key (:meth:`analyze_keys`).  A key's findings never mix with
-    another key's, so its batch is the same in whatever key list it
-    comes.
+    and merges the result whole (:meth:`analyze_index`), with the pass's
+    :class:`~repro.core.analysis.ColumnEvidence` as the one source.  The
+    streaming checker runs it over a chunk's stale keys and splits it by
+    key (:meth:`analyze_keys`), then merges the cached key batches.  A
+    key's findings never mix with another key's, so its batch is the
+    same in whatever key list it comes.
     """
 
     workload: str = ""
@@ -216,39 +208,21 @@ class KeyspacePlan:
     ) -> None:
         """Merge the pass over every key, with the internal sweep's
         anomalies, into ``analysis``."""
-        index = self.index
         found = self._pass(self._keys, profile) if self._keys else None
         with stage(profile, "analyze/merge"):
             anomalies = self.internal_anomalies()
             if found is not None:
                 anomalies.extend(found.anomalies)
-            analysis.anomalies.extend(sort_anomalies(anomalies))
-            if found is None or not found.evidence.columns:
-                return
-            columns = found.evidence.columns
-            # One gather of transaction ids for both endpoint columns.
-            ends = take(
-                index.txn_ids,
-                np.concatenate([c.u for c in columns] + [c.v for c in columns]),
-            )
-            out_u, out_v = np.split(ends, 2)
-            out_l = np.repeat(
-                np.array([c.bit for c in columns], dtype=np.int64),
-                [len(c.u) for c in columns],
-            )
-            analysis.graph.add_edge_columns(out_u, out_v, out_l)
-            found.evidence.narrow()
-            analysis.log_evidence(found.evidence)
+            _merge(analysis, anomalies, [found.evidence] if found else [])
 
     def analyze_keys(self, keys: Sequence[Any]) -> List[Batch]:
         """Each key's batch, from one pass over ``keys``: its anomalies,
-        and a fragment holding, for every edge bit the key justifies, its
-        lowest-rank record."""
+        and a view of its edges in the pass's block."""
         if not keys:
             return []
         found = self._pass(keys)
         batches: List[Batch] = [
-            ([], fragment) for fragment in found.evidence.by_key(len(keys))
+            ([], source) for source in found.evidence.split(len(keys))
         ]
         for k, anomaly in zip(found.anomaly_keys, found.anomalies):
             batches[k][0].append(anomaly)
@@ -289,17 +263,17 @@ def register_plan(cls: type) -> type:
 def _merge(
     analysis: Analysis,
     anomalies: List[Anomaly],
-    fragments: Sequence[Dict[EdgeKey, Evidence]],
-) -> None:
-    """Apply per-key results, fragments in key order, to ``analysis``.
-
-    Anomalies go in the canonical order; each fragment's keys are the
-    exact (u, v, bit) triples, so whole fragments land in the graph's edge
-    log without per-edge dispatch.  The fragments, in key order, become
-    one evidence source, replayed only if something reads evidence.
-    """
+    sources: Sequence[ColumnEvidence],
+) -> ColumnEvidence:
+    """Apply anomalies and evidence sources (in precedence order) to
+    ``analysis``: anomalies in canonical order, every edge in one block of
+    the edge log, the sources as one logged source, which is returned."""
     analysis.anomalies.extend(sort_anomalies(anomalies))
-    graph_add = analysis.graph.add_edge_keys
-    for fragment in fragments:
-        graph_add(fragment)
-    analysis.log_evidence(lambda: fragments)
+    merged = ColumnEvidence.merge(sources)
+    if len(merged):
+        block = merged.block
+        ends = take(merged.txn_ids, block[U : V + 1].ravel())
+        n = len(merged)
+        analysis.graph.add_edge_columns(ends[:n], ends[n:], block[BIT])
+    analysis.log_evidence(merged)
+    return merged

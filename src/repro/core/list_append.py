@@ -383,7 +383,7 @@ class ListAppendPlan(KeyspacePlan):
                 anomaly_keys.extend([k] * len(found))
         anomalies.extend(incompatible)
         anomaly_keys.extend(incompatible_keys)
-        evidence = ColumnEvidence(
+        evidence = ColumnEvidence.of(
             (ww, wr, rw), txn_ids, keys, lambda: trace + rv, t_key
         )
         return Findings(anomalies, anomaly_keys, evidence)

@@ -526,7 +526,7 @@ class RwRegisterPlan(KeyspacePlan):
                     _lost_update(keys[k], versions.value(v1, wv), distinct)
                 )
                 anomaly_keys.append(k)
-        evidence = ColumnEvidence(
+        evidence = ColumnEvidence.of(
             columns, txn_ids, keys, lambda: wv + [None], cols.w_key
         )
         return Findings(anomalies, anomaly_keys, evidence)

@@ -25,6 +25,12 @@ import numpy as np
 from .csr import ALL_EDGES, CSRGraph
 
 
+def _int64_bytes(column: Sequence[int]) -> memoryview:
+    """``column`` as native int64 bytes (array('q')'s layout): a contiguous
+    int64 column is not copied, any other is converted once."""
+    return memoryview(np.ascontiguousarray(column, dtype=np.int64)).cast("B")
+
+
 class EdgeLogGraph:
     """A mutable graph optimized for bulk emission then frozen traversal.
 
@@ -63,10 +69,8 @@ class EdgeLogGraph:
         if n == 0:
             return
         self._csr = None
-        # numpy int64 shares array('q')'s native 8-byte layout, so the
-        # append is a memcpy instead of per-element boxing.
-        self._u.frombytes(np.asarray(us, dtype=np.int64).tobytes())
-        self._v.frombytes(np.asarray(vs, dtype=np.int64).tobytes())
+        self._u.frombytes(_int64_bytes(us))
+        self._v.frombytes(_int64_bytes(vs))
         self._l.extend(array("q", [label]) * n)
 
     def add_edge_columns(
@@ -80,17 +84,17 @@ class EdgeLogGraph:
         if len(us) == 0:
             return
         self._csr = None
-        self._u.frombytes(np.asarray(us, dtype=np.int64).tobytes())
-        self._v.frombytes(np.asarray(vs, dtype=np.int64).tobytes())
-        self._l.frombytes(np.asarray(labels, dtype=np.int64).tobytes())
+        self._u.frombytes(_int64_bytes(us))
+        self._v.frombytes(_int64_bytes(vs))
+        self._l.frombytes(_int64_bytes(labels))
 
     def add_edge_keys(self, triples: Iterable[Tuple[int, int, int]]) -> None:
         """Append pre-validated ``(u, v, label)`` triples in bulk.
 
-        The analyzer merge path hands whole edge-batch dicts here (a dict
-        of ``EdgeKey`` keys iterates as triples); labels are dependency
-        bits, already non-zero by construction, so no per-edge validation
-        runs.
+        A streamed verdict's frozen block hands its evidence dict here (a
+        dict of ``EdgeKey`` keys iterates as triples); labels are
+        dependency bits, already non-zero by construction, so no per-edge
+        validation runs.
         """
         triples = list(triples)
         if not triples:

@@ -9,6 +9,7 @@ and the workload contracts a chunk can trip.
 import pytest
 
 from repro import History, WorkloadError, append, check, check_stream, r, w
+from repro.core.deps import WR
 from repro.core.incremental import StreamingChecker
 from repro.errors import HistoryError
 from repro.history.ops import Op, OpType
@@ -259,6 +260,119 @@ class TestSliceRecreation:
         # No cached-index extension before the index is built:
         fresh = History(())
         assert fresh.extend(self.OPS[:2]).dirty_keys is None
+
+
+class TestCrossPassEvidencePrecedence:
+    """Keys x and y both justify the wr edge T2 -> T4.  x ranks first
+    (T0 reads it first), but a later chunk re-analyzes x alone, so x's
+    batch comes from a later pass than y's: key rank, not pass order,
+    must pick x's record, before and after retirement."""
+
+    def op(self, index, kind, process, mops):
+        return Op(index, kind, process, tuple(mops))
+
+    def chunks(self):
+        ok, invoke = OpType.OK, OpType.INVOKE
+        read_x = [r("x", None)]
+        both = [append("x", 1), append("y", 1)]
+        reader = [r("x", None), r("y", None), append("w", 1)]
+        seen = [r("x", [1]), r("y", [1]), append("w", 1)]
+        return [
+            [
+                self.op(0, invoke, 2, read_x),
+                self.op(1, ok, 2, [r("x", [])]),
+                self.op(2, invoke, 0, both),
+                self.op(3, ok, 0, both),
+                self.op(4, invoke, 1, reader),
+                self.op(5, ok, 1, seen),
+            ],
+            [
+                self.op(6, invoke, 0, [append("x", 2)]),
+                self.op(7, ok, 0, [append("x", 2)]),
+            ],
+            [
+                self.op(8, invoke, 0, [append("z", 1)]),
+                self.op(9, ok, 0, [append("z", 1)]),
+            ],
+        ]
+
+    def assert_x_wins(self, result, ops):
+        edge = (2, 4, WR)
+        batch = check(History(ops)).analysis
+        expected = batch.edge_evidence(*edge)
+        assert expected.key == "x"
+        assert batch.evidence[edge] == expected
+        assert result.analysis.edge_evidence(*edge) == expected
+        assert result.analysis.evidence[edge] == expected
+
+    def test_key_rank_picks_the_record_across_passes(self):
+        chunks = self.chunks()
+        checker = StreamingChecker()
+        checker.extend(chunks[0])
+        update = checker.extend(chunks[1])
+        assert update.reanalyzed_keys == 1  # x alone; y is cached
+        self.assert_x_wins(update.result, chunks[0] + chunks[1])
+        summary = checker.retire(allowed_keys={"x", "y"})
+        assert summary["retired_keys"] == 2
+        update = checker.extend(chunks[2])
+        self.assert_x_wins(update.result, [op for c in chunks for op in c])
+
+
+class TestRetireTwiceWithoutExtend:
+    """Two retirements on one verdict (the service's idle retirement,
+    then its memory-pressure one): the second must not bring back the
+    edges the first froze.  Key x's rw edge T0 -> T1 retires first; its
+    wr edge T1 -> T2 stays resident until y freezes and T2 retires."""
+
+    def op(self, index, kind, process, mops):
+        return Op(index, kind, process, tuple(mops))
+
+    def chunks(self):
+        ok, invoke = OpType.OK, OpType.INVOKE
+        both = [r("x", None), append("y", 1)]
+        return [
+            [
+                self.op(0, invoke, 0, [r("x", None)]),
+                self.op(1, ok, 0, [r("x", [])]),
+                self.op(2, invoke, 1, [append("x", 1)]),
+                self.op(3, ok, 1, [append("x", 1)]),
+                self.op(4, invoke, 2, both),
+                self.op(5, ok, 2, [r("x", [1]), append("y", 1)]),
+            ],
+            [
+                self.op(6, invoke, 3, [append("z", 1)]),
+                self.op(7, ok, 3, [append("z", 1)]),
+            ],
+        ]
+
+    def resident_targets(self, checker):
+        from repro.core.analysis import V
+
+        return {
+            int(p)
+            for _rank, _key, source in checker._residual.values()
+            for p in source.block[V]
+        }
+
+    def test_second_retire_keeps_only_live_targets(self):
+        chunks = self.chunks()
+        checker = StreamingChecker()
+        checker.extend(chunks[0])
+        first = checker.retire(allowed_keys={"x"})
+        assert first["retired_txns"] == 2  # T0 and T1; T2 touches y
+        assert self.resident_targets(checker) == {2}
+        second = checker.retire(allowed_keys={"x", "y"})
+        assert second["retired_txns"] == 1
+        assert self.resident_targets(checker) == set()
+        ops = [op for chunk in chunks for op in chunk]
+        update = checker.extend(chunks[1])
+        batch = check(History(ops))
+        assert update.result.valid == batch.valid
+        assert update.result.anomalies == batch.anomalies
+        assert update.result.analysis.evidence == batch.analysis.evidence
+        assert sorted(update.result.analysis.graph.edges()) == sorted(
+            batch.analysis.graph.edges()
+        )
 
 
 def rotating_waves(waves, txns=150, seed=1):

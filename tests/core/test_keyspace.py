@@ -2,12 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import WW, analyze
-from repro.core.analysis import Analysis, Evidence
+from repro.core.analysis import Analysis, ColumnEvidence, EdgeColumns, Evidence
 from repro.core.anomalies import (
     ALL_ANOMALIES,
     G1A,
@@ -54,8 +55,8 @@ class TestMergeDeterminism:
             batches = [batch for batches in batch_lists for batch in batches]
             _merge(
                 analysis,
-                [anomaly for anomalies, _f in batches for anomaly in anomalies],
-                [fragment for _a, fragment in batches if fragment],
+                [anomaly for anomalies, _s in batches for anomaly in anomalies],
+                [source for _a, source in batches],
             )
             return analysis
 
@@ -74,12 +75,35 @@ class TestMergeDeterminism:
         assert analyze(h).evidence == merged_whole.evidence
 
     def test_evidence_precedence_follows_key_order(self):
+        # Two sources justify one edge bit; the earlier source's record
+        # wins whatever the ranks, in a full read and a one-bit lookup.
         h = History.of(("ok", 0, [append("x", 1)]))
+
+        def source(value, rank):
+            column = EdgeColumns(
+                WW,
+                np.array([0]),
+                np.array([1]),
+                np.array([0]),
+                None,
+                None,
+                np.array([rank]),
+            )
+            return ColumnEvidence.of(
+                [column], [0, 2], ["x"], lambda: [value], np.array([0])
+            )
+
         first = Evidence(kind=WW, key="x", value=1)
         second = Evidence(kind=WW, key="x", value=99)
-        analysis = Analysis(history=h, workload="list-append")
-        _merge(analysis, [], [{(0, 2, WW): first}, {(0, 2, WW): second}])
-        assert analysis.evidence[(0, 2, WW)] == first
+        for sources, winner in (
+            ([source(1, 5), source(99, 0)], first),
+            ([source(99, 5), source(1, 0)], second),
+        ):
+            analysis = Analysis(history=h, workload="list-append")
+            _merge(analysis, [], sources)
+            assert analysis.edge_evidence(0, 2, WW) == winner
+            assert analysis.evidence[(0, 2, WW)] == winner
+            assert sorted(analysis.graph.edges()) == [(0, 2, WW)]
 
 
 #: Anomalies whose (name, txns) tie: only the message can order them.
@@ -138,9 +162,9 @@ class TestCanonicalOrder:
         batches = plan.analyze_keys(keys[half:]) + plan.analyze_keys(keys[:half])
         ranged = Analysis(history=h, workload=workload)
         anomalies = plan.internal_anomalies()
-        for key_anomalies, _fragment in batches:
+        for key_anomalies, _source in batches:
             anomalies.extend(key_anomalies)
-        _merge(ranged, anomalies, [])
+        _merge(ranged, anomalies, [source for _a, source in batches])
 
         def listed(anomalies):
             return [

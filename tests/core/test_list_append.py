@@ -547,9 +547,13 @@ class TestOnePath:
             plan = ListAppendPlan(history)
             keys = list(plan.keys())
             together = plan.analyze_keys(keys)
-            for key, (anomalies, fragment) in zip(keys, together):
+            for key, (anomalies, source) in zip(keys, together):
                 (alone,) = plan.analyze_keys([key])
-                for batch in (alone, reference.analyze_key(plan, key)):
+                fragment = source()[0]
+                for batch in (
+                    (alone[0], alone[1]()[0]),
+                    reference.analyze_key(plan, key),
+                ):
                     got = [a.__dict__ for a in batch[0]]
                     assert got == [a.__dict__ for a in anomalies]
                     assert list(batch[1].items()) == list(fragment.items())

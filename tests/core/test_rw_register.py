@@ -435,9 +435,13 @@ class TestWholeIndexPass:
         keys = list(plan.keys())
         together = plan.analyze_keys(keys)
         seen = set()
-        for key, (anomalies, fragment) in zip(keys, together):
+        for key, (anomalies, source) in zip(keys, together):
             (alone,) = plan.analyze_keys([key])
-            for batch in (alone, reference.analyze_key(plan, key)):
+            fragment = source()[0]
+            for batch in (
+                (alone[0], alone[1]()[0]),
+                reference.analyze_key(plan, key),
+            ):
                 assert [a.__dict__ for a in batch[0]] == [a.__dict__ for a in anomalies]
                 assert batch[1] == fragment
             seen.update(a.name for a in anomalies)

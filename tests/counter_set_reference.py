@@ -20,11 +20,11 @@ from repro.core.analysis import Evidence
 from repro.core.anomalies import GARBAGE_READ, Anomaly
 from repro.core.counter_set import CounterPlan, GrowSetPlan
 from repro.core.deps import RW, WR
-from repro.core.keyspace import Batch, check_recoverable_read
-from tests.keyspace_reference import use_walk
+from repro.core.keyspace import check_recoverable_read
+from tests.keyspace_reference import WalkBatch, use_walk
 
 
-def grow_set_key(plan: GrowSetPlan, key: Any) -> Batch:
+def grow_set_key(plan: GrowSetPlan, key: Any) -> WalkBatch:
     index = plan.index
     slice_ = index.slices[key]
     transactions = index.transactions
@@ -69,7 +69,7 @@ def grow_set_key(plan: GrowSetPlan, key: Any) -> Batch:
     return anomalies, fragment
 
 
-def counter_key(plan: CounterPlan, key: Any) -> Batch:
+def counter_key(plan: CounterPlan, key: Any) -> WalkBatch:
     index = plan.index
     slice_ = index.slices[key]
     txn_ids = index.txn_ids

@@ -249,6 +249,15 @@ class TestEdgeLogApi:
             via_lists.freeze()
         )
         assert via_numpy.edge_label(5, 1) == 5
+        # int32 columns and strided views append the same values.
+        wide = np.array([[5, 0, 1], [1, 0, 7], [5, 0, 1]], dtype=np.int64)
+        via_views = EdgeLogGraph()
+        via_views.add_edge_columns(wide[:, 0], wide[:, 2], np.array(ls, dtype=np.int32))
+        via_views.add_edge_arrays(
+            np.array([7, 9, 7], dtype=np.int32)[::2], wide[1:, 0][::-1], 8
+        )
+        assert via_views.log() == via_lists.log()
+        assert csr_signature(via_views.freeze()) == csr_signature(via_lists.freeze())
 
     def test_add_edge_keys_accepts_dict_keys(self):
         log = EdgeLogGraph()

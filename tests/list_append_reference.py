@@ -17,12 +17,12 @@ from typing import Any, Dict, List, Set, Tuple
 from repro.core.analysis import Evidence
 from repro.core.anomalies import INCOMPATIBLE_ORDER, Anomaly
 from repro.core.deps import RW, WR, WW
-from repro.core.keyspace import Batch, check_recoverable_read
+from repro.core.keyspace import check_recoverable_read
 from repro.core.list_append import ListAppendPlan
-from tests.keyspace_reference import use_walk
+from tests.keyspace_reference import WalkBatch, use_walk
 
 
-def analyze_key(plan: ListAppendPlan, key: Any) -> Batch:
+def analyze_key(plan: ListAppendPlan, key: Any) -> WalkBatch:
     """One key's read checks, version order, and dependency edges.
 
     Runs entirely over the slice's columnar arrays: read values are

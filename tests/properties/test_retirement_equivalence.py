@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import check
+from repro.core.analysis import V
 from repro.core.incremental import StreamingChecker
 from repro.db import FaunaInternal, Isolation, TiDBRetry, YugaByteStaleRead
 from repro.errors import RetiredKeyError
@@ -160,6 +161,34 @@ class TestRetirementEquivalence:
         assert checker.resident_ops < len(ops) // 2
         assert checker.resident_ops + checker.retired_ops == len(ops)
         assert checker.history.op_count == len(ops)
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_two_retirements_per_verdict(self, workload):
+        # A session's idle retirement followed by a memory-pressure one:
+        # the second retires from the same verdict, with half the settled
+        # keys frozen by the first.
+        history = make_history(workload, "tidb-retry", seed=29)
+        ops = list(history.ops)
+        kwargs = dict(workload=workload, **check_options(workload))
+        checker = StreamingChecker(**kwargs)
+        seen = 0
+        retired = 0
+        for chunk in chunked(ops, (199, 401, 809, 1201)):
+            update = checker.extend(chunk)
+            seen += len(chunk)
+            prefix = check(History(ops[:seen]), **kwargs)
+            assert result_signature(update.result) == result_signature(prefix)
+            settled = sorted(settled_keys(checker, ops[seen:]), key=repr)
+            for keys in (settled[: len(settled) // 2], settled):
+                retired += checker.retire(allowed_keys=keys)["retired_txns"]
+            live = checker.history.transactions
+            for _rank, _key, source in checker._residual.values():
+                assert all(live[p] is not None for p in source.block[V].tolist())
+        final = checker.extend(())
+        assert result_signature(final.result) == result_signature(
+            check(history, **kwargs)
+        )
+        assert retired > len(ops) // 8
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_faulty_histories_freeze_their_cycles(self, fault):

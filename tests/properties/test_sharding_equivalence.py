@@ -88,13 +88,13 @@ def sharded_analyze(history, workload, shards, **options):
     """The analysis merged from the plan's key ranges, one pass each."""
     plan = PLANS[workload](history, **options)
     anomalies = plan.internal_anomalies()
-    fragments = []
+    sources = []
     for keys in key_ranges(list(plan.keys()), shards):
-        for key_anomalies, fragment in plan.analyze_keys(keys):
+        for key_anomalies, source in plan.analyze_keys(keys):
             anomalies.extend(key_anomalies)
-            fragments.append(fragment)
+            sources.append(source)
     analysis = Analysis(history=history, workload=workload)
-    _merge(analysis, anomalies, fragments)
+    _merge(analysis, anomalies, sources)
     add_orders(analysis, True, True, False)
     return analysis
 

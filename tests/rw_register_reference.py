@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Set, Tuple
 from repro.core.analysis import Evidence
 from repro.core.anomalies import Anomaly
 from repro.core.deps import RW, WR, WW
-from repro.core.keyspace import Batch, check_recoverable_read
+from repro.core.keyspace import check_recoverable_read
 from repro.core.rw_register import (
     INIT,
     RwRegisterPlan,
@@ -26,7 +26,7 @@ from repro.core.rw_register import (
 )
 from repro.graph import CSRGraph, interval_precedence_pairs
 from repro.history.index import HistoryIndex, KeySlice
-from tests.keyspace_reference import use_walk
+from tests.keyspace_reference import WalkBatch, use_walk
 
 #: Distinguishes "no pinned version yet" from a pinned ``None`` (= INIT).
 _UNPINNED = object()
@@ -133,7 +133,7 @@ def _kahn_acyclic(
     return remaining == 0
 
 
-def analyze_key(plan: RwRegisterPlan, key: Any) -> Batch:
+def analyze_key(plan: RwRegisterPlan, key: Any) -> WalkBatch:
     """One key's read checks, version DAG, and dependency edges.
 
     Runs over the slice's columnar arrays: writers are interned

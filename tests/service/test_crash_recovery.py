@@ -300,6 +300,7 @@ class TestRecoveryOracle:
             b"REPROCKPT5\n",
             b"REPROCKPT6\n",
             b"REPROCKPT7\n",
+            b"REPROCKPT8\n",
         ],
         ids=lambda magic: magic.decode().strip(),
     )
@@ -318,7 +319,10 @@ class TestRecoveryOracle:
         keeps a frozen edge block; ``REPROCKPT6`` checkpoints hold key
         slices with an ``inter_txn`` slot the index no longer has;
         ``REPROCKPT7`` checkpoints hold a streaming checker whose plan
-        options sit under an attribute it no longer reads.
+        options sit under an attribute it no longer reads;
+        ``REPROCKPT8`` checkpoints cache each key's evidence as a dict
+        fragment of records, where the checker now caches the key's rows
+        of its pass's edge columns.
         Recovery must skip every one and replay the whole WAL to the batch
         report.
         """
@@ -340,7 +344,7 @@ class TestRecoveryOracle:
         store = durability.store("chaos")
         checkpoints = store.checkpoint_paths()
         assert checkpoints, "cadence should have produced checkpoints"
-        assert CHECKPOINT_MAGIC == b"REPROCKPT8\n"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT9\n"
         for path in checkpoints:
             blob = open(path, "rb").read()
             with open(path, "wb") as fh:
