@@ -40,6 +40,7 @@ from typing import List, Optional
 
 from .core import Profile, StreamingChecker, check
 from .core.consistency import ALL_MODELS, SERIALIZABLE
+from .core.profiling import stage
 from .db import INJECTORS, Isolation, Windowed
 from .errors import ReproError
 from .generator import RunConfig, WorkloadConfig, run_workload
@@ -457,10 +458,8 @@ def _follow(args, fault_factory, profile) -> int:
 def _check_batch(args, fault_factory, profile) -> int:
     """Batch mode: load or generate the whole history, check it once."""
     if args.in_path is not None:
-        if args.in_path == "-":
-            history = load_history(sys.stdin)
-        else:
-            history = load_history(args.in_path)
+        with stage(profile, "history/load"):
+            history = load_history(sys.stdin if args.in_path == "-" else args.in_path)
     else:
         history = _generate(args, fault_factory)
     if args.dump_history is not None:

@@ -20,6 +20,22 @@ for completeness — nested tuples (``{"tuple": [...]}``).  List-append read
 values round-trip as plain JSON arrays and come back as tuples, the
 canonical in-memory form.
 
+Reading is two steps shared by every JSON-lines reader here (history
+files, ``append`` frames on the service socket, WAL replay):
+
+* **Parsing** (:func:`parse_line`).  orjson parses each line.  A line it
+  refuses (NaN, infinities, a lone-surrogate escape, a BOM, trailing
+  data, a truncated record) or one holding a run of 19 or more digits
+  (orjson reads an integer wider than 64 bits as a float) is parsed
+  instead by the standard library's scanner, then :func:`json.loads` for
+  the error text.  Every line thus yields exactly the value, or the
+  error text, :func:`json.loads` gives; blank lines are skipped.
+* **Decoding** (:func:`decode_records`).  One loop turns ``(position,
+  record)`` pairs into :class:`~repro.history.ops.Op` objects and reports
+  a malformed record as a :class:`RecordError` with its position; each
+  caller names the place its own way (``line N`` for files, ``ops[i]``
+  for frames, ``path:line`` for the WAL).
+
 ``python -m repro --in history.jsonl`` checks a file instead of generating
 a workload; ``--dump-history`` writes the generated observation out.
 """
@@ -29,7 +45,9 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator, List, Union
+from typing import Any, Iterable, Iterator, List, Tuple, Union
+
+import orjson
 
 from ..core.gcpause import paused_gc
 from ..errors import HistoryError
@@ -41,6 +59,12 @@ PathOrFile = Union[str, Path, io.IOBase]
 #: The scanner :func:`json.loads` runs, configured the same way (the C
 #: implementation when the interpreter has one).
 _SCAN_ONCE = json.JSONDecoder().scan_once
+
+#: Maps every digit to ``0``: a line whose translated bytes hold
+#: :data:`_WIDE_RUN` has a run of 19 or more digits, the least an integer
+#: outside orjson's exact range (``-2**63`` to ``2**64 - 1``) needs.
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_WIDE_RUN = b"0" * 19
 
 
 # ---------------------------------------------------------------------------
@@ -124,52 +148,90 @@ def _field_error(index: Any, process: Any, ts: Any) -> str:
     return f"{field} must be an integer, got {value!r}"
 
 
-def decode_op(record: dict, line_number: int) -> Op:
-    """Invert :func:`encode_op`; ``line_number`` contextualizes errors.
+class RecordError(HistoryError):
+    """An operation record :func:`decode_records` refused.
 
-    Micro-op keys and values dispatch on their exact type: scalars pass
-    through, a list of scalars becomes a tuple in one step, and only
-    nested lists and ``{"set"}`` / ``{"tuple"}`` tags take the recursive
+    ``position`` is the number the caller gave the record (a file line,
+    an array slot) and ``detail`` says what is wrong with it.  The message
+    reads ``malformed operation record: <detail>``; each caller puts its
+    own location in front (``line N``, ``ops[i]``, ``path:line``).
+    """
+
+    def __init__(self, position: int, detail: str) -> None:
+        super().__init__(f"malformed operation record: {detail}")
+        self.position = position
+        self.detail = detail
+
+
+def decode_records(numbered: Iterable[Tuple[int, Any]]) -> Iterator[Op]:
+    """Invert :func:`encode_op` over ``(position, record)`` pairs.
+
+    The one decode loop: history files, ``append`` frames and WAL replay
+    all feed it, and :func:`decode_op` is its one-record call.  A
+    malformed record raises :class:`RecordError` carrying its position.
+
+    Each micro-op must be a ``[fn, key, value]`` list or tuple.  Its key
+    and value dispatch on their exact type: scalars pass through, a list
+    of scalars becomes a tuple in one step, and only nested lists and
+    ``{"set"}`` / ``{"tuple"}`` tags take the recursive
     :func:`_decode_value` (see :func:`_decode_nonscalar`).  Fields are
     read in a fixed order (``value``, ``index``, ``type``, ``process``,
     ``ts``), so the first missing or malformed one names the error; a
     non-integer ``index``, ``process`` or ``ts`` raises too, rather than
-    loading and failing later without a line number.
+    loading and failing later without a position.
     """
-    try:
-        mops = record["value"]
-        if mops is not None:
-            scalars = _SCALARS
-            decode = _decode_nonscalar
-            mops = tuple(
-                [
-                    MicroOp(
-                        fn,
-                        key if type(key) in scalars else decode(key),
-                        value if type(value) in scalars else decode(value),
+    scalars = _SCALARS
+    decode = _decode_nonscalar
+    op_types = _OP_TYPES
+    arrays = (list, tuple)
+    for position, record in numbered:
+        try:
+            mops = record["value"]
+            if mops is not None:
+                built = []
+                for mop in mops:
+                    if not isinstance(mop, arrays) or len(mop) != 3:
+                        raise ValueError(
+                            "micro-op must be a [fn, key, value] array, "
+                            f"got {mop!r}"
+                        )
+                    fn, key, value = mop
+                    built.append(
+                        MicroOp(
+                            fn,
+                            key if type(key) in scalars else decode(key),
+                            value if type(value) in scalars else decode(value),
+                        )
                     )
-                    for fn, key, value in mops
-                ]
-            )
-        index = record["index"]
-        kind = record["type"]
-        op_type = _OP_TYPES.get(kind) if type(kind) is str else None
-        if op_type is None:
-            op_type = OpType(kind)
-        process = record["process"]
-        ts = record.get("ts")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HistoryError(
-            f"line {line_number}: malformed operation record: {exc}"
-        ) from None
-    if type(index) is not int or type(process) is not int or (
-        ts is not None and type(ts) is not int
-    ):
-        raise HistoryError(
-            f"line {line_number}: malformed operation record: "
-            f"{_field_error(index, process, ts)}"
-        )
-    return Op(index, op_type, process, mops, ts)
+                mops = tuple(built)
+            index = record["index"]
+            kind = record["type"]
+            op_type = op_types.get(kind) if type(kind) is str else None
+            if op_type is None:
+                op_type = OpType(kind)
+            process = record["process"]
+            ts = record.get("ts")
+        except (KeyError, TypeError, ValueError, HistoryError) as exc:
+            raise RecordError(position, str(exc)) from None
+        if type(index) is not int or type(process) is not int or (
+            ts is not None and type(ts) is not int
+        ):
+            raise RecordError(position, _field_error(index, process, ts))
+        yield Op(index, op_type, process, mops, ts)
+
+
+def _at_line(exc: RecordError) -> HistoryError:
+    """A file's form of a decode error: ``line N: ...``."""
+    return HistoryError(f"line {exc.position}: {exc}")
+
+
+def decode_op(record: dict, line_number: int) -> Op:
+    """Invert :func:`encode_op` for one record; ``line_number`` locates
+    errors (a :class:`~repro.errors.HistoryError` naming ``line N``)."""
+    try:
+        return next(decode_records(((line_number, record),)))
+    except RecordError as exc:
+        raise _at_line(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -185,29 +247,52 @@ def dump_ops(ops: Iterable[Op], fh) -> int:
     return count
 
 
+def parse_line(text: str) -> Any:
+    """The JSON value of one line, exactly as :func:`json.loads` reads it.
+
+    orjson parses the line first.  Where it is not known to agree with
+    the standard library, the line takes the standard library's path
+    (the C scanner behind :func:`json.loads`, which must consume the whole
+    line, then :func:`json.loads` itself for the error text): when orjson
+    refuses the line (NaN, infinities, lone-surrogate escapes, a BOM,
+    trailing data) or the line holds a run of 19 or more digits (orjson
+    reads an integer wider than 64 bits as a float).  Results and error
+    texts (:class:`json.JSONDecodeError`) are therefore the standard
+    library's for every line.
+    """
+    try:
+        value = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if _WIDE_RUN not in text.encode().translate(_DIGITS_TO_ZERO):
+            return value
+    try:
+        value, end = _SCAN_ONCE(text, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(text):
+        value = json.loads(text)
+    return value
+
+
 def iter_json_lines(
     fh, allow_torn_tail: bool = False
 ) -> Iterator[tuple]:
     """Yield ``(line_number, record)`` pairs from a JSON-lines stream.
 
     The framing layer every JSON-lines reader here shares (history files,
-    the service WAL).  Blank lines are skipped and CRLF line endings are
-    tolerated.  With ``allow_torn_tail=True`` a *final* line that is not
-    valid JSON is silently dropped instead of raising — the signature of a
-    writer that died mid-record (crash, full disk, ``kill -9``), which is
-    exactly the state WAL replay and crash recovery must shrug off.  A
-    malformed line with more data after it still raises: that is
-    corruption, not a torn tail.
-
-    Each stripped line goes straight to the C scanner behind
-    :func:`json.loads` (skipping its per-call wrapper), which must consume
-    the whole line.  Anything it refuses — trailing data, a leading BOM,
-    a truncated record — is handed to :func:`json.loads` itself, so the
-    error text is always exactly the standard library's.
+    the service WAL); each stripped line goes to :func:`parse_line`.
+    Blank lines are skipped and CRLF line endings are tolerated.  With
+    ``allow_torn_tail=True`` a *final* line that is not valid JSON is
+    silently dropped instead of raising — the signature of a writer that
+    died mid-record (crash, full disk, ``kill -9``), which is exactly the
+    state WAL replay and crash recovery must shrug off.  A malformed line
+    with more data after it still raises: that is corruption, not a torn
+    tail.
     """
-    scan = _SCAN_ONCE
+    parse = parse_line
     pending = None  # (line_number, text) awaiting proof it isn't the tail
-    line_number = 0
     for line_number, line in enumerate(fh, start=1):
         if pending is not None:
             number, text = pending
@@ -216,20 +301,13 @@ def iter_json_lines(
         if not line:
             continue
         try:
-            record, end = scan(line, 0)
-        except (StopIteration, ValueError):
-            end = -1
-        if end != len(line):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if allow_torn_tail:
-                    # Hold the error until we know whether more lines follow.
-                    pending = (line_number, str(exc))
-                    continue
-                raise HistoryError(
-                    f"line {line_number}: not JSON: {exc}"
-                ) from None
+            record = parse(line)
+        except json.JSONDecodeError as exc:
+            if allow_torn_tail:
+                # Hold the error until we know whether more lines follow.
+                pending = (line_number, str(exc))
+                continue
+            raise HistoryError(f"line {line_number}: not JSON: {exc}") from None
         yield line_number, record
     # A pending decode error on the very last line is a torn tail: drop it.
 
@@ -245,20 +323,13 @@ def load_ops(fh, allow_torn_tail: bool = False) -> Iterator[Op]:
     final line that parses as JSON but is missing operation fields is
     treated the same way (truncation can land between two closing braces).
     """
-    if not allow_torn_tail:
-        for line_number, record in iter_json_lines(fh):
-            yield decode_op(record, line_number)
-        return
-    held = None  # (line_number, record): not yet proven non-final
-    for line_number, record in iter_json_lines(fh, allow_torn_tail=True):
-        if held is not None:
-            yield decode_op(held[1], held[0])
-        held = (line_number, record)
-    if held is not None:
-        try:
-            yield decode_op(held[1], held[0])
-        except HistoryError:
-            pass  # final record truncated to valid-but-incomplete JSON
+    lines = iter_json_lines(fh, allow_torn_tail=allow_torn_tail)
+    try:
+        yield from decode_records(lines)
+    except RecordError as exc:
+        if allow_torn_tail and next(lines, None) is None:
+            return  # final record truncated to valid-but-incomplete JSON
+        raise _at_line(exc) from None
 
 
 def iter_op_chunks(

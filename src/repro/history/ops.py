@@ -49,8 +49,20 @@ MOP_FUNCTIONS = frozenset({READ, APPEND, WRITE, ADD, INCREMENT})
 #: Functions that mutate an object (everything but a read).
 WRITE_FUNCTIONS = frozenset({APPEND, WRITE, ADD, INCREMENT})
 
+#: Each function name mapped to itself: one lookup both validates a
+#: micro-op's ``fn`` and interns it, so the thousands of ``"append"``
+#: strings a decoded file yields collapse into one object.
+_FUNCTIONS = {fn: fn for fn in MOP_FUNCTIONS}
 
-@dataclass(frozen=True, slots=True)
+# The three classes below are frozen, slotted dataclasses with hand-written
+# ``__init__``s: each field is stored through its slot descriptor (bound
+# after the class is built), which skips the generated initializer's
+# ``object.__setattr__`` calls and the ``__post_init__`` hop while keeping
+# the field names, defaults, equality, hashing, pickling and
+# ``dataclasses.replace`` of the generated form.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class MicroOp:
     """One object operation inside a transaction.
 
@@ -63,12 +75,16 @@ class MicroOp:
     key: Any
     value: Any = None
 
-    def __post_init__(self) -> None:
-        if self.fn not in MOP_FUNCTIONS:
+    def __init__(self, fn: str, key: Any, value: Any = None) -> None:
+        interned = _FUNCTIONS.get(fn)
+        if interned is None:
             raise ValueError(
-                f"unknown micro-op function {self.fn!r}; "
+                f"unknown micro-op function {fn!r}; "
                 f"expected one of {sorted(MOP_FUNCTIONS)}"
             )
+        _set_mop_fn(self, interned)
+        _set_mop_key(self, key)
+        _set_mop_value(self, value)
 
     @property
     def is_read(self) -> bool:
@@ -80,6 +96,11 @@ class MicroOp:
 
     def __repr__(self) -> str:
         return f"[:{self.fn} {self.key!r} {self.value!r}]"
+
+
+_set_mop_fn = MicroOp.fn.__set__
+_set_mop_key = MicroOp.key.__set__
+_set_mop_value = MicroOp.value.__set__
 
 
 def r(key: Any, value: Any = None) -> MicroOp:
@@ -107,7 +128,7 @@ def inc(key: Any, value: int = 1) -> MicroOp:
     return MicroOp(INCREMENT, key, value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Op:
     """A single client-visible event in a history.
 
@@ -128,9 +149,22 @@ class Op:
     value: Optional[Tuple[MicroOp, ...]]
     ts: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.value is not None and not isinstance(self.value, tuple):
-            object.__setattr__(self, "value", tuple(self.value))
+    def __init__(
+        self,
+        index: int,
+        type: OpType,
+        process: int,
+        value: Optional[Tuple[MicroOp, ...]],
+        ts: Optional[int] = None,
+    ) -> None:
+        _set_op_index(self, index)
+        _set_op_type(self, type)
+        _set_op_process(self, process)
+        _set_op_value(
+            self,
+            value if value is None or isinstance(value, tuple) else tuple(value),
+        )
+        _set_op_ts(self, ts)
 
     @property
     def is_invoke(self) -> bool:
@@ -145,7 +179,14 @@ class Op:
         return f"{{:index {self.index} {self.type!r} :process {self.process} [{mops}]}}"
 
 
-@dataclass(frozen=True, slots=True)
+_set_op_index = Op.index.__set__
+_set_op_type = Op.type.__set__
+_set_op_process = Op.process.__set__
+_set_op_value = Op.value.__set__
+_set_op_ts = Op.ts.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
     """An invocation paired with its completion: the checker's unit of work.
 
@@ -170,9 +211,27 @@ class Transaction:
     start_ts: Optional[int] = None
     commit_ts: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.type is OpType.INVOKE:
+    def __init__(
+        self,
+        id: int,
+        process: int,
+        type: OpType,
+        mops: Tuple[MicroOp, ...],
+        invoke_index: int,
+        complete_index: Optional[int] = None,
+        start_ts: Optional[int] = None,
+        commit_ts: Optional[int] = None,
+    ) -> None:
+        if type is OpType.INVOKE:
             raise ValueError("a transaction's type must be a completion type")
+        _set_txn_id(self, id)
+        _set_txn_process(self, process)
+        _set_txn_type(self, type)
+        _set_txn_mops(self, mops)
+        _set_txn_invoke_index(self, invoke_index)
+        _set_txn_complete_index(self, complete_index)
+        _set_txn_start_ts(self, start_ts)
+        _set_txn_commit_ts(self, commit_ts)
 
     @property
     def committed(self) -> bool:
@@ -204,6 +263,16 @@ class Transaction:
     def __repr__(self) -> str:
         mops = " ".join(map(repr, self.mops))
         return f"T{self.id}<{self.type.value} p{self.process} [{mops}]>"
+
+
+_set_txn_id = Transaction.id.__set__
+_set_txn_process = Transaction.process.__set__
+_set_txn_type = Transaction.type.__set__
+_set_txn_mops = Transaction.mops.__set__
+_set_txn_invoke_index = Transaction.invoke_index.__set__
+_set_txn_complete_index = Transaction.complete_index.__set__
+_set_txn_start_ts = Transaction.start_ts.__set__
+_set_txn_commit_ts = Transaction.commit_ts.__set__
 
 
 def final_writes(txn: Transaction) -> dict:

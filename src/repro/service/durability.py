@@ -71,7 +71,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ServiceError
-from ..history.io import decode_op, iter_json_lines
+from ..history.io import RecordError, decode_records, iter_json_lines
 from ..history.ops import Op
 from ..obs import Observability
 from .session import SessionConfig
@@ -263,8 +263,9 @@ class SessionStore:
         terminator the writer emits: a journaled frame may hold a bare
         ``\\r`` between JSON tokens, which universal newlines would cut in
         two.  Every record must be an object with a positive integer
-        ``seq`` and an ``ops`` array; anything else raises
-        :class:`~repro.errors.ServiceError` naming ``path:line``.
+        ``seq`` and an ``ops`` array of well-formed operation records;
+        anything else raises :class:`~repro.errors.ServiceError` naming
+        ``path:line`` (and, for a bad operation, its ``ops[i]`` slot).
         Batches are returned in write order; sequence numbers are the ack
         bookkeeping, op indices the dedupe key.
         """
@@ -288,9 +289,13 @@ class SessionStore:
                         f"{self.wal_path}:{line_number}: "
                         "malformed WAL record"
                     )
-                ops = [
-                    decode_op(raw, line_number) for raw in record["ops"]
-                ]
+                try:
+                    ops = list(decode_records(enumerate(record["ops"])))
+                except RecordError as exc:
+                    raise ServiceError(
+                        f"{self.wal_path}:{line_number}: malformed WAL "
+                        f"record: ops[{exc.position}]: {exc.detail}"
+                    ) from None
                 highest = max(highest, seq)
                 batches.append((seq, ops))
         return highest, batches

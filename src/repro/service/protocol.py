@@ -105,7 +105,7 @@ from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from ..core.incremental import StreamUpdate
 from ..errors import HistoryError, ProtocolError
-from ..history.io import decode_op, encode_op
+from ..history.io import RecordError, decode_records, encode_op, parse_line
 from ..history.ops import Op
 
 #: Byte limit for one frame on the wire (and the asyncio reader limit).
@@ -128,7 +128,9 @@ def decode_frame(line: Union[str, bytes]) -> Dict[str, Any]:
 
     Raises :class:`~repro.errors.ProtocolError` for anything that is not
     a single JSON object — the caller decides whether that poisons the
-    connection (server: no, it answers with an ``error`` frame).
+    connection (server: no, it answers with an ``error`` frame).  The
+    text is parsed by :func:`~repro.history.io.parse_line`, the parser
+    history files and the WAL use.
     """
     if isinstance(line, bytes):
         try:
@@ -139,7 +141,7 @@ def decode_frame(line: Union[str, bytes]) -> Dict[str, Any]:
     if not text:
         raise ProtocolError("empty frame")
     try:
-        frame = json.loads(text)
+        frame = parse_line(text)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"frame is not JSON: {exc}") from None
     if not isinstance(frame, dict):
@@ -166,7 +168,7 @@ def encode_ops(ops: Iterable[Op]) -> List[dict]:
 
 
 def decode_ops(records: Sequence[Any]) -> List[Op]:
-    """Invert :func:`encode_ops`; positions contextualize decode errors.
+    """Invert :func:`encode_ops`; errors name the array slot, ``ops[i]``.
 
     Decoding happens *before* any operation reaches a session, so a
     malformed record rejects the whole frame and leaves the session
@@ -177,19 +179,10 @@ def decode_ops(records: Sequence[Any]) -> List[Op]:
         raise ProtocolError(
             f"append ops must be an array, got {type(records).__name__}"
         )
-    ops = []
-    for position, record in enumerate(records):
-        try:
-            ops.append(decode_op(record, position + 1))
-        except HistoryError as exc:
-            # decode_op speaks in file lines; a frame is one line, so
-            # point at the array position instead.
-            message = str(exc)
-            prefix = f"line {position + 1}: "
-            if message.startswith(prefix):
-                message = message[len(prefix):]
-            raise HistoryError(f"ops[{position}]: {message}") from None
-    return ops
+    try:
+        return list(decode_records(enumerate(records)))
+    except RecordError as exc:
+        raise HistoryError(f"ops[{exc.position}]: {exc}") from None
 
 
 def update_record(update: StreamUpdate) -> Dict[str, Any]:

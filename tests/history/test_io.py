@@ -206,6 +206,29 @@ class TestTypedFields:
         assert [op.ts for op in history.ops] == [4, None, None]
         assert history.transactions[0].start_ts == 4
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            ('"rx1"', "'rx1'"),
+            ('{"r": 0, "x": 0, "y": 0}', "{'r': 0, 'x': 0, 'y': 0}"),
+            ('["r", "x"]', "['r', 'x']"),
+            ('["r", "x", 1, 2]', "['r', 'x', 1, 2]"),
+            ("7", "7"),
+        ],
+        ids=["string", "object", "pair", "quad", "number"],
+    )
+    def test_micro_op_must_be_a_triple(self, entry, shown):
+        bad = (
+            '{"index": 1, "type": "invoke", "process": 1, '
+            f'"value": [["r", "k", null], {entry}]}}\n'
+        )
+        with pytest.raises(HistoryError) as info:
+            loads_history(self.GOOD + bad)
+        assert str(info.value) == (
+            "line 2: malformed operation record: micro-op must be a "
+            f"[fn, key, value] array, got {shown}"
+        )
+
     def test_first_missing_field_still_names_the_error(self):
         # Ill-typed fields are judged only once every field is present.
         with pytest.raises(HistoryError) as info:

@@ -4,11 +4,13 @@ Two oracles:
 
 * **Decoding.** ``decode_op`` passes scalars through, turns flat lists
   into tuples in one step and sends only nested lists and tagged values
-  through the recursive ``_decode_value``; ``iter_json_lines`` scans each
-  line with the C scanner and falls back to ``json.loads`` on a miss.
-  Both must give exactly what ``_decode_value`` and ``json.loads`` give,
-  down to the types (``1``, ``1.0`` and ``True`` compare equal in Python,
-  so results are compared by a typed shape) and to every error text.
+  through the recursive ``_decode_value``; ``parse_line`` (behind
+  ``iter_json_lines``) parses each line with orjson and falls back to the
+  standard library's scanner and ``json.loads`` where orjson refuses the
+  line or may read a wide integer as a float.  Both must give exactly
+  what ``_decode_value`` and ``json.loads`` give, down to the types
+  (``1``, ``1.0`` and ``True`` compare equal in Python, so results are
+  compared by a typed shape) and to every error text.
 * **Pairing.** ``History._apply`` builds each transaction once.  The
   reference below is the earlier implementation, which built a
   provisional indeterminate transaction for every invocation and replaced
@@ -34,6 +36,7 @@ from repro.history.io import (
     iter_json_lines,
     load_history,
     loads_history,
+    parse_line,
 )
 from repro.history.ops import MicroOp, Op, OpType, Transaction
 
@@ -118,6 +121,116 @@ def test_non_json_containers_keep_the_general_path():
         assert shape(op.value[0].value) == shape(_decode_value(value))
     with pytest.raises(HistoryError, match="unrecognized tagged value"):
         decode_op(_record(0, [1, {"mystery": 1}]), 1)
+
+
+# ----------------------------------------------------------------------
+# Parsing: where orjson is not used, the standard library decides
+
+
+def same_json(got, want):
+    """Typed equality that also holds for NaN (``nan != nan``)."""
+    if isinstance(want, dict):
+        return (
+            isinstance(got, dict)
+            and list(got) == list(want)
+            and all(same_json(got[k], want[k]) for k in want)
+        )
+    if isinstance(want, list):
+        return (
+            isinstance(got, list)
+            and len(got) == len(want)
+            and all(map(same_json, got, want))
+        )
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+FALLBACK_LINES = [
+    pytest.param('{"a": NaN}', id="nan"),
+    pytest.param("[Infinity, -Infinity]", id="infinities"),
+    pytest.param('{"a": 1e400, "b": -1e400}', id="overflowing-floats"),
+    pytest.param("[18446744073709551616]", id="above-u64"),
+    pytest.param(
+        "[18446744073709551615, -9223372036854775808]", id="u64-i64-edges"
+    ),
+    pytest.param("[-9223372036854775809]", id="below-i64"),
+    pytest.param(
+        "[1180591620717411303424, -100000000000000000000000]", id="wide"
+    ),
+    pytest.param('["\\ud800", "\\udfff x"]', id="lone-surrogate-escapes"),
+    pytest.param('"\\ud83d\\ude00"', id="paired-surrogate-escapes"),
+    pytest.param('{"k": "1234567890123456789012"}', id="digit-run-in-string"),
+    pytest.param("[0.12345678901234567890123, 1.5e-400]", id="long-mantissa"),
+    pytest.param('{"a": 1, "a": 2}', id="duplicate-key"),
+    pytest.param("[-0, -0.0, 0e0]", id="zeros"),
+]
+
+
+@pytest.mark.parametrize("text", FALLBACK_LINES)
+def test_parse_line_equals_json_loads(text):
+    assert same_json(parse_line(text), json.loads(text))
+
+
+def test_lone_surrogate_characters_parse_like_json_loads():
+    # A str that cannot be UTF-8 encoded: orjson refuses it outright.
+    text = '["\ud800"]'
+    assert same_json(parse_line(text), json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "value", [2**64, -(2**63) - 1, 10**30, -(10**25), 2**64 - 1, -(2**63)]
+)
+def test_wide_integers_load_as_integers(value):
+    record = {
+        "index": value, "type": "invoke", "process": 0,
+        "value": [["r", value, [value, 1]], ["append", "k", value]],
+        "ts": value,
+    }
+    (op,) = loads_history(json.dumps(record) + "\n").ops
+    assert op.index == value and type(op.index) is int
+    assert op.ts == value and type(op.ts) is int
+    read, append = op.value
+    assert shape(read.key) == shape(value)
+    assert shape(read.value) == shape((value, 1))
+    assert shape(append.value) == shape(value)
+
+
+@pytest.mark.parametrize("word", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_values_load_like_json_loads(word):
+    text = (
+        '{"index": 0, "type": "invoke", "process": 0, '
+        f'"value": [["r", "k", [{word}, 1]]]}}\n'
+    )
+    (op,) = loads_history(text).ops
+    assert repr(op.value[0].value) == repr(
+        tuple(json.loads(text)["value"][0][2])
+    )
+
+
+def test_blank_and_whitespace_lines_are_skipped():
+    text = "\n   \n" + GOOD + "\n\t\r\n" + NEXT + "\n\n"
+    assert [n for n, _ in iter_json_lines(io.StringIO(text))] == [3, 5]
+
+
+json_texts = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.floats(),
+        st.text(max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=12,
+).map(json.dumps)
+
+
+@given(json_texts)
+@settings(max_examples=400, deadline=None)
+def test_parse_line_equals_json_loads_on_any_value(text):
+    assert same_json(parse_line(text), json.loads(text))
 
 
 GOOD = '{"index": 0, "type": "invoke", "process": 0, "value": []}'

@@ -429,6 +429,9 @@ class TestRecoveryOracle:
         assert recovered.config == config
 
 
+GOOD_OP = b'{"index":0,"type":"invoke","process":0,"value":[["r","x",null]]}'
+
+
 class TestWalLineForms:
     """The journal holds frames as received or ``{"seq", "ops"}`` lines."""
 
@@ -474,6 +477,39 @@ class TestWalLineForms:
             store.replay_wal()
         assert str(excinfo.value) == (
             f"{store.wal_path}:2: malformed WAL record"
+        )
+
+    @pytest.mark.parametrize(
+        "op, detail",
+        [
+            (
+                b'{"index":0,"type":"bogus","process":0,"value":[]}',
+                "'bogus' is not a valid OpType",
+            ),
+            (
+                b'{"index":0,"type":"invoke","process":0,"value":["rx1"]}',
+                "micro-op must be a [fn, key, value] array, got 'rx1'",
+            ),
+            (
+                b'{"index":0,"type":"invoke","process":0,'
+                b'"value":[{"r":0,"x":0,"y":0}]}',
+                "micro-op must be a [fn, key, value] array, "
+                "got {'r': 0, 'x': 0, 'y': 0}",
+            ),
+            (b'{"index":0,"type":"invoke","value":[]}', "'process'"),
+        ],
+        ids=["bad-type", "string-mop", "object-mop", "missing-field"],
+    )
+    def test_malformed_op_refused_with_location(self, tmp_path, op, detail):
+        from repro.errors import ServiceError
+
+        good = b'{"seq":1,"ops":[]}'
+        record = b'{"seq":2,"ops":[' + GOOD_OP + b"," + op + b"]}"
+        store = self.seeded_store(tmp_path, [good, record, good])
+        with pytest.raises(ServiceError) as excinfo:
+            store.replay_wal()
+        assert str(excinfo.value) == (
+            f"{store.wal_path}:2: malformed WAL record: ops[1]: {detail}"
         )
 
     def test_bare_cr_frame_as_last_line_replays(self, tmp_path):

@@ -106,6 +106,16 @@ class TestOpRecords:
             f"{field} must be an integer, got {value!r}"
         )
 
+    def test_micro_op_must_be_a_triple(self):
+        records = encode_ops(list(history().ops))
+        records[1]["value"] = ["rx1"]
+        with pytest.raises(HistoryError) as info:
+            decode_ops(records)
+        assert str(info.value) == (
+            "ops[1]: malformed operation record: micro-op must be a "
+            "[fn, key, value] array, got 'rx1'"
+        )
+
     def test_rejects_non_array(self):
         with pytest.raises(ProtocolError, match="array"):
             decode_ops({"index": 0})

@@ -103,6 +103,15 @@ class TestMain:
         assert code == 0
         assert reloaded == generated
 
+    def test_profile_times_the_load(self, tmp_path, capsys):
+        path = tmp_path / "observation.jsonl"
+        main(["--quiet", "--txns", "50", "--dump-history", str(path)])
+        capsys.readouterr()
+        assert main(["--quiet", "--profile", "--in", str(path)]) == 0
+        stages = capsys.readouterr().out.split("profile:")[1].split()
+        assert stages[0] == "history/load"
+        assert "index/scan" in stages
+
     def test_faulty_history_survives_the_wire(self, tmp_path, capsys):
         path = tmp_path / "faulty.jsonl"
         args = [
