@@ -171,7 +171,7 @@ def _assert_register_asymptotics(txns, concurrency, rows):  # pragma: no cover
             active_keys=50,
             max_writes_per_key=max_writes_per_key,
         )
-        key_counts[max_writes_per_key] = len(history.index().slices)
+        key_counts[max_writes_per_key] = len(history.index())
         start = time.perf_counter()
         result = check(
             history,

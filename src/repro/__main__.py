@@ -19,7 +19,7 @@ for replay.
 ``--follow`` switches to the streaming incremental checker: operations are
 consumed in chunks of ``--chunk`` (from ``--in``/stdin, or from the
 generated workload), each chunk re-checks the observed prefix incrementally
-— only keys whose slices changed are re-analyzed — and a one-line verdict
+— only keys whose rows changed are re-analyzed — and a one-line verdict
 delta is printed per chunk (``--json`` makes those lines machine-readable,
 in exactly the service's verdict-reply record shape).  The final verdict is
 byte-identical to the batch check of the same operations.

@@ -41,11 +41,13 @@ from .analysis import ColumnEvidence, EdgeColumns
 from .anomalies import G1A, GARBAGE_READ, Anomaly
 from .deps import RW, WR
 from .keyspace import (
+    NONE,
     Findings,
     KeyspacePlan,
     ReadCheckStyle,
     check_recoverable_read,
     register_plan,
+    require_values,
 )
 from .profiling import stage
 
@@ -79,6 +81,11 @@ def _g1a(reader, key, element, adder):
     )
 
 
+#: Grow-set reads: arrays (tuples), sets, or null.
+_SET_READS = {tuple, frozenset, set, NONE}
+_SET_RULE = "grow-set reads must be arrays or null"
+
+
 @register_plan
 class GrowSetPlan(KeyspacePlan):
     """Grow-set analysis: wr/rw edges from element visibility."""
@@ -87,8 +94,8 @@ class GrowSetPlan(KeyspacePlan):
 
     def __init__(self, history: History) -> None:
         super().__init__(history)
-        check_unique_writes(self.index, "grow-set")
         self._keys = self.index.read_key_order
+        check_unique_writes(self.index, "grow-set", self._keys)
         self._style = ReadCheckStyle(garbage=_garbage, g1a=_g1a)
 
     def _pass(self, keys: Sequence[Any], profile=None) -> Findings:
@@ -108,20 +115,21 @@ class GrowSetPlan(KeyspacePlan):
         """
         index = self.index
         txn_ids = index.txn_ids
-        cols = index.columns(keys)
-        keys = cols.keys
+        view = index.view(keys)
+        keys = view.keys
 
         with stage(profile, "analyze/columnar-screen"):
             nk = len(keys)
-            adds = [index.slices[key].first_writer for key in keys]
+            require_values(view, txn_ids, "r", _SET_READS, _SET_RULE)
+            adds = view.first
             e_count = np.fromiter(map(len, adds), np.int64, nk)
             e_indptr = np.zeros(nk + 1, dtype=np.int64)
             e_count.cumsum(out=e_indptr[1:])
             n_e = int(e_indptr[-1])
             elements = list(chain.from_iterable(adds))
-            adder = np.fromiter(
-                chain.from_iterable(map(dict.values, adds)), np.int64, n_e
-            )
+            adder = view.w_txn[
+                np.fromiter(chain.from_iterable(map(dict.values, adds)), np.int64, n_e)
+            ]
             e_key = np.arange(nk, dtype=np.int64).repeat(e_count)
             # Each element's place within its key: first-add order, and
             # ``repr`` order (a stable sort by key of the ``repr`` sort).
@@ -136,10 +144,10 @@ class GrowSetPlan(KeyspacePlan):
 
             # Committed known reads, and each one's members as element
             # ids through its key's element index (-1: never added).
-            rv = cols.r_val
+            rv = view.r_val
             known = np.flatnonzero([value is not None for value in rv])
-            r_key = cols.r_key[known]
-            r_txn = cols.r_txn[known]
+            r_key = view.r_key[known]
+            r_txn = view.r_txn[known]
             values = list(map(rv.__getitem__, known.tolist()))
             ids_of = [
                 dict(zip(add, range(lo, hi)))
@@ -207,7 +215,7 @@ class GrowSetPlan(KeyspacePlan):
                 k = int(r_key[i])
                 write_map = write_maps.get(k)
                 if write_map is None:
-                    write_map = write_maps[k] = index.write_map(index.slices[keys[k]])
+                    write_map = write_maps[k] = view.write_map(k, transactions)
                 ordered = tuple(sorted(frozenset(values[i]), key=repr))
                 found = check_recoverable_read(
                     transactions[r_txn[i]], keys[k], ordered, write_map, self._style
@@ -244,13 +252,21 @@ class CounterPlan(KeyspacePlan):
         txn_ids = index.txn_ids
         txn_committed = index.txn_committed
         txn_aborted = index.txn_aborted
+        view = index.view(keys)
+        keys = view.keys
+        require_values(view, txn_ids, "w", {int}, "counter increments must be integers")
+        require_values(view, txn_ids, "r", {int, NONE}, "counter reads must be integers or null")
+        w_bounds = view.w_indptr.tolist()
+        r_bounds = view.r_indptr.tolist()
+        w_txn = view.w_txn.tolist()
+        r_txn = view.r_txn.tolist()
         anomalies: List[Anomaly] = []
         anomaly_keys: List[int] = []
         for k, key in enumerate(keys):
-            slice_ = index.slices[key]
             lo = 0  # definitely-committed negative increments
             hi = 0  # every possibly-committed positive increment
-            for pos, delta in zip(slice_.w_txn, slice_.w_val):
+            w = slice(w_bounds[k], w_bounds[k + 1])
+            for pos, delta in zip(w_txn[w], view.w_val[w]):
                 if delta >= 0:
                     if not txn_aborted[pos]:
                         hi += delta
@@ -258,7 +274,8 @@ class CounterPlan(KeyspacePlan):
                     lo += delta
             lo = min(lo, 0)
             hi = max(hi, 0)
-            for pos, value in zip(slice_.r_txn, slice_.r_val):
+            r = slice(r_bounds[k], r_bounds[k + 1])
+            for pos, value in zip(r_txn[r], view.r_val[r]):
                 if value is None or lo <= value <= hi:
                     continue
                 reader_id = txn_ids[pos]

@@ -3,7 +3,7 @@
 The checker's hot phases allocate millions of small containers (columnar
 index arrays, edge batches, evidence records).  Every generation-2 pass the
 cyclic collector runs mid-analysis must traverse the entire heap — history
-transactions, micro-ops, index slices — which costs hundreds of
+transactions, micro-ops, index rows — which costs hundreds of
 milliseconds at the 100k-transaction scale while collecting nothing: the
 analysis pipeline allocates essentially no reference cycles, so plain
 reference counting reclaims its garbage promptly.

@@ -12,7 +12,7 @@ so far — with the expensive half of the work made incremental:
   extended in place (:meth:`~repro.history.history.History.extend`), never
   re-scanned;
 * per-key analysis batches are cached and recomputed only for *dirty* keys
-  — those whose slice changed, detected by the slice ``version`` counter.
+  — those whose rows changed, detected by the key's ``version`` stamp.
   A batch depends on its key alone, never on the key's rank or on the
   keys analyzed with it, so each chunk re-analyzes its stale keys in one
   :meth:`~repro.core.keyspace.KeyspacePlan.analyze_keys` call: one
@@ -75,7 +75,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,7 +116,7 @@ class StreamUpdate:
     reused_keys: int
 
 
-#: Cached per-key analysis: (slice version, batch).
+#: Cached per-key analysis: (key version, batch).
 _CacheEntry = Tuple[int, Batch]
 
 
@@ -317,29 +317,28 @@ class StreamingChecker:
             cache = self._key_cache
             # Evict every dirty key up front.  The version clock alone
             # already prevents stale hits (versions never repeat, even for
-            # a deleted-and-recreated slice), but eviction also drops
+            # a deleted-and-recreated key), but eviction also drops
             # entries for keys an upgrade removed from the history, which
             # would otherwise linger in the cache forever.
             for key in delta.dirty_keys or ():
                 cache.pop(key, None)
             # One plan call re-analyzes every stale key.
             keys = plan.keys()
-            slices = index.slices
+            ids = index.key_ids
+            versions = index.key_version
             stale = [
-                key
-                for key in keys
-                if cache.get(key, (None,))[0] != slices[key].version
+                key for key in keys if cache.get(key, (None,))[0] != versions[ids[key]]
             ]
             for key, batch in zip(stale, plan.analyze_keys(stale)):
-                cache[key] = (slices[key].version, batch)
+                cache[key] = (versions[ids[key]], batch)
             reanalyzed = len(stale)
             reused = len(keys) - reanalyzed
-            rank_of = attrgetter(plan.key_rank)
+            ranks = getattr(index, plan.key_rank)
             for key in keys:
                 key_anomalies, source = cache[key][1]
                 anomalies.extend(key_anomalies)
                 if len(source):
-                    ranked.append((rank_of(slices[key]), key, source))
+                    ranked.append((ranks[ids[key]], key, source))
             # Frozen keys' edges keep their place in key order.
             if self._residual:
                 ranked.extend(self._residual.values())
@@ -478,10 +477,10 @@ class StreamingChecker:
         """Fold the settled prefix into the frozen summary and drop it.
 
         A key *freezes* when every transaction that touched it is final
-        (its completion was observed, so no upgrade can ever rebuild the
-        slice): its analysis batch can never change, so its anomalies
+        (its completion was observed, so no upgrade can ever rewrite its
+        rows): its analysis batch can never change, so its anomalies
         settle, its edges into live transactions keep merging at its rank,
-        and the slice is released.  A transaction *retires* when it is
+        and its rows are released.  A transaction *retires* when it is
         final, every key it touched is frozen, and no live transaction can
         reach it through the dependency graph.  Then every edge into it is
         fixed — value edges come from frozen keys, order edges from
@@ -549,37 +548,34 @@ class StreamingChecker:
         complete = index.txn_complete
         ids = index.txn_ids
         cache = self._key_cache
-        rank_of = attrgetter(PLANS[self.workload].key_rank)
+        ranks = getattr(index, PLANS[self.workload].key_rank)
+        versions = index.key_version
+        last = index.key_last
 
         # -- candidate keys: live, permitted, idle, and freezable --------
         # A key freezes either from its fresh cached batch (analyzed last
         # extension) or as a no-batch key: one without a rank, which the
         # plan's keys() leaves out (read-ordered workloads: nobody read it).
-        candidates: Dict[Any, Tuple[Any, Optional[_CacheEntry]]] = {}
-        for key, slice_ in index.slices.items():
+        candidates: Dict[Any, Optional[_CacheEntry]] = {}
+        for key, k in index.key_ids.items():
             if allowed_keys is not None and key not in allowed_keys:
                 continue
-            if (
-                min_idle_txns
-                and slice_.op_txn
-                and slice_.op_txn[-1] >= n - min_idle_txns
-            ):
+            if min_idle_txns and last[k] >= n - min_idle_txns:
                 continue
             entry = cache.get(key)
-            if entry is not None and entry[0] == slice_.version:
-                candidates[key] = (slice_, entry)
-            elif entry is None and rank_of(slice_) is None:
-                candidates[key] = (slice_, None)
+            if entry is not None and entry[0] == versions[k]:
+                candidates[key] = entry
+            elif entry is None and ranks[k] is None:
+                candidates[key] = None
 
         # -- frozen keys: every toucher final ----------------------------
         # A provisional toucher blocks the freeze: its completion would
-        # upgrade the transaction and rebuild the slice, which a frozen
-        # key cannot do.  Final touchers (committed, aborted, or
+        # upgrade the transaction and rewrite the key's rows, which a
+        # frozen key cannot take.  Final touchers (committed, aborted, or
         # indeterminate with the completion observed) never change again.
+        blocked = index.keys_at(p for p in self._live if complete[p] < 0)
         frozen = {
-            key: value
-            for key, value in candidates.items()
-            if all(complete[p] >= 0 for p in value[0].op_txn)
+            key: entry for key, entry in candidates.items() if key not in blocked
         }
 
         # -- retirable transactions: final, every key frozen -------------
@@ -649,7 +645,7 @@ class StreamingChecker:
         settled_found: List[Anomaly] = []
         for txn_id in new_ids:
             settled_found.extend(self._internal.pop(txn_id, ()))
-        for key, (_slice, entry) in frozen.items():
+        for key, entry in frozen.items():
             cache.pop(key, None)
             if entry is not None:
                 settled_found.extend(entry[1][0])

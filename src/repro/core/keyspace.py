@@ -42,8 +42,9 @@ from typing import (
     Tuple,
 )
 
+from ..errors import WorkloadError
 from ..history import History, Transaction
-from ..history.index import HistoryIndex, take
+from ..history.index import HistoryIndex, RowView, take
 from .analysis import BIT, U, V, Analysis, ColumnEvidence
 from .anomalies import Anomaly, sort_anomalies
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
@@ -153,6 +154,27 @@ def check_recoverable_read(
     return anomalies
 
 
+#: ``type(None)``, for the value-type rules of :func:`require_values`.
+NONE = type(None)
+
+
+def require_values(
+    view: RowView, txn_ids: Sequence[int], side: str, allowed: set, rule: str
+) -> None:
+    """Refuse a view's read (``side`` ``"r"``) or write (``"w"``) values
+    whose type is not in ``allowed``, naming the first offending row's
+    transaction, key and value.  One C-level type census clears the
+    common case."""
+    values = getattr(view, side + "_val")
+    if set(map(type, values)) <= allowed:
+        return
+    i = next(i for i, value in enumerate(values) if type(value) not in allowed)
+    txn = txn_ids[getattr(view, side + "_txn")[i]]
+    key = view.keys[getattr(view, side + "_key")[i]]
+    verb = "read" if side == "r" else "wrote"
+    raise WorkloadError(f"T{txn} {verb} {values[i]!r} at key {key!r}; {rule}")
+
+
 # ---------------------------------------------------------------------------
 # Plans
 
@@ -183,9 +205,10 @@ class KeyspacePlan:
     """
 
     workload: str = ""
-    #: The :class:`~repro.history.index.KeySlice` field :meth:`keys` is
-    #: sorted by (first committed read; rw-register: first appearance).
-    key_rank: str = "first_read_seq"
+    #: The per-key :class:`~repro.history.index.HistoryIndex` column
+    #: :meth:`keys` is sorted by (first committed read; rw-register: first
+    #: appearance).
+    key_rank: str = "key_first_read"
 
     def __init__(self, history: History) -> None:
         validate_workload_indexed(history, self.workload)

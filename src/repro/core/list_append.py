@@ -55,11 +55,13 @@ from .anomalies import (
 )
 from .deps import RW, WR, WW
 from .keyspace import (
+    NONE,
     Findings,
     KeyspacePlan,
     ReadCheckStyle,
     check_recoverable_read,
     register_plan,
+    require_values,
 )
 from .profiling import stage
 
@@ -145,6 +147,9 @@ def _incompatible(reader_id, key, value, longest, longest_id):
     )
 
 
+_READ_RULE = "list-append reads must be arrays or null"
+
+
 @register_plan
 class ListAppendPlan(KeyspacePlan):
     """List-append analysis over the shared history index."""
@@ -153,10 +158,10 @@ class ListAppendPlan(KeyspacePlan):
 
     def __init__(self, history: History) -> None:
         super().__init__(history)
-        check_unique_writes(self.index, "list-append")
         # Keys in first-committed-read order: only keys somebody read can
         # define a version order or witness read anomalies.
         self._keys = self.index.read_key_order
+        check_unique_writes(self.index, "list-append", self._keys)
         self._style = ReadCheckStyle(
             garbage=_garbage,
             g1a=_g1a,
@@ -188,20 +193,20 @@ class ListAppendPlan(KeyspacePlan):
         :func:`~repro.core.keyspace.check_recoverable_read`.  Evidence
         ranks follow each key's emission order: its ww records along the
         trace, then each read's wr and rw.  Transaction status is read at
-        the keys' own slots (:func:`take`), so the pass costs the keys'
-        slots, not the whole history.
+        the keys' own rows (:func:`take`), never over the whole history.
         """
         index = self.index
         txn_ids = index.txn_ids
-        cols = index.columns(keys)
-        keys = cols.keys
+        view = index.view(keys)
+        keys = view.keys
 
         with stage(profile, "analyze/columnar-screen"):
             nk = len(keys)
-            rv = cols.r_val
-            r_txn = cols.r_txn
-            r_key = cols.r_key
-            r_indptr = cols.r_indptr
+            rv = view.r_val
+            r_txn = view.r_txn
+            r_key = view.r_key
+            r_indptr = view.r_indptr
+            require_values(view, txn_ids, "r", {tuple, NONE}, _READ_RULE)
             r_len_l = [-1 if value is None else len(value) for value in rv]
             r_len = np.array(r_len_l, dtype=np.int64)
 
@@ -222,18 +227,16 @@ class ListAppendPlan(KeyspacePlan):
             maxlen.cumsum(out=t_indptr[1:])
             t_key = np.arange(nk, dtype=np.int64).repeat(maxlen)
 
-            # Each trace element's writer, through its key's write index
-            # (-1: garbage), plus one -1 pad entry; the per-key maps chain
-            # in C, with no loop per key.
-            index_of = map(
-                attrgetter("first_writer"), map(index.slices.__getitem__, keys)
+            # Each trace element's writer, through its key's first write
+            # slots (-1: garbage), plus one -1 pad entry; the per-key maps
+            # chain in C, with no loop per key.
+            slots = map(
+                map, map(attrgetter("get"), view.first), traces, repeat(repeat(-1))
             )
-            writers = map(
-                map, map(attrgetter("get"), index_of), traces, repeat(repeat(-1))
+            t_slot = np.fromiter(
+                chain(chain.from_iterable(slots), (-1,)), np.int64, n_t + 1
             )
-            t_writer = np.fromiter(
-                chain(chain.from_iterable(writers), (-1,)), np.int64, n_t + 1
-            )
+            t_writer = np.append(view.w_txn, -1)[t_slot]
             garbage = t_writer[:-1] < 0
             known = (~garbage).nonzero()[0]
             k_writer = t_writer[known]
@@ -246,8 +249,8 @@ class ListAppendPlan(KeyspacePlan):
             # past the previous run's end; a one-write run's element is
             # its final append.
             width = len(txn_ids)
-            finals = cols.w_final.nonzero()[0]
-            runs = cols.w_key[finals] * width + cols.w_txn[finals]
+            finals = view.w_final.nonzero()[0]
+            runs = view.w_key[finals] * width + view.w_txn[finals]
             run = runs.searchsorted(t_key[known] * width + k_writer)
             starts = np.concatenate(([0], finals[:-1] + 1))
             several = finals[run] > starts[run]
@@ -256,7 +259,7 @@ class ListAppendPlan(KeyspacePlan):
             nonfinal[multi] = np.fromiter(
                 map(
                     ne,
-                    map(cols.w_val.__getitem__, finals[run[several]].tolist()),
+                    map(view.w_val.__getitem__, finals[run[several]].tolist()),
                     map(trace.__getitem__, multi.tolist()),
                 ),
                 bool,
@@ -325,8 +328,8 @@ class ListAppendPlan(KeyspacePlan):
             # one incompatible-order per distinct value.
             odd = ((r_len >= 0) & ~prefix).nonzero()[0].tolist()
             if odd:
-                w_bounds = cols.w_indptr.tolist()
-                w_fine = take(index.txn_aborted, cols.w_txn) == 0
+                w_bounds = view.w_indptr.tolist()
+                w_fine = take(index.txn_aborted, view.w_txn) == 0
                 value_sets: Dict[int, Tuple[Set[Any], Set[Any]]] = {}
             incompatible: List[Anomaly] = []
             incompatible_keys: List[int] = []
@@ -338,10 +341,10 @@ class ListAppendPlan(KeyspacePlan):
                     sets = value_sets.get(k)
                     if sets is None:
                         lo, hi = w_bounds[k], w_bounds[k + 1]
-                        written = cols.w_val[lo:hi]
+                        written = view.w_val[lo:hi]
                         sets = value_sets[k] = (
                             set(compress(written, w_fine[lo:hi].tolist())),
-                            set(compress(written, cols.w_final[lo:hi].tolist())),
+                            set(compress(written, view.w_final[lo:hi].tolist())),
                         )
                     if (
                         len(set(value)) != len(value)
@@ -374,8 +377,7 @@ class ListAppendPlan(KeyspacePlan):
                 k = r_key_l[i]
                 write_map = write_maps.get(k)
                 if write_map is None:
-                    write_map = index.write_map(index.slices[keys[k]])
-                    write_maps[k] = write_map
+                    write_map = write_maps[k] = view.write_map(k, transactions)
                 found = check_recoverable_read(
                     transactions[r_txn[i]], keys[k], rv[i], write_map, self._style
                 )

@@ -53,13 +53,14 @@ realtime sources cost O(ops) in total, not O(keys × txns).
 from __future__ import annotations
 
 from itertools import repeat
+from operator import is_
 from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..graph import CSRGraph, interval_precedence_pairs
 from ..history import History
-from ..history.index import IndexColumns, check_unique_writes, take
+from ..history.index import RowView, check_unique_writes, take
 from .analysis import ColumnEvidence, EdgeColumns
 from .anomalies import (
     CYCLIC_VERSIONS,
@@ -201,32 +202,25 @@ class _Versions(NamedTuple):
         return w_val[slot] if slot >= 0 else self.garbage.get(node)
 
 
-def _intern_versions(cols: IndexColumns) -> _Versions:
-    """Resolve every read and write of the columns to its version node."""
-    nk = len(cols.keys)
-    rv = cols.r_val
-    wv = cols.w_val
+def _intern_versions(view: RowView) -> _Versions:
+    """Resolve every read and write of the view to its version node."""
+    nk = len(view.keys)
+    rv = view.r_val
+    wv = view.w_val
     n_w = len(wv)
-    # Per key, ``first`` maps each written value to its first write slot
-    # (iterating backwards, the first slot is stored last); a read of nil
-    # resolves to -1 (INIT), an unwritten value to -2 (garbage).
-    w_first_l: List[int] = []
+    # Per key, ``view.first`` maps each written value to its first write
+    # slot; a read of an unwritten value resolves to -2 (garbage), a read
+    # of nil to -1 (INIT; registers never write nil).
     r_slot_l: List[int] = []
-    w_bounds = cols.w_indptr.tolist()
-    r_bounds = cols.r_indptr.tolist()
-    for k in range(nk):
-        lo, hi = w_bounds[k], w_bounds[k + 1]
-        values = wv[lo:hi]
-        first = dict(zip(reversed(values), range(hi - 1, lo - 1, -1)))
-        w_first_l.extend(map(first.__getitem__, values))
-        first[INIT] = -1
-        lo, hi = r_bounds[k], r_bounds[k + 1]
+    r_bounds = view.r_indptr.tolist()
+    for first, lo, hi in zip(view.first, r_bounds, r_bounds[1:]):
         r_slot_l.extend(map(first.get, rv[lo:hi], repeat(-2)))
-    w_first = np.array(w_first_l, dtype=np.int64)
+    w_first = view.w_first
     r_slot = np.array(r_slot_l, dtype=np.int64)
+    r_slot[np.fromiter(map(is_, rv, repeat(INIT)), bool, len(rv))] = -1
 
     # Garbage values number after the key's write slots, in first-read order.
-    r_key = cols.r_key
+    r_key = view.r_key
     garbage_reads = (r_slot == -2).nonzero()[0]
     garbage: Dict[Tuple[int, Any], int] = {}
     g_count = [0] * nk
@@ -237,13 +231,13 @@ def _intern_versions(cols: IndexColumns) -> _Versions:
             g_count[k] += 1
         g_local.append(j)
 
-    w_count = np.diff(cols.w_indptr)
+    w_count = np.diff(view.w_indptr)
     node_indptr = np.zeros(nk + 1, dtype=np.int64)
     np.cumsum(1 + w_count + np.asarray(g_count, dtype=np.int64), out=node_indptr[1:])
     n = int(node_indptr[-1])
     init = node_indptr[:-1]
-    w_key = cols.w_key
-    slot_node = np.arange(n_w, dtype=np.int64) + (init + 1 - cols.w_indptr[:-1])[w_key]
+    w_key = view.w_key
+    slot_node = np.arange(n_w, dtype=np.int64) + (init + 1 - view.w_indptr[:-1])[w_key]
     # Reads without a writer select the padding entry past the last slot.
     r_node = np.where(
         r_slot >= 0,
@@ -260,7 +254,7 @@ def _intern_versions(cols: IndexColumns) -> _Versions:
             garbage_node[int(init[k] + 1 + w_count[k] + j)] = value
     firsts = (w_first == np.arange(n_w)).nonzero()[0]
     writer = np.full(n, -1, dtype=np.int64)
-    writer[slot_node[firsts]] = cols.w_txn[firsts]
+    writer[slot_node[firsts]] = view.w_txn[firsts]
     slot = np.full(n, -1, dtype=np.int64)
     slot[slot_node[firsts]] = firsts
     return _Versions(
@@ -282,7 +276,7 @@ class RwRegisterPlan(KeyspacePlan):
     """rw-register analysis over the shared history index."""
 
     workload = "rw-register"
-    key_rank = "first_seq"
+    key_rank = "key_first"
 
     def __init__(
         self, history: History, sources: Sequence[str] = DEFAULT_SOURCES
@@ -290,9 +284,9 @@ class RwRegisterPlan(KeyspacePlan):
         # Ahead of the base constructor: bad sources outrank workload errors.
         _validate_sources(sources)
         super().__init__(history)
-        check_unique_writes(self.index, "rw-register")
         self._sources = frozenset(sources)
         self._keys = self.index.key_order
+        check_unique_writes(self.index, "rw-register", self._keys)
         self._style = ReadCheckStyle(
             garbage=_garbage,
             g1a=_g1a,
@@ -319,27 +313,27 @@ class RwRegisterPlan(KeyspacePlan):
         join; lost updates group the write-follows-read edges by base
         version.  A read the three-comparison screen flags runs
         :func:`check_recoverable_read` for that read alone.  Transaction
-        status is read at the keys' own slots (:func:`take`), so the pass
-        costs the keys' slots, not the whole history.
+        status is read at the keys' own rows (:func:`take`), never over
+        the whole history.
         """
         index = self.index
         transactions = index.transactions
         txn_ids = index.txn_ids
-        cols = index.columns(keys)
-        keys = cols.keys
+        view = index.view(keys)
+        keys = view.keys
 
         with stage(profile, "analyze/columnar-screen"):
             nk = len(keys)
-            n_r = len(cols.r_val)
-            r_txn = cols.r_txn
-            r_key = cols.r_key
-            versions = _intern_versions(cols)
+            n_r = len(view.r_val)
+            r_txn = view.r_txn
+            r_key = view.r_key
+            versions = _intern_versions(view)
             r_slot = versions.r_slot
             r_node = versions.r_node
             has_writer = r_slot >= 0
             # A written version is committed when its first writer is, and
             # live when it is committed or a committed read observed it.
-            w_committed = take(index.txn_committed, cols.w_txn) != 0
+            w_committed = take(index.txn_committed, view.w_txn) != 0
             written = (versions.slot >= 0).nonzero()[0]
             committed = np.zeros(versions.n, dtype=bool)
             committed[written] = w_committed[versions.slot[written]]
@@ -349,9 +343,9 @@ class RwRegisterPlan(KeyspacePlan):
             # The read screen: garbage, an aborted writer, or another
             # transaction's non-final write.  Slot gathers go through one
             # padding entry, which reads without a writer select.
-            wslot = np.where(has_writer, r_slot, len(cols.w_val))
-            r_writer = np.append(cols.w_txn, -1)[wslot]
-            finals = cols.w_final.nonzero()[0]
+            wslot = np.where(has_writer, r_slot, len(view.w_val))
+            r_writer = np.append(view.w_txn, -1)[wslot]
+            finals = view.w_final.nonzero()[0]
             final_slot = np.append(versions.w_first[finals], -3)[
                 np.searchsorted(finals, wslot)
             ]
@@ -372,7 +366,7 @@ class RwRegisterPlan(KeyspacePlan):
             rd_txn = r_txn[by_node]
 
             ve_v1, ve_v2, ve_rank, ve_wfr = self._version_edges(
-                cols, versions, w_committed, live
+                view, versions, w_committed, live
             )
 
             # One SCC search flags every cyclic key.  Node ids ascend key
@@ -431,7 +425,7 @@ class RwRegisterPlan(KeyspacePlan):
             wr_rank = first_read[r_node[wr]] * n_r + wr
             ww_base = n_r * n_r
             rw_base = ww_base + int(ve_rank.max()) + 1 if len(ve_rank) else ww_base
-            slot = np.where(versions.slot >= 0, versions.slot, len(cols.w_val))
+            slot = np.where(versions.slot >= 0, versions.slot, len(view.w_val))
             columns = (
                 EdgeColumns(
                     WR,
@@ -492,8 +486,8 @@ class RwRegisterPlan(KeyspacePlan):
         with stage(profile, "analyze/fallback"):
             anomalies: List[Anomaly] = []
             anomaly_keys: List[int] = []
-            rv = cols.r_val
-            wv = cols.w_val
+            rv = view.r_val
+            wv = view.w_val
             for i, k in zip(flagged_l, r_key[flagged].tolist()):
                 value = rv[i]
                 writer = r_writer[i]
@@ -527,13 +521,13 @@ class RwRegisterPlan(KeyspacePlan):
                 )
                 anomaly_keys.append(k)
         evidence = ColumnEvidence.of(
-            columns, txn_ids, keys, lambda: wv + [None], cols.w_key
+            columns, txn_ids, keys, lambda: wv + [None], view.w_key
         )
         return Findings(anomalies, anomaly_keys, evidence)
 
     def _version_edges(
         self,
-        cols: IndexColumns,
+        view: RowView,
         versions: _Versions,
         w_committed: np.ndarray,
         live: np.ndarray,
@@ -550,9 +544,9 @@ class RwRegisterPlan(KeyspacePlan):
         """
         sources = self._sources
         index = self.index
-        w_txn = cols.w_txn
-        w_key = cols.w_key
-        r_key = cols.r_key
+        w_txn = view.w_txn
+        w_key = view.w_key
+        r_key = view.r_key
         blocks = []
         if "initial-state" in sources:
             # INIT precedes every live written version.
@@ -567,8 +561,8 @@ class RwRegisterPlan(KeyspacePlan):
             # for any history that fits in memory.)
             cw = w_committed.nonzero()[0]
             st_key = np.concatenate((r_key, w_key[cw]))
-            st_pos = np.concatenate((cols.r_txn, w_txn[cw]))
-            st_seq = np.concatenate((cols.r_seq, cols.w_seq[cw]))
+            st_pos = np.concatenate((view.r_txn, w_txn[cw]))
+            st_seq = np.concatenate((view.r_seq, view.w_seq[cw]))
             width = int(st_seq.max()) + 1 if len(st_seq) else 1
             order = np.argsort(
                 (st_key * len(index.txn_ids) + st_pos) * width + st_seq,
@@ -582,7 +576,7 @@ class RwRegisterPlan(KeyspacePlan):
             same[1:] = (st_key[1:] == st_key[:-1]) & (st_pos[1:] == st_pos[:-1])
         if "write-follows-read" in sources:
             # A write lands on whatever its transaction last read or wrote.
-            i = (same & (order >= len(cols.r_txn))).nonzero()[0]
+            i = (same & (order >= len(view.r_txn))).nonzero()[0]
             blocks.append((_WFR, st_node[i - 1], st_node[i]))
         if sources & {"process", "realtime"}:
             # One group per (key, interacting transaction), pinned to the

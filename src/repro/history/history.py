@@ -44,7 +44,7 @@ class HistoryDelta(NamedTuple):
     inside the same chunk appears here, already closed).  ``upgraded`` pairs
     a provisional indeterminate transaction from an *earlier* extension with
     its final form, now that its completion has been observed.
-    ``dirty_keys`` is the set of keys whose index slices changed — the
+    ``dirty_keys`` is the set of keys whose index rows changed — the
     cache-invalidation signal for incremental consumers — or ``None`` when
     the history had no cached index to extend (everything is then new).
     """
@@ -174,7 +174,7 @@ class History:
     # ------------------------------------------------------------------
     # Pairing (incremental: __init__ and extend share one code path)
 
-    def _apply(self, new_ops: Sequence[Op]) -> HistoryDelta:
+    def _apply(self, new_ops: Sequence[Op]) -> tuple:
         """Fold further operations into the pairing state.
 
         Each invocation reserves its slot at the end of the
@@ -188,6 +188,8 @@ class History:
         transaction then.  Not atomic on error: a malformed operation
         raises mid-way and leaves the history partially extended, so
         callers that survive errors must treat the history as poisoned.
+        Returns the batch's invocations (ids in invocation order) and its
+        upgrades, from which :meth:`extend` builds its delta.
         """
         new_ops = tuple(new_ops)
         transactions = self.transactions
@@ -254,10 +256,7 @@ class History:
         self.ops += new_ops
         if last is not None:
             self._max_index = last
-        return HistoryDelta(
-            new=tuple(transactions[pos_by_id[i]] for i in fresh),
-            upgraded=tuple(upgraded),
-        )
+        return fresh, upgraded
 
     def extend(self, new_ops: Sequence[Op]) -> HistoryDelta:
         """Append further operations in place; the streaming ingest path.
@@ -269,7 +268,13 @@ class History:
         :meth:`index`, if built, is extended in place rather than rebuilt.
         Returns the :class:`HistoryDelta` describing what changed.
         """
-        delta = self._apply(new_ops)
+        fresh, upgraded = self._apply(new_ops)
+        transactions = self.transactions
+        pos_by_id = self._pos_by_id
+        delta = HistoryDelta(
+            new=tuple(transactions[pos_by_id[i]] for i in fresh),
+            upgraded=tuple(upgraded),
+        )
         if self._index is not None and (delta.new or delta.upgraded):
             dirty = self._index.extend(delta.new, delta.upgraded)
             delta = delta._replace(dirty_keys=frozenset(dirty))

@@ -1,270 +1,203 @@
-"""A single-pass, per-key *columnar* index over a history.
+"""A per-key index over a history, stored as one table of micro-op rows.
 
 Elle's dependency inference (§4–§5) is per-key by construction — version
 orders, write indexes, and wr/ww/rw edges are all derived key by key — yet
 the raw :class:`~repro.history.history.History` is transaction-major.  A
-:class:`HistoryIndex` makes one pass over the transactions and materializes
-everything the per-key analysis plans in :mod:`repro.core.keyspace` consume.
+:class:`HistoryIndex` interns the history once into flat columns, and each
+analysis plan in :mod:`repro.core.keyspace` regroups its keys' rows.
 
-**Interned, columnar layout.**  The analyzers' hot loops never touch
-:class:`~repro.history.ops.Transaction` objects; everything they need is
-interned to dense integers during the single build pass and stored in flat
-parallel arrays:
+**Micro-op rows.**  Every micro-op is one row of five parallel,
+append-only columns: transaction position (``row_txn``), micro-op
+position in that transaction (``row_seq``), interned key id
+(``row_key``), kind (``row_kind``) and value (``row_val``; list-valued
+committed reads become tuples).  Rows stay in observation order, so a
+transaction's rows are one run that a binary search over ``row_txn``
+finds.  The build gathers the micro-ops' fields with C-level ``map`` and
+``chain`` into numpy, with no Python step per micro-op.  Lists indexed by
+key id hold what is truly per key: ``key_version`` (a mutation stamp from
+one index-wide clock, so it never repeats), ``key_first`` and
+``key_first_read`` (first appearance and first committed value-bearing
+read, as :data:`Seq` positions) and ``key_last`` (the last position
+touching the key).  ``key_order`` and ``read_key_order`` sort the live keys
+(``key_ids``) by those first positions.
 
-* transactions intern to their *list position* — per-position arrays
-  (``txn_ids``, ``txn_committed``, ``txn_aborted``, ``txn_process``,
-  ``txn_invoke``, ``txn_complete``, ``txn_prev``, ``internal_candidates``)
-  answer every status/interval question with one index instead of an
-  attribute chain, and the *completion log* (``rt_complete``,
-  ``rt_reach``, ``rt_ids``) lists committed completions in time order —
-  the two inputs from which :mod:`repro.core.orders` derives any
-  transaction's process and real-time in-edges;
-* keys map to their :class:`KeySlice` (``slices[key]``); the two key
-  orders (``key_order`` by first appearance, ``read_key_order`` by first
-  committed read) are lists of keys, regenerated after every extension;
-* written values intern to their first writer's position: each slice's
-  ``first_writer`` maps value -> writer position, the per-key restriction
-  of the global write index with the Transaction object replaced by an int;
-* each :class:`KeySlice` stores its micro-op stream, write stream, and
-  committed reads as parallel ``(txn position, mop position, value)``
-  arrays — ints and raw values, no per-slot tuple or dataclass objects.
+**Pass views.**  :meth:`HistoryIndex.view` gathers the writes and
+committed reads of a key list and sorts them once by key rank, keeping
+observation order within a key.  That :class:`RowView` is what every
+analyzer pass reads, first writers included.
 
-The plans read the arrays.  The one object-level derivation is
-``write_map(slice)``, a :class:`HistoryIndex` method taking a slice (the
-suspicious-read walk); a :class:`KeySlice` itself is a plain slotted
-record with no reference back to its index.  The whole-index passes read
-:meth:`HistoryIndex.columns` instead: the streams of a list of keys
-concatenated in that order, with transaction status gathered at the
-slots' positions through :func:`take`.
+**Transactions.**  Per-position arrays (``txn_ids``, ``txn_committed``,
+``txn_aborted``, ``txn_process``, ``txn_invoke``, ``txn_complete``,
+``txn_prev``, ``internal_candidates``) answer every status question with
+one index, and the *completion log* (``rt_complete``, ``rt_reach``,
+``rt_ids``) lists committed completions in time order — the inputs from
+which :mod:`repro.core.orders` derives process and real-time in-edges.
+The index's ``transactions`` list and ``pos_by_id`` map *are* the
+history's own objects, and the index is cached on the history
+(``history.index()``), so the checker, plans and streams share one build.
 
-**One transaction table.**  The index does not copy the observation: its
-``transactions`` list and ``pos_by_id`` map *are* the history's own
-objects.  The history appends, upgrades and retires entries in place; the
-index only adds the per-position columns derived from them.
-
-The index is cached on the history (``history.index()``), so the checker,
-plans, and the streaming layer share one build.
-
-**Incremental extension.**  ``History.extend`` first grows the shared
-transaction table, then keeps the cached index alive by calling
-:meth:`HistoryIndex.extend` with the appended transactions and any
-*upgraded* ones (a pending invocation whose completion arrived, turning a
-provisional indeterminate transaction into its final form).  New
-transactions append their column rows and their slots to the affected
-slices in place; a slice touched by an upgraded transaction is rebuilt from
-its own transaction set — never by re-scanning the whole history.
-Retirement is split the same way: the history clears retired entries from
-the shared table and :meth:`HistoryIndex.retire` drops the settled keys'
-slices, remembering only their names.  Every observation-order position
-is a ``(transaction position, micro-op position)`` pair, which is stable
-under append-only growth, so candidates recorded before an extension stay
-comparable with ones recorded after it.  Each slice carries a ``version`` counter that
-bumps on any mutation; the streaming checker keys its per-key result cache
-on it.
+**Incremental extension.**  ``History.extend`` grows the shared
+transaction table, then calls :meth:`HistoryIndex.extend` with the
+appended transactions and the *upgraded* ones (a pending invocation whose
+completion arrived).  Appended transactions append their rows, an upgrade
+rewrites its own transaction's run of rows, and the touched keys re-read
+their per-key columns from their rows in one vectorized pass.
+:meth:`HistoryIndex.retire` drops the rows of settled keys and renumbers
+the live ones.  ``(transaction position, micro-op position)`` pairs are
+stable under append-only growth, so positions recorded before an
+extension stay comparable with ones recorded after it.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, is_, is_not, itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.profiling import stage
 from ..errors import RetiredKeyError, WorkloadError
-from .ops import OpType, READ, MicroOp, Transaction
+from .ops import OpType, READ, Transaction
 
 
 #: An observation-order position: (transaction position, micro-op position).
 #: Lexicographic comparison equals the historical transaction-major scan
 #: order, and — unlike a flat running counter — stays stable when the
-#: transaction list grows or a transaction's micro-ops are re-scanned.
+#: transaction list grows or a transaction's micro-ops are rewritten.
 Seq = Tuple[int, int]
 
-
-class KeySlice:
-    """Everything one key contributed to a history, in observation order.
-
-    The streams are *columnar*: ``op_txn[i]`` is the transaction position
-    of the key's ``i``-th micro-op slot (all completion types included),
-    and ``w_txn``/``w_seq``/``w_val`` and ``r_txn``/``r_seq``/``r_val``
-    are the parallel write and committed-read substreams the analyzers
-    consume; each slot's micro-op position (``*_seq``) lets a pass merge
-    the substreams back into observation order.  List-valued read
-    observations are normalized to tuples once, at build time.
-    ``first_writer`` maps written value -> first writing transaction's
-    *position* (the interned per-key write index).
-
-    ``version`` counts mutations (appended slots or rebuilds); any cached
-    derivation from the slice is valid exactly while the version matches.
-    ``first_seq`` / ``first_read_seq`` are the key's first appearance and
-    first committed value-bearing read, as :data:`Seq` positions; they
-    define the key orderings.  ``_dup`` / ``_none_write`` are the slice-local
-    write-uniqueness violation candidates (the index-wide first violation
-    is the minimum over slices).
-
-    A plain record: every derivation that needs the transaction columns is
-    a :class:`HistoryIndex` method taking the slice.
-    """
-
-    __slots__ = (
-        "key",
-        "version",
-        "op_txn",
-        "w_txn",
-        "w_seq",
-        "w_val",
-        "r_txn",
-        "r_seq",
-        "r_val",
-        "first_writer",
-        "first_seq",
-        "first_read_seq",
-        "_dup",
-        "_none_write",
-    )
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-        self.version = 0
-        self.op_txn: List[int] = []
-        self.w_txn: List[int] = []
-        self.w_seq: List[int] = []
-        self.w_val: List[Any] = []
-        self.r_txn: List[int] = []
-        self.r_seq: List[int] = []
-        self.r_val: List[Any] = []
-        self.first_writer: Dict[Any, int] = {}
-        self.first_seq: Optional[Seq] = None
-        self.first_read_seq: Optional[Seq] = None
-        #: (seq, key, value, first writer pos, second writer pos)
-        self._dup: Optional[Tuple[Seq, Any, Any, int, int]] = None
-        #: (seq, key, writer pos)
-        self._none_write: Optional[Tuple[Seq, Any, int]] = None
-
-    def _reset(self) -> None:
-        """Clear derived state before a rebuild (identity fields survive)."""
-        self.op_txn = []
-        self.w_txn = []
-        self.w_seq = []
-        self.w_val = []
-        self.r_txn = []
-        self.r_seq = []
-        self.r_val = []
-        self.first_writer = {}
-        self.first_seq = None
-        self.first_read_seq = None
-        self._dup = None
-        self._none_write = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"KeySlice({self.key!r}, ops={len(self.op_txn)}, "
-            f"writes={len(self.w_txn)}, reads={len(self.r_txn)})"
-        )
+#: Row kinds: a write, a committed read with a value, a committed read of
+#: an unknown value (None), and any other read (of an aborted or
+#: indeterminate transaction; no analyzer reads those).
+WRITE_ROW, READ_ROW, NULL_ROW, OTHER_ROW = 0, 1, 2, 3
 
 
-class IndexColumns:
-    """Whole-index CSR columns: every key's streams concatenated flat.
+def _gather(column, rows, dtype=np.int64) -> np.ndarray:
+    """``column[rows]``, a copy, for an ``array``/``bytearray`` row column
+    (the buffer view ends with the call, so the column stays free to grow)."""
+    picked = np.frombuffer(column, dtype=dtype)[rows]
+    return picked.copy() if isinstance(rows, slice) else picked
 
-    The per-key :class:`KeySlice` arrays answer "what happened on key k";
-    the whole-index analyzer passes want "what happened on *every* key"
-    as one vectorizable pass.  ``IndexColumns`` concatenates the
-    committed-read and write substreams of the given keys, in the given
-    order (list-append passes ``read_key_order``, rw-register
-    ``key_order``), into single numpy arrays with per-key ``indptr``
-    offsets — the same CSR shape :mod:`repro.graph.csr` uses for
-    adjacency.  ``r_seq``/``w_seq`` carry each slot's micro-op position,
-    so one sort by (key, transaction position, micro-op position)
-    restores observation order across both substreams; they are built on
-    first use (rw-register's version sources read them, list-append's
-    pass never does).  Values stay as
-    flat Python lists (they are arbitrary objects); everything integral
-    is int64.
 
-    ``r_key``/``w_key`` give each slot's key index.  ``w_final`` marks
-    the last write of each ``(key, txn)`` run — for
-    list-append keys that is the writer's final append, the candidate
-    element of the installed version order.  The view holds slot columns
-    only, so it costs its keys' slots: a pass reads the per-position
-    transaction columns at its slots' positions with :func:`take`.
+class RowView:
+    """The writes and committed reads of a key list, key-major.
 
-    Built lazily via :meth:`HistoryIndex.columns` and cached against the
-    index mutation clock, so batch re-checks share one build and any
-    extension invalidates it.
+    ``r_*`` columns are the committed reads and ``w_*`` the writes: each
+    row's key index (``*_key``, an index into ``keys``), transaction
+    position (``*_txn``), micro-op position (``*_seq``) and value
+    (``*_val``, a list), with per-key offsets (``*_indptr``).  Within a
+    key, rows are in observation order.  ``w_final`` marks the last write
+    of each ``(key, txn)`` run — for list-append keys the writer's final
+    append, the candidate element of the installed version order.
+
+    First writers come from the same rows: ``first[k]`` maps each value
+    written to key ``k`` to its first write slot, in first-write order,
+    and ``w_first`` gives each write slot the first slot of its value.
     """
 
     __slots__ = (
         "keys",
         "r_txn",
-        "r_indptr",
+        "r_seq",
         "r_key",
+        "r_indptr",
         "r_val",
         "w_txn",
-        "w_indptr",
+        "w_seq",
         "w_key",
+        "w_indptr",
         "w_val",
         "w_final",
-        "_slices",
-        "_seq",
+        "first",
+        "w_first",
     )
 
     def __init__(self, index: "HistoryIndex", keys: Sequence[Any]) -> None:
         self.keys: List[Any] = list(keys)
-        slices = [index.slices[key] for key in self.keys]
-        nk = len(slices)
-        r_counts = np.zeros(nk + 1, dtype=np.int64)
-        w_counts = np.zeros(nk + 1, dtype=np.int64)
-        r_counts[1:] = [len(entry.r_txn) for entry in slices]
-        w_counts[1:] = [len(entry.w_txn) for entry in slices]
-        self.r_indptr = r_counts.cumsum()
-        self.w_indptr = w_counts.cumsum()
-        n_r = int(self.r_indptr[-1])
-        n_w = int(self.w_indptr[-1])
-
-        self._slices = slices
-        self._seq: Dict[str, np.ndarray] = {}
-        self.r_txn = self._column("r_txn", n_r)
-        self.w_txn = self._column("w_txn", n_w)
-        self.r_val = list(chain.from_iterable(entry.r_val for entry in slices))
-        self.w_val = list(chain.from_iterable(entry.w_val for entry in slices))
-        key_ids = np.arange(nk, dtype=np.int64)
-        self.r_key = key_ids.repeat(r_counts[1:])
-        self.w_key = w_key = key_ids.repeat(w_counts[1:])
-        # Last write of each (key, txn) run.  Writes are key-major (by
-        # construction) and, within a key, transaction-major with each
-        # transaction's writes consecutive, so a run ends where either
-        # the writer or the key changes.
+        nk = len(self.keys)
+        rank = np.full(len(index.key_names), -1, dtype=np.int64)
+        rank[np.fromiter(map(index.key_ids.__getitem__, self.keys), np.int64, nk)] = (
+            np.arange(nk, dtype=np.int64)
+        )
+        row_rank = rank[_gather(index.row_key, slice(None))]
+        kind = _gather(index.row_kind, slice(None), np.uint8)
+        rows = ((row_rank >= 0) & (kind <= NULL_ROW)).nonzero()[0]
+        row_rank = row_rank[rows]
+        # One stable sort by rank groups the keys and keeps observation
+        # order inside each; ranks that fit 16 bits take numpy's radix sort.
+        order = np.argsort(
+            row_rank.astype(np.uint16) if nk <= 1 << 16 else row_rank,
+            kind="stable",
+        )
+        rows = rows[order]
+        row_rank = row_rank[order]
+        read = kind[rows] != WRITE_ROW
+        values = index.row_val
+        for side, mask in (("r", read), ("w", ~read)):
+            picked = rows[mask]
+            key = row_rank[mask]
+            indptr = np.zeros(nk + 1, dtype=np.int64)
+            np.cumsum(np.bincount(key, minlength=nk), out=indptr[1:])
+            setattr(self, side + "_key", key)
+            setattr(self, side + "_indptr", indptr)
+            setattr(self, side + "_txn", _gather(index.row_txn, picked))
+            setattr(self, side + "_seq", _gather(index.row_seq, picked))
+            setattr(self, side + "_val", list(map(values.__getitem__, picked.tolist())))
+        # Last write of each (key, txn) run: writes are key-major and,
+        # within a key, in observation order, so a transaction's writes
+        # are consecutive and a run ends where the writer or the key
+        # changes.
+        n_w = len(self.w_txn)
         w_final = np.empty(n_w, dtype=bool)
         if n_w:
             w_final[-1] = True
             w_final[:-1] = (self.w_txn[1:] != self.w_txn[:-1]) | (
-                w_key[1:] != w_key[:-1]
+                self.w_key[1:] != self.w_key[:-1]
             )
         self.w_final = w_final
+        # First writers: per key, each written value's first write slot,
+        # in first-write order, and each write slot's value's first slot.
+        self.first: List[Dict[Any, int]] = []
+        w_first: List[int] = []
+        bounds = self.w_indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            first: Dict[Any, int] = {}
+            w_first.extend(map(first.setdefault, self.w_val[lo:hi], range(lo, hi)))
+            self.first.append(first)
+        self.w_first = np.array(w_first, dtype=np.int64)
 
-    def _column(self, name: str, n: int) -> np.ndarray:
-        # The slices' lists chain straight into numpy: one pass, and no
-        # concatenated Python list in between.
-        streams = (getattr(entry, name) for entry in self._slices)
-        return np.fromiter(chain.from_iterable(streams), np.int64, n)
+    def head(self, m: int) -> "RowView":
+        """The view of the first ``m`` keys: key-major columns make it a
+        prefix of every column."""
+        if m == len(self.keys):
+            return self
+        view = RowView.__new__(RowView)
+        r, w = self.r_indptr[m], self.w_indptr[m]
+        view.keys = self.keys[:m]
+        view.first = self.first[:m]
+        for name in ("r_indptr", "w_indptr"):
+            setattr(view, name, getattr(self, name)[: m + 1])
+        for side, end in (("r", r), ("w", w)):
+            for column in ("txn", "seq", "key", "val"):
+                name = f"{side}_{column}"
+                setattr(view, name, getattr(self, name)[:end])
+        view.w_final = self.w_final[:w]
+        view.w_first = self.w_first[:w]
+        return view
 
-    @property
-    def r_seq(self) -> np.ndarray:
-        if "r_seq" not in self._seq:
-            self._seq["r_seq"] = self._column("r_seq", len(self.r_txn))
-        return self._seq["r_seq"]
-
-    @property
-    def w_seq(self) -> np.ndarray:
-        if "w_seq" not in self._seq:
-            self._seq["w_seq"] = self._column("w_seq", len(self.w_txn))
-        return self._seq["w_seq"]
+    def write_map(
+        self, k: int, transactions: Sequence[Transaction]
+    ) -> Dict[Any, Transaction]:
+        """Key ``k``'s written values -> their first writing Transaction."""
+        w_txn = self.w_txn
+        return {value: transactions[w_txn[s]] for value, s in self.first[k].items()}
 
 
 class HistoryIndex:
-    """Per-key columnar views of a history, computed in one pass and shared.
+    """The micro-op rows of a history and its per-key and per-position columns.
 
     ``transactions`` and ``pos_by_id`` are the owning history's own list
     and map.  The index holds those two objects rather than the history:
@@ -275,7 +208,17 @@ class HistoryIndex:
     __slots__ = (
         "transactions",
         "pos_by_id",
-        "slices",
+        "row_txn",
+        "row_seq",
+        "row_key",
+        "row_kind",
+        "row_val",
+        "key_ids",
+        "key_names",
+        "key_version",
+        "key_first",
+        "key_first_read",
+        "key_last",
         "retired_keys",
         "key_order",
         "read_key_order",
@@ -293,7 +236,9 @@ class HistoryIndex:
         "mop_fns",
         "_last_committed",
         "_clock",
-        "_columns",
+        "_view",
+        "_unchecked",
+        "_violations",
     )
 
     def __init__(
@@ -304,9 +249,21 @@ class HistoryIndex:
     ) -> None:
         self.transactions = transactions
         self.pos_by_id = pos_by_id
-        #: Live keys only: a retired key's slice is dropped and its name
-        #: moves to ``retired_keys`` (any later operation on it raises).
-        self.slices: Dict[Any, KeySlice] = {}
+        #: The micro-op rows, in observation order.
+        self.row_txn = array("q")
+        self.row_seq = array("q")
+        self.row_key = array("q")
+        self.row_kind = bytearray()
+        self.row_val: List[Any] = []
+        #: Live keys only: a retired key's name moves to ``retired_keys``
+        #: (any later operation on it raises), and a key an upgrade left
+        #: without rows leaves ``key_ids`` until retirement renumbers.
+        self.key_ids: Dict[Any, int] = {}
+        self.key_names: List[Any] = []
+        self.key_version: List[int] = []
+        self.key_first: List[Optional[Seq]] = []
+        self.key_first_read: List[Optional[Seq]] = []
+        self.key_last: List[int] = []
         self.retired_keys: Set[Any] = set()
         self.key_order: List[Any] = []
         self.read_key_order: List[Any] = []
@@ -342,45 +299,39 @@ class HistoryIndex:
         #: validation uses it to skip its per-mop scan when every function
         #: is one the analyzer understands.
         self.mop_fns: Set[str] = set()
-        #: Index-wide monotonic mutation clock.  Slice versions are drawn
-        #: from it, so a version can never repeat — even when a slice is
-        #: deleted (an upgrade dropped its key) and later recreated, the
-        #: new slice's versions exceed every version the old one had.
-        #: Anything cached against a (key, version) pair stays sound.
+        #: Index-wide monotonic mutation clock; key versions are drawn
+        #: from it, so a version never repeats, even for a key an upgrade
+        #: dropped and a later operation recreated.
         self._clock = 0
-        #: (clock, key order, IndexColumns): the cached whole-index column
-        #: view, rebuilt when the mutation clock moves.  Not pickled.
-        self._columns: Optional[Tuple[int, List[Any], IndexColumns]] = None
+        #: (clock, RowView): the last pass view.  Not pickled.
+        self._view: Optional[Tuple[int, RowView]] = None
+        #: Keys whose rows changed since the write-uniqueness check last
+        #: read them, and each checked key's first violations (see
+        #: :meth:`first_violations`); keys without one are left out.
+        self._unchecked: Set[Any] = set()
+        self._violations: Dict[Any, Tuple[Optional[tuple], Optional[tuple]]] = {}
         with stage(profile, "index/scan"):
-            self._register_txns(0, self.transactions)
-            scan = self._scan_txn
-            for pos, txn in enumerate(self.transactions):
-                scan(pos, txn)
+            self._summarize(self._fold([], 0, self.transactions))
             self._log_completions(np.arange(len(self.transactions)))
         with stage(profile, "index/orders"):
             self._regenerate_orders()
         if profile is not None:
             profile.count("index.txns", len(self.transactions))
-            profile.count("index.keys", len(self.slices))
-            profile.count(
-                "index.interned_values",
-                sum(len(s.first_writer) for s in self.slices.values()),
-            )
+            profile.count("index.keys", len(self.key_ids))
+            profile.count("index.rows", len(self.row_kind))
 
     # ------------------------------------------------------------------
     # Pickling (service checkpoints serialize whole checker states)
 
     def __getstate__(self) -> dict:
-        # ``_columns`` is a derived numpy cache: cheap to rebuild, not
-        # worth serializing into service checkpoints.
+        # ``_view`` is a derived numpy cache: cheap to rebuild, not worth
+        # serializing into service checkpoints.
         return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_columns"
+            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_view"
         }
 
     def __setstate__(self, state: dict) -> None:
-        self._columns = None
+        self._view = None
         for slot, value in state.items():
             setattr(self, slot, value)
 
@@ -393,8 +344,7 @@ class HistoryIndex:
         """Append transaction rows to the per-position columns, in bulk.
 
         The candidate bit for the internal-consistency screen is appended
-        by :meth:`_scan_txn` (which walks the micro-ops anyway); callers
-        must scan each registered transaction exactly once, in order.
+        by :meth:`_fold`, from the transactions' micro-op rows.
         """
         last_committed = self._last_committed
         prev_append = self.txn_prev.append
@@ -434,7 +384,6 @@ class HistoryIndex:
         self.txn_aborted[pos] = 1 if type_ is OpType.FAIL else 0
         complete = txn.complete_index
         self.txn_complete[pos] = -1 if complete is None else complete
-        self.internal_candidates[pos] = self._internal_candidate(txn)
 
     def _log_completions(self, positions: np.ndarray) -> None:
         """Append the committed, completed ``positions`` to the completion log.
@@ -457,127 +406,161 @@ class HistoryIndex:
         self.rt_reach.frombytes(reach.tobytes())
         self.rt_ids.frombytes(take(self.txn_ids, positions).tobytes())
 
-    @staticmethod
-    def _internal_candidate(txn: Transaction) -> int:
-        """1 iff some read-with-value follows an earlier same-key micro-op."""
-        seen = set()
-        add = seen.add
-        for mop in txn.mops:
-            key = mop.key
-            if key in seen:
-                if mop.fn == READ and mop.value is not None:
-                    return 1
-            else:
-                add(key)
-        return 0
+    def _intern_keys(self, names: List[Any]) -> np.ndarray:
+        """Each name's key id, interning new keys in first-appearance order."""
+        ids = self.key_ids
+        fresh = [name for name in dict.fromkeys(names) if name not in ids]
+        for name in fresh:
+            if name in self.retired_keys:
+                raise RetiredKeyError(name)
+        for name in fresh:
+            ids[name] = len(self.key_names)
+            self.key_names.append(name)
+            self.key_version.append(0)
+            self.key_first.append(None)
+            self.key_first_read.append(None)
+            self.key_last.append(-1)
+        return np.fromiter(map(ids.__getitem__, names), np.int64, len(names))
 
-    def _scan_txn(self, pos: int, txn: Transaction) -> None:
-        """Fold one transaction's micro-ops into the key slices.
+    def _rows(self, positions: np.ndarray, txns: Sequence[Transaction]):
+        """The micro-op rows of ``txns`` (at ``positions``), as columns.
 
-        Also appends the transaction's internal-consistency candidate bit
-        (tracked from the same walk of the micro-ops).  The slot fold is
-        inlined — this loop runs once per micro-op in the history;
-        :meth:`_fold_slot` is the single-slot twin used by slice rebuilds
-        and must stay in lockstep with this body.
+        Returns ``(txn, seq, key, kind, values, candidates)``, where
+        ``candidates`` holds each transaction's internal-consistency bit.
+        Transaction status is read from the per-position columns, which
+        must already hold ``positions``.
         """
-        slices = self.slices
-        committed = txn.type is OpType.OK
-        clock = self._clock + 1
-        self._clock = clock
-        candidate = 0
-        seen_keys = set()
-        seen_add = seen_keys.add
-        fns_add = self.mop_fns.add
-        for mop_seq, mop in enumerate(txn.mops):
-            fns_add(mop.fn)
-            key = mop.key
-            entry = slices.get(key)
-            if entry is None:
-                if key in self.retired_keys:
-                    raise RetiredKeyError(key)
-                entry = slices[key] = KeySlice(key)
-            entry.version = clock
-            if entry.first_seq is None:
-                entry.first_seq = (pos, mop_seq)
-            entry.op_txn.append(pos)
-            value = mop.value
-            if mop.fn == READ:
-                if not candidate and value is not None and key in seen_keys:
-                    candidate = 1
-                if committed:
-                    if type(value) is list:
-                        value = tuple(value)
-                    entry.r_txn.append(pos)
-                    entry.r_seq.append(mop_seq)
-                    entry.r_val.append(value)
-                    if value is not None and entry.first_read_seq is None:
-                        entry.first_read_seq = (pos, mop_seq)
-            else:
-                entry.w_txn.append(pos)
-                entry.w_seq.append(mop_seq)
-                entry.w_val.append(value)
-                if value is None and entry._none_write is None:
-                    entry._none_write = ((pos, mop_seq), key, pos)
-                first = entry.first_writer.setdefault(value, pos)
-                if first != pos and entry._dup is None:
-                    entry._dup = ((pos, mop_seq), key, value, first, pos)
-            seen_add(key)
-        self.internal_candidates.append(candidate)
+        mops = list(map(attrgetter("mops"), txns))
+        counts = np.fromiter(map(len, mops), np.int64, len(mops))
+        flat = list(chain.from_iterable(mops))
+        n = len(flat)
+        txn = positions.repeat(counts)
+        seq = np.arange(n, dtype=np.int64) - (counts.cumsum() - counts).repeat(counts)
+        fns = list(map(attrgetter("fn"), flat))
+        values = list(map(attrgetter("value"), flat))
+        self.mop_fns.update(fns)
+        key = self._intern_keys(list(map(attrgetter("key"), flat)))
+        read = np.fromiter(map(eq, fns, repeat(READ)), bool, n)
+        committed = read & (take(self.txn_committed, txn) != 0)
+        if list in set(map(type, values)):
+            lists = np.fromiter(map(is_, map(type, values), repeat(list)), bool, n)
+            for i in (lists & committed).nonzero()[0].tolist():
+                values[i] = tuple(values[i])
+        known = np.fromiter(map(is_not, values, repeat(None)), bool, n)
+        kind = np.where(
+            committed,
+            np.where(known, READ_ROW, NULL_ROW),
+            np.where(read, OTHER_ROW, WRITE_ROW),
+        ).astype(np.uint8)
+        # A read with a value that repeats its transaction's earlier key:
+        # a stable sort by (transaction, key) puts each such row after the
+        # first row of its pair.
+        code = txn * max(len(self.key_names), 1) + key
+        order = np.argsort(code, kind="stable")
+        repeated = np.zeros(n, dtype=bool)
+        repeated[order[1:]] = code[order[1:]] == code[order[:-1]]
+        candidates = np.zeros(len(txns), dtype=np.uint8)
+        hits = (repeated & read & known).nonzero()[0]
+        candidates[np.searchsorted(positions, txn[hits])] = 1
+        return txn, seq, key, kind, values, candidates
 
-    def _fold_slot(
-        self,
-        entry: KeySlice,
-        pos: int,
-        mop_seq: int,
-        mop: MicroOp,
-        committed: bool,
-    ) -> None:
-        """Fold one micro-op slot into a slice (rebuild path).
+    def _fold(
+        self, upgraded: List[int], base: int, txns: Sequence[Transaction]
+    ) -> np.ndarray:
+        """Rewrite each ``upgraded`` position's run of rows for its final
+        form, and register ``txns`` at positions ``base...`` and append
+        their rows; returns the key ids of the rows written or replaced."""
+        for pos in upgraded:
+            self._update_txn(pos, self.transactions[pos])
+        self._register_txns(base, txns)
+        folded = [self.transactions[pos] for pos in upgraded] + list(txns)
+        positions = np.append(
+            np.array(upgraded, dtype=np.int64), np.arange(base, base + len(txns))
+        )
+        txn, seq, key, kind, values, candidates = self._rows(positions, folded)
+        row_txn = self.row_txn
+        replaced: List[int] = []
+        end = 0
+        for pos, candidate, count in zip(
+            upgraded, candidates.tolist(), map(len, map(attrgetter("mops"), folded))
+        ):
+            self.internal_candidates[pos] = candidate
+            lo = bisect_left(row_txn, pos)
+            hi = bisect_right(row_txn, pos)
+            replaced += self.row_key[lo:hi]
+            new = slice(end, end + count)
+            end += count
+            row_txn[lo:hi] = array("q", txn[new].tobytes())
+            self.row_seq[lo:hi] = array("q", seq[new].tobytes())
+            self.row_key[lo:hi] = array("q", key[new].tobytes())
+            self.row_kind[lo:hi] = kind[new].tobytes()
+            self.row_val[lo:hi] = values[new]
+        self.internal_candidates += candidates[len(upgraded) :].tobytes()
+        row_txn.frombytes(txn[end:].tobytes())
+        self.row_seq.frombytes(seq[end:].tobytes())
+        self.row_key.frombytes(key[end:].tobytes())
+        self.row_kind += kind[end:].tobytes()
+        self.row_val.extend(values[end:])
+        return np.append(key, np.array(replaced, dtype=np.int64))
 
-        Must mirror the inlined body of :meth:`_scan_txn` exactly; the
-        index property tests compare extended indexes against fresh builds,
-        which pins the two in lockstep.
-        """
-        if entry.first_seq is None:
-            entry.first_seq = (pos, mop_seq)
-        entry.op_txn.append(pos)
-        self.mop_fns.add(mop.fn)
-        value = mop.value
-        key = entry.key
-        if mop.fn == READ:
-            if committed:
-                if type(value) is list:
-                    value = tuple(value)
-                entry.r_txn.append(pos)
-                entry.r_seq.append(mop_seq)
-                entry.r_val.append(value)
-                if value is not None and entry.first_read_seq is None:
-                    entry.first_read_seq = (pos, mop_seq)
-        else:
-            entry.w_txn.append(pos)
-            entry.w_seq.append(mop_seq)
-            entry.w_val.append(value)
-            if value is None and entry._none_write is None:
-                entry._none_write = ((pos, mop_seq), key, pos)
-            first = entry.first_writer.setdefault(value, pos)
-            if first != pos and entry._dup is None:
-                entry._dup = ((pos, mop_seq), key, value, first, pos)
+    def _summarize(self, keys: np.ndarray) -> Set[Any]:
+        """Re-read the per-key columns of key ids ``keys`` from their rows,
+        stamp them with a fresh version and mark them for the next
+        uniqueness check; returns their names.  A key left with no rows
+        leaves the index, as if it never appeared."""
+        mark = np.zeros(len(self.key_names), dtype=bool)
+        mark[keys] = True
+        row_key = _gather(self.row_key, slice(None))
+        rows = mark[row_key].nonzero()[0]
+        end = len(row_key)  # no such row
+        first = np.full(len(mark), end, dtype=np.int64)
+        np.minimum.at(first, row_key[rows], rows)
+        last = np.full(len(mark), -1, dtype=np.int64)
+        np.maximum.at(last, row_key[rows], rows)
+        reads = rows[_gather(self.row_kind, rows, np.uint8) == READ_ROW]
+        first_read = np.full(len(mark), end, dtype=np.int64)
+        np.minimum.at(first_read, row_key[reads], reads)
+        self._clock += 1
+        names = set()
+        marked = mark.nonzero()[0]
+        for k, f, lst, fr in zip(
+            marked.tolist(),
+            first[marked].tolist(),
+            last[marked].tolist(),
+            first_read[marked].tolist(),
+        ):
+            name = self.key_names[k]
+            names.add(name)
+            self.key_version[k] = self._clock
+            if f == end:
+                del self.key_ids[name]
+                continue
+            self.key_first[k] = (self.row_txn[f], self.row_seq[f])
+            self.key_last[k] = self.row_txn[lst]
+            self.key_first_read[k] = (
+                None if fr == end else (self.row_txn[fr], self.row_seq[fr])
+            )
+        self._unchecked |= names
+        return names
 
     def _regenerate_orders(self) -> None:
-        """Derive both key orderings from the slices' recorded positions.
+        """Derive both key orderings from the recorded first positions.
 
         Sorting by first-appearance position reproduces the historical
         append order exactly (positions are unique and transaction-major),
         while also absorbing the rare upgrade that shifts a key's first
         committed read into the middle of the order.
         """
-        ordered = sorted(self.slices.values(), key=lambda s: s.first_seq)
-        self.key_order[:] = [s.key for s in ordered]
+        first = self.key_first
+        first_read = self.key_first_read
+        names = self.key_names
+        order = sorted(self.key_ids.values(), key=first.__getitem__)
+        self.key_order[:] = [names[k] for k in order]
         self.read_key_order[:] = [
-            s.key
-            for s in sorted(
-                (s for s in ordered if s.first_read_seq is not None),
-                key=lambda s: s.first_read_seq,
+            names[k]
+            for k in sorted(
+                (k for k in order if first_read[k] is not None),
+                key=first_read.__getitem__,
             )
         ]
 
@@ -595,170 +578,144 @@ class HistoryIndex:
         ``new_txns`` are the transactions appended at its end (in
         invocation order), and ``upgraded`` ``(old, new)`` pairs for
         provisional indeterminate transactions whose completion arrived.
-        Slices touched only by appends grow in place; slices touched by an
-        upgrade are rebuilt from their own transaction set, because an
-        upgrade can change committed-read membership, write-map winners,
-        and interaction streams anywhere in the slice's stream.  Returns
-        the set of keys whose slices changed.
+        Returns the set of keys whose rows changed.
         """
-        pos_of = self.pos_by_id
-        dirty: Set[Any] = set()
-        extra_scan: Dict[Any, Set[int]] = {}
-        completed: List[int] = []
-        for old, new in upgraded:
-            position = pos_of[new.id]
-            self._update_txn(position, new)
-            completed.append(position)
-            for mop in old.mops:
-                dirty.add(mop.key)
-            for mop in new.mops:
-                dirty.add(mop.key)
-                extra_scan.setdefault(mop.key, set()).add(position)
-        for key in dirty:
-            self._rebuild_slice(key, extra_scan.get(key, ()))
+        positions = sorted(self.pos_by_id[new.id] for _old, new in upgraded)
         base = len(self.transactions) - len(new_txns)
-        self._register_txns(base, new_txns)
-        for offset, txn in enumerate(new_txns):
-            self._scan_txn(base + offset, txn)
-            for mop in txn.mops:
-                dirty.add(mop.key)
-        completed.extend(range(base, len(self.transactions)))
-        self._log_completions(np.asarray(completed, dtype=np.int64))
+        dirty = self._summarize(self._fold(positions, base, new_txns))
+        positions.extend(range(base, len(self.transactions)))
+        self._log_completions(np.asarray(positions, dtype=np.int64))
         self._regenerate_orders()
         return dirty
-
-    def _rebuild_slice(self, key: Any, extra_positions: Iterable[int]) -> None:
-        """Re-derive one slice from its own transactions, in position order.
-
-        ``extra_positions`` adds transactions the old slice never saw (an
-        upgrade whose completion introduced the key).  A slice left with no
-        slots (the upgrade dropped the key entirely) is deleted, exactly as
-        if the key had never appeared.
-        """
-        entry = self.slices.get(key)
-        if entry is None:
-            if key in self.retired_keys:
-                # Unreachable when retirement eligibility held (a
-                # provisional transaction on the key blocks retiring it);
-                # kept as a loud guard rather than silently rebuilding
-                # from an empty stream.
-                raise RetiredKeyError(key)
-            entry = self.slices[key] = KeySlice(key)
-        positions = set(entry.op_txn)
-        positions.update(extra_positions)
-        entry._reset()
-        self._clock += 1
-        entry.version = self._clock  # dirty even if the rebuild is empty
-        transactions = self.transactions
-        for position in sorted(positions):
-            txn = transactions[position]
-            committed = txn.type is OpType.OK
-            for mop_seq, mop in enumerate(txn.mops):
-                if mop.key == key:
-                    self._fold_slot(entry, position, mop_seq, mop, committed)
-        if not entry.op_txn:
-            del self.slices[key]
 
     # ------------------------------------------------------------------
     # Retirement (settled-prefix garbage collection)
 
-    def retire(self, keys: Iterable[Any]) -> Tuple[int, int]:
-        """Drop the slices of settled keys.
+    def retire(self, keys: Iterable[Any]) -> None:
+        """Drop the rows of settled keys and renumber the live ones.
 
-        Each key's slice is released and its name joins ``retired_keys``
-        (any later operation on the key raises
-        :class:`~repro.errors.RetiredKeyError`); the key leaves both key
-        orders, so everything that walks slices or key orders covers live
-        keys only.  Settled transactions are released by
+        Each key's name joins ``retired_keys`` (any later operation on the
+        key raises :class:`~repro.errors.RetiredKeyError`), and the key
+        leaves both key orders.  Settled transactions are released by
         :meth:`~repro.history.history.History.retire_transactions`, which
         clears the shared transaction list; the per-position transaction
         columns and the completion log are *kept*: a live transaction's
-        order in-edges may come from a retired one.  Returns
-        ``(slots_dropped, values_dropped)`` for accounting.
+        order in-edges may come from a retired one.
         """
-        slots = values = 0
-        slices = self.slices
-        for key in keys:
-            entry = slices.pop(key, None)
-            if entry is None:
-                continue
-            slots += len(entry.op_txn)
-            values += len(entry.w_val) + len(entry.r_val)
-            self.retired_keys.add(key)
+        ids = self.key_ids
+        gone = [key for key in keys if key in ids]
         self._clock += 1
+        if gone:
+            for key in gone:
+                del ids[key]
+            self.retired_keys.update(gone)
+            live = np.zeros(len(self.key_names), dtype=bool)
+            live[list(ids.values())] = True
+            keep = live[_gather(self.row_key, slice(None))]
+            renumber = live.cumsum() - 1
+            self.row_txn = array("q", _gather(self.row_txn, keep).tobytes())
+            self.row_seq = array("q", _gather(self.row_seq, keep).tobytes())
+            self.row_key = array(
+                "q", renumber[_gather(self.row_key, keep)].tobytes()
+            )
+            self.row_kind = bytearray(
+                _gather(self.row_kind, keep, np.uint8).tobytes()
+            )
+            self.row_val = list(compress(self.row_val, keep.tolist()))
+            kept = live.tolist()
+            for name in ("names", "version", "first", "first_read", "last"):
+                column = "key_" + name
+                setattr(self, column, list(compress(getattr(self, column), kept)))
+            self.key_ids = {name: k for k, name in enumerate(self.key_names)}
+            for key in gone:
+                self._violations.pop(key, None)
+            self._unchecked.difference_update(gone)
         self._regenerate_orders()
-        return slots, values
 
-    @property
-    def first_duplicate(
-        self,
-    ) -> Optional[Tuple[Seq, Any, Any, Transaction, Transaction]]:
-        """First write collision between two distinct transactions, if any.
-
-        The winner is the earliest candidate across slices in observation
-        order — identical to the historical transaction-major scan.
-        """
-        best = None
-        for entry in self.slices.values():
-            cand = entry._dup
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand
-        if best is None:
-            return None
-        seq, key, value, first, second = best
-        txns = self.transactions
-        return (seq, key, value, txns[first], txns[second])
-
-    @property
-    def first_none_write(self) -> Optional[Tuple[Seq, Any, Transaction]]:
-        """First write of ``None``, if any (registers reserve ``None``)."""
-        best = None
-        for entry in self.slices.values():
-            cand = entry._none_write
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand
-        if best is None:
-            return None
-        seq, key, pos = best
-        return (seq, key, self.transactions[pos])
+    def keys_at(self, positions: Iterable[int]) -> Set[Any]:
+        """The keys the transactions at ``positions`` touch."""
+        row_txn = self.row_txn
+        row_key = self.row_key
+        names = self.key_names
+        found: Set[Any] = set()
+        for pos in positions:
+            lo = bisect_left(row_txn, pos)
+            found.update(map(names.__getitem__, row_key[lo : bisect_right(row_txn, pos)]))
+        return found
 
     # ------------------------------------------------------------------
-    # Per-slice derived view (the slice arrays stay the stored form)
+    # Write uniqueness
 
-    def write_map(self, entry: KeySlice) -> Dict[Any, Transaction]:
-        """A slice's ``first_writer`` with positions resolved to Transactions."""
-        txns = self.transactions
-        return {value: txns[p] for value, p in entry.first_writer.items()}
+    def first_violations(
+        self, keys: Sequence[Any] = ()
+    ) -> Tuple[Optional[tuple], Optional[tuple]]:
+        """The first duplicate write, ``(seq, key, value, first writer pos,
+        writer pos)``, and first write of None, ``(seq, key, writer pos)``,
+        in observation order.  Each key keeps its own; keys whose rows
+        changed since the last call are re-read through one view, listing
+        those in ``keys`` (a plan's) first, so that its pass reads the head.
+        """
+        violations = self._violations
+        unchecked = {key for key in self._unchecked if key in self.key_ids}
+        for key in self._unchecked:
+            violations.pop(key, None)
+        self._unchecked = set()
+        listed = [key for key in keys if key in unchecked]
+        if unchecked:
+            view = self.view(listed + list(unchecked.difference(listed)))
+            w_txn = view.w_txn
+            first = w_txn[view.w_first]
+            none = np.zeros(len(w_txn), dtype=bool)
+            if None in view.w_val:
+                none[:] = np.fromiter(map(is_, view.w_val, repeat(None)), bool, len(w_txn))
+            # Slots are key-major and in observation order within a key,
+            # so walking them backwards leaves each key's first in place.
+            for slot in ((first != w_txn) | none).nonzero()[0][::-1].tolist():
+                key = view.keys[view.w_key[slot]]
+                at = (int(w_txn[slot]), int(view.w_seq[slot]))
+                dup, null = violations.get(key, (None, None))
+                if first[slot] != at[0]:
+                    dup = (at, key, view.w_val[slot], int(first[slot]), at[0])
+                if none[slot]:
+                    null = (at, key, at[0])
+                violations[key] = (dup, null)
+        found = list(violations.values())
+        return tuple(
+            min((v[i] for v in found if v[i] is not None), key=itemgetter(0), default=None)
+            for i in (0, 1)
+        )
 
     # ------------------------------------------------------------------
     # Access
 
-    def columns(self, keys: Sequence[Any]) -> IndexColumns:
-        """The whole-index CSR column view over ``keys``, cached.
+    def view(self, keys: Sequence[Any]) -> RowView:
+        """The :class:`RowView` of ``keys``, cached.
 
         A batch check passes one of the index's own key orders
         (``read_key_order`` for list-append, ``key_order`` for
         rw-register); a stream passes the keys a chunk touched.  The view
         is immutable; any index mutation bumps the clock and the next call
-        rebuilds, as does a call with another key list.
+        rebuilds, as does a call with a list of other keys; a call with a
+        prefix of the cached view's keys gets that view's head.
         """
-        cached = self._columns
-        if cached is not None and cached[0] == self._clock and cached[1] is keys:
-            return cached[2]
-        cols = IndexColumns(self, keys)
-        self._columns = (self._clock, keys, cols)
-        return cols
+        cached = self._view
+        if cached is not None and cached[0] == self._clock:
+            if cached[1].keys[: len(keys)] == keys:
+                return cached[1].head(len(keys))
+        view = RowView(self, keys)
+        self._view = (self._clock, view)
+        return view
 
     def __contains__(self, key: Any) -> bool:
-        return key in self.slices
+        return key in self.key_ids
 
     def __len__(self) -> int:
-        return len(self.slices)
+        return len(self.key_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HistoryIndex({len(self.transactions)} txns, "
-            f"{len(self.slices)} keys)"
+            f"{len(self.key_ids)} keys, {len(self.row_kind)} rows)"
         )
 
 
@@ -819,19 +776,22 @@ def none_write_error(key: Any, txn: Transaction) -> WorkloadError:
     )
 
 
-def check_unique_writes(index: HistoryIndex, workload: str) -> None:
+def check_unique_writes(
+    index: HistoryIndex, workload: str, keys: Sequence[Any] = ()
+) -> None:
     """Raise the first recoverability violation, in observation order.
 
     ``rw-register`` additionally rejects writes of ``None``; whichever
     violation appears first in the history wins, matching the historical
-    transaction-major write-index build.
+    transaction-major write-index build.  ``keys``, the plan's key list,
+    lets a batch check share its pass's view.
     """
-    dup = index.first_duplicate
+    dup, none = index.first_violations(keys)
+    txns = index.transactions
     if workload == "rw-register":
-        none = index.first_none_write
         if none is not None and (dup is None or none[0] < dup[0]):
-            _seq, key, txn = none
-            raise none_write_error(key, txn)
+            _seq, key, pos = none
+            raise none_write_error(key, txns[pos])
     if dup is not None:
         _seq, key, value, first, second = dup
-        raise duplicate_write_error(workload, key, value, first, second)
+        raise duplicate_write_error(workload, key, value, txns[first], txns[second])

@@ -247,10 +247,10 @@ class TestSliceRecreation:
         history = History(())
         history.index()
         history.extend(self.OPS[:3])
-        assert "x" in history.index().slices
+        assert "x" in history.index()
         delta = history.extend(self.OPS[3:4])
         assert "x" in delta.dirty_keys
-        assert "x" not in history.index().slices
+        assert "x" not in history.index()
 
     def test_delta_reports_dirty_keys(self):
         history = History(())

@@ -212,7 +212,7 @@ class TestSharedReadChecks:
             ("ok", 2, [r("k", 1)]),
         )
         index = h.index()
-        write_map = index.write_map(index.slices["k"])
+        write_map = index.view(["k"]).write_map(0, index.transactions)
         reader = h.transactions[2]
         return reader, write_map
 

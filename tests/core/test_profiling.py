@@ -113,8 +113,8 @@ class TestCheckProfiling:
             assert name in profile.stages, name
         assert "analyze/keys" not in profile.stages
         assert profile.counters["index.txns"] == len(history.transactions)
-        assert profile.counters["index.keys"] == len(history.index().slices)
-        assert profile.counters["index.interned_values"] > 0
+        assert profile.counters["index.keys"] == len(history.index())
+        assert profile.counters["index.rows"] > 0
         assert profile.counters["graph.nodes"] > 0
         # Sub-stages are contained in their parents.
         assert (

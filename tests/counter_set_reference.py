@@ -4,7 +4,7 @@
 :class:`~repro.core.counter_set.GrowSetPlan` and
 :class:`~repro.core.counter_set.CounterPlan`, for batch checks and
 streams alike.  This module keeps the per-key loops they replaced, each
-derived from one key's :class:`~repro.history.index.KeySlice` and the
+derived from one key's :class:`~tests.index_reference.KeySlice` and the
 index's transaction columns.  It is an oracle only; nothing in ``src/``
 imports it.
 
@@ -21,17 +21,18 @@ from repro.core.anomalies import GARBAGE_READ, Anomaly
 from repro.core.counter_set import CounterPlan, GrowSetPlan
 from repro.core.deps import RW, WR
 from repro.core.keyspace import check_recoverable_read
+from tests.index_reference import slice_of, write_map
 from tests.keyspace_reference import WalkBatch, use_walk
 
 
 def grow_set_key(plan: GrowSetPlan, key: Any) -> WalkBatch:
     index = plan.index
-    slice_ = index.slices[key]
+    slice_ = slice_of(index, key)
     transactions = index.transactions
     txn_ids = index.txn_ids
     first_writer = slice_.first_writer
     fw_get = first_writer.get
-    obj_write_map = index.write_map(slice_)
+    obj_write_map = write_map(index, slice_)
     anomalies: List[Anomaly] = []
     # One fragment per key: the first read (in observation order) that
     # justifies an edge bit supplies its evidence.
@@ -71,7 +72,7 @@ def grow_set_key(plan: GrowSetPlan, key: Any) -> WalkBatch:
 
 def counter_key(plan: CounterPlan, key: Any) -> WalkBatch:
     index = plan.index
-    slice_ = index.slices[key]
+    slice_ = slice_of(index, key)
     txn_ids = index.txn_ids
     txn_committed = index.txn_committed
     txn_aborted = index.txn_aborted

@@ -1,5 +1,6 @@
 """The single-pass HistoryIndex versus brute-force regroupings."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -7,6 +8,7 @@ from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, HistoryBuilder, append, r, w
 from repro.history.index import check_unique_writes
 from repro.history.ops import READ
+from tests.index_reference import index_signature, row_slices
 from tests.rw_register_reference import (
     committed_stream,
     interacting_positions,
@@ -50,9 +52,10 @@ class TestIndexContents:
     def test_slices_partition_every_mop(self):
         history = generated()
         index = history.index()
-        total = sum(len(s.op_txn) for s in index.slices.values())
+        slices = row_slices(index)
+        total = sum(len(s.op_txn) for s in slices.values())
         assert total == sum(len(t.mops) for t in history.transactions)
-        for key, slice_ in index.slices.items():
+        for key, slice_ in slices.items():
             assert slice_.op_txn == [
                 pos
                 for pos, t in enumerate(history.transactions)
@@ -63,7 +66,7 @@ class TestIndexContents:
     def test_writes_and_committed_reads_match_brute_force(self):
         history = generated(seed=3)
         index = history.index()
-        for key, slice_ in index.slices.items():
+        for key, slice_ in row_slices(index).items():
             expected_writes = [
                 (pos, seq, m.value)
                 for pos, t in enumerate(history.transactions)
@@ -86,7 +89,7 @@ class TestIndexContents:
     def test_interacting_matches_brute_force(self):
         history = generated(seed=8)
         index = history.index()
-        for key, slice_ in index.slices.items():
+        for key, slice_ in row_slices(index).items():
             expected = [
                 pos
                 for pos, t in enumerate(history.transactions)
@@ -100,7 +103,7 @@ class TestIndexContents:
             ("fail", 1, [append("x", 2)]),
         )
         index = history.index()
-        write_map = index.write_map(index.slices["x"])
+        write_map = index.view(["x"]).write_map(0, index.transactions)
         assert write_map[1].id == 0
         assert write_map[2].aborted
 
@@ -126,7 +129,7 @@ class TestIndexContents:
         # the indeterminate transaction is not committed, so it is not
         # interacting at all
         index = history.index()
-        assert interacting_positions(index, index.slices["x"]) == [0]
+        assert interacting_positions(index, row_slices(index)["x"]) == [0]
 
 
 class TestUniquenessContracts:
@@ -136,7 +139,7 @@ class TestUniquenessContracts:
             ("ok", 1, [append("x", 1)]),
         )
         index = history.index()
-        assert index.first_duplicate is not None
+        assert index.first_violations()[0] is not None
         with pytest.raises(WorkloadError, match="globally unique appends"):
             check_unique_writes(index, "list-append")
         with pytest.raises(WorkloadError, match="unique writes per key"):
@@ -145,7 +148,7 @@ class TestUniquenessContracts:
     def test_same_transaction_rewrite_allowed(self):
         history = History.of(("ok", 0, [append("x", 1), append("x", 1)]))
         index = history.index()
-        assert index.first_duplicate is None
+        assert index.first_violations()[0] is None
         check_unique_writes(index, "list-append")
 
     def test_none_write_rejected_for_registers_only(self):
@@ -166,28 +169,6 @@ class TestUniquenessContracts:
     def test_clean_histories_pass(self):
         history = generated(seed=4)
         check_unique_writes(history.index(), "list-append")
-
-
-def index_signature(index):
-    """Everything the analyzers consume: the stored arrays, keyed by key."""
-    return (
-        [(t.id, t.type.value) for t in index.transactions],
-        list(index.key_order),
-        list(index.read_key_order),
-        {
-            key: (
-                sl.op_txn,
-                (sl.w_txn, sl.w_seq, repr(sl.w_val)),
-                (sl.r_txn, sl.r_seq, repr(sl.r_val)),
-                {repr(v): p for v, p in sl.first_writer.items()},
-            )
-            for key, sl in index.slices.items()
-        },
-        index.txn_prev,
-        (list(index.rt_complete), list(index.rt_reach), list(index.rt_ids)),
-        index.first_duplicate and index.first_duplicate[0],
-        index.first_none_write and index.first_none_write[0],
-    )
 
 
 class TestIncrementalExtension:
@@ -220,9 +201,9 @@ class TestIncrementalExtension:
         history.extend(b.build().ops)
         # Both transactions are provisionally indeterminate: no committed
         # reads anywhere yet.
-        assert index.slices["x"].r_txn == []
+        assert row_slices(index)["x"].r_txn == []
         assert history.transactions[0].indeterminate
-        versions = {k: s.version for k, s in index.slices.items()}
+        versions = {k: index.key_version[i] for k, i in index.key_ids.items()}
         # Completions arrive: the provisional transactions upgrade in place.
         from repro.history.ops import Op, OpType
         history.extend([
@@ -230,10 +211,11 @@ class TestIncrementalExtension:
             Op(3, OpType.OK, 1, (r("x", (1,)),)),
         ])
         assert history.transactions[0].committed
-        assert [index.txn_ids[p] for p in index.slices["x"].r_txn] == [1]
-        assert index.slices["y"].r_txn != []
+        slices = row_slices(index)
+        assert [index.txn_ids[p] for p in slices["x"].r_txn] == [1]
+        assert slices["y"].r_txn != []
         for key in ("x", "y"):
-            assert index.slices[key].version > versions[key]
+            assert index.key_version[index.key_ids[key]] > versions[key]
 
     def test_upgrade_can_shift_read_key_order(self):
         from repro.history.ops import Op, OpType
@@ -267,13 +249,38 @@ class TestIncrementalExtension:
         history = History(())
         history.index()
         history.extend(History.of(("ok", 0, [append("x", 1)])).ops)
-        assert history.index().first_duplicate is None
+        assert history.index().first_violations()[0] is None
         from repro.history.ops import Op, OpType
         history.extend([
             Op(2, OpType.INVOKE, 1, (append("x", 1),)),
             Op(3, OpType.OK, 1, (append("x", 1),)),
         ])
         with pytest.raises(WorkloadError, match="globally unique appends"):
+            check_unique_writes(history.index(), "list-append")
+
+
+    def test_duplicate_write_by_an_upgrade(self):
+        # T2's completion moves its append to key x, where T0 already
+        # appended 1 (no appended transaction touches x in that chunk),
+        # and adds key w, which nothing else touches.
+        from repro.history.ops import Op, OpType
+        ops = [
+            Op(0, OpType.INVOKE, 0, (append("x", 1),)),
+            Op(1, OpType.OK, 0, (append("x", 1),)),
+            Op(2, OpType.INVOKE, 1, (append("y", 5),)),
+            Op(3, OpType.OK, 1, (append("x", 1), append("w", 9))),
+            Op(4, OpType.INVOKE, 2, (append("z", 7),)),
+        ]
+        history = History(())
+        history.index()
+        history.extend(ops[:3])
+        check_unique_writes(history.index(), "list-append")
+        history.extend(ops[3:])
+        assert "y" not in history.index()
+        assert index_signature(history.index()) == index_signature(
+            History(ops).index()
+        )
+        with pytest.raises(WorkloadError, match="by both T0 and T2"):
             check_unique_writes(history.index(), "list-append")
 
 
@@ -288,7 +295,7 @@ class TestColumnarDerivedViews:
             ("ok", 0, [r("x", 2)]),
         )
         index = history.index()
-        grouped = interacting_positions_by_process(index, index.slices["x"])
+        grouped = interacting_positions_by_process(index, row_slices(index)["x"])
         assert grouped == {0: [0, 3], 1: [1]}
         assert [index.txn_ids[p] for p in grouped[0]] == [0, 6]
 
@@ -301,7 +308,7 @@ class TestColumnarDerivedViews:
         index = builder.build().index()
         intervals = [
             (index.txn_ids[p], index.txn_invoke[p], index.txn_complete[p])
-            for p in interacting_positions(index, index.slices["x"])
+            for p in interacting_positions(index, row_slices(index)["x"])
             if index.txn_complete[p] >= 0
         ]
         assert intervals == [(0, 0, 2)]
@@ -311,7 +318,7 @@ class TestColumnarDerivedViews:
             ("ok", 0, [append("x", 1), r("x", [1])]),
             ("info", 1, [r("x", None), append("x", 2)]),
         )
-        slice_ = history.index().slices["x"]
+        slice_ = row_slices(history.index())["x"]
         assert slice_.op_txn == [0, 0, 1, 1]
         assert (slice_.r_txn, slice_.r_seq) == ([0], [1])
         assert (slice_.w_txn, slice_.w_seq) == ([0, 1], [0, 1])
@@ -323,7 +330,7 @@ class TestColumnarDerivedViews:
             ("ok", 0, [w("x", 2)]),
         )
         index = history.index()
-        positions, flags, values = committed_stream(index, index.slices["x"])
+        positions, flags, values = committed_stream(index, row_slices(index)["x"])
         assert positions == [0, 0, 0, 2]
         assert flags == [1, 0, 1, 0]
         assert values == [None, 1, 1, 2]
@@ -334,9 +341,25 @@ class TestColumnarDerivedViews:
             ("fail", 1, [w("x", 2)]),
         )
         index = history.index()
-        write_map = index.write_map(index.slices["x"])
+        write_map = index.view(["x"]).write_map(0, index.transactions)
         assert write_map[1].id == 0
         assert write_map[2].aborted
+
+    @pytest.mark.parametrize("workload", ["list-append", "rw-register"])
+    def test_view_head_equals_view_of_the_prefix(self, workload):
+        from repro.history.index import RowView
+
+        index = generated(workload=workload, seed=9).index()
+        keys = list(index.key_order)
+        for m in (0, 1, len(keys) // 2, len(keys)):
+            index.view(keys)  # cached: a prefix of its keys reads its head
+            head, prefix = index.view(keys[:m]), RowView(index, keys[:m])
+            for name in RowView.__slots__:
+                got, want = getattr(head, name), getattr(prefix, name)
+                if isinstance(want, np.ndarray):
+                    assert got.tolist() == want.tolist(), name
+                else:
+                    assert got == want, name
 
     def test_mop_fn_census_grows_with_the_history(self):
         from repro.history.ops import Op, OpType
@@ -403,7 +426,7 @@ class TestOneTransactionTable:
         checker = StreamingChecker()
         checker.extend(ops[:cut])
         history = checker.history
-        allowed = [k for k in history.index().slices if k not in future]
+        allowed = [k for k in history.index().key_ids if k not in future]
         summary = checker.retire(allowed_keys=allowed)
         assert summary["retired_txns"] > 0
         self.assert_shared(history)

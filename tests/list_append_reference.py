@@ -4,7 +4,7 @@
 :class:`~repro.core.list_append.ListAppendPlan`, for batch checks and
 streams alike.  This module keeps the per-key walk it replaced: one key's
 read checks, version order, and dependency edges, derived from that key's
-:class:`~repro.history.index.KeySlice` and the index's transaction
+:class:`~tests.index_reference.KeySlice` and the index's transaction
 columns.  It is an oracle only; nothing in ``src/`` imports it.
 
 :func:`use_reference` makes a plan run it for every key, batch and stream
@@ -19,6 +19,7 @@ from repro.core.anomalies import INCOMPATIBLE_ORDER, Anomaly
 from repro.core.deps import RW, WR, WW
 from repro.core.keyspace import check_recoverable_read
 from repro.core.list_append import ListAppendPlan
+from tests.index_reference import slice_of, write_map
 from tests.keyspace_reference import WalkBatch, use_walk
 
 
@@ -38,7 +39,7 @@ def analyze_key(plan: ListAppendPlan, key: Any) -> WalkBatch:
     read order.
     """
     index = plan.index
-    slice_ = index.slices[key]
+    slice_ = slice_of(index, key)
     transactions = index.transactions
     txn_ids = index.txn_ids
     txn_aborted = index.txn_aborted
@@ -145,7 +146,7 @@ def analyze_key(plan: ListAppendPlan, key: Any) -> WalkBatch:
     def check_suspicious_read(i: int, value: Tuple) -> None:
         nonlocal obj_write_map
         if obj_write_map is None:
-            obj_write_map = index.write_map(slice_)
+            obj_write_map = write_map(index, slice_)
         anomalies.extend(
             check_recoverable_read(
                 transactions[reads_txn[i]], key, value, obj_write_map, plan._style

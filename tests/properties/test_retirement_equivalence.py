@@ -116,7 +116,7 @@ def settled_keys(checker, future_ops):
     future = set()
     for op in future_ops:
         future.update(op_keys(op))
-    return {k for k in checker.history.index().slices if k not in future}
+    return {k for k in checker.history.index().key_ids if k not in future}
 
 
 def stream_with_retirement(ops, chunks, kwargs, retire_after=None):

@@ -4,7 +4,7 @@
 :class:`~repro.core.rw_register.RwRegisterPlan`, for batch checks and
 streams alike.  This module keeps the per-key walk it replaced: one key's
 read checks, version DAG, and dependency edges, derived from that key's
-:class:`~repro.history.index.KeySlice` and the index's transaction
+:class:`~tests.index_reference.KeySlice` and the index's transaction
 columns.  It is an oracle only; nothing in ``src/`` imports it.
 
 :func:`use_reference` makes a plan run it for every key, batch and stream
@@ -25,7 +25,8 @@ from repro.core.rw_register import (
     _lost_update,
 )
 from repro.graph import CSRGraph, interval_precedence_pairs
-from repro.history.index import HistoryIndex, KeySlice
+from repro.history.index import HistoryIndex
+from tests.index_reference import KeySlice, slice_of, write_map
 from tests.keyspace_reference import WalkBatch, use_walk
 
 #: Distinguishes "no pinned version yet" from a pinned ``None`` (= INIT).
@@ -145,7 +146,7 @@ def analyze_key(plan: RwRegisterPlan, key: Any) -> WalkBatch:
     garbage, G1a, or G1b.
     """
     index = plan.index
-    slice_ = index.slices[key]
+    slice_ = slice_of(index, key)
     transactions = index.transactions
     txn_ids = index.txn_ids
     txn_committed = index.txn_committed
@@ -191,7 +192,7 @@ def analyze_key(plan: RwRegisterPlan, key: Any) -> WalkBatch:
         wpos = fw_get(value, -1)
         if wpos < 0 or txn_aborted[wpos] or (wpos != pos and final_of[wpos] != value):
             if obj_write_map is None:
-                obj_write_map = index.write_map(slice_)
+                obj_write_map = write_map(index, slice_)
             anomalies.extend(
                 check_recoverable_read(
                     transactions[pos], key, (value,), obj_write_map, plan._style

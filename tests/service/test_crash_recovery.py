@@ -301,6 +301,7 @@ class TestRecoveryOracle:
             b"REPROCKPT6\n",
             b"REPROCKPT7\n",
             b"REPROCKPT8\n",
+            b"REPROCKPT9\n",
         ],
         ids=lambda magic: magic.decode().strip(),
     )
@@ -322,7 +323,9 @@ class TestRecoveryOracle:
         options sit under an attribute it no longer reads;
         ``REPROCKPT8`` checkpoints cache each key's evidence as a dict
         fragment of records, where the checker now caches the key's rows
-        of its pass's edge columns.
+        of its pass's edge columns; ``REPROCKPT9`` checkpoints hold an
+        index of per-key slice objects, where the index now holds one
+        table of micro-op rows.
         Recovery must skip every one and replay the whole WAL to the batch
         report.
         """
@@ -344,7 +347,7 @@ class TestRecoveryOracle:
         store = durability.store("chaos")
         checkpoints = store.checkpoint_paths()
         assert checkpoints, "cadence should have produced checkpoints"
-        assert CHECKPOINT_MAGIC == b"REPROCKPT9\n"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT10\n"
         for path in checkpoints:
             blob = open(path, "rb").read()
             with open(path, "wb") as fh:
