@@ -61,7 +61,8 @@ def run(nodes, degree=6, back_fraction=0.02, seed=0):
 
     def build():
         g = EdgeLogGraph()
-        g.add_edge_keys(edges)
+        us, vs, labels = zip(*edges)
+        g.add_edge_columns(us, vs, labels)
         return g
 
     graph, build_s = timed(build)

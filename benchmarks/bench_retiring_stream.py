@@ -18,7 +18,10 @@ of noise from a shared host lands in a fraction of one quintile's
 samples rather than all of them.  The table prints, per session and
 quintile, the median chunk, the mean of the per-chunk stages that used
 to scale with the retired prefix (``stream/merge``, ``stream/orders``,
-``freeze``, ``cycle-search``, ``retire``) and the largest live graph.
+``freeze``, ``cycle-search``, ``retire``) and the largest live graph,
+and, at the end of each quintile of the first replay (outside the timed
+chunks), the checker's ``frozen_edges`` and its pickled size as a daemon
+checkpoint stores it (a shallow copy without its last verdict).
 ``--max-ratio R`` turns the run into a CI guard: exit 2 when any
 session's last-quintile median chunk exceeds ``R`` times its first.
 
@@ -31,7 +34,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import copy
 import os
+import pickle
 import statistics
 import sys
 import time
@@ -71,22 +76,36 @@ def session_stream(seed: int, slot: int, workload: str, fault, waves: int):
     )
 
 
-def replay(workload: str, ops, chunk_ops: int):
-    """Per-chunk ``(seconds, profile)`` for one retiring stream.
+def checkpoint_bytes(checker: StreamingChecker) -> int:
+    """``checker``'s pickled size as a daemon checkpoint stores it."""
+    stored = copy.copy(checker)
+    stored.result = None
+    return len(pickle.dumps(stored, pickle.HIGHEST_PROTOCOL))
+
+
+def replay(workload: str, ops, chunk_ops: int, measure: bool = False):
+    """Per-chunk ``(seconds, profile)`` for one retiring stream, the
+    checker, and with ``measure`` each quintile's last ``(frozen edges,
+    checkpoint bytes)``.
 
     A chunk's cost is its CPU time: on a shared host the wall clock also
     counts the time other tenants held the processor.
     """
     checker = StreamingChecker(workload=workload)
     rows = []
-    for start in range(0, len(ops), chunk_ops):
+    sizes = []
+    n = -(-len(ops) // chunk_ops)
+    ends = {(k + 1) * n // 5 - 1 for k in range(5)}
+    for i, start in enumerate(range(0, len(ops), chunk_ops)):
         profile = Profile()
         begin = time.process_time()
         checker.extend(ops[start : start + chunk_ops], profile=profile)
         with profile.stage("retire"):
             checker.retire(min_idle_txns=RETIRE_IDLE_TXNS)
         rows.append((time.process_time() - begin, profile))
-    return rows, checker
+        if measure and i in ends:
+            sizes.append((checker.frozen_edges, checkpoint_bytes(checker)))
+    return rows, checker, sizes
 
 
 def quintiles(rows):
@@ -94,7 +113,7 @@ def quintiles(rows):
     return [rows[k * n // 5 : (k + 1) * n // 5] for k in range(5)]
 
 
-def summarize(name: str, replays, checker) -> dict:
+def summarize(name: str, replays, checker, sizes) -> dict:
     """Per-quintile figures over every replay's chunks."""
     pooled = [quintiles(rows) for rows in replays]
     parts = [sum((q[k] for q in pooled), []) for k in range(5)]
@@ -122,6 +141,8 @@ def summarize(name: str, replays, checker) -> dict:
         "resident_ops": checker.resident_ops,
         "retired_txns": checker.retired_txns,
         "frozen_edges": checker.frozen_edges,
+        "quintile_frozen_edges": [edges for edges, _b in sizes],
+        "quintile_checkpoint_bytes": [size for _e, size in sizes],
     }
 
 
@@ -147,12 +168,19 @@ def main(argv=None) -> int:
     }
     replays = {name: [] for name in streams}
     checkers = {}
-    for _ in range(args.repeats):
+    sizes = {}
+    for repeat in range(args.repeats):
         for name, ops in streams.items():
             workload = SESSIONS[name][0]
-            rows, checkers[name] = replay(workload, ops, args.chunk_ops)
+            rows, checkers[name], measured = replay(
+                workload, ops, args.chunk_ops, measure=repeat == 0
+            )
             replays[name].append(rows)
-    results = [summarize(name, replays[name], checkers[name]) for name in streams]
+            sizes.setdefault(name, measured)
+    results = [
+        summarize(name, replays[name], checkers[name], sizes[name])
+        for name in streams
+    ]
 
     for row in results:
         print(
@@ -164,6 +192,9 @@ def main(argv=None) -> int:
         lines = [("median chunk ms", row["median_chunk_ms"], "7.2f")]
         lines += [(stage, v, "7.2f") for stage, v in row["stage_mean_ms"].items()]
         lines.append(("graph.nodes max", row["graph_nodes_max"], "7d"))
+        lines.append(("frozen_edges", row["quintile_frozen_edges"], "7d"))
+        checkpoint_kb = [b / 1000 for b in row["quintile_checkpoint_bytes"]]
+        lines.append(("checkpoint kB", checkpoint_kb, "7.1f"))
         for label, values, spec in lines:
             print(f"  {label:16s}", *(format(v, spec) for v in values))
 

@@ -8,12 +8,13 @@ a human-readable counterexample (Figure 2 of the paper).
 Evidence is built only when something reads it.  Value edges (ww/wr/rw)
 carry one record per ``(from, to, bit)``, but a valid history never
 explains a cycle, so the analysis keeps an ordered *log* of evidence
-sources instead of a dict.  A keyspace merge logs one
-:class:`ColumnEvidence`: every edge it added, naming its key and values
-by index, with a precedence that picks each edge bit's record.  The first
-read of :attr:`Analysis.evidence` replays the log once, in reverse, with
+sources instead of a dict, each a :class:`ColumnEvidence`: a keyspace
+merge logs every edge it added, naming its key and values by index, with
+a precedence that picks each edge bit's record, after a stream's frozen
+segments (:meth:`ColumnEvidence.segment`).  The first read of
+:attr:`Analysis.evidence` replays the log once, in reverse, with
 ``dict.update``, so earlier sources win; a cycle explanation instead asks
-sources that can look one bit up (:meth:`Analysis.edge_evidence`).  A
+each source to look one bit up (:meth:`Analysis.edge_evidence`).  A
 column source holds its passes' own columns and values, never the live
 index, so it reads the same after the history grows.  Order edges
 (process/realtime/timestamp) would store hundreds of thousands of
@@ -31,8 +32,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -70,12 +69,6 @@ class Evidence(NamedTuple):
 
 EdgeKey = Tuple[int, int, int]  # (from_txn, to_txn, dependency_bit)
 
-#: One evidence source: called (again on every replay attempt, so a replay
-#: that raises leaves the log intact) for ``(u, v, bit) -> Evidence``
-#: fragments in precedence order.  It may also offer ``find(edge)``, the
-#: record its replay would give that bit, to answer without a replay.
-EvidenceSource = Callable[[], Iterable[Dict[EdgeKey, Evidence]]]
-
 #: Value bits (1, 2, 4) fit below this, so ``code * _BITS + bit`` is one.
 _BITS = VALUE_EDGES + 1
 
@@ -106,11 +99,11 @@ BIT, U, V, VALUE, RANK, PREV, VIA = range(7)
 
 
 class _Part:
-    """One pass's keys, value-index-to-key-index map, and value list,
-    built on first need (a pickle carries it built)."""
+    """One pass's keys, value-index-to-key-index map, and value list (or a
+    callable building it on first need; a pickle carries it built)."""
 
     def __init__(
-        self, keys: Sequence[Any], value_key: np.ndarray, values: Callable
+        self, keys: Sequence[Any], value_key: np.ndarray, values: Any
     ) -> None:
         self.keys = keys
         self.value_key = value_key
@@ -148,8 +141,8 @@ class ColumnEvidence:
     edge bit, the lowest ``(run, RANK)`` wins.  A pass gives one source
     (:meth:`of`); :meth:`split` cuts it into per-key views, which streams
     cache; :meth:`merge` joins sources into the one a keyspace merge
-    logs.  :meth:`records` (or calling the source) builds every winning
-    record, or those into some transactions; :meth:`find` builds one.
+    logs; :meth:`segment` copies out the winners into some transactions.
+    :meth:`records` builds every winning record; :meth:`find` builds one.
     """
 
     __slots__ = ("block", "parts", "starts", "txn_ids", "_table")
@@ -231,6 +224,16 @@ class ColumnEvidence:
     def __len__(self) -> int:
         return self.block.shape[1]
 
+    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every column's ``(u, v, bit)`` by transaction id, for an edge log."""
+        n = len(self)
+        ends = take(self.txn_ids, self.block[U : V + 1].ravel())
+        return ends[:n], ends[n:], self.block[BIT]
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # The winners table is derived: a pickle leaves it to first need.
+        return ColumnEvidence, (self.block, self.parts, self.starts, self.txn_ids)
+
     def split(self, n_keys: int) -> List["ColumnEvidence"]:
         """A pass's source cut by key index: each key's edges, in rank
         order, as views of one sorted copy of the pass's block."""
@@ -273,11 +276,12 @@ class ColumnEvidence:
             self._table = (width, codes[head], order[head])
         return self._table
 
-    def _items(self, columns: np.ndarray) -> Iterator[Tuple[EdgeKey, Evidence]]:
-        """The edge key and record of each of ``columns``, ascending."""
-        ids = self.txn_ids
+    def _gather(self, columns: np.ndarray) -> Tuple[np.ndarray, List, List, List]:
+        """``columns``' rows (all seven), and each one's key, value and
+        previous value, ``columns`` ascending."""
         sub = _padded(self.block[:, columns], VIA + 1)
-        bit, u, v, value, _rank, prev, via = sub.tolist()
+        value = sub[VALUE].tolist()
+        prev = sub[PREV].tolist()
         keys: List[Any] = []
         values: List[Any] = []
         prevs: List[Any] = []
@@ -296,27 +300,36 @@ class ColumnEvidence:
             values.extend(map(listed.__getitem__, value[a:b]))
             prevs.extend(map(listed.__getitem__, prev[a:b]))
             a = b
-        witnesses = [None if p < 0 else ids[p] for p in via]
+        return sub, keys, values, prevs
+
+    def records(self) -> Dict[EdgeKey, Evidence]:
+        """Every edge bit's winning record, in block order (a key's source
+        lists its records in rank order)."""
+        columns = np.sort(self._winners()[2])
+        sub, keys, values, prevs = self._gather(columns)
+        ids = self.txn_ids
+        bit, u, v = sub[: V + 1].tolist()
+        edges = zip(map(ids.__getitem__, u), map(ids.__getitem__, v), bit)
+        witnesses = [None if p < 0 else ids[p] for p in sub[VIA].tolist()]
         # tuple.__new__ builds each record in C; the six-wide rows fill
         # every Evidence field (process stays None).
-        records = zip(bit, keys, values, prevs, witnesses, repeat(None))
-        return zip(
-            zip(map(ids.__getitem__, u), map(ids.__getitem__, v), bit),
-            map(tuple.__new__, repeat(Evidence), records),
-        )
+        rows = zip(bit, keys, values, prevs, witnesses, repeat(None))
+        return dict(zip(edges, map(tuple.__new__, repeat(Evidence), rows)))
 
-    def records(self, targets: Optional[np.ndarray] = None) -> Dict[EdgeKey, Evidence]:
-        """Every edge bit's winning record in block order (a key's source
-        lists its records in rank order); with ``targets``, a mask over
-        transaction positions, only the edges into them."""
+    def segment(self, targets: np.ndarray) -> "ColumnEvidence":
+        """Each edge bit's winning column into ``targets``, a mask over
+        transaction positions, as a source that needs none of this one's
+        parts: column ``j`` keeps its bit, endpoints and witness, ranks
+        ``j``, and names key ``j`` and values ``2j`` and ``2j + 1`` of one
+        part holding only what the columns name."""
         columns = self._winners()[2]
-        if targets is not None:
-            columns = columns[targets[self.block[V, columns]]]
-        return dict(self._items(np.sort(columns)))
-
-    def __call__(self) -> List[Dict[EdgeKey, Evidence]]:
-        """One fragment: :meth:`records`."""
-        return [self.records()]
+        columns = np.sort(columns[targets[self.block[V, columns]]])
+        sub, keys, values, prevs = self._gather(columns)
+        rows = np.arange(len(columns), dtype=sub.dtype)
+        sub[VALUE], sub[RANK], sub[PREV] = 2 * rows, rows, 2 * rows + 1
+        listed = [x for pair in zip(values, prevs) for x in pair] + [None]
+        part = _Part(keys, np.repeat(rows, 2), listed)
+        return ColumnEvidence(sub, [part], [0, len(rows)], self.txn_ids)
 
     def find(self, edge: EdgeKey) -> Optional[Evidence]:
         """The winning record of one edge bit, or None."""
@@ -359,14 +372,14 @@ class Analysis:
     _evidence: Dict[EdgeKey, Evidence] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _pending: List[EvidenceSource] = field(
+    _pending: List[ColumnEvidence] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
 
     def txn(self, txn_id: int) -> Transaction:
         return self.history[txn_id]
 
-    def log_evidence(self, source: EvidenceSource) -> None:
+    def log_evidence(self, source: ColumnEvidence) -> None:
         """Append an evidence source; records logged earlier take precedence."""
         self._pending.append(source)
 
@@ -376,8 +389,7 @@ class Analysis:
         if self._pending:
             replayed: Dict[EdgeKey, Evidence] = {}
             for source in reversed(self._pending):
-                for fragment in reversed(list(source())):
-                    replayed.update(fragment)
+                replayed.update(source.records())
             # Records materialized by an earlier read came from earlier sources.
             replayed.update(self._evidence)
             self._evidence = replayed
@@ -385,24 +397,15 @@ class Analysis:
         return self._evidence
 
     def _find(self, edge: EdgeKey) -> Optional[Evidence]:
-        """One bit's record, as :attr:`evidence` would hold it.
-
-        When every pending source offers ``find``, the first one that
-        knows the bit answers (records materialized earlier take
-        precedence, as in a replay) and nothing is replayed; otherwise
-        this reads :attr:`evidence`.
-        """
+        """One bit's record, as :attr:`evidence` would hold it, with
+        nothing replayed: records materialized earlier take precedence,
+        then the first pending source that knows the bit answers."""
         found = self._evidence.get(edge)
-        if found is not None or not self._pending:
-            return found
-        finders = [getattr(source, "find", None) for source in self._pending]
-        if None in finders:
-            return self.evidence.get(edge)
-        for find in finders:
-            found = find(edge)
+        for source in self._pending:
             if found is not None:
                 return found
-        return None
+            found = source.find(edge)
+        return found
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)

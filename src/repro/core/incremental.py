@@ -54,12 +54,13 @@ longer be trusted.
 
 **Settled-prefix retirement.**  :meth:`StreamingChecker.retire` folds the
 settled part of a forever-stream's prefix into a frozen summary and drops
-its per-op storage.  Every edge into a retired transaction moves to the
-*frozen block*, each value bit with its evidence record (built only for
-those edges); a frozen key's edges into live transactions keep merging at
-its rank until their targets retire too; and the settled anomalies and
-the cycles among retired transactions stay pre-rendered.  Each chunk then
-pays for its live window, not its history.  A verdict's
+its per-op storage.  Every value edge into a retired transaction moves to
+the *frozen block* (one column segment per retirement, holding each edge
+bit's winning column and only the values its record names); a frozen
+key's edges into live transactions keep merging at its rank until their
+targets retire too; and the settled anomalies and the cycles among
+retired transactions stay pre-rendered.  Each chunk then pays for its
+live window, not its history.  A verdict's
 :attr:`CheckResult.analysis` joins the two halves lazily, when read.  The
 verdict stream after any mix of extends and retires is byte-identical to
 the unretired checker's (``tests/properties/test_retirement_equivalence.py``,
@@ -74,7 +75,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -83,7 +84,7 @@ import numpy as np
 from ..graph import CSRGraph, EdgeLogGraph
 from ..history import History
 from ..history.ops import Op
-from .analysis import V, Analysis, ColumnEvidence, EdgeKey, Evidence
+from .analysis import V, Analysis, ColumnEvidence
 from .anomalies import Anomaly, anomaly_order, sort_anomalies
 from .checker import CheckResult, explained_cycles, verdict
 from .consistency import SERIALIZABLE, _validate as _validate_model
@@ -239,10 +240,10 @@ class StreamingChecker:
         #: which keep merging in key order until their targets retire too.
         self._residual: Dict[Any, Tuple[Any, Any, ColumnEvidence]] = {}
         #: The frozen block: each value edge bit into a retired
-        #: transaction, with its evidence record (append-only).  Order
-        #: edges into retired transactions need no storage: the index
-        #: re-derives them (:func:`~repro.core.orders.add_orders`).
-        self._frozen: Dict[EdgeKey, Evidence] = {}
+        #: transaction, in one evidence segment per retirement (which
+        #: builds a new list).  Order edges into retired transactions need
+        #: no storage: the index re-derives them (``add_orders``).
+        self._frozen: List[ColumnEvidence] = []
         #: Settled anomalies: non-cycle ones, and those plus cycles.
         self._settled_found = _Settled()
         self._settled = _Settled()
@@ -359,14 +360,14 @@ class StreamingChecker:
         result = verdict(
             self._settled.merged(live_all),
             self.consistency_model,
-            self._whole(live),
+            self._whole(live, merged),
         )
         self._window = (live, cycles, ranked, merged)
         if profile is not None:
             profile.count("stream.keys_reused", reused)
             profile.count("stream.keys_reanalyzed", reanalyzed)
             profile.count("stream.live_txns", len(self._live))
-            profile.count("stream.frozen_edges", len(self._frozen))
+            profile.count("stream.frozen_edges", self.frozen_edges)
 
         self.chunks += 1
         self.result = result
@@ -391,26 +392,26 @@ class StreamingChecker:
             reused_keys=reused,
         )
 
-    def _whole(self, live: Analysis) -> Analysis:
-        """The prefix's analysis: ``live`` joined with the frozen summary.
+    def _whole(self, live: Analysis, merged: ColumnEvidence) -> Analysis:
+        """The prefix's analysis: ``live`` (evidence ``merged``) and the frozen block.
 
-        The graph and evidence join on first read.  The frozen block and
-        the live-position list only grow until the next retirement (which
-        builds a new list), so their current lengths pin this verdict's
-        share of them; the transactions retired by now are exactly the
-        positions outside this verdict's live window.
+        The graph and evidence join on first read.  Only a retirement
+        replaces the frozen block, and the live-position list only grows
+        until then, so the current block and width pin this verdict's
+        share; the transactions retired by now are exactly the positions
+        outside this verdict's live window.
         """
         history = self.history
         workload = self.workload
         frozen = self._frozen
-        bits = len(frozen)
         count = len(history.transactions)
         window = self._live
         width = len(window)
         flags = (self._process_edges, self._realtime_edges, False)
 
         def join(graph: EdgeLogGraph) -> None:
-            graph.add_edge_keys(islice(frozen, bits))
+            for segment in frozen:
+                graph.add_edge_columns(*segment.edges())
             graph.add_edge_columns(*live.graph.log())
             retired = np.setdiff1d(np.arange(count), window[:width])
             settled = Analysis(history=history, workload=workload, graph=graph)
@@ -422,8 +423,8 @@ class StreamingChecker:
             graph=_UnionGraph(join),
             anomalies=self._settled_found.merged(live.anomalies),
         )
-        whole.log_evidence(lambda: (dict(islice(frozen.items(), bits)),))
-        whole.log_evidence(lambda: (live.evidence,))
+        for source in (*frozen, merged):
+            whole.log_evidence(source)
         return whole
 
     # ------------------------------------------------------------------
@@ -450,8 +451,8 @@ class StreamingChecker:
 
     @property
     def frozen_edges(self) -> int:
-        """Value edge bits in the frozen block (never re-checked)."""
-        return len(self._frozen)
+        """Value edge bits in the frozen block, a column each (never re-checked)."""
+        return sum(map(len, self._frozen))
 
     def estimated_bytes(self) -> int:
         """A coarse resident-footprint estimate for governance accounting.
@@ -460,13 +461,13 @@ class StreamingChecker:
         micro-op tuples dominate a live window (~400 bytes each), the
         per-transaction integer columns are the retained floor (~100 bytes
         per transaction position, placeholders included), and each frozen
-        edge keeps its evidence record (~200 bytes).  Deterministic, so
+        edge bit its segment column (~200 bytes).  Deterministic, so
         watermark behavior is unit-testable without touching the RSS.
         """
         return (
             len(self.history.ops) * 400
             + len(self.history.transactions) * 100
-            + len(self._frozen) * 200
+            + self.frozen_edges * 200
         )
 
     def retire(
@@ -635,13 +636,17 @@ class StreamingChecker:
         # -- freeze, then drop -------------------------------------------
         # Every edge into a retired transaction is fixed: its value edges
         # come from frozen keys (their evidence moves to the frozen block)
-        # and its order edges were fixed when it was invoked.  A second
-        # retirement from one chunk's window also finds the edges into
-        # what the first retired, and rewrites the same records.
+        # and its order edges were fixed when it was invoked.  The segment
+        # takes only the edges into this call's retirees: a window retired
+        # twice still holds the edges into the first call's, already frozen.
+        fresh = np.zeros(n, dtype=bool)
+        fresh[retirable] = True
+        segment = merged.segment(fresh)
+        if len(segment):
+            self._frozen = [*self._frozen, segment]
         dead = np.ones(n, dtype=bool)
         dead[self._live] = False
         dead[retirable] = True
-        self._frozen.update(merged.records(dead))
         settled_found: List[Anomaly] = []
         for txn_id in new_ids:
             settled_found.extend(self._internal.pop(txn_id, ()))

@@ -44,8 +44,8 @@ from typing import (
 
 from ..errors import WorkloadError
 from ..history import History, Transaction
-from ..history.index import HistoryIndex, RowView, take
-from .analysis import BIT, U, V, Analysis, ColumnEvidence
+from ..history.index import HistoryIndex, RowView
+from .analysis import Analysis, ColumnEvidence
 from .anomalies import Anomaly, sort_anomalies
 from .internal import INTERNAL_CHECKERS, internal_candidate_positions
 from .profiling import Profile, stage
@@ -293,10 +293,6 @@ def _merge(
     the edge log, the sources as one logged source, which is returned."""
     analysis.anomalies.extend(sort_anomalies(anomalies))
     merged = ColumnEvidence.merge(sources)
-    if len(merged):
-        block = merged.block
-        ends = take(merged.txn_ids, block[U : V + 1].ravel())
-        n = len(merged)
-        analysis.graph.add_edge_columns(ends[:n], ends[n:], block[BIT])
+    analysis.graph.add_edge_columns(*merged.edges())
     analysis.log_evidence(merged)
     return merged

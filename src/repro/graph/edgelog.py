@@ -2,10 +2,11 @@
 
 The analysis pipeline emits hundreds of thousands of dependency edges,
 then freezes the graph once and only reads it afterwards.
-:class:`EdgeLogGraph` embraces that shape — the ``add_edge_*`` bulk
-appends extend flat arrays, with no per-edge dict probe or
-read-modify-write, and all the dedup work happens in one vectorized bulk
-pass (:meth:`CSRGraph.from_edge_log`) at freeze time.
+:class:`EdgeLogGraph` embraces that shape — its two bulk appends (order
+edges share a label, value edges carry one each) extend flat arrays, with
+no per-edge dict probe or read-modify-write, and all the dedup work
+happens in one vectorized bulk pass (:meth:`CSRGraph.from_edge_log`) at
+freeze time.
 
 Freezing ORs the labels of a repeated pair together, numbers the nodes in
 ascending order and sorts each successor row by target, so the snapshot
@@ -18,7 +19,7 @@ everywhere the checker reads the inferred serialization graph.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -78,8 +79,9 @@ class EdgeLogGraph:
     ) -> None:
         """Append parallel columns with per-edge labels in one memcpy each.
 
-        The whole-index analyzer emits its clean-key wr/rw/ww stream here;
-        labels are dependency bits, non-zero by construction.
+        Every value edge arrives here, one evidence source's block at a
+        time (:meth:`~repro.core.analysis.ColumnEvidence.edges`); labels
+        are dependency bits, non-zero by construction.
         """
         if len(us) == 0:
             return
@@ -87,23 +89,6 @@ class EdgeLogGraph:
         self._u.frombytes(_int64_bytes(us))
         self._v.frombytes(_int64_bytes(vs))
         self._l.frombytes(_int64_bytes(labels))
-
-    def add_edge_keys(self, triples: Iterable[Tuple[int, int, int]]) -> None:
-        """Append pre-validated ``(u, v, label)`` triples in bulk.
-
-        A streamed verdict's frozen block hands its evidence dict here (a
-        dict of ``EdgeKey`` keys iterates as triples); labels are
-        dependency bits, already non-zero by construction, so no per-edge
-        validation runs.
-        """
-        triples = list(triples)
-        if not triples:
-            return
-        self._csr = None
-        us, vs, ls = zip(*triples)
-        self._u.extend(us)
-        self._v.extend(vs)
-        self._l.extend(ls)
 
     def log(self) -> Tuple[array, array, array]:
         """The raw emission columns ``(us, vs, labels)``, repeats included.

@@ -80,7 +80,8 @@ Request frames (client to server):
 (total-ops quota), ``max_analyze_seconds`` (checker-time quota), and
 ``retire_idle_txns`` (auto-retire the settled prefix after each slice,
 sparing the newest N transactions — for keyspace-rotating streams; see
-``StreamingChecker.retire``).
+``StreamingChecker.retire``).  An ``open`` field given as null is absent;
+any other of the wrong JSON type fails the frame with ``bad-frame``.
 
 Any failure produces ``{"type": "error", "code": "...", "error": "...",
 "session": ...}`` instead of the normal reply; the connection stays
@@ -152,14 +153,44 @@ def decode_frame(line: Union[str, bytes]) -> Dict[str, Any]:
 
 
 def request_type(frame: Dict[str, Any]) -> str:
-    """Validate and return the frame's request type."""
+    """Validate the frame's request type and session id (a string when
+    given); return the type."""
     kind = frame.get("type")
-    if kind not in REQUEST_TYPES:
+    if not isinstance(kind, str) or kind not in REQUEST_TYPES:
         raise ProtocolError(
             f"unknown frame type {kind!r}; expected one of "
             f"{sorted(REQUEST_TYPES)}"
         )
+    session = frame.get("session")
+    if session is not None and not isinstance(session, str):
+        raise ProtocolError(f"frame session must be a string, got {session!r}")
     return kind
+
+
+#: The JSON type of each ``open`` field, with its name in errors.
+_OPEN_TYPES = (
+    (str, "a string", ("workload", "model")),
+    (int, "an integer", ("chunk", "max_ops", "retire_idle_txns")),
+    ((int, float), "a number", ("max_analyze_seconds",)),
+    (bool, "a boolean", ("process_edges", "realtime_edges", "timestamp_edges")),
+    (dict, "a JSON object", ("options",)),
+)
+
+
+def open_fields(frame: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``open`` frame's non-null fields, each checked for its type
+    here: a float chunk would fail only in a later analysis slice, after
+    buffering data, and a ``"false"`` edge flag would switch edges on."""
+    fields = {name: value for name, value in frame.items() if value is not None}
+    for kind, noun, names in _OPEN_TYPES:
+        for name in filter(fields.__contains__, names):
+            value = fields[name]
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ProtocolError(f"open {name} must be {noun}, got {value!r}")
+    sources = fields.get("options", {}).get("sources", [])
+    if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
+        raise ProtocolError(f"open options.sources must list strings, got {sources!r}")
+    return fields
 
 
 def encode_ops(ops: Iterable[Op]) -> List[dict]:

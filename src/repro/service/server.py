@@ -41,6 +41,7 @@ from .protocol import (
     decode_frame,
     decode_ops,
     encode_frame,
+    open_fields,
     request_type,
     update_record,
 )
@@ -565,30 +566,7 @@ class CheckerService:
         return reply
 
     def _open(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        options = frame.get("options") or {}
-        if not isinstance(options, dict):
-            raise ProtocolError("open options must be a JSON object")
-        chunk = frame.get("chunk", self.registry.default_chunk_ops)
-        # Reject non-int chunks here: a float would pass the <= 0 check
-        # and only blow up (poisoning the session and its buffered data)
-        # deep inside a later analysis slice.
-        if not isinstance(chunk, int) or isinstance(chunk, bool):
-            raise ProtocolError(f"open chunk must be an integer, got {chunk!r}")
-        for name in ("max_ops", "retire_idle_txns"):
-            value = frame.get(name)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool)
-            ):
-                raise ProtocolError(
-                    f"open {name} must be an integer, got {value!r}"
-                )
-        budget = frame.get("max_analyze_seconds")
-        if budget is not None and (
-            not isinstance(budget, (int, float)) or isinstance(budget, bool)
-        ):
-            raise ProtocolError(
-                f"open max_analyze_seconds must be a number, got {budget!r}"
-            )
+        fields = open_fields(frame)
         session_id = frame.get("session")
         resume = bool(frame.get("resume"))
         if frame.get("fresh") and self._durable_state(session_id):
@@ -626,18 +604,16 @@ class CheckerService:
             self._work.set()
             return self._opened_reply(session, resumed=True)
         config = SessionConfig(
-            workload=frame.get("workload", "list-append"),
-            consistency_model=frame.get(
-                "model", SessionConfig.consistency_model
-            ),
-            chunk_ops=chunk,
-            process_edges=frame.get("process_edges", True),
-            realtime_edges=frame.get("realtime_edges", True),
-            timestamp_edges=frame.get("timestamp_edges", False),
-            max_ops=frame.get("max_ops"),
-            max_analyze_seconds=frame.get("max_analyze_seconds"),
-            retire_idle_txns=frame.get("retire_idle_txns") or 0,
-            options=options,
+            workload=fields.get("workload", SessionConfig.workload),
+            consistency_model=fields.get("model", SessionConfig.consistency_model),
+            chunk_ops=fields.get("chunk", self.registry.default_chunk_ops),
+            process_edges=fields.get("process_edges", True),
+            realtime_edges=fields.get("realtime_edges", True),
+            timestamp_edges=fields.get("timestamp_edges", False),
+            max_ops=fields.get("max_ops"),
+            max_analyze_seconds=fields.get("max_analyze_seconds"),
+            retire_idle_txns=fields.get("retire_idle_txns", 0),
+            options=fields.get("options", {}),
         )
         session = self.registry.open(config, session_id)
         if self.durability is not None:

@@ -4,11 +4,12 @@ import pytest
 
 from repro import Analysis, ReproError, WorkloadError, check
 from repro.core import PROCESS, REALTIME, WR, WW, Profile, add_orders, analyze
-from repro.core.analysis import Evidence
+from repro.core.analysis import ColumnEvidence, Evidence
 from repro.core.keyspace import PLANS
 from repro.errors import GeneratorError, HistoryError
 from repro.generator import RunConfig, WorkloadConfig, run_workload
 from repro.history import History, append, r, w
+from tests.keyspace_reference import as_source
 
 
 class TestErrorsHierarchy:
@@ -115,15 +116,24 @@ class TestAnalysisContainer:
 
     def test_first_evidence_wins(self):
         a = self.make()
+        plan = PLANS["list-append"](a.history)
+
+        def source(*fragments):
+            # One source whose runs are the fragments, in precedence order.
+            return ColumnEvidence.merge([as_source(plan, f) for f in fragments])
+
         first = Evidence(kind=WR, key="x", value=1)
         second = first._replace(value=2)
-        a.log_evidence(lambda: [{(0, 2, WR): first}, {(0, 2, WR): second}])
-        a.log_evidence(lambda: [{(0, 2, WR): second}])
-        assert a.edge_evidence(0, 2, WR).value == 1
+        a.log_evidence(source({(0, 2, WR): first}, {(0, 2, WR): second}))
+        a.log_evidence(source({(0, 2, WR): second}))
+        assert a.edge_evidence(0, 2, WR) == first
+        assert a.evidence == {(0, 2, WR): first}
         # A source logged after the first read still yields to it.
-        a.log_evidence(lambda: [{(0, 2, WR): second, (2, 0, WW): first}])
-        assert a.edge_evidence(0, 2, WR).value == 1
-        assert a.edge_evidence(2, 0, WW) == first
+        overwrite = Evidence(kind=WW, key="x", value=2, prev_value=1)
+        a.log_evidence(source({(0, 2, WR): second, (2, 0, WW): overwrite}))
+        assert a.edge_evidence(0, 2, WR) == first
+        assert a.edge_evidence(2, 0, WW) == overwrite
+        assert a.evidence == {(0, 2, WR): first, (2, 0, WW): overwrite}
 
     def test_missing_evidence_is_none(self):
         a = self.make()
@@ -176,6 +186,6 @@ class TestReprs:
         from repro.graph import EdgeLogGraph
 
         g = EdgeLogGraph()
-        g.add_edge_keys([(1, 2, 1)])
+        g.add_edge_columns([1], [2], [1])
         assert "1 emissions" in repr(g)
         assert "nodes=2" in repr(g.freeze())

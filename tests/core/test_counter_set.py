@@ -252,9 +252,9 @@ class TestOnePath:
             together = plan.analyze_keys(keys)
             for key, (anomalies, source) in zip(keys, together):
                 (alone,) = plan.analyze_keys([key])
-                fragment = source()[0]
+                fragment = source.records()
                 for batch in (
-                    (alone[0], alone[1]()[0]),
+                    (alone[0], alone[1].records()),
                     reference.grow_set_key(plan, key),
                 ):
                     got = [a.__dict__ for a in batch[0]]

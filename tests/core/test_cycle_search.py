@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from repro.core import PROCESS, REALTIME, RW, TIMESTAMP, WR, WW, classify_cycle
 from repro.core.cycle_search import _SPECS, find_cycle_anomalies
 from repro.graph import EdgeLogGraph
+from tests.graph_reference import add_edges
 
 
 def graph_of(*edges):
     g = EdgeLogGraph()
-    g.add_edge_keys(edges)
+    add_edges(g, edges)
     return g
 
 

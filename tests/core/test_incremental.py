@@ -416,3 +416,37 @@ class TestRetiringStreamCostsItsWindow:
             assert max(s[column] for s in tail) <= max(s[column] for s in short)
         # The frozen block holds what the live graph no longer does.
         assert checker.frozen_edges > max(s[1] for s in long)
+
+
+class TestFrozenEvidenceIsLookedUp:
+    """A streamed verdict reads one frozen edge's record from its segment:
+    nothing is replayed, and the segments hold one column per frozen edge
+    bit."""
+
+    def test_frozen_edge_evidence_without_replay(self):
+        ops = rotating_waves(4)
+        chunks = [ops[start : start + 100] for start in range(0, len(ops), 100)]
+        checker = StreamingChecker()
+        for chunk in chunks[:-1]:
+            checker.extend(chunk)
+            checker.retire(min_idle_txns=50)
+        update = checker.extend(chunks[-1])
+        batch = check(History(ops)).analysis.evidence
+
+        ids = checker.history.index().txn_ids
+        retired = set(ids) - {ids[p] for p in checker._live}
+        into_retired = {edge for edge in batch if edge[1] in retired}
+        assert checker.retired_txns and into_retired
+        frozen = [
+            edge
+            for segment in checker._frozen
+            for edge in zip(*(column.tolist() for column in segment.edges()))
+        ]
+        assert len(frozen) == checker.frozen_edges == len(into_retired)
+        assert set(frozen) == into_retired
+
+        analysis = update.result.analysis
+        for edge in sorted(into_retired)[:: max(1, len(into_retired) // 20)]:
+            assert analysis.edge_evidence(*edge) == batch[edge]
+        assert analysis._pending  # nothing was replayed
+        assert analysis.evidence == batch

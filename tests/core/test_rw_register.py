@@ -437,9 +437,9 @@ class TestWholeIndexPass:
         seen = set()
         for key, (anomalies, source) in zip(keys, together):
             (alone,) = plan.analyze_keys([key])
-            fragment = source()[0]
+            fragment = source.records()
             for batch in (
-                (alone[0], alone[1]()[0]),
+                (alone[0], alone[1].records()),
                 reference.analyze_key(plan, key),
             ):
                 assert [a.__dict__ for a in batch[0]] == [a.__dict__ for a in anomalies]

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core.cycle_search import find_cycle_anomalies
 from repro.graph import ALL_EDGES, CSRGraph, EdgeLogGraph
 from repro.graph.csr import _FAST_SCC_MIN_EDGES
-from tests.graph_reference import canonical_csr, successors
+from tests.graph_reference import add_edges, canonical_csr, successors
 
 # All six dependency bits the checker uses.
 FULL_MASK = 63
@@ -351,10 +351,10 @@ def test_find_cycle_anomalies_identical(g):
 
 def test_freeze_cache_invalidated_on_mutation():
     g = EdgeLogGraph()
-    g.add_edge_keys([(1, 2, 1)])
+    add_edges(g, [(1, 2, 1)])
     first = g.freeze()
     assert g.freeze() is first  # cached while unchanged
-    g.add_edge_keys([(2, 1, 2)])
+    add_edges(g, [(2, 1, 2)])
     second = g.freeze()
     assert second is not first
     assert second.edge_label(2, 1) == 2

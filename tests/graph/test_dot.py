@@ -1,6 +1,7 @@
 """Tests for DOT rendering."""
 
 from repro.graph import EdgeLogGraph, cycle_to_dot, graph_to_dot
+from tests.graph_reference import add_edges
 
 WW, WR, RW = 1, 2, 4
 NAMES = {WW: "ww", WR: "wr", RW: "rw"}
@@ -8,7 +9,7 @@ NAMES = {WW: "ww", WR: "wr", RW: "rw"}
 
 def graph_of(*edges):
     g = EdgeLogGraph()
-    g.add_edge_keys(edges)
+    add_edges(g, edges)
     return g
 
 

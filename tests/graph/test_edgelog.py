@@ -24,7 +24,13 @@ from hypothesis import strategies as st
 from repro.graph import CSRGraph, EdgeLogGraph
 from repro.graph.csr import _FAST_SCC_MIN_EDGES
 from repro.graph.intervals import interval_precedence_pairs
-from tests.graph_reference import canonical_csr, in_degree, out_degree, successors
+from tests.graph_reference import (
+    add_edges,
+    canonical_csr,
+    in_degree,
+    out_degree,
+    successors,
+)
 
 edge_lists = st.lists(
     st.tuples(
@@ -53,7 +59,7 @@ class TestEdgeLogEquivalence:
     @given(edge_lists)
     def test_freeze_matches_dict_build(self, edges):
         log = EdgeLogGraph()
-        log.add_edge_keys(edges)
+        add_edges(log, edges)
         assert csr_signature(log.freeze()) == csr_signature(
             reference_csr(edges)
         )
@@ -76,7 +82,7 @@ class TestEdgeLogEquivalence:
             if how == "columns":
                 log.add_edge_columns(*zip(*run))
             elif how == "keys":
-                log.add_edge_keys(run)
+                add_edges(log, run)
             else:
                 for label, group in groupby(run, key=lambda edge: edge[2]):
                     us, vs, _ls = zip(*group)
@@ -118,24 +124,24 @@ class TestEdgeLogEquivalence:
     @pytest.mark.parametrize("size", [1, 3, 1000])
     def test_builder_outputs_python_ints(self, size):
         log = EdgeLogGraph()
-        log.add_edge_keys([(i, i + 1, 1) for i in range(size)])
+        add_edges(log, [(i, i + 1, 1) for i in range(size)])
         csr = log.freeze()
         for seq in (csr.nodes, csr.indptr, csr.indices, csr.labels):
             assert all(type(x) is int for x in seq)
 
     def test_repeated_pairs_or_labels_together(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(1, 2, 1)])
-        log.add_edge_keys([(1, 2, 4)])
+        add_edges(log, [(1, 2, 1)])
+        add_edges(log, [(1, 2, 4)])
         assert log.edge_label(1, 2) == 5
         assert log.edge_count == 1
 
     def test_freeze_is_cached_until_mutation(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(1, 2, 1)])
+        add_edges(log, [(1, 2, 1)])
         first = log.freeze()
         assert log.freeze() is first
-        log.add_edge_keys([(2, 3, 1)])
+        add_edges(log, [(2, 3, 1)])
         assert log.freeze() is not first
         assert log.node_count == 3
 
@@ -143,7 +149,7 @@ class TestEdgeLogEquivalence:
 class TestEdgeLogApi:
     def build(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(1, 2, 1), (2, 3, 2), (1, 3, 4)])
+        add_edges(log, [(1, 2, 1), (2, 3, 2), (1, 3, 4)])
         return log
 
     def test_empty_log(self):
@@ -156,21 +162,21 @@ class TestEdgeLogApi:
 
     def test_self_loop_allowed(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(1, 1, 4)])
+        add_edges(log, [(1, 1, 4)])
         assert log.has_edge(1, 1, 4)
         assert successors(log, 1) == [1]
         assert log.freeze().cyclic_scc_idx(4) == [[0]]
 
     def test_add_edge_creates_nodes(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(7, 9, 1)])
+        add_edges(log, [(7, 9, 1)])
         assert 7 in log and 9 in log
         assert log.edge_label(7, 9) == 1
         assert log.edge_label(9, 7) == 0
 
     def test_successors_respect_mask(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(1, 2, 1), (1, 3, 2), (1, 4, 1 | 4)])
+        add_edges(log, [(1, 2, 1), (1, 3, 2), (1, 4, 1 | 4)])
         assert successors(log, 1, 1) == [2, 4]
         assert successors(log, 1, 2) == [3]
         assert successors(log, 1, 4) == [4]
@@ -178,7 +184,7 @@ class TestEdgeLogApi:
 
     def test_has_edge_with_mask(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(1, 2, 1)])
+        add_edges(log, [(1, 2, 1)])
         assert log.has_edge(1, 2)
         assert log.has_edge(1, 2, 1)
         assert not log.has_edge(1, 2, 2)
@@ -198,10 +204,10 @@ class TestEdgeLogApi:
 
     def test_frozen_snapshot_survives_later_appends(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(1, 2, 1)])
+        add_edges(log, [(1, 2, 1)])
         first = log.freeze()
-        log.add_edge_keys([(2, 3, 2)])
-        log.add_edge_keys([(1, 2, 4)])
+        add_edges(log, [(2, 3, 2)])
+        add_edges(log, [(1, 2, 4)])
         assert first.edge_label(1, 2) == 1
         assert first.edge_label(2, 3) == 0
         assert 3 not in first
@@ -210,7 +216,7 @@ class TestEdgeLogApi:
 
     def test_in_degree_respects_mask(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(2, 1, 1), (3, 1, 2), (4, 1, 1 | 4)])
+        add_edges(log, [(2, 1, 1), (3, 1, 2), (4, 1, 1 | 4)])
         assert in_degree(log, 1) == 3
         assert in_degree(log, 1, mask=1) == 2
         assert in_degree(log, 1, mask=2) == 1
@@ -219,7 +225,7 @@ class TestEdgeLogApi:
 
     def test_edges_keep_the_ored_label_under_either_bit(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(1, 2, 1), (1, 3, 4), (1, 2, 2)])
+        add_edges(log, [(1, 2, 1), (1, 3, 4), (1, 2, 2)])
         assert list(log.edges()) == [(1, 2, 3), (1, 3, 4)]
         assert list(log.edges(mask=2)) == [(1, 2, 3)]
         assert list(log.edges(mask=1)) == [(1, 2, 3)]
@@ -259,13 +265,6 @@ class TestEdgeLogApi:
         assert via_views.log() == via_lists.log()
         assert csr_signature(via_views.freeze()) == csr_signature(via_lists.freeze())
 
-    def test_add_edge_keys_accepts_dict_keys(self):
-        log = EdgeLogGraph()
-        fragment = {(1, 2, 1): "ev-a", (2, 3, 2): "ev-b"}
-        log.add_edge_keys(fragment)
-        log.add_edge_keys({})
-        assert sorted(log.edges()) == [(1, 2, 1), (2, 3, 2)]
-
     def test_nodes_edges_and_membership(self):
         log = self.build()
         assert list(log.nodes()) == [1, 2, 3]
@@ -289,9 +288,9 @@ class TestEdgeLogApi:
 class TestScipyEngine:
     def chain_graph(self, n, cyclic):
         log = EdgeLogGraph()
-        log.add_edge_keys([(i, i + 1, 1) for i in range(n)])
+        add_edges(log, [(i, i + 1, 1) for i in range(n)])
         if cyclic:
-            log.add_edge_keys([(n, 0, 1)])
+            add_edges(log, [(n, 0, 1)])
         return log.freeze()
 
     @pytest.fixture
@@ -327,9 +326,9 @@ class TestScipyEngine:
 
     def test_self_loop_is_a_component(self, engines):
         log = EdgeLogGraph()
-        log.add_edge_keys([(i, i + 1, 1) for i in range(_FAST_SCC_MIN_EDGES)])
-        log.add_edge_keys([(5, 5, 1)])
-        log.add_edge_keys([(3, 3, 2)])
+        add_edges(log, [(i, i + 1, 1) for i in range(_FAST_SCC_MIN_EDGES)])
+        add_edges(log, [(5, 5, 1)])
+        add_edges(log, [(3, 3, 2)])
         csr = log.freeze()
         assert csr.cyclic_scc_idx(csr.label_union) == [[3], [5]]
         assert csr.cyclic_scc_idx(1) == [[5]]
@@ -339,8 +338,8 @@ class TestScipyEngine:
     def test_mask_filters_edges(self, engines):
         # Under the full mask there is a cycle; under mask=1 there is not.
         log = EdgeLogGraph()
-        log.add_edge_keys([(i, i + 1, 1) for i in range(_FAST_SCC_MIN_EDGES)])
-        log.add_edge_keys([(_FAST_SCC_MIN_EDGES, 0, 2)])
+        add_edges(log, [(i, i + 1, 1) for i in range(_FAST_SCC_MIN_EDGES)])
+        add_edges(log, [(_FAST_SCC_MIN_EDGES, 0, 2)])
         csr = log.freeze()
         assert csr.cyclic_scc_idx(1) == []
         assert csr.cyclic_scc_idx(2) == []
@@ -360,7 +359,7 @@ class TestScipyEngine:
 class TestPickle:
     def test_frozen_graph_round_trips_without_its_snapshot(self):
         log = EdgeLogGraph()
-        log.add_edge_keys([(3, 1, 1), (1, 2, 4), (2, 3, 2), (1, 2, 1)])
+        add_edges(log, [(3, 1, 1), (1, 2, 4), (2, 3, 2), (1, 2, 1)])
         before = log.freeze()
         data = pickle.dumps(log, pickle.HIGHEST_PROTOCOL)
         assert b"CSRGraph" not in data
@@ -373,7 +372,7 @@ class TestPickle:
             before.indices,
             before.labels,
         )
-        loaded.add_edge_keys([(2, 1, 8)])
+        add_edges(loaded, [(2, 1, 8)])
         assert loaded.edge_label(2, 1) == 8
         assert log.edge_label(2, 1) == 0
 

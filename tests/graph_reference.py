@@ -63,3 +63,12 @@ def in_degree(graph, v, mask=ALL_EDGES):
         for pos, target in enumerate(csr.indices)
         if target == vi and labels[pos] & mask
     )
+
+
+def add_edges(graph, triples):
+    """Append ``(u, v, label)`` triples to ``graph``'s log through its
+    column append, the one every value edge takes."""
+    triples = list(triples)
+    if triples:
+        us, vs, labels = zip(*triples)
+        graph.add_edge_columns(us, vs, labels)

@@ -8,9 +8,9 @@ first record of an edge winning.  :func:`use_walk` makes a plan run such
 a walk for every key, in batch checks and streams alike.  A batch check
 then maps the walk over the plan's keys, runs the internal-consistency
 sweep, and applies the fragments with :func:`merge_fragments`, the dict
-merge the shipped column merge replaced; a stream maps it over a chunk's
-stale keys, each fragment carried as rows (:func:`as_source`) so the
-stream's own merge applies it.
+merge the shipped column merge replaced, logged as rows
+(:func:`as_source`); a stream maps it over a chunk's stale keys, each
+fragment carried as rows so the stream's own merge applies it.
 """
 
 from typing import Any, Callable, Dict, List, Sequence, Tuple
@@ -27,15 +27,23 @@ WalkBatch = Tuple[List[Anomaly], Fragment]
 
 
 def merge_fragments(
-    analysis: Analysis, anomalies: List[Anomaly], fragments: Sequence[Fragment]
+    plan: KeyspacePlan,
+    analysis: Analysis,
+    anomalies: List[Anomaly],
+    fragments: Sequence[Fragment],
 ) -> None:
     """Apply per-key results, fragments in key order, to ``analysis``:
-    anomalies in the canonical order, every fragment's edges, and the
-    fragments as one evidence source (the first key's record wins)."""
+    anomalies in the canonical order, and the fragments' first-key-wins
+    dict, its edges and as one evidence source (:func:`as_source`)."""
     analysis.anomalies.extend(sort_anomalies(anomalies))
+    merged: Fragment = {}
     for fragment in fragments:
-        analysis.graph.add_edge_keys(fragment)
-    analysis.log_evidence(lambda: fragments)
+        for edge, record in fragment.items():
+            merged.setdefault(edge, record)
+    if merged:
+        us, vs, bits = zip(*merged)
+        analysis.graph.add_edge_columns(us, vs, bits)
+    analysis.log_evidence(as_source(plan, merged))
 
 
 def as_source(plan: KeyspacePlan, fragment: Fragment) -> ColumnEvidence:
@@ -94,7 +102,7 @@ def use_walk(
             anomalies.extend(key_anomalies)
             if fragment:
                 fragments.append(fragment)
-        merge_fragments(analysis, anomalies, fragments)
+        merge_fragments(plan, analysis, anomalies, fragments)
 
     patch.setattr(plan_class, "analyze_keys", analyze_keys)
     patch.setattr(plan_class, "analyze_index", analyze_index)

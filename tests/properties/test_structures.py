@@ -15,7 +15,7 @@ from repro.core.consistency import (
 from repro.core.cycle_search import find_cycle_anomalies
 from repro.core.objects import is_prefix, longest_common_prefix, trace
 from repro.graph import EdgeLogGraph
-from tests.graph_reference import in_degree, out_degree, successors
+from tests.graph_reference import add_edges, in_degree, out_degree, successors
 
 BITS = [WW, WR, RW, PROCESS, REALTIME]
 
@@ -45,7 +45,7 @@ def graph_ops(draw):
 def test_graph_succ_degree_symmetry(data):
     n, edges = data
     g = EdgeLogGraph()
-    g.add_edge_keys(edges)
+    add_edges(g, edges)
     for u, v, label in g.edges():
         assert label == g.edge_label(u, v)
         assert v in set(successors(g, u))
@@ -60,7 +60,7 @@ def test_graph_succ_degree_symmetry(data):
 def test_masked_queries_are_label_intersection(data, mask):
     n, edges = data
     g = EdgeLogGraph()
-    g.add_edge_keys(edges)
+    add_edges(g, edges)
     csr = g.freeze()
     everything = list(g.edges())
     assert list(g.edges(mask)) == [e for e in everything if e[2] & mask]
@@ -77,7 +77,7 @@ def test_masked_queries_are_label_intersection(data, mask):
 def test_in_degree_counts_masked_sources(data, mask):
     n, edges = data
     g = EdgeLogGraph()
-    g.add_edge_keys(edges)
+    add_edges(g, edges)
     for v in g.nodes():
         sources = {u for u in g.nodes() if g.edge_label(u, v) & mask}
         assert in_degree(g, v, mask) == len(sources)
@@ -95,7 +95,7 @@ def test_in_degree_counts_masked_sources(data, mask):
 def test_reported_cycles_are_real(data):
     n, edges = data
     g = EdgeLogGraph()
-    g.add_edge_keys(edges)
+    add_edges(g, edges)
     for anomaly in find_cycle_anomalies(g):
         assert anomaly.txns[0] == anomaly.txns[-1]
         interior = anomaly.txns[:-1]
@@ -123,7 +123,7 @@ def test_acyclic_value_graph_reports_no_value_cycles(data):
     # Remove all cycles by keeping only forward edges u < v.
     n, edges = data
     g = EdgeLogGraph()
-    g.add_edge_keys((u, v, bit) for u, v, bit in edges if u < v)
+    add_edges(g, [(u, v, bit) for u, v, bit in edges if u < v])
     assert find_cycle_anomalies(g) == []
 
 

@@ -302,6 +302,7 @@ class TestRecoveryOracle:
             b"REPROCKPT7\n",
             b"REPROCKPT8\n",
             b"REPROCKPT9\n",
+            b"REPROCKPT10\n",
         ],
         ids=lambda magic: magic.decode().strip(),
     )
@@ -325,7 +326,9 @@ class TestRecoveryOracle:
         fragment of records, where the checker now caches the key's rows
         of its pass's edge columns; ``REPROCKPT9`` checkpoints hold an
         index of per-key slice objects, where the index now holds one
-        table of micro-op rows.
+        table of micro-op rows; ``REPROCKPT10`` checkpoints hold the
+        frozen block as a dict of evidence records, where the checker now
+        keeps it as a list of column segments.
         Recovery must skip every one and replay the whole WAL to the batch
         report.
         """
@@ -347,7 +350,7 @@ class TestRecoveryOracle:
         store = durability.store("chaos")
         checkpoints = store.checkpoint_paths()
         assert checkpoints, "cadence should have produced checkpoints"
-        assert CHECKPOINT_MAGIC == b"REPROCKPT10\n"
+        assert CHECKPOINT_MAGIC == b"REPROCKPT11\n"
         for path in checkpoints:
             blob = open(path, "rb").read()
             with open(path, "wb") as fh:

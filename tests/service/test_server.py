@@ -132,6 +132,38 @@ class TestFrameDispatch:
 
         self.run_conversation(conversation)
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": ["open"]},
+            {"type": "open", "session": ["x"]},
+            {"type": "stats", "session": ["x"]},
+            {"type": "verdict", "session": {"a": 1}},
+            {"type": "open", "workload": ["list-append"]},
+            {"type": "open", "model": {"name": "serializable"}},
+            {"type": "open", "options": {"sources": 5}},
+            {"type": "open", "process_edges": "false"},
+            {"type": "open", "realtime_edges": 0},
+            {"type": "open", "timestamp_edges": "yes"},
+        ],
+        ids=json.dumps,
+    )
+    def test_malformed_fields_get_bad_frame(self, frame):
+        """A field of the wrong JSON type is refused as ``bad-frame``, not
+        an ``internal`` error, and never opens a session (a string
+        ``"false"`` edge flag would otherwise switch the edges on)."""
+
+        async def conversation(service, reader, writer):
+            reply = await request(reader, writer, frame)
+            assert reply["type"] == "error", reply
+            assert reply["code"] == "bad-frame", reply
+            assert not service.registry.sessions
+            pong = await request(reader, writer, {"type": "ping"})
+            assert pong["type"] == "pong"
+            assert pong["sessions"] == 0
+
+        self.run_conversation(conversation)
+
     def test_poisoned_session_reports_and_survives(self):
         ops = session_workload(txns=10, seed=2)
 
